@@ -104,21 +104,13 @@ void Directory::refresh_tick() {
 std::size_t Directory::expire_stale() {
   sim::TimePoint now = runtime_.scheduler().now();
   std::vector<TranslatorProfile> expired;
-  for (const auto& [id, seen] : last_seen_) {
-    if (now - seen > max_age_) {
-      auto it = profiles_.find(id);
-      if (it != profiles_.end()) expired.push_back(it->second);
-    }
+  for (const auto& [id, entry] : entries_) {
+    if (entry.last_seen && now - *entry.last_seen > max_age_) expired.push_back(entry.profile);
   }
   for (const TranslatorProfile& profile : expired) {
     expired_.inc();
     unindex_profile(profile);
-    // The cache is keyed by translator id, and ids of a restarting node are
-    // reassigned from 1: without this erase, a republished id would multicast
-    // the dead translator's stale serialized announcement.
-    announce_cache_.erase(profile.id);
-    profiles_.erase(profile.id);
-    last_seen_.erase(profile.id);
+    entries_.erase(profile.id);
     log::Entry(log::Level::info, "directory")
         << "expired stale translator " << profile.name << " (node "
         << profile.node.to_string() << " silent)";
@@ -134,8 +126,8 @@ void Directory::reannounce() {
 
 void Directory::stop() {
   if (!started_) return;
-  for (const auto& [id, profile] : profiles_) {
-    if (profile.node != runtime_.node()) continue;
+  for (const auto& [id, entry] : entries_) {
+    if (entry.profile.node != runtime_.node()) continue;
     xml::Element bye = envelope("bye");
     bye.set_attr("translator-id", id.to_string());
     multicast(bye);
@@ -155,10 +147,8 @@ void Directory::crash() {
   started_ = false;
   *alive_ = false;
   alive_ = std::make_shared<bool>(true);
-  profiles_.clear();
+  entries_.clear();
   shape_index_.clear();
-  announce_cache_.clear();
-  last_seen_.clear();
   nodes_.clear();
 }
 
@@ -223,8 +213,10 @@ std::vector<TranslatorProfile> Directory::lookup(const Query& query) const {
   std::vector<TranslatorProfile> out;
   out.reserve(candidates.size());
   for (TranslatorId id : candidates) {
-    auto it = profiles_.find(id);
-    if (it != profiles_.end() && matches(query, it->second)) out.push_back(it->second);
+    auto it = entries_.find(id);
+    if (it != entries_.end() && matches(query, it->second.profile)) {
+      out.push_back(it->second.profile);
+    }
   }
   return out;
 }
@@ -232,8 +224,8 @@ std::vector<TranslatorProfile> Directory::lookup(const Query& query) const {
 std::vector<TranslatorProfile> Directory::lookup_linear(const Query& query) const {
   linear_scans_.inc();
   std::vector<TranslatorProfile> out;
-  for (const auto& [id, profile] : profiles_) {
-    if (matches(query, profile)) out.push_back(profile);
+  for (const auto& [id, entry] : entries_) {
+    if (matches(query, entry.profile)) out.push_back(entry.profile);
   }
   return out;
 }
@@ -247,8 +239,8 @@ void Directory::remove_directory_listener(DirectoryListener* listener) {
 }
 
 const TranslatorProfile* Directory::profile(TranslatorId id) const {
-  auto it = profiles_.find(id);
-  return it == profiles_.end() ? nullptr : &it->second;
+  auto it = entries_.find(id);
+  return it == entries_.end() ? nullptr : &it->second.profile;
 }
 
 const NodeInfo* Directory::node_info(NodeId id) const {
@@ -257,23 +249,22 @@ const NodeInfo* Directory::node_info(NodeId id) const {
 }
 
 void Directory::publish_local(const TranslatorProfile& profile) {
-  if (auto it = profiles_.find(profile.id); it != profiles_.end()) {
-    unindex_profile(it->second);  // re-publish may carry a different shape
-  }
-  announce_cache_.erase(profile.id);
-  profiles_[profile.id] = profile;
+  Entry& entry = entries_[profile.id];
+  unindex_profile(entry.profile);  // re-publish may carry a different shape
+  entry = Entry{profile, nullptr, std::nullopt};
   index_profile(profile);
   notify_mapped(profile);
-  if (started_) send_announce(profile);
+  if (!started_) return;
+  // Listeners may have withdrawn it meanwhile.
+  if (auto it = entries_.find(profile.id); it != entries_.end()) send_announce(it->second);
 }
 
 void Directory::withdraw_local(TranslatorId id) {
-  auto it = profiles_.find(id);
-  if (it == profiles_.end()) return;
-  TranslatorProfile profile = it->second;
-  unindex_profile(it->second);
-  announce_cache_.erase(id);
-  profiles_.erase(it);
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return;
+  TranslatorProfile profile = std::move(it->second.profile);
+  unindex_profile(profile);
+  entries_.erase(it);
   notify_unmapped(profile);
   if (started_) {
     xml::Element bye = envelope("bye");
@@ -282,25 +273,24 @@ void Directory::withdraw_local(TranslatorId id) {
   }
 }
 
-void Directory::send_announce(const TranslatorProfile& profile) {
+void Directory::send_announce(Entry& entry) {
   // The serialized advertisement only changes when the profile does (the
-  // envelope attributes are fixed per runtime), so periodic re-announcements
-  // multicast one cached buffer.
-  auto it = announce_cache_.find(profile.id);
-  if (it == announce_cache_.end()) {
+  // envelope attributes are fixed per runtime, and a new profile replaces the
+  // whole entry), so periodic re-announcements multicast one cached buffer.
+  if (entry.announce == nullptr) {
     announce_cache_misses_.inc();
     xml::Element adv = envelope("announce");
-    adv.add_child(profile.to_xml());
-    it = announce_cache_.emplace(profile.id, make_payload(to_bytes(adv.to_string()))).first;
+    adv.add_child(entry.profile.to_xml());
+    entry.announce = make_payload(to_bytes(adv.to_string()));
   } else {
     announce_cache_hits_.inc();
   }
-  multicast_payload(it->second);
+  multicast_payload(entry.announce);
 }
 
 void Directory::announce_all_local() {
-  for (const auto& [id, profile] : profiles_) {
-    if (profile.node == runtime_.node()) send_announce(profile);
+  for (auto& [id, entry] : entries_) {
+    if (entry.profile.node == runtime_.node()) send_announce(entry);
   }
 }
 
@@ -317,6 +307,9 @@ void Directory::notify_unmapped(const TranslatorProfile& profile) {
 
 void Directory::handle_datagram(const net::Endpoint& from, const Bytes& payload) {
   adverts_rx_.inc();
+  // Multicast loops every advert back to its sender. Only this directory's
+  // socket sends from its bound endpoint, so drop those before parsing.
+  if (from.port == runtime_.config().directory_port && from.host == runtime_.host()) return;
   auto doc = xml::parse(umiddle::to_string(payload));
   if (!doc.ok() || doc.value().name() != "umiddle-adv") {
     log::Entry(log::Level::warn, "directory") << "ignoring malformed advert from "
@@ -327,12 +320,12 @@ void Directory::handle_datagram(const net::Endpoint& from, const Bytes& payload)
   std::uint64_t node_raw = 0;
   if (!strings::parse_u64(adv.attr("node"), node_raw) || node_raw == 0) return;
   NodeId sender(node_raw);
-  if (sender == runtime_.node()) return;  // multicast loopback of our own advert
+  if (sender == runtime_.node()) return;  // our node id from another endpoint: forged
 
   // Learn/refresh the sender's transport endpoint.
   std::uint64_t umtp_port = 0;
   strings::parse_u64(adv.attr("umtp-port"), umtp_port);
-  if (umtp_port != 0 && !adv.attr("host").empty()) {
+  if (umtp_port != 0 && umtp_port <= 0xFFFF && !adv.attr("host").empty()) {
     nodes_[sender] = NodeInfo{sender, std::string(adv.attr("host")),
                               static_cast<std::uint16_t>(umtp_port)};
   }
@@ -347,40 +340,36 @@ void Directory::handle_datagram(const net::Endpoint& from, const Bytes& payload)
           << "bad announce: " << profile.error().to_string();
       return;
     }
-    auto existing = profiles_.find(profile.value().id);
-    const bool fresh = existing == profiles_.end();
+    const TranslatorProfile& next = profile.value();
+    // A node may only describe, and overwrite, translators it owns.
+    if (next.node != sender) return;
+    auto [it, fresh] = entries_.try_emplace(next.id);
+    if (!fresh && it->second.profile.node != sender) return;
     // Tombstone-free rebind: a node that crashed and restarted reuses its
     // translator ids, so a re-announce can carry a *different* device under a
     // known id without any intervening bye. Detect the change and replay it as
     // unmap + map so listeners (and dynamic message paths) rebind cleanly.
-    bool rebound = false;
     std::optional<TranslatorProfile> old;
     if (!fresh) {
-      const TranslatorProfile& prev = existing->second;
-      const TranslatorProfile& next = profile.value();
-      rebound = prev.name != next.name || prev.platform != next.platform ||
-                prev.device_type != next.device_type || prev.node != next.node ||
-                !(prev.shape == next.shape);
-      if (rebound) old = prev;
+      const TranslatorProfile& prev = it->second.profile;
+      if (prev.name != next.name || prev.platform != next.platform ||
+          prev.device_type != next.device_type || !(prev.shape == next.shape)) {
+        old = prev;
+      }
       unindex_profile(prev);  // re-announce may change the shape
     }
-    profiles_[profile.value().id] = profile.value();
-    index_profile(profile.value());
-    last_seen_[profile.value().id] = runtime_.scheduler().now();
-    if (rebound) notify_unmapped(*old);
-    if (fresh || rebound) notify_mapped(profile.value());
+    it->second = Entry{next, nullptr, runtime_.scheduler().now()};
+    index_profile(next);
+    if (old) notify_unmapped(*old);
+    if (fresh || old) notify_mapped(next);
   } else if (type == "bye") {
     std::uint64_t id_raw = 0;
     if (!strings::parse_u64(adv.attr("translator-id"), id_raw)) return;
-    auto it = profiles_.find(TranslatorId(id_raw));
-    if (it == profiles_.end()) return;
-    TranslatorProfile profile = it->second;
-    unindex_profile(it->second);
-    // Defensive symmetry with expire_stale(): a bye for an id that somehow
-    // has a cached local announcement must drop the stale serialization too.
-    announce_cache_.erase(profile.id);
-    profiles_.erase(it);
-    last_seen_.erase(profile.id);
+    auto it = entries_.find(TranslatorId(id_raw));
+    if (it == entries_.end() || it->second.profile.node != sender) return;
+    TranslatorProfile profile = std::move(it->second.profile);
+    unindex_profile(profile);
+    entries_.erase(it);
     notify_unmapped(profile);
   } else if (type == "probe") {
     // Re-announce after a deterministic per-node jitter so simultaneous

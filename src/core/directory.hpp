@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -84,9 +85,9 @@ class Directory {
   /// our translators without waiting up to max_age/3.
   void reannounce();
   /// Drop remote entries not refreshed within max_age (crashed nodes never
-  /// send bye). Invalidates the announce cache for each dropped entry and
-  /// notifies listeners. Returns the number of entries expired. Called by the
-  /// refresh tick; public so tests can force an expiry sweep deterministically.
+  /// send bye) and notify listeners. Returns the number of entries expired.
+  /// Called by the refresh tick; public so tests can force an expiry sweep
+  /// deterministically.
   std::size_t expire_stale();
 
   /// Lifetime granted to remote entries per advertisement. Local translators
@@ -112,7 +113,7 @@ class Directory {
   const TranslatorProfile* profile(TranslatorId id) const;
   /// Transport endpoint of the node hosting a translator, if known.
   const NodeInfo* node_info(NodeId id) const;
-  std::size_t known_translators() const { return profiles_.size(); }
+  std::size_t known_translators() const { return entries_.size(); }
 
   // --- called by the runtime ----------------------------------------------------
   void publish_local(const TranslatorProfile& profile);
@@ -123,8 +124,19 @@ class Directory {
   /// whose type has a wildcard major land in the "*" bucket.
   using IndexKey = std::tuple<int, int, std::string>;
 
+  /// Everything known about one translator. Replacing or erasing an entry
+  /// replaces or erases its cached announce payload with it.
+  struct Entry {
+    TranslatorProfile profile;
+    /// Serialized announce advert (local translators only), built on first
+    /// send so periodic refresh_tick() re-announcements reuse one buffer.
+    PayloadPtr announce;
+    /// Last refresh (remote translators only; locals never expire).
+    std::optional<sim::TimePoint> last_seen;
+  };
+
   void handle_datagram(const net::Endpoint& from, const Bytes& payload);
-  void send_announce(const TranslatorProfile& profile);
+  void send_announce(Entry& entry);
   void announce_all_local();
   void refresh_tick();
   void notify_mapped(const TranslatorProfile& profile);
@@ -132,8 +144,8 @@ class Directory {
   xml::Element envelope(const char* type) const;
   void multicast(const xml::Element& advert);
   void multicast_payload(const PayloadPtr& payload);
-  /// Add/remove a profile's ports in shape_index_. Every mutation of
-  /// profiles_ must pair with one of these (and drop the announce cache).
+  /// Add/remove a profile's ports in shape_index_. Every insert, replace or
+  /// erase in entries_ must pair with one of these.
   void index_profile(const TranslatorProfile& profile);
   void unindex_profile(const TranslatorProfile& profile);
 
@@ -150,18 +162,12 @@ class Directory {
   obs::Counter& expired_;
   bool started_ = false;
   sim::Duration max_age_ = sim::seconds(30);
-  std::map<TranslatorId, TranslatorProfile> profiles_;
+  std::map<TranslatorId, Entry> entries_;
   /// Inverted index over profile shapes: lookup() walks only the buckets a
   /// query's (kind, direction, major) requirement can possibly match instead
   /// of scanning every profile. Buckets are ordered sets so candidate merging
   /// preserves lookup_linear()'s ascending-id result order.
   std::map<IndexKey, std::set<TranslatorId>> shape_index_;
-  /// Serialized announce advertisement per *local* translator; rebuilt lazily
-  /// after the profile changes, so periodic refresh_tick() re-announcements
-  /// reuse one buffer instead of re-serializing XML every max_age/3.
-  std::map<TranslatorId, PayloadPtr> announce_cache_;
-  /// Last refresh time per *remote* translator (locals never expire).
-  std::map<TranslatorId, sim::TimePoint> last_seen_;
   std::map<NodeId, NodeInfo> nodes_;
   std::vector<DirectoryListener*> listeners_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

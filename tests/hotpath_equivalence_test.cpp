@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <queue>
 #include <string>
 #include <utility>
@@ -183,10 +184,13 @@ TEST(HotpathEquivalenceTest, IndexedLookupMatchesLinearOracle) {
 }
 
 TEST(HotpathEquivalenceTest, IndexSurvivesExpireRepublishCrashInterleavings) {
-  // The PR-4 churn sources — soft-state expiry, tombstone-free republish under
-  // a recycled id, and whole-runtime crash/restart — all mutate profiles_ and
-  // shape_index_ through different paths. Interleave them randomly and assert
-  // the indexed lookup stays exactly equivalent to the linear oracle.
+  // The churn sources — soft-state expiry, tombstone-free republish under a
+  // recycled id, whole-runtime crash/restart, and forged adverts naming local
+  // translators — all mutate the directory's entries and shape index through
+  // different paths. Interleave them randomly and assert the indexed lookup
+  // stays exactly equivalent to the linear oracle, that local translators
+  // only change through the local API, and that the runtime's own looped-back
+  // adverts are counted but change nothing.
   sim::Scheduler sched;
   net::Network net(sched, 1);
   net::SegmentId lan = net.add_segment(net::SegmentSpec{});
@@ -209,12 +213,14 @@ TEST(HotpathEquivalenceTest, IndexSurvivesExpireRepublishCrashInterleavings) {
   auto ghost_id = [&](std::uint64_t node, std::uint64_t k) {
     return ((900 + node) << 32) | (1 + k);
   };
-  auto forge_announce = [&](std::uint64_t node, std::uint64_t k) {
-    core::TranslatorProfile p = random_profile(ghost_id(node, k), rng);
-    p.node = NodeId(900 + node);
+  // Sent from the ghost endpoint with envelope node `sender`; the embedded
+  // profile claims `owner`.
+  auto forge_announce_as = [&](std::uint64_t sender, std::uint64_t id, std::uint64_t owner) {
+    core::TranslatorProfile p = random_profile(id, rng);
+    p.node = NodeId(owner);
     xml::Element adv("umiddle-adv");
     adv.set_attr("type", "announce");
-    adv.set_attr("node", std::to_string(900 + node));
+    adv.set_attr("node", std::to_string(sender));
     adv.set_attr("host", "ghost");
     adv.set_attr("umtp-port", "7701");
     adv.add_child(p.to_xml());
@@ -222,36 +228,74 @@ TEST(HotpathEquivalenceTest, IndexSurvivesExpireRepublishCrashInterleavings) {
                                   cfg.directory_port, to_bytes(adv.to_string()))
                     .ok());
   };
-  auto forge_bye = [&](std::uint64_t node, std::uint64_t k) {
+  auto forge_announce = [&](std::uint64_t node, std::uint64_t k) {
+    forge_announce_as(900 + node, ghost_id(node, k), 900 + node);
+  };
+  auto forge_bye_as = [&](std::uint64_t sender, std::uint64_t id) {
     xml::Element bye("umiddle-adv");
     bye.set_attr("type", "bye");
-    bye.set_attr("node", std::to_string(900 + node));
+    bye.set_attr("node", std::to_string(sender));
     bye.set_attr("host", "ghost");
     bye.set_attr("umtp-port", "7701");
-    bye.set_attr("translator-id", std::to_string(ghost_id(node, k)));
+    bye.set_attr("translator-id", std::to_string(id));
     ASSERT_TRUE(net.udp_multicast({"ghost", cfg.directory_port}, cfg.group,
                                   cfg.directory_port, to_bytes(bye.to_string()))
                     .ok());
   };
+  auto local_id = [](std::uint64_t k) { return (1ull << 32) | (1 + k); };
+  const obs::Counter& adverts_rx = net.metrics().counter("dir.adverts_rx");
+  const obs::Counter& expired = net.metrics().counter("dir.expired");
+  // What the local API last published under each local id.
+  std::map<std::uint64_t, std::string> locals;
+  auto all_profiles = [&] {
+    std::vector<std::string> out;
+    for (const auto& p : dir.lookup_linear(core::Query{})) {
+      out.push_back(p.id.to_string() + "/" + p.node.to_string() + "/" + p.name);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
 
   std::size_t non_empty = 0;
+  std::size_t forged_against_local = 0;
   for (int round = 0; round < 120; ++round) {
     const std::size_t ops = rng.between(1, 4);
     for (std::size_t op = 0; op < ops; ++op) {
-      switch (rng.below(6)) {
+      switch (rng.below(7)) {
         case 0:  // remote announce (fresh, refresh, or recycled-id rebind)
         case 1:
           forge_announce(rng.below(kGhostNodes), rng.below(kIdsPerNode));
           break;
-        case 2:  // remote bye (possibly for an unknown id — must be a no-op)
-          forge_bye(rng.below(kGhostNodes), rng.below(kIdsPerNode));
+        case 2: {  // remote bye (possibly for an unknown id — must be a no-op)
+          const std::uint64_t node = rng.below(kGhostNodes);
+          forge_bye_as(900 + node, ghost_id(node, rng.below(kIdsPerNode)));
           break;
-        case 3:  // local publish/republish under a small recycled id pool
-          dir.publish_local(random_profile((1ull << 32) | (1 + rng.below(6)), rng));
+        }
+        case 3: {  // local publish/republish under a small recycled id pool
+          core::TranslatorProfile p = random_profile(local_id(rng.below(6)), rng);
+          locals[p.id.value()] = p.name;
+          dir.publish_local(p);
           break;
-        case 4:  // local withdraw (possibly of an unknown id)
-          dir.withdraw_local(TranslatorId((1ull << 32) | (1 + rng.below(6))));
+        }
+        case 4: {  // local withdraw (possibly of an unknown id)
+          const std::uint64_t id = local_id(rng.below(6));
+          locals.erase(id);
+          dir.withdraw_local(TranslatorId(id));
           break;
+        }
+        case 5: {  // a ghost node forges a bye or announce naming a local id
+          const std::uint64_t id = local_id(rng.below(6));
+          const std::uint64_t sender = 900 + rng.below(kGhostNodes);
+          if (locals.contains(id)) ++forged_against_local;
+          switch (rng.below(3)) {
+            case 0: forge_bye_as(sender, id); break;
+            case 1: forge_announce_as(sender, id, 1); break;  // claims our node
+            default:
+              if (locals.contains(id)) forge_announce_as(sender, id, sender);
+              break;
+          }
+          break;
+        }
         default:  // soft-state expiry of everything remote not re-announced
           sched.run_for(sim::seconds(6));
           break;
@@ -261,9 +305,35 @@ TEST(HotpathEquivalenceTest, IndexSurvivesExpireRepublishCrashInterleavings) {
 
     if (round % 40 == 39) {  // process death wipes both map and index
       runtime.crash();
+      locals.clear();
       ASSERT_EQ(dir.known_translators(), 0u);
       ASSERT_TRUE(runtime.start().ok());
     }
+
+    // Local translators change only through publish_local/withdraw_local.
+    for (const auto& [id, name] : locals) {
+      const core::TranslatorProfile* p = dir.profile(TranslatorId(id));
+      ASSERT_NE(p, nullptr) << "local " << id << " erased by a forged advert, round " << round;
+      ASSERT_EQ(p->node, NodeId(1)) << "round " << round;
+      ASSERT_EQ(p->name, name) << "local " << id << " overwritten, round " << round;
+    }
+    // And no advert makes the directory believe our node owns a translator.
+    for (const auto& p : dir.lookup_linear(core::Query{})) {
+      if (p.node == NodeId(1)) ASSERT_TRUE(locals.contains(p.id.value())) << "round " << round;
+    }
+
+    // The runtime's own looped-back announces are counted but change
+    // nothing; a refresh tick in the window may only expire remote entries.
+    const auto before = all_profiles();
+    const std::uint64_t rx0 = adverts_rx.value();
+    const std::uint64_t expired0 = expired.value();
+    dir.reannounce();
+    sched.run_for(sim::milliseconds(50));
+    ASSERT_GE(adverts_rx.value() - rx0, locals.size()) << "round " << round;
+    const auto after = all_profiles();
+    ASSERT_EQ(before.size() - after.size(), expired.value() - expired0) << "round " << round;
+    ASSERT_TRUE(std::includes(before.begin(), before.end(), after.begin(), after.end()))
+        << "round " << round;
 
     for (int trial = 0; trial < 4; ++trial) {
       core::Query q = random_query(rng);
@@ -275,6 +345,19 @@ TEST(HotpathEquivalenceTest, IndexSurvivesExpireRepublishCrashInterleavings) {
     }
   }
   EXPECT_GT(non_empty, 30u);  // the interleaving must exercise real hits
+  EXPECT_GT(forged_against_local, 10u);
+
+  // An advert from another endpoint carrying our own node id is forged: the
+  // node check drops it even though it names a translator that node owns.
+  const std::uint64_t victim = local_id(0);
+  core::TranslatorProfile published = random_profile(victim, rng);
+  dir.publish_local(published);
+  forge_bye_as(1, victim);
+  forge_announce_as(1, local_id(7), 1);
+  sched.run_for(sim::milliseconds(50));
+  ASSERT_NE(dir.profile(TranslatorId(victim)), nullptr);
+  EXPECT_EQ(dir.profile(TranslatorId(victim))->name, published.name);
+  EXPECT_EQ(dir.profile(TranslatorId(local_id(7))), nullptr);
 }
 
 // --- 2. lazy-deletion scheduler vs the seed scheduler ---------------------------

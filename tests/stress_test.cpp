@@ -255,7 +255,9 @@ TEST(RobustnessTest, DirectoryIgnoresGarbageAdvertisements) {
                           "<umiddle-adv type=\"bye\" node=\"999\" translator-id=\"zzz\"/>",
                           "<not-an-advert/>",
                           "<umiddle-adv type=\"announce\" node=\"999\" host=\"evil\" "
-                          "umtp-port=\"7701\"><translator id=\"0\" node=\"0\"/></umiddle-adv>"}) {
+                          "umtp-port=\"7701\"><translator id=\"0\" node=\"0\"/></umiddle-adv>",
+                          "<umiddle-adv type=\"bye\" node=\"998\" host=\"evil\" "
+                          "umtp-port=\"70001\" translator-id=\"1\"/>"}) {
     ASSERT_TRUE(net.udp_multicast({"evil", runtime.config().directory_port},
                                   runtime.config().group, runtime.config().directory_port,
                                   to_bytes(doc))
@@ -265,6 +267,8 @@ TEST(RobustnessTest, DirectoryIgnoresGarbageAdvertisements) {
   // The good translator is still there; no phantom entries appeared.
   EXPECT_NE(runtime.directory().profile(id), nullptr);
   EXPECT_EQ(runtime.directory().known_translators(), 1u);
+  // An out-of-range UMTP port is rejected, not truncated to 70001 % 65536.
+  EXPECT_EQ(runtime.directory().node_info(NodeId(998)), nullptr);
 }
 
 // Failure injection: malformed UMTP bytes on the transport port are dropped.
