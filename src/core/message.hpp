@@ -34,4 +34,10 @@ struct Message {
   std::string body_text() const { return umiddle::to_string(payload); }
 };
 
+/// The expiry rule: an absolute deadline (0 = none) has passed at `now_ns`.
+/// Expired messages are dropped, never delivered late.
+inline bool deadline_passed(std::int64_t deadline_ns, std::int64_t now_ns) {
+  return deadline_ns != 0 && now_ns >= deadline_ns;
+}
+
 }  // namespace umiddle::core

@@ -53,6 +53,12 @@ struct QosPolicy {
 
   bool shaped() const { return rate_bytes_per_sec.has_value(); }
   bool bounded() const { return max_buffered_bytes.has_value(); }
+  /// Effective deadline of a message entering the path at `now`: its own
+  /// (`own_ns`, 0 = none), else now + message_ttl if set, else 0.
+  std::int64_t deadline(std::int64_t own_ns, sim::TimePoint now) const {
+    if (own_ns != 0 || !message_ttl) return own_ns;
+    return (now + *message_ttl).count();
+  }
 };
 
 /// Token bucket over virtual time.

@@ -1,11 +1,31 @@
 #include "core/transport.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/log.hpp"
 #include "core/runtime.hpp"
 
 namespace umiddle::core {
+
+namespace {
+
+/// A stream on_data handler: reassembles UMTP frames from chunks and hands
+/// each complete one to `handle`.
+template <typename Handle>
+net::Stream::DataHandler frame_reader(Handle handle) {
+  return [assembler = std::make_shared<umtp::FrameAssembler>(),
+          handle = std::move(handle)](std::span<const std::uint8_t> chunk) {
+    std::vector<umtp::Frame> frames;
+    if (auto r = assembler->feed(chunk, frames); !r.ok()) {
+      log::Entry(log::Level::warn, "transport") << "bad UMTP frame: " << r.error().to_string();
+      return;
+    }
+    for (umtp::Frame& frame : frames) handle(frame);
+  };
+}
+
+}  // namespace
 
 Transport::Transport(Runtime& runtime)
     : runtime_(runtime),
@@ -19,176 +39,166 @@ Transport::Transport(Runtime& runtime)
                                                           obs::latency_bounds_ns())),
       wire_ns_(runtime.network().metrics().histogram("umtp.wire_ns", obs::latency_bounds_ns())) {}
 
-Transport::~Transport() = default;
+sim::TimePoint Transport::now() const { return runtime_.scheduler().now(); }
+
+obs::Tracer& Transport::tracer() { return runtime_.network().tracer(); }
+
+void Transport::count(std::string_view name, std::uint64_t n) {
+  runtime_.network().metrics().counter(name).inc(n);
+}
+
+void Transport::instant(std::uint64_t trace, std::string_view name) {
+  tracer().instant(trace, name, runtime_.host(), now());
+}
+
+sim::Duration Transport::jittered(std::int64_t base_ns) {
+  const std::uint64_t jitter =
+      runtime_.network().rng().below(static_cast<std::uint64_t>(base_ns / 2 + 1));
+  return sim::Duration(base_ns + static_cast<std::int64_t>(jitter));
+}
 
 Result<void> Transport::start() {
   if (started_) return ok_result();
-  net::Endpoint local{runtime_.host(), runtime_.config().umtp_port};
-  auto r = runtime_.network().listen(
-      local, [this](net::StreamPtr stream) { accept_peer(std::move(stream)); });
-  if (!r.ok()) return r;
-  started_ = true;
-  return ok_result();
+  auto r = runtime_.network().listen({runtime_.host(), runtime_.config().umtp_port},
+                                     [this](net::StreamPtr s) { accept_peer(std::move(s)); });
+  started_ = r.ok();
+  return r;
 }
 
 void Transport::stop() {
   if (!started_) return;
   runtime_.network().stop_listening({runtime_.host(), runtime_.config().umtp_port});
-  // close() fires close handlers synchronously, which mutate these containers;
-  // detach them before walking.
-  auto links = std::move(links_);
-  links_.clear();
-  for (auto& [node, link] : links) {
-    if (link.recover_span != 0) {
-      runtime_.network().tracer().end_span(link.recover_span, runtime_.scheduler().now());
-    }
-    if (link.stream) link.stream->close();
-  }
-  auto peers = std::move(peer_streams_);
-  peer_streams_.clear();
-  for (auto& stream : peers) stream->close();
-  paths_.clear();
-  remote_paths_.clear();
-  recv_links_.clear();
-  recv_home_.clear();
-  breakers_.clear();
-  started_ = false;
+  teardown(true);
 }
 
 void Transport::crash() {
   if (!started_) return;
   // The fault plane already tore down our listener, sockets and streams with
-  // no FINs; all that is left is to forget them. Close any open recover spans
-  // first so the trace stays pairing-balanced.
-  obs::Tracer& tracer = runtime_.network().tracer();
-  for (auto& [node, link] : links_) {
-    if (link.recover_span != 0) tracer.end_span(link.recover_span, runtime_.scheduler().now());
-  }
+  // no FINs; all that is left is to forget them.
+  teardown(false);
+}
+
+void Transport::teardown(bool close_streams) {
+  // close() fires close handlers synchronously, which mutate these containers;
+  // detach them before walking.
+  auto links = std::move(links_);
   links_.clear();
+  for (auto& [node, link] : links) {
+    // Close open recover spans so the trace stays pairing-balanced.
+    tracer().end_span(link.recover_span, now());
+    if (close_streams && link.stream) link.stream->close();
+  }
+  auto peers = std::move(peer_streams_);
   peer_streams_.clear();
+  for (auto& stream : peers) {
+    if (close_streams) stream->close();
+  }
   paths_.clear();
   remote_paths_.clear();
-  recv_links_.clear();
-  recv_home_.clear();
+  recv_ = {};
   breakers_.clear();
   started_ = false;
 }
 
 // --- connect / disconnect ------------------------------------------------------
 
-Result<PathId> Transport::connect(const PortRef& src, const PortRef& dst, QosPolicy qos) {
-  return connect_impl(src, dst, std::move(qos));
+Result<Transport::HostedPort> Transport::find_port(const PortRef& ref,
+                                                    const std::string& role) const {
+  const TranslatorProfile* profile = runtime_.directory().profile(ref.translator);
+  if (profile == nullptr) {
+    return make_error(Errc::not_found, "unknown " + role + " translator: " + ref.to_string());
+  }
+  const PortSpec* port = profile->shape.find(ref.port);
+  if (port == nullptr) {
+    return make_error(Errc::not_found, "unknown " + role + " port: " + ref.to_string());
+  }
+  return HostedPort{profile->node, port};
 }
 
-Result<PathId> Transport::connect(const PortRef& src, Query dst, QosPolicy qos) {
-  return connect_impl(src, std::move(dst), std::move(qos));
+Result<Transport::HostedPort> Transport::check_source(const PortRef& src) const {
+  auto source = find_port(src, "source");
+  if (source.ok() && (source.value().port->kind != PortKind::digital ||
+                      source.value().port->direction != Direction::output)) {
+    return make_error(Errc::invalid_argument,
+                      "source must be a digital output port: " + src.to_string());
+  }
+  return source;
 }
 
 Result<PathId> Transport::connect_impl(const PortRef& src, std::variant<PortRef, Query> dst,
                                        QosPolicy qos) {
-  const TranslatorProfile* src_profile = runtime_.directory().profile(src.translator);
-  if (src_profile == nullptr) {
-    return make_error(Errc::not_found, "unknown source translator: " + src.to_string());
-  }
-  const PortSpec* src_port = src_profile->shape.find(src.port);
-  if (src_port == nullptr) {
-    return make_error(Errc::not_found, "unknown source port: " + src.to_string());
-  }
-  if (src_port->kind != PortKind::digital || src_port->direction != Direction::output) {
-    return make_error(Errc::invalid_argument,
-                      "source must be a digital output port: " + src.to_string());
-  }
+  auto source = check_source(src);
+  if (!source.ok()) return source.error();
+  const PortSpec& src_port = *source.value().port;
   if (const auto* fixed = std::get_if<PortRef>(&dst)) {
-    const TranslatorProfile* dst_profile = runtime_.directory().profile(fixed->translator);
-    if (dst_profile == nullptr) {
-      return make_error(Errc::not_found, "unknown destination translator: " + fixed->to_string());
-    }
-    const PortSpec* dst_port = dst_profile->shape.find(fixed->port);
-    if (dst_port == nullptr) {
-      return make_error(Errc::not_found, "unknown destination port: " + fixed->to_string());
-    }
-    if (!PortSpec::connectable(*src_port, *dst_port)) {
+    auto found = find_port(*fixed, "destination");
+    if (!found.ok()) return found.error();
+    const PortSpec* dst_port = found.value().port;
+    if (!PortSpec::connectable(src_port, *dst_port)) {
       return make_error(Errc::incompatible,
                         "ports not connectable: " + src.to_string() + " -> " +
-                            fixed->to_string() + " (" + src_port->type.to_string() + " -> " +
+                            fixed->to_string() + " (" + src_port.type.to_string() + " -> " +
                             dst_port->type.to_string() + ")");
     }
   }
+  const NodeId host = source.value().node;
+  if (host != runtime_.node() && (qos.shaped() || qos.bounded() || qos.message_ttl)) {
+    // A CONNECT frame carries no QoS policy: the hosting node would install
+    // the path unshaped, unbounded and without a TTL.
+    return make_error(Errc::invalid_argument,
+                      "a QoS policy needs a source hosted on this node: " + src.to_string());
+  }
 
   PathId id(runtime_.scope_id(path_seq_.next().value()));
-  Path path;
-  path.id = id;
-  path.src = src;
-  path.src_type = src_port->type;
-  path.qos = qos;
-  if (qos.shaped()) {
-    path.bucket = std::make_unique<TokenBucket>(*qos.rate_bytes_per_sec, qos.burst_bytes);
-  }
-  if (auto* fixed = std::get_if<PortRef>(&dst)) {
-    path.fixed_dst = std::move(*fixed);
-  } else {
-    path.query_dst = std::move(std::get<Query>(dst));
-  }
-
-  if (src_profile->node == runtime_.node()) {
-    if (auto r = install_path(std::move(path)); !r.ok()) return r.error();
+  if (host == runtime_.node()) {
+    install_path(id, src, src_port, std::move(dst), qos);
     return id;
   }
 
   // The path lives at the node hosting the source translator (paper §3.5);
   // forward the request there as a CONNECT frame.
-  NodeLink* link = link_to(src_profile->node);
+  NodeLink* link = link_to(host);
   if (link == nullptr) {
-    return make_error(Errc::disconnected,
-                      "no route to hosting node " + src_profile->node.to_string());
+    return make_error(Errc::disconnected, "no route to hosting node " + host.to_string());
   }
-  umtp::ConnectFrame frame;
-  frame.path = id;
-  frame.src = src;
-  if (path.fixed_dst) {
-    frame.dst = *path.fixed_dst;
-  } else {
-    frame.dst = *path.query_dst;
-  }
-  link_send(*link, umtp::encode(umtp::Frame{std::move(frame)}));
-  remote_paths_[id] = src_profile->node;
+  link_send(*link, umtp::encode(umtp::Frame{umtp::ConnectFrame{id, src, std::move(dst)}}));
+  remote_paths_[id] = host;
   return id;
 }
 
-Result<void> Transport::install_path(Path path) {
-  if (path.fixed_dst) {
-    path.bound.push_back(*path.fixed_dst);
-  } else {
-    bind_query_matches(path);
+void Transport::install_path(PathId id, const PortRef& src, const PortSpec& src_port,
+                             std::variant<PortRef, Query> dst, const QosPolicy& qos) {
+  Path path;
+  path.id = id;
+  path.src = src;
+  path.src_port = src_port;
+  if (qos.shaped()) {
+    path.bucket = std::make_unique<TokenBucket>(*qos.rate_bytes_per_sec, qos.burst_bytes);
   }
-  path.stats.bound_destinations = path.bound.size();
-  PathId id = path.id;
-  paths_[id] = std::move(path);
-  return ok_result();
-}
-
-void Transport::bind_query_matches(Path& path) {
-  for (const TranslatorProfile& profile : runtime_.directory().lookup(*path.query_dst)) {
-    auto port = pick_input_port(path, profile);
-    if (!port) continue;
-    if (std::find(path.bound.begin(), path.bound.end(), *port) == path.bound.end()) {
-      path.bound.push_back(std::move(*port));
+  path.qos = qos;
+  if (auto* fixed = std::get_if<PortRef>(&dst)) {
+    path.bound.push_back(std::move(*fixed));
+  } else {
+    path.query_dst = std::move(std::get<Query>(dst));
+    for (const TranslatorProfile& profile : runtime_.directory().lookup(*path.query_dst)) {
+      bind(path, profile);
     }
   }
+  path.stats.bound_destinations = path.bound.size();
+  paths_[id] = std::move(path);
 }
 
-std::optional<PortRef> Transport::pick_input_port(const Path& path,
-                                                  const TranslatorProfile& profile) const {
-  PortSpec out;
-  out.kind = PortKind::digital;
-  out.direction = Direction::output;
-  out.type = path.src_type;
+void Transport::bind(Path& path, const TranslatorProfile& profile) {
   for (const PortSpec* in : profile.shape.digital_inputs()) {
     PortRef ref{profile.id, in->name};
     if (ref == path.src) continue;  // never loop a port back into itself
-    if (PortSpec::connectable(out, *in)) return ref;
+    if (!PortSpec::connectable(path.src_port, *in)) continue;
+    if (std::find(path.bound.begin(), path.bound.end(), ref) == path.bound.end()) {
+      path.bound.push_back(std::move(ref));
+      path.stats.bound_destinations = path.bound.size();
+    }
+    return;
   }
-  return std::nullopt;
 }
 
 Result<void> Transport::disconnect(PathId id) {
@@ -221,24 +231,18 @@ Result<void> Transport::route(const PortRef& src, const Message& msg) {
   // buffer cannot take the whole fan-out, the emit is refused before anything
   // is enqueued anywhere — a retried emit must never double-deliver to the
   // paths that had room.
-  const sim::TimePoint now = runtime_.scheduler().now();
   for (auto& [id, path] : paths_) {
     if (!(path.src == src)) continue;
     if (path.qos.shed != ShedPolicy::block || !path.qos.bounded() || path.bound.empty()) continue;
     // A message already past its effective deadline needs no room: enqueue()
     // retires it as expired, so it must not trip a would-block refusal a
     // retrying producer could spin on forever.
-    std::int64_t deadline_ns = msg.deadline_ns;
-    if (deadline_ns == 0 && path.qos.message_ttl) {
-      deadline_ns = (now + *path.qos.message_ttl).count();
-    }
-    if (deadline_ns != 0 && now.count() >= deadline_ns) continue;
+    if (deadline_passed(path.qos.deadline(msg.deadline_ns, now()), now().count())) continue;
     const std::size_t need = msg.payload.size() * path.bound.size();
     if (path.stats.buffered_bytes + need > *path.qos.max_buffered_bytes) {
       path.stats.messages_blocked += 1;
-      runtime_.network().metrics().counter("delivery.blocked").inc();
-      runtime_.network().tracer().instant(msg.trace, "deliver.blocked", runtime_.host(),
-                                          runtime_.scheduler().now());
+      count("delivery.blocked");
+      instant(msg.trace, "deliver.blocked");
       return make_error(Errc::buffer_overflow,
                         "translation buffer full (Block policy): " + id.to_string());
     }
@@ -258,16 +262,9 @@ Result<void> Transport::route(const PortRef& src, const Message& msg) {
 
 void Transport::enqueue(Path& path, const PortRef& dst, const std::shared_ptr<const Message>& msg) {
   const std::size_t bytes = msg->payload.size();
-  const sim::TimePoint now = runtime_.scheduler().now();
-  // Effective deadline: the message's own, or the path TTL stamped at emit.
-  std::int64_t deadline_ns = msg->deadline_ns;
-  if (deadline_ns == 0 && path.qos.message_ttl) {
-    deadline_ns = (now + *path.qos.message_ttl).count();
-  }
-  if (deadline_ns != 0 && now.count() >= deadline_ns) {
-    path.stats.messages_expired += 1;
-    runtime_.network().metrics().counter("delivery.expired").inc();
-    runtime_.network().tracer().instant(msg->trace, "deliver.expired", runtime_.host(), now);
+  const std::int64_t deadline_ns = path.qos.deadline(msg->deadline_ns, now());
+  if (deadline_passed(deadline_ns, now().count())) {
+    expire(&path.stats, msg->trace);
     return;
   }
   if (path.qos.bounded() &&
@@ -284,55 +281,48 @@ void Transport::enqueue(Path& path, const PortRef& dst, const std::shared_ptr<co
 }
 
 bool Transport::shed_for_room(Path& path, const PortRef& dst, std::size_t bytes) {
-  obs::MetricsRegistry& metrics = runtime_.network().metrics();
   const std::size_t cap = *path.qos.max_buffered_bytes;
   auto count_shed = [&](const char* counter) {
-    path.stats.messages_dropped += 1;
+    drop(&path.stats);
     path.stats.messages_shed += 1;
-    msgs_dropped_.inc();
-    metrics.counter(counter).inc();
+    count(counter);
   };
-  auto evict = [&](const Pending& victim, const char* counter) {
+  if (path.qos.shed == ShedPolicy::drop_newest) {
+    // Tail drop: the legacy bounded-buffer behaviour, plus accounting.
+    count_shed("delivery.shed_newest");
+    return false;
+  }
+  if (path.qos.shed == ShedPolicy::block) {
+    // route() refuses Block emits up front with fan-out-aware accounting;
+    // reaching here would mean the buffer filled between admission and
+    // enqueue. Refuse without dropping anything, defensively.
+    path.stats.messages_blocked += 1;
+    count("delivery.blocked");
+    return false;
+  }
+  const bool latest = path.qos.shed == ShedPolicy::latest_only;
+  const char* counter = latest ? "delivery.shed_latest" : "delivery.shed_oldest";
+  auto evict = [&](const Pending& victim) {
     path.stats.buffered_bytes -= victim.msg->payload.size();
     count_shed(counter);
   };
-  switch (path.qos.shed) {
-    case ShedPolicy::drop_newest:
-      // Tail drop: the legacy bounded-buffer behaviour, plus accounting.
-      count_shed("delivery.shed_newest");
-      return false;
-    case ShedPolicy::block:
-      // route() refuses Block emits up front with fan-out-aware accounting;
-      // reaching here would mean the buffer filled between admission and
-      // enqueue. Refuse without dropping anything, defensively.
-      path.stats.messages_blocked += 1;
-      metrics.counter("delivery.blocked").inc();
-      return false;
-    case ShedPolicy::drop_oldest:
-      while (!path.queue.empty() && path.stats.buffered_bytes + bytes > cap) {
-        evict(path.queue.front(), "delivery.shed_oldest");
-        path.queue.pop_front();
-      }
-      break;
-    case ShedPolicy::latest_only:
-      // Coalesce: the newcomer supersedes everything queued for the same
-      // destination, then spills into oldest-first eviction if still over.
-      std::erase_if(path.queue, [&](const Pending& p) {
-        if (!(p.dst == dst)) return false;
-        evict(p, "delivery.shed_latest");
-        return true;
-      });
-      while (!path.queue.empty() && path.stats.buffered_bytes + bytes > cap) {
-        evict(path.queue.front(), "delivery.shed_latest");
-        path.queue.pop_front();
-      }
-      break;
+  if (latest) {
+    // Coalesce: the newcomer supersedes everything queued for the same
+    // destination, then spills into oldest-first eviction if still over.
+    std::erase_if(path.queue, [&](const Pending& p) {
+      if (!(p.dst == dst)) return false;
+      evict(p);
+      return true;
+    });
+  }
+  while (!path.queue.empty() && path.stats.buffered_bytes + bytes > cap) {
+    evict(path.queue.front());
+    path.queue.pop_front();
   }
   if (path.stats.buffered_bytes + bytes > cap) {
     // The queue is empty and the message alone exceeds the bound (zero or
     // tiny capacity): shed the newcomer itself.
-    count_shed(path.qos.shed == ShedPolicy::latest_only ? "delivery.shed_latest"
-                                                        : "delivery.shed_oldest");
+    count_shed(counter);
     return false;
   }
   return true;
@@ -359,12 +349,9 @@ void Transport::drain(Path& path) {
   // shaping or backpressure, so a stalled destination cannot pin stale data.
   while (!path.queue.empty()) {
     const Pending& front = path.queue.front();
-    if (front.deadline_ns == 0 || runtime_.scheduler().now().count() < front.deadline_ns) break;
+    if (!deadline_passed(front.deadline_ns, now().count())) break;
     path.stats.buffered_bytes -= front.msg->payload.size();
-    path.stats.messages_expired += 1;
-    runtime_.network().metrics().counter("delivery.expired").inc();
-    runtime_.network().tracer().instant(front.msg->trace, "deliver.expired", runtime_.host(),
-                                        runtime_.scheduler().now());
+    expire(&path.stats, front.msg->trace);
     path.queue.pop_front();
   }
   if (path.queue.empty()) return;
@@ -373,16 +360,23 @@ void Transport::drain(Path& path) {
   const std::size_t bytes = front.msg->payload.size();
 
   if (path.qos.shaped()) {
-    sim::Duration delay = path.bucket->delay_for(bytes, runtime_.scheduler().now());
+    sim::Duration delay = path.bucket->delay_for(bytes, now());
     if (delay > sim::Duration(0)) {
-      schedule_drain(path.id, delay);
+      path.drain_scheduled = true;
+      runtime_.scheduler().schedule_after(
+          delay,
+          [this, id = path.id]() {
+            auto it = paths_.find(id);
+            if (it == paths_.end()) return;
+            it->second.drain_scheduled = false;
+            drain(it->second);
+          },
+          {sim::host_id(runtime_.host()), sim::tag_id("umtp.drain")});
       return;
     }
   }
   if (!destination_ready(front.dst)) return;  // resumed by notify_ready / link drain
-  if (path.qos.shaped()) {
-    path.bucket->try_consume(bytes, runtime_.scheduler().now());
-  }
+  if (path.qos.shaped()) path.bucket->try_consume(bytes, now());
 
   Pending item = std::move(front);
   path.queue.pop_front();
@@ -393,16 +387,15 @@ void Transport::drain(Path& path) {
   sim::Duration cost = runtime_.costs().translation_cost(bytes);
   path.drain_scheduled = true;
   PathId id = path.id;
-  obs::Tracer& tracer = runtime_.network().tracer();
-  const std::uint64_t span = tracer.begin_span(item.msg->trace, "translate", runtime_.host(),
-                                               runtime_.scheduler().now());
+  const std::uint64_t span =
+      tracer().begin_span(item.msg->trace, "translate", runtime_.host(), now());
   translate_ns_.observe(cost.count());
   runtime_.scheduler().schedule_after(
       cost,
       [this, id, span, item = std::move(item)]() mutable {
         // Close the span first: the translation work happened even if the path
         // was disconnected mid-flight (span-pairing invariant, tests/obs_test).
-        runtime_.network().tracer().end_span(span, runtime_.scheduler().now());
+        tracer().end_span(span, now());
         auto it = paths_.find(id);
         if (it == paths_.end()) return;  // path disconnected while translating
         it->second.drain_scheduled = false;
@@ -413,73 +406,27 @@ void Transport::drain(Path& path) {
       {sim::host_id(runtime_.host()), sim::tag_id("umtp.translate")});
 }
 
-void Transport::schedule_drain(PathId id, sim::Duration delay) {
-  auto it = paths_.find(id);
-  if (it == paths_.end() || it->second.drain_scheduled) return;
-  it->second.drain_scheduled = true;
-  runtime_.scheduler().schedule_after(
-      delay,
-      [this, id]() {
-        auto path = paths_.find(id);
-        if (path == paths_.end()) return;
-        path->second.drain_scheduled = false;
-        drain(path->second);
-      },
-      {sim::host_id(runtime_.host()), sim::tag_id("umtp.drain")});
-}
-
 void Transport::dispatch(Path& path, Pending item) {
-  const sim::TimePoint now = runtime_.scheduler().now();
-  obs::Tracer& tracer = runtime_.network().tracer();
   // The deadline may have passed while the translation cost was being charged.
-  if (item.deadline_ns != 0 && now.count() >= item.deadline_ns) {
-    path.stats.messages_expired += 1;
-    runtime_.network().metrics().counter("delivery.expired").inc();
-    tracer.instant(item.msg->trace, "deliver.expired", runtime_.host(), now);
+  if (deadline_passed(item.deadline_ns, now().count())) {
+    expire(&path.stats, item.msg->trace);
     return;
   }
   const TranslatorProfile* profile = runtime_.directory().profile(item.dst.translator);
   if (profile == nullptr) {
-    path.stats.messages_dropped += 1;
-    msgs_dropped_.inc();
+    drop(&path.stats);
     return;
   }
-  if (profile->node == runtime_.node() && !breaker_allows(item.dst.translator)) {
-    // Quarantined: the destination's native side keeps failing; fail fast
-    // instead of soaking retries until the half-open probe clears it.
-    path.stats.messages_dropped += 1;
-    msgs_dropped_.inc();
-    runtime_.network().metrics().counter("delivery.breaker_dropped").inc();
-    tracer.instant(item.msg->trace, "deliver.quarantined", runtime_.host(), now);
+  if (profile->node == runtime_.node()) {
+    deliver(item.dst, *item.msg, &path.stats);
     return;
   }
   path.stats.messages_forwarded += 1;
   path.stats.bytes_forwarded += item.msg->payload.size();
   msgs_forwarded_.inc();
-
-  if (profile->node == runtime_.node()) {
-    Translator* t = runtime_.translator(item.dst.translator);
-    if (t == nullptr) {
-      path.stats.messages_dropped += 1;
-      msgs_dropped_.inc();
-      return;
-    }
-    tracer.instant(item.msg->trace, "deliver", runtime_.host(), now);
-    if (auto r = t->deliver(item.dst.port, *item.msg); !r.ok()) {
-      deliver_failures_.inc();
-      breaker_record(item.dst.translator, false);
-      log::Entry(log::Level::warn, "transport")
-          << "deliver to " << item.dst.to_string() << " failed: " << r.error().to_string();
-    } else {
-      breaker_record(item.dst.translator, true);
-    }
-    return;
-  }
-
   NodeLink* link = link_to(profile->node);
   if (link == nullptr) {
-    path.stats.messages_dropped += 1;
-    msgs_dropped_.inc();
+    drop(&path.stats);
     return;
   }
   // The wire span opens here (frame handed to the link, handshake wait and
@@ -488,9 +435,10 @@ void Transport::dispatch(Path& path, Pending item) {
   // keyed by our client stream id — never inside the frame, whose byte count
   // drives simulated serialization time (obs/trace.hpp header comment).
   data_frames_tx_.inc();
-  if (link->stream != nullptr && !link->reconnecting && !link->awaiting_ack) {
-    const std::uint64_t span = tracer.begin_span(item.msg->trace, "wire", runtime_.host(), now);
-    tracer.stage(link->stream->id().value(), item.msg->trace, span);
+  if (link->stream != nullptr && !link->reconnecting) {
+    const std::uint64_t span =
+        tracer().begin_span(item.msg->trace, "wire", runtime_.host(), now());
+    tracer().stage(link->stream->id().value(), item.msg->trace, span);
   }
   // else: link down or mid-recovery. The frame joins the bounded outage buffer
   // and is replayed SEQ-wrapped on a *new* stream after the RESUME/ACK
@@ -499,7 +447,54 @@ void Transport::dispatch(Path& path, Pending item) {
   link_send(*link, umtp::encode_data(item.dst, *item.msg, item.deadline_ns), item.deadline_ns);
 }
 
-void Transport::notify_ready(TranslatorId) { resume_paths(); }
+void Transport::deliver(const PortRef& dst, const Message& msg, PathStats* path) {
+  Translator* t = runtime_.translator(dst.translator);
+  if (t == nullptr) {
+    log::Entry(log::Level::warn, "transport") << "deliver to unknown translator "
+                                              << dst.to_string();
+    drop(path);
+    return;
+  }
+  if (auto b = breakers_.find(dst.translator);
+      b != breakers_.end() && b->second.state == Breaker::State::open) {
+    // Quarantined: the destination's native side keeps failing; fail fast
+    // instead of soaking retries until the half-open probe clears it.
+    drop(path);
+    count("delivery.breaker_dropped");
+    instant(msg.trace, "deliver.quarantined");
+    return;
+  }
+  if (path != nullptr) {
+    path->messages_forwarded += 1;
+    path->bytes_forwarded += msg.payload.size();
+    msgs_forwarded_.inc();
+  }
+  instant(msg.trace, "deliver");
+  if (auto r = t->deliver(dst.port, msg); !r.ok()) {
+    deliver_failures_.inc();
+    breaker_record(dst.translator, false);
+    log::Entry(log::Level::warn, "transport")
+        << "deliver to " << dst.to_string() << " failed: " << r.error().to_string();
+  } else {
+    breaker_record(dst.translator, true);
+  }
+}
+
+void Transport::expire(PathStats* path, std::optional<std::uint64_t> trace, std::uint64_t n) {
+  if (n == 0) return;
+  if (path != nullptr) path->messages_expired += n;
+  count("delivery.expired", n);
+  if (trace) {
+    instant(*trace, "deliver.expired");
+  } else {
+    msgs_dropped_.inc(n);
+  }
+}
+
+void Transport::drop(PathStats* path, std::uint64_t n) {
+  if (path != nullptr) path->messages_dropped += n;
+  msgs_dropped_.inc(n);
+}
 
 void Transport::resume_paths() {
   for (auto& [id, path] : paths_) drain(path);
@@ -507,18 +502,13 @@ void Transport::resume_paths() {
 
 // --- circuit breaker -----------------------------------------------------------
 
-bool Transport::breaker_allows(TranslatorId id) const {
-  auto it = breakers_.find(id);
-  return it == breakers_.end() || it->second.state != Breaker::State::open;
-}
-
 void Transport::breaker_record(TranslatorId id, bool ok) {
   if (runtime_.config().breaker_failure_threshold <= 0) return;  // disabled
   if (ok) {
     auto it = breakers_.find(id);
     if (it == breakers_.end()) return;
     if (it->second.state == Breaker::State::half_open) {
-      runtime_.network().metrics().counter("delivery.breaker_closed").inc();
+      count("delivery.breaker_closed");
       log::Entry(log::Level::info, "transport")
           << "breaker for " << id.to_string() << " closed after successful probe";
     }
@@ -538,33 +528,27 @@ void Transport::open_breaker(TranslatorId id, Breaker& breaker) {
   breaker.state = Breaker::State::open;
   breaker.failures = 0;
   breaker.generation = ++breaker_gen_;
-  obs::MetricsRegistry& metrics = runtime_.network().metrics();
-  metrics.counter("delivery.breaker_open").inc();
-  runtime_.network().tracer().instant(0, "deliver.breaker-open", runtime_.host(),
-                                      runtime_.scheduler().now());
+  count("delivery.breaker_open");
+  instant(0, "deliver.breaker-open");
   log::Entry(log::Level::warn, "transport")
       << "breaker for " << id.to_string() << " opened after "
       << runtime_.config().breaker_failure_threshold << " consecutive delivery failures";
   // Half-open after a jittered delay. The Rng draw happens only here, on the
   // failure path, so breaker-free worlds draw nothing.
-  const std::int64_t base = runtime_.config().breaker_probe_delay.count();
-  const std::int64_t jitter = static_cast<std::int64_t>(
-      runtime_.network().rng().below(static_cast<std::uint64_t>(base / 2 + 1)));
   // The timer half-opens only the open cycle that scheduled it: a breaker
   // that closed (entry erased) and later re-opened — possibly under a
   // recycled translator id after a crash — must wait out its own probe
   // delay, not inherit a stale timer's earlier one.
-  const std::uint64_t gen = breaker.generation;
   runtime_.scheduler().schedule_after(
-      sim::Duration(base + jitter),
-      [this, id, gen]() {
+      jittered(runtime_.config().breaker_probe_delay.count()),
+      [this, id, gen = breaker.generation]() {
         auto it = breakers_.find(id);
         if (it == breakers_.end() || it->second.state != Breaker::State::open ||
             it->second.generation != gen) {
           return;
         }
         it->second.state = Breaker::State::half_open;
-        runtime_.network().metrics().counter("delivery.breaker_probes").inc();
+        count("delivery.breaker_probes");
       },
       {sim::host_id(runtime_.host()), sim::tag_id("umtp.breaker")});
 }
@@ -573,40 +557,24 @@ void Transport::open_breaker(TranslatorId id, Breaker& breaker) {
 
 void Transport::on_mapped(const TranslatorProfile& profile) {
   for (auto& [id, path] : paths_) {
-    if (!path.query_dst) continue;
-    if (!matches(*path.query_dst, profile)) continue;
-    auto port = pick_input_port(path, profile);
-    if (!port) continue;
-    if (std::find(path.bound.begin(), path.bound.end(), *port) == path.bound.end()) {
-      path.bound.push_back(std::move(*port));
-      path.stats.bound_destinations = path.bound.size();
-    }
+    if (path.query_dst && matches(*path.query_dst, profile)) bind(path, profile);
   }
 }
 
 void Transport::on_unmapped(const TranslatorProfile& profile) {
   // Paths whose source vanished are torn down entirely.
-  for (auto it = paths_.begin(); it != paths_.end();) {
-    if (it->second.src.translator == profile.id) {
-      it = paths_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(paths_,
+                [&](const auto& entry) { return entry.second.src.translator == profile.id; });
   // Unbind the translator's ports everywhere and drop queued messages to it.
   for (auto& [id, path] : paths_) {
-    std::erase_if(path.bound,
-                  [&](const PortRef& ref) { return ref.translator == profile.id; });
+    std::erase_if(path.bound, [&](const PortRef& ref) { return ref.translator == profile.id; });
     path.stats.bound_destinations = path.bound.size();
-    std::size_t dropped_bytes = 0;
     std::erase_if(path.queue, [&](const Pending& p) {
       if (p.dst.translator != profile.id) return false;
-      dropped_bytes += p.msg->payload.size();
-      path.stats.messages_dropped += 1;
-      msgs_dropped_.inc();
+      path.stats.buffered_bytes -= p.msg->payload.size();
+      drop(&path.stats);
       return true;
     });
-    path.stats.buffered_bytes -= dropped_bytes;
   }
   // The translator is gone; a recycled id must start with a clean slate.
   breakers_.erase(profile.id);
@@ -624,9 +592,7 @@ Transport::NodeLink* Transport::link_to(NodeId node) {
   // yields no link and the caller drops the message. Only links that were once
   // up and got *reset* enter the reconnect loop below.
   if (!open_stream(fresh)) return nullptr;
-  NodeLink& link = links_[node];
-  link = std::move(fresh);
-  return &link;
+  return &(links_[node] = std::move(fresh));
 }
 
 bool Transport::open_stream(NodeLink& link) {
@@ -641,35 +607,21 @@ bool Transport::open_stream(NodeLink& link) {
   NodeId node = link.node;
   link.stream = stream.value();
   link.connected = false;
-  if (link.epoch == 0) {
-    // First stream of this link: its world-unique id doubles as the link
-    // epoch, and the peer's dedup count implicitly lives under it.
-    link.epoch = link.stream->id().value();
-    link.count_home = link.epoch;
-  }
+  link.session.open(link.stream->id().value());
   link.stream->on_connected([this, node]() { handle_link_up(node); });
   link.stream->on_drain([this]() { resume_paths(); });
   link.stream->on_close([this, node]() { handle_link_close(node); });
   // ACKs come back on this (client) stream; fault-free links never carry any.
-  auto assembler = std::make_shared<umtp::FrameAssembler>();
   net::Stream* raw = link.stream.get();
-  link.stream->on_data([this, node, raw, assembler](std::span<const std::uint8_t> chunk) {
-    std::vector<umtp::Frame> frames;
-    if (auto r = assembler->feed(chunk, frames); !r.ok()) {
-      log::Entry(log::Level::warn, "transport")
-          << "bad UMTP frame on link stream: " << r.error().to_string();
-      return;
+  link.stream->on_data(frame_reader([this, node, raw](umtp::Frame& frame) {
+    auto l = links_.find(node);
+    if (l == links_.end() || l->second.stream.get() != raw) return;  // stale stream
+    if (auto* ack = std::get_if<umtp::AckFrame>(&frame)) {
+      handle_ack(l->second, *ack);
+    } else {
+      log::Entry(log::Level::warn, "transport") << "unexpected frame type on link stream";
     }
-    for (umtp::Frame& f : frames) {
-      auto l = links_.find(node);
-      if (l == links_.end() || l->second.stream.get() != raw) return;  // stale stream
-      if (auto* ack = std::get_if<umtp::AckFrame>(&f)) {
-        handle_ack(l->second, *ack);
-      } else {
-        log::Entry(log::Level::warn, "transport") << "unexpected frame type on link stream";
-      }
-    }
-  });
+  }));
   return true;
 }
 
@@ -682,26 +634,14 @@ void Transport::handle_link_up(NodeId node) {
     // Initial handshake done: flush everything buffered, in order, as plain
     // frames — byte-identical to the pre-contract outbox replay.
     link.attempts = 0;
-    for (LinkEntry& e : link.ledger) {
-      if (e.sent) continue;
-      e.sent = true;
-      link.unsent_bytes -= e.frame->size();
-      link.sent_bytes += e.frame->size();
-      (void)link.stream->send(e.frame);
-    }
+    for (const PayloadPtr& frame : link.session.flush()) (void)link.stream->send(frame);
     trim_retention(link);
     return;
   }
   // Fault recovery: ask the peer where we left off before replaying anything.
   // Until its ACK arrives the link keeps buffering new traffic as unsent
   // (outage semantics persist — reconnecting stays true).
-  link.awaiting_ack = true;
-  umtp::ResumeFrame resume;
-  resume.node = runtime_.node();
-  resume.epoch = link.epoch;
-  resume.prev_channel = link.count_home;
-  resume.base_seq = link.ledger.empty() ? link.next_seq + 1 : link.ledger.front().seq;
-  (void)link.stream->send(umtp::encode(umtp::Frame{resume}));
+  (void)link.stream->send(umtp::encode(umtp::Frame{link.session.resume(runtime_.node())}));
 }
 
 void Transport::handle_link_close(NodeId node) {
@@ -717,14 +657,12 @@ void Transport::handle_link_close(NodeId node) {
   }
   // Fault path: hold the link, buffer traffic, re-establish with backoff.
   link.connected = false;
-  link.awaiting_ack = false;  // a reset mid-handshake voids the pending RESUME
   link.stream = nullptr;
   if (!link.reconnecting) {
     link.reconnecting = true;
-    runtime_.network().metrics().counter("recovery.link_down").inc();
+    count("recovery.link_down");
     // Trace 0 = unattributed: the outage is not part of any one message path.
-    link.recover_span = runtime_.network().tracer().begin_span(
-        0, "recover", runtime_.host(), runtime_.scheduler().now());
+    link.recover_span = tracer().begin_span(0, "recover", runtime_.host(), now());
   }
   schedule_reconnect(link);
 }
@@ -732,86 +670,52 @@ void Transport::handle_link_close(NodeId node) {
 void Transport::schedule_reconnect(NodeLink& link) {
   link.attempts += 1;
   if (link.attempts > runtime_.config().reconnect_max_attempts) {
-    give_up_link(link.node);
+    // Give up. Count only never-sent frames as outage drops: the
+    // sent-but-unacked prefix may well have been delivered before the cut.
+    const std::size_t unsent = link.session.unsent_count();
+    count("recovery.giveups");
+    count("recovery.outage_dropped", unsent);
+    drop(nullptr, unsent);
+    tracer().end_span(link.recover_span, now());
+    log::Entry(log::Level::warn, "transport")
+        << "giving up on node " << link.node.to_string() << " after "
+        << runtime_.config().reconnect_max_attempts << " attempts; " << unsent
+        << " buffered frame(s) dropped";
+    links_.erase(link.node);
     return;
   }
-  // Capped exponential backoff plus uniform jitter of up to half the backoff,
-  // drawn from the world Rng (deterministic per seed; desynchronizes peers
-  // that lost the same link at the same instant).
+  // Capped exponential backoff, jittered.
   const std::int64_t base = runtime_.config().reconnect_base.count();
   const std::int64_t cap = runtime_.config().reconnect_cap.count();
   const int exponent = std::min(link.attempts - 1, 30);
-  const std::int64_t backoff = std::min(base << exponent, cap);
-  const std::int64_t jitter =
-      static_cast<std::int64_t>(runtime_.network().rng().below(
-          static_cast<std::uint64_t>(backoff / 2 + 1)));
-  NodeId node = link.node;
   runtime_.scheduler().schedule_after(
-      sim::Duration(backoff + jitter), [this, node]() { retry_link(node); },
+      jittered(std::min(base << exponent, cap)),
+      [this, node = link.node]() {
+        auto l = links_.find(node);
+        // Gone (given up, or this node stopped), or already re-opened.
+        if (!started_ || l == links_.end() || l->second.stream != nullptr) return;
+        // On success the handshake is in flight and lands in handle_link_up;
+        // if the fault plane resets the new stream mid-handshake,
+        // handle_link_close schedules the next attempt.
+        if (!open_stream(l->second)) schedule_reconnect(l->second);
+      },
       {sim::host_id(runtime_.host()), sim::tag_id("umtp.reconnect")});
 }
 
-void Transport::retry_link(NodeId node) {
-  if (!started_) return;
-  auto l = links_.find(node);
-  if (l == links_.end()) return;
-  NodeLink& link = l->second;
-  if (link.stream != nullptr) return;  // already re-opened (or up)
-  if (!open_stream(link)) {
-    schedule_reconnect(link);
+void Transport::link_send(NodeLink& link, Bytes bytes, std::int64_t deadline_ns) {
+  PayloadPtr frame = make_payload(std::move(bytes));
+  const bool ready = link_ready(link);
+  if (ready) (void)link.stream->send(frame);
+  // During a fault outage the unsent ledger suffix is a *bounded* degradation
+  // buffer; during the initial handshake it stays unbounded (pre-fault
+  // semantics).
+  const std::size_t cap = link.reconnecting ? runtime_.config().outage_buffer_bytes
+                                            : std::numeric_limits<std::size_t>::max();
+  if (!link.session.push(std::move(frame), deadline_ns, ready, cap)) {
+    count("recovery.outage_dropped");
+    drop(nullptr);
     return;
   }
-  // Handshake in flight. Success lands in handle_link_up; if the fault plane
-  // resets the new stream mid-handshake, handle_link_close schedules the next
-  // attempt.
-}
-
-void Transport::give_up_link(NodeId node) {
-  auto l = links_.find(node);
-  if (l == links_.end()) return;
-  NodeLink& link = l->second;
-  // Count only never-sent frames as outage drops: the sent-but-unacked prefix
-  // may well have been delivered before the cut.
-  const std::size_t unsent = static_cast<std::size_t>(
-      std::count_if(link.ledger.begin(), link.ledger.end(),
-                    [](const LinkEntry& e) { return !e.sent; }));
-  obs::MetricsRegistry& metrics = runtime_.network().metrics();
-  metrics.counter("recovery.giveups").inc();
-  metrics.counter("recovery.outage_dropped").inc(unsent);
-  msgs_dropped_.inc(unsent);
-  runtime_.network().tracer().end_span(link.recover_span, runtime_.scheduler().now());
-  log::Entry(log::Level::warn, "transport")
-      << "giving up on node " << node.to_string() << " after "
-      << runtime_.config().reconnect_max_attempts << " attempts; " << unsent
-      << " buffered frame(s) dropped";
-  links_.erase(l);
-}
-
-void Transport::link_send(NodeLink& link, Bytes frame, std::int64_t deadline_ns) {
-  LinkEntry e;
-  e.deadline_ns = deadline_ns;
-  e.frame = make_payload(std::move(frame));
-  const std::size_t size = e.frame->size();
-  if (!link_ready(link)) {
-    // During a fault outage the unsent ledger suffix is a *bounded*
-    // degradation buffer; during the initial handshake it stays unbounded
-    // (pre-fault semantics).
-    if (link.reconnecting &&
-        link.unsent_bytes + size > runtime_.config().outage_buffer_bytes) {
-      runtime_.network().metrics().counter("recovery.outage_dropped").inc();
-      msgs_dropped_.inc();
-      return;
-    }
-    e.seq = ++link.next_seq;
-    link.unsent_bytes += size;
-    link.ledger.push_back(std::move(e));
-    return;
-  }
-  e.seq = ++link.next_seq;
-  e.sent = true;
-  link.sent_bytes += size;
-  (void)link.stream->send(e.frame);
-  link.ledger.push_back(std::move(e));
   trim_retention(link);
 }
 
@@ -820,112 +724,34 @@ void Transport::trim_retention(NodeLink& link) {
   // Retain at least the stream's own unsent backlog — those bytes are exactly
   // what a reset loses — plus the configured slack for frames already on the
   // medium. Anything older has long been delivered on the lossless stream.
-  const std::size_t budget = runtime_.config().retain_buffer_bytes + link.stream->pending();
-  while (link.sent_bytes > budget && !link.ledger.empty() && link.ledger.front().sent) {
-    link.sent_bytes -= link.ledger.front().frame->size();
-    link.ledger.pop_front();
-  }
+  link.session.trim(runtime_.config().retain_buffer_bytes + link.stream->pending());
 }
 
 void Transport::handle_ack(NodeLink& link, const umtp::AckFrame& ack) {
-  if (ack.epoch != link.epoch) return;  // stale or forged incarnation
-  // The ACK confirms the peer migrated (or kept) its count under the stream
-  // that carried it — remember that as the next RESUME's prev-channel hint.
-  if (link.stream != nullptr) link.count_home = link.stream->id().value();
-  // The peer's accepted-frame count after the handshake. Explicit in a normal
-  // ACK; a restarted peer answering kAckCountUnknown realigned itself to
-  // base_seq - 1 (handle_resume), which this formula reproduces — the ledger
-  // front is stable between sending RESUME and receiving the ACK, and frames
-  // buffered meanwhile continue the sequence, so base_seq here equals the one
-  // the RESUME carried.
-  std::uint64_t peer_count;
-  if (ack.count == umtp::kAckCountUnknown) {
-    peer_count = (link.ledger.empty() ? link.next_seq + 1 : link.ledger.front().seq) - 1;
-    // The peer restarted and lost its dedup window: our sent-but-unacked
-    // prefix was either delivered before the crash or died with it. Replaying
-    // it could only duplicate, so it is dropped (at-most-once across receiver
-    // crashes — the pre-contract semantics for this case).
-    std::uint64_t dropped = 0;
-    while (!link.ledger.empty() && link.ledger.front().sent) {
-      link.sent_bytes -= link.ledger.front().frame->size();
-      link.ledger.pop_front();
-      dropped += 1;
-    }
-    if (dropped > 0) {
-      runtime_.network().metrics().counter("delivery.unacked_dropped").inc(dropped);
-      msgs_dropped_.inc(dropped);
-    }
-  } else {
-    // Clamp against an ack-count lie: the peer can never have accepted more
-    // frames than we ever assigned.
-    const std::uint64_t acked = std::min(ack.count, link.next_seq);
-    peer_count = acked;
-    std::uint64_t retired = 0;
-    while (!link.ledger.empty() && link.ledger.front().seq <= acked) {
-      LinkEntry& e = link.ledger.front();
-      (e.sent ? link.sent_bytes : link.unsent_bytes) -= e.frame->size();
-      if (e.sent) retired += 1;
-      link.ledger.pop_front();
-    }
-    if (retired > 0) {
-      // Each retired entry is a frame PR 4 would have replayed blindly — and
-      // therefore a duplicate this contract prevented at the source.
-      runtime_.network().metrics().counter("delivery.acked_retired").inc(retired);
-    }
+  auto acked = link.session.ack(ack.epoch, ack.count, link.stream->id().value(), now().count());
+  if (!acked) return;
+  if (acked->unacked_dropped > 0) {
+    count("delivery.unacked_dropped", acked->unacked_dropped);
+    drop(nullptr, acked->unacked_dropped);
   }
-  if (link.awaiting_ack) finish_recovery(link, peer_count);
-}
-
-void Transport::finish_recovery(NodeLink& link, std::uint64_t peer_count) {
-  obs::MetricsRegistry& metrics = runtime_.network().metrics();
-  const sim::TimePoint now = runtime_.scheduler().now();
-  std::uint64_t replayed = 0;
-  std::uint64_t expired = 0;
-  // The peer's count after the last replayed frame lands. Gaps from retired
-  // (expired / unacked-dropped) entries *inside* the replay self-heal — SEQ
-  // frames carry explicit numbers — but a trailing gap would desync the
-  // implicit counting that resumes afterwards.
-  std::uint64_t last_seq = peer_count;
-  for (auto it = link.ledger.begin(); it != link.ledger.end();) {
-    LinkEntry& e = *it;
-    if (e.deadline_ns != 0 && now.count() >= e.deadline_ns) {
-      // Stale by its own contract: retire instead of replaying minutes late.
-      (e.sent ? link.sent_bytes : link.unsent_bytes) -= e.frame->size();
-      metrics.counter("delivery.expired").inc();
-      msgs_dropped_.inc();
-      expired += 1;
-      it = link.ledger.erase(it);
-      continue;
-    }
-    // Replay SEQ-wrapped: the explicit sequence number lets the receiver
-    // suppress whatever the ACK race still let through.
-    Bytes wrapped = umtp::encode_seq(e.seq, *e.frame);
-    if (!e.sent) {
-      e.sent = true;
-      link.unsent_bytes -= e.frame->size();
-      link.sent_bytes += e.frame->size();
-    }
-    (void)link.stream->send(std::move(wrapped));
-    last_seq = e.seq;
-    replayed += 1;
-    ++it;
+  if (acked->retired > 0) {
+    // Each retired entry is a frame a blind replay would have duplicated.
+    count("delivery.acked_retired", acked->retired);
   }
-  // Keep wire sequence numbers dense: the next plain frame is counted
-  // implicitly as last_seq + 1, so next_seq must land exactly there. Seqs
-  // skipped by a trailing retired entry (or a whole dropped prefix with
-  // nothing left to replay) are provably uncounted by the peer — a counted
-  // frame would have been acked and retired above — so reusing them is safe.
-  link.next_seq = last_seq;
-  link.awaiting_ack = false;
+  if (!acked->resumed) return;
+  // Recovery done. Replay SEQ-wrapped: the explicit sequence number lets the
+  // receiver suppress whatever the ACK race still let through.
+  for (Bytes& frame : acked->replay) (void)link.stream->send(std::move(frame));
+  expire(nullptr, std::nullopt, acked->expired);
   link.reconnecting = false;
   link.attempts = 0;
-  metrics.counter("recovery.reconnects").inc();
-  metrics.counter("recovery.replays").inc(replayed);
-  runtime_.network().tracer().end_span(link.recover_span, now);
+  count("recovery.reconnects");
+  count("recovery.replays", acked->replay.size());
+  tracer().end_span(link.recover_span, now());
   link.recover_span = 0;
   log::Entry(log::Level::info, "transport")
-      << "link to node " << link.node.to_string() << " re-established, " << replayed
-      << " frame(s) replayed, " << expired << " expired";
+      << "link to node " << link.node.to_string() << " re-established, "
+      << acked->replay.size() << " frame(s) replayed, " << acked->expired << " expired";
   // The peer's soft state may have expired (or gone stale) during the outage:
   // renew our leases immediately instead of waiting for the next refresh tick.
   runtime_.directory().reannounce();
@@ -933,54 +759,57 @@ void Transport::finish_recovery(NodeLink& link, std::uint64_t peer_count) {
 }
 
 void Transport::accept_peer(net::StreamPtr stream) {
-  auto assembler = std::make_shared<umtp::FrameAssembler>();
   peer_streams_.push_back(stream);
   net::Stream* raw = stream.get();
   // The sender stages trace baggage keyed by its own (client) stream id, which
   // is this accepted stream's peer.
   const std::uint64_t channel = stream->peer().value();
-  stream->on_data([this, assembler, channel, raw](std::span<const std::uint8_t> chunk) {
-    handle_frames(assembler, chunk, channel, raw);
-  });
+  stream->on_data(frame_reader([this, channel, raw](umtp::Frame& frame) {
+    handle_frame(std::move(frame), channel, *raw);
+  }));
   stream->on_close([this, raw, channel]() {
     std::erase_if(peer_streams_, [raw](const net::StreamPtr& s) { return s.get() == raw; });
-    if (!raw->was_reset()) {
-      // Graceful close: the sender dropped its link, so a future link from the
-      // same node starts a fresh sequence space — stale counts must not
-      // suppress it. Reset counts survive for the RESUME migration.
-      recv_links_.erase(channel);
-      std::erase_if(recv_home_,
-                    [channel](const auto& entry) { return entry.second == channel; });
-    }
+    // Graceful close: the sender dropped its link, so a future link from the
+    // same node starts a fresh sequence space — stale counts must not
+    // suppress it. Reset counts survive for the RESUME migration.
+    if (!raw->was_reset()) recv_.forget(channel);
   });
 }
 
-void Transport::handle_frames(const std::shared_ptr<umtp::FrameAssembler>& assembler,
-                              std::span<const std::uint8_t> chunk, std::uint64_t channel,
-                              net::Stream* reply) {
-  std::vector<umtp::Frame> frames;
-  if (auto r = assembler->feed(chunk, frames); !r.ok()) {
-    log::Entry(log::Level::warn, "transport") << "bad UMTP frame: " << r.error().to_string();
+void Transport::handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stream& reply) {
+  if (std::holds_alternative<umtp::AckFrame>(frame)) {
+    log::Entry(log::Level::warn, "transport") << "unexpected ACK on accepted stream";
     return;
   }
-  for (umtp::Frame& frame : frames) handle_frame(std::move(frame), channel, reply);
-}
-
-void Transport::handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stream* reply) {
-  // Dedup window first. Plain payload frames count implicitly (lossless
-  // in-order streams make "frames accepted" == "highest seq delivered");
-  // SEQ-wrapped replays carry their number explicitly and are suppressed when
-  // already counted.
+  if (auto* resume = std::get_if<umtp::ResumeFrame>(&frame)) {
+    // Receiver half of the recovery handshake: migrate the dedup count to the
+    // new channel and answer with a cumulative ACK.
+    const LinkSession::Receiver::Resumed resumed = recv_.resume(*resume, channel);
+    if (resumed.gap) {
+      // Frames lost to the sender's retention overflow: unrecoverable, counted
+      // for observability.
+      count("delivery.resume_gap");
+      log::Entry(log::Level::warn, "transport")
+          << "RESUME from node " << resume->node.to_string() << ": frames before base seq "
+          << resume->base_seq << " lost to retention";
+    }
+    count("delivery.resumes");
+    // The one place an ACK is born (lint rule `ack-origin`).
+    (void)reply.send(
+        umtp::encode(umtp::Frame{umtp::AckFrame{resume->epoch, resumed.ack_count}}));
+    return;
+  }
+  // Dedup window, for every payload frame (SEQ never wraps ACK or RESUME).
+  // Plain frames count implicitly (lossless in-order streams make "frames
+  // accepted" == "highest seq delivered"); SEQ-wrapped replays carry their
+  // number explicitly and are suppressed when already counted.
   bool replayed = false;
   if (auto* seq = std::get_if<umtp::SeqFrame>(&frame)) {
-    RecvLink& rl = recv_links_[channel];
-    if (seq->seq <= rl.count) {
-      runtime_.network().metrics().counter("delivery.dup_suppressed").inc();
-      runtime_.network().tracer().instant(0, "deliver.dup-suppressed", runtime_.host(),
-                                          runtime_.scheduler().now());
+    if (!recv_.accept(channel, seq->seq)) {
+      count("delivery.dup_suppressed");
+      instant(0, "deliver.dup-suppressed");
       return;
     }
-    rl.count = seq->seq;
     auto inner = umtp::decode_body(seq->body);
     if (!inner.ok()) {  // unreachable: the assembler validated it; stay safe
       log::Entry(log::Level::warn, "transport")
@@ -989,144 +818,43 @@ void Transport::handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stre
     }
     frame = std::move(inner).take();
     replayed = true;
-  } else if (!std::holds_alternative<umtp::AckFrame>(frame) &&
-             !std::holds_alternative<umtp::ResumeFrame>(frame)) {
-    recv_links_[channel].count += 1;
-  }
-  if (std::holds_alternative<umtp::AckFrame>(frame)) {
-    log::Entry(log::Level::warn, "transport") << "unexpected ACK on accepted stream";
-    return;
-  }
-  if (auto* resume = std::get_if<umtp::ResumeFrame>(&frame)) {
-    handle_resume(*resume, channel, reply);
-    return;
+  } else {
+    recv_.count(channel);
   }
   if (auto* data = std::get_if<umtp::DataFrame>(&frame)) {
     data_frames_rx_.inc();
-    obs::Tracer& tracer = runtime_.network().tracer();
     // Claim the side-band baggage the sender staged for this DATA frame: close
     // its wire span and re-attach the trace id the frame never carried.
     // Replayed frames have none (their baggage died with the old stream).
     if (!replayed) {
-      if (auto staged = tracer.take(channel)) {
+      if (auto staged = tracer().take(channel)) {
         data->message.trace = staged->trace;
-        tracer.end_span(staged->span, runtime_.scheduler().now());
+        tracer().end_span(staged->span, now());
         if (staged->span != 0) {
-          wire_ns_.observe(tracer.spans()[staged->span - 1].duration().count());
+          wire_ns_.observe(tracer().spans()[staged->span - 1].duration().count());
         }
       }
     }
     // Receiver-side deadline check: the wire crossing may have eaten the
     // remaining budget (or the frame sat in an outage buffer).
-    if (data->message.deadline_ns != 0 &&
-        runtime_.scheduler().now().count() >= data->message.deadline_ns) {
-      runtime_.network().metrics().counter("delivery.expired").inc();
-      tracer.instant(data->message.trace, "deliver.expired", runtime_.host(),
-                     runtime_.scheduler().now());
+    if (deadline_passed(data->message.deadline_ns, now().count())) {
+      expire(nullptr, data->message.trace);
       return;
     }
-    Translator* t = runtime_.translator(data->dst.translator);
-    if (t == nullptr) {
-      log::Entry(log::Level::warn, "transport")
-          << "DATA for unknown translator " << data->dst.to_string();
-      msgs_dropped_.inc();
-      return;
-    }
-    if (!breaker_allows(data->dst.translator)) {
-      msgs_dropped_.inc();
-      runtime_.network().metrics().counter("delivery.breaker_dropped").inc();
-      tracer.instant(data->message.trace, "deliver.quarantined", runtime_.host(),
-                     runtime_.scheduler().now());
-      return;
-    }
-    tracer.instant(data->message.trace, "deliver", runtime_.host(), runtime_.scheduler().now());
-    if (auto r = t->deliver(data->dst.port, data->message); !r.ok()) {
-      deliver_failures_.inc();
-      breaker_record(data->dst.translator, false);
-      log::Entry(log::Level::warn, "transport")
-          << "deliver " << data->dst.to_string() << " failed: " << r.error().to_string();
-    } else {
-      breaker_record(data->dst.translator, true);
-    }
+    deliver(data->dst, data->message, nullptr);
     return;
   }
   if (auto* conn = std::get_if<umtp::ConnectFrame>(&frame)) {
-    const TranslatorProfile* src_profile = runtime_.directory().profile(conn->src.translator);
-    if (src_profile == nullptr || src_profile->node != runtime_.node()) {
+    auto source = check_source(conn->src);
+    if (!source.ok() || source.value().node != runtime_.node()) {
       log::Entry(log::Level::warn, "transport")
-          << "CONNECT for non-local source " << conn->src.to_string();
+          << "CONNECT rejected for source " << conn->src.to_string();
       return;
     }
-    const PortSpec* src_port = src_profile->shape.find(conn->src.port);
-    if (src_port == nullptr || src_port->kind != PortKind::digital ||
-        src_port->direction != Direction::output) {
-      log::Entry(log::Level::warn, "transport")
-          << "CONNECT with bad source port " << conn->src.to_string();
-      return;
-    }
-    Path path;
-    path.id = conn->path;
-    path.src = conn->src;
-    path.src_type = src_port->type;
-    if (auto* fixed = std::get_if<PortRef>(&conn->dst)) {
-      path.fixed_dst = *fixed;
-    } else {
-      path.query_dst = std::get<Query>(conn->dst);
-    }
-    (void)install_path(std::move(path));
+    install_path(conn->path, conn->src, *source.value().port, std::move(conn->dst), {});
     return;
   }
-  const auto& disc = std::get<umtp::DisconnectFrame>(frame);
-  paths_.erase(disc.path);
-}
-
-void Transport::handle_resume(const umtp::ResumeFrame& resume, std::uint64_t channel,
-                              net::Stream* reply) {
-  obs::MetricsRegistry& metrics = runtime_.network().metrics();
-  // Find the sender's count: the prev-channel hint first, then the node-keyed
-  // home (covers a lost ACK — the previous migration happened but the sender
-  // never learned of it). Epoch guards both against counts from an earlier
-  // link incarnation of a restarted node.
-  RecvLink state;
-  bool known = false;
-  if (auto it = recv_links_.find(resume.prev_channel);
-      it != recv_links_.end() && (it->second.epoch == 0 || it->second.epoch == resume.epoch)) {
-    state = it->second;
-    known = true;
-    recv_links_.erase(it);
-  } else if (auto home = recv_home_.find(resume.node); home != recv_home_.end()) {
-    if (auto alt = recv_links_.find(home->second);
-        alt != recv_links_.end() && alt->second.epoch == resume.epoch) {
-      state = alt->second;
-      known = true;
-      recv_links_.erase(alt);
-    }
-  }
-  state.epoch = resume.epoch;
-  if (!known) {
-    // We restarted since this epoch began (or never saw a frame of it): no
-    // dedup state to resume from. Align with the sender's retained window for
-    // future SEQ replays, and tell it not to replay its sent-but-unacked
-    // prefix (at-most-once across receiver crashes, DESIGN.md §11).
-    state.count = resume.base_seq == 0 ? 0 : resume.base_seq - 1;
-  } else if (state.count + 1 < resume.base_seq) {
-    // The sender retired frames we never accepted (retention-ring overflow):
-    // those messages are unrecoverable. Jump forward so dedup stays aligned,
-    // and count the gap for observability.
-    metrics.counter("delivery.resume_gap").inc();
-    log::Entry(log::Level::warn, "transport")
-        << "RESUME from node " << resume.node.to_string() << ": count " << state.count
-        << " behind base seq " << resume.base_seq << " (frames lost to retention)";
-    state.count = resume.base_seq - 1;
-  }
-  recv_links_[channel] = state;
-  recv_home_[resume.node] = channel;
-  metrics.counter("delivery.resumes").inc();
-  if (reply != nullptr) {
-    // The one place an ACK is born (lint rule `ack-origin`).
-    const std::uint64_t count = known ? state.count : umtp::kAckCountUnknown;
-    (void)reply->send(umtp::encode(umtp::Frame{umtp::AckFrame{resume.epoch, count}}));
-  }
+  paths_.erase(std::get<umtp::DisconnectFrame>(frame).path);
 }
 
 }  // namespace umiddle::core

@@ -20,25 +20,25 @@
 // requesting node, so they are globally unique and can be disconnected from
 // anywhere.
 //
-// On top of PR 4's link recovery this module implements the end-to-end
-// delivery contract (DESIGN.md §11): per-link implicit sequencing with
-// RESUME/ACK-driven selective replay and a receiver dedup window
-// (effectively-once across resets), per-message virtual-time deadlines, and a
-// per-destination circuit breaker. All of it is fault-free-invisible: no extra
-// wire bytes, events, Rng draws, or metric registrations happen in a world
-// with no faults, deadlines, bounded buffers, or delivery failures.
+// On top of link recovery this module implements the end-to-end delivery
+// contract (DESIGN.md §11): per-link implicit sequencing with RESUME/ACK-driven
+// selective replay and a receiver dedup window (effectively-once across
+// resets; the state machine is LinkSession, core/link_session.hpp),
+// per-message virtual-time deadlines, and a per-destination circuit breaker.
+// All of it is fault-free-invisible: no extra wire bytes, events, Rng draws,
+// or metric registrations happen in a world with no faults, deadlines, bounded
+// buffers, or delivery failures.
 #pragma once
 
 #include <deque>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
 #include "core/directory.hpp"
+#include "core/link_session.hpp"
 #include "core/qos.hpp"
 #include "core/umtp.hpp"
 #include "netsim/stream.hpp"
@@ -71,7 +71,7 @@ struct PathStats {
 class Transport final : public DirectoryListener {
  public:
   explicit Transport(Runtime& runtime);
-  ~Transport() override;
+  ~Transport() override = default;
 
   /// Listen for UMTP connections from peer runtimes.
   [[nodiscard]] Result<void> start();
@@ -83,12 +83,19 @@ class Transport final : public DirectoryListener {
   void crash();
 
   // --- paper Fig. 7 API ---------------------------------------------------------
+  // A path with a QoS policy must have its source hosted on this node: the
+  // CONNECT frame that forwards a remote-source path carries no policy, so
+  // such a connect() fails with Errc::invalid_argument.
   /// (1) Fixed path between an output and an input port. Both translators must
   /// be known to the directory and compatible.
-  [[nodiscard]] Result<PathId> connect(const PortRef& src, const PortRef& dst, QosPolicy qos = {});
+  [[nodiscard]] Result<PathId> connect(const PortRef& src, const PortRef& dst, QosPolicy qos = {}) {
+    return connect_impl(src, dst, std::move(qos));
+  }
   /// (2) Dynamic message path from a port to every translator matching `dst`,
   /// re-evaluated as translators are mapped and unmapped.
-  [[nodiscard]] Result<PathId> connect(const PortRef& src, Query dst, QosPolicy qos = {});
+  [[nodiscard]] Result<PathId> connect(const PortRef& src, Query dst, QosPolicy qos = {}) {
+    return connect_impl(src, std::move(dst), std::move(qos));
+  }
   [[nodiscard]] Result<void> disconnect(PathId path);
 
   /// Stats for a locally hosted path; nullptr for unknown/remote paths.
@@ -104,7 +111,7 @@ class Transport final : public DirectoryListener {
   /// a retried emit never double-delivers to the paths that had room.
   [[nodiscard]] Result<void> route(const PortRef& src, const Message& msg);
   /// A local translator became ready again; resume paths feeding it.
-  void notify_ready(TranslatorId id);
+  void notify_ready(TranslatorId) { resume_paths(); }
 
   // DirectoryListener: keep query paths bound to the live translator population.
   void on_mapped(const TranslatorProfile& profile) override;
@@ -126,26 +133,14 @@ class Transport final : public DirectoryListener {
   struct Path {
     PathId id;
     PortRef src;
-    MimeType src_type;  ///< type of the source port, cached at connect time
-    std::optional<PortRef> fixed_dst;
-    std::optional<Query> query_dst;
+    PortSpec src_port;  ///< the source port's spec, cached at connect time
+    std::optional<Query> query_dst;  ///< set for dynamic (query) paths
     std::vector<PortRef> bound;
     QosPolicy qos;
     std::unique_ptr<TokenBucket> bucket;
     std::deque<Pending> queue;
     bool drain_scheduled = false;
     PathStats stats;
-  };
-
-  /// One frame in a link's send ledger: awaiting acknowledgement (sent) or
-  /// transmission (unsent). Sequence numbers are per-link and 1-based; they
-  /// stay implicit (in memory, never on the wire) until a recovery replay
-  /// wraps the frame in a SEQ envelope.
-  struct LinkEntry {
-    std::uint64_t seq = 0;
-    std::int64_t deadline_ns = 0;  ///< 0 = none; expired entries are never replayed
-    PayloadPtr frame;              ///< length-prefixed encoded frame
-    bool sent = false;
   };
 
   struct NodeLink {
@@ -158,24 +153,9 @@ class Transport final : public DirectoryListener {
     /// successful handshake counts as a recovery (metrics
     /// `recovery.reconnects`).
     bool reconnecting = false;
-    /// RESUME sent on the fresh stream, ACK not yet received: new traffic
-    /// buffers as unsent until the peer tells us where to resume.
-    bool awaiting_ack = false;
-    int attempts = 0;              ///< consecutive failed reconnect attempts
-    std::uint64_t next_seq = 0;    ///< last assigned sequence number
-    std::uint64_t epoch = 0;       ///< id of the link's first stream (world-unique)
-    std::uint64_t count_home = 0;  ///< channel confirmed to hold the peer's dedup count
+    int attempts = 0;                ///< consecutive failed reconnect attempts
     std::uint64_t recover_span = 0;  ///< open "recover" span while down
-    std::size_t unsent_bytes = 0;  ///< handshake/outage buffer occupancy
-    std::size_t sent_bytes = 0;    ///< sent-but-unacknowledged retention occupancy
-    std::deque<LinkEntry> ledger;  ///< seq-ordered: sent prefix, unsent suffix
-  };
-
-  /// Receive-side dedup state for one inbound link, keyed by the sender's
-  /// client stream id (the same "channel" the tracer baggage rides on).
-  struct RecvLink {
-    std::uint64_t count = 0;  ///< frames accepted from this link so far
-    std::uint64_t epoch = 0;  ///< sender's link epoch, learned via RESUME (0 = unknown)
+    LinkSession::Sender session;     ///< send ledger and sequencing
   };
 
   /// Per-destination circuit breaker (closed → open after K consecutive
@@ -193,26 +173,60 @@ class Transport final : public DirectoryListener {
   /// High-water mark on a link's unsent bytes before paths pause.
   static constexpr std::size_t kLinkWatermark = 64 * 1024;
 
+  sim::TimePoint now() const;
+  obs::Tracer& tracer();
+  /// Bump the per-world counter `name`; it registers on first use, so
+  /// counters for faults that never fire stay out of the snapshot.
+  void count(std::string_view name, std::uint64_t n = 1);
+  /// A trace instant on this host, now.
+  void instant(std::uint64_t trace, std::string_view name);
+  /// `base_ns` plus uniform jitter of up to half of it, drawn from the world
+  /// Rng: deterministic per seed, and it desynchronizes peers that hit the
+  /// same fault at the same instant.
+  sim::Duration jittered(std::int64_t base_ns);
+
+  /// A port of a translator known to the directory.
+  struct HostedPort {
+    NodeId node;  ///< node hosting the translator
+    const PortSpec* port;
+  };
+
   [[nodiscard]] Result<PathId> connect_impl(const PortRef& src, std::variant<PortRef, Query> dst,
                               QosPolicy qos);
-  /// Install a path on this (hosting) node and bind destinations.
-  [[nodiscard]] Result<void> install_path(Path path);
-  void bind_query_matches(Path& path);
-  /// First input port of `profile` connectable from the source type, if any.
-  std::optional<PortRef> pick_input_port(const Path& path, const TranslatorProfile& profile) const;
+  /// `role` ("source"/"destination") names the port in the not-found error.
+  [[nodiscard]] Result<HostedPort> find_port(const PortRef& ref, const std::string& role) const;
+  /// find_port, and the port must be a digital output.
+  [[nodiscard]] Result<HostedPort> check_source(const PortRef& src) const;
+  /// Install a path on this (hosting) node and bind its destinations.
+  void install_path(PathId id, const PortRef& src, const PortSpec& src_port,
+                    std::variant<PortRef, Query> dst, const QosPolicy& qos);
+  /// Bind the first input port of `profile` connectable from the path's
+  /// source, unless already bound.
+  void bind(Path& path, const TranslatorProfile& profile);
+  /// Stop and crash share this: forget every link, path and peer stream,
+  /// closing the streams only on a graceful stop.
+  void teardown(bool close_streams);
   void enqueue(Path& path, const PortRef& dst, const std::shared_ptr<const Message>& msg);
   /// Apply the path's shedding policy to admit a `bytes`-sized message for
   /// `dst` into a full bounded buffer. True = room was made, enqueue it.
   bool shed_for_room(Path& path, const PortRef& dst, std::size_t bytes);
   void drain(Path& path);
-  void schedule_drain(PathId id, sim::Duration delay);
   /// True if the destination can accept a message right now.
   bool destination_ready(const PortRef& dst) const;
   /// Hand one message to its destination (after charging translation cost).
   void dispatch(Path& path, Pending item);
+  /// Deliver to a translator on this node through its breaker. `path` is the
+  /// local path carrying it; null for a DATA frame received from a peer.
+  void deliver(const PortRef& dst, const Message& msg, PathStats* path);
+  /// Retire `n` messages whose deadline passed. `path` is the owning path's
+  /// stats, null off-path. `trace` is the message's trace id, emitted as a
+  /// deliver.expired instant; recovery replay has none (the ledger holds only
+  /// wire bytes) and also counts its expiries as umtp drops.
+  void expire(PathStats* path, std::optional<std::uint64_t> trace, std::uint64_t n = 1);
+  /// Count `n` dropped messages, on `path` too when there is one.
+  void drop(PathStats* path, std::uint64_t n = 1);
 
   // --- circuit breaker -------------------------------------------------------
-  bool breaker_allows(TranslatorId id) const;
   void breaker_record(TranslatorId id, bool ok);
   void open_breaker(TranslatorId id, Breaker& breaker);
 
@@ -222,37 +236,26 @@ class Transport final : public DirectoryListener {
   bool open_stream(NodeLink& link);
   /// Fully up: connected and not holding traffic for a recovery handshake.
   static bool link_ready(const NodeLink& link) {
-    return link.connected && !link.awaiting_ack && link.stream != nullptr;
+    return link.connected && !link.session.resuming() && link.stream != nullptr;
   }
   void handle_link_up(NodeId node);
   void handle_link_close(NodeId node);
-  /// Capped exponential backoff with world-Rng jitter, then retry_link().
+  /// Capped exponential backoff with world-Rng jitter, then a reconnect
+  /// attempt; gives the link up after reconnect_max_attempts.
   void schedule_reconnect(NodeLink& link);
-  void retry_link(NodeId node);
-  void give_up_link(NodeId node);
   void link_send(NodeLink& link, Bytes frame, std::int64_t deadline_ns = 0);
   /// Retire acknowledged sent frames beyond the retention budget.
   void trim_retention(NodeLink& link);
   /// Peer told us its accepted-frame count: retire the acknowledged ledger
-  /// prefix and, if a recovery is pending, selectively replay the rest.
+  /// prefix and, if a recovery is pending, replay the unacknowledged,
+  /// unexpired rest SEQ-wrapped and close out the recovery (reconnect
+  /// bookkeeping, reannounce, resume paths).
   void handle_ack(NodeLink& link, const umtp::AckFrame& ack);
-  /// Replay unacknowledged, unexpired ledger entries SEQ-wrapped, realign
-  /// next_seq with the peer's count (`peer_count` = frames the peer has
-  /// accepted after the handshake; retired entries would otherwise leave a
-  /// trailing seq gap that desyncs the peer's implicit counting), then close
-  /// out the recovery (reconnect bookkeeping, reannounce, resume paths).
-  void finish_recovery(NodeLink& link, std::uint64_t peer_count);
   void accept_peer(net::StreamPtr stream);
   /// `channel` is the sending peer's stream id (Stream::peer() of the accepted
   /// stream) — the tracer baggage channel DATA trace ids arrive on. `reply`
   /// carries ACKs back to the sender (streams are bidirectional).
-  void handle_frames(const std::shared_ptr<umtp::FrameAssembler>& assembler,
-                     std::span<const std::uint8_t> chunk, std::uint64_t channel,
-                     net::Stream* reply);
-  void handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stream* reply);
-  /// Receiver half of the recovery handshake: migrate the dedup count to the
-  /// new channel and answer with a cumulative ACK.
-  void handle_resume(const umtp::ResumeFrame& resume, std::uint64_t channel, net::Stream* reply);
+  void handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stream& reply);
   void resume_paths();
 
   Runtime& runtime_;
@@ -274,13 +277,8 @@ class Transport final : public DirectoryListener {
   std::map<NodeId, NodeLink> links_;
   /// Streams accepted from peers (we read frames from them and answer ACKs).
   std::vector<net::StreamPtr> peer_streams_;
-  /// Dedup counts by inbound channel; values only, never iterated (safe to
-  /// keep unordered).
-  std::unordered_map<std::uint64_t, RecvLink> recv_links_;
-  /// Sender node → channel its count last migrated to via RESUME. Fallback for
-  /// the sender's prev-channel hint being one recovery stale (its previous
-  /// RESUME was processed but the ACK was lost to a second cut).
-  std::map<NodeId, std::uint64_t> recv_home_;
+  /// Dedup counts of every inbound link.
+  LinkSession::Receiver recv_;
   std::map<TranslatorId, Breaker> breakers_;
   /// Monotonic breaker-open generation; never reset (crash() included), so a
   /// stale probe timer can never match a later open cycle.

@@ -295,6 +295,22 @@ TEST(TransportTest, RemoteConnectIsForwardedToHostingNode) {
   auto disp_id = w.b->map(std::move(disp)).take();
   w.settle();
 
+  // A CONNECT frame carries no QoS policy: a connect() that asks for one with
+  // a remote source is refused instead of silently losing it, and nothing
+  // reaches the hosting node.
+  for (int which = 0; which < 3; ++which) {
+    QosPolicy qos;
+    if (which == 0) qos.rate_bytes_per_sec = 1000.0;
+    if (which == 1) qos.max_buffered_bytes = 4096;
+    if (which == 2) qos.message_ttl = std::chrono::milliseconds(50);
+    auto refused = w.b->transport().connect(PortRef{cam_id, "image-out"},
+                                            PortRef{disp_id, "image-in"}, qos);
+    ASSERT_FALSE(refused.ok()) << "policy " << which;
+    EXPECT_EQ(refused.error().code, Errc::invalid_argument);
+  }
+  w.settle();
+  EXPECT_EQ(w.a->transport().local_path_count(), 0u);
+
   // connect() issued on B; source translator is hosted on A → CONNECT frame.
   auto path = w.b->transport().connect(PortRef{cam_id, "image-out"},
                                        PortRef{disp_id, "image-in"});

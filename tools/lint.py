@@ -37,6 +37,10 @@ exist to keep nondeterminism from leaking back in:
                frames, std::function events), which is exactly the class of
                hidden copy PR 2 removed from the hot paths. Iterate by
                `const auto&` (or `auto&` / `auto&&` when mutating).
+  one-expiry-site
+               the string literal "delivery.expired" appears once in src/,
+               in src/core/transport.cpp: every deadline drop goes through
+               Transport::expire, so expiry accounting has one implementation.
 
 Run directly:      python3 tools/lint.py --root .
 Run via ctest:     ctest -R lint
@@ -65,11 +69,12 @@ class Violation(NamedTuple):
         return f"{self.path}:{self.line}: [{self.rule}] {self.text}"
 
 
-def strip_comments_and_strings(source: str) -> str:
+def strip_comments_and_strings(source: str, keep_strings: bool = False) -> str:
     """Blank out comments and string/char literals, preserving line numbers.
 
     A lexer-grade pass is overkill; this handles //, /* */, "..." and '...'
-    well enough for token bans (escaped quotes included).
+    well enough for token bans (escaped quotes included). With keep_strings,
+    literals are kept verbatim and only comments are blanked.
     """
     out = []
     i, n = 0, len(source)
@@ -88,9 +93,12 @@ def strip_comments_and_strings(source: str) -> str:
             j = i + 1
             while j < n and source[j] != quote:
                 j += 2 if source[j] == "\\" else 1
-            out.append(quote + " " * max(0, min(j, n) - i - 1))
-            if j < n:
-                out.append(quote)
+            if keep_strings:
+                out.append(source[i:j + 1])
+            else:
+                out.append(quote + " " * max(0, min(j, n) - i - 1))
+                if j < n:
+                    out.append(quote)
             i = j + 1
         else:
             out.append(c)
@@ -266,6 +274,26 @@ def check_ack_origin(path: str, code: str) -> Iterable[Violation]:
                             "them (DESIGN.md §11)")
 
 
+# Deadline expiry has one implementation (DESIGN.md §11.2): every site that
+# drops a message for its deadline calls Transport::expire, the only code that
+# names the counter. A second mention of it is a second expiry path with its
+# own accounting, which is how the sites drifted apart before they were merged.
+# Matched on literals, so this check sees comment-stripped code with strings.
+EXPIRY_COUNTER_RE = re.compile(r'"delivery\.expired"')
+EXPIRY_SITE = "src/core/transport.cpp"
+
+
+def check_one_expiry_site(path: str, code: str) -> Iterable[Violation]:
+    hits = [lineno for lineno, line in enumerate(code.splitlines(), 1)
+            if EXPIRY_COUNTER_RE.search(line)]
+    allowed = 1 if path == EXPIRY_SITE else 0
+    for lineno in hits[allowed:]:
+        yield Violation("one-expiry-site", path, lineno,
+                        '"delivery.expired" outside Transport::expire; drop '
+                        "expired messages through that helper so expiry "
+                        f"accounting stays in one place ({EXPIRY_SITE})")
+
+
 def check_global_telemetry(path: str, code: str) -> Iterable[Violation]:
     for lineno, line in enumerate(code.splitlines(), 1):
         if GLOBAL_TELEMETRY_RE.search(line):
@@ -288,12 +316,20 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_global_telemetry,
 ]
 
+# Checks that match string literals: they see comments blanked, strings kept.
+LITERAL_CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
+    check_one_expiry_site,
+]
+
 
 def lint_file(rel_path: str, source: str) -> list[Violation]:
     code = strip_comments_and_strings(source)
     found: list[Violation] = []
     for check in CHECKS:
         found.extend(check(rel_path, code))
+    literals = strip_comments_and_strings(source, keep_strings=True)
+    for check in LITERAL_CHECKS:
+        found.extend(check(rel_path, literals))
     return found
 
 
@@ -340,6 +376,11 @@ SEEDED_VIOLATIONS = [
      "static obs::MetricsRegistry g_registry;\n"),
     ("global-telemetry", "src/obs/evil.hpp",
      "inline Tracer& global_tracer() { return the_tracer; }\n"),
+    ("one-expiry-site", "src/core/transport.cpp",
+     'metrics.counter("delivery.expired").inc(n);\n'
+     'metrics.counter("delivery.expired").inc();\n'),
+    ("one-expiry-site", "src/core/link_session.cpp",
+     'metrics.counter("delivery.expired").inc();\n'),
 ]
 
 CLEAN_SNIPPETS = [
@@ -366,6 +407,10 @@ CLEAN_SNIPPETS = [
      "double loss = spec.loss;\n"
      "if (spec.loss == 0.0) { return; }\n"
      "net_.faults().set_loss(segment_, loss);\n"),
+    ("src/core/transport.cpp",
+     'metrics.counter("delivery.expired").inc(n);\n'
+     '// the "delivery.expired" counter, named in a comment, is fine\n'
+     'metrics.counter("delivery.expired_total").inc();\n'),
     ("src/core/fine.cpp",
      "for (const auto& p : profiles_) { use(p); }\n"
      "for (auto& [k, v] : meta_) { use(k, v); }\n"
