@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <limits>
 
 namespace umiddle::strings {
 
@@ -89,10 +90,13 @@ std::string join(const std::vector<std::string>& items, std::string_view sep) {
 
 bool parse_u64(std::string_view s, std::uint64_t& out) {
   if (s.empty()) return false;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t v = 0;
   for (char c : s) {
     if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (v > (kMax - digit) / 10) return false;  // v * 10 + digit would wrap
+    v = v * 10 + digit;
   }
   out = v;
   return true;

@@ -28,7 +28,8 @@ bool ends_with(std::string_view s, std::string_view suffix);
 /// Join the items with a separator.
 std::string join(const std::vector<std::string>& items, std::string_view sep);
 
-/// Parse a non-negative decimal integer; returns false on any non-digit input.
+/// Parse a non-negative decimal integer; returns false on any non-digit input
+/// and on a value above UINT64_MAX.
 bool parse_u64(std::string_view s, std::uint64_t& out);
 
 }  // namespace umiddle::strings

@@ -1,8 +1,10 @@
 #include "fuzz/entries.hpp"
 
+#include <cstdlib>
 #include <string_view>
 #include <vector>
 
+#include "common/base64.hpp"
 #include "common/bytes.hpp"
 #include "core/umtp.hpp"
 #include "core/usdl.hpp"
@@ -53,6 +55,19 @@ int fuzz_umtp_decode(const std::uint8_t* data, std::size_t size) {
   }
   // Both layers must agree on well-formedness of a correctly-prefixed frame.
   return (frame.ok() && fed_ok && !out.empty()) ? 1 : 0;
+}
+
+int fuzz_base64_decode(const std::uint8_t* data, std::size_t size) {
+  std::string_view text(reinterpret_cast<const char*>(data), size);
+  auto decoded = base64::decode(text);
+  if (!decoded.ok()) return 0;
+  std::size_t padding = 0;
+  if (size >= 1 && text[size - 1] == '=') ++padding;
+  if (size >= 2 && text[size - 2] == '=') ++padding;
+  if (decoded.value().size() != size / 4 * 3 - padding) std::abort();
+  auto again = base64::decode(base64::encode(decoded.value()));
+  if (!again.ok() || again.value() != decoded.value()) std::abort();
+  return 1;
 }
 
 }  // namespace umiddle::fuzz

@@ -1,4 +1,4 @@
-// Fuzz entry points for the project's parsers (DESIGN.md §10).
+// Fuzz entry points for the project's parsers and decoders (DESIGN.md §10).
 //
 // Each entry takes an arbitrary byte string and must never crash, hang or
 // leak: parsers return Result errors for malformed input, and that contract is
@@ -32,5 +32,11 @@ int fuzz_usdl_parse(const std::uint8_t* data, std::size_t size);
 /// deadline-stamped DATA, ACK/RESUME recovery frames, and SEQ replay wrappers
 /// (whose inner body is validated eagerly, so nesting lies fail here too).
 int fuzz_umtp_decode(const std::uint8_t* data, std::size_t size);
+
+/// base64::decode on the bytes as text (the SOAP `$body64` payload surface).
+/// Oracle on success: the output holds len/4*3 bytes minus the padding, and
+/// re-encoding it decodes back to the same bytes. A violation aborts, which
+/// both the smoke test and a coverage-guided fuzzer report as a crash.
+int fuzz_base64_decode(const std::uint8_t* data, std::size_t size);
 
 }  // namespace umiddle::fuzz

@@ -111,13 +111,13 @@ void ControlPoint::invoke(const std::string& control_url, ActionRequest request,
   // Charge request marshalling, then POST.
   net_.scheduler().schedule_after(
       costs_.soap_marshal,
-      [this, uri = uri.value(), request = std::move(request), done = std::move(done)]() {
+      [this, uri = uri.value(), request = std::move(request), done = std::move(done)]() mutable {
         HttpRequest post;
         post.method = "POST";
         post.path = uri.path;
         post.headers["soapaction"] = request.soap_action_header();
         post.headers["content-type"] = "text/xml; charset=\"utf-8\"";
-        post.body = request.to_envelope();
+        post.body = std::move(request).to_envelope();
         http_fetch(net_, host_, uri, std::move(post), [this, done](Result<HttpResponse> r) {
           if (!r.ok()) {
             done(r.error());

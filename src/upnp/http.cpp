@@ -12,13 +12,27 @@ std::string find_header(const std::map<std::string, std::string>& headers,
   return it == headers.end() ? std::string() : it->second;
 }
 
-void write_headers(std::string& out, const std::map<std::string, std::string>& headers,
-                   std::size_t body_size) {
-  for (const auto& [k, v] : headers) out += k + ": " + v + "\r\n";
-  if (headers.count("content-length") == 0) {
-    out += "content-length: " + std::to_string(body_size) + "\r\n";
+std::string start_line(const HttpRequest& r) { return r.method + " " + r.path + " HTTP/1.1\r\n"; }
+
+std::string start_line(const HttpResponse& r) {
+  return "HTTP/1.1 " + std::to_string(r.status) + " " + r.reason + "\r\n";
+}
+
+/// Start line, headers, blank line and body, in one buffer that a stream
+/// can send without copying it again.
+template <typename Message>
+Bytes wire_of(const Message& m) {
+  std::string head = start_line(m);
+  for (const auto& [k, v] : m.headers) head += k + ": " + v + "\r\n";
+  if (m.headers.count("content-length") == 0) {
+    head += "content-length: " + std::to_string(m.body.size()) + "\r\n";
   }
-  out += "\r\n";
+  head += "\r\n";
+  Bytes out;
+  out.reserve(head.size() + m.body.size());
+  out.insert(out.end(), head.begin(), head.end());
+  out.insert(out.end(), m.body.begin(), m.body.end());
+  return out;
 }
 
 }  // namespace
@@ -27,23 +41,13 @@ std::string HttpRequest::header(std::string_view name) const {
   return find_header(headers, name);
 }
 
-std::string HttpRequest::to_string() const {
-  std::string out = method + " " + path + " HTTP/1.1\r\n";
-  write_headers(out, headers, body.size());
-  out += body;
-  return out;
-}
+Bytes HttpRequest::to_wire() const { return wire_of(*this); }
 
 std::string HttpResponse::header(std::string_view name) const {
   return find_header(headers, name);
 }
 
-std::string HttpResponse::to_string() const {
-  std::string out = "HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n";
-  write_headers(out, headers, body.size());
-  out += body;
-  return out;
-}
+Bytes HttpResponse::to_wire() const { return wire_of(*this); }
 
 HttpResponse HttpResponse::make(int status, std::string reason, std::string body,
                                 std::string content_type) {
@@ -57,7 +61,12 @@ HttpResponse HttpResponse::make(int status, std::string reason, std::string body
 
 Result<bool> HttpParser::feed(std::span<const std::uint8_t> chunk) {
   if (complete_) return true;
-  buffer_.append(reinterpret_cast<const char*>(chunk.data()), chunk.size());
+  const std::string_view bytes(reinterpret_cast<const char*>(chunk.data()), chunk.size());
+  if (headers_done_) {
+    body().append(bytes);
+    return finish_body();
+  }
+  buffer_.append(bytes);
   return try_parse();
 }
 
@@ -65,62 +74,70 @@ void HttpParser::reset() {
   buffer_.clear();
   headers_done_ = false;
   body_expected_ = 0;
-  body_start_ = 0;
   complete_ = false;
   request_ = HttpRequest{};
   response_ = HttpResponse{};
 }
 
-Result<bool> HttpParser::try_parse() {
-  if (!headers_done_) {
-    std::size_t end = buffer_.find("\r\n\r\n");
-    if (end == std::string::npos) return false;
-    std::string head = buffer_.substr(0, end);
-    body_start_ = end + 4;
+std::string& HttpParser::body() {
+  return kind_ == Kind::request ? request_.body : response_.body;
+}
 
-    auto lines = strings::split(head, "\r\n");
-    if (lines.empty()) return make_error(Errc::parse_error, "http: empty header block");
-    auto first = strings::split(lines[0], ' ');
-    if (kind_ == Kind::request) {
-      if (first.size() < 3) {
-        return make_error(Errc::parse_error, "http: bad request line: " + lines[0]);
-      }
-      request_.method = first[0];
-      request_.path = first[1];
-    } else {
-      if (first.size() < 2 || !strings::starts_with(first[0], "HTTP/")) {
-        return make_error(Errc::parse_error, "http: bad status line: " + lines[0]);
-      }
-      std::uint64_t status = 0;
-      if (!strings::parse_u64(first[1], status)) {
-        return make_error(Errc::parse_error, "http: bad status code: " + lines[0]);
-      }
-      response_.status = static_cast<int>(status);
-      response_.reason = first.size() > 2 ? std::string(first[2]) : "";
-    }
-    auto& headers = kind_ == Kind::request ? request_.headers : response_.headers;
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-      std::size_t colon = lines[i].find(':');
-      if (colon == std::string::npos) {
-        return make_error(Errc::parse_error, "http: bad header line: " + lines[i]);
-      }
-      headers[strings::to_lower(strings::trim(lines[i].substr(0, colon)))] =
-          std::string(strings::trim(lines[i].substr(colon + 1)));
-    }
-    std::uint64_t length = 0;
-    (void)strings::parse_u64(find_header(headers, "content-length"), length);
-    body_expected_ = length;
-    headers_done_ = true;
-  }
-  if (buffer_.size() < body_start_ + body_expected_) return false;
-  std::string body = buffer_.substr(body_start_, body_expected_);
-  if (kind_ == Kind::request) {
-    request_.body = std::move(body);
-  } else {
-    response_.body = std::move(body);
-  }
+bool HttpParser::finish_body() {
+  std::string& body = this->body();
+  if (body.size() < body_expected_) return false;
+  body.resize(body_expected_);  // bytes past content-length are not ours
   complete_ = true;
   return true;
+}
+
+Result<bool> HttpParser::try_parse() {
+  std::size_t end = buffer_.find("\r\n\r\n");
+  if (end == std::string::npos) return false;
+  auto lines = strings::split(std::string_view(buffer_).substr(0, end), "\r\n");
+  if (lines.empty()) return make_error(Errc::parse_error, "http: empty header block");
+  auto first = strings::split(lines[0], ' ');
+  if (kind_ == Kind::request) {
+    if (first.size() < 3) {
+      return make_error(Errc::parse_error, "http: bad request line: " + lines[0]);
+    }
+    request_.method = first[0];
+    request_.path = first[1];
+  } else {
+    if (first.size() < 2 || !strings::starts_with(first[0], "HTTP/")) {
+      return make_error(Errc::parse_error, "http: bad status line: " + lines[0]);
+    }
+    std::uint64_t status = 0;
+    if (!strings::parse_u64(first[1], status)) {
+      return make_error(Errc::parse_error, "http: bad status code: " + lines[0]);
+    }
+    response_.status = static_cast<int>(status);
+    response_.reason = first.size() > 2 ? std::string(first[2]) : "";
+  }
+  auto& headers = kind_ == Kind::request ? request_.headers : response_.headers;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    std::size_t colon = lines[i].find(':');
+    if (colon == std::string::npos) {
+      return make_error(Errc::parse_error, "http: bad header line: " + lines[i]);
+    }
+    headers[strings::to_lower(strings::trim(lines[i].substr(0, colon)))] =
+        std::string(strings::trim(lines[i].substr(colon + 1)));
+  }
+  // An absent content-length means an empty body; a present one must parse,
+  // or the real body would be left behind as if it were the next message.
+  std::uint64_t length = 0;
+  if (auto it = headers.find("content-length"); it != headers.end()) {
+    if (!strings::parse_u64(it->second, length)) {
+      return make_error(Errc::parse_error, "http: bad content-length: " + it->second);
+    }
+  }
+  body_expected_ = length;
+  headers_done_ = true;
+  // The body grows in place from here on: the bytes after the head move out
+  // of the header buffer once, and later chunks append straight to it.
+  body().assign(buffer_, end + 4);
+  buffer_.clear();
+  return finish_body();
 }
 
 HttpServer::HttpServer(net::Network& net, std::string host, std::uint16_t port)
@@ -157,14 +174,14 @@ void HttpServer::serve(net::StreamPtr stream) {
   stream->on_data([this, parser, raw, keep = stream](std::span<const std::uint8_t> chunk) {
     auto done = parser->feed(chunk);
     if (!done.ok()) {
-      (void)raw->send(HttpResponse::make(400, "Bad Request").to_string());
+      (void)raw->send(HttpResponse::make(400, "Bad Request").to_wire());
       raw->close();
       return;
     }
     if (!done.value()) return;
     const HttpRequest& req = parser->request();
     RespondFn respond = [raw, keep](HttpResponse resp) {
-      (void)raw->send(resp.to_string());
+      (void)raw->send(resp.to_wire());
       raw->close();
     };
     auto exact = exact_.find(req.path);
@@ -200,7 +217,7 @@ void http_fetch(net::Network& net, const std::string& from_host, const Uri& uri,
   auto parser = std::make_shared<HttpParser>(HttpParser::Kind::response);
   auto finished = std::make_shared<bool>(false);
   auto done_ptr = std::make_shared<HttpResultFn>(std::move(done));
-  s->on_connected([s, text = request.to_string()]() { (void)s->send(text); });
+  s->on_connected([s, wire = make_payload(request.to_wire())]() { (void)s->send(wire); });
   s->on_data([parser, finished, done_ptr, s](std::span<const std::uint8_t> chunk) {
     if (*finished) return;
     auto complete = parser->feed(chunk);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 
+#include "common/bytes.hpp"
 #include "common/result.hpp"
 #include "common/uri.hpp"
 #include "netsim/stream.hpp"
@@ -24,7 +25,8 @@ struct HttpRequest {
   std::string body;
 
   std::string header(std::string_view name) const;
-  std::string to_string() const;
+  /// The message as sent on a stream: head, blank line, body.
+  Bytes to_wire() const;
 };
 
 struct HttpResponse {
@@ -34,7 +36,8 @@ struct HttpResponse {
   std::string body;
 
   std::string header(std::string_view name) const;
-  std::string to_string() const;
+  /// The message as sent on a stream: head, blank line, body.
+  Bytes to_wire() const;
 
   static HttpResponse make(int status, std::string reason, std::string body = "",
                            std::string content_type = "text/xml");
@@ -47,6 +50,8 @@ class HttpParser {
   explicit HttpParser(Kind kind) : kind_(kind) {}
 
   /// Feed stream bytes. Returns true once the full message is available.
+  /// A malformed head, including a content-length that is not a u64, is a
+  /// parse_error.
   [[nodiscard]] Result<bool> feed(std::span<const std::uint8_t> chunk);
 
   const HttpRequest& request() const { return request_; }
@@ -55,13 +60,16 @@ class HttpParser {
   void reset();
 
  private:
+  /// Parse the head once buffer_ holds all of it, then start the body.
   [[nodiscard]] Result<bool> try_parse();
+  /// Complete the message once the body holds body_expected_ bytes.
+  [[nodiscard]] bool finish_body();
+  std::string& body();
 
   Kind kind_;
-  std::string buffer_;
+  std::string buffer_;  ///< head bytes until the blank line is seen
   bool headers_done_ = false;
   std::size_t body_expected_ = 0;
-  std::size_t body_start_ = 0;
   bool complete_ = false;
   HttpRequest request_;
   HttpResponse response_;

@@ -16,11 +16,13 @@ xml::Element envelope_with(xml::Element body_child) {
   return env;
 }
 
-Result<const xml::Element*> body_first_child(const xml::Element& root) {
+/// The call or response element inside Body. Mutable so that parsers, which
+/// own the tree, can move argument values out of it instead of copying.
+Result<xml::Element*> body_first_child(xml::Element& root) {
   if (root.local_name() != "Envelope") {
     return make_error(Errc::parse_error, "soap: root is not Envelope");
   }
-  const xml::Element* body = root.child("Body");
+  xml::Element* body = root.child("Body");
   if (body == nullptr || body->children().empty()) {
     return make_error(Errc::parse_error, "soap: missing Body");
   }
@@ -29,10 +31,10 @@ Result<const xml::Element*> body_first_child(const xml::Element& root) {
 
 }  // namespace
 
-std::string ActionRequest::to_envelope() const {
+std::string ActionRequest::to_envelope() && {
   xml::Element call("u:" + action);
   call.set_attr("xmlns:u", service_type);
-  for (const auto& [k, v] : args) call.add_child(std::move(k)).set_text(v);
+  for (auto& [k, v] : args) call.add_child(k).set_text(std::move(v));
   return envelope_with(std::move(call)).to_string(false, true);
 }
 
@@ -62,8 +64,8 @@ Result<ActionRequest> ActionRequest::from_envelope(std::string_view body,
   if (header.substr(hash + 1) != req.action) {
     return make_error(Errc::parse_error, "soap: SOAPACTION mismatches body action");
   }
-  for (const xml::Element& arg : call.value()->children()) {
-    req.args[std::string(arg.local_name())] = arg.text();
+  for (xml::Element& arg : call.value()->children()) {
+    req.args[std::string(arg.local_name())] = arg.take_text();
   }
   return req;
 }
@@ -87,8 +89,8 @@ Result<ActionResponse> ActionResponse::from_envelope(std::string_view body) {
   ActionResponse resp;
   resp.action = std::string(name.substr(0, name.size() - 8));
   resp.service_type = std::string(child.value()->attr("xmlns:u"));
-  for (const xml::Element& arg : child.value()->children()) {
-    resp.args[std::string(arg.local_name())] = arg.text();
+  for (xml::Element& arg : child.value()->children()) {
+    resp.args[std::string(arg.local_name())] = arg.take_text();
   }
   return resp;
 }

@@ -14,8 +14,9 @@ struct ActionRequest {
   std::string action;        ///< e.g. "SetPower"
   std::map<std::string, std::string> args;
 
-  /// Full SOAP envelope as posted to the control URL.
-  std::string to_envelope() const;
+  /// Full SOAP envelope as posted to the control URL. Consumes the request:
+  /// each argument moves into the envelope instead of being copied.
+  std::string to_envelope() &&;
   /// Value of the SOAPACTION header.
   std::string soap_action_header() const;
 

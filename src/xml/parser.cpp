@@ -7,6 +7,14 @@
 namespace umiddle::xml {
 namespace {
 
+/// Shrink `text` to strings::trim(text) without copying it out.
+void trim_in_place(std::string& text) {
+  std::string_view kept = strings::trim(text);
+  const auto lead = static_cast<std::size_t>(kept.data() - text.data());
+  text.resize(lead + kept.size());
+  text.erase(0, lead);
+}
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -132,7 +140,8 @@ class Parser {
           skip_ws();
           if (eof() || peek() != '>') return fail("expected '>' in end tag");
           ++pos_;
-          el.set_text(std::string(strings::trim(text)));
+          trim_in_place(text);
+          el.set_text(std::move(text));
           return ok_result();
         }
         if (looking_at("<!--")) {

@@ -30,6 +30,8 @@ class Element {
   /// Concatenated character data directly inside this element (trimmed).
   const std::string& text() const { return text_; }
   void set_text(std::string text) { text_ = std::move(text); }
+  /// Move the text out, leaving it empty (for callers that own the tree).
+  std::string take_text() { return std::exchange(text_, {}); }
 
   const std::vector<std::pair<std::string, std::string>>& attributes() const { return attrs_; }
   /// Attribute value, or empty string when absent.
@@ -46,6 +48,9 @@ class Element {
 
   /// First direct child with the given name, or nullptr.
   const Element* child(std::string_view name) const;
+  Element* child(std::string_view name) {
+    return const_cast<Element*>(std::as_const(*this).child(name));
+  }
   /// All direct children with the given name.
   std::vector<const Element*> children_named(std::string_view name) const;
   /// Text of the named direct child, or empty string.

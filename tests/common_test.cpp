@@ -1,6 +1,8 @@
 // Unit tests for the common toolkit: Result, strings, MIME matching, URIs, bytes.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
 #include "common/mime.hpp"
@@ -106,6 +108,21 @@ TEST(StringsTest, ParseU64) {
   EXPECT_FALSE(strings::parse_u64("", v));
   EXPECT_FALSE(strings::parse_u64("12x", v));
   EXPECT_FALSE(strings::parse_u64("-3", v));
+}
+
+TEST(StringsTest, ParseU64RejectsOverflowInsteadOfWrapping) {
+  std::uint64_t v = 0;
+  ASSERT_TRUE(strings::parse_u64("18446744073709551615", v));  // UINT64_MAX
+  EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
+  ASSERT_TRUE(strings::parse_u64("00000000000000000000018446744073709551615", v));
+  EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
+
+  v = 7;
+  EXPECT_FALSE(strings::parse_u64("18446744073709551616", v));  // UINT64_MAX + 1
+  EXPECT_FALSE(strings::parse_u64("18446744073709551621", v));  // used to wrap to 5
+  EXPECT_FALSE(strings::parse_u64("100000000000000000000", v));  // 21 digits
+  EXPECT_FALSE(strings::parse_u64("99999999999999999999", v));
+  EXPECT_EQ(v, 7u) << "a rejected parse leaves the output untouched";
 }
 
 // --- MIME ------------------------------------------------------------------------

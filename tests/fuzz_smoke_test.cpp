@@ -1,7 +1,7 @@
-// Deterministic mutation-fuzz smoke test over the project's three parsing
-// surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, and UMTP frame
-// decoding. Each entry point (src/fuzz/entries.hpp) is driven with ≥10k
-// splitmix64-mutated inputs derived from small valid corpora — bit flips,
+// Deterministic mutation-fuzz smoke test over the project's four parsing
+// surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, UMTP frame decoding
+// and base64 decoding. Each entry point (src/fuzz/entries.hpp) is driven with
+// ≥10k splitmix64-mutated inputs derived from small valid corpora — bit flips,
 // byte stomps, truncations, extensions and (for UMTP) length-prefix lies.
 //
 // The contract under test is the Result discipline: malformed input must come
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/base64.hpp"
 #include "common/bytes.hpp"
 #include "common/rand.hpp"
 #include "core/umtp.hpp"
@@ -164,6 +165,17 @@ Corpus umtp_corpus() {
   return corpus;
 }
 
+Corpus base64_corpus() {
+  // Every tail shape: no padding, one '=', two '=', and a multi-group body.
+  Corpus corpus;
+  for (std::size_t len : {1u, 2u, 3u, 47u, 100u, 300u}) {
+    Bytes data(len);
+    for (std::size_t i = 0; i < len; ++i) data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    corpus.push_back(bytes_of(base64::encode(data)));
+  }
+  return corpus;
+}
+
 TEST(FuzzSmokeTest, XmlParserSurvivesMutations) {
   drive(&fuzz::fuzz_xml_parse, xml_corpus(), 0x1111aaaa2222bbbbull, kRounds);
 }
@@ -174,6 +186,10 @@ TEST(FuzzSmokeTest, UsdlParserSurvivesMutations) {
 
 TEST(FuzzSmokeTest, UmtpDecoderSurvivesMutations) {
   drive(&fuzz::fuzz_umtp_decode, umtp_corpus(), 0x5555eeee6666ffffull, kRounds);
+}
+
+TEST(FuzzSmokeTest, Base64DecoderSurvivesMutations) {
+  drive(&fuzz::fuzz_base64_decode, base64_corpus(), 0x7777b64b64b64b64ull, kRounds);
 }
 
 TEST(FuzzSmokeTest, UmtpLengthPrefixLiesAreRejectedNotTrusted) {

@@ -1,8 +1,8 @@
-// Equivalence oracles for the PR-2 hot-path rewrites.
+// Equivalence oracles for the hot-path rewrites.
 //
-// Two of the optimized paths keep their original implementations around as
-// references, and these tests drive both sides with the same randomized
-// workload:
+// Each optimized path is checked against a straightforward reference that
+// either stays in the library or is reproduced here, and both sides are
+// driven with the same randomized workload:
 //
 //   1. Directory::lookup() (inverted shape index) must return exactly the same
 //      profiles, in the same order, as Directory::lookup_linear() (the
@@ -11,11 +11,15 @@
 //      virtual times, with the same audit digest, as the seed's
 //      priority_queue + linear-scan-cancellation scheduler (reproduced here
 //      verbatim in miniature).
+//   3. The payload kernels of the SOAP path: base64 encode/decode and XML
+//      escaping must produce the same bytes, and decode the same error
+//      messages, as the per-character reference loops reproduced here.
 //
-// Both workloads are seeded Rng-driven: failures replay exactly.
+// All workloads are seeded Rng-driven: failures replay exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -24,9 +28,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/base64.hpp"
 #include "common/log.hpp"
 #include "common/rand.hpp"
 #include "core/umiddle.hpp"
+#include "xml/xml.hpp"
 
 namespace umiddle {
 namespace {
@@ -319,7 +325,9 @@ TEST(HotpathEquivalenceTest, IndexSurvivesExpireRepublishCrashInterleavings) {
     }
     // And no advert makes the directory believe our node owns a translator.
     for (const auto& p : dir.lookup_linear(core::Query{})) {
-      if (p.node == NodeId(1)) ASSERT_TRUE(locals.contains(p.id.value())) << "round " << round;
+      if (p.node == NodeId(1)) {
+        ASSERT_TRUE(locals.contains(p.id.value())) << "round " << round;
+      }
     }
 
     // The runtime's own looped-back announces are counted but change
@@ -536,6 +544,239 @@ TEST(HotpathEquivalenceTest, SchedulerStressMatchesSeedImplementation) {
   ASSERT_EQ(actual.fired.size(), expected.fired.size());
   for (std::size_t i = 0; i < expected.fired.size(); ++i) {
     ASSERT_EQ(actual.fired[i], expected.fired[i]) << "first divergence at dispatch " << i;
+  }
+}
+
+
+// --- 3. payload kernels vs per-character references --------------------------------
+
+constexpr char kB64Alphabet[] =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Reference encoder: one push_back per output character.
+std::string reference_encode(const Bytes& data) {
+  std::string out;
+  std::size_t i = 0;
+  for (; i + 3 <= data.size(); i += 3) {
+    std::uint32_t v = (std::uint32_t(data[i]) << 16) | (std::uint32_t(data[i + 1]) << 8) |
+                      data[i + 2];
+    for (int shift = 18; shift >= 0; shift -= 6) out.push_back(kB64Alphabet[(v >> shift) & 63]);
+  }
+  const std::size_t rem = data.size() - i;
+  if (rem > 0) {
+    std::uint32_t v = std::uint32_t(data[i]) << 16;
+    if (rem == 2) v |= std::uint32_t(data[i + 1]) << 8;
+    out.push_back(kB64Alphabet[(v >> 18) & 63]);
+    out.push_back(kB64Alphabet[(v >> 12) & 63]);
+    out.push_back(rem == 2 ? kB64Alphabet[(v >> 6) & 63] : '=');
+    out.push_back('=');
+  }
+  return out;
+}
+
+/// Reference decoder: the validating per-group loop, character by character.
+Result<Bytes> reference_decode(std::string_view text) {
+  if (text.size() % 4 != 0) {
+    return make_error(Errc::parse_error, "base64 length not a multiple of 4");
+  }
+  Bytes out;
+  for (std::size_t i = 0; i < text.size(); i += 4) {
+    int pad = 0;
+    std::uint32_t v = 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      const char c = text[i + j];
+      if (c == '=') {
+        if (i + 4 != text.size() || j < 2) {
+          return make_error(Errc::parse_error, "base64 misplaced padding");
+        }
+        ++pad;
+        v <<= 6;
+        continue;
+      }
+      if (pad > 0) return make_error(Errc::parse_error, "base64 data after padding");
+      const char* hit = std::strchr(kB64Alphabet, c);
+      if (c == '\0' || hit == nullptr) {
+        return make_error(Errc::parse_error, "base64 invalid character");
+      }
+      v = (v << 6) | static_cast<std::uint32_t>(hit - kB64Alphabet);
+    }
+    out.push_back(static_cast<std::uint8_t>(v >> 16));
+    if (pad < 2) out.push_back(static_cast<std::uint8_t>(v >> 8));
+    if (pad < 1) out.push_back(static_cast<std::uint8_t>(v));
+  }
+  return out;
+}
+
+/// The decode result as a comparable string: the bytes, or the error message.
+std::string decode_outcome(const Result<Bytes>& r) {
+  if (!r.ok()) return "error: " + r.error().message;
+  return "ok: " + std::string(r.value().begin(), r.value().end());
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
+  return out;
+}
+
+TEST(HotpathEquivalenceTest, Base64MatchesRfc4648KnownAnswers) {
+  // RFC 4648 §10 test vectors.
+  const std::pair<std::string, std::string> vectors[] = {
+      {"", ""},          {"f", "Zg=="},         {"fo", "Zm8="},         {"foo", "Zm9v"},
+      {"foob", "Zm9vYg=="}, {"fooba", "Zm9vYmE="}, {"foobar", "Zm9vYmFy"},
+  };
+  for (const auto& [plain, encoded] : vectors) {
+    const Bytes data(plain.begin(), plain.end());
+    EXPECT_EQ(base64::encode(data), encoded) << plain;
+    auto back = base64::decode(encoded);
+    ASSERT_TRUE(back.ok()) << encoded;
+    EXPECT_EQ(back.value(), data) << encoded;
+  }
+}
+
+TEST(HotpathEquivalenceTest, Base64DecodeErrorsKeepTheirMessages) {
+  auto message = [](std::string_view text) {
+    auto r = base64::decode(text);
+    return r.ok() ? std::string("ok") : r.error().message;
+  };
+  const std::string kLength = "base64 length not a multiple of 4";
+  const std::string kMisplaced = "base64 misplaced padding";
+  const std::string kAfter = "base64 data after padding";
+  const std::string kInvalid = "base64 invalid character";
+
+  EXPECT_EQ(message("Zm9"), kLength);
+  EXPECT_EQ(message("Zm9vY"), kLength);
+  EXPECT_EQ(message("Zm9v!"), kLength);  // the length check comes first
+
+  // '=' at every position of every group of a three-group input: only
+  // positions 2 and 3 of the last group are padding; anywhere else it is
+  // misplaced, and a data character after a '=' is data after padding.
+  const std::string base = "Zm9vYmFyYmF6";
+  for (std::size_t pos = 0; pos < base.size(); ++pos) {
+    std::string text = base;
+    text[pos] = '=';
+    const bool last_group = pos >= 8;
+    const std::size_t col = pos % 4;
+    std::string expected;
+    if (!last_group || col < 2) {
+      expected = kMisplaced;
+    } else if (col == 2) {
+      expected = kAfter;  // "YmF=" is fine, but "Ym=6" has data after padding
+    } else {
+      expected = "ok";
+    }
+    EXPECT_EQ(message(text), expected) << text;
+  }
+  EXPECT_EQ(message("Zg=="), "ok");
+  EXPECT_EQ(message("Z==="), kMisplaced);
+  EXPECT_EQ(message("Zg=a"), kAfter);
+
+  // An invalid character in the body (the fast path's domain) and in the last
+  // group (the validating loop's) give the same message.
+  EXPECT_EQ(message("Zm!vYmFy"), kInvalid);
+  EXPECT_EQ(message("Zm9vYm!y"), kInvalid);
+  EXPECT_EQ(message("\xC3\xA9" "FyZm9v"), kInvalid);
+  EXPECT_EQ(message("Zm9v\xC3\xA9" "Fy"), kInvalid);
+  EXPECT_EQ(message(std::string("Zm9v\0mFy", 8)), kInvalid);
+  EXPECT_EQ(message("Zm9v Fy="), kInvalid);
+
+  // Several faults: the first one in text order wins, exactly as the
+  // character-by-character loop would report it.
+  EXPECT_EQ(message("Zm=vYm!y"), kMisplaced);
+  EXPECT_EQ(message("Zm!vYm=y"), kInvalid);
+  EXPECT_EQ(message("Zm!vYg=a"), kInvalid);
+  EXPECT_EQ(message("Zm9vY!=a"), kInvalid);
+}
+
+TEST(HotpathEquivalenceTest, Base64KernelsMatchReferenceLoops) {
+  Rng rng(0xb64b64b64ull);
+  int decoded_ok = 0, decoded_err = 0;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const Bytes data = random_bytes(rng, len);
+      const std::string encoded = base64::encode(data);
+      ASSERT_EQ(encoded, reference_encode(data)) << "len " << len;
+      auto back = base64::decode(encoded);
+      ASSERT_TRUE(back.ok()) << "len " << len;
+      ASSERT_EQ(back.value(), data) << "len " << len;
+
+      // Mutated text: stomp a few characters with '=', bytes >= 0x80, other
+      // ASCII, or alphabet characters, and sometimes change the length.
+      std::string text = encoded;
+      const std::size_t n_mutations = rng.below(4);
+      for (std::size_t m = 0; m < n_mutations && !text.empty(); ++m) {
+        const std::size_t at = rng.below(text.size());
+        switch (rng.below(5)) {
+          case 0: text[at] = '='; break;
+          case 1: text[at] = static_cast<char>(0x80 + rng.below(128)); break;
+          case 2: text[at] = static_cast<char>(rng.below(128)); break;
+          case 3: text[at] = kB64Alphabet[rng.below(64)]; break;
+          default:
+            if (rng.chance(0.5)) {
+              text.pop_back();
+            } else {
+              text.push_back(kB64Alphabet[rng.below(64)]);
+            }
+            break;
+        }
+      }
+      const auto expected = reference_decode(text);
+      (expected.ok() ? decoded_ok : decoded_err) += 1;
+      ASSERT_EQ(decode_outcome(base64::decode(text)), decode_outcome(expected))
+          << "len " << len << " text " << text;
+    }
+  }
+  // The mutations must reach both outcomes for the comparison to mean much.
+  EXPECT_GT(decoded_ok, 300);
+  EXPECT_GT(decoded_err, 300);
+}
+
+/// Reference escaper: the find_first_of loop the table kernel replaced.
+std::string reference_escape(std::string_view s) {
+  std::string out;
+  std::size_t plain = s.find_first_of("&<>\"'");
+  while (plain != std::string_view::npos) {
+    out.append(s.substr(0, plain));
+    switch (s[plain]) {
+      case '&': out += "&amp;"; break;
+      case '<': out += "&lt;"; break;
+      case '>': out += "&gt;"; break;
+      case '"': out += "&quot;"; break;
+      case '\'': out += "&apos;"; break;
+    }
+    s.remove_prefix(plain + 1);
+    plain = s.find_first_of("&<>\"'");
+  }
+  out.append(s);
+  return out;
+}
+
+TEST(HotpathEquivalenceTest, XmlEscapeMatchesFindFirstOfReference) {
+  auto check = [](const std::string& s) {
+    std::string out = "prefix|";  // escape_to appends; it must not touch what is there
+    xml::escape_to(out, s);
+    ASSERT_EQ(out, "prefix|" + reference_escape(s)) << s;
+    ASSERT_EQ(xml::needs_escape(s), s.find_first_of("&<>\"'") != std::string::npos) << s;
+  };
+  // Escapables at the ends, adjacent to each other, and next to bytes >= 0x80.
+  for (const std::string s : {"", "&", "<>", "\"'", "&abc", "abc'", "&&&", "a<>\"'&b",
+                              "\xFF&\x80", "\xC3\xA9<\xC3\xA9", "plain text"}) {
+    check(s);
+  }
+  Rng rng(0xe5ca9eull);
+  constexpr char kPool[] = {'&', '<', '>', '"', '\'', 'a', 'Z', '0', '+', '/', '=', ' ',
+                            '\n', '\0', '\x7F', '\x80', '\xC3', '\xA9', '\xFF'};
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::string s(len, 'x');
+      // Density varies per trial, from a lone escapable to mostly escapables.
+      const double density = trial == 0 ? 0.0 : 1.0 / static_cast<double>(1 << (3 * trial));
+      for (char& c : s) {
+        if (rng.chance(density)) c = "&<>\"'"[rng.below(5)];
+        else if (rng.chance(0.3)) c = kPool[rng.below(std::size(kPool))];
+      }
+      check(s);
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 // fetch → USDL-parameterized translator → SOAP control → GENA events).
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "core/umiddle.hpp"
 #include "upnp/control_point.hpp"
 #include "upnp/devices.hpp"
@@ -40,9 +41,11 @@ TEST(HttpTest, RequestRoundTrip) {
   req.headers["soapaction"] = "\"urn:x#SetPower\"";
   req.body = "<xml/>";
   HttpParser parser(HttpParser::Kind::request);
-  std::string wire = req.to_string();
-  auto done = parser.feed(std::span(reinterpret_cast<const std::uint8_t*>(wire.data()),
-                                    wire.size()));
+  const Bytes wire = req.to_wire();
+  EXPECT_EQ(std::string(wire.begin(), wire.end()),
+            "POST /control/SwitchPower HTTP/1.1\r\nsoapaction: \"urn:x#SetPower\"\r\n"
+            "content-length: 6\r\n\r\n<xml/>");
+  auto done = parser.feed(wire);
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done.value());
   EXPECT_EQ(parser.request().method, "POST");
@@ -53,11 +56,10 @@ TEST(HttpTest, RequestRoundTrip) {
 
 TEST(HttpTest, ResponseParsesIncrementally) {
   HttpResponse resp = HttpResponse::make(200, "OK", "hello world", "text/plain");
-  std::string wire = resp.to_string();
+  const Bytes wire = resp.to_wire();
   HttpParser parser(HttpParser::Kind::response);
   for (std::size_t i = 0; i < wire.size(); ++i) {
-    auto done = parser.feed(
-        std::span(reinterpret_cast<const std::uint8_t*>(wire.data()) + i, 1));
+    auto done = parser.feed(std::span(wire).subspan(i, 1));
     ASSERT_TRUE(done.ok());
     EXPECT_EQ(done.value(), i == wire.size() - 1);
   }
@@ -70,6 +72,69 @@ TEST(HttpTest, MalformedRequestRejected) {
   std::string bad = "NONSENSE\r\nno colon here\r\n\r\n";
   auto r = parser.feed(std::span(reinterpret_cast<const std::uint8_t*>(bad.data()), bad.size()));
   EXPECT_FALSE(r.ok());
+}
+
+Result<bool> feed_text(HttpParser& parser, std::string_view text) {
+  return parser.feed(
+      std::span(reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+}
+
+TEST(HttpTest, MalformedContentLengthIsAParseError) {
+  // A present content-length must parse: "12x" used to complete the message
+  // with an empty body and leave the real body in the buffer.
+  for (const char* length : {"12x", "", "-1", "0x10", "18446744073709551621",
+                             "100000000000000000000"}) {
+    HttpParser request(HttpParser::Kind::request);
+    auto r = feed_text(request, "POST /c HTTP/1.1\r\ncontent-length: " + std::string(length) +
+                                    "\r\n\r\nhello world!");
+    EXPECT_FALSE(r.ok()) << length;
+    HttpParser response(HttpParser::Kind::response);
+    EXPECT_FALSE(feed_text(response, "HTTP/1.1 200 OK\r\nContent-Length: " +
+                                         std::string(length) + "\r\n\r\nhello world!")
+                     .ok())
+        << length;
+  }
+  // Absent means an empty body; a well-formed length still waits for its bytes.
+  HttpParser absent(HttpParser::Kind::request);
+  auto done = feed_text(absent, "GET / HTTP/1.1\r\n\r\n");
+  ASSERT_TRUE(done.ok());
+  EXPECT_TRUE(done.value());
+  EXPECT_EQ(absent.request().body, "");
+  HttpParser waiting(HttpParser::Kind::request);
+  done = feed_text(waiting, "POST /c HTTP/1.1\r\ncontent-length: 12\r\n\r\nhello");
+  ASSERT_TRUE(done.ok());
+  EXPECT_FALSE(done.value());
+  done = feed_text(waiting, " world!extra");
+  ASSERT_TRUE(done.ok());
+  EXPECT_TRUE(done.value());
+  EXPECT_EQ(waiting.request().body, "hello world!") << "bytes past content-length are dropped";
+}
+
+TEST(HttpTest, ServerAnswers400ToBadContentLength) {
+  Fixture f;
+  f.add_host("server");
+  f.add_host("client");
+  HttpServer server(f.net, "server", 80);
+  int handled = 0;
+  server.route("/c", sync_handler([&](const HttpRequest&) {
+                 ++handled;
+                 return HttpResponse::make(200, "OK");
+               }));
+  ASSERT_TRUE(server.start().ok());
+  auto stream = f.net.connect("client", {"server", 80});
+  ASSERT_TRUE(stream.ok());
+  net::StreamPtr s = stream.value();
+  std::string reply;
+  s->on_connected([s]() {
+    (void)s->send(std::string_view("POST /c HTTP/1.1\r\ncontent-length: 12x\r\n\r\nhello"));
+  });
+  s->on_data([&reply](std::span<const std::uint8_t> chunk) {
+    reply.append(reinterpret_cast<const char*>(chunk.data()), chunk.size());
+  });
+  f.sched.run_for(seconds(1));
+  EXPECT_EQ(handled, 0);
+  EXPECT_TRUE(strings::starts_with(reply, "HTTP/1.1 400 Bad Request\r\n")) << reply;
+  s->drop_handlers();
 }
 
 TEST(HttpTest, ServerRoutesAndFetch) {
@@ -186,7 +251,7 @@ TEST(SoapTest, RequestRoundTrip) {
   req.service_type = "urn:schemas-upnp-org:service:SwitchPower:1";
   req.action = "SetPower";
   req.args["Power"] = "1";
-  auto back = ActionRequest::from_envelope(req.to_envelope(), req.soap_action_header());
+  auto back = ActionRequest::from_envelope(ActionRequest(req).to_envelope(), req.soap_action_header());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().action, "SetPower");
   EXPECT_EQ(back.value().service_type, req.service_type);
@@ -216,8 +281,8 @@ TEST(SoapTest, RejectsMismatchedSoapAction) {
   ActionRequest req;
   req.service_type = "urn:x";
   req.action = "SetPower";
-  EXPECT_FALSE(ActionRequest::from_envelope(req.to_envelope(), "\"urn:x#Other\"").ok());
-  EXPECT_FALSE(ActionRequest::from_envelope(req.to_envelope(), "no-hash").ok());
+  EXPECT_FALSE(ActionRequest::from_envelope(ActionRequest(req).to_envelope(), "\"urn:x#Other\"").ok());
+  EXPECT_FALSE(ActionRequest::from_envelope(ActionRequest(req).to_envelope(), "no-hash").ok());
   EXPECT_FALSE(ActionRequest::from_envelope("<not-soap/>", "\"urn:x#SetPower\"").ok());
 }
 
