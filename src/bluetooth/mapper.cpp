@@ -15,7 +15,6 @@ BtTranslator::BtTranslator(BtMapper& mapper, BtDeviceInfo device, SdpRecord reco
 }
 
 BtTranslator::~BtTranslator() {
-  *alive_ = false;
   // Close any spans still open for in-flight native operations: the tracer
   // (world state) outlives this translator, and an unmap mid-transfer must
   // not leave the trace unbalanced.
@@ -35,7 +34,7 @@ void BtTranslator::on_mapped() {
 }
 
 void BtTranslator::on_unmapped() {
-  *alive_ = false;
+  lifetime_.reset();
   if (sink_psm_ != 0) mapper_.adapter().stop_psm(sink_psm_);
   if (hid_channel_) hid_channel_->close();
 }
@@ -86,8 +85,7 @@ void BtTranslator::run_obex_get(const core::UsdlBinding& binding) {
   }
   std::string emit_port = binding.emit_port;
   obex::Client::get(stream.value(), binding.native.attr("type"), "",
-                    [this, alive = alive_, emit_port](Result<obex::Object> object) {
-                      if (!*alive) return;
+                    lifetime_.guard([this, emit_port](Result<obex::Object> object) {
                       if (object.ok() && !emit_port.empty()) {
                         emit_object(emit_port, object.value());
                       } else if (!object.ok()) {
@@ -95,7 +93,7 @@ void BtTranslator::run_obex_get(const core::UsdlBinding& binding) {
                             << "OBEX GET failed: " << object.error().to_string();
                       }
                       finish_operation();
-                    });
+                    }));
 }
 
 void BtTranslator::run_obex_put(const core::UsdlBinding& binding, const core::Message& msg) {
@@ -115,28 +113,26 @@ void BtTranslator::run_obex_put(const core::UsdlBinding& binding, const core::Me
   auto name = msg.meta.find("filename");
   object.name = name != msg.meta.end() ? name->second : "object";
   object.data = msg.payload;
-  obex::Client::put(stream.value(), std::move(object), [this, alive = alive_](Result<void> r) {
-    if (!*alive) return;
+  obex::Client::put(stream.value(), std::move(object), lifetime_.guard([this](Result<void> r) {
     if (!r.ok()) {
       log::Entry(log::Level::warn, "bt") << "OBEX PUT failed: " << r.error().to_string();
     }
     finish_operation();
-  });
+  }));
 }
 
 void BtTranslator::setup_push_sink(const core::UsdlBinding& binding) {
   sink_psm_ = mapper_.allocate_psm();
   std::string port = binding.port;
   sink_server_ = std::make_unique<obex::Server>(
-      [this, alive = alive_, port](const obex::Object& object) {
-        if (!*alive) return;
+      lifetime_.guard([this, port](const obex::Object& object) {
         if (!sink_spans_.empty()) {
           mapper_.runtime().network().tracer().end_span(sink_spans_.front(),
                                                         mapper_.runtime().scheduler().now());
           sink_spans_.pop_front();
         }
         emit_object(port, object);
-      },
+      }),
       nullptr);
   auto listen = mapper_.adapter().listen_psm(
       sink_psm_, [this](net::StreamPtr stream) {
@@ -180,10 +176,8 @@ void BtTranslator::setup_hid_events(const core::UsdlBinding& binding) {
   }
   hid_channel_ = stream.value();
   std::string port = binding.port;
-  hid_channel_->on_data([this, alive = alive_, port](std::span<const std::uint8_t> chunk) {
-    if (!*alive) return;
-    handle_hid_bytes(port, chunk);
-  });
+  hid_channel_->on_data(lifetime_.guard(
+      [this, port](std::span<const std::uint8_t> chunk) { handle_hid_bytes(port, chunk); }));
 }
 
 void BtTranslator::handle_hid_bytes(const std::string& port,
@@ -205,7 +199,7 @@ void BtTranslator::handle_hid_bytes(const std::string& port,
     sim::Scheduler* sched = &mapper_.runtime().scheduler();
     mapper_.runtime().scheduler().schedule_after(
         mapper_.costs().vml_translate,
-        [this, alive = alive_, port, r, tracer, sched, trace, span]() {
+        [this, alive = lifetime_.token(), port, r, tracer, sched, trace, span]() {
           // tracer/sched outlive the translator (world-owned): close the span
           // even if the translator was unmapped while the translation ran.
           tracer->end_span(span, sched->now());
@@ -219,11 +213,11 @@ void BtTranslator::handle_hid_bytes(const std::string& port,
           ev.set_attr("dy", std::to_string(r.dy));
           const core::PortSpec* spec = profile().shape.find(port);
           if (spec == nullptr) return;
-          ++events_emitted_;
           core::Message msg = core::Message::text(spec->type, vml.to_string());
           msg.trace = trace;
           (void)emit(port, std::move(msg));
-        });
+        },
+        {sim::host_id(mapper_.runtime().host()), sim::tag_id("bt.vml")});
   }
 }
 
@@ -231,8 +225,6 @@ void BtTranslator::handle_hid_bytes(const std::string& port,
 
 BtMapper::BtMapper(BluetoothMedium& medium, const core::UsdlLibrary& library, BtCosts costs)
     : Mapper("bluetooth"), medium_(medium), library_(library), costs_(costs) {}
-
-BtMapper::~BtMapper() = default;
 
 void BtMapper::start(core::Runtime& runtime) {
   runtime_ = &runtime;

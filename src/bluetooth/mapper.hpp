@@ -26,6 +26,7 @@
 #include "bluetooth/obex.hpp"
 #include "bluetooth/sdp.hpp"
 #include "core/umiddle.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::bt {
 
@@ -55,9 +56,6 @@ class BtTranslator final : public core::Translator {
   void on_mapped() override;
   void on_unmapped() override;
 
-  BtAddress device_address() const { return device_.address; }
-  std::uint64_t events_emitted() const { return events_emitted_; }
-
  private:
   void setup_push_sink(const core::UsdlBinding& binding);
   void setup_hid_events(const core::UsdlBinding& binding);
@@ -83,8 +81,7 @@ class BtTranslator final : public core::Translator {
   std::deque<std::uint64_t> sink_spans_;
   net::StreamPtr hid_channel_;
   Bytes hid_buffer_;
-  std::uint64_t events_emitted_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Lifetime lifetime_;  ///< ends at unmap
 };
 
 /// The mapper's own radio presence: the uMiddle node joined to the piconet.
@@ -97,7 +94,6 @@ class BtAdapter final : public BtDevice {
 class BtMapper final : public core::Mapper {
  public:
   BtMapper(BluetoothMedium& medium, const core::UsdlLibrary& library, BtCosts costs = {});
-  ~BtMapper() override;
 
   void start(core::Runtime& runtime) override;
   void stop() override;
@@ -111,8 +107,6 @@ class BtMapper final : public core::Mapper {
   const BtCosts& costs() const { return costs_; }
   BtAdapter& adapter() { return *adapter_; }
   std::uint16_t allocate_psm() { return next_psm_++; }
-
-  std::size_t mapped_count() const { return by_address_.size(); }
 
  private:
   void handle_device(const BtDeviceInfo& info);

@@ -38,9 +38,9 @@ Result<void> BluetoothMedium::attach_host(const std::string& host) {
 
 void BluetoothMedium::inquiry(std::function<void(std::vector<BtDeviceInfo>)> done,
                               sim::Duration scan_interval) {
-  net_.scheduler().schedule_after(scan_interval, [this, done = std::move(done)]() {
-    done(devices_in_range());
-  });
+  net_.scheduler().schedule_after(
+      scan_interval, [this, done = std::move(done)]() { done(devices_in_range()); },
+      {0, sim::tag_id("bt.inquiry")});
 }
 
 std::uint64_t BluetoothMedium::add_device_listener(DeviceListener listener) {

@@ -19,10 +19,9 @@ Directory::Directory(Runtime& runtime)
       announce_cache_misses_(runtime.network().metrics().counter("dir.announce_cache_misses")),
       adverts_tx_(runtime.network().metrics().counter("dir.adverts_tx")),
       adverts_rx_(runtime.network().metrics().counter("dir.adverts_rx")),
-      expired_(runtime.network().metrics().counter("dir.expired")) {}
-
-// Note: alive_ guards the refresh timer; the Runtime owns and outlives the
-// Directory, but scheduled ticks can outlive stop()/destruction in tests.
+      expired_(runtime.network().metrics().counter("dir.expired")),
+      refresh_(runtime.scheduler(), {sim::host_id(runtime.host()), sim::tag_id("dir.refresh")},
+               [this]() { refresh_tick(); }) {}
 
 xml::Element Directory::envelope(const char* type) const {
   xml::Element el("umiddle-adv");
@@ -86,19 +85,14 @@ Result<void> Directory::start() {
   multicast(envelope("probe"));
   // Soft-state maintenance: periodic re-announcement + expiry of stale
   // remote entries (a crashed node never sends bye).
-  runtime_.scheduler().schedule_after(
-      max_age_ / 3, [this, alive = alive_]() { if (*alive) refresh_tick(); },
-      {sim::host_id(runtime_.host()), sim::tag_id("dir.refresh")});
+  refresh_.arm(max_age_ / 3);
   return ok_result();
 }
 
 void Directory::refresh_tick() {
-  if (!started_) return;
   announce_all_local();
   expire_stale();
-  runtime_.scheduler().schedule_after(
-      max_age_ / 3, [this, alive = alive_]() { if (*alive) refresh_tick(); },
-      {sim::host_id(runtime_.host()), sim::tag_id("dir.refresh")});
+  refresh_.arm(max_age_ / 3);
 }
 
 std::size_t Directory::expire_stale() {
@@ -135,9 +129,7 @@ void Directory::stop() {
   runtime_.network().leave_group(runtime_.host(), runtime_.config().group);
   runtime_.network().udp_close({runtime_.host(), runtime_.config().directory_port});
   started_ = false;
-  // Disarm the refresh timer; a later start() re-arms with a fresh guard.
-  *alive_ = false;
-  alive_ = std::make_shared<bool>(true);
+  refresh_.cancel();
 }
 
 void Directory::crash() {
@@ -145,8 +137,7 @@ void Directory::crash() {
   // No byes, no leave_group/udp_close: the fault plane already dropped the
   // host's sockets and group memberships, and a dead process sends nothing.
   started_ = false;
-  *alive_ = false;
-  alive_ = std::make_shared<bool>(true);
+  refresh_.cancel();
   entries_.clear();
   shape_index_.clear();
   nodes_.clear();

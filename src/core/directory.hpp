@@ -27,6 +27,7 @@
 #include "core/profile.hpp"
 #include "netsim/network.hpp"
 #include "obs/metrics.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::core {
 
@@ -170,7 +171,9 @@ class Directory {
   std::map<IndexKey, std::set<TranslatorId>> shape_index_;
   std::map<NodeId, NodeInfo> nodes_;
   std::vector<DirectoryListener*> listeners_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// Soft-state refresh: re-announce local entries, expire silent remote ones.
+  /// Armed while started.
+  sim::Timer refresh_;
 };
 
 }  // namespace umiddle::core

@@ -515,7 +515,7 @@ void Transport::breaker_record(TranslatorId id, bool ok) {
     breakers_.erase(it);  // any success fully resets the destination
     return;
   }
-  Breaker& b = breakers_[id];
+  Breaker& b = breakers_.try_emplace(id, *this, id).first->second;
   b.failures += 1;
   if (b.state == Breaker::State::half_open ||
       (b.state == Breaker::State::closed &&
@@ -527,7 +527,6 @@ void Transport::breaker_record(TranslatorId id, bool ok) {
 void Transport::open_breaker(TranslatorId id, Breaker& breaker) {
   breaker.state = Breaker::State::open;
   breaker.failures = 0;
-  breaker.generation = ++breaker_gen_;
   count("delivery.breaker_open");
   instant(0, "deliver.breaker-open");
   log::Entry(log::Level::warn, "transport")
@@ -535,23 +534,17 @@ void Transport::open_breaker(TranslatorId id, Breaker& breaker) {
       << runtime_.config().breaker_failure_threshold << " consecutive delivery failures";
   // Half-open after a jittered delay. The Rng draw happens only here, on the
   // failure path, so breaker-free worlds draw nothing.
-  // The timer half-opens only the open cycle that scheduled it: a breaker
-  // that closed (entry erased) and later re-opened — possibly under a
-  // recycled translator id after a crash — must wait out its own probe
-  // delay, not inherit a stale timer's earlier one.
-  runtime_.scheduler().schedule_after(
-      jittered(runtime_.config().breaker_probe_delay.count()),
-      [this, id, gen = breaker.generation]() {
-        auto it = breakers_.find(id);
-        if (it == breakers_.end() || it->second.state != Breaker::State::open ||
-            it->second.generation != gen) {
-          return;
-        }
-        it->second.state = Breaker::State::half_open;
-        count("delivery.breaker_probes");
-      },
-      {sim::host_id(runtime_.host()), sim::tag_id("umtp.breaker")});
+  breaker.probe.arm(jittered(runtime_.config().breaker_probe_delay.count()));
 }
+
+Transport::Breaker::Breaker(Transport& transport, TranslatorId id)
+    : probe(transport.runtime_.scheduler(),
+            {sim::host_id(transport.runtime_.host()), sim::tag_id("umtp.breaker")},
+            [&transport, id]() {
+              // Armed only while open; nothing else leaves the open state.
+              transport.breakers_.at(id).state = State::half_open;
+              transport.count("delivery.breaker_probes");
+            }) {}
 
 // --- directory reactions ------------------------------------------------------------
 

@@ -43,6 +43,7 @@
 #include "core/umtp.hpp"
 #include "netsim/stream.hpp"
 #include "obs/metrics.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::core {
 
@@ -161,13 +162,14 @@ class Transport final : public DirectoryListener {
   /// Per-destination circuit breaker (closed → open after K consecutive
   /// delivery failures → half-open probe on a jittered timer).
   struct Breaker {
+    Breaker(Transport& transport, TranslatorId id);
     enum class State { closed, open, half_open };
     State state = State::closed;
     int failures = 0;  ///< consecutive failures while closed
-    /// Which open cycle armed the pending half-open timer (unique across all
-    /// breakers and restarts). A timer whose generation no longer matches is
-    /// stale — the breaker closed and re-opened since — and must not fire.
-    std::uint64_t generation = 0;
+    /// Half-opens the open breaker. Erasing the entry cancels it, so a breaker
+    /// that closed and re-opened (possibly under a recycled translator id
+    /// after a crash) waits out its own probe delay.
+    sim::Timer probe;
   };
 
   /// High-water mark on a link's unsent bytes before paths pause.
@@ -280,9 +282,6 @@ class Transport final : public DirectoryListener {
   /// Dedup counts of every inbound link.
   LinkSession::Receiver recv_;
   std::map<TranslatorId, Breaker> breakers_;
-  /// Monotonic breaker-open generation; never reset (crash() included), so a
-  /// stale probe timer can never match a later open cycle.
-  std::uint64_t breaker_gen_ = 0;
   IdGenerator<PathId> path_seq_;
 };
 

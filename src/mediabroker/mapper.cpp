@@ -48,8 +48,6 @@ MbTranslator::MbTranslator(MbMapper& mapper, std::string stream, std::string med
   set_hierarchy_entities(usdl.hierarchy_entities);
 }
 
-MbTranslator::~MbTranslator() { *alive_ = false; }
-
 void MbTranslator::on_mapped() {
   client_ = std::make_unique<MbClient>(mapper_.runtime().network(),
                                        mapper_.runtime().host(), mapper_.server());
@@ -61,22 +59,22 @@ void MbTranslator::on_mapped() {
   }
   // Backpressure handshake with the transport: once our produce backlog
   // drains, paths feeding media-in may resume.
-  client_->on_drain([this, alive = alive_]() {
-    if (*alive && mapped()) runtime()->notify_ready(profile().id);
-  });
+  client_->on_drain(lifetime_.guard([this]() {
+    if (mapped()) runtime()->notify_ready(profile().id);
+  }));
   for (const core::UsdlBinding& b : usdl_.bindings) {
     if (b.kind == "mb-consume") {
       (void)client_->consume(stream_);
       std::string port = b.port;
-      client_->on_data([this, alive = alive_, port](const std::string&, const Bytes& data) {
-        if (!*alive || !mapped()) return;
+      client_->on_data(lifetime_.guard([this, port](const std::string&, const Bytes& data) {
+        if (!mapped()) return;
         const core::PortSpec* spec = profile().shape.find(port);
         if (spec == nullptr) return;
         core::Message msg;
         msg.type = spec->type;
         msg.payload = data;
         (void)emit(port, std::move(msg));
-      });
+      }));
     }
     if (b.kind == "mb-produce") {
       (void)client_->produce(out_stream(), media_type_);
@@ -85,7 +83,7 @@ void MbTranslator::on_mapped() {
 }
 
 void MbTranslator::on_unmapped() {
-  *alive_ = false;
+  lifetime_.reset();
   if (client_) {
     (void)client_->retire(out_stream());
     client_->close();
@@ -110,8 +108,6 @@ Result<void> MbTranslator::deliver(const std::string& port, const core::Message&
 
 MbMapper::MbMapper(net::Endpoint server, const core::UsdlLibrary& library)
     : Mapper("mb"), server_(std::move(server)), library_(library) {}
-
-MbMapper::~MbMapper() = default;
 
 void MbMapper::start(core::Runtime& runtime) {
   runtime_ = &runtime;

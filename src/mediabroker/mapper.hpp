@@ -17,6 +17,7 @@
 
 #include "core/umiddle.hpp"
 #include "mediabroker/client.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::mb {
 
@@ -26,7 +27,6 @@ class MbTranslator final : public core::Translator {
  public:
   MbTranslator(MbMapper& mapper, std::string stream, std::string media_type,
                const core::UsdlService& usdl);
-  ~MbTranslator() override;
 
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
   bool ready(const std::string& port) const override;
@@ -43,20 +43,18 @@ class MbTranslator final : public core::Translator {
   std::string media_type_;
   const core::UsdlService& usdl_;
   std::unique_ptr<MbClient> client_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Lifetime lifetime_;  ///< ends at unmap
 };
 
 class MbMapper final : public core::Mapper {
  public:
   MbMapper(net::Endpoint server, const core::UsdlLibrary& library);
-  ~MbMapper() override;
 
   void start(core::Runtime& runtime) override;
   void stop() override;
 
   core::Runtime& runtime() { return *runtime_; }
   const net::Endpoint& server() const { return server_; }
-  std::size_t mapped_count() const { return by_stream_.size(); }
 
  private:
   void handle_announce(const std::string& stream, const std::string& media_type, bool alive);

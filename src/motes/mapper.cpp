@@ -61,7 +61,6 @@ void MoteTranslator::handle_reading(const Reading& reading) {
     doc.set_attr("sensor", to_string(reading.kind));
     doc.set_attr("value", std::to_string(reading.value));
     doc.set_attr("seq", std::to_string(reading.sequence));
-    ++readings_emitted_;
     (void)emit(b.port, core::Message::text(spec->type, doc.to_string()));
   }
 }
@@ -72,11 +71,11 @@ MoteMapper::MoteMapper(MoteField& field, const core::UsdlLibrary& library,
                        sim::Duration silence_timeout)
     : Mapper("motes"), field_(field), library_(library), silence_timeout_(silence_timeout) {}
 
-MoteMapper::~MoteMapper() { *alive_ = false; }
-
 void MoteMapper::start(core::Runtime& runtime) {
   runtime_ = &runtime;
-  stopped_ = false;
+  sweep_timer_.emplace(runtime.scheduler(),
+                       sim::EventTag{sim::host_id(runtime.host()), sim::tag_id("motes.sweep")},
+                       [this]() { sweep(); });
   if (auto r = field_.attach_gateway(runtime.host()); !r.ok()) {
     log::Entry(log::Level::error, "motes") << "gateway attach failed: "
                                            << r.error().to_string();
@@ -93,14 +92,15 @@ void MoteMapper::start(core::Runtime& runtime) {
 }
 
 void MoteMapper::stop() {
-  stopped_ = true;
+  // The runtime unmaps (or, on crash, drops) every translator imported so far.
+  sweep_timer_.reset();
+  by_mote_.clear();
   if (runtime_ != nullptr) {
     runtime_->network().udp_close({runtime_->host(), kAmPort});
   }
 }
 
 void MoteMapper::handle_packet(const Bytes& payload) {
-  if (stopped_ || runtime_ == nullptr) return;
   auto reading = Reading::decode(payload);
   if (!reading.ok()) return;  // radio noise
   const Reading& r = reading.value();
@@ -138,7 +138,6 @@ void MoteMapper::handle_packet(const Bytes& payload) {
 }
 
 void MoteMapper::sweep() {
-  if (stopped_ || runtime_ == nullptr) return;
   sim::TimePoint now = runtime_->scheduler().now();
   for (auto it = by_mote_.begin(); it != by_mote_.end();) {
     if (!it->second.pending && now - it->second.last_heard > silence_timeout_) {
@@ -148,9 +147,7 @@ void MoteMapper::sweep() {
       ++it;
     }
   }
-  runtime_->scheduler().schedule_after(silence_timeout_ / 2, [this, alive = alive_]() {
-    if (*alive) sweep();
-  });
+  sweep_timer_->arm(silence_timeout_ / 2);
 }
 
 void register_motes_usdl(core::UsdlLibrary& library) {

@@ -12,6 +12,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "core/umiddle.hpp"
 #include "motes/motes.hpp"
@@ -30,25 +31,20 @@ class MoteTranslator final : public core::Translator {
   void handle_reading(const Reading& reading);
 
   std::uint16_t mote_id() const { return mote_id_; }
-  std::uint64_t readings_emitted() const { return readings_emitted_; }
 
  private:
   std::uint16_t mote_id_;
   SensorKind kind_;
   const core::UsdlService& usdl_;
-  std::uint64_t readings_emitted_ = 0;
 };
 
 class MoteMapper final : public core::Mapper {
  public:
   MoteMapper(MoteField& field, const core::UsdlLibrary& library,
              sim::Duration silence_timeout = sim::seconds(10));
-  ~MoteMapper() override;
 
   void start(core::Runtime& runtime) override;
   void stop() override;
-
-  std::size_t mapped_count() const { return by_mote_.size(); }
 
  private:
   struct Entry {
@@ -65,8 +61,7 @@ class MoteMapper final : public core::Mapper {
   sim::Duration silence_timeout_;
   core::Runtime* runtime_ = nullptr;
   std::map<std::uint16_t, Entry> by_mote_;
-  bool stopped_ = false;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  std::optional<sim::Timer> sweep_timer_;  ///< next silence sweep; set while started
 };
 
 /// Register the built-in USDL documents for mote sensor kinds.

@@ -74,12 +74,9 @@ Result<void> MoteField::attach_gateway(const std::string& host) {
 
 Mote::Mote(MoteField& field, std::uint16_t id, SensorKind kind, sim::Duration period)
     : field_(field), id_(id), kind_(kind), period_(period),
-      host_("mote-" + std::to_string(id)) {}
-
-Mote::~Mote() {
-  stop();
-  *alive_ = false;
-}
+      host_("mote-" + std::to_string(id)),
+      tick_(field.network().scheduler(), {sim::host_id(host_), sim::tag_id("motes.tick")},
+            [this]() { tick(); }) {}
 
 Result<void> Mote::start() {
   if (running_) return ok_result();
@@ -92,7 +89,10 @@ Result<void> Mote::start() {
   return ok_result();
 }
 
-void Mote::stop() { running_ = false; }
+void Mote::stop() {
+  running_ = false;
+  tick_.cancel();
+}
 
 std::uint16_t Mote::sample(std::uint16_t sequence) const {
   // Triangle wave in [base, base+64), keyed by mote id.
@@ -103,7 +103,6 @@ std::uint16_t Mote::sample(std::uint16_t sequence) const {
 }
 
 void Mote::tick() {
-  if (!running_) return;
   Reading reading{id_, kind_, sample(sequence_), sequence_};
   ++sequence_;
   auto r = field_.network().udp_multicast({host_, kAmPort}, kAmGroup, kAmPort,
@@ -111,9 +110,7 @@ void Mote::tick() {
   if (!r.ok()) {
     log::Entry(log::Level::warn, "motes") << "broadcast failed: " << r.error().to_string();
   }
-  field_.network().scheduler().schedule_after(period_, [this, alive = alive_]() {
-    if (*alive) tick();
-  });
+  tick_.arm(period_);
 }
 
 }  // namespace umiddle::motes

@@ -15,7 +15,7 @@
 
 #include "common/bytes.hpp"
 #include "netsim/network.hpp"
-#include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::motes {
 
@@ -58,9 +58,6 @@ class Mote {
  public:
   Mote(MoteField& field, std::uint16_t id, SensorKind kind,
        sim::Duration period = sim::seconds(1));
-  ~Mote();
-  Mote(const Mote&) = delete;
-  Mote& operator=(const Mote&) = delete;
 
   [[nodiscard]] Result<void> start();
   void stop();
@@ -82,8 +79,7 @@ class Mote {
   std::string host_;
   bool running_ = false;
   std::uint16_t sequence_ = 0;
-  /// Guards the periodic tick against firing after destruction.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Timer tick_;  ///< next broadcast; armed while running
 };
 
 }  // namespace umiddle::motes

@@ -305,7 +305,8 @@ Result<StreamPtr> Network::connect(const std::string& host, const Endpoint& remo
       [this, client, server, accept]() {
         server->establish();
         client->establish();
-        if (accept) accept(server);
+        // A connection reset during the handshake never reaches the listener.
+        if (accept && !server->closed()) accept(server);
       },
       {hosts_.at(host).trace_id, sim::tag_id("net.handshake")});
   return client;

@@ -36,8 +36,6 @@ RmiTranslator::RmiTranslator(RmiMapper& mapper, Binding binding,
   set_hierarchy_entities(usdl.hierarchy_entities);
 }
 
-RmiTranslator::~RmiTranslator() { *alive_ = false; }
-
 void RmiTranslator::on_mapped() {
   // Persistent connection to the native service (real RMI stubs cache these).
   auto stream = mapper_.network().connect(mapper_.runtime().host(),
@@ -58,7 +56,7 @@ void RmiTranslator::on_mapped() {
 }
 
 void RmiTranslator::on_unmapped() {
-  *alive_ = false;
+  lifetime_.reset();
   mapper_.gateway_server().remove_object("umiddle-gw-" + binding_.name);
   if (connection_) connection_->close();
   connection_ = nullptr;
@@ -75,8 +73,7 @@ Result<void> RmiTranslator::deliver(const std::string& port, const core::Message
   for (const core::UsdlBinding* b : usdl_.bindings_for(port)) {
     if (b->kind != "call") continue;
     Call call{binding_.name, b->native.attr("method"), msg.payload};
-    connection_->call(std::move(call), [this, alive = alive_](Result<Return> r) {
-      if (!*alive) return;
+    connection_->call(std::move(call), lifetime_.guard([this](Result<Return> r) {
       if (!r.ok()) {
         log::Entry(log::Level::warn, "rmi") << "call failed: " << r.error().to_string();
       } else if (r.value().exception) {
@@ -84,7 +81,7 @@ Result<void> RmiTranslator::deliver(const std::string& port, const core::Message
             << "remote exception: " << umiddle::to_string(r.value().value);
       }
       if (mapped()) runtime()->notify_ready(profile().id);
-    });
+    }));
     return ok_result();
   }
   return make_error(Errc::unsupported, "no call binding for port " + port);
@@ -109,11 +106,11 @@ RmiMapper::RmiMapper(net::Endpoint registry, const core::UsdlLibrary& library,
     : Mapper("rmi"), registry_(std::move(registry)), library_(library),
       gateway_port_(gateway_port), poll_interval_(poll_interval) {}
 
-RmiMapper::~RmiMapper() = default;
-
 void RmiMapper::start(core::Runtime& runtime) {
   runtime_ = &runtime;
-  stopped_ = false;
+  poll_timer_.emplace(runtime.scheduler(),
+                      sim::EventTag{sim::host_id(runtime.host()), sim::tag_id("rmi.poll")},
+                      [this]() { poll(); });
   gateway_ = std::make_unique<RmiObjectServer>(runtime.network(), runtime.host(),
                                                gateway_port_);
   if (auto r = gateway_->start(); !r.ok()) {
@@ -126,19 +123,19 @@ void RmiMapper::start(core::Runtime& runtime) {
 }
 
 void RmiMapper::stop() {
-  stopped_ = true;
+  // No poll fires and no listing still in flight lands after this; the
+  // runtime unmaps (or, on crash, drops) every translator imported so far.
+  poll_timer_.reset();
+  lifetime_.reset();
+  by_name_.clear();
   if (gateway_) gateway_->stop();
 }
 
 void RmiMapper::poll() {
-  if (stopped_ || runtime_ == nullptr) return;
-  registry_client_->list([this](Result<std::vector<Binding>> bindings) {
-    if (stopped_) return;
-    if (bindings.ok()) {
-      handle_listing(bindings.value());
-    }
-    runtime_->scheduler().schedule_after(poll_interval_, [this]() { poll(); });
-  });
+  registry_client_->list(lifetime_.guard([this](Result<std::vector<Binding>> bindings) {
+    if (bindings.ok()) handle_listing(bindings.value());
+    poll_timer_->arm(poll_interval_);
+  }));
 }
 
 void RmiMapper::handle_listing(const std::vector<Binding>& bindings) {

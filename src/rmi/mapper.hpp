@@ -17,10 +17,12 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "core/umiddle.hpp"
 #include "rmi/service.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::rmi {
 
@@ -29,7 +31,6 @@ class RmiMapper;
 class RmiTranslator final : public core::Translator {
  public:
   RmiTranslator(RmiMapper& mapper, Binding binding, const core::UsdlService& usdl);
-  ~RmiTranslator() override;
 
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
   bool ready(const std::string& port) const override;
@@ -46,7 +47,7 @@ class RmiTranslator final : public core::Translator {
   Binding binding_;
   const core::UsdlService& usdl_;
   std::shared_ptr<RmiConnection> connection_;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Lifetime lifetime_;  ///< ends at unmap
 };
 
 class RmiMapper final : public core::Mapper {
@@ -54,7 +55,6 @@ class RmiMapper final : public core::Mapper {
   RmiMapper(net::Endpoint registry, const core::UsdlLibrary& library,
             std::uint16_t gateway_port = 1098,
             sim::Duration poll_interval = sim::seconds(1));
-  ~RmiMapper() override;
 
   void start(core::Runtime& runtime) override;
   void stop() override;
@@ -67,8 +67,6 @@ class RmiMapper final : public core::Mapper {
   /// Register/unregister a gateway object for a translator.
   void export_gateway(RmiTranslator& translator, const std::string& method);
   void bind_gateway_in_registry(const std::string& service_name);
-
-  std::size_t mapped_count() const { return by_name_.size(); }
 
  private:
   void poll();
@@ -83,7 +81,8 @@ class RmiMapper final : public core::Mapper {
   std::unique_ptr<RegistryClient> registry_client_;
   std::map<std::string, TranslatorId> by_name_;
   std::set<std::string> pending_;  ///< instantiating, not yet mapped
-  bool stopped_ = false;
+  std::optional<sim::Timer> poll_timer_;  ///< next registry poll; set while started
+  sim::Lifetime lifetime_;                ///< ends at stop/crash
 };
 
 /// Register the built-in USDL document for "rmi:echo" services.

@@ -90,13 +90,14 @@ Result<void> Decoder::feed(std::span<const std::uint8_t> chunk, std::vector<Call
 // --- RmiConnection ------------------------------------------------------------------
 
 RmiConnection::RmiConnection(net::StreamPtr stream) : stream_(std::move(stream)) {
-  stream_->on_connected([this, alive = alive_]() {
-    if (!*alive) return;
+  stream_->on_connected(lifetime_.guard([this]() {
     connected_ = true;
     pump();
-  });
-  stream_->on_data([this, alive = alive_](std::span<const std::uint8_t> chunk) {
-    if (!*alive) return;
+  }));
+  // `done` may release the last reference to this connection (its caller can
+  // drop it), so the checks after it go through a token.
+  stream_->on_data(lifetime_.guard([this, alive = lifetime_.token()](
+                                       std::span<const std::uint8_t> chunk) {
     std::vector<Call> calls;
     std::vector<Return> returns;
     if (auto r = decoder_.feed(chunk, calls, returns); !r.ok()) {
@@ -114,15 +115,12 @@ RmiConnection::RmiConnection(net::StreamPtr stream) : stream_(std::move(stream))
         auto done = std::move(current_done_);
         current_done_ = nullptr;
         if (done) done(std::move(ret));
-        // `done` is destroyed here — and it may hold the last shared_ptr to
-        // this connection (callers capture the connection in the callback).
       }
       if (!*alive) return;
       pump();
     }
-  });
-  stream_->on_close([this, alive = alive_]() {
-    if (!*alive) return;
+  }));
+  stream_->on_close(lifetime_.guard([this]() {
     closed_ = true;
     if (current_done_) {
       auto done = std::move(current_done_);
@@ -133,7 +131,7 @@ RmiConnection::RmiConnection(net::StreamPtr stream) : stream_(std::move(stream))
       done(make_error(Errc::disconnected, "rmi: connection closed"));
     }
     queue_.clear();
-  });
+  }));
   // Streams returned by an accept handler are already established.
   connected_ = stream_->connected();
 }
@@ -157,7 +155,7 @@ void RmiConnection::pump() {
 }
 
 RmiConnection::~RmiConnection() {
-  *alive_ = false;
+  lifetime_.reset();  // close() runs the close handler synchronously: mute it first
   if (!closed_) stream_->close();
 }
 

@@ -22,6 +22,7 @@
 
 #include "common/bytes.hpp"
 #include "netsim/stream.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::rmi {
 
@@ -84,8 +85,8 @@ class RmiConnection {
   bool connected_ = false;
   bool closed_ = false;
   /// Stream handlers may outlive this object (the stream is owned by the
-  /// network until teardown completes); they must check before touching it.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// network until teardown completes); they run only while it lives.
+  sim::Lifetime lifetime_;
 };
 
 /// Server side: exports named objects with per-method handlers.

@@ -59,10 +59,14 @@ void RegistryClient::invoke(const std::string& method, Bytes args,
     return;
   }
   auto conn = std::make_shared<RmiConnection>(stream.value());
+  // The stream keeps the connection alive until it closes; the network drops
+  // a closed stream's handlers even when its host died and no callback runs.
+  // A reference held by the queued call would be a cycle nothing breaks then.
+  stream.value()->on_close([conn]() {});
   conn->call(Call{"registry", method, std::move(args)},
-             [conn, done = std::move(done)](Result<Return> r) {
+             [weak = std::weak_ptr<RmiConnection>(conn), done = std::move(done)](Result<Return> r) {
                done(std::move(r));
-               conn->close();
+               if (auto c = weak.lock()) c->close();
              });
 }
 

@@ -13,11 +13,14 @@ EventHandle Scheduler::schedule_at(TimePoint when, std::function<void()> fn, Eve
   if (when < now_) when = now_;
   std::uint64_t seq = next_seq_++;
   heap_push(Event{when, seq, tag, std::move(fn)});
-  return EventHandle(seq);
+  return EventHandle(when, seq);
 }
 
 void Scheduler::cancel(EventHandle handle) {
   if (!handle.valid()) return;
+  const bool left_heap = handle.when_ < popped_when_ ||
+                         (handle.when_ == popped_when_ && handle.seq_ <= popped_seq_);
+  if (left_heap) return;
   if (cancelled_set_.insert(handle.seq_).second) ++cancelled_;
 }
 
@@ -35,6 +38,8 @@ void Scheduler::heap_push(Event ev) {
 
 Scheduler::Event Scheduler::heap_pop() {
   Event top = std::move(heap_.front());
+  popped_when_ = top.when;
+  popped_seq_ = top.seq;
   Event last = std::move(heap_.back());
   heap_.pop_back();
   if (!heap_.empty()) {
@@ -54,25 +59,17 @@ Scheduler::Event Scheduler::heap_pop() {
   return top;
 }
 
-void Scheduler::reap_cancelled_front() {
-  while (!heap_.empty() && cancelled_ != 0) {
-    auto it = cancelled_set_.find(heap_.front().seq);
-    if (it == cancelled_set_.end()) return;
-    cancelled_set_.erase(it);
+bool Scheduler::dispatch_next(TimePoint limit) {
+  if (pending() == 0) return false;
+  // A live event is queued, so the heap cannot run dry while reaping.
+  while (cancelled_ != 0 && heap_.front().when <= limit &&
+         cancelled_set_.erase(heap_.front().seq) != 0) {
     --cancelled_;
     ++reaped_;
     (void)heap_pop();
   }
-}
-
-bool Scheduler::pop_next(Event& out) {
-  reap_cancelled_front();
-  if (heap_.empty()) return false;
-  out = heap_pop();
-  return true;
-}
-
-void Scheduler::begin_dispatch(const Event& ev) {
+  if (heap_.front().when > limit) return false;
+  Event ev = heap_pop();
   now_ = ev.when;
   digest_.absorb(static_cast<std::uint64_t>(ev.when.count()));
   digest_.absorb(ev.seq);
@@ -82,39 +79,21 @@ void Scheduler::begin_dispatch(const Event& ev) {
   if (recorder_.enabled()) {
     recorder_.record(TraceRecord{ev.when.count(), ev.seq, ev.tag.host, ev.tag.tag});
   }
+  ev.fn();
+  return true;
 }
 
 std::size_t Scheduler::run() {
   std::size_t n = 0;
-  Event ev;
-  while (pop_next(ev)) {
-    begin_dispatch(ev);
-    ev.fn();
-    ++n;
-  }
+  while (step()) ++n;
   return n;
 }
 
 std::size_t Scheduler::run_until(TimePoint deadline) {
   std::size_t n = 0;
-  for (;;) {
-    reap_cancelled_front();
-    if (heap_.empty() || heap_.front().when > deadline) break;
-    Event ev = heap_pop();
-    begin_dispatch(ev);
-    ev.fn();
-    ++n;
-  }
+  while (dispatch_next(deadline)) ++n;
   if (now_ < deadline) now_ = deadline;
   return n;
-}
-
-bool Scheduler::step() {
-  Event ev;
-  if (!pop_next(ev)) return false;
-  begin_dispatch(ev);
-  ev.fn();
-  return true;
 }
 
 }  // namespace umiddle::sim

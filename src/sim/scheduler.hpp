@@ -45,7 +45,8 @@ class EventHandle {
 
  private:
   friend class Scheduler;
-  explicit EventHandle(std::uint64_t seq) : seq_(seq) {}
+  EventHandle(TimePoint when, std::uint64_t seq) : when_(when), seq_(seq) {}
+  TimePoint when_{0};
   std::uint64_t seq_ = 0;
 };
 
@@ -69,7 +70,9 @@ class Scheduler {
   /// Run `fn` at absolute virtual time `when` (past times clamp to now).
   EventHandle schedule_at(TimePoint when, std::function<void()> fn, EventTag tag = {});
 
-  /// Cancel a pending event; no-op if it already fired or was cancelled.
+  /// Cancel a queued event. A no-op for an invalid handle and for an event
+  /// that already fired, was already cancelled or was discarded as cancelled;
+  /// pending() stays exact either way.
   void cancel(EventHandle handle);
 
   /// Process events until the queue is empty. Returns events processed.
@@ -83,7 +86,7 @@ class Scheduler {
   std::size_t run_for(Duration d) { return run_until(now_ + d); }
 
   /// Process at most one event. Returns false if the queue is empty.
-  bool step();
+  bool step() { return dispatch_next(TimePoint::max()); }
 
   std::size_t pending() const { return heap_.size() - cancelled_; }
 
@@ -125,13 +128,14 @@ class Scheduler {
   // what each std::function capture needs.
   void heap_push(Event ev);
   Event heap_pop();
-  /// Discard cancelled events sitting at the head of the heap (lazy deletion).
-  void reap_cancelled_front();
-
-  bool pop_next(Event& out);
-  /// Advance virtual time to the event's deadline and absorb it into the audit
-  /// digest. Every dispatch path (run/run_until/step) funnels through here.
-  void begin_dispatch(const Event& ev);
+  /// Dispatch the next live event due at or before `limit`, first discarding
+  /// the cancelled events ahead of it (lazy deletion); false if there is none.
+  /// Nothing is discarded past `limit` or when no live event remains, so
+  /// every popped event is at or before now() once a run returns: cancel()
+  /// relies on that. Every run mode funnels through here, and so does the
+  /// audit digest: virtual time advances to the event's deadline and the
+  /// event is absorbed before it runs.
+  bool dispatch_next(TimePoint limit);
 
   std::vector<Event> heap_;
   /// Seqs cancelled while still queued; entries are reaped when they reach the
@@ -139,6 +143,10 @@ class Scheduler {
   std::unordered_set<std::uint64_t> cancelled_set_;
   TimePoint now_{0};
   std::uint64_t next_seq_ = 1;
+  /// Key of the last popped event. The heap pops in (when, seq) order and
+  /// later pushes sort after it, so a handle at or before it has left the heap.
+  TimePoint popped_when_{0};
+  std::uint64_t popped_seq_ = 0;
   std::size_t cancelled_ = 0;
   std::uint64_t reaped_ = 0;
   std::size_t high_water_ = 0;

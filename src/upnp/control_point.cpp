@@ -97,7 +97,8 @@ void ControlPoint::fetch_description(const std::string& udn, const std::string& 
                        return;
                      }
                      if (on_device_) on_device_(desc.value(), location);
-                   });
+                   },
+                   {sim::host_id(host_), sim::tag_id("upnp.describe")});
              });
 }
 
@@ -125,28 +126,32 @@ void ControlPoint::invoke(const std::string& control_url, ActionRequest request,
           }
           // Charge response unmarshalling, then parse and report.
           auto resp = std::make_shared<HttpResponse>(std::move(r).take());
-          net_.scheduler().schedule_after(costs_.soap_unmarshal, [resp, done]() {
-            if (resp->status == 200) {
-              auto parsed = ActionResponse::from_envelope(resp->body);
-              if (!parsed.ok()) {
-                done(parsed.error());
-              } else {
-                done(std::move(parsed).take());
-              }
-              return;
-            }
-            auto fault = SoapFault::from_envelope(resp->body);
-            if (fault.ok()) {
-              done(make_error(Errc::refused,
-                              "UPnP error " + std::to_string(fault.value().error_code) + ": " +
-                                  fault.value().description));
-            } else {
-              done(make_error(Errc::protocol_error,
-                              "HTTP " + std::to_string(resp->status) + " from control URL"));
-            }
-          });
+          net_.scheduler().schedule_after(
+              costs_.soap_unmarshal,
+              [resp, done]() {
+                if (resp->status == 200) {
+                  auto parsed = ActionResponse::from_envelope(resp->body);
+                  if (!parsed.ok()) {
+                    done(parsed.error());
+                  } else {
+                    done(std::move(parsed).take());
+                  }
+                  return;
+                }
+                auto fault = SoapFault::from_envelope(resp->body);
+                if (fault.ok()) {
+                  done(make_error(Errc::refused,
+                                  "UPnP error " + std::to_string(fault.value().error_code) + ": " +
+                                      fault.value().description));
+                } else {
+                  done(make_error(Errc::protocol_error,
+                                  "HTTP " + std::to_string(resp->status) + " from control URL"));
+                }
+              },
+              {sim::host_id(host_), sim::tag_id("upnp.marshal")});
         });
-      });
+      },
+      {sim::host_id(host_), sim::tag_id("upnp.marshal")});
 }
 
 std::string ControlPoint::subscribe(const std::string& event_sub_url, EventFn on_event) {

@@ -56,7 +56,6 @@ class ControlPoint {
   void drop_subscription(const std::string& token);
 
   const UpnpCosts& costs() const { return costs_; }
-  std::size_t known_devices() const { return known_.size(); }
 
  private:
   void handle_announcement(const SsdpAnnouncement& a);

@@ -16,7 +16,6 @@ UpnpTranslator::UpnpTranslator(UpnpMapper& mapper, DeviceDescription description
 }
 
 UpnpTranslator::~UpnpTranslator() {
-  *alive_ = false;
   // The tracer (world state) outlives this translator: close the span of any
   // SOAP action still in flight so an unmap never leaves the trace unbalanced.
   mapper_.runtime().network().tracer().end_span(native_span_,
@@ -78,10 +77,10 @@ void UpnpTranslator::process_next() {
   mapper_.runtime().network().metrics().counter("upnp.action_translations").inc();
   mapper_.runtime().scheduler().schedule_after(
       mapper_.costs().action_translate,
-      [this, alive = alive_, binding = action_binding, msg = std::move(work.msg)]() {
-        if (!*alive) return;
+      lifetime_.guard([this, binding = action_binding, msg = std::move(work.msg)]() {
         run_binding(*binding, msg);
-      });
+      }),
+      {sim::host_id(mapper_.runtime().host()), sim::tag_id("upnp.action")});
 }
 
 void UpnpTranslator::run_binding(const core::UsdlBinding& binding, const core::Message& msg) {
@@ -109,8 +108,7 @@ void UpnpTranslator::run_binding(const core::UsdlBinding& binding, const core::M
   std::string emit_arg = binding.native.attr("emit-arg");
   mapper_.control_point().invoke(
       svc->control_url, std::move(request),
-      [this, alive = alive_, emit_port, emit_arg](Result<ActionResponse> result) {
-        if (!*alive) return;
+      lifetime_.guard([this, emit_port, emit_arg](Result<ActionResponse> result) {
         last_native_duration_ = mapper_.runtime().scheduler().now() - native_started_;
         mapper_.runtime().network().tracer().end_span(native_span_,
                                                       mapper_.runtime().scheduler().now());
@@ -132,7 +130,7 @@ void UpnpTranslator::run_binding(const core::UsdlBinding& binding, const core::M
         busy_ = false;
         if (mapped()) runtime()->notify_ready(profile().id);
         process_next();
-      });
+      }));
 }
 
 void UpnpTranslator::on_mapped() {
@@ -144,10 +142,9 @@ void UpnpTranslator::on_mapped() {
     const ServiceDescription* svc = service_for(binding.native);
     if (svc == nullptr || subscribed.count(svc->service_type) != 0) continue;
     subscribed.insert(svc->service_type);
-    std::string service_type = svc->service_type;
     subscription_tokens_.push_back(mapper_.control_point().subscribe(
-        svc->event_sub_url, [this, alive = alive_, service_type](const PropertySet& set) {
-          if (!*alive || !mapped()) return;
+        svc->event_sub_url, lifetime_.guard([this](const PropertySet& set) {
+          if (!mapped()) return;
           mapper_.runtime().network().metrics().counter("upnp.gena_events").inc();
           for (const auto& [var, value] : set.properties) {
             for (const core::UsdlBinding& b : usdl_.bindings) {
@@ -157,7 +154,7 @@ void UpnpTranslator::on_mapped() {
               (void)emit(b.port, core::Message::text(spec->type, value));
             }
           }
-        }));
+        })));
   }
 }
 
@@ -173,8 +170,6 @@ void UpnpTranslator::on_unmapped() {
 UpnpMapper::UpnpMapper(const core::UsdlLibrary& library, std::uint16_t callback_port,
                        UpnpCosts costs)
     : Mapper("upnp"), library_(library), callback_port_(callback_port), costs_(costs) {}
-
-UpnpMapper::~UpnpMapper() = default;
 
 void UpnpMapper::start(core::Runtime& runtime) {
   runtime_ = &runtime;

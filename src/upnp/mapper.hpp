@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "core/umiddle.hpp"
+#include "sim/timer.hpp"
 #include "upnp/control_point.hpp"
 
 namespace umiddle::upnp {
@@ -61,8 +62,8 @@ class UpnpTranslator final : public core::Translator {
   /// Open "native.upnp" span for the in-flight SOAP action (obs tracing).
   std::uint64_t native_span_ = 0;
   /// Guards async callbacks (SOAP responses, GENA events) against use after
-  /// the translator is unmapped and destroyed.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  /// the translator is destroyed.
+  sim::Lifetime lifetime_;
   std::vector<std::string> subscription_tokens_;
 };
 
@@ -72,7 +73,6 @@ class UpnpMapper final : public core::Mapper {
  public:
   explicit UpnpMapper(const core::UsdlLibrary& library, std::uint16_t callback_port = 7902,
                       UpnpCosts costs = {});
-  ~UpnpMapper() override;
 
   void start(core::Runtime& runtime) override;
   void stop() override;
@@ -84,8 +84,6 @@ class UpnpMapper final : public core::Mapper {
   ControlPoint& control_point() { return *control_point_; }
   core::Runtime& runtime() { return *runtime_; }
   const UpnpCosts& costs() const { return costs_; }
-
-  std::size_t mapped_count() const { return by_udn_.size(); }
 
  private:
   void handle_device(const DeviceDescription& description, const std::string& location);

@@ -128,10 +128,13 @@ void SsdpAgent::handle_datagram(const net::Endpoint& from, const Bytes& payload)
     for (const SsdpAnnouncement& a : advertised_) {
       if (target == "ssdp:all" || target == a.notification_type) matched.push_back(a);
     }
-    net_.scheduler().schedule_after(delay, [this, from, matched]() {
-      if (!started_) return;
-      for (const SsdpAnnouncement& a : matched) answer_search(from, a);
-    });
+    net_.scheduler().schedule_after(
+        delay,
+        [this, from, matched]() {
+          if (!started_) return;
+          for (const SsdpAnnouncement& a : matched) answer_search(from, a);
+        },
+        {sim::host_id(host_), sim::tag_id("upnp.ssdp")});
   }
 }
 

@@ -36,8 +36,6 @@ WsTranslator::WsTranslator(WsMapper& mapper, WsEntry entry, const core::UsdlServ
   set_hierarchy_entities(usdl.hierarchy_entities);
 }
 
-WsTranslator::~WsTranslator() { *alive_ = false; }
-
 bool WsTranslator::ready(const std::string&) const { return !busy_; }
 
 void WsTranslator::on_mapped() {
@@ -55,7 +53,7 @@ void WsTranslator::on_mapped() {
   }
 }
 
-void WsTranslator::on_unmapped() { *alive_ = false; }
+void WsTranslator::on_unmapped() { lifetime_.reset(); }
 
 Result<void> WsTranslator::deliver(const std::string& port, const core::Message& msg) {
   for (const core::UsdlBinding* b : usdl_.bindings_for(port)) {
@@ -64,8 +62,7 @@ Result<void> WsTranslator::deliver(const std::string& port, const core::Message&
     std::string emit_port = b->emit_port;
     ws_call(mapper_.runtime().network(), mapper_.runtime().host(), entry_.url,
             b->native.attr("method"), msg.payload,
-            [this, alive = alive_, emit_port](Result<Bytes> result) {
-              if (!*alive) return;
+            lifetime_.guard([this, emit_port](Result<Bytes> result) {
               busy_ = false;
               if (result.ok() && !emit_port.empty() && mapped()) {
                 const core::PortSpec* spec = profile().shape.find(emit_port);
@@ -80,7 +77,7 @@ Result<void> WsTranslator::deliver(const std::string& port, const core::Message&
                     << "call failed: " << result.error().to_string();
               }
               if (mapped()) runtime()->notify_ready(profile().id);
-            });
+            }));
     return ok_result();
   }
   return make_error(Errc::unsupported, "no ws-call binding for port " + port);
@@ -105,11 +102,11 @@ WsMapper::WsMapper(std::string listing_url, const core::UsdlLibrary& library,
     : Mapper("ws"), listing_url_(std::move(listing_url)), library_(library),
       webhook_port_(webhook_port), poll_interval_(poll_interval) {}
 
-WsMapper::~WsMapper() = default;
-
 void WsMapper::start(core::Runtime& runtime) {
   runtime_ = &runtime;
-  stopped_ = false;
+  poll_timer_.emplace(runtime.scheduler(),
+                      sim::EventTag{sim::host_id(runtime.host()), sim::tag_id("ws.poll")},
+                      [this]() { poll(); });
   webhook_server_ = std::make_unique<upnp::HttpServer>(runtime.network(), runtime.host(),
                                                        webhook_port_);
   webhook_server_->route_prefix(
@@ -135,7 +132,11 @@ void WsMapper::start(core::Runtime& runtime) {
 }
 
 void WsMapper::stop() {
-  stopped_ = true;
+  // No poll fires and no listing still in flight lands after this; the
+  // runtime unmaps (or, on crash, drops) every translator imported so far.
+  poll_timer_.reset();
+  lifetime_.reset();
+  by_name_.clear();
   if (webhook_server_) webhook_server_->stop();
   webhooks_.clear();
 }
@@ -146,16 +147,12 @@ std::string WsMapper::register_webhook(WsTranslator& translator) {
   return "http://" + runtime_->host() + ":" + std::to_string(webhook_port_) + path;
 }
 
-void WsMapper::unregister_webhook(const std::string& path) { webhooks_.erase(path); }
-
 void WsMapper::poll() {
-  if (stopped_ || runtime_ == nullptr) return;
   ws_list(runtime_->network(), runtime_->host(), listing_url_,
-          [this](Result<std::vector<WsEntry>> entries) {
-            if (stopped_) return;
+          lifetime_.guard([this](Result<std::vector<WsEntry>> entries) {
             if (entries.ok()) handle_listing(entries.value());
-            runtime_->scheduler().schedule_after(poll_interval_, [this]() { poll(); });
-          });
+            poll_timer_->arm(poll_interval_);
+          }));
 }
 
 void WsMapper::handle_listing(const std::vector<WsEntry>& entries) {

@@ -14,9 +14,11 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "core/umiddle.hpp"
+#include "sim/timer.hpp"
 #include "webservice/registry.hpp"
 #include "webservice/service.hpp"
 
@@ -27,7 +29,6 @@ class WsMapper;
 class WsTranslator final : public core::Translator {
  public:
   WsTranslator(WsMapper& mapper, WsEntry entry, const core::UsdlService& usdl);
-  ~WsTranslator() override;
 
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
   bool ready(const std::string& port) const override;
@@ -44,7 +45,7 @@ class WsTranslator final : public core::Translator {
   WsEntry entry_;
   const core::UsdlService& usdl_;
   bool busy_ = false;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  sim::Lifetime lifetime_;  ///< ends at unmap
 };
 
 class WsMapper final : public core::Mapper {
@@ -52,7 +53,6 @@ class WsMapper final : public core::Mapper {
   WsMapper(std::string listing_url, const core::UsdlLibrary& library,
            std::uint16_t webhook_port = 8801,
            sim::Duration poll_interval = sim::seconds(2));
-  ~WsMapper() override;
 
   void start(core::Runtime& runtime) override;
   void stop() override;
@@ -60,9 +60,6 @@ class WsMapper final : public core::Mapper {
   core::Runtime& runtime() { return *runtime_; }
   /// Register a webhook path for a translator; returns the full URL.
   std::string register_webhook(WsTranslator& translator);
-  void unregister_webhook(const std::string& path);
-
-  std::size_t mapped_count() const { return by_name_.size(); }
 
  private:
   void poll();
@@ -78,7 +75,8 @@ class WsMapper final : public core::Mapper {
   std::map<std::string, TranslatorId> by_name_;
   std::set<std::string> pending_;
   std::uint64_t next_webhook_ = 1;
-  bool stopped_ = false;
+  std::optional<sim::Timer> poll_timer_;  ///< next listing poll; set while started
+  sim::Lifetime lifetime_;                ///< ends at stop/crash
 };
 
 /// Built-in USDL for the demo "weather" web service type.

@@ -12,8 +12,11 @@
 #include "core/umiddle.hpp"
 #include "netsim/fault.hpp"
 #include "obs/export.hpp"
+#include "rmi/mapper.hpp"
+#include "rmi/registry.hpp"
 #include "upnp/devices.hpp"
 #include "upnp/mapper.hpp"
+#include "webservice/mapper.hpp"
 
 namespace umiddle {
 namespace {
@@ -720,6 +723,152 @@ TEST(ChaosTest, SeqFieldLiesAreSuppressedNotRedelivered) {
   EXPECT_EQ(sink_raw->received()[1].msg.meta.at("name"), "jump");
   EXPECT_EQ(sink_raw->received()[2].msg.meta.at("name"), "second");
   EXPECT_EQ(counter_of(net, "delivery.dup_suppressed"), 1u);
+}
+
+// --- scenario 9: mapper restarts keep the registry poll rate ------------------------
+
+/// One uMiddle node whose mapper polls a registry every second (RMI or WS),
+/// with one native service listed there. Once the service is imported, the
+/// polls are the only streams the world opens, so net.stream.connects counts
+/// registry polls.
+struct PollWorld {
+  sim::Scheduler sched;
+  net::Network net{sched, 1};
+  core::UsdlLibrary library;
+  std::unique_ptr<rmi::RmiRegistry> rmi_registry;
+  std::unique_ptr<rmi::RmiEchoService> echo;
+  std::unique_ptr<ws::WsRegistry> ws_registry;
+  std::unique_ptr<ws::WsService> weather;
+  std::unique_ptr<core::Runtime> node;
+  std::string platform;
+
+  explicit PollWorld(std::string which) : platform(std::move(which)) {
+    net::SegmentSpec spec;
+    spec.latency = sim::microseconds(100);
+    net::SegmentId lan = net.add_segment(spec);
+    for (const char* h : {"reg", "svc", "umnode"}) {
+      EXPECT_TRUE(net.add_host(h).ok());
+      EXPECT_TRUE(net.attach(h, lan).ok());
+    }
+    node = std::make_unique<core::Runtime>(sched, net, "umnode");
+    if (platform == "rmi") {
+      rmi::register_rmi_usdl(library);
+      rmi_registry = std::make_unique<rmi::RmiRegistry>(net, "reg");
+      EXPECT_TRUE(rmi_registry->start().ok());
+      echo = std::make_unique<rmi::RmiEchoService>(net, "svc", 2001, "echo1",
+                                                   rmi_registry->endpoint());
+      EXPECT_TRUE(echo->start().ok());
+      node->add_mapper(std::make_unique<rmi::RmiMapper>(rmi_registry->endpoint(), library,
+                                                        1098, seconds(1)));
+    } else {
+      ws::register_ws_usdl(library);
+      ws_registry = std::make_unique<ws::WsRegistry>(net, "reg");
+      EXPECT_TRUE(ws_registry->start().ok());
+      weather = std::make_unique<ws::WsService>(net, "svc", 8080, "weather-1", "weather");
+      EXPECT_TRUE(weather->start().ok());
+      ws::ws_register(net, "svc", ws_registry->listing_url(),
+                      ws::WsEntry{"weather-1", "weather", weather->endpoint_url()},
+                      [](Result<void>) {});
+      node->add_mapper(std::make_unique<ws::WsMapper>(ws_registry->listing_url(), library,
+                                                      8801, seconds(1)));
+    }
+    EXPECT_TRUE(node->start().ok());
+    sched.run_for(seconds(3));
+    EXPECT_EQ(imported(), 1u);
+  }
+
+  std::size_t imported() {
+    return node->directory().lookup(core::Query().platform(platform)).size();
+  }
+  std::uint64_t connects() { return counter_of(net, "net.stream.connects"); }
+
+  /// Step until a registry poll opens its stream: its listing is in flight.
+  void until_poll() {
+    const std::uint64_t before = connects();
+    while (connects() == before) ASSERT_TRUE(sched.step());
+  }
+
+  /// Registry connects in the 10 s starting at the next poll.
+  std::uint64_t polls_in_10s() {
+    const std::uint64_t before = connects();
+    until_poll();
+    sched.run_for(seconds(10));
+    return connects() - before;
+  }
+};
+
+struct Restart {
+  const char* platform;
+  bool crash;      ///< Runtime::crash() instead of Runtime::stop()
+  bool in_flight;  ///< restart while a listing is in flight, not between polls
+};
+
+void PrintTo(const Restart& r, std::ostream* os) {
+  *os << r.platform << (r.crash ? " crash" : " stop") << (r.in_flight ? " mid-listing" : "");
+}
+
+class MapperRestartTest : public ::testing::TestWithParam<Restart> {};
+
+void restart_scenario(const Restart& r, RunRecord* rec) {
+  PollWorld w(r.platform);
+  ASSERT_EQ(w.polls_in_10s(), 10u);
+
+  // Restart at once, then again after 2 s down: a stopped mapper neither
+  // polls nor imports, whatever was in flight when it stopped.
+  for (sim::Duration down : {sim::Duration(0), sim::Duration(seconds(2))}) {
+    ASSERT_NO_FATAL_FAILURE(w.until_poll());
+    if (!r.in_flight) w.sched.run_for(milliseconds(300));  // listing done, next poll pending
+    if (r.crash) {
+      w.node->crash();
+    } else {
+      w.node->stop();
+    }
+    const std::uint64_t before = w.connects();
+    if (down > sim::Duration(0)) w.sched.run_for(down);
+    EXPECT_EQ(w.connects(), before);
+    EXPECT_EQ(w.imported(), 0u);
+    ASSERT_TRUE(w.node->start().ok());
+    w.sched.run_for(seconds(3));
+
+    // One poll loop, not one per start(), and the service is imported again.
+    EXPECT_EQ(w.imported(), 1u);
+    EXPECT_EQ(w.polls_in_10s(), 10u);
+  }
+  rec->telemetry = obs::world_json(w.net.metrics(), w.net.tracer());
+  rec->digest = w.sched.trace_digest();
+}
+
+TEST_P(MapperRestartTest, PollRateSurvivesRestart) {
+  RunRecord a, b;
+  ASSERT_NO_FATAL_FAILURE(restart_scenario(GetParam(), &a));
+  ASSERT_NO_FATAL_FAILURE(restart_scenario(GetParam(), &b));
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.telemetry, b.telemetry);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Chaos, MapperRestartTest,
+    ::testing::Values(Restart{"rmi", false, false}, Restart{"rmi", false, true},
+                      Restart{"rmi", true, false}, Restart{"rmi", true, true},
+                      Restart{"ws", false, false}, Restart{"ws", false, true},
+                      Restart{"ws", true, false}, Restart{"ws", true, true}),
+    [](const ::testing::TestParamInfo<Restart>& info) {
+      return std::string(info.param.platform) + (info.param.crash ? "_crash" : "_stop") +
+             (info.param.in_flight ? "_mid_listing" : "_between_polls");
+    });
+
+// A destroyed runtime's pending poll must not fire into freed memory (run
+// under ASan: `ctest -L chaos` in the sanitizer build).
+TEST(ChaosTest, DestroyingARuntimeWithAPollPendingIsClean) {
+  for (const char* platform : {"rmi", "ws"}) {
+    PollWorld w(platform);
+    ASSERT_NO_FATAL_FAILURE(w.until_poll());
+    w.sched.run_for(milliseconds(300));  // the next poll is pending
+    w.node.reset();
+    const std::uint64_t before = w.connects();
+    w.sched.run_for(seconds(5));
+    EXPECT_EQ(w.connects(), before) << platform;
+  }
 }
 
 // --- fault-free worlds are untouched --------------------------------------------

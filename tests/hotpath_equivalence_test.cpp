@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <queue>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -374,6 +375,8 @@ TEST(HotpathEquivalenceTest, IndexSurvivesExpireRepublishCrashInterleavings) {
 /// std::priority_queue ordered by (when, seq), cancellation via a vector of
 /// seqs scanned linearly at every pop. Interface mirrors sim::Scheduler just
 /// enough for the shared driver below.
+/// Its pending() counts the queued seqs that are not cancelled, so cancelling
+/// a fired handle cannot skew it.
 class SeedScheduler {
  public:
   using Handle = std::uint64_t;
@@ -385,7 +388,14 @@ class SeedScheduler {
     sim::TimePoint when = now_ + delay;
     std::uint64_t seq = next_seq_++;
     queue_.push(Ev{when, seq, tag, std::move(fn)});
+    queued_.insert(seq);
     return seq;
+  }
+
+  std::size_t pending() const {
+    std::size_t cancelled_queued = 0;
+    for (std::uint64_t seq : cancelled_) cancelled_queued += queued_.count(seq);
+    return queued_.size() - cancelled_queued;
   }
 
   void cancel(Handle seq) {
@@ -439,6 +449,7 @@ class SeedScheduler {
     auto it = std::find(cancelled_.begin(), cancelled_.end(), queue_.top().seq);
     if (it == cancelled_.end()) return false;
     cancelled_.erase(it);
+    queued_.erase(queue_.top().seq);
     queue_.pop();
     return true;
   }
@@ -446,6 +457,7 @@ class SeedScheduler {
   void dispatch_top() {
     Ev ev = queue_.top();  // const top(): the copy the optimized heap avoids
     queue_.pop();
+    queued_.erase(ev.seq);
     now_ = ev.when;
     digest_.absorb(static_cast<std::uint64_t>(ev.when.count()));
     digest_.absorb(ev.seq);
@@ -456,6 +468,7 @@ class SeedScheduler {
   }
 
   std::priority_queue<Ev, std::vector<Ev>, Later> queue_;
+  std::set<std::uint64_t> queued_;
   std::vector<std::uint64_t> cancelled_;
   sim::TimePoint now_{0};
   std::uint64_t next_seq_ = 1;
@@ -470,12 +483,15 @@ struct DriverResult {
   std::int64_t end_ns = 0;
   std::uint64_t scheduled = 0;
   std::uint64_t cancels = 0;
+  std::vector<std::size_t> pending;  ///< pending() after each top-level cancel
 };
 
 /// Deterministic stress workload run identically against both schedulers:
 /// bursts of schedule/cancel pairs (many at equal timestamps), callbacks that
 /// re-schedule chains and cancel other handles mid-dispatch, double-cancels,
-/// cancels of already-fired events, and partial run_for() advances.
+/// cancels of already-fired events, and partial run_for() advances. pending()
+/// is sampled after each top-level cancel, and a final round cancels handles
+/// that all fired.
 template <typename S>
 DriverResult run_driver(S& sched) {
   using Handle = decltype(sched.schedule_after(Duration(0), std::function<void()>{},
@@ -511,12 +527,17 @@ DriverResult run_driver(S& sched) {
       sched.cancel(victim);
       ++result.cancels;
       if (rng.chance(0.2)) sched.cancel(victim);  // double-cancel is a no-op
+      result.pending.push_back(sched.pending());
     }
     if (i % 500 == 499) {
       sched.run_for(Duration(static_cast<std::int64_t>(rng.below(3000))));
     }
   }
   sched.run();
+  for (int i = 0; i < 200; ++i) {
+    sched.cancel(handles[rng.below(handles.size())]);  // every handle has fired
+    result.pending.push_back(sched.pending());
+  }
 
   result.digest = sched.trace_digest();
   result.dispatched = sched.events_dispatched();
@@ -541,6 +562,11 @@ TEST(HotpathEquivalenceTest, SchedulerStressMatchesSeedImplementation) {
   EXPECT_EQ(actual.dispatched, expected.dispatched);
   EXPECT_EQ(actual.end_ns, expected.end_ns);
   EXPECT_EQ(actual.digest, expected.digest);
+  ASSERT_EQ(actual.pending.size(), expected.pending.size());
+  for (std::size_t i = 0; i < expected.pending.size(); ++i) {
+    ASSERT_EQ(actual.pending[i], expected.pending[i]) << "pending() differs after cancel " << i;
+  }
+  EXPECT_EQ(expected.pending.back(), 0u);
   ASSERT_EQ(actual.fired.size(), expected.fired.size());
   for (std::size_t i = 0; i < expected.fired.size(); ++i) {
     ASSERT_EQ(actual.fired[i], expected.fired[i]) << "first divergence at dispatch " << i;

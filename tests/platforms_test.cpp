@@ -446,6 +446,57 @@ TEST(MotesTest, MoteBroadcastsPeriodically) {
   EXPECT_LE(received, 11);
 }
 
+TEST(MotesTest, RestartInsideOnePeriodKeepsTheBroadcastRate) {
+  Lan f;
+  motes::MoteField field(f.net, /*loss=*/0.0);
+  f.add_host("gw");
+  ASSERT_TRUE(field.attach_gateway("gw").ok());
+  int received = 0;
+  ASSERT_TRUE(
+      f.net.udp_bind({"gw", motes::kAmPort}, [&](auto&, const Bytes&) { ++received; }).ok());
+  motes::Mote mote(field, 3, motes::SensorKind::light, milliseconds(500));
+  ASSERT_TRUE(mote.start().ok());
+  f.sched.run_for(milliseconds(1200));  // 200 ms into a period
+  mote.stop();
+  ASSERT_TRUE(mote.start().ok());  // broadcasts at once, then every 500 ms
+  received = 0;
+  f.sched.run_for(seconds(10));
+  EXPECT_EQ(received, 20);
+}
+
+TEST(MotesTest, MapperRestartInsideOneSweepKeepsTheSweepRate) {
+  Lan f;
+  motes::MoteField field(f.net, 0.0);
+  f.add_host("umnode");
+  core::UsdlLibrary library;
+  motes::register_motes_usdl(library);
+  core::Runtime runtime(f.sched, f.net, "umnode");
+  // Silence timeout 2 s: the mapper sweeps for silent motes every second.
+  runtime.add_mapper(std::make_unique<motes::MoteMapper>(field, library, seconds(2)));
+  ASSERT_TRUE(runtime.start().ok());
+  motes::Mote mote(field, 5, motes::SensorKind::light, milliseconds(500));
+  ASSERT_TRUE(mote.start().ok());
+  f.sched.run_for(milliseconds(2300));
+  runtime.stop();
+  ASSERT_TRUE(runtime.start().ok());
+
+  auto sweeps_in = [&](sim::Duration window) {
+    f.sched.trace_recorder().enable(1 << 16);
+    f.sched.run_for(window);
+    std::size_t sweeps = 0;
+    for (const sim::TraceRecord& rec : f.sched.trace_recorder().snapshot()) {
+      sweeps += rec.tag == sim::tag_id("motes.sweep") ? 1 : 0;
+    }
+    f.sched.trace_recorder().disable();
+    return sweeps;
+  };
+  EXPECT_EQ(sweeps_in(seconds(10)), 10u);
+  // The restarted mapper re-imports the mote it still hears.
+  EXPECT_EQ(runtime.directory().lookup(core::Query().platform("motes")).size(), 1u);
+  runtime.stop();
+  EXPECT_EQ(sweeps_in(seconds(3)), 0u);  // a stopped mapper does not sweep
+}
+
 TEST(MotesTest, MapperImportsAndEmitsReadings) {
   Lan f;
   motes::MoteField field(f.net, /*loss=*/0.0);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::sim {
 namespace {
@@ -73,9 +74,36 @@ TEST(SchedulerTest, CancelIsIdempotentAndSafeAfterFire) {
   s.run();
   s.cancel(h);  // already fired: no-op
   s.cancel(EventHandle{});  // invalid: no-op
-  s.schedule_after(milliseconds(1), [&] { ++count; });
+  EXPECT_EQ(s.pending(), 0u);
+  EventHandle h2 = s.schedule_after(milliseconds(1), [&] { ++count; });
+  s.cancel(h);
+  EXPECT_EQ(s.pending(), 1u);
   s.run();
   EXPECT_EQ(count, 2);
+  EXPECT_EQ(s.pending(), 0u);
+
+  // Cancelled twice, then reaped inside a run_until that stops at its
+  // deadline; cancelling it again (or a fired handle) changes nothing.
+  EventHandle early = s.schedule_after(milliseconds(5), [&] { ++count; });
+  EventHandle late = s.schedule_after(milliseconds(15), [&] { ++count; });
+  s.schedule_after(milliseconds(20), [&] { ++count; });
+  s.cancel(early);
+  s.cancel(early);
+  s.cancel(late);
+  EXPECT_EQ(s.pending(), 1u);
+  s.run_until(s.now() + milliseconds(10));
+  s.cancel(early);
+  s.cancel(late);
+  s.cancel(h2);
+  EXPECT_EQ(s.pending(), 1u);
+  // Scheduled now, it sorts before `late`; cancelling it must still work.
+  s.cancel(s.schedule_after(milliseconds(1), [&] { count += 100; }));
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(s.pending(), 0u);
+  s.cancel(late);
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(SchedulerTest, RunUntilStopsAtDeadline) {
@@ -156,6 +184,63 @@ TEST(SchedulerTest, CancelledEventsDoNotBlockRunUntil) {
   EXPECT_EQ(s.pending(), 1u);
   s.run_until(milliseconds(60));
   EXPECT_TRUE(ran);
+}
+
+TEST(TimerTest, ArmReplacesThePendingFireAndCancelDropsIt) {
+  Scheduler s;
+  std::vector<std::int64_t> fired;
+  Timer t(s, {1, tag_id("test.timer")}, [&] { fired.push_back(s.now().count()); });
+  t.arm(milliseconds(10));
+  t.arm(milliseconds(30));  // replaces the 10 ms fire
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(fired, std::vector<std::int64_t>{milliseconds(30).count()});
+
+  t.arm(milliseconds(5));
+  t.cancel();
+  t.cancel();
+  EXPECT_EQ(s.pending(), 0u);
+  s.run();
+  EXPECT_EQ(fired.size(), 1u);
+}
+
+TEST(TimerTest, DestructionCancelsAndEveryFireCarriesTheTag) {
+  Scheduler s;
+  s.trace_recorder().enable();
+  int fired = 0;
+  {
+    Timer t(s, {7, tag_id("test.timer")}, [&] { ++fired; });
+    t.arm(milliseconds(1));
+    s.run();
+    t.arm(milliseconds(1));
+  }
+  EXPECT_EQ(s.pending(), 0u);
+  s.run();
+  EXPECT_EQ(fired, 1);
+  ASSERT_EQ(s.trace_recorder().snapshot().size(), 1u);
+  EXPECT_EQ(s.trace_recorder().snapshot()[0].host, 7u);
+  EXPECT_EQ(s.trace_recorder().snapshot()[0].tag, tag_id("test.timer"));
+}
+
+TEST(LifetimeTest, GuardedCallbacksStopAtResetAndDestruction) {
+  int calls = 0;
+  std::function<void(int)> before_reset;
+  std::function<void(int)> after_reset;
+  Lifetime::Token token;
+  {
+    Lifetime life;
+    before_reset = life.guard([&](int n) { calls += n; });
+    before_reset(1);
+    life.reset();
+    before_reset(10);  // ended: no-op
+    after_reset = life.guard([&](int n) { calls += n; });
+    token = life.token();
+    after_reset(100);
+    EXPECT_TRUE(*token);
+  }
+  after_reset(1000);  // destroyed: no-op
+  EXPECT_FALSE(*token);
+  EXPECT_EQ(calls, 101);
 }
 
 }  // namespace

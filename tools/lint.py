@@ -41,6 +41,11 @@ exist to keep nondeterminism from leaking back in:
                the string literal "delivery.expired" appears once in src/,
                in src/core/transport.cpp: every deadline drop goes through
                Transport::expire, so expiry accounting has one implementation.
+  untagged-event
+               every schedule_after / schedule_at / post call and every
+               sim::Timer construction in src/ passes a non-empty EventTag, so
+               each dispatched event is attributable in the trace digest and
+               in per-tag host-cost profiles.
 
 Run directly:      python3 tools/lint.py --root .
 Run via ctest:     ctest -R lint
@@ -72,15 +77,25 @@ class Violation(NamedTuple):
 def strip_comments_and_strings(source: str, keep_strings: bool = False) -> str:
     """Blank out comments and string/char literals, preserving line numbers.
 
-    A lexer-grade pass is overkill; this handles //, /* */, "..." and '...'
-    well enough for token bans (escaped quotes included). With keep_strings,
-    literals are kept verbatim and only comments are blanked.
+    A lexer-grade pass is overkill; this handles //, /* */, "...", '...' and
+    raw R"delim(...)delim" literals well enough for token bans (escaped quotes
+    included). With keep_strings, literals are kept verbatim and only comments
+    are blanked.
     """
     out = []
     i, n = 0, len(source)
     while i < n:
         c = source[i]
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
+        if c == '"' and i > 0 and source[i - 1] == "R" and "(" in source[i:i + 18]:
+            delim = source[i + 1:source.index("(", i)]
+            j = source.find(")" + delim + '"', i)
+            end = n if j == -1 else j + len(delim) + 2
+            body = source[i + 1:end - 1]
+            if not keep_strings:
+                body = "".join(ch if ch == "\n" else " " for ch in body)
+            out.append('"' + body + '"')
+            i = end
+        elif c == "/" and i + 1 < n and source[i + 1] == "/":
             j = source.find("\n", i)
             i = n if j == -1 else j
         elif c == "/" and i + 1 < n and source[i + 1] == "*":
@@ -294,6 +309,69 @@ def check_one_expiry_site(path: str, code: str) -> Iterable[Violation]:
                         f"accounting stays in one place ({EXPIRY_SITE})")
 
 
+# Every deferred callback carries provenance (DESIGN.md §7.1, §7.4). An
+# untagged event digests as zeros and its host time is charged to nobody. The
+# Scheduler keeps a defaulted tag for code outside src/ only. Arity is checked
+# on the comment- and string-blanked call: schedule_after/schedule_at take
+# (time, fn, tag), post takes (fn, tag), and a Timer is built from
+# (scheduler, tag, fn). Timers are found by the names they are declared under
+# anywhere in the tree (members are built in another file's initializer list
+# or through std::optional::emplace).
+SCHEDULE_CALL_RE = re.compile(r"\b(schedule_after|schedule_at)\s*\(|(?:\.|->)\s*(post)\s*\(")
+SCHEDULE_ARITY = {"schedule_after": 3, "schedule_at": 3, "post": 2}
+TIMER_DECL_RE = re.compile(r"\bTimer\s*>?\s+(\w+)\s*[;{]")
+TIMER_TEMP_RE = re.compile(r"\bTimer\s*>\s*\(")  # make_unique<sim::Timer>(...)
+EMPTY_TAG_RE = re.compile(r"^(?:(?:sim::)?EventTag\s*)?(?:\{\s*\}|\(\s*\))$")
+TIMER_DEFINITION = "src/sim/timer.hpp"
+
+
+def call_args(code: str, open_at: int) -> list[str]:
+    """Top-level arguments of the bracketed list opening at code[open_at]."""
+    depth, start, args = 0, open_at + 1, []
+    for i in range(open_at, len(code)):
+        c = code[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                last = code[start:i].strip()
+                return args + [last] if args or last else []
+        elif c == "," and depth == 1:
+            args.append(code[start:i].strip())
+            start = i + 1
+    return args
+
+
+def timer_names(code: str) -> set[str]:
+    return set(TIMER_DECL_RE.findall(code))
+
+
+def check_untagged_event(path: str, code: str, timers: set[str]) -> Iterable[Violation]:
+    sites = []  # (offset of the opening bracket, what, expected arity, tag index)
+    for m in SCHEDULE_CALL_RE.finditer(code):
+        name = m.group(1) or m.group(2)
+        arity = SCHEDULE_ARITY[name]
+        sites.append((m.end() - 1, name, arity, arity - 1))
+    if path != TIMER_DEFINITION:
+        ctors = [TIMER_TEMP_RE]
+        names = sorted(timers | timer_names(code))
+        if names:  # NAME(...) in an initializer list, NAME{...}, NAME.emplace(...)
+            ctors.append(re.compile(r"\b(?:%s)\s*(?:\(|\{|(?:\.|->)\s*emplace\s*\()"
+                                    % "|".join(map(re.escape, names))))
+        for ctor in ctors:
+            for m in ctor.finditer(code):
+                sites.append((m.end() - 1, "Timer", 3, 1))
+    for at, what, arity, tag_index in sorted(sites):
+        args = call_args(code, at)
+        if len(args) == arity and not EMPTY_TAG_RE.match(args[tag_index]):
+            continue
+        yield Violation("untagged-event", path, code.count("\n", 0, at) + 1,
+                        f"{what} without an EventTag; pass "
+                        "{sim::host_id(host), sim::tag_id(\"layer.event\")} so the "
+                        "event is attributable (DESIGN.md §7.4)")
+
+
 def check_global_telemetry(path: str, code: str) -> Iterable[Violation]:
     for lineno, line in enumerate(code.splitlines(), 1):
         if GLOBAL_TELEMETRY_RE.search(line):
@@ -322,11 +400,13 @@ LITERAL_CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
 ]
 
 
-def lint_file(rel_path: str, source: str) -> list[Violation]:
+def lint_file(rel_path: str, source: str, timers: frozenset[str] = frozenset()) -> list[Violation]:
+    """`timers`: names sim::Timer objects are declared under elsewhere in the tree."""
     code = strip_comments_and_strings(source)
     found: list[Violation] = []
     for check in CHECKS:
         found.extend(check(rel_path, code))
+    found.extend(check_untagged_event(rel_path, code, set(timers)))
     literals = strip_comments_and_strings(source, keep_strings=True)
     for check in LITERAL_CHECKS:
         found.extend(check(rel_path, literals))
@@ -334,13 +414,15 @@ def lint_file(rel_path: str, source: str) -> list[Violation]:
 
 
 def lint_tree(root: pathlib.Path) -> list[Violation]:
+    sources = {}
+    for path in sorted((root / "src").rglob("*")):
+        if path.suffix in SRC_EXTENSIONS and path.is_file():
+            sources[path.relative_to(root).as_posix()] = path.read_text(encoding="utf-8")
+    timers = frozenset().union(*(timer_names(strip_comments_and_strings(s))
+                                 for s in sources.values()))
     violations: list[Violation] = []
-    src = root / "src"
-    for path in sorted(src.rglob("*")):
-        if path.suffix not in SRC_EXTENSIONS or not path.is_file():
-            continue
-        rel = path.relative_to(root).as_posix()
-        violations.extend(lint_file(rel, path.read_text(encoding="utf-8")))
+    for rel, source in sources.items():
+        violations.extend(lint_file(rel, source, timers))
     return violations
 
 
@@ -381,6 +463,13 @@ SEEDED_VIOLATIONS = [
      'metrics.counter("delivery.expired").inc();\n'),
     ("one-expiry-site", "src/core/link_session.cpp",
      'metrics.counter("delivery.expired").inc();\n'),
+    ("untagged-event", "src/motes/evil.cpp",
+     'constexpr const char* kDoc = R"USDL(<port mime="*/*"/>)USDL";\n'
+     "sched.schedule_after(\n"
+     "    period_, [this, id]() { tick(id); });\n"),
+    ("untagged-event", "src/rmi/evil.cpp",
+     "std::optional<sim::Timer> poll_timer_;\n"
+     "poll_timer_.emplace(runtime.scheduler(), sim::EventTag{}, [this]() { poll(); });\n"),
 ]
 
 CLEAN_SNIPPETS = [
@@ -411,6 +500,15 @@ CLEAN_SNIPPETS = [
      'metrics.counter("delivery.expired").inc(n);\n'
      '// the "delivery.expired" counter, named in a comment, is fine\n'
      'metrics.counter("delivery.expired_total").inc();\n'),
+    ("src/core/fine.cpp",
+     "runtime_.scheduler().schedule_after(\n"
+     "    jitter, [this, id]() { if (started_) announce(id, {1, 2}); },\n"
+     "    {sim::host_id(runtime_.host()), sim::tag_id(\"dir.probe-reply\")});\n"
+     "net_.scheduler().post([this]() { forget(); }, tag_);\n"
+     "Directory::Directory(Runtime& r)\n"
+     "    : refresh_(r.scheduler(), {0, sim::tag_id(\"dir.refresh\")}, [this]() { tick(); }) {}\n"
+     "sim::Timer refresh_;\n"
+     "refresh_.arm(max_age_ / 3);\n"),
     ("src/core/fine.cpp",
      "for (const auto& p : profiles_) { use(p); }\n"
      "for (auto& [k, v] : meta_) { use(k, v); }\n"
