@@ -227,7 +227,6 @@ BtMapper::BtMapper(BluetoothMedium& medium, const core::UsdlLibrary& library, Bt
     : Mapper("bluetooth"), medium_(medium), library_(library), costs_(costs) {}
 
 void BtMapper::start(core::Runtime& runtime) {
-  runtime_ = &runtime;
   if (auto r = medium_.attach_host(runtime.host()); !r.ok()) {
     log::Entry(log::Level::error, "bt") << "cannot join radio: " << r.error().to_string();
     return;
@@ -240,7 +239,7 @@ void BtMapper::start(core::Runtime& runtime) {
   listener_tokens_.push_back(
       medium_.add_device_listener([this](const BtDeviceInfo& info) { handle_device(info); }));
   listener_tokens_.push_back(medium_.add_device_gone_listener(
-      [this](const BtDeviceInfo& info) { handle_device_gone(info); }));
+      [this](const BtDeviceInfo& info) { gone(hex_address(info.address)); }));
 }
 
 void BtMapper::stop() {
@@ -252,24 +251,23 @@ void BtMapper::stop() {
 void BtMapper::crash() {
   stop();  // drop medium listeners, take the adapter off the air
   adapter_.reset();
-  by_address_.clear();
 }
 
 void BtMapper::handle_device(const BtDeviceInfo& info) {
-  if (runtime_ == nullptr || adapter_ == nullptr) return;
+  if (adapter_ == nullptr) return;
   if (info.address == adapter_->address()) return;  // ourselves
-  if (by_address_.count(info.address) != 0) return;
+  if (find(hex_address(info.address)) != nullptr) return;
 
   // Service-level bridging: SDP query, match records against USDL, import.
   // Discovery span: device seen on the piconet → translator advertised.
-  obs::Tracer& tracer = runtime_->network().tracer();
+  obs::Tracer& tracer = runtime().network().tracer();
   const std::uint64_t span = tracer.begin_span(tracer.new_trace(), "discovery",
-                                               runtime_->host(), runtime_->scheduler().now());
-  runtime_->network().metrics().counter("bt.sdp_queries").inc();
+                                               runtime().host(), runtime().scheduler().now());
+  runtime().network().metrics().counter("bt.sdp_queries").inc();
   sdp_query(medium_, adapter_->host(), info.address, "*",
             [this, info, span](Result<std::vector<SdpRecord>> records) {
               if (!records.ok()) {
-                runtime_->network().tracer().end_span(span, runtime_->scheduler().now());
+                runtime().network().tracer().end_span(span, runtime().scheduler().now());
                 log::Entry(log::Level::warn, "bt")
                     << "SDP query failed for " << info.name << ": "
                     << records.error().to_string();
@@ -279,33 +277,19 @@ void BtMapper::handle_device(const BtDeviceInfo& info) {
                 const core::UsdlService* usdl =
                     library_.find("bluetooth", record.service_uuid);
                 if (usdl == nullptr) continue;
-                auto translator =
-                    std::make_unique<BtTranslator>(*this, info, record, *usdl);
-                BtAddress address = info.address;
-                runtime_->instantiate(
-                    std::move(translator), [this, address, span](Result<TranslatorId> r) {
-                      runtime_->network().tracer().end_span(span, runtime_->scheduler().now());
-                      if (!r.ok()) {
-                        log::Entry(log::Level::warn, "bt")
-                            << "instantiate failed: " << r.error().to_string();
-                        return;
-                      }
-                      runtime_->network().metrics().counter("bt.devices_mapped").inc();
-                      by_address_[address] = r.value();
-                    });
+                import(hex_address(info.address),
+                       std::make_unique<BtTranslator>(*this, info, record, *usdl),
+                       [this, span](Result<TranslatorId> r) {
+                         runtime().network().tracer().end_span(span, runtime().scheduler().now());
+                         if (!r.ok()) return;
+                         runtime().network().metrics().counter("bt.devices_mapped").inc();
+                       });
                 return;  // one translator per device
               }
-              runtime_->network().tracer().end_span(span, runtime_->scheduler().now());
+              runtime().network().tracer().end_span(span, runtime().scheduler().now());
               log::Entry(log::Level::info, "bt")
                   << "no USDL match for " << info.name << "; not bridged";
             });
-}
-
-void BtMapper::handle_device_gone(const BtDeviceInfo& info) {
-  auto it = by_address_.find(info.address);
-  if (it == by_address_.end() || runtime_ == nullptr) return;
-  (void)runtime_->unmap(it->second);
-  by_address_.erase(it);
 }
 
 }  // namespace umiddle::bt

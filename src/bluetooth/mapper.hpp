@@ -18,7 +18,6 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <memory>
 
 #include "bluetooth/bip.hpp"
@@ -97,27 +96,22 @@ class BtMapper final : public core::Mapper {
 
   void start(core::Runtime& runtime) override;
   void stop() override;
-  /// Process death: the adapter falls off the piconet and the imported-device
-  /// table is forgotten, so a restart re-discovers and re-imports everything.
+  /// Process death: the adapter falls off the piconet.
   void crash() override;
 
   // --- base-protocol support used by translators --------------------------------
   BluetoothMedium& medium() { return medium_; }
-  core::Runtime& runtime() { return *runtime_; }
   const BtCosts& costs() const { return costs_; }
   BtAdapter& adapter() { return *adapter_; }
   std::uint16_t allocate_psm() { return next_psm_++; }
 
  private:
   void handle_device(const BtDeviceInfo& info);
-  void handle_device_gone(const BtDeviceInfo& info);
 
   BluetoothMedium& medium_;
   const core::UsdlLibrary& library_;
   BtCosts costs_;
-  core::Runtime* runtime_ = nullptr;
   std::unique_ptr<BtAdapter> adapter_;
-  std::map<BtAddress, TranslatorId> by_address_;
   std::vector<std::uint64_t> listener_tokens_;
   std::uint16_t next_psm_ = 0x1101;
 };

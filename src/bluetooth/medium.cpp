@@ -8,6 +8,8 @@ namespace {
 /// Bluetooth 1.2 ACL asymmetric rate, the figure the paper's era assumed.
 constexpr double kRadioBps = 723.2e3;
 
+}  // namespace
+
 std::string hex_address(BtAddress address) {
   static const char* digits = "0123456789abcdef";
   std::string out;
@@ -16,8 +18,6 @@ std::string hex_address(BtAddress address) {
   }
   return out;
 }
-
-}  // namespace
 
 BluetoothMedium::BluetoothMedium(net::Network& net) : net_(net) {
   net::SegmentSpec spec;

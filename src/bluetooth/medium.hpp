@@ -23,6 +23,10 @@ namespace umiddle::bt {
 
 using BtAddress = std::uint64_t;
 
+/// The 48-bit BD_ADDR as 12 lowercase hex digits (fixed width, so text order
+/// is address order).
+std::string hex_address(BtAddress address);
+
 /// Well-known L2CAP PSMs.
 constexpr std::uint16_t kPsmSdp = 0x0001;
 constexpr std::uint16_t kPsmHidControl = 0x0011;

@@ -130,6 +130,7 @@ void Directory::stop() {
   runtime_.network().udp_close({runtime_.host(), runtime_.config().directory_port});
   started_ = false;
   refresh_.cancel();
+  lifetime_.reset();
 }
 
 void Directory::crash() {
@@ -138,6 +139,7 @@ void Directory::crash() {
   // host's sockets and group memberships, and a dead process sends nothing.
   started_ = false;
   refresh_.cancel();
+  lifetime_.reset();
   entries_.clear();
   shape_index_.clear();
   nodes_.clear();
@@ -368,7 +370,7 @@ void Directory::handle_datagram(const net::Endpoint& from, const Bytes& payload)
     sim::Duration jitter =
         sim::milliseconds(5 + static_cast<std::int64_t>(runtime_.node().value() % 8) * 12);
     runtime_.scheduler().schedule_after(
-        jitter, [this]() { if (started_) announce_all_local(); },
+        jitter, lifetime_.guard([this]() { announce_all_local(); }),
         {sim::host_id(runtime_.host()), sim::tag_id("dir.probe-reply")});
   }
 }

@@ -174,6 +174,8 @@ class Directory {
   /// Soft-state refresh: re-announce local entries, expire silent remote ones.
   /// Armed while started.
   sim::Timer refresh_;
+  /// Guards pending probe replies; reset by stop() and crash().
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace umiddle::core

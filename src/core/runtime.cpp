@@ -39,7 +39,12 @@ Result<void> Runtime::start() {
 
 void Runtime::stop() {
   if (!started_) return;
-  for (auto& mapper : mappers_) mapper->stop();
+  lifetime_.reset();
+  instantiating_.clear();
+  for (auto& mapper : mappers_) {
+    mapper->stop();
+    mapper->forget_imports();
+  }
   // Unmap in id order; withdraw notifies listeners and multicasts byes.
   while (!translators_.empty()) {
     (void)unmap(translators_.begin()->first);
@@ -58,7 +63,12 @@ void Runtime::crash() {
   // …then drop all process state. No unmap notifications, no byes: nothing of
   // this runtime survives, and nothing is sent. Translator ids restart from 1
   // on the next start(), like a fresh process of the same node.
-  for (auto& mapper : mappers_) mapper->crash();
+  lifetime_.reset();
+  instantiating_.clear();
+  for (auto& mapper : mappers_) {
+    mapper->crash();
+    mapper->forget_imports();
+  }
   translators_.clear();
   directory_->crash();
   transport_->crash();
@@ -85,24 +95,26 @@ Result<TranslatorId> Runtime::map(std::unique_ptr<Translator> translator) {
   return id;
 }
 
-void Runtime::instantiate(std::unique_ptr<Translator> translator,
-                          std::function<void(Result<TranslatorId>)> done) {
+std::uint64_t Runtime::instantiate(std::unique_ptr<Translator> translator,
+                                   std::function<void(Result<TranslatorId>)> done) {
   if (translator == nullptr) {
     if (done) done(make_error(Errc::invalid_argument, "null translator"));
-    return;
+    return 0;
   }
   sim::Duration cost = config_.costs.instantiation_cost(
       translator->profile().shape.size(), translator->hierarchy_entities());
-  // Shared ownership only to move the translator through the std::function
-  // (which requires copyability); the lambda is the sole holder.
-  auto holder = std::make_shared<std::unique_ptr<Translator>>(std::move(translator));
+  const std::uint64_t ticket = ++instantiation_seq_;
+  instantiating_.emplace(ticket, std::move(translator));
   sched_.schedule_after(
       cost,
-      [this, holder, done = std::move(done)]() {
-        auto result = map(std::move(*holder));
+      lifetime_.guard([this, ticket, done = std::move(done)]() {
+        auto pending = instantiating_.extract(ticket);
+        if (pending.empty()) return;  // abandoned
+        auto result = map(std::move(pending.mapped()));
         if (done) done(std::move(result));
-      },
+      }),
       {sim::host_id(host_), sim::tag_id("runtime.instantiate")});
+  return ticket;
 }
 
 Result<void> Runtime::unmap(TranslatorId id) {
@@ -124,6 +136,7 @@ Translator* Runtime::translator(TranslatorId id) {
 
 void Runtime::add_mapper(std::unique_ptr<Mapper> mapper) {
   Mapper* raw = mapper.get();
+  raw->runtime_ = this;
   mappers_.push_back(std::move(mapper));
   if (started_) raw->start(*this);
 }

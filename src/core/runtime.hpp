@@ -31,6 +31,7 @@
 #include "core/transport.hpp"
 #include "netsim/network.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::core {
 
@@ -102,9 +103,14 @@ class Runtime {
   /// Register a translator immediately (no instantiation cost) and advertise it.
   [[nodiscard]] Result<TranslatorId> map(std::unique_ptr<Translator> translator);
   /// Mapper path: charge the Fig. 10 instantiation cost in virtual time, then
-  /// map. `done` (optional) receives the assigned id.
-  void instantiate(std::unique_ptr<Translator> translator,
-                   std::function<void(Result<TranslatorId>)> done = {});
+  /// map. `done` (optional) receives the assigned id. Returns a ticket for
+  /// abandon(). If the runtime stops, crashes or is destroyed first, nothing
+  /// is mapped and `done` is not called.
+  std::uint64_t instantiate(std::unique_ptr<Translator> translator,
+                            std::function<void(Result<TranslatorId>)> done = {});
+  /// Drop a pending instantiation: its translator is destroyed now, nothing
+  /// is mapped and its `done` is not called. No-op once it mapped.
+  void abandon(std::uint64_t ticket) { instantiating_.erase(ticket); }
   [[nodiscard]] Result<void> unmap(TranslatorId id);
   /// Locally hosted translator by id, or nullptr.
   Translator* translator(TranslatorId id);
@@ -145,6 +151,13 @@ class Runtime {
   std::map<TranslatorId, std::unique_ptr<Translator>> translators_;
   std::vector<std::unique_ptr<Mapper>> mappers_;
   std::uint64_t translator_seq_ = 0;
+  /// Translators whose instantiation cost is being charged, by ticket. Owned
+  /// here, not by the one-shot, so they never outlive their mapper; declared
+  /// after mappers_ so they are destroyed first.
+  std::map<std::uint64_t, std::unique_ptr<Translator>> instantiating_;
+  std::uint64_t instantiation_seq_ = 0;
+  /// Guards the instantiation one-shots; reset by stop() and crash().
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace umiddle::core

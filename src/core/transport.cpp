@@ -97,6 +97,7 @@ void Transport::teardown(bool close_streams) {
   remote_paths_.clear();
   recv_ = {};
   breakers_.clear();
+  lifetime_.reset();
   started_ = false;
 }
 
@@ -365,12 +366,12 @@ void Transport::drain(Path& path) {
       path.drain_scheduled = true;
       runtime_.scheduler().schedule_after(
           delay,
-          [this, id = path.id]() {
+          lifetime_.guard([this, id = path.id]() {
             auto it = paths_.find(id);
             if (it == paths_.end()) return;
             it->second.drain_scheduled = false;
             drain(it->second);
-          },
+          }),
           {sim::host_id(runtime_.host()), sim::tag_id("umtp.drain")});
       return;
     }
@@ -392,10 +393,14 @@ void Transport::drain(Path& path) {
   translate_ns_.observe(cost.count());
   runtime_.scheduler().schedule_after(
       cost,
-      [this, id, span, item = std::move(item)]() mutable {
+      [this, alive = lifetime_.token(), &tracer = tracer(), &sched = runtime_.scheduler(), id,
+       span, item = std::move(item)]() mutable {
         // Close the span first: the translation work happened even if the path
-        // was disconnected mid-flight (span-pairing invariant, tests/obs_test).
-        tracer().end_span(span, now());
+        // was disconnected, or this transport stopped or destroyed, mid-flight
+        // (span-pairing invariant, tests/obs_test). The tracer and scheduler
+        // are world state and outlive the runtime.
+        tracer.end_span(span, sched.now());
+        if (!*alive) return;
         auto it = paths_.find(id);
         if (it == paths_.end()) return;  // path disconnected while translating
         it->second.drain_scheduled = false;
@@ -644,7 +649,7 @@ void Transport::handle_link_close(NodeId node) {
   const bool reset = started_ && link.stream != nullptr && link.stream->was_reset();
   if (!reset) {
     // Graceful close (peer stop, or our own): drop the link as always.
-    runtime_.scheduler().post([this, node]() { links_.erase(node); },
+    runtime_.scheduler().post(lifetime_.guard([this, node]() { links_.erase(node); }),
                               {sim::host_id(runtime_.host()), sim::tag_id("umtp.link-close")});
     return;
   }
@@ -683,15 +688,15 @@ void Transport::schedule_reconnect(NodeLink& link) {
   const int exponent = std::min(link.attempts - 1, 30);
   runtime_.scheduler().schedule_after(
       jittered(std::min(base << exponent, cap)),
-      [this, node = link.node]() {
+      lifetime_.guard([this, node = link.node]() {
         auto l = links_.find(node);
-        // Gone (given up, or this node stopped), or already re-opened.
-        if (!started_ || l == links_.end() || l->second.stream != nullptr) return;
+        // Gone (given up), or already re-opened.
+        if (l == links_.end() || l->second.stream != nullptr) return;
         // On success the handshake is in flight and lands in handle_link_up;
         // if the fault plane resets the new stream mid-handshake,
         // handle_link_close schedules the next attempt.
         if (!open_stream(l->second)) schedule_reconnect(l->second);
-      },
+      }),
       {sim::host_id(runtime_.host()), sim::tag_id("umtp.reconnect")});
 }
 

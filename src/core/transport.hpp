@@ -283,6 +283,9 @@ class Transport final : public DirectoryListener {
   LinkSession::Receiver recv_;
   std::map<TranslatorId, Breaker> breakers_;
   IdGenerator<PathId> path_seq_;
+  /// Guards drain, translate, link-close and reconnect one-shots; reset by
+  /// stop() and crash().
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace umiddle::core

@@ -14,8 +14,8 @@ Result<void> MbClient::connect() {
   auto stream = net_.connect(host_, server_);
   if (!stream.ok()) return stream.error();
   stream_ = stream.value();
-  stream_->on_connected([this]() { connected_ = true; });
-  stream_->on_data([this](std::span<const std::uint8_t> chunk) {
+  stream_->on_connected(lifetime_.guard([this]() { connected_ = true; }));
+  stream_->on_data(lifetime_.guard([this](std::span<const std::uint8_t> chunk) {
     std::vector<Frame> frames;
     if (auto r = decoder_.feed(chunk, frames); !r.ok()) {
       log::Entry(log::Level::warn, "mb") << "bad frame: " << r.error().to_string();
@@ -39,8 +39,8 @@ Result<void> MbClient::connect() {
           break;
       }
     }
-  });
-  stream_->on_close([this]() { connected_ = false; });
+  }));
+  stream_->on_close(lifetime_.guard([this]() { connected_ = false; }));
   return ok_result();
 }
 

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "mediabroker/server.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::mb {
 
@@ -57,6 +58,9 @@ class MbClient {
   AnnounceFn on_announce_;
   std::uint64_t frames_received_ = 0;
   std::uint64_t bytes_received_ = 0;
+  /// Guards the stream handlers: a closed stream's close handler runs after
+  /// its queued bytes drain, possibly after this client is destroyed.
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace umiddle::mb

@@ -110,7 +110,6 @@ MbMapper::MbMapper(net::Endpoint server, const core::UsdlLibrary& library)
     : Mapper("mb"), server_(std::move(server)), library_(library) {}
 
 void MbMapper::start(core::Runtime& runtime) {
-  runtime_ = &runtime;
   watcher_ = std::make_unique<MbClient>(runtime.network(), runtime.host(), server_);
   watcher_->on_announce([this](const std::string& stream, const std::string& type,
                                bool alive) { handle_announce(stream, type, alive); });
@@ -127,31 +126,18 @@ void MbMapper::stop() {
 
 void MbMapper::handle_announce(const std::string& stream, const std::string& media_type,
                                bool alive) {
-  if (runtime_ == nullptr) return;
   if (!alive) {
-    auto it = by_stream_.find(stream);
-    if (it != by_stream_.end()) {
-      (void)runtime_->unmap(it->second);
-      by_stream_.erase(it);
-    }
+    gone(stream);
     return;
   }
-  if (by_stream_.count(stream) != 0) return;
+  if (find(stream) != nullptr) return;
   if (stream.size() > 4 && stream.rfind("-out") == stream.size() - 4) return;  // our own
   const core::UsdlService* usdl = library_.find("mb", "mb:" + media_type);
   if (usdl == nullptr) {
     log::Entry(log::Level::info, "mb") << "no USDL for media type " << media_type;
     return;
   }
-  auto translator = std::make_unique<MbTranslator>(*this, stream, media_type, *usdl);
-  std::string name = stream;
-  runtime_->instantiate(std::move(translator), [this, name](Result<TranslatorId> r) {
-    if (!r.ok()) {
-      log::Entry(log::Level::warn, "mb") << "instantiate failed: " << r.error().to_string();
-      return;
-    }
-    by_stream_[name] = r.value();
-  });
+  import(stream, std::make_unique<MbTranslator>(*this, stream, media_type, *usdl));
 }
 
 void register_mb_usdl(core::UsdlLibrary& library) {

@@ -12,7 +12,6 @@
 //       subscribe to translated traffic without colliding with the original).
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "core/umiddle.hpp"
@@ -53,7 +52,6 @@ class MbMapper final : public core::Mapper {
   void start(core::Runtime& runtime) override;
   void stop() override;
 
-  core::Runtime& runtime() { return *runtime_; }
   const net::Endpoint& server() const { return server_; }
 
  private:
@@ -61,9 +59,7 @@ class MbMapper final : public core::Mapper {
 
   net::Endpoint server_;
   const core::UsdlLibrary& library_;
-  core::Runtime* runtime_ = nullptr;
   std::unique_ptr<MbClient> watcher_;
-  std::map<std::string, TranslatorId> by_stream_;
 };
 
 /// Register built-in USDL documents for common MB media types

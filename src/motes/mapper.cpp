@@ -72,7 +72,6 @@ MoteMapper::MoteMapper(MoteField& field, const core::UsdlLibrary& library,
     : Mapper("motes"), field_(field), library_(library), silence_timeout_(silence_timeout) {}
 
 void MoteMapper::start(core::Runtime& runtime) {
-  runtime_ = &runtime;
   sweep_timer_.emplace(runtime.scheduler(),
                        sim::EventTag{sim::host_id(runtime.host()), sim::tag_id("motes.sweep")},
                        [this]() { sweep(); });
@@ -92,12 +91,8 @@ void MoteMapper::start(core::Runtime& runtime) {
 }
 
 void MoteMapper::stop() {
-  // The runtime unmaps (or, on crash, drops) every translator imported so far.
   sweep_timer_.reset();
-  by_mote_.clear();
-  if (runtime_ != nullptr) {
-    runtime_->network().udp_close({runtime_->host(), kAmPort});
-  }
+  runtime().network().udp_close({runtime().host(), kAmPort});
 }
 
 void MoteMapper::handle_packet(const Bytes& payload) {
@@ -105,48 +100,23 @@ void MoteMapper::handle_packet(const Bytes& payload) {
   if (!reading.ok()) return;  // radio noise
   const Reading& r = reading.value();
 
-  auto it = by_mote_.find(r.mote_id);
-  if (it != by_mote_.end()) {
-    it->second.last_heard = runtime_->scheduler().now();
-    if (!it->second.pending) {
-      if (auto* t = dynamic_cast<MoteTranslator*>(runtime_->translator(it->second.id))) {
-        t->handle_reading(r);
-      }
+  const std::string key = std::to_string(r.mote_id);
+  if (const Import* known = seen(key, runtime().scheduler().now())) {
+    if (!known->id) return;  // still importing
+    if (auto* t = dynamic_cast<MoteTranslator*>(runtime().translator(*known->id))) {
+      t->handle_reading(r);
     }
     return;
   }
-
   const core::UsdlService* usdl =
       library_.find("motes", "mote:" + std::string(to_string(r.kind)));
   if (usdl == nullptr) return;
-  Entry entry;
-  entry.pending = true;
-  entry.last_heard = runtime_->scheduler().now();
-  by_mote_[r.mote_id] = entry;
-  auto translator = std::make_unique<MoteTranslator>(r.mote_id, r.kind, *usdl);
-  std::uint16_t mote_id = r.mote_id;
-  runtime_->instantiate(std::move(translator), [this, mote_id](Result<TranslatorId> res) {
-    auto entry_it = by_mote_.find(mote_id);
-    if (entry_it == by_mote_.end()) return;
-    if (!res.ok()) {
-      by_mote_.erase(entry_it);
-      return;
-    }
-    entry_it->second.id = res.value();
-    entry_it->second.pending = false;
-  });
+  import(key, std::make_unique<MoteTranslator>(r.mote_id, r.kind, *usdl));
 }
 
 void MoteMapper::sweep() {
-  sim::TimePoint now = runtime_->scheduler().now();
-  for (auto it = by_mote_.begin(); it != by_mote_.end();) {
-    if (!it->second.pending && now - it->second.last_heard > silence_timeout_) {
-      (void)runtime_->unmap(it->second.id);
-      it = by_mote_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // A mote silent for longer than the timeout is gone (motes never say bye).
+  forget_unseen(runtime().scheduler().now() - silence_timeout_);
   sweep_timer_->arm(silence_timeout_ / 2);
 }
 

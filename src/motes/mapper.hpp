@@ -10,7 +10,6 @@
 // and never say goodbye) and its translator is unmapped.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -47,20 +46,12 @@ class MoteMapper final : public core::Mapper {
   void stop() override;
 
  private:
-  struct Entry {
-    TranslatorId id;
-    sim::TimePoint last_heard{};
-    bool pending = false;
-  };
-
   void handle_packet(const Bytes& payload);
   void sweep();
 
   MoteField& field_;
   const core::UsdlLibrary& library_;
   sim::Duration silence_timeout_;
-  core::Runtime* runtime_ = nullptr;
-  std::map<std::uint16_t, Entry> by_mote_;
   std::optional<sim::Timer> sweep_timer_;  ///< next silence sweep; set while started
 };
 

@@ -183,6 +183,10 @@ void Stream::drop_handlers() {
   on_connected_ = nullptr;
   on_data_ = nullptr;
   on_drain_ = nullptr;
+  // Destroying a close handler may close this very stream (a captured
+  // RmiConnection closes its stream in its destructor), which walks on_close_:
+  // detach the handlers before any of them is destroyed.
+  auto on_close = std::move(on_close_);
   on_close_.clear();
 }
 

@@ -107,7 +107,6 @@ RmiMapper::RmiMapper(net::Endpoint registry, const core::UsdlLibrary& library,
       gateway_port_(gateway_port), poll_interval_(poll_interval) {}
 
 void RmiMapper::start(core::Runtime& runtime) {
-  runtime_ = &runtime;
   poll_timer_.emplace(runtime.scheduler(),
                       sim::EventTag{sim::host_id(runtime.host()), sim::tag_id("rmi.poll")},
                       [this]() { poll(); });
@@ -127,7 +126,6 @@ void RmiMapper::stop() {
   // runtime unmaps (or, on crash, drops) every translator imported so far.
   poll_timer_.reset();
   lifetime_.reset();
-  by_name_.clear();
   if (gateway_) gateway_->stop();
 }
 
@@ -139,34 +137,16 @@ void RmiMapper::poll() {
 }
 
 void RmiMapper::handle_listing(const std::vector<Binding>& bindings) {
-  std::set<std::string> seen;
+  const sim::TimePoint now = runtime().scheduler().now();
   for (const Binding& binding : bindings) {
     if (binding.name.rfind("umiddle-gw-", 0) == 0) continue;  // our own gateways
-    seen.insert(binding.name);
-    if (by_name_.count(binding.name) != 0 || pending_.count(binding.name) != 0) continue;
+    if (seen(binding.name, now) != nullptr) continue;
     const core::UsdlService* usdl = library_.find("rmi", binding.type);
     if (usdl == nullptr) continue;
-    pending_.insert(binding.name);
-    auto translator = std::make_unique<RmiTranslator>(*this, binding, *usdl);
-    std::string name = binding.name;
-    runtime_->instantiate(std::move(translator), [this, name](Result<TranslatorId> r) {
-      pending_.erase(name);
-      if (!r.ok()) {
-        log::Entry(log::Level::warn, "rmi") << "instantiate failed: " << r.error().to_string();
-        return;
-      }
-      by_name_[name] = r.value();
-    });
+    import(binding.name, std::make_unique<RmiTranslator>(*this, binding, *usdl));
   }
   // Bindings that vanished from the registry → unmap their translators.
-  for (auto it = by_name_.begin(); it != by_name_.end();) {
-    if (seen.count(it->first) == 0) {
-      (void)runtime_->unmap(it->second);
-      it = by_name_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  forget_unseen(now);
 }
 
 void RmiMapper::export_gateway(RmiTranslator& translator, const std::string& method) {
@@ -181,7 +161,7 @@ void RmiMapper::export_gateway(RmiTranslator& translator, const std::string& met
 
 void RmiMapper::bind_gateway_in_registry(const std::string& service_name) {
   registry_client_->bind(
-      Binding{"umiddle-gw-" + service_name, "umiddle:gateway", runtime_->host(), gateway_port_},
+      Binding{"umiddle-gw-" + service_name, "umiddle:gateway", runtime().host(), gateway_port_},
       [](Result<void> r) {
         if (!r.ok()) {
           log::Entry(log::Level::warn, "rmi")

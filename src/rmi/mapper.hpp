@@ -15,10 +15,8 @@
 //       from the binding's (output) port.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 
 #include "core/umiddle.hpp"
 #include "rmi/service.hpp"
@@ -60,8 +58,7 @@ class RmiMapper final : public core::Mapper {
   void stop() override;
 
   // --- base-protocol support used by translators -------------------------------
-  core::Runtime& runtime() { return *runtime_; }
-  net::Network& network() { return runtime_->network(); }
+  net::Network& network() { return runtime().network(); }
   const net::Endpoint& registry() const { return registry_; }
   RmiObjectServer& gateway_server() { return *gateway_; }
   /// Register/unregister a gateway object for a translator.
@@ -76,11 +73,8 @@ class RmiMapper final : public core::Mapper {
   const core::UsdlLibrary& library_;
   std::uint16_t gateway_port_;
   sim::Duration poll_interval_;
-  core::Runtime* runtime_ = nullptr;
   std::unique_ptr<RmiObjectServer> gateway_;
   std::unique_ptr<RegistryClient> registry_client_;
-  std::map<std::string, TranslatorId> by_name_;
-  std::set<std::string> pending_;  ///< instantiating, not yet mapped
   std::optional<sim::Timer> poll_timer_;  ///< next registry poll; set while started
   sim::Lifetime lifetime_;                ///< ends at stop/crash
 };

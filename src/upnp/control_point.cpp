@@ -47,6 +47,7 @@ void ControlPoint::stop() {
   if (!started_) return;
   ssdp_.stop();
   callback_server_.stop();
+  lifetime_.reset();
   started_ = false;
 }
 
@@ -77,7 +78,7 @@ void ControlPoint::fetch_description(const std::string& udn, const std::string& 
   req.method = "GET";
   req.path = uri.value().path;
   http_fetch(net_, host_, uri.value(), std::move(req),
-             [this, udn, location](Result<HttpResponse> r) {
+             lifetime_.guard([this, udn, location](Result<HttpResponse> r) {
                if (!r.ok() || r.value().status != 200) {
                  log::Entry(log::Level::warn, "upnp-cp")
                      << "description fetch failed for " << location;
@@ -87,7 +88,8 @@ void ControlPoint::fetch_description(const std::string& udn, const std::string& 
                // Charge CyberLink-era description parsing before reporting.
                std::string body = r.value().body;
                net_.scheduler().schedule_after(
-                   costs_.description_parse, [this, udn, location, body]() {
+                   costs_.description_parse,
+                   lifetime_.guard([this, udn, location, body]() {
                      auto desc = DeviceDescription::from_xml_text(body);
                      if (!desc.ok()) {
                        log::Entry(log::Level::warn, "upnp-cp")
@@ -97,9 +99,9 @@ void ControlPoint::fetch_description(const std::string& udn, const std::string& 
                        return;
                      }
                      if (on_device_) on_device_(desc.value(), location);
-                   },
+                   }),
                    {sim::host_id(host_), sim::tag_id("upnp.describe")});
-             });
+             }));
 }
 
 void ControlPoint::invoke(const std::string& control_url, ActionRequest request,
@@ -112,45 +114,49 @@ void ControlPoint::invoke(const std::string& control_url, ActionRequest request,
   // Charge request marshalling, then POST.
   net_.scheduler().schedule_after(
       costs_.soap_marshal,
-      [this, uri = uri.value(), request = std::move(request), done = std::move(done)]() mutable {
+      lifetime_.guard([this, uri = uri.value(), request = std::move(request),
+                       done = std::move(done)]() mutable {
         HttpRequest post;
         post.method = "POST";
         post.path = uri.path;
         post.headers["soapaction"] = request.soap_action_header();
         post.headers["content-type"] = "text/xml; charset=\"utf-8\"";
         post.body = std::move(request).to_envelope();
-        http_fetch(net_, host_, uri, std::move(post), [this, done](Result<HttpResponse> r) {
-          if (!r.ok()) {
-            done(r.error());
-            return;
-          }
-          // Charge response unmarshalling, then parse and report.
-          auto resp = std::make_shared<HttpResponse>(std::move(r).take());
-          net_.scheduler().schedule_after(
-              costs_.soap_unmarshal,
-              [resp, done]() {
-                if (resp->status == 200) {
-                  auto parsed = ActionResponse::from_envelope(resp->body);
-                  if (!parsed.ok()) {
-                    done(parsed.error());
-                  } else {
-                    done(std::move(parsed).take());
-                  }
-                  return;
-                }
-                auto fault = SoapFault::from_envelope(resp->body);
-                if (fault.ok()) {
-                  done(make_error(Errc::refused,
-                                  "UPnP error " + std::to_string(fault.value().error_code) + ": " +
-                                      fault.value().description));
-                } else {
-                  done(make_error(Errc::protocol_error,
-                                  "HTTP " + std::to_string(resp->status) + " from control URL"));
-                }
-              },
-              {sim::host_id(host_), sim::tag_id("upnp.marshal")});
-        });
-      },
+        http_fetch(net_, host_, uri, std::move(post),
+                   lifetime_.guard([this, done](Result<HttpResponse> r) {
+                     if (!r.ok()) {
+                       done(r.error());
+                       return;
+                     }
+                     // Charge response unmarshalling, then parse and report.
+                     auto resp = std::make_shared<HttpResponse>(std::move(r).take());
+                     net_.scheduler().schedule_after(
+                         costs_.soap_unmarshal,
+                         [resp, done]() {
+                           if (resp->status == 200) {
+                             auto parsed = ActionResponse::from_envelope(resp->body);
+                             if (!parsed.ok()) {
+                               done(parsed.error());
+                             } else {
+                               done(std::move(parsed).take());
+                             }
+                             return;
+                           }
+                           auto fault = SoapFault::from_envelope(resp->body);
+                           if (fault.ok()) {
+                             done(make_error(Errc::refused,
+                                             "UPnP error " +
+                                                 std::to_string(fault.value().error_code) +
+                                                 ": " + fault.value().description));
+                           } else {
+                             done(make_error(Errc::protocol_error,
+                                             "HTTP " + std::to_string(resp->status) +
+                                                 " from control URL"));
+                           }
+                         },
+                         {sim::host_id(host_), sim::tag_id("upnp.marshal")});
+                   }));
+      }),
       {sim::host_id(host_), sim::tag_id("upnp.marshal")});
 }
 

@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 
+#include "sim/timer.hpp"
 #include "upnp/description.hpp"
 #include "upnp/device.hpp"
 #include "upnp/gena.hpp"
@@ -73,6 +74,8 @@ class ControlPoint {
   std::uint64_t next_callback_ = 1;
   DeviceFn on_device_;
   DeviceGoneFn on_device_gone_;
+  /// Guards fetch, parse and SOAP completions; reset by stop().
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace umiddle::upnp

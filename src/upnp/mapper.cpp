@@ -172,12 +172,11 @@ UpnpMapper::UpnpMapper(const core::UsdlLibrary& library, std::uint16_t callback_
     : Mapper("upnp"), library_(library), callback_port_(callback_port), costs_(costs) {}
 
 void UpnpMapper::start(core::Runtime& runtime) {
-  runtime_ = &runtime;
   control_point_ = std::make_unique<ControlPoint>(runtime.network(), runtime.host(),
                                                   callback_port_, costs_);
   control_point_->on_device(
       [this](const DeviceDescription& d, const std::string& l) { handle_device(d, l); });
-  control_point_->on_device_gone([this](const std::string& udn) { handle_device_gone(udn); });
+  control_point_->on_device_gone([this](const std::string& udn) { gone(udn); });
   if (auto r = control_point_->start(); !r.ok()) {
     log::Entry(log::Level::error, "upnp") << "control point failed: " << r.error().to_string();
     return;
@@ -189,17 +188,9 @@ void UpnpMapper::stop() {
   if (control_point_) control_point_->stop();
 }
 
-void UpnpMapper::crash() {
-  // The fault plane already dropped this host's sockets; the control point's
-  // teardown is idempotent against that. Forgetting by_udn_ is what makes a
-  // restart re-import devices instead of treating them as already mapped.
-  by_udn_.clear();
-  control_point_.reset();
-}
-
 void UpnpMapper::handle_device(const DeviceDescription& description,
                                const std::string& location) {
-  if (runtime_ == nullptr || by_udn_.count(description.udn) != 0) return;
+  if (find(description.udn) != nullptr) return;
   const core::UsdlService* usdl = library_.find("upnp", description.device_type);
   if (usdl == nullptr) {
     log::Entry(log::Level::info, "upnp")
@@ -207,30 +198,18 @@ void UpnpMapper::handle_device(const DeviceDescription& description,
         << "); not bridged";
     return;
   }
-  std::string udn = description.udn;
   // Discovery span: SSDP description in hand → translator instantiated and
   // advertised (the paper's Fig. 10 "device bridged" latency).
-  obs::Tracer& tracer = runtime_->network().tracer();
+  obs::Tracer& tracer = runtime().network().tracer();
   const std::uint64_t span = tracer.begin_span(tracer.new_trace(), "discovery",
-                                               runtime_->host(), runtime_->scheduler().now());
-  auto translator = std::make_unique<UpnpTranslator>(*this, description, *usdl);
-  runtime_->instantiate(std::move(translator), [this, udn, span](Result<TranslatorId> r) {
-    runtime_->network().tracer().end_span(span, runtime_->scheduler().now());
-    if (!r.ok()) {
-      log::Entry(log::Level::warn, "upnp") << "instantiate failed: " << r.error().to_string();
-      return;
-    }
-    runtime_->network().metrics().counter("upnp.devices_mapped").inc();
-    by_udn_[udn] = r.value();
-    log::Entry(log::Level::info, "upnp") << "mapped UPnP device " << udn;
-  });
-}
-
-void UpnpMapper::handle_device_gone(const std::string& udn) {
-  auto it = by_udn_.find(udn);
-  if (it == by_udn_.end() || runtime_ == nullptr) return;
-  (void)runtime_->unmap(it->second);
-  by_udn_.erase(it);
+                                               runtime().host(), runtime().scheduler().now());
+  import(description.udn, std::make_unique<UpnpTranslator>(*this, description, *usdl),
+         [this, udn = description.udn, span](Result<TranslatorId> r) {
+           runtime().network().tracer().end_span(span, runtime().scheduler().now());
+           if (!r.ok()) return;
+           runtime().network().metrics().counter("upnp.devices_mapped").inc();
+           log::Entry(log::Level::info, "upnp") << "mapped UPnP device " << udn;
+         });
 }
 
 }  // namespace umiddle::upnp

@@ -12,7 +12,6 @@
 //       emitted from the binding's (output) port.
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "core/umiddle.hpp"
@@ -76,25 +75,18 @@ class UpnpMapper final : public core::Mapper {
 
   void start(core::Runtime& runtime) override;
   void stop() override;
-  /// Process death: forget the imported-device table so a restarted mapper
-  /// re-discovers and re-imports every device under fresh translator ids.
-  void crash() override;
 
   // --- base-protocol support used by translators -------------------------------
   ControlPoint& control_point() { return *control_point_; }
-  core::Runtime& runtime() { return *runtime_; }
   const UpnpCosts& costs() const { return costs_; }
 
  private:
   void handle_device(const DeviceDescription& description, const std::string& location);
-  void handle_device_gone(const std::string& udn);
 
   const core::UsdlLibrary& library_;
   std::uint16_t callback_port_;
   UpnpCosts costs_;
-  core::Runtime* runtime_ = nullptr;
   std::unique_ptr<ControlPoint> control_point_;
-  std::map<std::string, TranslatorId> by_udn_;
 };
 
 /// Register the built-in USDL documents for the emulated UPnP devices

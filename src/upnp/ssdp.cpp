@@ -44,6 +44,7 @@ void SsdpAgent::stop() {
   for (const SsdpAnnouncement& a : advertised_) send_notify(a, /*alive=*/false);
   net_.leave_group(host_, kSsdpGroup);
   net_.udp_close({host_, kSsdpPort});
+  lifetime_.reset();
   started_ = false;
 }
 
@@ -130,10 +131,9 @@ void SsdpAgent::handle_datagram(const net::Endpoint& from, const Bytes& payload)
     }
     net_.scheduler().schedule_after(
         delay,
-        [this, from, matched]() {
-          if (!started_) return;
+        lifetime_.guard([this, from, matched]() {
           for (const SsdpAnnouncement& a : matched) answer_search(from, a);
-        },
+        }),
         {sim::host_id(host_), sim::tag_id("upnp.ssdp")});
   }
 }

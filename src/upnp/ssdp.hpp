@@ -12,6 +12,7 @@
 
 #include "netsim/network.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::upnp {
 
@@ -60,6 +61,8 @@ class SsdpAgent {
   bool started_ = false;
   std::vector<SsdpAnnouncement> advertised_;
   AnnouncementFn on_announcement_;
+  /// Guards pending search replies; reset by stop().
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace umiddle::upnp

@@ -53,7 +53,10 @@ void WsTranslator::on_mapped() {
   }
 }
 
-void WsTranslator::on_unmapped() { lifetime_.reset(); }
+void WsTranslator::on_unmapped() {
+  lifetime_.reset();
+  mapper_.drop_webhooks(*this);
+}
 
 Result<void> WsTranslator::deliver(const std::string& port, const core::Message& msg) {
   for (const core::UsdlBinding* b : usdl_.bindings_for(port)) {
@@ -103,7 +106,6 @@ WsMapper::WsMapper(std::string listing_url, const core::UsdlLibrary& library,
       webhook_port_(webhook_port), poll_interval_(poll_interval) {}
 
 void WsMapper::start(core::Runtime& runtime) {
-  runtime_ = &runtime;
   poll_timer_.emplace(runtime.scheduler(),
                       sim::EventTag{sim::host_id(runtime.host()), sim::tag_id("ws.poll")},
                       [this]() { poll(); });
@@ -136,7 +138,6 @@ void WsMapper::stop() {
   // runtime unmaps (or, on crash, drops) every translator imported so far.
   poll_timer_.reset();
   lifetime_.reset();
-  by_name_.clear();
   if (webhook_server_) webhook_server_->stop();
   webhooks_.clear();
 }
@@ -144,11 +145,15 @@ void WsMapper::stop() {
 std::string WsMapper::register_webhook(WsTranslator& translator) {
   std::string path = "/hook/" + std::to_string(next_webhook_++);
   webhooks_[path] = &translator;
-  return "http://" + runtime_->host() + ":" + std::to_string(webhook_port_) + path;
+  return "http://" + runtime().host() + ":" + std::to_string(webhook_port_) + path;
+}
+
+void WsMapper::drop_webhooks(const WsTranslator& translator) {
+  std::erase_if(webhooks_, [&](const auto& hook) { return hook.second == &translator; });
 }
 
 void WsMapper::poll() {
-  ws_list(runtime_->network(), runtime_->host(), listing_url_,
+  ws_list(runtime().network(), runtime().host(), listing_url_,
           lifetime_.guard([this](Result<std::vector<WsEntry>> entries) {
             if (entries.ok()) handle_listing(entries.value());
             poll_timer_->arm(poll_interval_);
@@ -156,36 +161,15 @@ void WsMapper::poll() {
 }
 
 void WsMapper::handle_listing(const std::vector<WsEntry>& entries) {
-  std::set<std::string> seen;
+  const sim::TimePoint now = runtime().scheduler().now();
   for (const WsEntry& entry : entries) {
-    seen.insert(entry.name);
-    if (by_name_.count(entry.name) != 0 || pending_.count(entry.name) != 0) continue;
+    if (seen(entry.name, now) != nullptr) continue;
     const core::UsdlService* usdl = library_.find("ws", "ws:" + entry.type);
     if (usdl == nullptr) continue;
-    pending_.insert(entry.name);
-    auto translator = std::make_unique<WsTranslator>(*this, entry, *usdl);
-    std::string name = entry.name;
-    runtime_->instantiate(std::move(translator), [this, name](Result<TranslatorId> r) {
-      pending_.erase(name);
-      if (!r.ok()) {
-        log::Entry(log::Level::warn, "ws") << "instantiate failed: " << r.error().to_string();
-        return;
-      }
-      by_name_[name] = r.value();
-    });
+    import(entry.name, std::make_unique<WsTranslator>(*this, entry, *usdl));
   }
-  // Webhook registrations of vanished translators are dropped with them.
-  for (auto it = by_name_.begin(); it != by_name_.end();) {
-    if (seen.count(it->first) == 0) {
-      std::erase_if(webhooks_, [&](const auto& hook) {
-        return hook.second->profile().id == it->second;
-      });
-      (void)runtime_->unmap(it->second);
-      it = by_name_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  // Services that vanished from the listing → unmap their translators.
+  forget_unseen(now);
 }
 
 void register_ws_usdl(core::UsdlLibrary& library) {

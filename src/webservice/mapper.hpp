@@ -15,7 +15,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 
 #include "core/umiddle.hpp"
 #include "sim/timer.hpp"
@@ -57,9 +56,10 @@ class WsMapper final : public core::Mapper {
   void start(core::Runtime& runtime) override;
   void stop() override;
 
-  core::Runtime& runtime() { return *runtime_; }
   /// Register a webhook path for a translator; returns the full URL.
   std::string register_webhook(WsTranslator& translator);
+  /// Drop every webhook path registered for a translator.
+  void drop_webhooks(const WsTranslator& translator);
 
  private:
   void poll();
@@ -69,11 +69,8 @@ class WsMapper final : public core::Mapper {
   const core::UsdlLibrary& library_;
   std::uint16_t webhook_port_;
   sim::Duration poll_interval_;
-  core::Runtime* runtime_ = nullptr;
   std::unique_ptr<upnp::HttpServer> webhook_server_;
   std::map<std::string, WsTranslator*> webhooks_;  ///< path → translator
-  std::map<std::string, TranslatorId> by_name_;
-  std::set<std::string> pending_;
   std::uint64_t next_webhook_ = 1;
   std::optional<sim::Timer> poll_timer_;  ///< next listing poll; set while started
   sim::Lifetime lifetime_;                ///< ends at stop/crash

@@ -10,6 +10,9 @@
 #include "bluetooth/bip.hpp"
 #include "bluetooth/mapper.hpp"
 #include "core/umiddle.hpp"
+#include "mediabroker/mapper.hpp"
+#include "mediabroker/server.hpp"
+#include "motes/mapper.hpp"
 #include "netsim/fault.hpp"
 #include "obs/export.hpp"
 #include "rmi/mapper.hpp"
@@ -868,6 +871,323 @@ TEST(ChaosTest, DestroyingARuntimeWithAPollPendingIsClean) {
     const std::uint64_t before = w.connects();
     w.sched.run_for(seconds(5));
     EXPECT_EQ(w.connects(), before) << platform;
+  }
+}
+
+// A destroyed runtime's pending instantiation must not map into freed memory.
+TEST(ChaosTest, DestroyingARuntimeWithAnInstantiationPendingIsClean) {
+  sim::Scheduler sched;
+  net::Network net(sched, 1);
+  net::SegmentId lan = net.add_segment(net::SegmentSpec{});
+  ASSERT_TRUE(net.add_host("a").ok());
+  ASSERT_TRUE(net.attach("a", lan).ok());
+  auto runtime = std::make_unique<core::Runtime>(sched, net, "a");
+  ASSERT_TRUE(runtime->start().ok());
+  bool done = false;
+  (void)runtime->instantiate(
+      std::make_unique<core::LambdaDevice>(
+          "Sensor", core::make_source_shape("out", MimeType::of("text/plain"))),
+      [&done](Result<TranslatorId>) { done = true; });
+  sched.run_for(milliseconds(10));  // the instantiation cost is still being charged
+  runtime.reset();
+  sched.run_for(seconds(1));
+  EXPECT_FALSE(done);
+}
+
+// A destroyed runtime's pending translation must not touch freed memory, and
+// its span still closes (the span-pairing invariant of tests/obs_test).
+TEST(ChaosTest, DestroyingARuntimeWithAMessageInTranslationIsClean) {
+  sim::Scheduler sched;
+  net::Network net(sched, 1);
+  net::SegmentId lan = net.add_segment(net::SegmentSpec{});
+  ASSERT_TRUE(net.add_host("a").ok());
+  ASSERT_TRUE(net.attach("a", lan).ok());
+  auto runtime = std::make_unique<core::Runtime>(sched, net, "a");
+  ASSERT_TRUE(runtime->start().ok());
+  auto src = std::make_unique<core::LambdaDevice>(
+      "Sensor", core::make_source_shape("out", MimeType::of("text/plain")));
+  core::LambdaDevice* src_raw = src.get();
+  auto src_id = runtime->map(std::move(src)).take();
+  auto sink_id = runtime
+                     ->map(std::make_unique<core::CollectorDevice>(
+                         "Recorder", core::make_sink_shape("in", MimeType::of("text/plain"))))
+                     .take();
+  ASSERT_TRUE(runtime->transport()
+                  .connect(core::PortRef{src_id, "out"}, core::PortRef{sink_id, "in"})
+                  .ok());
+  ASSERT_TRUE(src_raw->emit("out", core::Message::text(MimeType::of("text/plain"), "hi")).ok());
+  sched.run_for(sim::microseconds(500));  // inside the 1.2 ms translation cost
+  EXPECT_EQ(net.tracer().open_spans(), 1u);
+  runtime.reset();
+  sched.run_for(seconds(1));
+  EXPECT_EQ(net.tracer().open_spans(), 0u);
+}
+
+// A destroyed runtime's pending directory probe reply must not fire into freed
+// memory: runtime A is destroyed 2 ms after runtime B's start-up probe.
+TEST(ChaosTest, DestroyingARuntimeWithAProbeReplyPendingIsClean) {
+  sim::Scheduler sched;
+  net::Network net(sched, 1);
+  net::SegmentSpec spec;
+  spec.latency = sim::microseconds(100);
+  net::SegmentId lan = net.add_segment(spec);
+  for (const char* h : {"a", "b"}) {
+    ASSERT_TRUE(net.add_host(h).ok());
+    ASSERT_TRUE(net.attach(h, lan).ok());
+  }
+  auto a = std::make_unique<core::Runtime>(sched, net, "a");
+  core::Runtime b(sched, net, "b");
+  ASSERT_TRUE(a->start().ok());
+  sched.run_for(seconds(1));
+  ASSERT_TRUE(b.start().ok());  // multicasts a probe; A answers after a jitter
+  sched.run_for(milliseconds(2));
+  a.reset();
+  sched.run_for(seconds(1));
+  EXPECT_EQ(b.directory().known_translators(), 0u);
+}
+
+// A destroyed device's pending SSDP search reply must not fire into freed
+// memory: the light is destroyed 5 ms after a control point's M-SEARCH.
+TEST(ChaosTest, DestroyingADeviceWithASearchReplyPendingIsClean) {
+  sim::Scheduler sched;
+  net::Network net(sched, 1);
+  net::SegmentSpec spec;
+  spec.latency = sim::microseconds(100);
+  net::SegmentId lan = net.add_segment(spec);
+  for (const char* h : {"cp", "dev"}) {
+    ASSERT_TRUE(net.add_host(h).ok());
+    ASSERT_TRUE(net.attach(h, lan).ok());
+  }
+  auto light = std::make_unique<upnp::BinaryLight>(net, "dev");
+  ASSERT_TRUE(light->start().ok());
+  upnp::ControlPoint cp(net, "cp");
+  int found = 0;
+  cp.on_device([&found](const upnp::DeviceDescription&, const std::string&) { ++found; });
+  ASSERT_TRUE(cp.start().ok());
+  sched.run_for(seconds(1));
+  ASSERT_TRUE(cp.search().ok());
+  sched.run_for(milliseconds(5));  // the reply waits out its MX spread (>= 20 ms)
+  light.reset();
+  sched.run_for(seconds(3));
+  EXPECT_EQ(found, 0);
+}
+
+// --- scenario 10: the mapper import table ---------------------------------------
+
+/// One uMiddle node ("umnode") with one mapper and one native device of
+/// `platform` on host "dev". Registry polls run every 20 ms and motes report
+/// every 10 ms with a 40 ms silence timeout, so a vanished device is noticed
+/// well inside one instantiation cost (>= 115 ms).
+struct ImportWorld {
+  sim::Scheduler sched;
+  net::Network net{sched, 1};
+  core::UsdlLibrary library;
+  std::string platform;
+  std::unique_ptr<upnp::BinaryLight> light;
+  std::unique_ptr<bt::BluetoothMedium> piconet;
+  std::unique_ptr<bt::BipCamera> camera;
+  std::unique_ptr<mb::MbServer> mb_server;
+  std::unique_ptr<mb::MbClient> producer;
+  std::unique_ptr<rmi::RmiRegistry> rmi_registry;
+  std::unique_ptr<rmi::RmiEchoService> echo;
+  std::unique_ptr<ws::WsRegistry> ws_registry;
+  std::unique_ptr<ws::WsService> weather;
+  std::unique_ptr<motes::MoteField> field;
+  std::unique_ptr<motes::Mote> mote;
+  /// Translators of `platform` ever mapped on the node.
+  std::size_t mapped = 0;
+  core::LambdaListener listener{[this](const core::TranslatorProfile& p) {
+                                  if (p.platform == platform) ++mapped;
+                                },
+                                [](const core::TranslatorProfile&) {}};
+  std::unique_ptr<core::Runtime> node;
+
+  explicit ImportWorld(std::string which) : platform(std::move(which)) {
+    net::SegmentSpec spec;
+    spec.latency = sim::microseconds(100);
+    net::SegmentId lan = net.add_segment(spec);
+    for (const char* h : {"dev", "umnode"}) {
+      EXPECT_TRUE(net.add_host(h).ok());
+      EXPECT_TRUE(net.attach(h, lan).ok());
+    }
+    node = std::make_unique<core::Runtime>(sched, net, "umnode");
+    if (platform == "upnp") {
+      upnp::register_upnp_usdl(library);
+      light = std::make_unique<upnp::BinaryLight>(net, "dev");
+      EXPECT_TRUE(light->start().ok());
+      node->add_mapper(std::make_unique<upnp::UpnpMapper>(library));
+    } else if (platform == "bluetooth") {
+      bt::register_bt_usdl(library);
+      piconet = std::make_unique<bt::BluetoothMedium>(net);
+      camera = std::make_unique<bt::BipCamera>(*piconet, "Camera");
+      EXPECT_TRUE(camera->power_on().ok());
+      node->add_mapper(std::make_unique<bt::BtMapper>(*piconet, library));
+    } else if (platform == "mb") {
+      mb::register_mb_usdl(library);
+      mb_server = std::make_unique<mb::MbServer>(net, "dev");
+      EXPECT_TRUE(mb_server->start().ok());
+      producer = std::make_unique<mb::MbClient>(net, "dev", mb_server->endpoint());
+      EXPECT_TRUE(producer->connect().ok());
+      EXPECT_TRUE(producer->produce("media", "application/octet-stream").ok());
+      node->add_mapper(std::make_unique<mb::MbMapper>(mb_server->endpoint(), library));
+    } else if (platform == "rmi") {
+      rmi::register_rmi_usdl(library);
+      rmi_registry = std::make_unique<rmi::RmiRegistry>(net, "dev");
+      EXPECT_TRUE(rmi_registry->start().ok());
+      echo = std::make_unique<rmi::RmiEchoService>(net, "dev", 2001, "echo1",
+                                                   rmi_registry->endpoint());
+      EXPECT_TRUE(echo->start().ok());
+      node->add_mapper(std::make_unique<rmi::RmiMapper>(rmi_registry->endpoint(), library,
+                                                        1098, milliseconds(20)));
+    } else if (platform == "ws") {
+      ws::register_ws_usdl(library);
+      ws_registry = std::make_unique<ws::WsRegistry>(net, "dev");
+      EXPECT_TRUE(ws_registry->start().ok());
+      weather = std::make_unique<ws::WsService>(net, "dev", 8080, "weather-1", "weather");
+      EXPECT_TRUE(weather->start().ok());
+      ws::ws_register(net, "dev", ws_registry->listing_url(),
+                      ws::WsEntry{"weather-1", "weather", weather->endpoint_url()},
+                      [](Result<void>) {});
+      node->add_mapper(std::make_unique<ws::WsMapper>(ws_registry->listing_url(), library,
+                                                      8801, milliseconds(20)));
+    } else {
+      motes::register_motes_usdl(library);
+      field = std::make_unique<motes::MoteField>(net, 0.0);
+      mote = std::make_unique<motes::Mote>(*field, 5, motes::SensorKind::light,
+                                           milliseconds(10));
+      EXPECT_TRUE(mote->start().ok());
+      node->add_mapper(std::make_unique<motes::MoteMapper>(*field, library, milliseconds(40)));
+    }
+    node->directory().add_directory_listener(&listener);
+    EXPECT_TRUE(node->start().ok());
+  }
+
+  std::size_t imported() const {
+    return node->directory().lookup(core::Query().platform(platform)).size();
+  }
+
+  /// The native device leaves the way its platform says so.
+  void vanish() {
+    if (light) light->stop();  // ssdp:byebye
+    if (camera) camera->power_off();
+    if (producer) {
+      EXPECT_TRUE(producer->retire("media").ok());
+    }
+    if (echo) echo->stop();  // unbinds from the registry
+    if (weather) {
+      ws::ws_unregister(net, "dev", ws_registry->listing_url(), "weather-1",
+                        [](Result<void>) {});
+    }
+    if (mote) mote->stop();  // falls silent
+  }
+};
+
+/// When a fault-free ImportWorld first maps its device.
+sim::TimePoint first_mapped_at(const std::string& platform) {
+  ImportWorld w(platform);
+  while (w.mapped == 0 && w.sched.now() < sim::TimePoint(seconds(10))) {
+    if (!w.sched.step()) break;
+  }
+  EXPECT_EQ(w.mapped, 1u) << platform;
+  return w.sched.now();
+}
+
+enum class Lifecycle { stop, crash, vanish };
+
+struct ImportCase {
+  const char* platform;
+  Lifecycle fault;
+  bool mid_import;  ///< fault while the first import is in flight
+};
+
+std::string case_name(const ImportCase& c) {
+  const char* fault[] = {"stop", "crash", "vanish"};
+  return std::string(c.platform) + "_" + fault[static_cast<int>(c.fault)] +
+         (c.mid_import ? "_mid_import" : "_between_imports");
+}
+
+void PrintTo(const ImportCase& c, std::ostream* os) { *os << case_name(c); }
+
+class ImportLifecycleTest : public ::testing::TestWithParam<ImportCase> {};
+
+void import_lifecycle_scenario(const ImportCase& c, sim::TimePoint mapped_at,
+                               RunRecord* rec) {
+  ImportWorld w(c.platform);
+  if (c.mid_import) {
+    // 100 ms before the first import lands; every instantiation costs more.
+    w.sched.run_until(mapped_at - milliseconds(100));
+    ASSERT_EQ(w.mapped, 0u);
+  } else {
+    w.sched.run_until(mapped_at + seconds(1));
+    ASSERT_EQ(w.imported(), 1u);
+  }
+
+  if (c.fault == Lifecycle::vanish) {
+    // An abandoned import maps nothing: no zombie translator, not even briefly.
+    w.vanish();
+    w.sched.run_for(seconds(3));
+    EXPECT_EQ(w.mapped, c.mid_import ? 0u : 1u);
+    EXPECT_EQ(w.imported(), 0u);
+  } else {
+    // The first restart follows the chosen fault point, the second a steady
+    // state: each re-imports the one live device exactly once.
+    for (int round = 0; round < 2; ++round) {
+      const std::size_t mapped_before = w.mapped;
+      if (c.fault == Lifecycle::crash) {
+        w.node->crash();
+      } else {
+        w.node->stop();
+      }
+      EXPECT_EQ(w.imported(), 0u) << "round " << round;
+      w.sched.run_for(seconds(2));
+      EXPECT_EQ(w.imported(), 0u) << "round " << round << ": mapped into a dead runtime";
+      EXPECT_EQ(w.mapped, mapped_before) << "round " << round;
+      ASSERT_TRUE(w.node->start().ok());
+      w.sched.run_for(seconds(5));
+      EXPECT_EQ(w.imported(), 1u) << "round " << round << ": not re-imported";
+    }
+  }
+  EXPECT_EQ(w.net.tracer().open_spans(), 0u);
+  rec->telemetry = obs::world_json(w.net.metrics(), w.net.tracer());
+  rec->digest = w.sched.trace_digest();
+}
+
+TEST_P(ImportLifecycleTest, OneTranslatorPerLiveDevice) {
+  const sim::TimePoint mapped_at = first_mapped_at(GetParam().platform);
+  RunRecord a, b;
+  ASSERT_NO_FATAL_FAILURE(import_lifecycle_scenario(GetParam(), mapped_at, &a));
+  ASSERT_NO_FATAL_FAILURE(import_lifecycle_scenario(GetParam(), mapped_at, &b));
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.telemetry, b.telemetry);
+}
+
+std::vector<ImportCase> import_cases() {
+  std::vector<ImportCase> cases;
+  for (const char* platform : {"upnp", "bluetooth", "mb", "rmi", "ws", "motes"}) {
+    for (Lifecycle fault : {Lifecycle::stop, Lifecycle::crash}) {
+      cases.push_back({platform, fault, false});
+      cases.push_back({platform, fault, true});
+    }
+    cases.push_back({platform, Lifecycle::vanish, true});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Chaos, ImportLifecycleTest, ::testing::ValuesIn(import_cases()),
+    [](const ::testing::TestParamInfo<ImportCase>& info) { return case_name(info.param); });
+
+// A UPnP node crashed at any point of discovery (SSDP search, description
+// fetch, description parse, instantiation) leaves nothing behind: no callback
+// into the destroyed control point, no translator, no open span.
+TEST(ChaosTest, UpnpCrashAnywhereInDiscoveryIsClean) {
+  for (sim::Duration at(0); at <= milliseconds(1500); at += milliseconds(5)) {
+    ImportWorld w("upnp");
+    w.sched.run_for(at);
+    w.node->crash();
+    w.sched.run_for(seconds(3));
+    EXPECT_EQ(w.imported(), 0u) << sim::to_millis(at) << " ms";
+    EXPECT_EQ(w.net.tracer().open_spans(), 0u) << sim::to_millis(at) << " ms";
   }
 }
 

@@ -41,6 +41,11 @@ exist to keep nondeterminism from leaking back in:
                the string literal "delivery.expired" appears once in src/,
                in src/core/transport.cpp: every deadline drop goes through
                Transport::expire, so expiry accounting has one implementation.
+  one-import-site
+               outside src/core/, nothing in src/ calls instantiate( or
+               unmap( on a Runtime: mappers import and withdraw devices
+               through the Mapper import table (DESIGN.md §7.5), so
+               device→translator bookkeeping has one implementation.
   untagged-event
                every schedule_after / schedule_at / post call and every
                sim::Timer construction in src/ passes a non-empty EventTag, so
@@ -309,6 +314,26 @@ def check_one_expiry_site(path: str, code: str) -> Iterable[Violation]:
                         f"accounting stays in one place ({EXPIRY_SITE})")
 
 
+# Device import has one implementation (DESIGN.md §7.5): mappers call the
+# Mapper import table, which alone calls Runtime::instantiate/unmap and so
+# alone decides what an in-flight import, a vanished device or a restart does.
+# A member call of either name outside src/core/ is a second import path.
+IMPORT_CALL_RE = re.compile(r"(?:\.|->)\s*(instantiate|unmap)\s*\(")
+IMPORT_SITE_DIR = "src/core/"
+
+
+def check_one_import_site(path: str, code: str) -> Iterable[Violation]:
+    if path.startswith(IMPORT_SITE_DIR):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        m = IMPORT_CALL_RE.search(line)
+        if m:
+            yield Violation("one-import-site", path, lineno,
+                            f"Runtime::{m.group(1)} outside src/core/; import "
+                            "and withdraw devices through the Mapper import "
+                            "table (import/gone/forget_unseen)")
+
+
 # Every deferred callback carries provenance (DESIGN.md §7.1, §7.4). An
 # untagged event digests as zeros and its host time is charged to nobody. The
 # Scheduler keeps a defaulted tag for code outside src/ only. Arity is checked
@@ -392,6 +417,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_fault_loss,
     check_ack_origin,
     check_global_telemetry,
+    check_one_import_site,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -463,6 +489,9 @@ SEEDED_VIOLATIONS = [
      'metrics.counter("delivery.expired").inc();\n'),
     ("one-expiry-site", "src/core/link_session.cpp",
      'metrics.counter("delivery.expired").inc();\n'),
+    ("one-import-site", "src/motes/evil.cpp",
+     "runtime_->instantiate(std::move(translator), [this](Result<TranslatorId> r) {});\n"
+     "(void)runtime().unmap(id);\n"),
     ("untagged-event", "src/motes/evil.cpp",
      'constexpr const char* kDoc = R"USDL(<port mime="*/*"/>)USDL";\n'
      "sched.schedule_after(\n"
@@ -509,6 +538,14 @@ CLEAN_SNIPPETS = [
      "    : refresh_(r.scheduler(), {0, sim::tag_id(\"dir.refresh\")}, [this]() { tick(); }) {}\n"
      "sim::Timer refresh_;\n"
      "refresh_.arm(max_age_ / 3);\n"),
+    ("src/core/mapper.cpp",
+     "entry.pending = rt.instantiate(std::move(translator), [this](auto r) {});\n"
+     "(void)runtime().unmap(*entry.id);\n"),
+    ("src/upnp/fine.cpp",
+     "// runtime_->unmap(id) in a comment is fine\n"
+     "import(udn, std::move(translator));\n"
+     "gone(udn);\n"
+     "forget_unseen(now - timeout);\n"),
     ("src/core/fine.cpp",
      "for (const auto& p : profiles_) { use(p); }\n"
      "for (auto& [k, v] : meta_) { use(k, v); }\n"
