@@ -42,7 +42,6 @@ Result<void> BipCamera::on_power_on() {
 
 void BipCamera::shutter(Bytes image, std::string filename) {
   current_ = obex::Object{std::move(filename), kTypeImage, std::move(image)};
-  ++captures_;
   if (!push_target_ || !powered()) return;
   auto stream = medium().l2cap_connect(host(), push_target_->address, push_target_->psm);
   if (!stream.ok()) {

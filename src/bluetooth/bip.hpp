@@ -32,8 +32,6 @@ class BipCamera : public BtDevice {
   /// registered push target (if any) over OBEX.
   void shutter(Bytes image, std::string filename);
 
-  std::size_t captures() const { return captures_; }
-  const obex::Object& current_image() const { return current_; }
   bool has_push_target() const { return push_target_.has_value(); }
 
  protected:
@@ -49,7 +47,6 @@ class BipCamera : public BtDevice {
   obex::Server server_;
   obex::Object current_;
   std::optional<PushTarget> push_target_;
-  std::size_t captures_ = 0;
 };
 
 class BipPrinter : public BtDevice {

@@ -75,11 +75,6 @@ int BluetoothMedium::active_links(BtAddress address) const {
   return it == links_.end() ? 0 : it->second;
 }
 
-const std::string* BluetoothMedium::host_of(BtAddress address) const {
-  auto it = devices_.find(address);
-  return it == devices_.end() ? nullptr : &it->second->host();
-}
-
 void BluetoothMedium::device_powered_on(BtDevice& device) {
   devices_[device.address()] = &device;
   auto listeners = listeners_;  // listeners may (un)register while notified

@@ -77,7 +77,6 @@ class BluetoothMedium {
   BtAddress allocate_address() { return next_address_++; }
   void device_powered_on(BtDevice& device);
   void device_powered_off(BtDevice& device);
-  const std::string* host_of(BtAddress address) const;
   void track_link(BtAddress address, const net::StreamPtr& stream);
 
  private:

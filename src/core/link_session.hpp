@@ -73,6 +73,9 @@ struct LinkSession {
 
     /// Frames never written to any stream: what giving up on the link loses.
     std::size_t unsent_count() const;
+    /// Frames written to a stream and still in the ledger: unacknowledged, or
+    /// acknowledged implicitly but not yet trimmed.
+    std::size_t sent_count() const { return ledger_.size() - unsent_count(); }
 
    private:
     struct Entry {

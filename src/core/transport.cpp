@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/log.hpp"
 #include "core/runtime.hpp"
@@ -25,7 +26,35 @@ net::Stream::DataHandler frame_reader(Handle handle) {
   };
 }
 
+/// One row per Fate: what accounting a message leaving the transport that way
+/// gets (DESIGN.md §11, the fate table; lint rule `one-fate-site`).
+struct FateRow {
+  std::string_view counter;
+  /// The PathStats field it bumps besides messages_dropped, if any.
+  std::uint64_t PathStats::*field;
+  /// A drop fate: counts in PathStats::messages_dropped and
+  /// umtp.messages_dropped.
+  bool drop;
+  std::string_view instant;
+};
+
+constexpr std::array<FateRow, kFateCount> kFates = {{
+    {"delivery.blocked", &PathStats::messages_blocked, false, "deliver.blocked"},
+    {"delivery.shed_newest", &PathStats::messages_shed, true, "deliver.shed_newest"},
+    {"delivery.shed_oldest", &PathStats::messages_shed, true, "deliver.shed_oldest"},
+    {"delivery.shed_latest", &PathStats::messages_shed, true, "deliver.shed_latest"},
+    {"delivery.expired", &PathStats::messages_expired, false, "deliver.expired"},
+    {"delivery.breaker_dropped", nullptr, true, "deliver.quarantined"},
+    {"delivery.unmapped", nullptr, true, "deliver.unmapped"},
+    {"delivery.no_route", nullptr, true, "deliver.no_route"},
+    {"recovery.outage_dropped", nullptr, true, "deliver.outage_dropped"},
+    {"delivery.unacked_dropped", nullptr, true, "deliver.unacked_dropped"},
+    {"delivery.discarded", nullptr, true, "deliver.discarded"},
+}};
+
 }  // namespace
+
+std::string_view fate_counter(Fate fate) { return kFates[static_cast<std::size_t>(fate)].counter; }
 
 Transport::Transport(Runtime& runtime)
     : runtime_(runtime),
@@ -45,6 +74,24 @@ obs::Tracer& Transport::tracer() { return runtime_.network().tracer(); }
 
 void Transport::count(std::string_view name, std::uint64_t n) {
   runtime_.network().metrics().counter(name).inc(n);
+}
+
+void Transport::retire(Fate fate, PathStats* path, std::uint64_t trace, std::uint64_t n) {
+  if (n == 0) return;
+  const FateRow& row = kFates[static_cast<std::size_t>(fate)];
+  obs::Counter*& counter = fate_counters_[static_cast<std::size_t>(fate)];
+  if (counter == nullptr) counter = &runtime_.network().metrics().counter(row.counter);
+  counter->inc(n);
+  if (path != nullptr && row.field != nullptr) path->*row.field += n;
+  if (path != nullptr && row.drop) path->messages_dropped += n;
+  if (row.drop) msgs_dropped_.inc(n);
+  instant(trace, row.instant);
+}
+
+void Transport::discard(const Path& path) {
+  // No PathStats: they are erased with the path.
+  for (const Pending& p : path.queue) retire(Fate::discarded, nullptr, p.msg->trace);
+  if (path.translating) retire(Fate::discarded, nullptr, path.translating->msg->trace);
 }
 
 void Transport::instant(std::uint64_t trace, std::string_view name) {
@@ -81,18 +128,16 @@ void Transport::crash() {
 void Transport::teardown(bool close_streams) {
   // close() fires close handlers synchronously, which mutate these containers;
   // detach them before walking.
-  auto links = std::move(links_);
-  links_.clear();
-  for (auto& [node, link] : links) {
+  for (auto& [node, link] : std::exchange(links_, {})) {
     // Close open recover spans so the trace stays pairing-balanced.
     tracer().end_span(link.recover_span, now());
+    retire(Fate::discarded, nullptr, 0, link.session.unsent_count());
     if (close_streams && link.stream) link.stream->close();
   }
-  auto peers = std::move(peer_streams_);
-  peer_streams_.clear();
-  for (auto& stream : peers) {
+  for (auto& stream : std::exchange(peer_streams_, {})) {
     if (close_streams) stream->close();
   }
+  for (auto& [id, path] : paths_) discard(path);
   paths_.clear();
   remote_paths_.clear();
   recv_ = {};
@@ -203,7 +248,11 @@ void Transport::bind(Path& path, const TranslatorProfile& profile) {
 }
 
 Result<void> Transport::disconnect(PathId id) {
-  if (paths_.erase(id) > 0) return ok_result();
+  if (auto path = paths_.find(id); path != paths_.end()) {
+    discard(path->second);
+    paths_.erase(path);
+    return ok_result();
+  }
   auto it = remote_paths_.find(id);
   if (it != remote_paths_.end()) {
     if (NodeLink* link = link_to(it->second); link != nullptr) {
@@ -241,9 +290,7 @@ Result<void> Transport::route(const PortRef& src, const Message& msg) {
     if (deadline_passed(path.qos.deadline(msg.deadline_ns, now()), now().count())) continue;
     const std::size_t need = msg.payload.size() * path.bound.size();
     if (path.stats.buffered_bytes + need > *path.qos.max_buffered_bytes) {
-      path.stats.messages_blocked += 1;
-      count("delivery.blocked");
-      instant(msg.trace, "deliver.blocked");
+      retire(Fate::blocked, &path.stats, msg.trace);
       return make_error(Errc::buffer_overflow,
                         "translation buffer full (Block policy): " + id.to_string());
     }
@@ -265,12 +312,12 @@ void Transport::enqueue(Path& path, const PortRef& dst, const std::shared_ptr<co
   const std::size_t bytes = msg->payload.size();
   const std::int64_t deadline_ns = path.qos.deadline(msg->deadline_ns, now());
   if (deadline_passed(deadline_ns, now().count())) {
-    expire(&path.stats, msg->trace);
+    retire(Fate::expired, &path.stats, msg->trace);
     return;
   }
   if (path.qos.bounded() &&
       path.stats.buffered_bytes + bytes > *path.qos.max_buffered_bytes &&
-      !shed_for_room(path, dst, bytes)) {
+      !shed_for_room(path, dst, *msg)) {
     return;  // the incoming message was shed (or defensively blocked)
   }
   msgs_enqueued_.inc();
@@ -281,31 +328,24 @@ void Transport::enqueue(Path& path, const PortRef& dst, const std::shared_ptr<co
   drain(path);
 }
 
-bool Transport::shed_for_room(Path& path, const PortRef& dst, std::size_t bytes) {
+bool Transport::shed_for_room(Path& path, const PortRef& dst, const Message& msg) {
   const std::size_t cap = *path.qos.max_buffered_bytes;
-  auto count_shed = [&](const char* counter) {
-    drop(&path.stats);
-    path.stats.messages_shed += 1;
-    count(counter);
-  };
-  if (path.qos.shed == ShedPolicy::drop_newest) {
-    // Tail drop: the legacy bounded-buffer behaviour, plus accounting.
-    count_shed("delivery.shed_newest");
+  const std::size_t bytes = msg.payload.size();
+  const ShedPolicy policy = path.qos.shed;
+  if (policy == ShedPolicy::drop_newest || policy == ShedPolicy::block) {
+    // Tail drop refuses the newcomer: the legacy bounded-buffer behaviour,
+    // plus accounting. route() refuses Block emits up front with
+    // fan-out-aware accounting; reaching here would mean the buffer filled
+    // between admission and enqueue, so refuse without dropping anything.
+    retire(policy == ShedPolicy::block ? Fate::blocked : Fate::shed_newest, &path.stats,
+           msg.trace);
     return false;
   }
-  if (path.qos.shed == ShedPolicy::block) {
-    // route() refuses Block emits up front with fan-out-aware accounting;
-    // reaching here would mean the buffer filled between admission and
-    // enqueue. Refuse without dropping anything, defensively.
-    path.stats.messages_blocked += 1;
-    count("delivery.blocked");
-    return false;
-  }
-  const bool latest = path.qos.shed == ShedPolicy::latest_only;
-  const char* counter = latest ? "delivery.shed_latest" : "delivery.shed_oldest";
+  const bool latest = policy == ShedPolicy::latest_only;
+  const Fate fate = latest ? Fate::shed_latest : Fate::shed_oldest;
   auto evict = [&](const Pending& victim) {
     path.stats.buffered_bytes -= victim.msg->payload.size();
-    count_shed(counter);
+    retire(fate, &path.stats, victim.msg->trace);
   };
   if (latest) {
     // Coalesce: the newcomer supersedes everything queued for the same
@@ -323,7 +363,7 @@ bool Transport::shed_for_room(Path& path, const PortRef& dst, std::size_t bytes)
   if (path.stats.buffered_bytes + bytes > cap) {
     // The queue is empty and the message alone exceeds the bound (zero or
     // tiny capacity): shed the newcomer itself.
-    count_shed(counter);
+    retire(fate, &path.stats, msg.trace);
     return false;
   }
   return true;
@@ -352,7 +392,7 @@ void Transport::drain(Path& path) {
     const Pending& front = path.queue.front();
     if (!deadline_passed(front.deadline_ns, now().count())) break;
     path.stats.buffered_bytes -= front.msg->payload.size();
-    expire(&path.stats, front.msg->trace);
+    retire(Fate::expired, &path.stats, front.msg->trace);
     path.queue.pop_front();
   }
   if (path.queue.empty()) return;
@@ -379,32 +419,35 @@ void Transport::drain(Path& path) {
   if (!destination_ready(front.dst)) return;  // resumed by notify_ready / link drain
   if (path.qos.shaped()) path.bucket->try_consume(bytes, now());
 
-  Pending item = std::move(front);
+  path.translating = std::move(front);
   path.queue.pop_front();
   path.stats.buffered_bytes -= bytes;
 
   // Translation is serialized per path: charge the marshal/unmarshal cost in
-  // virtual time, deliver, then continue draining.
+  // virtual time, deliver, then continue draining. The message waits in
+  // path.translating, so erasing the path or stopping the transport meanwhile
+  // retires it as discarded.
   sim::Duration cost = runtime_.costs().translation_cost(bytes);
   path.drain_scheduled = true;
   PathId id = path.id;
   const std::uint64_t span =
-      tracer().begin_span(item.msg->trace, "translate", runtime_.host(), now());
+      tracer().begin_span(path.translating->msg->trace, "translate", runtime_.host(), now());
   translate_ns_.observe(cost.count());
   runtime_.scheduler().schedule_after(
       cost,
       [this, alive = lifetime_.token(), &tracer = tracer(), &sched = runtime_.scheduler(), id,
-       span, item = std::move(item)]() mutable {
+       span]() {
         // Close the span first: the translation work happened even if the path
         // was disconnected, or this transport stopped or destroyed, mid-flight
         // (span-pairing invariant, tests/obs_test). The tracer and scheduler
         // are world state and outlive the runtime.
         tracer.end_span(span, sched.now());
-        if (!*alive) return;
+        if (!*alive) return;  // stop() or crash() discarded the message
         auto it = paths_.find(id);
-        if (it == paths_.end()) return;  // path disconnected while translating
+        // Gone: disconnect() discarded the message.
+        if (it == paths_.end() || !it->second.translating) return;
         it->second.drain_scheduled = false;
-        dispatch(it->second, std::move(item));
+        dispatch(it->second, *std::exchange(it->second.translating, std::nullopt));
         auto again = paths_.find(id);  // dispatch may mutate the path table
         if (again != paths_.end()) drain(again->second);
       },
@@ -414,26 +457,26 @@ void Transport::drain(Path& path) {
 void Transport::dispatch(Path& path, Pending item) {
   // The deadline may have passed while the translation cost was being charged.
   if (deadline_passed(item.deadline_ns, now().count())) {
-    expire(&path.stats, item.msg->trace);
+    retire(Fate::expired, &path.stats, item.msg->trace);
     return;
   }
   const TranslatorProfile* profile = runtime_.directory().profile(item.dst.translator);
   if (profile == nullptr) {
-    drop(&path.stats);
+    retire(Fate::unmapped, &path.stats, item.msg->trace);
     return;
   }
   if (profile->node == runtime_.node()) {
     deliver(item.dst, *item.msg, &path.stats);
     return;
   }
+  NodeLink* link = link_to(profile->node);
+  if (link == nullptr) {
+    retire(Fate::no_route, &path.stats, item.msg->trace);
+    return;
+  }
   path.stats.messages_forwarded += 1;
   path.stats.bytes_forwarded += item.msg->payload.size();
   msgs_forwarded_.inc();
-  NodeLink* link = link_to(profile->node);
-  if (link == nullptr) {
-    drop(&path.stats);
-    return;
-  }
   // The wire span opens here (frame handed to the link, handshake wait and
   // outbox time included) and is closed by the receiving transport when it
   // decodes the DATA frame. The trace id travels side-band as tracer baggage
@@ -449,7 +492,8 @@ void Transport::dispatch(Path& path, Pending item) {
   // and is replayed SEQ-wrapped on a *new* stream after the RESUME/ACK
   // handshake; baggage staged now would never pair with the replay, so
   // replayed frames lose trace attribution (documented in DESIGN.md §10).
-  link_send(*link, umtp::encode_data(item.dst, *item.msg, item.deadline_ns), item.deadline_ns);
+  link_send(*link, umtp::encode_data(item.dst, *item.msg, item.deadline_ns), item.deadline_ns,
+            item.msg->trace);
 }
 
 void Transport::deliver(const PortRef& dst, const Message& msg, PathStats* path) {
@@ -457,16 +501,14 @@ void Transport::deliver(const PortRef& dst, const Message& msg, PathStats* path)
   if (t == nullptr) {
     log::Entry(log::Level::warn, "transport") << "deliver to unknown translator "
                                               << dst.to_string();
-    drop(path);
+    retire(Fate::unmapped, path, msg.trace);
     return;
   }
   if (auto b = breakers_.find(dst.translator);
       b != breakers_.end() && b->second.state == Breaker::State::open) {
     // Quarantined: the destination's native side keeps failing; fail fast
     // instead of soaking retries until the half-open probe clears it.
-    drop(path);
-    count("delivery.breaker_dropped");
-    instant(msg.trace, "deliver.quarantined");
+    retire(Fate::quarantined, path, msg.trace);
     return;
   }
   if (path != nullptr) {
@@ -483,22 +525,6 @@ void Transport::deliver(const PortRef& dst, const Message& msg, PathStats* path)
   } else {
     breaker_record(dst.translator, true);
   }
-}
-
-void Transport::expire(PathStats* path, std::optional<std::uint64_t> trace, std::uint64_t n) {
-  if (n == 0) return;
-  if (path != nullptr) path->messages_expired += n;
-  count("delivery.expired", n);
-  if (trace) {
-    instant(*trace, "deliver.expired");
-  } else {
-    msgs_dropped_.inc(n);
-  }
-}
-
-void Transport::drop(PathStats* path, std::uint64_t n) {
-  if (path != nullptr) path->messages_dropped += n;
-  msgs_dropped_.inc(n);
 }
 
 void Transport::resume_paths() {
@@ -561,8 +587,11 @@ void Transport::on_mapped(const TranslatorProfile& profile) {
 
 void Transport::on_unmapped(const TranslatorProfile& profile) {
   // Paths whose source vanished are torn down entirely.
-  std::erase_if(paths_,
-                [&](const auto& entry) { return entry.second.src.translator == profile.id; });
+  std::erase_if(paths_, [&](const auto& entry) {
+    if (entry.second.src.translator != profile.id) return false;
+    discard(entry.second);
+    return true;
+  });
   // Unbind the translator's ports everywhere and drop queued messages to it.
   for (auto& [id, path] : paths_) {
     std::erase_if(path.bound, [&](const PortRef& ref) { return ref.translator == profile.id; });
@@ -570,7 +599,7 @@ void Transport::on_unmapped(const TranslatorProfile& profile) {
     std::erase_if(path.queue, [&](const Pending& p) {
       if (p.dst.translator != profile.id) return false;
       path.stats.buffered_bytes -= p.msg->payload.size();
-      drop(&path.stats);
+      retire(Fate::unmapped, &path.stats, p.msg->trace);
       return true;
     });
   }
@@ -668,12 +697,13 @@ void Transport::handle_link_close(NodeId node) {
 void Transport::schedule_reconnect(NodeLink& link) {
   link.attempts += 1;
   if (link.attempts > runtime_.config().reconnect_max_attempts) {
-    // Give up. Count only never-sent frames as outage drops: the
-    // sent-but-unacked prefix may well have been delivered before the cut.
+    // Give up. Only never-sent frames are outage drops: the sent-but-unacked
+    // prefix may well have been delivered before the cut, so its fate is
+    // uncertain and it is counted apart, as no fate.
     const std::size_t unsent = link.session.unsent_count();
     count("recovery.giveups");
-    count("recovery.outage_dropped", unsent);
-    drop(nullptr, unsent);
+    retire(Fate::outage_dropped, nullptr, 0, unsent);
+    count("recovery.giveup_unacked", link.session.sent_count());
     tracer().end_span(link.recover_span, now());
     log::Entry(log::Level::warn, "transport")
         << "giving up on node " << link.node.to_string() << " after "
@@ -700,7 +730,8 @@ void Transport::schedule_reconnect(NodeLink& link) {
       {sim::host_id(runtime_.host()), sim::tag_id("umtp.reconnect")});
 }
 
-void Transport::link_send(NodeLink& link, Bytes bytes, std::int64_t deadline_ns) {
+void Transport::link_send(NodeLink& link, Bytes bytes, std::int64_t deadline_ns,
+                          std::uint64_t trace) {
   PayloadPtr frame = make_payload(std::move(bytes));
   const bool ready = link_ready(link);
   if (ready) (void)link.stream->send(frame);
@@ -710,8 +741,7 @@ void Transport::link_send(NodeLink& link, Bytes bytes, std::int64_t deadline_ns)
   const std::size_t cap = link.reconnecting ? runtime_.config().outage_buffer_bytes
                                             : std::numeric_limits<std::size_t>::max();
   if (!link.session.push(std::move(frame), deadline_ns, ready, cap)) {
-    count("recovery.outage_dropped");
-    drop(nullptr);
+    retire(Fate::outage_dropped, nullptr, trace);
     return;
   }
   trim_retention(link);
@@ -728,10 +758,7 @@ void Transport::trim_retention(NodeLink& link) {
 void Transport::handle_ack(NodeLink& link, const umtp::AckFrame& ack) {
   auto acked = link.session.ack(ack.epoch, ack.count, link.stream->id().value(), now().count());
   if (!acked) return;
-  if (acked->unacked_dropped > 0) {
-    count("delivery.unacked_dropped", acked->unacked_dropped);
-    drop(nullptr, acked->unacked_dropped);
-  }
+  retire(Fate::unacked_dropped, nullptr, 0, acked->unacked_dropped);
   if (acked->retired > 0) {
     // Each retired entry is a frame a blind replay would have duplicated.
     count("delivery.acked_retired", acked->retired);
@@ -740,7 +767,7 @@ void Transport::handle_ack(NodeLink& link, const umtp::AckFrame& ack) {
   // Recovery done. Replay SEQ-wrapped: the explicit sequence number lets the
   // receiver suppress whatever the ACK race still let through.
   for (Bytes& frame : acked->replay) (void)link.stream->send(std::move(frame));
-  expire(nullptr, std::nullopt, acked->expired);
+  retire(Fate::expired, nullptr, 0, acked->expired);
   link.reconnecting = false;
   link.attempts = 0;
   count("recovery.reconnects");
@@ -836,7 +863,7 @@ void Transport::handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stre
     // Receiver-side deadline check: the wire crossing may have eaten the
     // remaining budget (or the frame sat in an outage buffer).
     if (deadline_passed(data->message.deadline_ns, now().count())) {
-      expire(nullptr, data->message.trace);
+      retire(Fate::expired, nullptr, data->message.trace);
       return;
     }
     deliver(data->dst, data->message, nullptr);
@@ -852,7 +879,7 @@ void Transport::handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stre
     install_path(conn->path, conn->src, *source.value().port, std::move(conn->dst), {});
     return;
   }
-  paths_.erase(std::get<umtp::DisconnectFrame>(frame).path);
+  (void)disconnect(std::get<umtp::DisconnectFrame>(frame).path);
 }
 
 }  // namespace umiddle::core

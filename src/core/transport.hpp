@@ -30,6 +30,7 @@
 // buffers, or delivery failures.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <map>
 #include <memory>
@@ -49,12 +50,30 @@ namespace umiddle::core {
 
 class Runtime;
 
+/// Every way a message leaves the transport undelivered (DESIGN.md §11, the
+/// fate table); Transport::retire is the one place a fate is accounted.
+///   blocked          emit refused with would-block by a Block-policy buffer
+///   shed_*           shed by a full bounded buffer, per its ShedPolicy
+///   expired          deadline passed, at the sender or the receiver
+///   quarantined      the destination's circuit breaker is open
+///   unmapped         destination translator unknown to the directory or runtime
+///   no_route         the link to the destination's node cannot open
+///   outage_dropped   outage buffer full, or the link given up
+///   unacked_dropped  sent but unacknowledged when the peer restarted
+///   discarded        held by a path, link or runtime that was torn down
+enum class Fate : std::uint8_t { blocked, shed_newest, shed_oldest, shed_latest, expired,
+  quarantined, unmapped, no_route, outage_dropped, unacked_dropped, discarded };
+inline constexpr std::size_t kFateCount = static_cast<std::size_t>(Fate::discarded) + 1;
+/// The per-world counter a fate bumps.
+std::string_view fate_counter(Fate fate);
+
 /// Per-path counters, exposed for applications and the QoS ablation bench.
+/// Sender-side by construction: a path lives on its source's node.
 struct PathStats {
   std::uint64_t messages_forwarded = 0;
   std::uint64_t bytes_forwarded = 0;
-  /// Messages dropped on this path for any reason (buffer shed, destination
-  /// vanished, breaker quarantine). Superset of messages_shed.
+  /// Messages that left this path through a drop fate (every fate but
+  /// blocked and expired). Superset of messages_shed.
   std::uint64_t messages_dropped = 0;
   /// Messages dropped by the shedding policy of a full bounded buffer.
   std::uint64_t messages_shed = 0;
@@ -72,7 +91,6 @@ struct PathStats {
 class Transport final : public DirectoryListener {
  public:
   explicit Transport(Runtime& runtime);
-  ~Transport() override = default;
 
   /// Listen for UMTP connections from peer runtimes.
   [[nodiscard]] Result<void> start();
@@ -140,6 +158,9 @@ class Transport final : public DirectoryListener {
     QosPolicy qos;
     std::unique_ptr<TokenBucket> bucket;
     std::deque<Pending> queue;
+    /// The message whose translation cost is being charged; at most one,
+    /// since translation is serialized per path.
+    std::optional<Pending> translating;
     bool drain_scheduled = false;
     PathStats stats;
   };
@@ -180,6 +201,13 @@ class Transport final : public DirectoryListener {
   /// Bump the per-world counter `name`; it registers on first use, so
   /// counters for faults that never fire stay out of the snapshot.
   void count(std::string_view name, std::uint64_t n = 1);
+  /// Account `n` messages leaving through `fate`: its counter, its PathStats
+  /// field on `path` (null off-path), umtp.messages_dropped for drop fates,
+  /// and a deliver.<fate> instant. `trace` 0 = unattributed (batch fates).
+  void retire(Fate fate, PathStats* path, std::uint64_t trace, std::uint64_t n = 1);
+  /// Retire everything a path still holds, queued or in translation, as
+  /// discarded: the path is being erased.
+  void discard(const Path& path);
   /// A trace instant on this host, now.
   void instant(std::uint64_t trace, std::string_view name);
   /// `base_ns` plus uniform jitter of up to half of it, drawn from the world
@@ -209,9 +237,9 @@ class Transport final : public DirectoryListener {
   /// closing the streams only on a graceful stop.
   void teardown(bool close_streams);
   void enqueue(Path& path, const PortRef& dst, const std::shared_ptr<const Message>& msg);
-  /// Apply the path's shedding policy to admit a `bytes`-sized message for
-  /// `dst` into a full bounded buffer. True = room was made, enqueue it.
-  bool shed_for_room(Path& path, const PortRef& dst, std::size_t bytes);
+  /// Apply the path's shedding policy to admit `msg` for `dst` into a full
+  /// bounded buffer. True = room was made, enqueue it.
+  bool shed_for_room(Path& path, const PortRef& dst, const Message& msg);
   void drain(Path& path);
   /// True if the destination can accept a message right now.
   bool destination_ready(const PortRef& dst) const;
@@ -220,13 +248,6 @@ class Transport final : public DirectoryListener {
   /// Deliver to a translator on this node through its breaker. `path` is the
   /// local path carrying it; null for a DATA frame received from a peer.
   void deliver(const PortRef& dst, const Message& msg, PathStats* path);
-  /// Retire `n` messages whose deadline passed. `path` is the owning path's
-  /// stats, null off-path. `trace` is the message's trace id, emitted as a
-  /// deliver.expired instant; recovery replay has none (the ledger holds only
-  /// wire bytes) and also counts its expiries as umtp drops.
-  void expire(PathStats* path, std::optional<std::uint64_t> trace, std::uint64_t n = 1);
-  /// Count `n` dropped messages, on `path` too when there is one.
-  void drop(PathStats* path, std::uint64_t n = 1);
 
   // --- circuit breaker -------------------------------------------------------
   void breaker_record(TranslatorId id, bool ok);
@@ -245,7 +266,9 @@ class Transport final : public DirectoryListener {
   /// Capped exponential backoff with world-Rng jitter, then a reconnect
   /// attempt; gives the link up after reconnect_max_attempts.
   void schedule_reconnect(NodeLink& link);
-  void link_send(NodeLink& link, Bytes frame, std::int64_t deadline_ns = 0);
+  /// `trace` attributes an outage-buffer overflow drop of a DATA frame.
+  void link_send(NodeLink& link, Bytes frame, std::int64_t deadline_ns = 0,
+                 std::uint64_t trace = 0);
   /// Retire acknowledged sent frames beyond the retention budget.
   void trim_retention(NodeLink& link);
   /// Peer told us its accepted-frame count: retire the acknowledged ledger
@@ -272,6 +295,8 @@ class Transport final : public DirectoryListener {
   obs::Counter& deliver_failures_;
   obs::Histogram& translate_ns_;
   obs::Histogram& wire_ns_;
+  /// Each fate's counter, registered on the fate's first retire.
+  std::array<obs::Counter*, kFateCount> fate_counters_{};
   bool started_ = false;
   std::map<PathId, Path> paths_;
   /// Paths created here but hosted remotely: path → hosting node.

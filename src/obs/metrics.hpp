@@ -43,10 +43,6 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) { value_ = v; }
-  /// Keep the maximum seen (high-water tracking).
-  void max_of(std::int64_t v) {
-    if (v > value_) value_ = v;
-  }
   std::int64_t value() const { return value_; }
 
  private:

@@ -12,7 +12,6 @@ RmiEchoService::RmiEchoService(net::Network& net, std::string host, std::uint16_
   server_.export_method(name_, "deliver", [this](const Bytes& args) -> Result<Bytes> {
     ++received_;
     received_bytes_ += args.size();
-    if (on_receive_) on_receive_(args);
     return to_bytes("ok");
   });
   server_.export_method(name_, "echo",

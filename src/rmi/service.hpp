@@ -23,14 +23,11 @@ class RmiEchoService {
   /// Messages delivered by uMiddle (via the translator's `deliver` call).
   std::uint64_t received() const { return received_; }
   std::uint64_t received_bytes() const { return received_bytes_; }
-  void on_receive(std::function<void(const Bytes&)> fn) { on_receive_ = std::move(fn); }
 
   /// Push a message into uMiddle via the gateway object (synchronous RMI
   /// call). `done` fires when the gateway acks — the service is call-at-a-time,
   /// like real RMI stubs.
   void push(Bytes data, std::function<void(Result<void>)> done);
-  /// True once the gateway has been resolved and connected.
-  bool gateway_ready() const { return gateway_conn_ != nullptr; }
   /// Resolve the gateway binding from the registry (name: "umiddle-gw-<name>").
   void resolve_gateway(std::function<void(Result<void>)> done);
 
@@ -47,7 +44,6 @@ class RmiEchoService {
   std::shared_ptr<RmiConnection> gateway_conn_;
   std::uint64_t received_ = 0;
   std::uint64_t received_bytes_ = 0;
-  std::function<void(const Bytes&)> on_receive_;
 };
 
 }  // namespace umiddle::rmi

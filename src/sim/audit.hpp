@@ -44,13 +44,6 @@ class TraceDigest {
     }
   }
 
-  constexpr void absorb_bytes(std::string_view bytes) {
-    for (char c : bytes) {
-      hash_ ^= static_cast<std::uint8_t>(c);
-      hash_ *= kPrime;
-    }
-  }
-
   constexpr std::uint64_t value() const { return hash_; }
   constexpr void reset() { hash_ = kOffsetBasis; }
 

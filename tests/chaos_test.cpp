@@ -5,10 +5,13 @@
 // the fault plane draws from its own seeded Rng, so fault schedules replay.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "bluetooth/bip.hpp"
 #include "bluetooth/mapper.hpp"
+#include "common/rand.hpp"
+#include "conservation.hpp"
 #include "core/umiddle.hpp"
 #include "mediabroker/mapper.hpp"
 #include "mediabroker/server.hpp"
@@ -138,6 +141,7 @@ void partition_scenario(RunRecord* rec) {
   EXPECT_EQ(w.counter("fault.partitions"), 1u);
   EXPECT_GT(w.counter("fault.frames_blackholed"), 0u);
   EXPECT_GE(w.counter("fault.stream_resets"), 1u);
+  expect_conserved(w.net, 2, w.tv->rendered().size());
   finish(w, rec);
 }
 
@@ -182,6 +186,7 @@ void crash_restart_scenario(RunRecord* rec) {
   ASSERT_EQ(w.tv->rendered().size(), 2u);
   EXPECT_EQ(w.tv->rendered()[1].name, "after.jpg");
   EXPECT_GE(w.counter("recovery.reconnects"), 1u);
+  expect_conserved(w.net, 2, w.tv->rendered().size());
   finish(w, rec);
 }
 
@@ -341,6 +346,7 @@ void burst_loss_scenario(RunRecord* rec) {
   // Soft state survives: losses delay but do not kill refreshes within 30 s.
   EXPECT_EQ(w.h1->directory().lookup(core::Query().platform("upnp")).size(), 1u);
   EXPECT_EQ(w.h2->directory().lookup(core::Query().platform("bluetooth")).size(), 1u);
+  expect_conserved(w.net, 1, w.tv->rendered().size());
   finish(w, rec);
 }
 
@@ -415,6 +421,7 @@ void exactly_once_scenario(RunRecord* rec) {
   EXPECT_GE(counter_of(net, "delivery.acked_retired"), 1u);
   EXPECT_EQ(counter_of(net, "recovery.outage_dropped"), 0u);
   EXPECT_EQ(counter_of(net, "delivery.resume_gap"), 0u);
+  expect_conserved(net, kMessages, sink_raw->count());
   rec->telemetry = obs::world_json(net.metrics(), net.tracer());
   rec->digest = sched.trace_digest();
 }
@@ -484,6 +491,7 @@ void deadline_outage_scenario(RunRecord* rec) {
   EXPECT_EQ(sink_raw->received()[1].msg.meta.at("name"), "after");
   EXPECT_GE(counter_of(net, "recovery.reconnects"), 1u);
   EXPECT_GE(counter_of(net, "delivery.expired"), 1u);
+  expect_conserved(net, 3, sink_raw->count());
   rec->telemetry = obs::world_json(net.metrics(), net.tracer());
   rec->digest = sched.trace_digest();
 }
@@ -572,6 +580,7 @@ void trailing_expiry_scenario(RunRecord* rec) {
   }
   EXPECT_GE(counter_of(net, "recovery.reconnects"), 2u);
   EXPECT_EQ(counter_of(net, "delivery.resume_gap"), 0u);
+  expect_conserved(net, 6, sink_raw->count());
   rec->telemetry = obs::world_json(net.metrics(), net.tracer());
   rec->digest = sched.trace_digest();
 }
@@ -611,6 +620,7 @@ void receiver_restart_scenario(RunRecord* rec) {
   auto src_id = ra.map(std::move(src)).take();
   auto sink = std::make_unique<core::CollectorDevice>(
       "Recorder", core::make_sink_shape("in", MimeType::of("image/jpeg")));
+  core::CollectorDevice* sink_raw = sink.get();
   auto sink_id = rb.map(std::move(sink)).take();
   sched.run_for(seconds(1));
   ASSERT_TRUE(
@@ -630,6 +640,7 @@ void receiver_restart_scenario(RunRecord* rec) {
   // the sender's path stays bound. The RESUME answer is kAckCountUnknown and
   // the sender's whole ledger is a sent-but-unacked prefix: everything is
   // dropped, nothing is replayed.
+  const std::size_t first_incarnation = sink_raw->count();  // the crash destroys it
   rb.crash();
   sched.run_for(milliseconds(100));
   ASSERT_TRUE(rb.start().ok());
@@ -658,6 +669,9 @@ void receiver_restart_scenario(RunRecord* rec) {
     EXPECT_EQ(sink2_raw->received()[i].msg.meta.at("n"), expect[i]);
   }
   EXPECT_EQ(counter_of(net, "delivery.resume_gap"), 0u);
+  // The unacked prefix was delivered before the crash and also dropped:
+  // conservation holds within the unacked_dropped bound.
+  expect_conserved(net, 6, first_incarnation + sink2_raw->count());
   rec->telemetry = obs::world_json(net.metrics(), net.tracer());
   rec->digest = sched.trace_digest();
 }
@@ -921,6 +935,7 @@ TEST(ChaosTest, DestroyingARuntimeWithAMessageInTranslationIsClean) {
   runtime.reset();
   sched.run_for(seconds(1));
   EXPECT_EQ(net.tracer().open_spans(), 0u);
+  expect_conserved(net, 1, 0);  // stopped by the destructor: discarded
 }
 
 // A destroyed runtime's pending directory probe reply must not fire into freed
@@ -1191,6 +1206,220 @@ TEST(ChaosTest, UpnpCrashAnywhereInDiscoveryIsClean) {
   }
 }
 
+// --- no route: one fate, never also a forward ----------------------------------
+
+TEST(ChaosTest, NoRouteIsOneFateNotAForwardAndADrop) {
+  sim::Scheduler sched;
+  net::Network net(sched, 1);
+  net::SegmentId lan = net.add_segment(net::SegmentSpec{});
+  for (const char* h : {"a", "b"}) {
+    ASSERT_TRUE(net.add_host(h).ok());
+    ASSERT_TRUE(net.attach(h, lan).ok());
+  }
+  core::Runtime ra(sched, net, "a");
+  core::Runtime rb(sched, net, "b");
+  ASSERT_TRUE(ra.start().ok());
+  ASSERT_TRUE(rb.start().ok());
+  auto src = std::make_unique<core::LambdaDevice>(
+      "Sensor", core::make_source_shape("out", MimeType::of("text/plain")));
+  core::LambdaDevice* src_raw = src.get();
+  auto src_id = ra.map(std::move(src)).take();
+  auto sink = std::make_unique<core::CollectorDevice>(
+      "Recorder", core::make_sink_shape("in", MimeType::of("text/plain")));
+  core::CollectorDevice* sink_raw = sink.get();
+  auto sink_id = rb.map(std::move(sink)).take();
+  sched.run_for(seconds(1));
+  PathId path =
+      ra.transport().connect(core::PortRef{src_id, "out"}, core::PortRef{sink_id, "in"}).take();
+
+  // The LAN is cut before the first emit, so the link to b can never open.
+  net.faults().partition_now(lan);
+  ASSERT_TRUE(src_raw->emit("out", core::Message::text(MimeType::of("text/plain"), "x")).ok());
+  sched.run_for(seconds(1));
+
+  const core::PathStats* stats = ra.transport().stats(path);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->messages_forwarded, 0u);
+  EXPECT_EQ(stats->messages_forwarded + stats->messages_dropped + stats->messages_expired, 1u);
+  EXPECT_EQ(counter_of(net, "delivery.no_route"), 1u);
+  EXPECT_EQ(sink_raw->count(), 0u);
+  expect_conserved(net, 1, sink_raw->count());
+}
+
+// --- randomized fault schedules: every message reaches exactly one fate ---------
+
+/// One seed of the sweep. Node a hosts three sources, node b one sink per
+/// path. Paths: src0 fans out to a durable path and a 800 ms TTL path, src1
+/// has a 300 ms TTL path, src2 a shaped drop_oldest bounded path (it sheds).
+/// The seed draws a bursty emit stream and a fault schedule: partitions (in
+/// one seed of four, a single cut long enough to give the link up), a crash
+/// and restart of node b, resets of the newest stream and a Gilbert–Elliott
+/// loss burst.
+struct SweepRun {
+  RunRecord record;
+  std::uint64_t offered = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t duplicates = 0;
+};
+
+SweepRun fate_sweep(std::uint64_t seed) {
+  constexpr std::size_t kSources = 3;
+  constexpr std::size_t kPaths = 4;
+  constexpr std::size_t kSourceOf[kPaths] = {0, 0, 1, 2};
+  const MimeType type = MimeType::of("application/octet-stream");
+  SweepRun run;
+
+  sim::Scheduler sched;
+  net::Network net(sched, seed);
+  net::SegmentSpec spec;
+  spec.name = "lan";
+  spec.latency = milliseconds(1);
+  net::SegmentId lan = net.add_segment(spec);
+  for (const char* h : {"a", "b"}) {
+    EXPECT_TRUE(net.add_host(h).ok());
+    EXPECT_TRUE(net.attach(h, lan).ok());
+  }
+  core::Runtime ra(sched, net, "a");
+  core::Runtime rb(sched, net, "b");
+  EXPECT_TRUE(ra.start().ok());
+  EXPECT_TRUE(rb.start().ok());
+
+  std::vector<core::LambdaDevice*> sources;
+  std::vector<TranslatorId> src_ids;
+  for (std::size_t s = 0; s < kSources; ++s) {
+    auto dev = std::make_unique<core::LambdaDevice>("src" + std::to_string(s),
+                                                    core::make_source_shape("out", type));
+    sources.push_back(dev.get());
+    src_ids.push_back(ra.map(std::move(dev)).take());
+  }
+  // Sinks live in node b's process and die with it; what they saw is kept
+  // here. A restart re-maps them in the same order, so their ids recycle.
+  std::set<std::pair<std::size_t, std::string>> seen;
+  std::vector<TranslatorId> sink_ids;
+  auto map_sinks = [&]() {
+    sink_ids.clear();
+    for (std::size_t p = 0; p < kPaths; ++p) {
+      auto dev = std::make_unique<core::LambdaDevice>(
+          "sink" + std::to_string(p), core::make_sink_shape("in", type),
+          [&run, &seen, p](const std::string&, const core::Message& msg) {
+            if (seen.emplace(p, msg.meta.at("k")).second) {
+              ++run.delivered;
+            } else {
+              ++run.duplicates;
+            }
+            return ok_result();
+          });
+      sink_ids.push_back(rb.map(std::move(dev)).take());
+    }
+  };
+  map_sinks();
+  sched.run_for(seconds(1));
+
+  std::vector<PathId> paths;
+  for (std::size_t p = 0; p < kPaths; ++p) {
+    core::QosPolicy qos;
+    if (p == 1) qos.message_ttl = milliseconds(800);
+    if (p == 2) qos.message_ttl = milliseconds(300);
+    if (p == 3) {
+      qos.rate_bytes_per_sec = 4000;
+      qos.burst_bytes = 1500;
+      qos.max_buffered_bytes = 4000;
+      qos.shed = core::ShedPolicy::drop_oldest;
+    }
+    paths.push_back(ra.transport()
+                        .connect(core::PortRef{src_ids[kSourceOf[p]], "out"},
+                                 core::PortRef{sink_ids[p], "in"}, qos)
+                        .take());
+  }
+
+  Rng rng(seed);
+  auto draw_ms = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return milliseconds(static_cast<std::int64_t>(rng.between(lo, hi)));
+  };
+  const sim::TimePoint t0 = sched.now();
+  // Faults, each starting inside the 20 s emit window. A long cut outlasts
+  // every reconnect attempt; a cut inside it would heal it early, so it comes
+  // alone.
+  const bool give_up = rng.below(4) == 0;
+  if (give_up) {
+    const sim::TimePoint from = t0 + draw_ms(1000, 3000);
+    net.faults().cut(lan, from, from + seconds(21));
+  }
+  for (std::uint64_t i = give_up ? 0 : rng.between(1, 3); i > 0; --i) {
+    const sim::TimePoint from = t0 + draw_ms(1000, 17000);
+    net.faults().cut(lan, from, from + draw_ms(200, 4000));
+  }
+  if (rng.below(2) == 0) {
+    const sim::TimePoint crash = t0 + draw_ms(2000, 16000);
+    sched.schedule_at(crash, [&rb]() { rb.crash(); });
+    sched.schedule_at(crash + draw_ms(100, 2000), [&rb, &map_sinks]() {
+      EXPECT_TRUE(rb.start().ok());
+      map_sinks();
+    });
+  }
+  for (std::uint64_t i = rng.below(3); i > 0; --i) {
+    // The newest connection: stream ids come in client/server pairs.
+    sched.schedule_at(t0 + draw_ms(1000, 18000), [&net]() {
+      const std::uint64_t connects = counter_of(net, "net.stream.connects");
+      if (connects > 0) net.faults().reset_stream(StreamId(2 * connects - 1));
+    });
+  }
+  if (rng.below(2) == 0) {
+    const sim::TimePoint from = t0 + draw_ms(1000, 15000);
+    net::BurstLossSpec burst;
+    burst.p_good_to_bad = 0.3;
+    burst.p_bad_to_good = 0.3;
+    burst.loss_bad = 0.9;
+    sched.schedule_at(from, [&net, lan, burst]() { net.faults().set_burst_loss(lan, burst); });
+    sched.schedule_at(from + seconds(3), [&net, lan]() { net.faults().clear_burst_loss(lan); });
+  }
+
+  // The emit stream: bursts of 0.2-2 s, in which every 20-60 ms one source
+  // emits a 200-1500 B message, apart by quiet gaps of 0.2-3 s (so a cut
+  // often ends with a stale message at the tail of the outage buffer).
+  // Offered counts the destinations each emit is bound to at that moment.
+  std::uint64_t k = 0;
+  sim::TimePoint burst_end = t0;
+  for (sim::TimePoint t = t0; t < t0 + seconds(20);) {
+    if (t >= burst_end) {
+      t = t + draw_ms(200, 3000);
+      burst_end = t + draw_ms(200, 2000);
+    }
+    t = t + draw_ms(20, 60);
+    const std::size_t s = rng.below(kSources);
+    const std::size_t bytes = rng.between(200, 1500);
+    sched.schedule_at(t, [&, s, bytes, key = k++]() {
+      for (std::size_t p = 0; p < kPaths; ++p) {
+        if (kSourceOf[p] == s) run.offered += ra.transport().bound_destinations(paths[p]).size();
+      }
+      core::Message m;
+      m.type = type;
+      m.payload = Bytes(bytes, static_cast<std::uint8_t>(key));
+      m.meta["k"] = std::to_string(key);
+      EXPECT_TRUE(sources[s]->emit("out", std::move(m)).ok());
+    });
+  }
+  sched.run_for(seconds(60));  // every fault healed, every link settled
+
+  expect_conserved(net, run.offered, run.delivered);
+  run.record.telemetry = obs::world_json(net.metrics(), net.tracer());
+  run.record.digest = sched.trace_digest();
+  return run;
+}
+
+class FateSweepTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FateSweepTest, EveryMessageReachesOneFateExactlyOnce) {
+  const SweepRun a = fate_sweep(GetParam());
+  EXPECT_GT(a.offered, 0u);
+  EXPECT_EQ(a.duplicates, 0u);
+  const SweepRun b = fate_sweep(GetParam());
+  EXPECT_EQ(a.record.digest, b.record.digest);
+  EXPECT_EQ(a.record.telemetry, b.record.telemetry);
+}
+
+INSTANTIATE_TEST_SUITE_P(Chaos, FateSweepTest, ::testing::Range<std::uint64_t>(1, 65));
+
 // --- fault-free worlds are untouched --------------------------------------------
 
 TEST(ChaosTest, FaultFreeWorldDrawsNothingFromTheFaultPlane) {
@@ -1214,6 +1443,7 @@ TEST(ChaosTest, FaultFreeWorldDrawsNothingFromTheFaultPlane) {
         "recovery.giveups", "recovery.outage_dropped"}) {
     EXPECT_EQ(snap.find(name), nullptr) << name << " registered without a fault";
   }
+  expect_conserved(w.net, 1, w.tv->rendered().size());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // chaos_test.cpp, where the fault plane can cut links under it.
 #include <gtest/gtest.h>
 
+#include "conservation.hpp"
 #include "core/umiddle.hpp"
 
 namespace umiddle::core {
@@ -126,6 +127,8 @@ TEST(BreakerTest, OpensAfterThresholdQuarantinesAndProbesBackClosed) {
   ASSERT_EQ(w.sink->delivered.size(), 2u);
   EXPECT_EQ(w.sink->delivered[0].meta.at("n"), "9");
   EXPECT_EQ(w.sink->delivered[1].meta.at("n"), "10");
+  // A failed delivery still reached the native side: it counts as delivered.
+  expect_conserved(w.net, 11, static_cast<std::uint64_t>(w.sink->attempts));
 }
 
 TEST(BreakerTest, ThresholdZeroDisablesTheBreakerEntirely) {
@@ -142,6 +145,7 @@ TEST(BreakerTest, ThresholdZeroDisablesTheBreakerEntirely) {
                            "delivery.breaker_probes", "delivery.breaker_closed"}) {
     EXPECT_EQ(snap.find(name), nullptr) << name << " registered with breaker disabled";
   }
+  expect_conserved(w.net, 20, 20);
 }
 
 TEST(BreakerTest, SuccessResetsTheConsecutiveFailureCount) {
@@ -159,6 +163,7 @@ TEST(BreakerTest, SuccessResetsTheConsecutiveFailureCount) {
   w.sched.run_for(milliseconds(100));
   EXPECT_EQ(w.sink->attempts, 9);
   EXPECT_EQ(w.net.metrics().snapshot().find("delivery.breaker_open"), nullptr);
+  expect_conserved(w.net, 9, 9);
 }
 
 TEST(BreakerTest, StaleProbeTimerFromEarlierOpenCycleIsIgnored) {
@@ -175,6 +180,7 @@ TEST(BreakerTest, StaleProbeTimerFromEarlierOpenCycleIsIgnored) {
   // table but the timer stays scheduled; the re-mapped sink recycles the
   // translator id, so a fresh breaker for the *same id* opens a new cycle.
   w.sched.run_for(milliseconds(1700));
+  const int first_attempts = w.sink->attempts;  // the crash destroys this sink
   w.rt->crash();
   ASSERT_TRUE(w.rt->start().ok());
   auto s = std::make_unique<LambdaDevice>("Source", make_source_shape("out", jpeg()));
@@ -208,6 +214,7 @@ TEST(BreakerTest, StaleProbeTimerFromEarlierOpenCycleIsIgnored) {
   w.sched.run_for(milliseconds(100));
   EXPECT_EQ(w.sink->attempts, 6);
   EXPECT_EQ(w.counter("delivery.breaker_closed"), 1u);
+  expect_conserved(w.net, 12, static_cast<std::uint64_t>(first_attempts + w.sink->attempts));
 }
 
 // --- message deadlines ----------------------------------------------------------
@@ -235,6 +242,7 @@ TEST(DeadlineTest, ExpiredMessagesAreDroppedNotDelivered) {
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->messages_expired, 1u);
   EXPECT_EQ(w.counter("delivery.expired"), 1u);
+  expect_conserved(w.net, 2, 1);
 }
 
 TEST(DeadlineTest, PathTtlExpiresMessagesHeldByBackpressure) {
@@ -262,6 +270,7 @@ TEST(DeadlineTest, PathTtlExpiresMessagesHeldByBackpressure) {
   w.sched.run_for(milliseconds(100));
   ASSERT_EQ(w.sink->delivered.size(), 1u);
   EXPECT_EQ(w.sink->delivered[0].meta.at("n"), "3");
+  expect_conserved(w.net, 4, 1);
 }
 
 // --- shedding policies ----------------------------------------------------------
@@ -288,6 +297,7 @@ TEST(SheddingTest, DropOldestEvictsTheQueueFront) {
   EXPECT_EQ(w.sink->delivered[0].meta.at("n"), "2");
   EXPECT_EQ(w.sink->delivered[1].meta.at("n"), "3");
   EXPECT_EQ(w.sink->delivered[2].meta.at("n"), "4");
+  expect_conserved(w.net, 5, 3);
 }
 
 TEST(SheddingTest, LatestOnlyCoalescesToTheFreshestMessage) {
@@ -309,6 +319,7 @@ TEST(SheddingTest, LatestOnlyCoalescesToTheFreshestMessage) {
   w.sched.run_for(milliseconds(100));
   ASSERT_EQ(w.sink->delivered.size(), 1u);
   EXPECT_EQ(w.sink->delivered[0].meta.at("n"), "4");  // only the freshest
+  expect_conserved(w.net, 5, 1);
 }
 
 TEST(SheddingTest, BlockRefusesEmitsButNeverDropsAnything) {
@@ -341,6 +352,7 @@ TEST(SheddingTest, BlockRefusesEmitsButNeverDropsAnything) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(w.sink->delivered[static_cast<std::size_t>(i)].meta.at("n"), std::to_string(i));
   }
+  expect_conserved(w.net, 4, 3);  // the refused emit is offered once, as blocked
 }
 
 TEST(SheddingTest, BlockRetiresAlreadyExpiredMessagesInsteadOfRefusing) {
@@ -379,6 +391,7 @@ TEST(SheddingTest, BlockRetiresAlreadyExpiredMessagesInsteadOfRefusing) {
   ASSERT_EQ(w.sink->delivered.size(), 2u);
   EXPECT_EQ(w.sink->delivered[0].meta.at("n"), "0");
   EXPECT_EQ(w.sink->delivered[1].meta.at("n"), "1");
+  expect_conserved(w.net, 4, 2);
 }
 
 TEST(SheddingTest, ZeroCapacityBufferShedsEveryArrival) {
@@ -398,6 +411,7 @@ TEST(SheddingTest, ZeroCapacityBufferShedsEveryArrival) {
     w.sink->open();
     w.sched.run_for(milliseconds(100));
     EXPECT_TRUE(w.sink->delivered.empty());
+    expect_conserved(w.net, 3, 0);
   }
   // Block with zero capacity refuses every emit instead of shedding.
   DeliveryWorld w;
@@ -409,6 +423,7 @@ TEST(SheddingTest, ZeroCapacityBufferShedsEveryArrival) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error().code, Errc::buffer_overflow);
   EXPECT_EQ(w.rt->transport().stats(path)->messages_blocked, 1u);
+  expect_conserved(w.net, 1, 0);
 }
 
 TEST(SheddingTest, DropNewestKeepsLegacyTailDropAndCountsShed) {
@@ -430,7 +445,74 @@ TEST(SheddingTest, DropNewestKeepsLegacyTailDropAndCountsShed) {
   ASSERT_EQ(w.sink->delivered.size(), 3u);  // the oldest three survive
   EXPECT_EQ(w.sink->delivered[0].meta.at("n"), "0");
   EXPECT_EQ(w.sink->delivered[2].meta.at("n"), "2");
+  expect_conserved(w.net, 5, 3);
 }
+
+// --- messages held when their path or runtime goes away -------------------------
+
+enum class Teardown { disconnect, source_unmapped, stop, crash, disconnect_mid_translation };
+
+std::string teardown_name(Teardown t) {
+  switch (t) {
+    case Teardown::disconnect: return "disconnect";
+    case Teardown::source_unmapped: return "source_unmapped";
+    case Teardown::stop: return "stop";
+    case Teardown::crash: return "crash";
+    case Teardown::disconnect_mid_translation: return "disconnect_mid_translation";
+  }
+  return "unknown";
+}
+
+// Keeps failure messages readable: without it gtest prints the raw bytes.
+void PrintTo(Teardown t, std::ostream* os) { *os << teardown_name(t); }
+
+class DiscardTest : public ::testing::TestWithParam<Teardown> {};
+
+TEST_P(DiscardTest, HeldMessagesAreRetiredAsDiscarded) {
+  DeliveryWorld w;
+  PathId path = w.connect();
+  const Teardown how = GetParam();
+  // Three messages held by the path: all queued behind a closed gate, or the
+  // first in translation (no virtual time passes) and two queued behind it.
+  if (how != Teardown::disconnect_mid_translation) w.sink->close_gate();
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(w.emit(i).ok());
+  ASSERT_EQ(w.sink->attempts, 0);
+  const std::uint64_t dropped = w.counter("umtp.messages_dropped");
+
+  switch (how) {
+    case Teardown::disconnect:
+    case Teardown::disconnect_mid_translation:
+      ASSERT_TRUE(w.rt->transport().disconnect(path).ok());
+      break;
+    case Teardown::source_unmapped:
+      ASSERT_TRUE(w.rt->unmap(w.src_id).ok());
+      break;
+    case Teardown::stop:
+      w.rt->stop();  // unmaps in id order: the source, and so the path, first
+      break;
+    case Teardown::crash:
+      w.rt->crash();
+      break;
+  }
+  const bool sink_alive = how != Teardown::stop && how != Teardown::crash;
+  if (sink_alive) w.sink->open();
+  w.sched.run_for(milliseconds(100));
+
+  if (sink_alive) {
+    EXPECT_EQ(w.sink->attempts, 0);
+  }
+  EXPECT_EQ(w.counter("delivery.discarded"), 3u);
+  EXPECT_EQ(w.counter("umtp.messages_dropped") - dropped, 3u);
+  expect_conserved(w.net, 3, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Teardowns, DiscardTest,
+                         ::testing::Values(Teardown::disconnect, Teardown::source_unmapped,
+                                           Teardown::stop, Teardown::crash,
+                                           Teardown::disconnect_mid_translation),
+                         [](const ::testing::TestParamInfo<Teardown>& info) {
+                           return teardown_name(info.param);
+                         });
 
 }  // namespace
 }  // namespace umiddle::core

@@ -17,6 +17,7 @@
 #include "bluetooth/hidp.hpp"
 #include "bluetooth/mapper.hpp"
 #include "common/rand.hpp"
+#include "conservation.hpp"
 #include "core/umiddle.hpp"
 #include "mediabroker/mapper.hpp"
 #include "motes/mapper.hpp"
@@ -79,6 +80,7 @@ RunAudit run_bridging_scenario(std::uint64_t seed, bool record = false) {
   camera.shutter(Bytes(30000, 0xD8), "fig5.jpg");
   sched.run_for(seconds(3));
   EXPECT_EQ(tv.rendered().size(), 1u);
+  expect_conserved(net, 1, tv.rendered().size());
 
   return RunAudit{sched.trace_digest(), sched.events_dispatched(),
                   record ? sched.trace_recorder().snapshot() : std::vector<sim::TraceRecord>{}};

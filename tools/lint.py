@@ -37,10 +37,14 @@ exist to keep nondeterminism from leaking back in:
                frames, std::function events), which is exactly the class of
                hidden copy PR 2 removed from the hot paths. Iterate by
                `const auto&` (or `auto&` / `auto&&` when mutating).
-  one-expiry-site
-               the string literal "delivery.expired" appears once in src/,
-               in src/core/transport.cpp: every deadline drop goes through
-               Transport::expire, so expiry accounting has one implementation.
+  one-fate-site
+               every message-fate counter name ("delivery.expired",
+               "delivery.discarded", ...) appears once in src/, in the fate
+               table of src/core/transport.cpp, and the PathStats fields
+               messages_dropped / _shed / _expired / _blocked are assigned
+               only inside Transport::retire: every way a message leaves the
+               transport is one row of one table, so fate accounting has one
+               implementation.
   one-import-site
                outside src/core/, nothing in src/ calls instantiate( or
                unmap( on a Runtime: mappers import and withdraw devices
@@ -294,24 +298,63 @@ def check_ack_origin(path: str, code: str) -> Iterable[Violation]:
                             "them (DESIGN.md §11)")
 
 
-# Deadline expiry has one implementation (DESIGN.md §11.2): every site that
-# drops a message for its deadline calls Transport::expire, the only code that
-# names the counter. A second mention of it is a second expiry path with its
-# own accounting, which is how the sites drifted apart before they were merged.
-# Matched on literals, so this check sees comment-stripped code with strings.
-EXPIRY_COUNTER_RE = re.compile(r'"delivery\.expired"')
-EXPIRY_SITE = "src/core/transport.cpp"
+# Message fates have one implementation (DESIGN.md §11, the fate table): each
+# fate's counter is named once, in the fate table of transport.cpp, and only
+# Transport::retire, which applies a row of it, writes the PathStats fate
+# fields. A second mention of a fate counter, or a fate field bumped anywhere
+# else, is a second accounting path for that fate, which is how the sites
+# drifted apart before they were merged. Matched on literals, so this check
+# sees comment-stripped code with strings.
+FATE_COUNTERS = ("delivery.blocked", "delivery.shed_newest", "delivery.shed_oldest",
+                 "delivery.shed_latest", "delivery.expired", "delivery.breaker_dropped",
+                 "delivery.unmapped", "delivery.no_route", "recovery.outage_dropped",
+                 "delivery.unacked_dropped", "delivery.discarded")
+FATE_COUNTER_RE = re.compile(r'"(%s)"' % "|".join(map(re.escape, FATE_COUNTERS)))
+FATE_FIELD = r"(?:\.|->)\s*messages_(?:dropped|shed|expired|blocked)\b"
+FATE_FIELD_WRITE_RE = re.compile(
+    r"(?:\+\+|--)\s*[\w.>-]*%s|%s\s*(?:\+\+|--|[-+*/%%|&^]?=(?!=))" % (FATE_FIELD, FATE_FIELD))
+FATE_SITE = "src/core/transport.cpp"
+RETIRE_DEF_RE = re.compile(r"\bTransport::retire\s*\(")
 
 
-def check_one_expiry_site(path: str, code: str) -> Iterable[Violation]:
-    hits = [lineno for lineno, line in enumerate(code.splitlines(), 1)
-            if EXPIRY_COUNTER_RE.search(line)]
-    allowed = 1 if path == EXPIRY_SITE else 0
-    for lineno in hits[allowed:]:
-        yield Violation("one-expiry-site", path, lineno,
-                        '"delivery.expired" outside Transport::expire; drop '
-                        "expired messages through that helper so expiry "
-                        f"accounting stays in one place ({EXPIRY_SITE})")
+def closing(code: str, at: int) -> int:
+    """Index of the bracket closing the one at code[at]."""
+    depth = 0
+    for i in range(at, len(code)):
+        depth += {"(": 1, "{": 1, ")": -1, "}": -1}.get(code[i], 0)
+        if depth == 0:
+            return i
+    return len(code)
+
+
+def function_body_lines(code: str, name: re.Pattern) -> range:
+    """Line numbers of the body of the function defined as `name(...) {...}`."""
+    for m in name.finditer(code):
+        after = code[closing(code, m.end() - 1) + 1:]
+        if not after.lstrip().startswith("{"):
+            continue  # a declaration or a call
+        start = len(code) - len(after.lstrip())
+        return range(code.count("\n", 0, start) + 1, code.count("\n", 0, closing(code, start)) + 2)
+    return range(0)
+
+
+def check_one_fate_site(path: str, code: str) -> Iterable[Violation]:
+    named: set[str] = set()
+    retire = function_body_lines(code, RETIRE_DEF_RE) if path == FATE_SITE else range(0)
+    for lineno, line in enumerate(code.splitlines(), 1):
+        for m in FATE_COUNTER_RE.finditer(line):
+            if path == FATE_SITE and m.group(1) not in named:
+                named.add(m.group(1))
+                continue
+            yield Violation("one-fate-site", path, lineno,
+                            f'"{m.group(1)}" outside the fate table; retire '
+                            "messages through Transport::retire(Fate::...) so "
+                            f"each fate keeps one accounting ({FATE_SITE})")
+        if FATE_FIELD_WRITE_RE.search(line) and lineno not in retire:
+            yield Violation("one-fate-site", path, lineno,
+                            "PathStats fate field written outside "
+                            "Transport::retire; retire the message with its "
+                            "Fate so the table decides its accounting")
 
 
 # Device import has one implementation (DESIGN.md §7.5): mappers call the
@@ -422,7 +465,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
 
 # Checks that match string literals: they see comments blanked, strings kept.
 LITERAL_CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
-    check_one_expiry_site,
+    check_one_fate_site,
 ]
 
 
@@ -484,11 +527,13 @@ SEEDED_VIOLATIONS = [
      "static obs::MetricsRegistry g_registry;\n"),
     ("global-telemetry", "src/obs/evil.hpp",
      "inline Tracer& global_tracer() { return the_tracer; }\n"),
-    ("one-expiry-site", "src/core/transport.cpp",
-     'metrics.counter("delivery.expired").inc(n);\n'
-     'metrics.counter("delivery.expired").inc();\n'),
-    ("one-expiry-site", "src/core/link_session.cpp",
-     'metrics.counter("delivery.expired").inc();\n'),
+    ("one-fate-site", "src/core/transport.cpp",
+     '{"delivery.no_route", nullptr, true, "deliver.no_route"},\n'
+     'void Transport::retire(Fate fate, PathStats* path) { path->messages_dropped += 1; }\n'
+     'void Transport::dispatch(Path& path) {\n'
+     '  count("delivery.no_route");\n'
+     '  path.stats.messages_dropped += 1;\n'
+     '}\n'),
     ("one-import-site", "src/motes/evil.cpp",
      "runtime_->instantiate(std::move(translator), [this](Result<TranslatorId> r) {});\n"
      "(void)runtime().unmap(id);\n"),
@@ -526,9 +571,15 @@ CLEAN_SNIPPETS = [
      "if (spec.loss == 0.0) { return; }\n"
      "net_.faults().set_loss(segment_, loss);\n"),
     ("src/core/transport.cpp",
-     'metrics.counter("delivery.expired").inc(n);\n'
+     '{"delivery.expired", &PathStats::messages_expired, false, "deliver.expired"},\n'
      '// the "delivery.expired" counter, named in a comment, is fine\n'
-     'metrics.counter("delivery.expired_total").inc();\n'),
+     'metrics.counter("delivery.expired_total").inc();\n'
+     'void Transport::retire(Fate fate, PathStats* path, std::uint64_t n) {\n'
+     '  if (path != nullptr) {\n'
+     '    path->messages_dropped += n;\n'
+     '  }\n'
+     '}\n'
+     'bool idle = stats.messages_dropped == 0 && stats.messages_shed <= 1;\n'),
     ("src/core/fine.cpp",
      "runtime_.scheduler().schedule_after(\n"
      "    jitter, [this, id]() { if (started_) announce(id, {1, 2}); },\n"
