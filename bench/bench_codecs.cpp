@@ -1,9 +1,9 @@
 // Ablation D — codec microbenchmarks (real CPU time).
 //
 // Supporting measurements for the substrates: the XML engine (USDL, SOAP),
-// the OBEX and UMTP binary codecs, and base64. These run the actual encode /
-// decode paths the protocol stacks exercise, under classic google-benchmark
-// wall-clock timing (no simulation involved).
+// the OBEX and UMTP binary codecs, stream reassembly bursts, and base64.
+// These run the actual encode / decode paths the protocol stacks exercise,
+// under classic google-benchmark wall-clock timing (no simulation involved).
 #include <benchmark/benchmark.h>
 
 #include "bluetooth/obex.hpp"
@@ -11,6 +11,8 @@
 #include "common/base64.hpp"
 #include "core/umtp.hpp"
 #include "core/usdl.hpp"
+#include "mediabroker/protocol.hpp"
+#include "rmi/protocol.hpp"
 #include "upnp/soap.hpp"
 #include "xml/parser.hpp"
 #include "xml/xml.hpp"
@@ -133,12 +135,55 @@ void BM_UmtpRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     Bytes wire = core::umtp::encode(core::umtp::Frame{frame});
     std::vector<core::umtp::Frame> out;
-    core::umtp::FrameAssembler assembler;
+    core::umtp::Reader assembler;
     auto r = assembler.feed(wire, out);
     benchmark::DoNotOptimize(r);
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+
+// One feed of n back-to-back small frames into a fresh FrameReader: the cost
+// of reassembly per frame once a backlog arrives at once. netsim delivers at
+// most one MTU per chunk, so no workload feeds such a burst; this isolates the
+// consume cursor (one buffer erase per feed, not one per frame).
+template <typename Reader>
+void burst(benchmark::State& state, const Bytes& frame) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Bytes stream;
+  stream.reserve(frame.size() * n);
+  for (std::size_t i = 0; i < n; ++i) stream.insert(stream.end(), frame.begin(), frame.end());
+  for (auto _ : state) {
+    Reader reader;
+    std::vector<typename Reader::Frame> out;
+    auto r = reader.feed(stream, out);
+    benchmark::DoNotOptimize(r);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void BM_BurstUmtp(benchmark::State& state) {
+  core::Message msg;
+  msg.type = MimeType::of("text/plain");
+  msg.payload = Bytes(64, 0x5A);
+  burst<core::umtp::Reader>(state,
+                            core::umtp::encode_data(core::PortRef{TranslatorId(7), "in"}, msg));
+}
+
+void BM_BurstMb(benchmark::State& state) {
+  burst<mb::Reader>(state, mb::Frame{mb::Op::data, "cam-1", "", Bytes(64, 0x5A)}.encode());
+}
+
+void BM_BurstRmi(benchmark::State& state) {
+  burst<rmi::CallReader>(state, rmi::encode_call(rmi::Call{"echo", "deliver", Bytes(64, 0x5A)}));
+}
+
+void BM_BurstObex(benchmark::State& state) {
+  bt::obex::Packet packet;
+  packet.opcode = bt::obex::kOpPut;
+  packet.headers.push_back(bt::obex::Header::bytes(bt::obex::kHdrBody, Bytes(64, 0x5A)));
+  burst<bt::obex::PacketReader>(state, packet.encode());
 }
 
 void BM_Base64(benchmark::State& state) {
@@ -158,6 +203,10 @@ BENCHMARK(BM_SoapRoundTrip_Body64)->Arg(30000);
 BENCHMARK(BM_XmlEscape)->Arg(64)->Arg(40000);
 BENCHMARK(BM_ObexRoundTrip)->Arg(1400)->Arg(32000);
 BENCHMARK(BM_UmtpRoundTrip)->Arg(1400)->Arg(32000);
+BENCHMARK(BM_BurstUmtp)->Arg(1000)->Arg(4000)->Arg(16000);
+BENCHMARK(BM_BurstMb)->Arg(1000)->Arg(4000)->Arg(16000);
+BENCHMARK(BM_BurstRmi)->Arg(1000)->Arg(4000)->Arg(16000);
+BENCHMARK(BM_BurstObex)->Arg(1000)->Arg(4000)->Arg(16000);
 BENCHMARK(BM_Base64)->Arg(1400)->Arg(32000);
 
 }  // namespace

@@ -44,11 +44,7 @@ void BipCamera::shutter(Bytes image, std::string filename) {
   current_ = obex::Object{std::move(filename), kTypeImage, std::move(image)};
   if (!push_target_ || !powered()) return;
   auto stream = medium().l2cap_connect(host(), push_target_->address, push_target_->psm);
-  if (!stream.ok()) {
-    log::Entry(log::Level::warn, "bip") << "push failed: " << stream.error().to_string();
-    return;
-  }
-  obex::Client::put(stream.value(), current_, [](Result<void> r) {
+  obex::Client::put(std::move(stream), current_, [](Result<void> r) {
     if (!r.ok()) {
       log::Entry(log::Level::warn, "bip") << "push PUT failed: " << r.error().to_string();
     }

@@ -19,6 +19,14 @@ Result<MouseReport> MouseReport::decode(std::span<const std::uint8_t> wire) {
   return r;
 }
 
+Result<std::size_t> next_report(std::span<const std::uint8_t> buffer,
+                                std::vector<MouseReport>& out) {
+  if (buffer.size() < 5) return 0;
+  auto report = MouseReport::decode(buffer.first(5));
+  if (report.ok()) out.push_back(report.value());
+  return 5;
+}
+
 HidMouse::HidMouse(BluetoothMedium& medium, std::string name)
     : BtDevice(medium, std::move(name), /*class_of_device=*/0x002580 /* peripheral/mouse */) {
   records_.push_back(SdpRecord{1, kUuidHid, "HID Mouse", kPsmHidInterrupt, "HID"});

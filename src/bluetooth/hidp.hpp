@@ -23,6 +23,14 @@ struct MouseReport {
   static Result<MouseReport> decode(std::span<const std::uint8_t> wire);
 };
 
+/// Decode step for the 5-byte report transaction at the front of a receive
+/// buffer. A bad transaction is consumed and skipped: it decodes to nothing,
+/// and the reports after it decode as usual.
+[[nodiscard]] Result<std::size_t> next_report(std::span<const std::uint8_t> buffer,
+                                              std::vector<MouseReport>& out);
+
+using HidReader = FrameReader<MouseReport, next_report>;
+
 class HidMouse : public BtDevice {
  public:
   HidMouse(BluetoothMedium& medium, std::string name = "HIDP Mouse");

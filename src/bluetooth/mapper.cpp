@@ -71,20 +71,17 @@ void BtTranslator::finish_operation() {
   if (mapped()) runtime()->notify_ready(profile().id);
 }
 
+Result<net::StreamPtr> BtTranslator::connect_service() {
+  return mapper_.medium().l2cap_connect(mapper_.adapter().host(), device_.address, record_.psm);
+}
+
 void BtTranslator::run_obex_get(const core::UsdlBinding& binding) {
   busy_ = true;
   mapper_.runtime().network().metrics().counter("bt.obex_gets").inc();
   native_span_ = mapper_.runtime().network().tracer().begin_span(
       0, "native.bt", mapper_.runtime().host(), mapper_.runtime().scheduler().now());
-  auto stream = mapper_.medium().l2cap_connect(mapper_.adapter().host(), device_.address,
-                                               record_.psm);
-  if (!stream.ok()) {
-    log::Entry(log::Level::warn, "bt") << "GET connect failed: " << stream.error().to_string();
-    finish_operation();
-    return;
-  }
   std::string emit_port = binding.emit_port;
-  obex::Client::get(stream.value(), binding.native.attr("type"), "",
+  obex::Client::get(connect_service(), binding.native.attr("type"), "",
                     lifetime_.guard([this, emit_port](Result<obex::Object> object) {
                       if (object.ok() && !emit_port.empty()) {
                         emit_object(emit_port, object.value());
@@ -101,19 +98,12 @@ void BtTranslator::run_obex_put(const core::UsdlBinding& binding, const core::Me
   mapper_.runtime().network().metrics().counter("bt.obex_puts").inc();
   native_span_ = mapper_.runtime().network().tracer().begin_span(
       msg.trace, "native.bt", mapper_.runtime().host(), mapper_.runtime().scheduler().now());
-  auto stream = mapper_.medium().l2cap_connect(mapper_.adapter().host(), device_.address,
-                                               record_.psm);
-  if (!stream.ok()) {
-    log::Entry(log::Level::warn, "bt") << "PUT connect failed: " << stream.error().to_string();
-    finish_operation();
-    return;
-  }
   obex::Object object;
   object.type = binding.native.attr("type");
   auto name = msg.meta.find("filename");
   object.name = name != msg.meta.end() ? name->second : "object";
   object.data = msg.payload;
-  obex::Client::put(stream.value(), std::move(object), lifetime_.guard([this](Result<void> r) {
+  obex::Client::put(connect_service(), std::move(object), lifetime_.guard([this](Result<void> r) {
     if (!r.ok()) {
       log::Entry(log::Level::warn, "bt") << "OBEX PUT failed: " << r.error().to_string();
     }
@@ -146,19 +136,12 @@ void BtTranslator::setup_push_sink(const core::UsdlBinding& binding) {
   }
   // Register ourselves as the device's push target: OBEX PUT of a small
   // registration object carrying "adapter-address:psm".
-  auto stream = mapper_.medium().l2cap_connect(mapper_.adapter().host(), device_.address,
-                                               record_.psm);
-  if (!stream.ok()) {
-    log::Entry(log::Level::warn, "bt")
-        << "push registration connect failed: " << stream.error().to_string();
-    return;
-  }
   obex::Object registration;
   registration.type = binding.native.attr("register");
   registration.name = "push-target";
   registration.data = to_bytes(std::to_string(mapper_.adapter().address()) + ":" +
                                std::to_string(sink_psm_));
-  obex::Client::put(stream.value(), std::move(registration), [](Result<void> r) {
+  obex::Client::put(connect_service(), std::move(registration), [](Result<void> r) {
     if (!r.ok()) {
       log::Entry(log::Level::warn, "bt")
           << "push registration failed: " << r.error().to_string();
@@ -167,8 +150,7 @@ void BtTranslator::setup_push_sink(const core::UsdlBinding& binding) {
 }
 
 void BtTranslator::setup_hid_events(const core::UsdlBinding& binding) {
-  auto stream = mapper_.medium().l2cap_connect(mapper_.adapter().host(), device_.address,
-                                               record_.psm);
+  auto stream = connect_service();
   if (!stream.ok()) {
     log::Entry(log::Level::warn, "bt")
         << "interrupt channel connect failed: " << stream.error().to_string();
@@ -182,15 +164,12 @@ void BtTranslator::setup_hid_events(const core::UsdlBinding& binding) {
 
 void BtTranslator::handle_hid_bytes(const std::string& port,
                                     std::span<const std::uint8_t> chunk) {
-  hid_buffer_.insert(hid_buffer_.end(), chunk.begin(), chunk.end());
-  while (hid_buffer_.size() >= 5) {
-    auto report = MouseReport::decode(std::span(hid_buffer_).subspan(0, 5));
-    hid_buffer_.erase(hid_buffer_.begin(), hid_buffer_.begin() + 5);
-    if (!report.ok()) continue;  // skip malformed transaction byte-by-byte? whole frame dropped
+  std::vector<MouseReport> reports;
+  if (!hid_reader_.feed(chunk, reports).ok()) return;
+  for (const MouseReport& r : reports) {
     // Translate the HID report into a VML document (§5.2), charging the
     // 2006-stack translation cost in virtual time. The trace starts here (HID
     // ingress) so the VML span and the downstream path share one id.
-    MouseReport r = report.value();
     mapper_.runtime().network().metrics().counter("bt.hid_reports").inc();
     obs::Tracer* tracer = &mapper_.runtime().network().tracer();
     const std::uint64_t trace = tracer->new_trace();

@@ -58,6 +58,8 @@ class BtTranslator final : public core::Translator {
  private:
   void setup_push_sink(const core::UsdlBinding& binding);
   void setup_hid_events(const core::UsdlBinding& binding);
+  /// Open an L2CAP channel from the adapter to the device's service PSM.
+  [[nodiscard]] Result<net::StreamPtr> connect_service();
   void run_obex_get(const core::UsdlBinding& binding);
   void run_obex_put(const core::UsdlBinding& binding, const core::Message& msg);
   void handle_hid_bytes(const std::string& port, std::span<const std::uint8_t> chunk);
@@ -79,7 +81,7 @@ class BtTranslator final : public core::Translator {
   /// oldest open connection is the one whose object completes first.
   std::deque<std::uint64_t> sink_spans_;
   net::StreamPtr hid_channel_;
-  Bytes hid_buffer_;
+  HidReader hid_reader_;
   sim::Lifetime lifetime_;  ///< ends at unmap
 };
 

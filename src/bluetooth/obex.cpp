@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
+#include "netsim/exchange.hpp"
 
 namespace umiddle::bt::obex {
 namespace {
@@ -93,10 +93,6 @@ Result<Packet> decode(std::span<const std::uint8_t> wire) {
   if (length.value() != wire.size()) {
     return make_error(Errc::protocol_error, "obex: length mismatch");
   }
-  if (p.opcode == kOpConnect || (p.opcode == kRespSuccess && wire.size() >= 7)) {
-    // CONNECT and CONNECT-response carry version/flags/max-packet.
-    // For responses this is a heuristic; our sessions only use it for CONNECT.
-  }
   if (p.opcode == kOpConnect) {
     auto version = r.u8();
     auto flags = r.u8();
@@ -142,40 +138,32 @@ Result<Packet> decode(std::span<const std::uint8_t> wire) {
   return p;
 }
 
-Result<void> PacketAssembler::feed(std::span<const std::uint8_t> chunk,
-                                   std::vector<Packet>& out) {
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
-  while (buffer_.size() >= 3) {
-    std::uint16_t length = static_cast<std::uint16_t>((buffer_[1] << 8) | buffer_[2]);
-    if (length < 3) return make_error(Errc::protocol_error, "obex: bad packet length");
-    if (buffer_.size() < length) break;
-    auto packet = decode(std::span(buffer_).subspan(0, length));
-    if (!packet.ok()) return packet.error();
-    out.push_back(std::move(packet).take());
-    buffer_.erase(buffer_.begin(), buffer_.begin() + length);
-  }
-  return ok_result();
+Result<std::size_t> next_packet(std::span<const std::uint8_t> buffer, std::vector<Packet>& out) {
+  if (buffer.size() < 3) return 0;
+  const auto length = static_cast<std::size_t>((buffer[1] << 8) | buffer[2]);
+  if (length < 3) return make_error(Errc::protocol_error, "obex: bad packet length");
+  if (buffer.size() < length) return 0;
+  auto packet = decode(buffer.first(length));
+  if (!packet.ok()) return packet.error();
+  out.push_back(std::move(packet).take());
+  return length;
 }
 
 // --- Server ---------------------------------------------------------------------------
 
 void Server::attach(net::StreamPtr stream) {
-  auto assembler = std::make_shared<PacketAssembler>();
-  auto partial = std::make_shared<Object>();
-  net::Stream* raw = stream.get();
-  stream->on_data([this, assembler, partial, raw,
-                   keep = stream](std::span<const std::uint8_t> chunk) {
+  stream->on_data([this, reader = PacketReader{}, session = Session{},
+                   keep = stream](std::span<const std::uint8_t> chunk) mutable {
     std::vector<Packet> packets;
-    if (auto r = assembler->feed(chunk, packets); !r.ok()) {
-      raw->close();
+    if (!reader.feed(chunk, packets).ok()) {
+      keep->close();
       return;
     }
-    for (const Packet& p : packets) handle(keep, p, partial);
+    for (const Packet& p : packets) handle(*keep, p, session);
   });
 }
 
-void Server::handle(const net::StreamPtr& stream, const Packet& packet,
-                    const std::shared_ptr<Object>& partial) {
+void Server::handle(net::Stream& stream, const Packet& packet, Session& session) {
   Packet resp;
   switch (packet.opcode) {
     case kOpConnect:
@@ -187,18 +175,19 @@ void Server::handle(const net::StreamPtr& stream, const Packet& packet,
       break;
     case kOpDisconnect:
       resp.opcode = kRespSuccess;
-      (void)stream->send(resp.encode());
-      stream->close();
+      (void)stream.send(resp.encode());
+      stream.close();
       return;
     case kOpPut:
     case kOpPutFinal: {
-      if (std::string name = packet.text(kHdrName); !name.empty()) partial->name = name;
-      if (std::string type = packet.text(kHdrType); !type.empty()) partial->type = type;
+      Object& partial = session.object;
+      if (std::string name = packet.text(kHdrName); !name.empty()) partial.name = name;
+      if (std::string type = packet.text(kHdrType); !type.empty()) partial.type = type;
       Bytes body = packet.body();
-      partial->data.insert(partial->data.end(), body.begin(), body.end());
+      partial.data.insert(partial.data.end(), body.begin(), body.end());
       if (packet.opcode == kOpPutFinal) {
-        if (on_put_) on_put_(*partial);
-        *partial = Object{};
+        if (on_put_) on_put_(partial);
+        session = Session{};
         resp.opcode = kRespSuccess;
       } else {
         resp.opcode = kRespContinue;
@@ -206,7 +195,7 @@ void Server::handle(const net::StreamPtr& stream, const Packet& packet,
       break;
     }
     case kOpGetFinal: {
-      if (partial->data.empty()) {
+      if (!session.served) {
         // First GET of the operation: look the object up.
         if (!on_get_) {
           resp.opcode = kRespNotFound;
@@ -217,24 +206,24 @@ void Server::handle(const net::StreamPtr& stream, const Packet& packet,
           resp.opcode = kRespNotFound;
           break;
         }
-        *partial = std::move(object).take();
-        partial->data.insert(partial->data.begin(), 0);  // sentinel: serving (popped below)
+        session.object = std::move(object).take();
+        session.served = 0;
       }
-      // Pop the sentinel, serve the next chunk.
-      Bytes& data = partial->data;
-      data.erase(data.begin());
-      std::size_t n = std::min(kChunk, data.size());
-      Bytes chunk(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n));
-      data.erase(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(n));
-      if (data.empty()) {
+      // Serve the next chunk.
+      const Bytes& data = session.object.data;
+      const std::size_t from = *session.served;
+      const std::size_t n = std::min(kChunk, data.size() - from);
+      Bytes chunk(data.begin() + static_cast<std::ptrdiff_t>(from),
+                  data.begin() + static_cast<std::ptrdiff_t>(from + n));
+      session.served = from + n;
+      if (from + n == data.size()) {
         resp.opcode = kRespSuccess;
-        resp.headers.push_back(Header::text(kHdrName, partial->name));
+        resp.headers.push_back(Header::text(kHdrName, session.object.name));
         resp.headers.push_back(Header::bytes(kHdrEndOfBody, std::move(chunk)));
-        *partial = Object{};
+        session = Session{};
       } else {
         resp.opcode = kRespContinue;
         resp.headers.push_back(Header::bytes(kHdrBody, std::move(chunk)));
-        data.insert(data.begin(), 0);  // re-arm sentinel for the next GET
       }
       break;
     }
@@ -242,180 +231,112 @@ void Server::handle(const net::StreamPtr& stream, const Packet& packet,
       resp.opcode = kRespBadRequest;
       break;
   }
-  (void)stream->send(resp.encode());
+  (void)stream.send(resp.encode());
 }
 
 // --- Client ----------------------------------------------------------------------------
 
 namespace {
 
-struct PutState {
+/// PUT: the object goes out in kChunk pieces, one per Continue.
+struct PutOperation {
   Object object;
   std::size_t offset = 0;
-  bool connected = false;
-  bool finished = false;
-  PacketAssembler assembler;
-  Client::DoneFn done;
+
+  Bytes next() {
+    Packet p;
+    const std::size_t n = std::min(kChunk, object.data.size() - offset);
+    Bytes chunk(object.data.begin() + static_cast<std::ptrdiff_t>(offset),
+                object.data.begin() + static_cast<std::ptrdiff_t>(offset + n));
+    const bool final = offset + n >= object.data.size();
+    if (offset == 0) {
+      p.headers.push_back(Header::text(kHdrName, object.name));
+      p.headers.push_back(Header::bytes(kHdrType, to_bytes(object.type)));
+      p.headers.push_back(Header::u32(kHdrLength, static_cast<std::uint32_t>(object.data.size())));
+    }
+    p.opcode = final ? kOpPutFinal : kOpPut;
+    p.headers.push_back(Header::bytes(final ? kHdrEndOfBody : kHdrBody, std::move(chunk)));
+    offset += n;
+    return p.encode();
+  }
+
+  net::Exchange<void>::Reply respond(const Packet& p) const {
+    if (p.opcode == kRespContinue) return std::nullopt;
+    if (p.opcode == kRespSuccess) return ok_result();
+    return make_error(Errc::refused, "obex: PUT rejected");
+  }
 };
 
-struct GetState {
+/// GET: the same request repeats until the body is complete.
+struct GetOperation {
   std::string type;
   std::string name;
   Object assembled;
-  bool connected = false;
-  bool finished = false;
-  PacketAssembler assembler;
-  Client::GetFn done;
+
+  Bytes next() const {
+    Packet p;
+    p.opcode = kOpGetFinal;
+    p.headers.push_back(Header::bytes(kHdrType, to_bytes(type)));
+    if (!name.empty()) p.headers.push_back(Header::text(kHdrName, name));
+    return p.encode();
+  }
+
+  net::Exchange<Object>::Reply respond(const Packet& p) {
+    if (p.opcode != kRespContinue && p.opcode != kRespSuccess) {
+      return make_error(Errc::not_found, "obex: GET failed");
+    }
+    Bytes body = p.body();
+    assembled.data.insert(assembled.data.end(), body.begin(), body.end());
+    if (p.opcode == kRespContinue) return std::nullopt;
+    if (std::string n = p.text(kHdrName); !n.empty()) assembled.name = n;
+    assembled.type = type;
+    return std::move(assembled);
+  }
 };
 
-Packet connect_packet() {
+Bytes packet_with(std::uint8_t opcode, std::optional<std::uint16_t> max_packet = {}) {
   Packet p;
-  p.opcode = kOpConnect;
-  p.max_packet = kMaxPacket;
-  return p;
+  p.opcode = opcode;
+  p.max_packet = max_packet;
+  return p.encode();
 }
 
-void send_next_put(const net::StreamPtr& stream, const std::shared_ptr<PutState>& st) {
-  Packet p;
-  std::size_t remaining = st->object.data.size() - st->offset;
-  std::size_t n = std::min(kChunk, remaining);
-  Bytes chunk(st->object.data.begin() + static_cast<std::ptrdiff_t>(st->offset),
-              st->object.data.begin() + static_cast<std::ptrdiff_t>(st->offset + n));
-  bool final = st->offset + n >= st->object.data.size();
-  if (st->offset == 0) {
-    p.headers.push_back(Header::text(kHdrName, st->object.name));
-    p.headers.push_back(Header::bytes(kHdrType, to_bytes(st->object.type)));
-    p.headers.push_back(
-        Header::u32(kHdrLength, static_cast<std::uint32_t>(st->object.data.size())));
-  }
-  p.opcode = final ? kOpPutFinal : kOpPut;
-  p.headers.push_back(Header::bytes(final ? kHdrEndOfBody : kHdrBody, std::move(chunk)));
-  st->offset += n;
-  (void)stream->send(p.encode());
+/// The CONNECT/DISCONNECT handshake both operations share: CONNECT once the
+/// channel is up, the operation's first request on the CONNECT response and
+/// its next one on every response it leaves open; DISCONNECT after success.
+template <typename T, typename Operation>
+void run(Result<net::StreamPtr> stream, Operation op, std::function<void(Result<T>)> done) {
+  net::Exchange<T>::run(
+      std::move(stream), make_payload(packet_with(kOpConnect, kMaxPacket)),
+      [reader = PacketReader{}, op = std::move(op), connected = false](
+          net::Stream& s, std::span<const std::uint8_t> chunk) mutable
+          -> typename net::Exchange<T>::Reply {
+        std::vector<Packet> packets;
+        if (auto r = reader.feed(chunk, packets); !r.ok()) return r.error();
+        for (const Packet& p : packets) {
+          if (connected) {
+            if (auto result = op.respond(p)) return result;
+          } else if (p.opcode != kRespSuccess) {
+            return make_error(Errc::refused, "obex: CONNECT refused");
+          }
+          connected = true;
+          (void)s.send(op.next());
+        }
+        return std::nullopt;
+      },
+      std::move(done), make_payload(packet_with(kOpDisconnect)));
 }
 
 }  // namespace
 
-void Client::put(net::StreamPtr stream, Object object, DoneFn done) {
-  auto st = std::make_shared<PutState>();
-  st->object = std::move(object);
-  st->done = std::move(done);
-  net::Stream* raw = stream.get();
-  stream->on_connected([raw]() { (void)raw->send(connect_packet().encode()); });
-  stream->on_data([st, raw, keep = stream](std::span<const std::uint8_t> chunk) {
-    if (st->finished) return;
-    std::vector<Packet> packets;
-    if (auto r = st->assembler.feed(chunk, packets); !r.ok()) {
-      st->finished = true;
-      st->done(r.error());
-      raw->close();
-      return;
-    }
-    for (const Packet& p : packets) {
-      if (!st->connected) {
-        if (p.opcode != kRespSuccess) {
-          st->finished = true;
-          st->done(make_error(Errc::refused, "obex: CONNECT refused"));
-          raw->close();
-          return;
-        }
-        st->connected = true;
-        send_next_put(keep, st);
-        continue;
-      }
-      if (p.opcode == kRespContinue) {
-        send_next_put(keep, st);
-        continue;
-      }
-      if (p.opcode == kRespSuccess) {
-        st->finished = true;
-        st->done(ok_result());
-        Packet disc;
-        disc.opcode = kOpDisconnect;
-        (void)raw->send(disc.encode());
-        raw->close();
-        return;
-      }
-      st->finished = true;
-      st->done(make_error(Errc::refused, "obex: PUT rejected"));
-      raw->close();
-      return;
-    }
-  });
-  stream->on_close([st]() {
-    if (st->finished) return;
-    st->finished = true;
-    st->done(make_error(Errc::disconnected, "obex: channel closed during PUT"));
-  });
+void Client::put(Result<net::StreamPtr> stream, Object object, DoneFn done) {
+  run<void>(std::move(stream), PutOperation{std::move(object)}, std::move(done));
 }
 
-void Client::get(net::StreamPtr stream, std::string type, std::string name, GetFn done) {
-  auto st = std::make_shared<GetState>();
-  st->type = std::move(type);
-  st->name = std::move(name);
-  st->done = std::move(done);
-  net::Stream* raw = stream.get();
-  stream->on_connected([raw]() { (void)raw->send(connect_packet().encode()); });
-
-  auto send_get = [st, raw]() {
-    Packet p;
-    p.opcode = kOpGetFinal;
-    p.headers.push_back(Header::bytes(kHdrType, to_bytes(st->type)));
-    if (!st->name.empty()) p.headers.push_back(Header::text(kHdrName, st->name));
-    (void)raw->send(p.encode());
-  };
-
-  stream->on_data([st, raw, send_get, keep = stream](std::span<const std::uint8_t> chunk) {
-    if (st->finished) return;
-    std::vector<Packet> packets;
-    if (auto r = st->assembler.feed(chunk, packets); !r.ok()) {
-      st->finished = true;
-      st->done(r.error());
-      raw->close();
-      return;
-    }
-    for (const Packet& p : packets) {
-      if (!st->connected) {
-        if (p.opcode != kRespSuccess) {
-          st->finished = true;
-          st->done(make_error(Errc::refused, "obex: CONNECT refused"));
-          raw->close();
-          return;
-        }
-        st->connected = true;
-        send_get();
-        continue;
-      }
-      if (p.opcode == kRespContinue) {
-        Bytes body = p.body();
-        st->assembled.data.insert(st->assembled.data.end(), body.begin(), body.end());
-        send_get();
-        continue;
-      }
-      if (p.opcode == kRespSuccess) {
-        Bytes body = p.body();
-        st->assembled.data.insert(st->assembled.data.end(), body.begin(), body.end());
-        if (std::string n = p.text(kHdrName); !n.empty()) st->assembled.name = n;
-        st->assembled.type = st->type;
-        st->finished = true;
-        st->done(std::move(st->assembled));
-        Packet disc;
-        disc.opcode = kOpDisconnect;
-        (void)raw->send(disc.encode());
-        raw->close();
-        return;
-      }
-      st->finished = true;
-      st->done(make_error(Errc::not_found, "obex: GET failed"));
-      raw->close();
-      return;
-    }
-  });
-  stream->on_close([st]() {
-    if (st->finished) return;
-    st->finished = true;
-    st->done(make_error(Errc::disconnected, "obex: channel closed during GET"));
-  });
+void Client::get(Result<net::StreamPtr> stream, std::string type, std::string name,
+                 GetFn done) {
+  run<Object>(std::move(stream), GetOperation{std::move(type), std::move(name), {}},
+              std::move(done));
 }
 
 }  // namespace umiddle::bt::obex

@@ -14,7 +14,7 @@
 #include <variant>
 #include <vector>
 
-#include "common/bytes.hpp"
+#include "common/frame_reader.hpp"
 #include "netsim/stream.hpp"
 
 namespace umiddle::bt::obex {
@@ -61,17 +61,15 @@ struct Packet {
   Bytes encode() const;
 };
 
-/// Reassembles packets from stream chunks using the length field.
-class PacketAssembler {
- public:
-  [[nodiscard]] Result<void> feed(std::span<const std::uint8_t> chunk, std::vector<Packet>& out);
-
- private:
-  Bytes buffer_;
-};
-
 /// Decode one complete packet. Exposed for tests.
 [[nodiscard]] Result<Packet> decode(std::span<const std::uint8_t> wire);
+
+/// Decode step for the packet at the front of a receive buffer.
+[[nodiscard]] Result<std::size_t> next_packet(std::span<const std::uint8_t> buffer,
+                                              std::vector<Packet>& out);
+
+/// Reassembles packets from stream chunks using the length field.
+using PacketReader = FrameReader<Packet, next_packet>;
 
 /// An object transferred by PUT/GET.
 struct Object {
@@ -95,25 +93,32 @@ class Server {
   void attach(net::StreamPtr stream);
 
  private:
-  void handle(const net::StreamPtr& stream, const Packet& packet,
-              const std::shared_ptr<Object>& partial);
+  /// One connection's operation in progress.
+  struct Session {
+    Object object;  ///< the PUT being assembled, or the GET being served
+    std::optional<std::size_t> served;  ///< GET body bytes sent; set while serving
+  };
+
+  void handle(net::Stream& stream, const Packet& packet, Session& session);
 
   PutHandler on_put_;
   GetHandler on_get_;
 };
 
-/// One-shot OBEX client operations over a fresh L2CAP channel.
-/// (Real BIP keeps sessions open; one-connection-per-operation keeps the
-/// emulation simple and still exercises the full packet flow.)
+/// One-shot OBEX client operations over a fresh L2CAP channel, each a
+/// net::Exchange. (Real BIP keeps sessions open; one-connection-per-operation
+/// keeps the emulation simple and still exercises the full packet flow.)
+/// A failed connect resolves `done` at once with the connect error.
 class Client {
  public:
   using DoneFn = std::function<void(Result<void>)>;
   using GetFn = std::function<void(Result<Object>)>;
 
   /// CONNECT, PUT the object (chunked to the OBEX packet budget), DISCONNECT.
-  static void put(net::StreamPtr stream, Object object, DoneFn done);
+  static void put(Result<net::StreamPtr> stream, Object object, DoneFn done);
   /// CONNECT, GET by type/name, DISCONNECT.
-  static void get(net::StreamPtr stream, std::string type, std::string name, GetFn done);
+  static void get(Result<net::StreamPtr> stream, std::string type, std::string name,
+                  GetFn done);
 };
 
 }  // namespace umiddle::bt::obex

@@ -1,15 +1,8 @@
 #include "bluetooth/sdp.hpp"
 
-#include "common/log.hpp"
+#include "netsim/exchange.hpp"
 
 namespace umiddle::bt {
-namespace {
-
-constexpr std::uint8_t kPduError = 0x01;
-constexpr std::uint8_t kPduSearchRequest = 0x06;
-constexpr std::uint8_t kPduSearchResponse = 0x07;
-
-}  // namespace
 
 void SdpRecord::encode(ByteWriter& w) const {
   w.u32(handle);
@@ -39,98 +32,112 @@ Result<SdpRecord> SdpRecord::decode(ByteReader& r) {
   return rec;
 }
 
+Bytes SdpRequest::encode() const {
+  ByteWriter w;
+  w.u8(pdu);
+  w.u16(tx);
+  if (pdu == kSdpSearchRequest) w.str16(uuid);
+  return w.take();
+}
+
+Bytes SdpResponse::encode() const {
+  ByteWriter w;
+  w.u8(pdu);
+  w.u16(tx);
+  if (pdu == kSdpError) {
+    w.u16(error);
+  } else {
+    w.u16(static_cast<std::uint16_t>(records.size()));
+    for (const SdpRecord& rec : records) rec.encode(w);
+  }
+  return w.take();
+}
+
+Result<std::size_t> next_request(std::span<const std::uint8_t> buffer,
+                                 std::vector<SdpRequest>& out) {
+  ByteReader r(buffer);
+  auto pdu = r.u8();
+  auto tx = r.u16();
+  if (!pdu.ok() || !tx.ok()) return 0;  // wait for more bytes
+  SdpRequest req{pdu.value(), tx.value(), {}};
+  if (req.pdu == kSdpSearchRequest) {
+    auto uuid = r.str16();
+    if (!uuid.ok()) return 0;
+    req.uuid = std::move(uuid).take();
+  }
+  out.push_back(std::move(req));
+  return r.position();
+}
+
+Result<std::size_t> next_response(std::span<const std::uint8_t> buffer,
+                                  std::vector<SdpResponse>& out) {
+  ByteReader r(buffer);
+  auto pdu = r.u8();
+  auto tx = r.u16();
+  if (!pdu.ok() || !tx.ok()) return 0;
+  SdpResponse resp{pdu.value(), tx.value(), 0, {}};
+  if (resp.pdu == kSdpError) {
+    auto code = r.u16();
+    if (!code.ok()) return 0;
+    resp.error = code.value();
+  } else if (resp.pdu == kSdpSearchResponse) {
+    auto count = r.u16();
+    if (!count.ok()) return 0;
+    for (std::uint16_t i = 0; i < count.value(); ++i) {
+      auto rec = SdpRecord::decode(r);
+      if (!rec.ok()) return 0;  // partial frame; wait for the rest
+      resp.records.push_back(std::move(rec).take());
+    }
+  } else {
+    return make_error(Errc::protocol_error, "sdp unexpected response");
+  }
+  out.push_back(std::move(resp));
+  return r.position();
+}
+
 Result<void> start_sdp_server(BtDevice& device, const std::vector<SdpRecord>* records) {
   return device.listen_psm(kPsmSdp, [records](net::StreamPtr stream) {
-    auto buffer = std::make_shared<Bytes>();
-    net::Stream* raw = stream.get();
-    stream->on_data([records, raw, buffer, keep = stream](std::span<const std::uint8_t> chunk) {
-      buffer->insert(buffer->end(), chunk.begin(), chunk.end());
-      ByteReader r(*buffer);
-      auto pdu = r.u8();
-      auto tx = r.u16();
-      if (!pdu.ok() || !tx.ok()) return;  // wait for more bytes
-      ByteWriter resp;
-      if (pdu.value() != kPduSearchRequest) {
-        resp.u8(kPduError);
-        resp.u16(tx.value());
-        resp.u16(0x0003);  // invalid request syntax
-        (void)raw->send(resp.take());
-        raw->close();
-        return;
+    stream->on_data([records, reader = SdpRequestReader{},
+                     keep = stream](std::span<const std::uint8_t> chunk) mutable {
+      std::vector<SdpRequest> requests;
+      if (!reader.feed(chunk, requests).ok() || requests.empty()) return;
+      const SdpRequest& req = requests.front();
+      SdpResponse resp{kSdpSearchResponse, req.tx, 0, {}};
+      if (req.pdu != kSdpSearchRequest) {
+        resp.pdu = kSdpError;
+        resp.error = 0x0003;  // invalid request syntax
+      } else {
+        for (const SdpRecord& rec : *records) {
+          if (req.uuid == "*" || rec.service_uuid == req.uuid) resp.records.push_back(rec);
+        }
       }
-      auto uuid = r.str16();
-      if (!uuid.ok()) return;  // partial; wait
-      std::vector<const SdpRecord*> matched;
-      for (const SdpRecord& rec : *records) {
-        if (uuid.value() == "*" || rec.service_uuid == uuid.value()) matched.push_back(&rec);
-      }
-      resp.u8(kPduSearchResponse);
-      resp.u16(tx.value());
-      resp.u16(static_cast<std::uint16_t>(matched.size()));
-      for (const SdpRecord* rec : matched) rec->encode(resp);
-      (void)raw->send(resp.take());
-      raw->close();
+      (void)keep->send(resp.encode());
+      keep->close();
     });
   });
 }
 
 void sdp_query(BluetoothMedium& medium, const std::string& from_host, BtAddress device,
                const std::string& uuid, SdpQueryFn done) {
+  using Exchange = net::Exchange<std::vector<SdpRecord>>;
   auto stream = medium.l2cap_connect(from_host, device, kPsmSdp);
-  if (!stream.ok()) {
-    done(stream.error());
-    return;
-  }
-  net::StreamPtr s = stream.value();
   // Transaction id derived from the (per-world) stream id: it only has to match
   // request to response on this stream, and unlike a process-global counter it
   // is identical across repeated same-seed runs.
-  std::uint16_t tx = static_cast<std::uint16_t>(s->id().value());
-  ByteWriter req;
-  req.u8(kPduSearchRequest);
-  req.u16(tx);
-  req.str16(uuid);
-  s->on_connected([s, wire = req.take()]() { (void)s->send(wire); });
-
-  auto buffer = std::make_shared<Bytes>();
-  auto finished = std::make_shared<bool>(false);
-  auto done_ptr = std::make_shared<SdpQueryFn>(std::move(done));
-  s->on_data([buffer, finished, done_ptr, tx, s](std::span<const std::uint8_t> chunk) {
-    if (*finished) return;
-    buffer->insert(buffer->end(), chunk.begin(), chunk.end());
-    ByteReader r(*buffer);
-    auto pdu = r.u8();
-    auto got_tx = r.u16();
-    if (!pdu.ok() || !got_tx.ok()) return;
-    if (pdu.value() == kPduError) {
-      *finished = true;
-      (*done_ptr)(make_error(Errc::protocol_error, "sdp error response"));
-      s->close();
-      return;
-    }
-    if (pdu.value() != kPduSearchResponse || got_tx.value() != tx) {
-      *finished = true;
-      (*done_ptr)(make_error(Errc::protocol_error, "sdp unexpected response"));
-      s->close();
-      return;
-    }
-    auto count = r.u16();
-    if (!count.ok()) return;
-    std::vector<SdpRecord> records;
-    for (std::uint16_t i = 0; i < count.value(); ++i) {
-      auto rec = SdpRecord::decode(r);
-      if (!rec.ok()) return;  // partial frame; wait for the rest
-      records.push_back(std::move(rec).take());
-    }
-    *finished = true;
-    (*done_ptr)(std::move(records));
-    s->close();
-  });
-  s->on_close([finished, done_ptr]() {
-    if (*finished) return;
-    *finished = true;
-    (*done_ptr)(make_error(Errc::disconnected, "sdp: channel closed early"));
-  });
+  const auto tx = static_cast<std::uint16_t>(stream.ok() ? stream.value()->id().value() : 0);
+  Exchange::run(
+      std::move(stream), make_payload(SdpRequest{kSdpSearchRequest, tx, uuid}.encode()),
+      [reader = SdpResponseReader{}, tx](net::Stream&, std::span<const std::uint8_t> chunk) mutable
+          -> Exchange::Reply {
+        std::vector<SdpResponse> responses;
+        if (auto r = reader.feed(chunk, responses); !r.ok()) return r.error();
+        if (responses.empty()) return std::nullopt;
+        SdpResponse& resp = responses.front();
+        if (resp.pdu == kSdpError) return make_error(Errc::protocol_error, "sdp error response");
+        if (resp.tx != tx) return make_error(Errc::protocol_error, "sdp unexpected response");
+        return std::move(resp.records);
+      },
+      std::move(done));
 }
 
 }  // namespace umiddle::bt

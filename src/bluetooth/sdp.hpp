@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bluetooth/medium.hpp"
-#include "common/bytes.hpp"
+#include "common/frame_reader.hpp"
 
 namespace umiddle::bt {
 
@@ -28,12 +28,47 @@ struct SdpRecord {
   static Result<SdpRecord> decode(ByteReader& r);
 };
 
+// PDU ids.
+constexpr std::uint8_t kSdpError = 0x01;
+constexpr std::uint8_t kSdpSearchRequest = 0x06;
+constexpr std::uint8_t kSdpSearchResponse = 0x07;
+
+/// A ServiceSearchAttributeRequest. Any other PDU id is still a request frame,
+/// header only, which the server answers with an ErrorResponse.
+struct SdpRequest {
+  std::uint8_t pdu = kSdpSearchRequest;
+  std::uint16_t tx = 0;
+  std::string uuid;  ///< search requests only
+
+  Bytes encode() const;
+};
+
+/// A ServiceSearchAttributeResponse or an ErrorResponse.
+struct SdpResponse {
+  std::uint8_t pdu = kSdpSearchResponse;
+  std::uint16_t tx = 0;
+  std::uint16_t error = 0;           ///< ErrorResponse only
+  std::vector<SdpRecord> records;    ///< search responses only
+
+  Bytes encode() const;
+};
+
+/// Decode steps for the request (server side) or response (client side) at
+/// the front of a receive buffer. A response PDU of another id is malformed.
+[[nodiscard]] Result<std::size_t> next_request(std::span<const std::uint8_t> buffer,
+                                               std::vector<SdpRequest>& out);
+[[nodiscard]] Result<std::size_t> next_response(std::span<const std::uint8_t> buffer,
+                                                std::vector<SdpResponse>& out);
+
+using SdpRequestReader = FrameReader<SdpRequest, next_request>;
+using SdpResponseReader = FrameReader<SdpResponse, next_response>;
+
 /// Attach an SDP responder for `records` to a device (PSM 0x0001).
 /// The records vector must outlive the registration (owned by the device).
 [[nodiscard]] Result<void> start_sdp_server(BtDevice& device, const std::vector<SdpRecord>* records);
 
-/// Query a remote device's records matching `uuid` ("*" for all).
-/// Charges the SDP round trip over the radio.
+/// Query a remote device's records matching `uuid` ("*" for all), as one
+/// net::Exchange. Charges the SDP round trip over the radio.
 using SdpQueryFn = std::function<void(Result<std::vector<SdpRecord>>)>;
 void sdp_query(BluetoothMedium& medium, const std::string& from_host, BtAddress device,
                const std::string& uuid, SdpQueryFn done);

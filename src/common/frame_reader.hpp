@@ -1,0 +1,70 @@
+// Stream framing: the one reassembler every stream protocol runs on
+// (DESIGN.md §7.6). UMTP, OBEX, MediaBroker, RMI, SDP and HIDP each supply
+// only a decode step; the reader owns the receive buffer, the consume cursor,
+// the size bound and poisoning, so those rules have one implementation.
+#pragma once
+
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "common/bytes.hpp"
+
+namespace umiddle {
+
+/// Upper bound on one frame, header included. A frame still incomplete at
+/// this many buffered bytes is an error, so a lying length field cannot grow
+/// a receive buffer without limit.
+inline constexpr std::size_t kMaxFrame = 16 * 1024 * 1024;
+
+/// A protocol's decode step over the bytes at the front of a receive buffer.
+/// A complete frame is consumed: the step appends what it decodes to `out`
+/// (nothing, for a frame the protocol skips) and returns the bytes it spans.
+/// An incomplete frame returns 0; malformed bytes return an error.
+template <typename Frame>
+using DecodeStep = Result<std::size_t> (*)(std::span<const std::uint8_t> buffer,
+                                           std::vector<Frame>& out);
+
+/// Reassembles `Frame`s from stream chunks with the protocol's decode step.
+/// The first malformed or oversized frame poisons the reader: every later
+/// feed returns the same error, and callers drop the connection.
+template <typename F, DecodeStep<F> decode>
+class FrameReader {
+ public:
+  using Frame = F;
+
+  /// Feed received bytes; complete frames are appended to `out`.
+  [[nodiscard]] Result<void> feed(std::span<const std::uint8_t> chunk, std::vector<Frame>& out) {
+    if (poisoned_) return *poisoned_;
+    buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
+    // Consume with a cursor and erase the prefix once per feed: erasing per
+    // frame made a burst of n frames cost O(n^2) byte moves.
+    std::size_t pos = 0;
+    while (pos < buffer_.size()) {
+      const auto rest = std::span<const std::uint8_t>(buffer_).subspan(pos);
+      auto consumed = decode(rest, out);
+      if (!consumed.ok()) {
+        poisoned_ = consumed.error();
+        break;
+      }
+      if (consumed.value() == 0) {
+        if (rest.size() >= kMaxFrame) {
+          poisoned_ = make_error(Errc::protocol_error, "frame exceeds kMaxFrame");
+        }
+        break;
+      }
+      pos += consumed.value();
+    }
+    if (pos != 0) {
+      buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(pos));
+    }
+    if (poisoned_) return *poisoned_;
+    return ok_result();
+  }
+
+ private:
+  Bytes buffer_;
+  std::optional<Error> poisoned_;
+};
+
+}  // namespace umiddle

@@ -15,10 +15,10 @@ namespace {
 /// each complete one to `handle`.
 template <typename Handle>
 net::Stream::DataHandler frame_reader(Handle handle) {
-  return [assembler = std::make_shared<umtp::FrameAssembler>(),
+  return [reader = std::make_shared<umtp::Reader>(),
           handle = std::move(handle)](std::span<const std::uint8_t> chunk) {
     std::vector<umtp::Frame> frames;
-    if (auto r = assembler->feed(chunk, frames); !r.ok()) {
+    if (auto r = reader->feed(chunk, frames); !r.ok()) {
       log::Entry(log::Level::warn, "transport") << "bad UMTP frame: " << r.error().to_string();
       return;
     }

@@ -5,8 +5,6 @@
 namespace umiddle::core::umtp {
 namespace {
 
-constexpr std::size_t kMaxFrame = 16 * 1024 * 1024;
-
 void encode_data_body(const PortRef& dst, const Message& message, std::int64_t deadline_ns,
                       ByteWriter& w) {
   // A deadline upgrades the frame to DATA_DL; deadline-free messages keep the
@@ -233,33 +231,17 @@ Result<Frame> decode_body(std::span<const std::uint8_t> body) {
   return make_error(Errc::protocol_error, "unknown frame type " + std::to_string(type.value()));
 }
 
-Result<void> FrameAssembler::feed(std::span<const std::uint8_t> chunk, std::vector<Frame>& out) {
-  if (poisoned_) return *poisoned_;
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
-  // Consume with a cursor and erase the prefix once: erasing the buffer front
-  // per frame made a burst of n frames cost O(n^2) byte moves.
-  std::size_t pos = 0;
-  while (buffer_.size() - pos >= 4) {
-    ByteReader header(std::span<const std::uint8_t>(buffer_).subspan(pos));
-    std::uint32_t len = header.u32().value();
-    if (len > kMaxFrame) {
-      poisoned_ = make_error(Errc::protocol_error, "frame too large: " + std::to_string(len));
-      break;
-    }
-    if (buffer_.size() - pos < 4 + len) break;
-    auto frame = decode_body(std::span(buffer_).subspan(pos + 4, len));
-    if (!frame.ok()) {
-      poisoned_ = frame.error();
-      break;
-    }
-    out.push_back(std::move(frame).take());
-    pos += 4 + len;
+Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer, std::vector<Frame>& out) {
+  if (buffer.size() < 4) return 0;
+  const std::size_t len = ByteReader(buffer).u32().value();
+  if (len > kMaxFrame - 4) {
+    return make_error(Errc::protocol_error, "frame too large: " + std::to_string(len));
   }
-  if (pos != 0) {
-    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(pos));
-  }
-  if (poisoned_) return *poisoned_;
-  return ok_result();
+  if (buffer.size() < 4 + len) return 0;
+  auto frame = decode_body(buffer.subspan(4, len));
+  if (!frame.ok()) return frame.error();
+  out.push_back(std::move(frame).take());
+  return 4 + len;
 }
 
 }  // namespace umiddle::core::umtp

@@ -36,10 +36,9 @@
 // fault-free determinism digests bit-identical (DESIGN.md §11).
 #pragma once
 
-#include <optional>
 #include <variant>
 
-#include "common/bytes.hpp"
+#include "common/frame_reader.hpp"
 #include "core/message.hpp"
 #include "core/profile.hpp"
 #include "core/shape.hpp"
@@ -117,18 +116,13 @@ Bytes encode_data(const PortRef& dst, const Message& message, std::int64_t deadl
 /// SEQ envelope for recovery replay.
 Bytes encode_seq(std::uint64_t seq, const Bytes& prefixed_frame);
 
-/// Incrementally reassembles frames from stream chunks.
-class FrameAssembler {
- public:
-  /// Feed received bytes; complete frames are appended to out. A malformed
-  /// frame poisons the assembler (subsequent feeds return the same error) —
-  /// callers should drop the connection, as real framed protocols do.
-  [[nodiscard]] Result<void> feed(std::span<const std::uint8_t> chunk, std::vector<Frame>& out);
+/// Decode step for the length-prefixed frame at the front of a receive buffer;
+/// a length announcing more than kMaxFrame is malformed at once.
+[[nodiscard]] Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer,
+                                             std::vector<Frame>& out);
 
- private:
-  Bytes buffer_;
-  std::optional<Error> poisoned_;
-};
+/// Incrementally reassembles frames from stream chunks.
+using Reader = FrameReader<Frame, next_frame>;
 
 /// Decode one frame body (without the u32 length prefix). Exposed for tests.
 [[nodiscard]] Result<Frame> decode_body(std::span<const std::uint8_t> body);

@@ -1,16 +1,48 @@
 #include "fuzz/entries.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string_view>
-#include <vector>
 
+#include "bluetooth/hidp.hpp"
+#include "bluetooth/obex.hpp"
 #include "common/base64.hpp"
-#include "common/bytes.hpp"
 #include "core/umtp.hpp"
 #include "core/usdl.hpp"
+#include "mediabroker/protocol.hpp"
+#include "rmi/protocol.hpp"
 #include "xml/parser.hpp"
 
 namespace umiddle::fuzz {
+namespace {
+
+template <typename Reader, typename Encode>
+FrameFeed feed_of(Encode encode) {
+  return [reader = std::make_shared<Reader>(), encode](std::span<const std::uint8_t> chunk,
+                                                       std::vector<Bytes>& out) {
+    std::vector<typename Reader::Frame> frames;
+    auto r = reader->feed(chunk, frames);
+    for (const auto& frame : frames) out.push_back(std::invoke(encode, frame));
+    return r;
+  };
+}
+
+const StreamProtocol kStreamProtocols[] = {
+    {"umtp", [] { return feed_of<core::umtp::Reader>(&core::umtp::encode); }},
+    {"obex", [] { return feed_of<bt::obex::PacketReader>(&bt::obex::Packet::encode); }},
+    {"mb", [] { return feed_of<mb::Reader>(&mb::Frame::encode); }},
+    {"rmi_call", [] { return feed_of<rmi::CallReader>(&rmi::encode_call); }},
+    {"rmi_return", [] { return feed_of<rmi::ReturnReader>(&rmi::encode_return); }},
+    {"sdp_request", [] { return feed_of<bt::SdpRequestReader>(&bt::SdpRequest::encode); }},
+    {"sdp_response", [] { return feed_of<bt::SdpResponseReader>(&bt::SdpResponse::encode); }},
+    {"hid", [] { return feed_of<bt::HidReader>(&bt::MouseReport::encode); }},
+};
+
+}  // namespace
+
+std::span<const StreamProtocol> stream_protocols() { return kStreamProtocols; }
 
 int fuzz_xml_parse(const std::uint8_t* data, std::size_t size) {
   std::string_view text(reinterpret_cast<const char*>(data), size);
@@ -31,30 +63,37 @@ int fuzz_umtp_decode(const std::uint8_t* data, std::size_t size) {
   // layer that must survive truncation, bit flips and lying inner lengths.
   auto frame = core::umtp::decode_body({data, size});
 
-  // Then the assembler on a length-prefixed copy, fed in uneven chunks so the
-  // buffering/reassembly state machine runs too. The prefix is the *true*
+  // Then the UMTP reader on a length-prefixed copy, fed whole and in uneven
+  // chunks so the reassembly state machine runs too. The prefix is the *true*
   // size; inner-length lies are already part of `data`.
-  Bytes wire;
-  wire.reserve(size + 4);
-  wire.push_back(static_cast<std::uint8_t>(size >> 24));
-  wire.push_back(static_cast<std::uint8_t>(size >> 16));
-  wire.push_back(static_cast<std::uint8_t>(size >> 8));
-  wire.push_back(static_cast<std::uint8_t>(size));
-  wire.insert(wire.end(), data, data + size);
-
-  core::umtp::FrameAssembler assembler;
-  std::vector<core::umtp::Frame> out;
-  bool fed_ok = true;
-  for (std::size_t off = 0; off < wire.size();) {
-    std::size_t chunk = 1 + (off * 7) % 13;  // deterministic uneven chunking
-    chunk = std::min(chunk, wire.size() - off);
-    if (auto r = assembler.feed({wire.data() + off, chunk}, out); !r.ok()) {
-      fed_ok = false;  // poisoned assembler: keep feeding, must stay an error
-    }
-    off += chunk;
-  }
+  ByteWriter wire;
+  wire.u8(0);  // stream_protocols()[0]: umtp
+  wire.u32(static_cast<std::uint32_t>(size));
+  wire.bytes({data, size});
+  const int fed = fuzz_stream_frames(wire.data().data(), wire.size());
   // Both layers must agree on well-formedness of a correctly-prefixed frame.
-  return (frame.ok() && fed_ok && !out.empty()) ? 1 : 0;
+  return frame.ok() && fed == 1 ? 1 : 0;
+}
+
+int fuzz_stream_frames(const std::uint8_t* data, std::size_t size) {
+  if (size == 0) return 0;
+  const StreamProtocol& protocol = kStreamProtocols[data[0] % std::size(kStreamProtocols)];
+  const std::span<const std::uint8_t> stream(data + 1, size - 1);
+  FrameFeed whole = protocol.make_reader();
+  FrameFeed split = protocol.make_reader();
+  std::vector<Bytes> whole_frames;
+  std::vector<Bytes> split_frames;
+  const bool whole_ok = whole(stream, whole_frames).ok();
+  bool split_ok = true;
+  for (std::size_t off = 0; off < stream.size();) {
+    const std::size_t n = std::min<std::size_t>(1 + (off * 7) % 13, stream.size() - off);
+    const bool ok = split(stream.subspan(off, n), split_frames).ok();
+    if (ok && !split_ok) std::abort();  // a poisoned reader resynchronised
+    split_ok = split_ok && ok;
+    off += n;
+  }
+  if (whole_ok != split_ok || whole_frames != split_frames) std::abort();
+  return whole_ok && !whole_frames.empty() ? 1 : 0;
 }
 
 int fuzz_base64_decode(const std::uint8_t* data, std::size_t size) {

@@ -17,6 +17,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
+#include <vector>
+
+#include "common/bytes.hpp"
 
 namespace umiddle::fuzz {
 
@@ -26,8 +31,8 @@ int fuzz_xml_parse(const std::uint8_t* data, std::size_t size);
 /// xml::parse followed by core::parse_usdl on any well-formed document.
 int fuzz_usdl_parse(const std::uint8_t* data, std::size_t size);
 
-/// core::umtp::decode_body on the raw bytes, then FrameAssembler::feed on a
-/// length-prefixed copy, fed in small chunks to exercise reassembly state.
+/// core::umtp::decode_body on the raw bytes, then fuzz_stream_frames on a
+/// length-prefixed copy, to exercise reassembly state.
 /// Covers the whole frame surface including the delivery-contract additions:
 /// deadline-stamped DATA, ACK/RESUME recovery frames, and SEQ replay wrappers
 /// (whose inner body is validated eagerly, so nesting lies fail here too).
@@ -38,5 +43,25 @@ int fuzz_umtp_decode(const std::uint8_t* data, std::size_t size);
 /// re-encoding it decodes back to the same bytes. A violation aborts, which
 /// both the smoke test and a coverage-guided fuzzer report as a crash.
 int fuzz_base64_decode(const std::uint8_t* data, std::size_t size);
+
+/// One stream protocol's FrameReader behind a type-erased feed that hands back
+/// every complete frame re-encoded, so readers of different frame types
+/// compare alike (DESIGN.md §7.6).
+using FrameFeed =
+    std::function<Result<void>(std::span<const std::uint8_t> chunk, std::vector<Bytes>& out)>;
+struct StreamProtocol {
+  const char* name;
+  FrameFeed (*make_reader)();
+};
+
+/// Every stream protocol's reader: umtp, obex, mb, rmi_call, rmi_return,
+/// sdp_request, sdp_response and hid.
+std::span<const StreamProtocol> stream_protocols();
+
+/// data[0] picks a protocol from stream_protocols(); the rest is its byte
+/// stream, fed whole to one reader and in uneven chunks to another. Oracle:
+/// both give the same frames and the same verdict, and a reader that failed
+/// keeps failing. Returns 1 when the stream fed cleanly and held a frame.
+int fuzz_stream_frames(const std::uint8_t* data, std::size_t size);
 
 }  // namespace umiddle::fuzz

@@ -17,7 +17,7 @@ Result<void> MbClient::connect() {
   stream_->on_connected(lifetime_.guard([this]() { connected_ = true; }));
   stream_->on_data(lifetime_.guard([this](std::span<const std::uint8_t> chunk) {
     std::vector<Frame> frames;
-    if (auto r = decoder_.feed(chunk, frames); !r.ok()) {
+    if (auto r = reader_.feed(chunk, frames); !r.ok()) {
       log::Entry(log::Level::warn, "mb") << "bad frame: " << r.error().to_string();
       stream_->close();
       return;

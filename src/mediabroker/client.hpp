@@ -52,7 +52,7 @@ class MbClient {
   std::string host_;
   net::Endpoint server_;
   net::StreamPtr stream_;
-  Decoder decoder_;
+  Reader reader_;
   bool connected_ = false;
   DataFn on_data_;
   AnnounceFn on_announce_;

@@ -23,42 +23,39 @@ Bytes Frame::encode() const {
   return w.take();
 }
 
-Result<void> Decoder::feed(std::span<const std::uint8_t> chunk, std::vector<Frame>& out) {
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
-  while (true) {
-    ByteReader r(buffer_);
-    auto op = r.u8();
-    if (!op.ok()) return ok_result();
-    if (op.value() < 1 || op.value() > 6) {
-      return make_error(Errc::protocol_error, "mb: bad opcode");
-    }
-    auto stream = r.str16();
-    if (!stream.ok()) return ok_result();  // partial
-    Frame frame;
-    frame.op = static_cast<Op>(op.value());
-    frame.stream = std::move(stream).take();
-    switch (frame.op) {
-      case Op::produce:
-      case Op::announce: {
-        auto type = r.str16();
-        if (!type.ok()) return ok_result();
-        frame.media_type = std::move(type).take();
-        break;
-      }
-      case Op::data: {
-        auto len = r.u32();
-        if (!len.ok()) return ok_result();
-        auto payload = r.bytes(len.value());
-        if (!payload.ok()) return ok_result();
-        frame.payload = std::move(payload).take();
-        break;
-      }
-      default:
-        break;
-    }
-    out.push_back(std::move(frame));
-    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(r.position()));
+Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer, std::vector<Frame>& out) {
+  ByteReader r(buffer);
+  auto op = r.u8();
+  if (!op.ok()) return 0;
+  if (op.value() < 1 || op.value() > 6) {
+    return make_error(Errc::protocol_error, "mb: bad opcode");
   }
+  auto stream = r.str16();
+  if (!stream.ok()) return 0;  // partial
+  Frame frame;
+  frame.op = static_cast<Op>(op.value());
+  frame.stream = std::move(stream).take();
+  switch (frame.op) {
+    case Op::produce:
+    case Op::announce: {
+      auto type = r.str16();
+      if (!type.ok()) return 0;
+      frame.media_type = std::move(type).take();
+      break;
+    }
+    case Op::data: {
+      auto len = r.u32();
+      if (!len.ok()) return 0;
+      auto payload = r.bytes(len.value());
+      if (!payload.ok()) return 0;
+      frame.payload = std::move(payload).take();
+      break;
+    }
+    default:
+      break;
+  }
+  out.push_back(std::move(frame));
+  return r.position();
 }
 
 }  // namespace umiddle::mb

@@ -22,8 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "common/bytes.hpp"
-#include "common/result.hpp"
+#include "common/frame_reader.hpp"
 
 namespace umiddle::mb {
 
@@ -45,13 +44,11 @@ struct Frame {
   Bytes encode() const;
 };
 
-/// Incremental frame decoder.
-class Decoder {
- public:
-  [[nodiscard]] Result<void> feed(std::span<const std::uint8_t> chunk, std::vector<Frame>& out);
+/// Decode step for the frame at the front of a receive buffer.
+[[nodiscard]] Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer,
+                                             std::vector<Frame>& out);
 
- private:
-  Bytes buffer_;
-};
+/// Incremental frame reader.
+using Reader = FrameReader<Frame, next_frame>;
 
 }  // namespace umiddle::mb

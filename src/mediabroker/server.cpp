@@ -39,10 +39,9 @@ void MbServer::set_transform(const std::string& stream, Transform transform) {
 void MbServer::serve(net::StreamPtr stream) {
   net::Stream* raw = stream.get();
   connections_[raw] = stream;
-  auto decoder = std::make_shared<Decoder>();
-  stream->on_data([this, raw, decoder](std::span<const std::uint8_t> chunk) {
+  stream->on_data([this, raw, reader = Reader{}](std::span<const std::uint8_t> chunk) mutable {
     std::vector<Frame> frames;
-    if (auto r = decoder->feed(chunk, frames); !r.ok()) {
+    if (auto r = reader.feed(chunk, frames); !r.ok()) {
       raw->close();
       return;
     }

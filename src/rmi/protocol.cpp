@@ -47,44 +47,41 @@ Bytes encode_return(const Return& ret) {
   return w.take();
 }
 
-Result<void> Decoder::feed(std::span<const std::uint8_t> chunk, std::vector<Call>& calls,
-                           std::vector<Return>& returns) {
-  buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
-  while (true) {
-    ByteReader r(buffer_);
-    if (buffer_.size() < 5) return ok_result();
-    if (auto m = check_magic(r); !m.ok()) return m;
-    std::uint8_t op = r.u8().value();
-    if (kind_ == Kind::calls) {
-      if (op != kOpCall) return make_error(Errc::protocol_error, "rmi: expected call");
-      Call call;
-      auto object = r.str16();
-      if (!object.ok()) return ok_result();  // partial
-      auto method = r.str16();
-      if (!method.ok()) return ok_result();
-      auto desc_len = r.u16();
-      if (!desc_len.ok()) return ok_result();
-      if (auto skip = r.bytes(desc_len.value()); !skip.ok()) return ok_result();
-      auto len = r.u32();
-      if (!len.ok()) return ok_result();
-      auto args = r.bytes(len.value());
-      if (!args.ok()) return ok_result();
-      call.object = std::move(object).take();
-      call.method = std::move(method).take();
-      call.args = std::move(args).take();
-      calls.push_back(std::move(call));
-    } else {
-      if (op != kOpReturn && op != kOpException) {
-        return make_error(Errc::protocol_error, "rmi: expected return");
-      }
-      auto len = r.u32();
-      if (!len.ok()) return ok_result();
-      auto value = r.bytes(len.value());
-      if (!value.ok()) return ok_result();
-      returns.push_back(Return{op == kOpException, std::move(value).take()});
-    }
-    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(r.position()));
+Result<std::size_t> next_call(std::span<const std::uint8_t> buffer, std::vector<Call>& out) {
+  if (buffer.size() < 5) return 0;
+  ByteReader r(buffer);
+  if (auto m = check_magic(r); !m.ok()) return m.error();
+  if (r.u8().value() != kOpCall) return make_error(Errc::protocol_error, "rmi: expected call");
+  auto object = r.str16();
+  if (!object.ok()) return 0;  // partial
+  auto method = r.str16();
+  if (!method.ok()) return 0;
+  auto desc_len = r.u16();
+  if (!desc_len.ok()) return 0;
+  if (auto skip = r.bytes(desc_len.value()); !skip.ok()) return 0;
+  auto len = r.u32();
+  if (!len.ok()) return 0;
+  auto args = r.bytes(len.value());
+  if (!args.ok()) return 0;
+  out.push_back(Call{std::move(object).take(), std::move(method).take(), std::move(args).take()});
+  return r.position();
+}
+
+Result<std::size_t> next_return(std::span<const std::uint8_t> buffer,
+                                std::vector<Return>& out) {
+  if (buffer.size() < 5) return 0;
+  ByteReader r(buffer);
+  if (auto m = check_magic(r); !m.ok()) return m.error();
+  const std::uint8_t op = r.u8().value();
+  if (op != kOpReturn && op != kOpException) {
+    return make_error(Errc::protocol_error, "rmi: expected return");
   }
+  auto len = r.u32();
+  if (!len.ok()) return 0;
+  auto value = r.bytes(len.value());
+  if (!value.ok()) return 0;
+  out.push_back(Return{op == kOpException, std::move(value).take()});
+  return r.position();
 }
 
 // --- RmiConnection ------------------------------------------------------------------
@@ -98,9 +95,8 @@ RmiConnection::RmiConnection(net::StreamPtr stream) : stream_(std::move(stream))
   // drop it), so the checks after it go through a token.
   stream_->on_data(lifetime_.guard([this, alive = lifetime_.token()](
                                        std::span<const std::uint8_t> chunk) {
-    std::vector<Call> calls;
     std::vector<Return> returns;
-    if (auto r = decoder_.feed(chunk, calls, returns); !r.ok()) {
+    if (auto r = reader_.feed(chunk, returns); !r.ok()) {
       if (current_done_) {
         auto done = std::move(current_done_);
         current_done_ = nullptr;
@@ -199,16 +195,14 @@ void RmiObjectServer::remove_object(const std::string& object) {
 }
 
 void RmiObjectServer::serve(net::StreamPtr stream) {
-  auto decoder = std::make_shared<Decoder>(Decoder::Kind::calls);
   net::Stream* raw = stream.get();
   connections_.push_back(stream);
   stream->on_close([this, raw]() {
     std::erase_if(connections_, [raw](const net::StreamPtr& s) { return s.get() == raw; });
   });
-  stream->on_data([this, decoder, raw](std::span<const std::uint8_t> chunk) {
+  stream->on_data([this, reader = CallReader{}, raw](std::span<const std::uint8_t> chunk) mutable {
     std::vector<Call> calls;
-    std::vector<Return> returns;
-    if (auto r = decoder->feed(chunk, calls, returns); !r.ok()) {
+    if (auto r = reader.feed(chunk, calls); !r.ok()) {
       raw->close();
       return;
     }

@@ -20,7 +20,7 @@
 #include <map>
 #include <string>
 
-#include "common/bytes.hpp"
+#include "common/frame_reader.hpp"
 #include "netsim/stream.hpp"
 #include "sim/timer.hpp"
 
@@ -43,19 +43,15 @@ struct Return {
 Bytes encode_call(const Call& call);
 Bytes encode_return(const Return& ret);
 
-/// Incremental decoder for either side of a connection.
-class Decoder {
- public:
-  enum class Kind { calls, returns };
-  explicit Decoder(Kind kind) : kind_(kind) {}
+/// Decode steps for the call (server side) or return (client side) at the
+/// front of a receive buffer.
+[[nodiscard]] Result<std::size_t> next_call(std::span<const std::uint8_t> buffer,
+                                            std::vector<Call>& out);
+[[nodiscard]] Result<std::size_t> next_return(std::span<const std::uint8_t> buffer,
+                                              std::vector<Return>& out);
 
-  [[nodiscard]] Result<void> feed(std::span<const std::uint8_t> chunk, std::vector<Call>& calls,
-                    std::vector<Return>& returns);
-
- private:
-  Kind kind_;
-  Bytes buffer_;
-};
+using CallReader = FrameReader<Call, next_call>;
+using ReturnReader = FrameReader<Return, next_return>;
 
 /// Client side of one RMI connection: serial, queued synchronous calls.
 class RmiConnection {
@@ -78,7 +74,7 @@ class RmiConnection {
   void pump();
 
   net::StreamPtr stream_;
-  Decoder decoder_{Decoder::Kind::returns};
+  ReturnReader reader_;
   std::deque<std::pair<Call, ReturnFn>> queue_;
   ReturnFn current_done_;
   bool in_flight_ = false;

@@ -1,7 +1,7 @@
 #include "upnp/http.hpp"
 
-#include "common/log.hpp"
 #include "common/strings.hpp"
+#include "netsim/exchange.hpp"
 
 namespace umiddle::upnp {
 namespace {
@@ -68,15 +68,6 @@ Result<bool> HttpParser::feed(std::span<const std::uint8_t> chunk) {
   }
   buffer_.append(bytes);
   return try_parse();
-}
-
-void HttpParser::reset() {
-  buffer_.clear();
-  headers_done_ = false;
-  body_expected_ = 0;
-  complete_ = false;
-  request_ = HttpRequest{};
-  response_ = HttpResponse{};
 }
 
 std::string& HttpParser::body() {
@@ -207,36 +198,18 @@ void HttpServer::serve(net::StreamPtr stream) {
 
 void http_fetch(net::Network& net, const std::string& from_host, const Uri& uri,
                 HttpRequest request, HttpResultFn done) {
-  auto stream = net.connect(from_host, {uri.host, uri.effective_port()});
-  if (!stream.ok()) {
-    done(stream.error());
-    return;
-  }
-  net::StreamPtr s = stream.value();
+  using Exchange = net::Exchange<HttpResponse>;
   request.headers["host"] = uri.host;
-  auto parser = std::make_shared<HttpParser>(HttpParser::Kind::response);
-  auto finished = std::make_shared<bool>(false);
-  auto done_ptr = std::make_shared<HttpResultFn>(std::move(done));
-  s->on_connected([s, wire = make_payload(request.to_wire())]() { (void)s->send(wire); });
-  s->on_data([parser, finished, done_ptr, s](std::span<const std::uint8_t> chunk) {
-    if (*finished) return;
-    auto complete = parser->feed(chunk);
-    if (!complete.ok()) {
-      *finished = true;
-      (*done_ptr)(complete.error());
-      s->close();
-      return;
-    }
-    if (!complete.value()) return;
-    *finished = true;
-    (*done_ptr)(parser->response());
-    s->close();
-  });
-  s->on_close([finished, done_ptr]() {
-    if (*finished) return;
-    *finished = true;
-    (*done_ptr)(make_error(Errc::disconnected, "http: connection closed before response"));
-  });
+  Exchange::run(
+      net.connect(from_host, {uri.host, uri.effective_port()}), make_payload(request.to_wire()),
+      [parser = HttpParser(HttpParser::Kind::response)](
+          net::Stream&, std::span<const std::uint8_t> chunk) mutable -> Exchange::Reply {
+        auto complete = parser.feed(chunk);
+        if (!complete.ok()) return complete.error();
+        if (!complete.value()) return std::nullopt;
+        return parser.response();
+      },
+      std::move(done));
 }
 
 }  // namespace umiddle::upnp

@@ -56,8 +56,6 @@ class HttpParser {
 
   const HttpRequest& request() const { return request_; }
   const HttpResponse& response() const { return response_; }
-  /// Reset to parse the next message on the same connection.
-  void reset();
 
  private:
   /// Parse the head once buffer_ holds all of it, then start the body.
@@ -114,7 +112,8 @@ class HttpServer {
   std::map<std::string, HttpHandler> prefixes_;
 };
 
-/// Fire one HTTP request; the callback receives the response or an error.
+/// Fire one HTTP request as a net::Exchange; the callback receives the
+/// response or an error.
 using HttpResultFn = std::function<void(Result<HttpResponse>)>;
 void http_fetch(net::Network& net, const std::string& from_host, const Uri& uri,
                 HttpRequest request, HttpResultFn done);

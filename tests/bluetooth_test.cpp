@@ -188,11 +188,11 @@ TEST(ObexTest, AssemblerReassemblesSplitPackets) {
   Bytes twice = wire;
   twice.insert(twice.end(), wire.begin(), wire.end());
 
-  obex::PacketAssembler assembler;
+  obex::PacketReader reader;
   std::vector<obex::Packet> out;
   for (std::size_t i = 0; i < twice.size(); i += 7) {
     std::size_t n = std::min<std::size_t>(7, twice.size() - i);
-    ASSERT_TRUE(assembler.feed(std::span(twice).subspan(i, n), out).ok());
+    ASSERT_TRUE(reader.feed(std::span(twice).subspan(i, n), out).ok());
   }
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[1].body().size(), 500u);

@@ -324,7 +324,7 @@ void burst_loss_scenario(RunRecord* rec) {
   ChaosWorld w;
   // Gilbert–Elliott burst loss on the LAN, aggressive enough that advert
   // datagrams are lost in runs. Streams are lossless by model (DESIGN.md §4),
-  // so UMTP framing never sees a gap and the FrameAssembler cannot stall —
+  // so UMTP framing never sees a gap and the UMTP frame reader cannot stall —
   // which is exactly what the end-to-end delivery below demonstrates.
   net::BurstLossSpec spec;
   spec.p_good_to_bad = 0.4;

@@ -1,7 +1,8 @@
-// Deterministic mutation-fuzz smoke test over the project's four parsing
-// surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, UMTP frame decoding
-// and base64 decoding. Each entry point (src/fuzz/entries.hpp) is driven with
-// ≥10k splitmix64-mutated inputs derived from small valid corpora — bit flips,
+// Deterministic mutation-fuzz smoke test over the project's five parsing
+// surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, UMTP frame decoding,
+// base64 decoding and every stream protocol's frame reader (DESIGN.md §7.6).
+// Each entry point (src/fuzz/entries.hpp) is driven with ≥10k
+// splitmix64-mutated inputs derived from small valid corpora — bit flips,
 // byte stomps, truncations, extensions and (for UMTP) length-prefix lies.
 //
 // The contract under test is the Result discipline: malformed input must come
@@ -13,11 +14,15 @@
 #include <string>
 #include <vector>
 
+#include "bluetooth/hidp.hpp"
+#include "bluetooth/obex.hpp"
 #include "common/base64.hpp"
 #include "common/bytes.hpp"
 #include "common/rand.hpp"
 #include "core/umtp.hpp"
 #include "fuzz/entries.hpp"
+#include "mediabroker/protocol.hpp"
+#include "rmi/protocol.hpp"
 
 namespace umiddle {
 namespace {
@@ -176,6 +181,46 @@ Corpus base64_corpus() {
   return corpus;
 }
 
+/// One valid stream per protocol of fuzz::stream_protocols(): the selector
+/// byte, then two or three frames back to back.
+Corpus stream_corpus() {
+  namespace obex = bt::obex;
+  std::vector<std::vector<Bytes>> streams;
+  core::Message msg;
+  msg.type = MimeType::of("image/jpeg");
+  msg.payload = Bytes(40, 0xD8);
+  const core::PortRef dst{TranslatorId(42), "image-in"};
+  const core::umtp::Frame disconnect{core::umtp::DisconnectFrame{PathId(9)}};
+  streams.push_back({core::umtp::encode_data(dst, msg), core::umtp::encode(disconnect)});
+  obex::Packet connect;
+  connect.opcode = obex::kOpConnect;
+  connect.max_packet = 0xFFFF;
+  obex::Packet put;
+  put.opcode = obex::kOpPutFinal;
+  put.headers.push_back(obex::Header::text(obex::kHdrName, "a.jpg"));
+  put.headers.push_back(obex::Header::bytes(obex::kHdrEndOfBody, Bytes(30, 0x7)));
+  streams.push_back({connect.encode(), put.encode()});
+  streams.push_back({mb::Frame{mb::Op::produce, "cam", "image/jpeg", {}}.encode(),
+                     mb::Frame{mb::Op::data, "cam", "", Bytes(30, 0x9)}.encode()});
+  streams.push_back({rmi::encode_call({"echo", "deliver", Bytes(20, 0x2A)}),
+                     rmi::encode_call({"echo", "ping", {}})});
+  streams.push_back({rmi::encode_return({false, bytes_of("ok")}),
+                     rmi::encode_return({true, bytes_of("NoSuchMethodException")})});
+  streams.push_back({bt::SdpRequest{bt::kSdpSearchRequest, 1, "*"}.encode(),
+                     bt::SdpRequest{bt::kSdpSearchRequest, 2, "0x1124"}.encode()});
+  bt::SdpResponse found{bt::kSdpSearchResponse, 1, 0, {{1, "0x1124", "HID Mouse", 0x13, "HID"}}};
+  streams.push_back({found.encode(), bt::SdpResponse{bt::kSdpError, 2, 3, {}}.encode()});
+  streams.push_back({bt::MouseReport{1, -5, 7, 0}.encode(), bt::MouseReport{0, 3, 3, 1}.encode(),
+                     bt::MouseReport{}.encode()});
+  Corpus corpus;
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    Bytes item{static_cast<std::uint8_t>(i)};
+    for (const Bytes& frame : streams[i]) item.insert(item.end(), frame.begin(), frame.end());
+    corpus.push_back(std::move(item));
+  }
+  return corpus;
+}
+
 TEST(FuzzSmokeTest, XmlParserSurvivesMutations) {
   drive(&fuzz::fuzz_xml_parse, xml_corpus(), 0x1111aaaa2222bbbbull, kRounds);
 }
@@ -192,10 +237,16 @@ TEST(FuzzSmokeTest, Base64DecoderSurvivesMutations) {
   drive(&fuzz::fuzz_base64_decode, base64_corpus(), 0x7777b64b64b64b64ull, kRounds);
 }
 
+TEST(FuzzSmokeTest, StreamFramesSurviveMutations) {
+  const Corpus corpus = stream_corpus();
+  ASSERT_EQ(corpus.size(), fuzz::stream_protocols().size());
+  drive(&fuzz::fuzz_stream_frames, corpus, 0x9999f4a3e5f4a3e5ull, kRounds);
+}
+
 TEST(FuzzSmokeTest, UmtpLengthPrefixLiesAreRejectedNotTrusted) {
   // Length-prefix lies at the *outer* framing layer: a prefix larger than the
-  // body must leave the assembler waiting (no frame, no crash), and an inner
-  // truncation under a correct prefix must poison the assembler with an error.
+  // body must leave the reader waiting (no frame, no crash), and an inner
+  // truncation under a correct prefix must poison the reader with an error.
   namespace umtp = core::umtp;
   core::Message msg;
   msg.type = MimeType::of("text/plain");
@@ -205,20 +256,20 @@ TEST(FuzzSmokeTest, UmtpLengthPrefixLiesAreRejectedNotTrusted) {
   {  // prefix says "one more byte than exists": must just keep buffering
     Bytes lying = wire;
     lying[3] += 1;
-    umtp::FrameAssembler assembler;
+    umtp::Reader reader;
     std::vector<umtp::Frame> out;
-    ASSERT_TRUE(assembler.feed({lying.data(), lying.size()}, out).ok());
+    ASSERT_TRUE(reader.feed({lying.data(), lying.size()}, out).ok());
     EXPECT_TRUE(out.empty());
   }
   {  // truncated body under a shrunken-but-honest prefix: decode error
     Bytes truncated(wire.begin(), wire.begin() + 12);
     truncated[0] = truncated[1] = truncated[2] = 0;
     truncated[3] = 8;  // 8 body bytes follow — a torn DATA frame
-    umtp::FrameAssembler assembler;
+    umtp::Reader reader;
     std::vector<umtp::Frame> out;
-    EXPECT_FALSE(assembler.feed({truncated.data(), truncated.size()}, out).ok());
+    EXPECT_FALSE(reader.feed({truncated.data(), truncated.size()}, out).ok());
     // Poisoned: further feeds keep failing instead of resyncing mid-garbage.
-    EXPECT_FALSE(assembler.feed({wire.data(), wire.size()}, out).ok());
+    EXPECT_FALSE(reader.feed({wire.data(), wire.size()}, out).ok());
     EXPECT_TRUE(out.empty());
   }
 }
@@ -233,9 +284,9 @@ TEST(FuzzSmokeTest, UmtpSeqAndAckFieldLiesFailDecodeNotState) {
   const Bytes data = umtp::encode_data(core::PortRef{TranslatorId(1), "in"}, msg);
 
   auto feed_one = [](const Bytes& wire) {
-    umtp::FrameAssembler assembler;
+    umtp::Reader reader;
     std::vector<umtp::Frame> out;
-    return assembler.feed({wire.data(), wire.size()}, out);
+    return reader.feed({wire.data(), wire.size()}, out);
   };
 
   // SEQ may only wrap buffered payload frames (DATA/CONNECT/DISCONNECT/

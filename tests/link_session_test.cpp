@@ -115,10 +115,10 @@ class Wire {
   }
 
   void deliver() {
-    umtp::FrameAssembler assembler;
+    umtp::Reader reader;
     for (const Bytes& bytes : std::exchange(to_rx_, {})) {
       std::vector<umtp::Frame> frames;
-      ASSERT_TRUE(assembler.feed(bytes, frames).ok());
+      ASSERT_TRUE(reader.feed(bytes, frames).ok());
       for (umtp::Frame& frame : frames) receive(std::move(frame));
     }
   }

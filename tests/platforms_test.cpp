@@ -34,16 +34,16 @@ TEST(RmiProtocolTest, CallAndReturnRoundTrip) {
   rmi::Call call{"echo", "deliver", Bytes(100, 0x2A)};
   std::vector<rmi::Call> calls;
   std::vector<rmi::Return> returns;
-  rmi::Decoder calls_decoder(rmi::Decoder::Kind::calls);
-  ASSERT_TRUE(calls_decoder.feed(rmi::encode_call(call), calls, returns).ok());
+  rmi::CallReader calls_reader;
+  ASSERT_TRUE(calls_reader.feed(rmi::encode_call(call), calls).ok());
   ASSERT_EQ(calls.size(), 1u);
   EXPECT_EQ(calls[0].object, "echo");
   EXPECT_EQ(calls[0].method, "deliver");
   EXPECT_EQ(calls[0].args.size(), 100u);
 
   rmi::Return ret{false, to_bytes("ok")};
-  rmi::Decoder returns_decoder(rmi::Decoder::Kind::returns);
-  ASSERT_TRUE(returns_decoder.feed(rmi::encode_return(ret), calls, returns).ok());
+  rmi::ReturnReader returns_reader;
+  ASSERT_TRUE(returns_reader.feed(rmi::encode_return(ret), returns).ok());
   ASSERT_EQ(returns.size(), 1u);
   EXPECT_FALSE(returns[0].exception);
   EXPECT_EQ(umiddle::to_string(returns[0].value), "ok");
@@ -57,9 +57,8 @@ TEST(RmiProtocolTest, SerializationOverheadIsOnTheWire) {
 
 TEST(RmiProtocolTest, DecoderRejectsBadMagic) {
   std::vector<rmi::Call> calls;
-  std::vector<rmi::Return> returns;
-  rmi::Decoder d(rmi::Decoder::Kind::calls);
-  EXPECT_FALSE(d.feed(to_bytes("XXXX\x50"), calls, returns).ok());
+  rmi::CallReader d;
+  EXPECT_FALSE(d.feed(to_bytes("XXXX\x50"), calls).ok());
 }
 
 TEST(RmiProtocolTest, ServerDispatchAndException) {
@@ -260,7 +259,7 @@ TEST(MbProtocolTest, FrameRoundTrips) {
     f.media_type = "image/jpeg";
     f.payload = Bytes(37, 0x9);
     std::vector<mb::Frame> out;
-    mb::Decoder d;
+    mb::Reader d;
     ASSERT_TRUE(d.feed(f.encode(), out).ok());
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].op, op);
@@ -276,7 +275,7 @@ TEST(MbProtocolTest, FrameRoundTrips) {
 
 TEST(MbProtocolTest, DecoderRejectsBadOpcode) {
   std::vector<mb::Frame> out;
-  mb::Decoder d;
+  mb::Reader d;
   EXPECT_FALSE(d.feed(Bytes{99, 0, 0}, out).ok());
 }
 

@@ -337,7 +337,7 @@ TEST(UmtpTest, DataFrameRoundTrip) {
 
   Bytes wire = umtp::encode(umtp::Frame{f});
   std::vector<umtp::Frame> out;
-  umtp::FrameAssembler asmb;
+  umtp::Reader asmb;
   ASSERT_TRUE(asmb.feed(wire, out).ok());
   ASSERT_EQ(out.size(), 1u);
   const auto& back = std::get<umtp::DataFrame>(out[0]);
@@ -354,7 +354,7 @@ TEST(UmtpTest, ConnectFrameFixedAndQuery) {
   fixed.src = PortRef{TranslatorId(1), "out"};
   fixed.dst = PortRef{TranslatorId(2), "in"};
   std::vector<umtp::Frame> out;
-  umtp::FrameAssembler asmb;
+  umtp::Reader asmb;
   ASSERT_TRUE(asmb.feed(umtp::encode(umtp::Frame{fixed}), out).ok());
   ASSERT_EQ(out.size(), 1u);
   const auto& back = std::get<umtp::ConnectFrame>(out[0]);
@@ -374,7 +374,7 @@ TEST(UmtpTest, ConnectFrameFixedAndQuery) {
 
 TEST(UmtpTest, DisconnectRoundTrip) {
   std::vector<umtp::Frame> out;
-  umtp::FrameAssembler asmb;
+  umtp::Reader asmb;
   ASSERT_TRUE(asmb.feed(umtp::encode(umtp::Frame{umtp::DisconnectFrame{PathId(9)}}), out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(std::get<umtp::DisconnectFrame>(out[0]).path, PathId(9));
@@ -390,7 +390,7 @@ TEST(UmtpTest, AssemblerHandlesFragmentationAndCoalescing) {
   doubled.insert(doubled.end(), wire.begin(), wire.end());
 
   // Feed byte-by-byte: frames must pop out exactly twice.
-  umtp::FrameAssembler asmb;
+  umtp::Reader asmb;
   std::vector<umtp::Frame> out;
   for (std::size_t i = 0; i < doubled.size(); ++i) {
     ASSERT_TRUE(asmb.feed(std::span(&doubled[i], 1), out).ok());
@@ -406,7 +406,7 @@ TEST(UmtpTest, MalformedFramePoisonsAssembler) {
   w.u32(3);
   w.u8(99);  // unknown type
   w.u16(0);
-  umtp::FrameAssembler asmb;
+  umtp::Reader asmb;
   std::vector<umtp::Frame> out;
   EXPECT_FALSE(asmb.feed(w.data(), out).ok());
   EXPECT_FALSE(asmb.feed(Bytes{0}, out).ok());  // still poisoned
@@ -415,7 +415,7 @@ TEST(UmtpTest, MalformedFramePoisonsAssembler) {
 TEST(UmtpTest, OversizeFrameRejected) {
   ByteWriter w;
   w.u32(0x7FFFFFFF);
-  umtp::FrameAssembler asmb;
+  umtp::Reader asmb;
   std::vector<umtp::Frame> out;
   EXPECT_FALSE(asmb.feed(w.data(), out).ok());
 }
@@ -434,7 +434,7 @@ TEST_P(UmtpRoundTripTest, RandomDataFrames) {
   for (std::size_t i = 0; i < metas; ++i) f.message.meta[rng.ident(4)] = rng.ident(12);
 
   std::vector<umtp::Frame> out;
-  umtp::FrameAssembler asmb;
+  umtp::Reader asmb;
   ASSERT_TRUE(asmb.feed(umtp::encode(umtp::Frame{f}), out).ok());
   ASSERT_EQ(out.size(), 1u);
   const auto& back = std::get<umtp::DataFrame>(out[0]);

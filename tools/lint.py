@@ -50,6 +50,13 @@ exist to keep nondeterminism from leaking back in:
                unmap( on a Runtime: mappers import and withdraw devices
                through the Mapper import table (DESIGN.md §7.5), so
                device→translator bookkeeping has one implementation.
+  one-reassembly-site
+               appending a received chunk to a buffer
+               (`insert(..., chunk.begin(), chunk.end())`) appears only in
+               src/common/frame_reader.hpp: every stream protocol reassembles
+               through FrameReader with its own decode step (DESIGN.md §7.6),
+               so the buffer, cursor, size bound and poisoning have one
+               implementation.
   untagged-event
                every schedule_after / schedule_at / post call and every
                sim::Timer construction in src/ passes a non-empty EventTag, so
@@ -377,6 +384,25 @@ def check_one_import_site(path: str, code: str) -> Iterable[Violation]:
                             "table (import/gone/forget_unseen)")
 
 
+# Stream reassembly has one implementation (DESIGN.md §7.6): FrameReader owns
+# the receive buffer, so a second buffer that received chunks are appended to
+# is a second reassembler, with its own (missing) size bound and poisoning.
+CHUNK_APPEND_RE = re.compile(r"\binsert\s*\([^;]*\bchunk\s*\.\s*begin\s*\(\s*\)\s*,"
+                             r"\s*chunk\s*\.\s*end\s*\(\s*\)")
+REASSEMBLY_SITE = "src/common/frame_reader.hpp"
+
+
+def check_one_reassembly_site(path: str, code: str) -> Iterable[Violation]:
+    if path == REASSEMBLY_SITE:
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if CHUNK_APPEND_RE.search(line):
+            yield Violation("one-reassembly-site", path, lineno,
+                            "received chunk appended to a private buffer; "
+                            "reassemble through FrameReader with a decode "
+                            f"step ({REASSEMBLY_SITE})")
+
+
 # Every deferred callback carries provenance (DESIGN.md §7.1, §7.4). An
 # untagged event digests as zeros and its host time is charged to nobody. The
 # Scheduler keeps a defaulted tag for code outside src/ only. Arity is checked
@@ -461,6 +487,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_ack_origin,
     check_global_telemetry,
     check_one_import_site,
+    check_one_reassembly_site,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -537,6 +564,8 @@ SEEDED_VIOLATIONS = [
     ("one-import-site", "src/motes/evil.cpp",
      "runtime_->instantiate(std::move(translator), [this](Result<TranslatorId> r) {});\n"
      "(void)runtime().unmap(id);\n"),
+    ("one-reassembly-site", "src/bluetooth/evil.cpp",
+     "hid_buffer_.insert(hid_buffer_.end(), chunk.begin(), chunk.end());\n"),
     ("untagged-event", "src/motes/evil.cpp",
      'constexpr const char* kDoc = R"USDL(<port mime="*/*"/>)USDL";\n'
      "sched.schedule_after(\n"
@@ -592,6 +621,12 @@ CLEAN_SNIPPETS = [
     ("src/core/mapper.cpp",
      "entry.pending = rt.instantiate(std::move(translator), [this](auto r) {});\n"
      "(void)runtime().unmap(*entry.id);\n"),
+    ("src/common/frame_reader.hpp",
+     "buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());\n"),
+    ("src/bluetooth/fine.cpp",
+     "// buffer.insert(buffer.end(), chunk.begin(), chunk.end()) in a comment is fine\n"
+     "partial.data.insert(partial.data.end(), body.begin(), body.end());\n"
+     "merged.insert(merged.end(), c.data->begin(), c.data->end());\n"),
     ("src/upnp/fine.cpp",
      "// runtime_->unmap(id) in a comment is fine\n"
      "import(udn, std::move(translator));\n"
