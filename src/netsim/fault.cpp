@@ -51,24 +51,26 @@ void FaultPlane::set_loss(SegmentId segment, double probability) {
 }
 
 void FaultPlane::crash_host(const std::string& host) {
-  auto h = net_.hosts_.find(host);
-  if (h == net_.hosts_.end()) return;
+  auto dead = net_.resolve(host);
+  if (!dead.ok()) return;
   crashes_ += 1;
   net_.metrics_.counter("fault.crashes").inc();
   log::Entry(log::Level::info, "fault") << "crash: host " << host << " died";
 
   // Kernel state of the dead process: sockets, listeners, multicast joins.
-  std::erase_if(net_.udp_sockets_, [&](const auto& kv) { return kv.first.host == host; });
-  std::erase_if(net_.listeners_, [&](const auto& kv) { return kv.first.host == host; });
-  h->second.groups.clear();
+  Network::Host& h = net_.hosts_[dead.value()];
+  h.sockets.clear();
+  h.listeners.clear();
+  h.groups.clear();
+  net_.routes_.clear();
 
   // Streams: the dead process's ends vanish silently (its handlers can never
   // run again); each surviving peer end observes an abort, RST-style.
   std::vector<StreamPtr> local, peers;
   for (const auto& [id, s] : net_.streams_) {
     if (s->closed()) continue;
-    if (s->local().host == host) local.push_back(s);
-    else if (s->remote().host == host) peers.push_back(s);
+    if (s->host_ == dead.value()) local.push_back(s);
+    else if (s->remote_host_ == dead.value()) peers.push_back(s);
   }
   auto by_id = [](const StreamPtr& a, const StreamPtr& b) { return a->id() < b->id(); };
   std::sort(local.begin(), local.end(), by_id);

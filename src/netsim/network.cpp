@@ -1,7 +1,6 @@
 #include "netsim/network.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/log.hpp"
 #include "netsim/fault.hpp"
@@ -19,37 +18,29 @@ Network::Network(sim::Scheduler& sched, std::uint64_t seed)
       connect_rtt_ns_(metrics_.histogram("net.stream.connect_rtt_ns", obs::latency_bounds_ns())) {
   // Implicit loopback "segment": traffic between sockets of the same host
   // never touches a physical medium (kernel loopback).
-  SegmentSpec loopback;
-  loopback.name = "loopback";
-  loopback.bandwidth_bps = 1e9;
-  loopback.latency = sim::microseconds(5);
-  loopback.shared_medium = false;
-  loopback.frame_overhead = 0;
-  loopback.preamble = 0;
-  loopback.mtu_payload = 65536;
-  loopback_ = add_segment(loopback);
+  loopback_ = add_segment({.name = "loopback", .bandwidth_bps = 1e9,
+                           .latency = sim::microseconds(5), .shared_medium = false,
+                           .frame_overhead = 0, .preamble = 0, .mtu_payload = 65536});
 
   // Sample scheduler counters, segment stats, and stream backlog into gauges at
   // snapshot time. Segments iterate in id order, so gauge registration order —
   // and with it snapshot layout — is deterministic.
   metrics_.add_collector([this] {
-    metrics_.gauge("sim.events_dispatched")
-        .set(static_cast<std::int64_t>(sched_.events_dispatched()));
-    metrics_.gauge("sim.pending_events").set(static_cast<std::int64_t>(sched_.pending()));
-    metrics_.gauge("sim.cancellations_reaped")
-        .set(static_cast<std::int64_t>(sched_.cancellations_reaped()));
-    metrics_.gauge("sim.heap_high_water")
-        .set(static_cast<std::int64_t>(sched_.heap_high_water()));
-    metrics_.gauge("net.stream.backlog_high_water")
-        .set(static_cast<std::int64_t>(stream_backlog_high_water_));
+    auto set = [this](const std::string& name, auto value) {
+      metrics_.gauge(name).set(static_cast<std::int64_t>(value));
+    };
+    set("sim.events_dispatched", sched_.events_dispatched());
+    set("sim.pending_events", sched_.pending());
+    set("sim.cancellations_reaped", sched_.cancellations_reaped());
+    set("sim.heap_high_water", sched_.heap_high_water());
+    set("net.stream.backlog_high_water", stream_backlog_high_water_);
     for (const auto& [id, seg] : segments_) {
       const std::string prefix = "net.seg" + id.to_string() + "." + seg.spec.name + ".";
-      metrics_.gauge(prefix + "frames").set(static_cast<std::int64_t>(seg.stats.frames));
-      metrics_.gauge(prefix + "payload_bytes")
-          .set(static_cast<std::int64_t>(seg.stats.payload_bytes));
-      metrics_.gauge(prefix + "wire_bytes").set(static_cast<std::int64_t>(seg.stats.wire_bytes));
-      metrics_.gauge(prefix + "dropped").set(static_cast<std::int64_t>(seg.stats.dropped));
-      metrics_.gauge(prefix + "busy_ns").set(seg.stats.busy_time.count());
+      set(prefix + "frames", seg.stats.frames);
+      set(prefix + "payload_bytes", seg.stats.payload_bytes);
+      set(prefix + "wire_bytes", seg.stats.wire_bytes);
+      set(prefix + "dropped", seg.stats.dropped);
+      set(prefix + "busy_ns", seg.stats.busy_time.count());
     }
   });
 }
@@ -67,48 +58,43 @@ SegmentId Network::add_segment(SegmentSpec spec) {
 }
 
 Result<void> Network::add_host(const std::string& name) {
-  if (hosts_.count(name) != 0) {
+  if (!host_ids_.emplace(name, static_cast<HostId>(hosts_.size())).second) {
     return make_error(Errc::already_exists, "host exists: " + name);
   }
-  hosts_[name].trace_id = sim::host_id(name);
+  hosts_.emplace_back(name);
   return ok_result();
 }
 
 Result<void> Network::attach(const std::string& host, SegmentId segment) {
-  auto h = hosts_.find(host);
-  if (h == hosts_.end()) return make_error(Errc::not_found, "no such host: " + host);
+  auto id = resolve(host);
+  if (!id.ok()) return id.error();
   auto s = segments_.find(segment);
   if (s == segments_.end()) return make_error(Errc::not_found, "no such segment");
-  h->second.segments.insert(segment);
-  s->second.hosts.insert(host);
+  hosts_[id.value()].segments.insert(segment);
+  routes_.clear();
   return ok_result();
 }
 
-const SegmentStats& Network::stats(SegmentId segment) const {
-  return segments_.at(segment).stats;
-}
+const SegmentStats& Network::stats(SegmentId segment) const { return segments_.at(segment).stats; }
 
 const SegmentSpec& Network::spec(SegmentId segment) const { return segments_.at(segment).spec; }
 
-Result<void> Network::check_host(const std::string& name) const {
-  if (hosts_.count(name) == 0) return make_error(Errc::not_found, "no such host: " + name);
-  return ok_result();
+Result<HostId> Network::resolve(const std::string& name) const {
+  auto it = host_ids_.find(name);
+  if (it == host_ids_.end()) return make_error(Errc::not_found, "no such host: " + name);
+  return it->second;
 }
 
-SegmentId Network::common_segment(const std::string& a, const std::string& b) const {
-  auto ha = hosts_.find(a);
-  auto hb = hosts_.find(b);
-  if (ha == hosts_.end() || hb == hosts_.end()) return SegmentId{};
+SegmentId Network::common_segment(HostId a, HostId b) const {
   if (a == b) return loopback_;
-  for (SegmentId seg : ha->second.segments) {
-    if (hb->second.segments.count(seg) != 0) return seg;
+  for (SegmentId seg : hosts_[a].segments) {
+    if (hosts_[b].segments.count(seg) != 0) return seg;
   }
   return SegmentId{};
 }
 
-sim::TimePoint Network::send_frame(SegmentId seg_id, const std::string& src,
-                                   std::size_t payload_size, std::function<void()> deliver,
-                                   bool lossless) {
+sim::TimePoint Network::send_frame(SegmentId seg_id, HostId src, std::size_t payload_size,
+                                   std::function<void()> deliver, bool lossless) {
   Segment& seg = segments_.at(seg_id);
   const SegmentSpec& spec = seg.spec;
 
@@ -126,7 +112,7 @@ sim::TimePoint Network::send_frame(SegmentId seg_id, const std::string& src,
     }
     seg.medium_busy_until = start + ser_time;
   } else {
-    auto& nic = hosts_.at(src).nic_busy_until[seg_id];
+    auto& nic = hosts_[src].nic_busy_until[seg_id];
     if (nic > start) start = nic;
     nic = start + ser_time;
   }
@@ -148,96 +134,89 @@ sim::TimePoint Network::send_frame(SegmentId seg_id, const std::string& src,
     return arrival;
   }
   sched_.schedule_at(arrival, std::move(deliver),
-                     {hosts_.at(src).trace_id, sim::tag_id("net.deliver")});
+                     {hosts_[src].trace_id, sim::tag_id("net.deliver")});
   return arrival;
 }
 
 // --- datagrams ---------------------------------------------------------------
 
 Result<void> Network::udp_bind(const Endpoint& local, DatagramHandler handler) {
-  if (auto r = check_host(local.host); !r.ok()) return r;
-  if (udp_sockets_.count(local) != 0) {
+  auto id = resolve(local.host);
+  if (!id.ok()) return id.error();
+  if (!hosts_[id.value()].sockets.emplace(local.port, std::move(handler)).second) {
     return make_error(Errc::already_exists, "udp endpoint in use: " + local.to_string());
   }
-  udp_sockets_[local] = std::move(handler);
   return ok_result();
 }
 
-void Network::udp_close(const Endpoint& local) { udp_sockets_.erase(local); }
-
-Result<void> Network::udp_send(const Endpoint& from, const Endpoint& to, Bytes payload) {
-  return udp_send(from, to, make_payload(std::move(payload)));
+void Network::udp_close(const Endpoint& local) {
+  if (auto id = resolve(local.host); id.ok()) hosts_[id.value()].sockets.erase(local.port);
 }
 
 Result<void> Network::udp_send(const Endpoint& from, const Endpoint& to, PayloadPtr payload) {
-  if (auto r = check_host(from.host); !r.ok()) return r;
+  auto src = resolve(from.host);
+  if (!src.ok()) return src.error();
   udp_datagrams_.inc();
-  SegmentId seg = common_segment(from.host, to.host);
+  auto dst = resolve(to.host);
+  SegmentId seg = dst.ok() ? common_segment(src.value(), dst.value()) : SegmentId{};
   if (!seg.valid()) {
     return make_error(Errc::disconnected,
                       "no shared segment between " + from.host + " and " + to.host);
   }
   send_frame(
-      seg, from.host, payload->size(),
-      [this, from, to, payload]() {
-        auto it = udp_sockets_.find(to);
-        if (it != udp_sockets_.end()) it->second(from, *payload);
+      seg, src.value(), payload->size(),
+      [this, from, dst = dst.value(), port = to.port, payload]() {
+        hosts_[dst].deliver(port, from, *payload);
       },
       /*lossless=*/false);
   return ok_result();
 }
 
 Result<void> Network::join_group(const std::string& host, const std::string& group) {
-  auto h = hosts_.find(host);
-  if (h == hosts_.end()) return make_error(Errc::not_found, "no such host: " + host);
-  h->second.groups.insert(group);
+  auto id = resolve(host);
+  if (!id.ok()) return id.error();
+  std::vector<std::string>& groups = hosts_[id.value()].groups;
+  if (std::ranges::count(groups, group) == 0) groups.push_back(group);
+  routes_.clear();
   return ok_result();
 }
 
 void Network::leave_group(const std::string& host, const std::string& group) {
-  auto h = hosts_.find(host);
-  if (h != hosts_.end()) h->second.groups.erase(group);
+  if (auto id = resolve(host); id.ok()) std::erase(hosts_[id.value()].groups, group);
+  routes_.clear();
 }
 
-Result<void> Network::udp_multicast(const Endpoint& from, const std::string& group,
-                                    std::uint16_t port, Bytes payload) {
-  return udp_multicast(from, group, port, make_payload(std::move(payload)));
+const Network::Route& Network::route(HostId sender, const std::string& group) {
+  for (const Route& r : routes_) {
+    if (r.sender == sender && r.group == group) return r;
+  }
+  // One frame per segment the sender occupies (broadcast medium), receivers
+  // in the delivery order of DESIGN.md §8.5.
+  Route route{sender, group, {}};
+  std::vector<HostId> receivers;  // in order of first appearance
+  for (SegmentId seg : hosts_[sender].segments) {
+    auto on = [&](HostId h) { return hosts_[h].segments.count(seg) != 0; };
+    for (const auto& [name, h] : host_ids_) {  // host-name order
+      if (!on(h) || std::ranges::count(receivers, h) != 0) continue;
+      if (std::ranges::count(hosts_[h].groups, group) != 0) receivers.push_back(h);
+    }
+    auto on_segment = std::make_shared<std::vector<HostId>>();
+    std::ranges::copy_if(receivers, std::back_inserter(*on_segment), on);
+    if (!on_segment->empty()) route.frames.emplace_back(seg, std::move(on_segment));
+  }
+  return routes_.emplace_back(std::move(route));
 }
 
 Result<void> Network::udp_multicast(const Endpoint& from, const std::string& group,
                                     std::uint16_t port, PayloadPtr payload) {
-  if (auto r = check_host(from.host); !r.ok()) return r;
+  auto src = resolve(from.host);
+  if (!src.ok()) return src.error();
   udp_multicast_sends_.inc();
-  const Host& sender = hosts_.at(from.host);
-
-  // Collect receivers: every group member sharing a segment with the sender.
-  std::vector<std::string> receivers;
-  for (SegmentId seg : sender.segments) {
-    for (const std::string& host : segments_.at(seg).hosts) {
-      const Host& h = hosts_.at(host);
-      if (h.groups.count(group) == 0) continue;
-      if (std::find(receivers.begin(), receivers.end(), host) == receivers.end()) {
-        receivers.push_back(host);
-      }
-    }
-  }
-  if (receivers.empty()) return ok_result();
-
-  // One frame per segment the sender occupies (broadcast medium): every receiver
-  // on that segment hears the same transmission.
-  for (SegmentId seg : sender.segments) {
-    std::vector<std::string> on_segment;
-    for (const std::string& host : receivers) {
-      if (segments_.at(seg).hosts.count(host) != 0) on_segment.push_back(host);
-    }
-    if (on_segment.empty()) continue;
+  for (const auto& [seg, on_segment] : route(src.value(), group).frames) {
     send_frame(
-        seg, from.host, payload->size(),
-        [this, from, port, on_segment, payload]() {
-          for (const std::string& host : on_segment) {
-            auto it = udp_sockets_.find(Endpoint{host, port});
-            if (it != udp_sockets_.end()) it->second(from, *payload);
-          }
+        seg, src.value(), payload->size(),
+        [this, from, port, receivers = on_segment, payload]() {
+          for (HostId to : *receivers) hosts_[to].deliver(port, from, *payload);
         },
         /*lossless=*/false);
   }
@@ -247,74 +226,83 @@ Result<void> Network::udp_multicast(const Endpoint& from, const std::string& gro
 // --- streams -------------------------------------------------------------------
 
 Result<void> Network::listen(const Endpoint& local, AcceptHandler handler) {
-  if (auto r = check_host(local.host); !r.ok()) return r;
-  if (listeners_.count(local) != 0) {
+  auto id = resolve(local.host);
+  if (!id.ok()) return id.error();
+  if (!hosts_[id.value()].listeners.emplace(local.port, std::move(handler)).second) {
     return make_error(Errc::already_exists, "listener in use: " + local.to_string());
   }
-  listeners_[local] = std::move(handler);
   return ok_result();
 }
 
-void Network::stop_listening(const Endpoint& local) { listeners_.erase(local); }
+void Network::stop_listening(const Endpoint& local) {
+  if (auto id = resolve(local.host); id.ok()) hosts_[id.value()].listeners.erase(local.port);
+}
 
-std::uint16_t Network::allocate_ephemeral_port(const std::string& host) {
-  // Simple rolling allocation; collisions with bound sockets are implausible in
-  // simulation scale but we still skip occupied endpoints.
+std::uint16_t Network::allocate_ephemeral_port(HostId host) {
+  const Host& h = hosts_[host];
   for (int attempts = 0; attempts < 16384; ++attempts) {
-    std::uint16_t port = next_ephemeral_;
+    std::uint16_t p = next_ephemeral_;
     next_ephemeral_ = next_ephemeral_ == 65535 ? 49152 : static_cast<std::uint16_t>(next_ephemeral_ + 1);
-    Endpoint ep{host, port};
-    if (udp_sockets_.count(ep) == 0 && listeners_.count(ep) == 0) return port;
+    if (h.sockets.count(p) + h.listeners.count(p) + h.stream_ports.count(p) == 0) return p;
   }
   return 0;
 }
 
 Result<StreamPtr> Network::connect(const std::string& host, const Endpoint& remote) {
-  if (auto r = check_host(host); !r.ok()) return r.error();
-  SegmentId seg = common_segment(host, remote.host);
+  auto src = resolve(host);
+  if (!src.ok()) return src.error();
+  auto dst = resolve(remote.host);
+  SegmentId seg = dst.ok() ? common_segment(src.value(), dst.value()) : SegmentId{};
   if (!seg.valid()) {
     return make_error(Errc::disconnected,
                       "no shared segment between " + host + " and " + remote.host);
   }
   if (faults_->partitioned(seg)) {
-    return make_error(Errc::disconnected,
-                      "segment partitioned: " + segments_.at(seg).spec.name);
+    return make_error(Errc::disconnected, "segment partitioned: " + spec(seg).name);
   }
-  auto listener = listeners_.find(remote);
-  if (listener == listeners_.end()) {
+  auto listener = hosts_[dst.value()].listeners.find(remote.port);
+  if (listener == hosts_[dst.value()].listeners.end()) {
     return make_error(Errc::refused, "connection refused: " + remote.to_string());
   }
+  Endpoint local{host, allocate_ephemeral_port(src.value())};
+  if (local.port == 0) return make_error(Errc::buffer_overflow, "no ephemeral port on " + host);
 
-  Endpoint local{host, allocate_ephemeral_port(host)};
   StreamPtr client = std::make_shared<Stream>(Stream::Private{}, *this, stream_ids_.next(),
-                                              local, remote, seg);
+                                              local, remote, src.value(), dst.value(), seg);
   StreamPtr server = std::make_shared<Stream>(Stream::Private{}, *this, stream_ids_.next(),
-                                              remote, local, seg);
+                                              remote, local, dst.value(), src.value(), seg);
   client->set_peer(server->id());
   server->set_peer(client->id());
   register_stream(client);
   register_stream(server);
 
   // Three-way handshake: 1.5 RTT of segment latency before both ends are up.
-  sim::Duration rtt = spec(seg).latency * 2;
+  const sim::Duration handshake = spec(seg).latency * 3;
   stream_connects_.inc();
-  connect_rtt_ns_.observe((rtt + spec(seg).latency).count());
-  AcceptHandler accept = listener->second;
+  connect_rtt_ns_.observe(handshake.count());
   sched_.schedule_after(
-      rtt + spec(seg).latency,
-      [this, client, server, accept]() {
+      handshake,
+      [this, client, server, accept = listener->second]() {
         server->establish();
         client->establish();
         // A connection reset during the handshake never reaches the listener.
         if (accept && !server->closed()) accept(server);
       },
-      {hosts_.at(host).trace_id, sim::tag_id("net.handshake")});
+      {hosts_[src.value()].trace_id, sim::tag_id("net.handshake")});
   return client;
 }
 
-void Network::register_stream(StreamPtr s) { streams_[s->id()] = std::move(s); }
+void Network::register_stream(StreamPtr s) {
+  hosts_[s->host_].stream_ports.insert(s->local().port);
+  streams_[s->id()] = std::move(s);
+}
 
-void Network::forget_stream(StreamId id) { streams_.erase(id); }
+void Network::forget_stream(StreamId id) {
+  if (auto node = streams_.extract(id); !node.empty()) {
+    std::multiset<std::uint16_t>& ports = hosts_[node.mapped()->host_].stream_ports;
+    ports.erase(ports.find(node.mapped()->local().port));
+  }
+}
 
 Stream* Network::stream(StreamId id) {
   auto it = streams_.find(id);

@@ -39,18 +39,15 @@ namespace umiddle::net {
 
 struct SegmentTag {};
 using SegmentId = Id<SegmentTag>;
+/// Index in the Network's host table; names resolve to it at the API (DESIGN.md §8.5).
+using HostId = std::uint32_t;
 
 /// host:port address of a socket.
 struct Endpoint {
   std::string host;
   std::uint16_t port = 0;
 
-  friend bool operator==(const Endpoint& a, const Endpoint& b) {
-    return a.port == b.port && a.host == b.host;
-  }
-  friend bool operator<(const Endpoint& a, const Endpoint& b) {
-    return a.host != b.host ? a.host < b.host : a.port < b.port;
-  }
+  bool operator==(const Endpoint&) const = default;
   std::string to_string() const { return host + ":" + std::to_string(port); }
 };
 
@@ -102,29 +99,23 @@ class Network {
 
   sim::Scheduler& scheduler() { return sched_; }
 
-  /// Per-world telemetry (DESIGN.md §9). Owned here — next to the seeded Rng —
-  /// for the same reason the Rng is: any process-global telemetry state would
-  /// make a second same-seed run observe different values. A snapshot-time
-  /// collector registered in the constructor samples scheduler counters and
-  /// per-segment stats, so layers below obs stay uncoupled from it.
+  // Per-world state: telemetry, the fault plane, the seeded Rng and the node
+  // ordinal live here, never in process globals, or a second same-seed run in
+  // the same process would observe different values (sim/audit.hpp).
+
+  /// Telemetry (DESIGN.md §9). A snapshot-time collector registered in the
+  /// constructor samples scheduler counters and per-segment stats, so layers
+  /// below obs stay uncoupled from it.
   obs::MetricsRegistry& metrics() { return metrics_; }
   obs::Tracer& tracer() { return tracer_; }
-
-  /// Per-world fault-injection plane (DESIGN.md §10): partitions, burst loss,
-  /// host crashes, stream resets. Owned here for the same per-world-state
-  /// reason as the Rng and telemetry. Configuring nothing on it leaves every
-  /// digest and metrics snapshot bit-identical to a fault-free build.
+  /// Fault injection (DESIGN.md §10): partitions, burst loss, host crashes,
+  /// stream resets. Configuring nothing leaves every digest and metrics
+  /// snapshot bit-identical to a fault-free build.
   FaultPlane& faults() { return *faults_; }
-
-  /// The world's seeded Rng. Protocol-level recovery (e.g. UMTP reconnect
-  /// jitter) draws from here; fault-free code paths never touch it outside
-  /// send_frame's loss draw, so the draw sequence stays stable.
+  /// Protocol-level recovery (e.g. UMTP reconnect jitter) draws from here;
+  /// fault-free code draws only send_frame's loss, so the sequence is stable.
   Rng& rng() { return rng_; }
-
-  /// Monotonic per-world ordinal for naming entities (e.g. runtime node ids).
-  /// Deliberately an instance member: process-global counters make a second
-  /// same-seed run in the same process diverge, which the determinism audit
-  /// (sim/audit.hpp) forbids.
+  /// Monotonic ordinal for naming entities (e.g. runtime node ids).
   std::uint64_t next_node_ordinal() { return ++node_ordinals_; }
 
   SegmentId add_segment(SegmentSpec spec);
@@ -132,7 +123,7 @@ class Network {
   [[nodiscard]] Result<void> add_host(const std::string& name);
   /// Attach an existing host to a segment.
   [[nodiscard]] Result<void> attach(const std::string& host, SegmentId segment);
-  bool host_exists(const std::string& name) const { return hosts_.count(name) != 0; }
+  bool host_exists(const std::string& name) const { return host_ids_.count(name) != 0; }
 
   const SegmentStats& stats(SegmentId segment) const;
   const SegmentSpec& spec(SegmentId segment) const;
@@ -142,7 +133,9 @@ class Network {
   [[nodiscard]] Result<void> udp_bind(const Endpoint& local, DatagramHandler handler);
   void udp_close(const Endpoint& local);
   /// Unicast; fails if src/dst share no segment.
-  [[nodiscard]] Result<void> udp_send(const Endpoint& from, const Endpoint& to, Bytes payload);
+  [[nodiscard]] Result<void> udp_send(const Endpoint& from, const Endpoint& to, Bytes payload) {
+    return udp_send(from, to, make_payload(std::move(payload)));
+  }
   /// Copy-free unicast: the caller-provided buffer is referenced, never copied.
   [[nodiscard]] Result<void> udp_send(const Endpoint& from, const Endpoint& to,
                                       PayloadPtr payload);
@@ -152,7 +145,9 @@ class Network {
   /// Multicast to every group member sharing a segment with the sender
   /// (including the sender itself if joined and bound — SSDP relies on loopback).
   [[nodiscard]] Result<void> udp_multicast(const Endpoint& from, const std::string& group,
-                             std::uint16_t port, Bytes payload);
+                                           std::uint16_t port, Bytes payload) {
+    return udp_multicast(from, group, port, make_payload(std::move(payload)));
+  }
   /// Copy-free multicast; one shared buffer serves every segment and receiver.
   [[nodiscard]] Result<void> udp_multicast(const Endpoint& from, const std::string& group,
                                            std::uint16_t port, PayloadPtr payload);
@@ -172,30 +167,45 @@ class Network {
     SegmentSpec spec;
     SegmentStats stats;
     sim::TimePoint medium_busy_until{0};
-    std::set<std::string> hosts;
+  };
+
+  /// A (sender, group) multicast: per sender segment, a shared receiver list.
+  struct Route {
+    HostId sender;
+    std::string group;
+    std::vector<std::pair<SegmentId, std::shared_ptr<const std::vector<HostId>>>> frames;
   };
 
   struct Host {
+    explicit Host(const std::string& n) : name(n), trace_id(sim::host_id(n)) {}
+    /// Call as hosts_[id].deliver per receiver: a handler may add hosts.
+    void deliver(std::uint16_t port, const Endpoint& from, const Bytes& payload) {
+      if (auto it = sockets.find(port); it != sockets.end()) it->second(from, payload);
+    }
+    std::string name;
+    std::uint64_t trace_id;  ///< sim::host_id(name), cached for per-frame audit tags
     std::set<SegmentId> segments;
-    std::set<std::string> groups;
+    std::vector<std::string> groups;
     /// Per-segment NIC availability (full-duplex media serialize per sender).
     std::map<SegmentId, sim::TimePoint> nic_busy_until;
-    /// sim::host_id(name), cached so the audit tag costs nothing per frame.
-    std::uint64_t trace_id = 0;
+    std::map<std::uint16_t, DatagramHandler> sockets;
+    std::map<std::uint16_t, AcceptHandler> listeners;
+    std::multiset<std::uint16_t> stream_ports;  ///< local ports of registered streams
   };
+  static_assert(std::is_nothrow_move_constructible_v<Host>);  // handlers survive hosts_ growth
 
+  [[nodiscard]] Result<HostId> resolve(const std::string& name) const;  ///< or not_found
+  const Route& route(HostId sender, const std::string& group);
   /// Schedule delivery of `payload_size` bytes from `src` on `seg`;
   /// `deliver` runs at the arrival time unless the frame is lost.
   /// Returns the arrival time (even if lost, for stats purposes).
-  sim::TimePoint send_frame(SegmentId seg, const std::string& src, std::size_t payload_size,
+  sim::TimePoint send_frame(SegmentId seg, HostId src, std::size_t payload_size,
                             std::function<void()> deliver, bool lossless);
 
   /// First segment shared by both hosts, or invalid id.
-  SegmentId common_segment(const std::string& a, const std::string& b) const;
-
-  [[nodiscard]] Result<void> check_host(const std::string& name) const;
-
-  std::uint16_t allocate_ephemeral_port(const std::string& host);
+  SegmentId common_segment(HostId a, HostId b) const;
+  /// A port in [49152, 65535] free of `host`'s sockets, listeners and streams, or 0.
+  std::uint16_t allocate_ephemeral_port(HostId host);
   void register_stream(StreamPtr s);
   void forget_stream(StreamId id);
   Stream* stream(StreamId id);
@@ -210,9 +220,10 @@ class Network {
   obs::Tracer tracer_;
   std::unique_ptr<FaultPlane> faults_;  ///< constructed in the .cpp (incomplete type here)
   std::map<SegmentId, Segment> segments_;
-  std::unordered_map<std::string, Host> hosts_;
-  std::map<Endpoint, DatagramHandler> udp_sockets_;
-  std::map<Endpoint, AcceptHandler> listeners_;
+  std::vector<Host> hosts_;  ///< indexed by HostId
+  std::map<std::string, HostId> host_ids_;  ///< the one name index, in name order
+  /// Built on first use; any membership or topology change clears them all.
+  std::vector<Route> routes_;
   std::unordered_map<StreamId, StreamPtr> streams_;
   IdGenerator<SegmentId> segment_ids_;
   IdGenerator<StreamId> stream_ids_;

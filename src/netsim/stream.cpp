@@ -4,10 +4,11 @@
 
 namespace umiddle::net {
 
-Stream::Stream(Private, Network& net, StreamId id, Endpoint local, Endpoint remote,
-               SegmentId segment)
-    : net_(net), id_(id), local_(std::move(local)), remote_(std::move(remote)),
-      segment_(segment) {}
+Stream::Stream(Private, Network& net, StreamId id, Endpoint local, Endpoint remote, HostId host,
+               HostId remote_host, SegmentId segment)
+    : net_(net), id_(id), local_(std::move(local)), remote_(std::move(remote)), host_(host),
+      remote_host_(remote_host), segment_(segment), trace_id_(net.hosts_[host].trace_id),
+      spec_(&net.spec(segment)) {}
 
 void Stream::establish() {
   if (state_ != State::connecting) return;
@@ -44,7 +45,7 @@ void Stream::pump() {
   // Frame size is min(total queued bytes, MSS) — over the *total*, exactly as
   // the byte-queue implementation chunked, so the frame sequence (and with it
   // every wire timing) is independent of how sends were batched into buffers.
-  const std::size_t mss = net_.spec(segment_).mtu_payload;
+  const std::size_t mss = spec_->mtu_payload;
   const std::size_t chunk_size = std::min(queued_bytes_, mss);
 
   PayloadPtr frame;
@@ -77,7 +78,7 @@ void Stream::pump() {
   auto self = shared_from_this();
   StreamId peer = peer_;
   sim::TimePoint arrival = net_.send_frame(
-      segment_, local_.host, chunk_size,
+      segment_, host_, chunk_size,
       [this, self, peer, frame, frame_offset, chunk_size]() {
         if (Stream* p = net_.stream(peer); p != nullptr) {
           p->deliver(*frame, frame_offset, chunk_size);
@@ -88,7 +89,7 @@ void Stream::pump() {
   // The next frame may start only once this one has finished transmitting —
   // this is the NIC-level backpressure that keeps pending() an honest measure
   // of the local send backlog (and keeps the event heap bounded).
-  sim::TimePoint tx_end = arrival - net_.spec(segment_).latency;
+  sim::TimePoint tx_end = arrival - spec_->latency;
   net_.scheduler().schedule_at(
       tx_end,
       [this, self]() {
@@ -96,7 +97,7 @@ void Stream::pump() {
         if (queued_bytes_ == 0 && on_drain_ && state_ == State::established) on_drain_();
         pump();
       },
-      {sim::host_id(local_.host), sim::tag_id("net.stream.pump")});
+      {trace_id_, sim::tag_id("net.stream.pump")});
 }
 
 void Stream::deliver(const Bytes& data, std::size_t offset, std::size_t len) {
@@ -107,7 +108,7 @@ void Stream::deliver(const Bytes& data, std::size_t offset, std::size_t len) {
   // with the sender's data — the effect that pulls real TCP on a 10 Mbps hub
   // down to the high-7 Mbps range (the paper's baseline).
   if (++segments_received_ % 2 == 0) {
-    net_.send_frame(segment_, local_.host, 0, []() {}, /*lossless=*/true);
+    net_.send_frame(segment_, host_, 0, []() {}, /*lossless=*/true);
   }
   if (on_data_) on_data_(std::span<const std::uint8_t>(data.data() + offset, len));
 }
@@ -133,7 +134,7 @@ void Stream::finish_close() {
   // The FIN travels as a (payload-free) frame so it serializes on the medium
   // behind any data frames still in flight and never overtakes them.
   net_.send_frame(
-      segment_, local_.host, 0,
+      segment_, host_, 0,
       [this, self, peer]() {
         if (Stream* p = net_.stream(peer); p != nullptr) p->peer_closed();
         net_.forget_stream(id_);
@@ -148,7 +149,7 @@ void Stream::peer_closed() {
   fire_close_handlers();
   auto self = shared_from_this();
   net_.scheduler().post([this, self]() { net_.forget_stream(id_); },
-                        {sim::host_id(local_.host), sim::tag_id("net.stream.forget")});
+                        {trace_id_, sim::tag_id("net.stream.forget")});
   release_handlers_soon();
 }
 
@@ -167,7 +168,7 @@ void Stream::abort(bool notify_handlers) {
   // No FIN frame: the connection vanished, nothing traverses the medium.
   auto self = shared_from_this();
   net_.scheduler().post([this, self]() { net_.forget_stream(id_); },
-                        {sim::host_id(local_.host), sim::tag_id("net.stream.forget")});
+                        {trace_id_, sim::tag_id("net.stream.forget")});
   release_handlers_soon();
 }
 
@@ -203,7 +204,7 @@ void Stream::release_handlers_soon() {
         self->on_drain_ = nullptr;
         self->on_close_.clear();
       },
-      {sim::host_id(local_.host), sim::tag_id("net.stream.release")});
+      {trace_id_, sim::tag_id("net.stream.release")});
 }
 
 }  // namespace umiddle::net

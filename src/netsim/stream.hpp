@@ -25,7 +25,8 @@ class Stream : public std::enable_shared_from_this<Stream> {
 
   /// Streams are created by Network::connect / the accept path only.
   struct Private {};
-  Stream(Private, Network& net, StreamId id, Endpoint local, Endpoint remote, SegmentId segment);
+  Stream(Private, Network& net, StreamId id, Endpoint local, Endpoint remote, HostId host,
+         HostId remote_host, SegmentId segment);
 
   StreamId id() const { return id_; }
   /// The other end of the connection. Used as the side-band baggage channel key
@@ -100,7 +101,12 @@ class Stream : public std::enable_shared_from_this<Stream> {
   StreamId peer_;
   Endpoint local_;
   Endpoint remote_;
+  HostId host_;
+  HostId remote_host_;
   SegmentId segment_;
+  /// Cached per connection so framing never looks up the host or segment.
+  std::uint64_t trace_id_;  ///< sim::host_id(local_.host)
+  const SegmentSpec* spec_;  ///< segments are never removed, so this stays valid
   State state_ = State::connecting;
   std::deque<Chunk> send_queue_;
   /// Total unsent bytes across send_queue_ (chunk sizes minus offsets).

@@ -2,6 +2,9 @@
 // streams, timing/bandwidth accounting, loss, and the half-duplex hub.
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "netsim/fault.hpp"
 #include "netsim/network.hpp"
 #include "netsim/stream.hpp"
 
@@ -118,6 +121,126 @@ TEST(NetworkTest, MulticastReachesExactlyJoinedHosts) {
   f.sched.run();
   EXPECT_EQ(n3_count, 2);  // unchanged
   EXPECT_EQ(n2_count, 3);
+}
+
+// Receivers of one multicast frame hear it in a fixed order, and that order
+// is part of the trace digest. The first segment of the sender (lowest id)
+// delivers in host-name order; a later segment delivers first the hosts that
+// already appeared on the sender's earlier segments, then its own new hosts in
+// name order. Neither is the order the hosts were added in.
+TEST(NetworkTest, MulticastDeliveryOrderIsPinned) {
+  Scheduler sched;
+  Network net(sched);
+  SegmentSpec fast;
+  fast.latency = microseconds(100);
+  SegmentSpec slow = fast;
+  slow.latency = milliseconds(5);
+  SegmentId seg_a = net.add_segment(fast);
+  SegmentId seg_b = net.add_segment(slow);
+  // Added out of name order: z s m c b.
+  const std::vector<std::pair<const char*, std::vector<SegmentId>>> hosts = {
+      {"z", {seg_a, seg_b}}, {"s", {seg_b, seg_a}}, {"m", {seg_a}},
+      {"c", {seg_b}},        {"b", {seg_b}}};
+  std::vector<std::pair<sim::TimePoint, std::string>> heard;
+  for (const auto& [name, segments] : hosts) {
+    ASSERT_TRUE(net.add_host(name).ok());
+    for (SegmentId seg : segments) ASSERT_TRUE(net.attach(name, seg).ok());
+    ASSERT_TRUE(net.join_group(name, "g").ok());
+    const std::string host = name;
+    ASSERT_TRUE(net.udp_bind({host, 9}, [&heard, &sched, host](const Endpoint& from, auto&) {
+      EXPECT_EQ(from, (Endpoint{"s", 9}));
+      heard.emplace_back(sched.now(), host);
+    }).ok());
+  }
+
+  for (int round = 0; round < 2; ++round) {  // the second send takes the same order
+    heard.clear();
+    ASSERT_TRUE(net.udp_multicast({"s", 9}, "g", 9, to_bytes("hi")).ok());
+    sched.run();
+    std::vector<std::string> on_a, on_b;
+    for (const auto& [when, host] : heard) {
+      (when - heard.front().first < milliseconds(1) ? on_a : on_b).push_back(host);
+    }
+    EXPECT_EQ(on_a, (std::vector<std::string>{"m", "s", "z"}));
+    EXPECT_EQ(on_b, (std::vector<std::string>{"s", "z", "b", "c"}));
+  }
+}
+
+// Counts, per host, the deliveries of one multicast from "s" to group "g".
+struct MembershipFixture {
+  Scheduler sched;
+  Network net{sched};
+  SegmentId hub, side, far;
+  std::map<std::string, int> heard;
+
+  MembershipFixture() {
+    hub = net.add_segment(SegmentSpec{});
+    side = net.add_segment(SegmentSpec{});
+    far = net.add_segment(SegmentSpec{});
+    for (const char* h : {"s", "a", "b", "c"}) EXPECT_TRUE(net.add_host(h).ok());
+    for (const char* h : {"s", "a", "b"}) EXPECT_TRUE(net.attach(h, hub).ok());
+    EXPECT_TRUE(net.attach("s", side).ok());
+    EXPECT_TRUE(net.attach("c", far).ok());  // shares no segment with "s" yet
+    for (const char* h : {"a", "b", "c"}) bind(h);
+  }
+  void bind(const std::string& host) {
+    EXPECT_TRUE(net.udp_bind({host, 9}, [this, host](auto&, auto&) { ++heard[host]; }).ok());
+  }
+  std::map<std::string, int> multicast() {
+    heard.clear();
+    EXPECT_TRUE(net.udp_multicast({"s", 9}, "g", 9, to_bytes("x")).ok());
+    sched.run();
+    return heard;
+  }
+};
+
+using Heard = std::map<std::string, int>;
+
+TEST(NetworkTest, MulticastReceiversFollowMembership) {
+  MembershipFixture f;
+  ASSERT_TRUE(f.net.join_group("a", "g").ok());
+  ASSERT_TRUE(f.net.join_group("c", "g").ok());
+  EXPECT_EQ(f.multicast(), (Heard{{"a", 1}}));
+
+  ASSERT_TRUE(f.net.join_group("b", "g").ok());
+  EXPECT_EQ(f.multicast(), (Heard{{"a", 1}, {"b", 1}}));
+
+  f.net.leave_group("a", "g");
+  EXPECT_EQ(f.multicast(), (Heard{{"b", 1}}));
+
+  ASSERT_TRUE(f.net.attach("c", f.side).ok());
+  EXPECT_EQ(f.multicast(), (Heard{{"b", 1}, {"c", 1}}));
+
+  // A crash forgets the memberships: re-binding alone does not rejoin.
+  f.net.faults().crash_host("b");
+  f.bind("b");
+  EXPECT_EQ(f.multicast(), (Heard{{"c", 1}}));
+  ASSERT_TRUE(f.net.join_group("b", "g").ok());
+  EXPECT_EQ(f.multicast(), (Heard{{"b", 1}, {"c", 1}}));
+}
+
+TEST(NetworkTest, MulticastInFlightKeepsItsReceiversButLooksUpSockets) {
+  MembershipFixture f;
+  ASSERT_TRUE(f.net.join_group("a", "g").ok());
+  ASSERT_TRUE(f.net.join_group("b", "g").ok());
+
+  // Membership changes after the send do not touch a frame already in flight.
+  ASSERT_TRUE(f.net.udp_multicast({"s", 9}, "g", 9, to_bytes("x")).ok());
+  f.net.leave_group("b", "g");
+  ASSERT_TRUE(f.net.join_group("c", "g").ok());
+  ASSERT_TRUE(f.net.attach("c", f.hub).ok());
+  f.sched.run();
+  EXPECT_EQ(f.heard, (Heard{{"a", 1}, {"b", 1}}));
+
+  // Sockets are looked up at delivery: a handler that closes a later
+  // receiver's socket suppresses that receiver's copy of the same frame.
+  ASSERT_TRUE(f.net.join_group("b", "g").ok());
+  f.net.udp_close({"a", 9});
+  ASSERT_TRUE(f.net.udp_bind({"a", 9}, [&f](auto&, auto&) {
+    ++f.heard["a"];
+    f.net.udp_close({"b", 9});
+  }).ok());
+  EXPECT_EQ(f.multicast(), (Heard{{"a", 1}, {"c", 1}}));
 }
 
 TEST(NetworkTest, StreamConnectHandshakeAndData) {
@@ -324,6 +447,44 @@ TEST(NetworkTest, EphemeralPortsAreDistinct) {
   auto c1 = f.net.connect("n1", {"n2", 80}).value();
   auto c2 = f.net.connect("n1", {"n2", 80}).value();
   EXPECT_NE(c1->local().port, c2->local().port);
+}
+
+// 16384 ephemeral ports, 49152..65535, allocated round-robin per world.
+constexpr int kEphemeralPorts = 16384;
+
+TEST(NetworkTest, EphemeralPortsSkipLiveStreamsAfterWrap) {
+  Fixture f;
+  ASSERT_TRUE(f.net.listen({"n2", 80}, [](StreamPtr) {}).ok());
+  auto long_lived = f.net.connect("n1", {"n2", 80}).value();
+  f.sched.run();
+  ASSERT_TRUE(long_lived->connected());
+  for (int i = 1; i < kEphemeralPorts; ++i) {  // every other port, each released again
+    auto c = f.net.connect("n1", {"n2", 80}).value();
+    c->close();
+    f.sched.run();
+  }
+  // The allocator has wrapped: the next candidate is the long-lived link's port.
+  auto next = f.net.connect("n1", {"n2", 80});
+  ASSERT_TRUE(next.ok());
+  EXPECT_NE(next.value()->local().port, long_lived->local().port);
+  EXPECT_GE(next.value()->local().port, 49152);
+}
+
+TEST(NetworkTest, ConnectFailsWhenNoEphemeralPortIsFree) {
+  Fixture f;
+  ASSERT_TRUE(f.net.listen({"n2", 80}, [](StreamPtr) {}).ok());
+  std::vector<StreamPtr> held;
+  for (int i = 0; i < kEphemeralPorts; ++i) {
+    auto c = f.net.connect("n1", {"n2", 80});
+    ASSERT_TRUE(c.ok()) << i;
+    EXPECT_NE(c.value()->local().port, 0);
+    held.push_back(c.value());
+  }
+  auto none = f.net.connect("n1", {"n2", 80});
+  ASSERT_FALSE(none.ok());
+  EXPECT_EQ(none.error().code, Errc::buffer_overflow);
+  // Another host's ports are its own.
+  EXPECT_TRUE(f.net.connect("n3", {"n2", 80}).ok());
 }
 
 }  // namespace

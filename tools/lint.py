@@ -57,6 +57,13 @@ exist to keep nondeterminism from leaking back in:
                through FrameReader with its own decode step (DESIGN.md §7.6),
                so the buffer, cursor, size bound and poisoning have one
                implementation.
+  netsim-by-handle
+               in src/netsim/, no container keyed by std::string or Endpoint
+               (std::map<Endpoint, std::set<std::string>,
+               unordered_map<std::string, ...): hosts are HostId handles
+               inside the simulator and names resolve once at the API
+               (DESIGN.md §8.5), so string keys stay off the frame path. The
+               one name -> HostId index in src/netsim/network.hpp is exempt.
   untagged-event
                every schedule_after / schedule_at / post call and every
                sim::Timer construction in src/ passes a non-empty EventTag, so
@@ -384,6 +391,28 @@ def check_one_import_site(path: str, code: str) -> Iterable[Violation]:
                             "table (import/gone/forget_unseen)")
 
 
+# netsim keys hosts by HostId (DESIGN.md §8.5): a std::string or Endpoint key
+# inside src/netsim/ would bring name hashing and string compares back onto
+# the per-frame path. Only the name -> HostId index itself may key by name.
+STRING_KEY_RE = re.compile(r"\b(?:unordered_)?(?:multi)?(?:map|set)\s*<\s*(?:const\s+)?"
+                           r"(?:std::string|(?:net::)?Endpoint)\b")
+NAME_INDEX_RE = re.compile(r"\bmap\s*<\s*std::string\s*,\s*HostId\s*>\s*host_ids_\b")
+NAME_INDEX_SITE = "src/netsim/network.hpp"
+
+
+def check_netsim_by_handle(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith("src/netsim/"):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if path == NAME_INDEX_SITE and NAME_INDEX_RE.search(line):
+            continue
+        if STRING_KEY_RE.search(line):
+            yield Violation("netsim-by-handle", path, lineno,
+                            "container keyed by std::string or Endpoint in "
+                            "netsim; key by HostId (and port) and resolve "
+                            "names once at the API")
+
+
 # Stream reassembly has one implementation (DESIGN.md §7.6): FrameReader owns
 # the receive buffer, so a second buffer that received chunks are appended to
 # is a second reassembler, with its own (missing) size bound and poisoning.
@@ -488,6 +517,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_global_telemetry,
     check_one_import_site,
     check_one_reassembly_site,
+    check_netsim_by_handle,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -566,6 +596,11 @@ SEEDED_VIOLATIONS = [
      "(void)runtime().unmap(id);\n"),
     ("one-reassembly-site", "src/bluetooth/evil.cpp",
      "hid_buffer_.insert(hid_buffer_.end(), chunk.begin(), chunk.end());\n"),
+    ("netsim-by-handle", "src/netsim/evil.hpp",
+     "std::map<Endpoint, DatagramHandler> udp_sockets_;\n"
+     "std::set<std::string> groups;\n"
+     "std::unordered_map<std::string, Host> hosts_;\n"
+     "std::map<std::string, HostId> host_ids_;\n"),
     ("untagged-event", "src/motes/evil.cpp",
      'constexpr const char* kDoc = R"USDL(<port mime="*/*"/>)USDL";\n'
      "sched.schedule_after(\n"
@@ -632,6 +667,13 @@ CLEAN_SNIPPETS = [
      "import(udn, std::move(translator));\n"
      "gone(udn);\n"
      "forget_unseen(now - timeout);\n"),
+    ("src/netsim/network.hpp",
+     "std::map<std::string, HostId> host_ids_;  ///< the one name index\n"
+     "std::map<std::uint16_t, DatagramHandler> sockets;\n"
+     "std::vector<std::string> groups;\n"
+     "bool operator==(const Endpoint&) const = default;\n"),
+    ("src/core/fine.hpp",
+     "std::map<std::string, NodeInfo> by_host_;\n"),
     ("src/core/fine.cpp",
      "for (const auto& p : profiles_) { use(p); }\n"
      "for (auto& [k, v] : meta_) { use(k, v); }\n"
