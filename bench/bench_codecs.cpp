@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bluetooth/obex.hpp"
-#include "obs_util.hpp"
 #include "common/base64.hpp"
 #include "core/umtp.hpp"
 #include "core/usdl.hpp"
@@ -211,15 +210,4 @@ BENCHMARK(BM_Base64)->Arg(1400)->Arg(32000);
 
 }  // namespace
 
-// Custom main (vs BENCHMARK_MAIN): accept --metrics-json like the other bench
-// binaries so tools/bench.py can pass it uniformly. These microbenches build
-// no simulated world, so the document carries no scenarios.
-int main(int argc, char** argv) {
-  umiddle::benchobs::strip_metrics_flag(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  umiddle::benchobs::write_recorded();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -1,119 +1,21 @@
-// Ablation B — Intermediary semantics granularity (paper §2.2.3).
-//
-// Coarse-grained representation matches devices by *type name*: two devices
-// compose only if their types are equal, even when "partially compatible"
-// conceptually (the paper's MediaRenderer-vs-Printer example — both accept and
-// render content, yet never match). Fine-grained representation (service
-// shaping) matches by *port data types*, so a producer composes with every
-// consumer of its MIME type regardless of device type.
-//
-// We quantify:
-//   1. composition coverage over a realistic device population: the fraction
-//      of (producer, consumer) pairs each model lets an application connect;
-//   2. lookup cost: real CPU time of a directory-style query under both models
-//      (classic google-benchmark timing — pure in-memory matching).
+// Ablation B's lookup cost (paper §2.2.3): host CPU time of a directory-style
+// query under coarse-grained (type name) and fine-grained (port type)
+// matching, and of the real core::Directory lookup. The coverage half of the
+// ablation is the virtual-time `ablation_b` scenario (bench/scenarios.hpp).
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "common/rand.hpp"
 #include "core/umiddle.hpp"
-#include "obs_util.hpp"
+#include "scenarios.hpp"
 
 namespace {
 
 using namespace umiddle;
-
-struct Device {
-  std::string type_name;  ///< coarse-grained identity
-  core::Shape shape;      ///< fine-grained identity
-};
-
-/// A device population mimicking a smart space: several *distinct device
-/// types* share data types (every renderer understands image/jpeg, etc.).
-std::vector<Device> make_population(std::size_t n, Rng& rng) {
-  struct Blueprint {
-    const char* type_name;
-    const char* out_mime;  // nullptr = none
-    const char* in_mime;
-  };
-  static constexpr Blueprint kBlueprints[] = {
-      {"MediaRenderer", nullptr, "image/jpeg"},
-      {"Printer", nullptr, "image/jpeg"},
-      {"PhotoFrame", nullptr, "image/jpeg"},
-      {"Camera", "image/jpeg", nullptr},
-      {"Scanner", "image/jpeg", nullptr},
-      {"Speaker", nullptr, "audio/wav"},
-      {"Microphone", "audio/wav", nullptr},
-      {"TextDisplay", nullptr, "text/plain"},
-      {"SensorMote", "text/plain", nullptr},
-  };
-  std::vector<Device> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Blueprint& bp = kBlueprints[rng.below(std::size(kBlueprints))];
-    Device d;
-    d.type_name = bp.type_name;
-    if (bp.out_mime != nullptr) {
-      core::PortSpec p;
-      p.name = "out";
-      p.direction = core::Direction::output;
-      p.type = MimeType::of(bp.out_mime);
-      (void)d.shape.add(std::move(p));
-    }
-    if (bp.in_mime != nullptr) {
-      core::PortSpec p;
-      p.name = "in";
-      p.direction = core::Direction::input;
-      p.type = MimeType::of(bp.in_mime);
-      (void)d.shape.add(std::move(p));
-    }
-    out.push_back(std::move(d));
-  }
-  return out;
-}
-
-bool coarse_compatible(const Device& a, const Device& b) {
-  return a.type_name == b.type_name;  // the coarse model's composition rule
-}
-
-bool fine_compatible(const Device& a, const Device& b) {
-  for (const core::PortSpec* out : a.shape.digital_outputs()) {
-    for (const core::PortSpec* in : b.shape.digital_inputs()) {
-      if (core::PortSpec::connectable(*out, *in)) return true;
-    }
-  }
-  return false;
-}
-
-void print_table() {
-  std::printf("\n=== Ablation B: coarse vs fine-grained compatibility (§2.2.3) ===\n");
-  std::printf("%8s %18s %22s %20s\n", "devices", "same-type pairs",
-              "usable under coarse", "usable under fine");
-  for (std::size_t n : {16, 64, 256}) {
-    Rng rng(n);
-    auto devices = make_population(n, rng);
-    std::size_t same_type = 0, coarse_usable = 0, fine_usable = 0;
-    for (const Device& a : devices) {
-      for (const Device& b : devices) {
-        if (&a == &b) continue;
-        bool flows = fine_compatible(a, b);  // a real producer→consumer pair
-        if (coarse_compatible(a, b)) {
-          ++same_type;
-          if (flows) ++coarse_usable;  // coarse only permits same-type pairs
-        }
-        if (flows) ++fine_usable;
-      }
-    }
-    std::printf("%8zu %18zu %22zu %20zu\n", n, same_type, coarse_usable, fine_usable);
-  }
-  std::printf("(coarse matching composes same-type devices only — producer/producer or\n"
-              " consumer/consumer pairs that carry no media, so zero usable compositions;\n"
-              " fine-grained matching composes every producer with every type-compatible\n"
-              " consumer across device types — the paper's MediaRenderer/Printer argument)\n\n");
-}
+using repro::Device;
+using repro::make_population;
 
 void BM_FineLookup(benchmark::State& state) {
   Rng rng(42);
@@ -191,7 +93,6 @@ void BM_DirectoryLookup(benchmark::State& state) {
     benchmark::DoNotOptimize(hits);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  benchobs::record("directory_lookup_n" + std::to_string(state.range(0)), world.net);
 }
 
 // Capability miss: the application probes for a media type nobody provides
@@ -230,12 +131,4 @@ BENCHMARK(BM_DirectoryLookupLinear)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  umiddle::benchobs::strip_metrics_flag(argc, argv);
-  print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  umiddle::benchobs::write_recorded();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -13,6 +13,7 @@
 #include "core/usdl.hpp"
 #include "mediabroker/protocol.hpp"
 #include "rmi/protocol.hpp"
+#include "upnp/http.hpp"
 #include "xml/parser.hpp"
 
 namespace umiddle::fuzz {
@@ -38,6 +39,7 @@ const StreamProtocol kStreamProtocols[] = {
     {"sdp_request", [] { return feed_of<bt::SdpRequestReader>(&bt::SdpRequest::encode); }},
     {"sdp_response", [] { return feed_of<bt::SdpResponseReader>(&bt::SdpResponse::encode); }},
     {"hid", [] { return feed_of<bt::HidReader>(&bt::MouseReport::encode); }},
+    {"http", [] { return feed_of<upnp::HttpRequestReader>(&upnp::HttpRequest::to_wire); }},
 };
 
 }  // namespace

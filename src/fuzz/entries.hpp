@@ -55,7 +55,7 @@ struct StreamProtocol {
 };
 
 /// Every stream protocol's reader: umtp, obex, mb, rmi_call, rmi_return,
-/// sdp_request, sdp_response and hid.
+/// sdp_request, sdp_response, hid and http (requests).
 std::span<const StreamProtocol> stream_protocols();
 
 /// data[0] picks a protocol from stream_protocols(); the rest is its byte

@@ -59,76 +59,94 @@ HttpResponse HttpResponse::make(int status, std::string reason, std::string body
   return r;
 }
 
-Result<bool> HttpParser::feed(std::span<const std::uint8_t> chunk) {
-  if (complete_) return true;
-  const std::string_view bytes(reinterpret_cast<const char*>(chunk.data()), chunk.size());
-  if (headers_done_) {
-    body().append(bytes);
-    return finish_body();
+namespace {
+
+/// The body length a head announces: its last content-length, or 0 when
+/// absent. A scan of the header lines only, so a body arriving in many
+/// chunks does not parse its head once per chunk.
+Result<std::uint64_t> content_length(std::string_view head) {
+  std::uint64_t length = 0;
+  for (std::size_t pos = head.find("\r\n"); pos != std::string_view::npos;) {
+    const std::size_t start = pos + 2;
+    pos = head.find("\r\n", start);
+    const std::string_view line = head.substr(start, pos - start);
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos ||
+        !strings::iequals(strings::trim(line.substr(0, colon)), "content-length")) {
+      continue;
+    }
+    // A present content-length must parse, or the real body would be left
+    // behind as if it were the next message.
+    const std::string_view value = strings::trim(line.substr(colon + 1));
+    if (!strings::parse_u64(value, length)) {
+      return make_error(Errc::parse_error, "http: bad content-length: " + std::string(value));
+    }
   }
-  buffer_.append(bytes);
-  return try_parse();
+  return length;
 }
 
-std::string& HttpParser::body() {
-  return kind_ == Kind::request ? request_.body : response_.body;
+Result<void> parse_start_line(const std::string& line, HttpRequest& m) {
+  auto first = strings::split(line, ' ');
+  if (first.size() < 3) return make_error(Errc::parse_error, "http: bad request line: " + line);
+  m.method = first[0];
+  m.path = first[1];
+  return ok_result();
 }
 
-bool HttpParser::finish_body() {
-  std::string& body = this->body();
-  if (body.size() < body_expected_) return false;
-  body.resize(body_expected_);  // bytes past content-length are not ours
-  complete_ = true;
-  return true;
-}
-
-Result<bool> HttpParser::try_parse() {
-  std::size_t end = buffer_.find("\r\n\r\n");
-  if (end == std::string::npos) return false;
-  auto lines = strings::split(std::string_view(buffer_).substr(0, end), "\r\n");
-  if (lines.empty()) return make_error(Errc::parse_error, "http: empty header block");
-  auto first = strings::split(lines[0], ' ');
-  if (kind_ == Kind::request) {
-    if (first.size() < 3) {
-      return make_error(Errc::parse_error, "http: bad request line: " + lines[0]);
-    }
-    request_.method = first[0];
-    request_.path = first[1];
-  } else {
-    if (first.size() < 2 || !strings::starts_with(first[0], "HTTP/")) {
-      return make_error(Errc::parse_error, "http: bad status line: " + lines[0]);
-    }
-    std::uint64_t status = 0;
-    if (!strings::parse_u64(first[1], status)) {
-      return make_error(Errc::parse_error, "http: bad status code: " + lines[0]);
-    }
-    response_.status = static_cast<int>(status);
-    response_.reason = first.size() > 2 ? std::string(first[2]) : "";
+Result<void> parse_start_line(const std::string& line, HttpResponse& m) {
+  auto first = strings::split(line, ' ');
+  if (first.size() < 2 || !strings::starts_with(first[0], "HTTP/")) {
+    return make_error(Errc::parse_error, "http: bad status line: " + line);
   }
-  auto& headers = kind_ == Kind::request ? request_.headers : response_.headers;
+  std::uint64_t status = 0;
+  if (!strings::parse_u64(first[1], status)) {
+    return make_error(Errc::parse_error, "http: bad status code: " + line);
+  }
+  m.status = static_cast<int>(status);
+  m.reason = first.size() > 2 ? std::string(first[2]) : "";
+  return ok_result();
+}
+
+template <typename Message>
+Result<std::size_t> next_message(std::span<const std::uint8_t> buffer, std::vector<Message>& out) {
+  const std::string_view bytes(reinterpret_cast<const char*>(buffer.data()), buffer.size());
+  const std::size_t end = bytes.find("\r\n\r\n");
+  if (end == std::string_view::npos) return std::size_t{0};
+  const std::string_view head = bytes.substr(0, end);
+  auto length = content_length(head);
+  if (!length.ok()) return length.error();
+  const std::size_t body_at = end + 4;
+  if (body_at > kMaxFrame || length.value() > kMaxFrame - body_at) {
+    return make_error(Errc::protocol_error, "http: message exceeds kMaxFrame");
+  }
+  if (bytes.size() - body_at < length.value()) return std::size_t{0};
+
+  auto lines = strings::split(head, "\r\n");
+  Message m;
+  if (auto r = parse_start_line(lines[0], m); !r.ok()) return r.error();
   for (std::size_t i = 1; i < lines.size(); ++i) {
     std::size_t colon = lines[i].find(':');
     if (colon == std::string::npos) {
       return make_error(Errc::parse_error, "http: bad header line: " + lines[i]);
     }
-    headers[strings::to_lower(strings::trim(lines[i].substr(0, colon)))] =
+    m.headers[strings::to_lower(strings::trim(lines[i].substr(0, colon)))] =
         std::string(strings::trim(lines[i].substr(colon + 1)));
   }
-  // An absent content-length means an empty body; a present one must parse,
-  // or the real body would be left behind as if it were the next message.
-  std::uint64_t length = 0;
-  if (auto it = headers.find("content-length"); it != headers.end()) {
-    if (!strings::parse_u64(it->second, length)) {
-      return make_error(Errc::parse_error, "http: bad content-length: " + it->second);
-    }
-  }
-  body_expected_ = length;
-  headers_done_ = true;
-  // The body grows in place from here on: the bytes after the head move out
-  // of the header buffer once, and later chunks append straight to it.
-  body().assign(buffer_, end + 4);
-  buffer_.clear();
-  return finish_body();
+  m.body.assign(bytes.substr(body_at, length.value()));
+  out.push_back(std::move(m));
+  return body_at + length.value();
+}
+
+}  // namespace
+
+Result<std::size_t> next_request(std::span<const std::uint8_t> buffer,
+                                 std::vector<HttpRequest>& out) {
+  return next_message(buffer, out);
+}
+
+Result<std::size_t> next_response(std::span<const std::uint8_t> buffer,
+                                  std::vector<HttpResponse>& out) {
+  return next_message(buffer, out);
 }
 
 HttpServer::HttpServer(net::Network& net, std::string host, std::uint16_t port)
@@ -160,17 +178,17 @@ void HttpServer::route_prefix(std::string prefix, HttpHandler handler) {
 }
 
 void HttpServer::serve(net::StreamPtr stream) {
-  auto parser = std::make_shared<HttpParser>(HttpParser::Kind::request);
+  auto reader = std::make_shared<HttpRequestReader>();
   net::Stream* raw = stream.get();
-  stream->on_data([this, parser, raw, keep = stream](std::span<const std::uint8_t> chunk) {
-    auto done = parser->feed(chunk);
-    if (!done.ok()) {
+  stream->on_data([this, reader, raw, keep = stream](std::span<const std::uint8_t> chunk) {
+    std::vector<HttpRequest> requests;
+    if (!reader->feed(chunk, requests).ok()) {
       (void)raw->send(HttpResponse::make(400, "Bad Request").to_wire());
       raw->close();
       return;
     }
-    if (!done.value()) return;
-    const HttpRequest& req = parser->request();
+    if (requests.empty()) return;
+    const HttpRequest& req = requests.front();
     RespondFn respond = [raw, keep](HttpResponse resp) {
       (void)raw->send(resp.to_wire());
       raw->close();
@@ -202,12 +220,12 @@ void http_fetch(net::Network& net, const std::string& from_host, const Uri& uri,
   request.headers["host"] = uri.host;
   Exchange::run(
       net.connect(from_host, {uri.host, uri.effective_port()}), make_payload(request.to_wire()),
-      [parser = HttpParser(HttpParser::Kind::response)](
-          net::Stream&, std::span<const std::uint8_t> chunk) mutable -> Exchange::Reply {
-        auto complete = parser.feed(chunk);
-        if (!complete.ok()) return complete.error();
-        if (!complete.value()) return std::nullopt;
-        return parser.response();
+      [reader = HttpResponseReader()](net::Stream&, std::span<const std::uint8_t> chunk) mutable
+          -> Exchange::Reply {
+        std::vector<HttpResponse> responses;
+        if (auto fed = reader.feed(chunk, responses); !fed.ok()) return fed.error();
+        if (responses.empty()) return std::nullopt;
+        return std::move(responses.front());
       },
       std::move(done));
 }

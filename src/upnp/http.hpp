@@ -10,8 +10,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/frame_reader.hpp"
 #include "common/result.hpp"
 #include "common/uri.hpp"
 #include "netsim/stream.hpp"
@@ -43,35 +45,16 @@ struct HttpResponse {
                            std::string content_type = "text/xml");
 };
 
-/// Incremental parser for either messages of an HTTP exchange.
-class HttpParser {
- public:
-  enum class Kind { request, response };
-  explicit HttpParser(Kind kind) : kind_(kind) {}
-
-  /// Feed stream bytes. Returns true once the full message is available.
-  /// A malformed head, including a content-length that is not a u64, is a
-  /// parse_error.
-  [[nodiscard]] Result<bool> feed(std::span<const std::uint8_t> chunk);
-
-  const HttpRequest& request() const { return request_; }
-  const HttpResponse& response() const { return response_; }
-
- private:
-  /// Parse the head once buffer_ holds all of it, then start the body.
-  [[nodiscard]] Result<bool> try_parse();
-  /// Complete the message once the body holds body_expected_ bytes.
-  [[nodiscard]] bool finish_body();
-  std::string& body();
-
-  Kind kind_;
-  std::string buffer_;  ///< head bytes until the blank line is seen
-  bool headers_done_ = false;
-  std::size_t body_expected_ = 0;
-  bool complete_ = false;
-  HttpRequest request_;
-  HttpResponse response_;
-};
+/// HTTP's FrameReader decode steps (DESIGN.md §7.6): a head up to the blank
+/// line, then a content-length body (absent means empty). A malformed head,
+/// a content-length that is not a u64, and a message longer than kMaxFrame
+/// are errors.
+[[nodiscard]] Result<std::size_t> next_request(std::span<const std::uint8_t> buffer,
+                                               std::vector<HttpRequest>& out);
+[[nodiscard]] Result<std::size_t> next_response(std::span<const std::uint8_t> buffer,
+                                                std::vector<HttpResponse>& out);
+using HttpRequestReader = FrameReader<HttpRequest, next_request>;
+using HttpResponseReader = FrameReader<HttpResponse, next_response>;
 
 /// Asynchronous request handler: call `respond` exactly once, possibly after
 /// scheduling virtual-time work (device actuation, SOAP unmarshalling).

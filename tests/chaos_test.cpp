@@ -13,6 +13,7 @@
 #include "common/rand.hpp"
 #include "conservation.hpp"
 #include "core/umiddle.hpp"
+#include "golden.hpp"
 #include "mediabroker/mapper.hpp"
 #include "mediabroker/server.hpp"
 #include "motes/mapper.hpp"
@@ -150,6 +151,7 @@ TEST(ChaosTest, BridgeSurvivesMidStreamPartition) {
   ASSERT_NO_FATAL_FAILURE(partition_scenario(&a));
   ASSERT_NO_FATAL_FAILURE(partition_scenario(&b));
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("chaos", a.digest);
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
@@ -195,6 +197,7 @@ TEST(ChaosTest, MapperCrashAndRestartReimportsDevices) {
   ASSERT_NO_FATAL_FAILURE(crash_restart_scenario(&a));
   ASSERT_NO_FATAL_FAILURE(crash_restart_scenario(&b));
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("chaos", a.digest);
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
@@ -254,6 +257,7 @@ TEST(ChaosTest, CrashedNodeEntriesExpireAndReappearOnRestart) {
   ASSERT_NO_FATAL_FAILURE(expiry_scenario(&a));
   ASSERT_NO_FATAL_FAILURE(expiry_scenario(&b));
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("chaos", a.digest);
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
@@ -355,6 +359,7 @@ TEST(ChaosTest, BurstLossNeverStallsTheBridge) {
   ASSERT_NO_FATAL_FAILURE(burst_loss_scenario(&a));
   ASSERT_NO_FATAL_FAILURE(burst_loss_scenario(&b));
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("chaos", a.digest);
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
@@ -431,6 +436,7 @@ TEST(ChaosTest, MidStreamCutDeliversEveryMessageExactlyOnce) {
   ASSERT_NO_FATAL_FAILURE(exactly_once_scenario(&a));
   ASSERT_NO_FATAL_FAILURE(exactly_once_scenario(&b));
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("chaos", a.digest);
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
@@ -501,6 +507,7 @@ TEST(ChaosTest, DeadlinedMessagesExpireInOutageBufferInsteadOfReplayingStale) {
   ASSERT_NO_FATAL_FAILURE(deadline_outage_scenario(&a));
   ASSERT_NO_FATAL_FAILURE(deadline_outage_scenario(&b));
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("chaos", a.digest);
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
@@ -590,6 +597,7 @@ TEST(ChaosTest, TrailingExpiredOutageEntryDoesNotDesyncLaterRecovery) {
   ASSERT_NO_FATAL_FAILURE(trailing_expiry_scenario(&a));
   ASSERT_NO_FATAL_FAILURE(trailing_expiry_scenario(&b));
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("chaos", a.digest);
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
@@ -681,6 +689,7 @@ TEST(ChaosTest, ReceiverRestartWithEmptyReplaySetStaysInSequence) {
   ASSERT_NO_FATAL_FAILURE(receiver_restart_scenario(&a));
   ASSERT_NO_FATAL_FAILURE(receiver_restart_scenario(&b));
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("chaos", a.digest);
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
@@ -860,6 +869,7 @@ TEST_P(MapperRestartTest, PollRateSurvivesRestart) {
   ASSERT_NO_FATAL_FAILURE(restart_scenario(GetParam(), &a));
   ASSERT_NO_FATAL_FAILURE(restart_scenario(GetParam(), &b));
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("chaos", a.digest);
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
@@ -1173,6 +1183,7 @@ TEST_P(ImportLifecycleTest, OneTranslatorPerLiveDevice) {
   ASSERT_NO_FATAL_FAILURE(import_lifecycle_scenario(GetParam(), mapped_at, &a));
   ASSERT_NO_FATAL_FAILURE(import_lifecycle_scenario(GetParam(), mapped_at, &b));
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("chaos", a.digest);
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
@@ -1415,6 +1426,7 @@ TEST_P(FateSweepTest, EveryMessageReachesOneFateExactlyOnce) {
   EXPECT_EQ(a.duplicates, 0u);
   const SweepRun b = fate_sweep(GetParam());
   EXPECT_EQ(a.record.digest, b.record.digest);
+  expect_golden_digest("chaos", a.record.digest);
   EXPECT_EQ(a.record.telemetry, b.record.telemetry);
 }
 

@@ -19,6 +19,7 @@
 #include "common/rand.hpp"
 #include "conservation.hpp"
 #include "core/umiddle.hpp"
+#include "golden.hpp"
 #include "mediabroker/mapper.hpp"
 #include "motes/mapper.hpp"
 #include "rmi/mapper.hpp"
@@ -178,6 +179,7 @@ TEST(DeterminismTest, BridgingScenarioIsReproducible) {
   EXPECT_GT(a.events, 0u);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("determinism", a.digest);
   // The digest must witness real work, not hash an empty stream.
   EXPECT_NE(a.digest, sim::TraceDigest{}.value());
 }
@@ -188,6 +190,7 @@ TEST(DeterminismTest, FivePlatformScenarioIsReproducible) {
   EXPECT_GT(a.events, 0u);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("determinism", a.digest);
 }
 
 TEST(DeterminismTest, EventStormSameSeedMatchesDifferentSeedDiverges) {
@@ -195,6 +198,7 @@ TEST(DeterminismTest, EventStormSameSeedMatchesDifferentSeedDiverges) {
   RunAudit b = run_event_storm_scenario(42);
   RunAudit c = run_event_storm_scenario(43);
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("determinism", a.digest);
   EXPECT_NE(a.digest, c.digest)
       << "different seeds produced identical traces — the digest is not "
          "observing the workload (or the Rng is not being consumed)";
@@ -205,6 +209,7 @@ TEST(DeterminismTest, LossySameSeedMatchesDifferentSeedDiverges) {
   RunAudit b = run_lossy_network_scenario(5);
   RunAudit c = run_lossy_network_scenario(6);
   EXPECT_EQ(a.digest, b.digest);
+  expect_golden_digest("determinism", a.digest);
   EXPECT_NE(a.digest, c.digest);
 }
 

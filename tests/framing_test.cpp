@@ -1,7 +1,8 @@
 // Netsim-free properties of the one stream framing layer (DESIGN.md §7.6).
 // Every protocol's FrameReader — UMTP, OBEX, MediaBroker, RMI calls and
-// returns, SDP requests and responses, HIDP — is driven through the
-// type-erased table in src/fuzz, which hands each frame back re-encoded:
+// returns, SDP requests and responses, HIDP, HTTP requests — is driven
+// through the type-erased table in src/fuzz, which hands each frame back
+// re-encoded:
 //   * random frames fed at random splits (1-byte splits included) give the
 //     same frames as one feed, and as each frame fed alone;
 //   * a strict prefix of a frame gives no frame and no error;
@@ -20,6 +21,7 @@
 #include "fuzz/entries.hpp"
 #include "mediabroker/protocol.hpp"
 #include "rmi/protocol.hpp"
+#include "upnp/http.hpp"
 
 namespace umiddle {
 namespace {
@@ -111,6 +113,16 @@ Bytes random_hid(Rng& rng) {
                      .encode();
   if (rng.chance(0.2)) report[0] = 0x00;  // a bad transaction: skipped, not fatal
   return report;
+}
+
+Bytes random_http(Rng& rng) {
+  upnp::HttpRequest req;
+  req.method = rng.chance(0.5) ? "GET" : "POST";
+  req.path = "/" + rng.ident(8);
+  for (std::size_t i = rng.below(4); i > 0; --i) req.headers[rng.ident(6)] = rng.ident(10);
+  const Bytes body = random_bytes(rng, 300);
+  req.body.assign(body.begin(), body.end());
+  return req.to_wire();
 }
 
 /// One reader instance: its frame generator and, where the protocol has
@@ -216,7 +228,8 @@ INSTANTIATE_TEST_SUITE_P(
         Instance{"rmi_return", &random_rmi_return, bytes_of("JRMI\x50")},
         Instance{"sdp_request", &random_sdp_request, std::nullopt},
         Instance{"sdp_response", &random_sdp_response, Bytes{0x55, 0x00, 0x01}},
-        Instance{"hid", &random_hid, std::nullopt}),
+        Instance{"hid", &random_hid, std::nullopt},
+        Instance{"http", &random_http, bytes_of("BAD\r\n\r\n")}),
     [](const ::testing::TestParamInfo<Instance>& info) { return info.param.protocol; });
 
 // A header announcing 0xFFFFFFF0 bytes, then kMaxFrame + 1 bytes: the frame

@@ -23,6 +23,7 @@
 #include "fuzz/entries.hpp"
 #include "mediabroker/protocol.hpp"
 #include "rmi/protocol.hpp"
+#include "upnp/http.hpp"
 
 namespace umiddle {
 namespace {
@@ -212,6 +213,12 @@ Corpus stream_corpus() {
   streams.push_back({found.encode(), bt::SdpResponse{bt::kSdpError, 2, 3, {}}.encode()});
   streams.push_back({bt::MouseReport{1, -5, 7, 0}.encode(), bt::MouseReport{0, 3, 3, 1}.encode(),
                      bt::MouseReport{}.encode()});
+  upnp::HttpRequest post;
+  post.method = "POST";
+  post.path = "/control";
+  post.headers["soapaction"] = "\"urn:x#SetPower\"";
+  post.body = "<s:Envelope/>";
+  streams.push_back({post.to_wire(), upnp::HttpRequest{}.to_wire()});
   Corpus corpus;
   for (std::size_t i = 0; i < streams.size(); ++i) {
     Bytes item{static_cast<std::uint8_t>(i)};

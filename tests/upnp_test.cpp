@@ -34,49 +34,51 @@ struct Fixture {
 
 // --- HTTP -------------------------------------------------------------------------
 
+template <typename Reader>
+Result<void> feed_text(Reader& reader, std::string_view text,
+                       std::vector<typename Reader::Frame>& out) {
+  return reader.feed(std::span(reinterpret_cast<const std::uint8_t*>(text.data()), text.size()),
+                     out);
+}
+
 TEST(HttpTest, RequestRoundTrip) {
   HttpRequest req;
   req.method = "POST";
   req.path = "/control/SwitchPower";
   req.headers["soapaction"] = "\"urn:x#SetPower\"";
   req.body = "<xml/>";
-  HttpParser parser(HttpParser::Kind::request);
   const Bytes wire = req.to_wire();
   EXPECT_EQ(std::string(wire.begin(), wire.end()),
             "POST /control/SwitchPower HTTP/1.1\r\nsoapaction: \"urn:x#SetPower\"\r\n"
             "content-length: 6\r\n\r\n<xml/>");
-  auto done = parser.feed(wire);
-  ASSERT_TRUE(done.ok());
-  ASSERT_TRUE(done.value());
-  EXPECT_EQ(parser.request().method, "POST");
-  EXPECT_EQ(parser.request().path, "/control/SwitchPower");
-  EXPECT_EQ(parser.request().header("SOAPACTION"), "\"urn:x#SetPower\"");
-  EXPECT_EQ(parser.request().body, "<xml/>");
+  HttpRequestReader reader;
+  std::vector<HttpRequest> out;
+  ASSERT_TRUE(reader.feed(wire, out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].method, "POST");
+  EXPECT_EQ(out[0].path, "/control/SwitchPower");
+  EXPECT_EQ(out[0].header("SOAPACTION"), "\"urn:x#SetPower\"");
+  EXPECT_EQ(out[0].body, "<xml/>");
 }
 
 TEST(HttpTest, ResponseParsesIncrementally) {
   HttpResponse resp = HttpResponse::make(200, "OK", "hello world", "text/plain");
   const Bytes wire = resp.to_wire();
-  HttpParser parser(HttpParser::Kind::response);
+  HttpResponseReader reader;
+  std::vector<HttpResponse> out;
   for (std::size_t i = 0; i < wire.size(); ++i) {
-    auto done = parser.feed(std::span(wire).subspan(i, 1));
-    ASSERT_TRUE(done.ok());
-    EXPECT_EQ(done.value(), i == wire.size() - 1);
+    ASSERT_TRUE(reader.feed(std::span(wire).subspan(i, 1), out).ok());
+    EXPECT_EQ(out.size(), i == wire.size() - 1 ? 1u : 0u);
   }
-  EXPECT_EQ(parser.response().status, 200);
-  EXPECT_EQ(parser.response().body, "hello world");
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].status, 200);
+  EXPECT_EQ(out[0].body, "hello world");
 }
 
 TEST(HttpTest, MalformedRequestRejected) {
-  HttpParser parser(HttpParser::Kind::request);
-  std::string bad = "NONSENSE\r\nno colon here\r\n\r\n";
-  auto r = parser.feed(std::span(reinterpret_cast<const std::uint8_t*>(bad.data()), bad.size()));
-  EXPECT_FALSE(r.ok());
-}
-
-Result<bool> feed_text(HttpParser& parser, std::string_view text) {
-  return parser.feed(
-      std::span(reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+  HttpRequestReader reader;
+  std::vector<HttpRequest> out;
+  EXPECT_FALSE(feed_text(reader, "NONSENSE\r\nno colon here\r\n\r\n", out).ok());
 }
 
 TEST(HttpTest, MalformedContentLengthIsAParseError) {
@@ -84,30 +86,66 @@ TEST(HttpTest, MalformedContentLengthIsAParseError) {
   // with an empty body and leave the real body in the buffer.
   for (const char* length : {"12x", "", "-1", "0x10", "18446744073709551621",
                              "100000000000000000000"}) {
-    HttpParser request(HttpParser::Kind::request);
-    auto r = feed_text(request, "POST /c HTTP/1.1\r\ncontent-length: " + std::string(length) +
-                                    "\r\n\r\nhello world!");
-    EXPECT_FALSE(r.ok()) << length;
-    HttpParser response(HttpParser::Kind::response);
+    HttpRequestReader request;
+    std::vector<HttpRequest> requests;
+    EXPECT_FALSE(feed_text(request, "POST /c HTTP/1.1\r\ncontent-length: " + std::string(length) +
+                                        "\r\n\r\nhello world!",
+                           requests)
+                     .ok())
+        << length;
+    HttpResponseReader response;
+    std::vector<HttpResponse> responses;
     EXPECT_FALSE(feed_text(response, "HTTP/1.1 200 OK\r\nContent-Length: " +
-                                         std::string(length) + "\r\n\r\nhello world!")
+                                         std::string(length) + "\r\n\r\nhello world!",
+                           responses)
                      .ok())
         << length;
   }
   // Absent means an empty body; a well-formed length still waits for its bytes.
-  HttpParser absent(HttpParser::Kind::request);
-  auto done = feed_text(absent, "GET / HTTP/1.1\r\n\r\n");
-  ASSERT_TRUE(done.ok());
-  EXPECT_TRUE(done.value());
-  EXPECT_EQ(absent.request().body, "");
-  HttpParser waiting(HttpParser::Kind::request);
-  done = feed_text(waiting, "POST /c HTTP/1.1\r\ncontent-length: 12\r\n\r\nhello");
-  ASSERT_TRUE(done.ok());
-  EXPECT_FALSE(done.value());
-  done = feed_text(waiting, " world!extra");
-  ASSERT_TRUE(done.ok());
-  EXPECT_TRUE(done.value());
-  EXPECT_EQ(waiting.request().body, "hello world!") << "bytes past content-length are dropped";
+  HttpRequestReader absent;
+  std::vector<HttpRequest> out;
+  ASSERT_TRUE(feed_text(absent, "GET / HTTP/1.1\r\n\r\n", out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].body, "");
+  HttpRequestReader waiting;
+  out.clear();
+  ASSERT_TRUE(feed_text(waiting, "POST /c HTTP/1.1\r\ncontent-length: 12\r\n\r\nhello", out).ok());
+  EXPECT_TRUE(out.empty());
+  ASSERT_TRUE(feed_text(waiting, " world!extra", out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].body, "hello world!") << "bytes past content-length start the next message";
+}
+
+// A head with no blank line, fed up to 32 MiB: once it reaches kMaxFrame the
+// reader fails and stays failed instead of buffering without limit.
+TEST(HttpTest, EndlessHeadPoisons) {
+  HttpRequestReader reader;
+  std::vector<HttpRequest> out;
+  ASSERT_TRUE(feed_text(reader, "GET / HTTP/1.1\r\nx-filler: ", out).ok());
+  const Bytes filler(1 << 20, 'a');
+  Result<void> last = ok_result();
+  for (int mib = 0; mib < 32 && last.ok(); ++mib) last = reader.feed(filler, out);
+  ASSERT_FALSE(last.ok());
+  EXPECT_EQ(last.error().code, Errc::protocol_error);
+  const Result<void> again = reader.feed(filler, out);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().to_string(), last.error().to_string());
+  EXPECT_TRUE(out.empty());
+}
+
+// A content-length no buffer may hold is rejected with the head, before any
+// body byte is buffered, and poisons the reader.
+TEST(HttpTest, OversizedContentLengthPoisonsAtOnce) {
+  HttpRequestReader reader;
+  std::vector<HttpRequest> out;
+  const Result<void> first = feed_text(
+      reader, "POST /c HTTP/1.1\r\ncontent-length: 18446744073709551615\r\n\r\nbody", out);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.error().code, Errc::protocol_error);
+  const Result<void> again = reader.feed(Bytes(1 << 20, 'b'), out);
+  ASSERT_FALSE(again.ok());
+  EXPECT_EQ(again.error().to_string(), first.error().to_string());
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(HttpTest, ServerAnswers400ToBadContentLength) {

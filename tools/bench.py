@@ -1,31 +1,30 @@
 #!/usr/bin/env python3
-"""Benchmark runner / consolidator / comparator for the uMiddle tree.
+"""Runner and comparator for the host-CPU microbenchmarks in bench/.
 
-Runs every ``bench/bench_*`` binary, parses the google-benchmark JSON each one
-emits, and writes a single consolidated JSON document (the committed
-``BENCH_PR<N>.json`` perf-trajectory points at the repo root). Each binary's
-total wall-clock runtime is recorded too: the Figure 10/11 and Ablation C
-benches report *virtual* time (which is deterministic and must not move across
-perf PRs), so the host-side cost of simulating them — the thing hot-path PRs
-actually improve — shows up in ``wall_time_s``.
+Runs every ``bench_*`` google-benchmark binary (``bench_codecs``, and
+``bench_matching``'s lookup rates), parses the JSON each one emits, and writes
+one consolidated document (the committed ``BENCH_PR<N>.json`` files at the
+repo root are such documents). The paper's virtual-time tables are not
+benchmarks: ``build/bench/repro`` prints them, and ``tests/reproduction_test``
+checks them against ``tests/golden/``.
 
 Usage:
   # run all benches from a Release build and write the consolidated file
-  python3 tools/bench.py --bin-dir build-bench/bench --out BENCH_PR2.json
+  python3 tools/bench.py --bin-dir build-bench/bench --out /tmp/bench.json
 
   # same, but with google-benchmark repetitions kept minimal (CI smoke)
   python3 tools/bench.py --bin-dir build-bench/bench --out /tmp/smoke.json --smoke
 
   # compare a previous consolidated file against a new one
-  python3 tools/bench.py --compare BENCH_SEED.json --against BENCH_PR2.json
+  python3 tools/bench.py --compare BENCH_PR2.json --against /tmp/bench.json
 
   # run benches and compare the fresh result against an old file in one go
-  python3 tools/bench.py --bin-dir build-bench/bench --out BENCH_PR2.json \
-      --compare BENCH_SEED.json
+  python3 tools/bench.py --bin-dir build-bench/bench --out /tmp/bench.json \
+      --compare BENCH_PR2.json
 
-Comparison reports per-benchmark real-time deltas (negative = faster) and per
-binary wall-clock deltas, and flags regressions beyond --regression-threshold
-(default 5%). Exit status is non-zero only with --fail-on-regression.
+Comparison reports per-benchmark real-time deltas (negative = faster) and
+flags regressions beyond --regression-threshold (default 5%). Exit status is
+non-zero only with --fail-on-regression.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import pathlib
 import subprocess
 import sys
 import tempfile
-import time
 
 SCHEMA_VERSION = 1
 
@@ -50,38 +48,25 @@ def discover_benches(bin_dir: pathlib.Path) -> list[pathlib.Path]:
 
 
 def run_bench(binary: pathlib.Path, smoke: bool) -> dict:
-    """Run one bench binary, return {wall_time_s, benchmarks: [...], metrics: {...}}."""
+    """Run one bench binary, return {benchmarks: [...]}."""
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
         out_path = pathlib.Path(tmp.name)
-    with tempfile.NamedTemporaryFile(suffix=".metrics.json", delete=False) as tmp:
-        metrics_path = pathlib.Path(tmp.name)
     cmd = [
         str(binary),
         f"--benchmark_out={out_path}",
         "--benchmark_out_format=json",
-        f"--metrics-json={metrics_path}",
     ]
     if smoke:
         # One repetition, minimal measuring time: proves the binary still runs
         # and produces parseable output without burning CI minutes. Bare double
         # (seconds), not the "0.01s" suffix form: the latter needs gbench >= 1.8.
         cmd += ["--benchmark_min_time=0.01", "--benchmark_repetitions=1"]
-    started = time.monotonic()
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
-    wall = time.monotonic() - started
     if proc.returncode != 0:
         sys.stdout.buffer.write(proc.stdout)
         raise RuntimeError(f"{binary.name} exited with {proc.returncode}")
     raw = json.loads(out_path.read_text(encoding="utf-8"))
     out_path.unlink(missing_ok=True)
-    # Per-world telemetry (counters + span-phase aggregates), keyed by scenario.
-    # The worlds are simulated, so these values are deterministic across runs.
-    metrics: dict = {}
-    try:
-        metrics = json.loads(metrics_path.read_text(encoding="utf-8")).get("worlds", {})
-    except (FileNotFoundError, json.JSONDecodeError):
-        pass
-    metrics_path.unlink(missing_ok=True)
     benchmarks = []
     for entry in raw.get("benchmarks", []):
         if entry.get("run_type") == "aggregate":
@@ -101,7 +86,7 @@ def run_bench(binary: pathlib.Path, smoke: bool) -> dict:
                 and isinstance(v, (int, float))
             },
         })
-    return {"wall_time_s": round(wall, 3), "benchmarks": benchmarks, "metrics": metrics}
+    return {"benchmarks": benchmarks}
 
 
 def run_all(bin_dir: pathlib.Path, smoke: bool) -> dict:
@@ -113,8 +98,7 @@ def run_all(bin_dir: pathlib.Path, smoke: bool) -> dict:
         print(f"[bench.py] running {binary.name} ...", flush=True)
         doc["benches"][binary.name] = run_bench(binary, smoke)
         print(f"[bench.py]   {binary.name}: "
-              f"{len(doc['benches'][binary.name]['benchmarks'])} benchmarks, "
-              f"{doc['benches'][binary.name]['wall_time_s']:.1f}s wall", flush=True)
+              f"{len(doc['benches'][binary.name]['benchmarks'])} benchmarks", flush=True)
     return doc
 
 
@@ -129,53 +113,6 @@ def flatten(doc: dict) -> dict[str, dict]:
         for entry in data.get("benchmarks", []):
             flat[f"{bench_bin}/{entry['name']}"] = entry
     return flat
-
-
-# Metric-name substrings that indicate waste when they grow: a throughput PR
-# that also increases drops, cache misses, delivery failures, shed messages or
-# deadline expiries is trading efficiency for speed, and the comparison should
-# say so. (Shed/expired counts under a fixed workload are deterministic, so a
-# change here is a real behaviour change, not noise.)
-_EFFICIENCY_BAD = ("dropped", "miss", "failures", "shed", "expired")
-
-
-def flatten_metrics(doc: dict) -> dict[str, int]:
-    """Map 'binary/world/metric-name' -> counter value."""
-    flat: dict[str, int] = {}
-    for bench_bin, data in doc.get("benches", {}).items():
-        for world, world_doc in data.get("metrics", {}).items():
-            for name, value in world_doc.get("metrics", {}).items():
-                if isinstance(value, int):
-                    flat[f"{bench_bin}/{world}/{name}"] = value
-    return flat
-
-
-def compare_metrics(old_doc: dict, new_doc: dict) -> list[str]:
-    """Flag efficiency regressions: waste counters that grew between runs.
-
-    These are virtual-world counters — deterministic, so any change is a real
-    behavior change, not noise. Returns the flagged lines (also printed).
-    """
-    old_flat, new_flat = flatten_metrics(old_doc), flatten_metrics(new_doc)
-    common = sorted(set(old_flat) & set(new_flat))
-    if not common:
-        return []
-    flagged: list[str] = []
-    changed = 0
-    for name in common:
-        if new_flat[name] == old_flat[name]:
-            continue
-        changed += 1
-        metric = name.rsplit("/", 1)[-1]
-        if any(bad in metric for bad in _EFFICIENCY_BAD) and new_flat[name] > old_flat[name]:
-            line = f"{name}: {old_flat[name]} -> {new_flat[name]}"
-            flagged.append(line)
-    print(f"\nworld metrics: {len(common)} comparable, {changed} changed")
-    if flagged:
-        print(f"{len(flagged)} efficiency regression(s) (waste counters grew):")
-        for line in flagged:
-            print(f"  {line}")
-    return flagged
 
 
 def compare(old_doc: dict, new_doc: dict, threshold_pct: float) -> list[str]:
@@ -204,21 +141,10 @@ def compare(old_doc: dict, new_doc: dict, threshold_pct: float) -> list[str]:
         print(f"{name:<64} {o['real_time']:>10.1f}{o['time_unit']:<2} "
               f"{n['real_time']:>10.1f}{n['time_unit']:<2} {delta:>+8.1f}%{marker}")
 
-    print(f"\n{'binary wall clock':<64} {'old[s]':>12} {'new[s]':>12} {'delta':>9}")
-    print("-" * 100)
-    for bench_bin in sorted(set(old_doc.get("benches", {})) & set(new_doc.get("benches", {}))):
-        o_w = old_doc["benches"][bench_bin].get("wall_time_s")
-        n_w = new_doc["benches"][bench_bin].get("wall_time_s")
-        if not o_w or not n_w:
-            continue
-        delta = (n_w - o_w) / o_w * 100.0
-        print(f"{bench_bin:<64} {o_w:>12.1f} {n_w:>12.1f} {delta:>+8.1f}%")
-
     for name in added:
         print(f"new benchmark (no baseline): {name}")
     for name in removed:
         print(f"benchmark removed: {name}")
-    regressions += compare_metrics(old_doc, new_doc)
     if regressions:
         print(f"\n{len(regressions)} regression(s) beyond {threshold_pct:.0f}%:")
         for r in regressions:
@@ -233,8 +159,8 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--bin-dir", default="build-bench/bench",
                         help="directory holding the bench_* binaries")
-    parser.add_argument("--out", default="BENCH_PR2.json",
-                        help="consolidated output file (run mode)")
+    parser.add_argument("--out",
+                        help="consolidated output file (required unless --against)")
     parser.add_argument("--smoke", action="store_true",
                         help="minimal repetitions (CI bench-smoke)")
     parser.add_argument("--compare", metavar="OLD.json",
@@ -261,6 +187,8 @@ def main() -> int:
     if args.compare and args.against:
         new_doc = load_doc(args.against)
     else:
+        if not args.out:
+            parser.error("--out is required when running benchmarks")
         bin_dir = pathlib.Path(args.bin_dir)
         if not bin_dir.is_dir():
             print(f"error: bench dir {bin_dir} not found (build with "
