@@ -6,12 +6,48 @@ namespace umiddle::core {
 
 // --- sender ------------------------------------------------------------------------
 
-bool LinkSession::Sender::push(PayloadPtr frame, std::int64_t deadline_ns, bool sent,
-                               std::size_t cap) {
-  if (!sent && unsent_bytes_ + frame->size() > cap) return false;
-  (sent ? sent_bytes_ : unsent_bytes_) += frame->size();
-  ledger_.push_back(Entry{++next_seq_, deadline_ns, std::move(frame), sent});
-  return true;
+std::vector<PayloadPtr> LinkSession::Sender::up(NodeId self) {
+  std::vector<PayloadPtr> out;
+  if (phase_ == Phase::handshake) {
+    // Initial handshake done: every held frame becomes sent, written in order
+    // as plain frames, byte-identical to the pre-contract outbox replay.
+    phase_ = Phase::up;
+    for (Entry& e : ledger_) {
+      mark_sent(e);
+      out.push_back(e.frame);
+    }
+  } else if (phase_ == Phase::reopening) {
+    // Fault recovery: ask the peer where we left off before replaying anything.
+    phase_ = Phase::resuming;
+    const umtp::ResumeFrame resume{self, epoch_, count_home_, base_seq()};
+    out.push_back(make_payload(umtp::encode(umtp::Frame{resume})));
+  }
+  return out;
+}
+
+auto LinkSession::Sender::reset() -> Retry {
+  Retry retry{.recovery_begins = travels_plain()};
+  phase_ = Phase::down;
+  attempts_ += 1;
+  if (attempts_ > limits_.max_attempts) return retry;  // give up
+  retry.attempt = attempts_;
+  const int exponent = std::min(attempts_ - 1, 30);
+  retry.backoff_ns = std::min(limits_.reconnect_base_ns << exponent, limits_.reconnect_cap_ns);
+  return retry;
+}
+
+auto LinkSession::Sender::push(PayloadPtr frame, std::int64_t deadline_ns) -> Push {
+  const bool write = phase_ == Phase::up;
+  // Once the link has been reset the unsent ledger suffix is a *bounded*
+  // degradation buffer; during the initial handshake it stays unbounded
+  // (pre-fault semantics).
+  if (!write && phase_ != Phase::handshake &&
+      unsent_bytes_ + frame->size() > limits_.outage_bytes) {
+    return Push::refuse;
+  }
+  (write ? sent_bytes_ : unsent_bytes_) += frame->size();
+  ledger_.push_back(Entry{++next_seq_, deadline_ns, std::move(frame), write});
+  return write ? Push::write : Push::hold;
 }
 
 auto LinkSession::Sender::retire(Ledger::iterator it) -> Ledger::iterator {
@@ -26,18 +62,13 @@ void LinkSession::Sender::mark_sent(Entry& e) {
   sent_bytes_ += e.frame->size();
 }
 
-std::vector<PayloadPtr> LinkSession::Sender::flush() {
-  std::vector<PayloadPtr> out;
-  for (Entry& e : ledger_) {
-    if (e.sent) continue;
-    mark_sent(e);
-    out.push_back(e.frame);
-  }
-  return out;
-}
-
-void LinkSession::Sender::trim(std::size_t budget) {
-  while (sent_bytes_ > budget && !ledger_.empty() && ledger_.front().sent) {
+void LinkSession::Sender::trim(std::size_t backlog) {
+  if (phase_ != Phase::up) return;
+  // Retain at least the stream's own unsent backlog — those bytes are exactly
+  // what a reset loses — plus the configured slack for frames already on the
+  // medium. Anything older has long been delivered on the lossless stream.
+  while (sent_bytes_ > limits_.retain_bytes + backlog && !ledger_.empty() &&
+         ledger_.front().sent) {
     retire(ledger_.begin());
   }
 }
@@ -74,8 +105,10 @@ std::optional<LinkSession::Sender::Acked> LinkSession::Sender::ack(std::uint64_t
       retire(ledger_.begin());
     }
   }
-  if (resuming_) {
-    resuming_ = false;
+  if (phase_ == Phase::resuming) {
+    // The ACK ends the recovery.
+    phase_ = Phase::up;
+    attempts_ = 0;
     out.resumed = true;
     replay_rest(peer_count, now_ns, out);
   }
@@ -123,21 +156,32 @@ LinkSession::Receiver::Resumed LinkSession::Receiver::resume(const umtp::ResumeF
   // never learned of it). Epoch guards both against counts from an earlier
   // link incarnation of a restarted node.
   auto it = links_.find(resume.prev_channel);
-  if (it == links_.end() || (it->second.epoch != 0 && it->second.epoch != resume.epoch)) {
+  const bool hinted =
+      it != links_.end() && (it->second.epoch == 0 || it->second.epoch == resume.epoch);
+  if (!hinted) {
     auto home = home_.find(resume.node);
     it = home == home_.end() ? links_.end() : links_.find(home->second);
     if (it != links_.end() && it->second.epoch != resume.epoch) it = links_.end();
   }
-  const bool known = it != links_.end();
-  Link state = known ? it->second : Link{};
-  if (known) links_.erase(it);
+  const bool found = it != links_.end();
+  Link state = found ? it->second : Link{};
+  if (found) links_.erase(it);
+  // A realigned count is known only if the sender learned of it. The hint
+  // names the channel of the last ACK the sender received, so a hint that
+  // finds the count means the "count unknown" ACK arrived and the sender
+  // dropped its sent prefix then: what it sent since, none of which arrived,
+  // can be replayed. Found through the node home, that ACK may have been
+  // lost, and a replay of the prefix could repeat what was delivered before
+  // the restart.
+  const bool known = found && (!state.realigned || hinted);
   state.epoch = resume.epoch;
+  state.realigned = !known;
   Resumed out;
   if (!known) {
-    // Restarted since this epoch began (or never saw a frame of it): no dedup
-    // state to resume from. Align with the sender's retained window for future
-    // SEQ replays, and tell it not to replay its sent-but-unacked prefix
-    // (at-most-once across receiver crashes, DESIGN.md §11).
+    // Restarted since this epoch began: no dedup state to resume from. Align
+    // with the sender's retained window for future SEQ replays, and tell it
+    // not to replay its sent-but-unacked prefix (at-most-once across receiver
+    // crashes, DESIGN.md §11).
     state.count = resume.base_seq == 0 ? 0 : resume.base_seq - 1;
   } else if (state.count + 1 < resume.base_seq) {
     // The sender retired frames this side never accepted (retention overflow):

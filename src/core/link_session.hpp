@@ -1,10 +1,12 @@
-// Per-link sequencing of the UMTP delivery contract (DESIGN.md §11.1), kept
-// apart from the streams that carry it.
+// Per-link sequencing and link lifecycle of the UMTP delivery contract
+// (DESIGN.md §10.2, §11.1), kept apart from the streams that carry it.
 //
-// A LinkSession is pure state: no streams, timers, metrics or tracing. The
-// transport hands it encoded frames and virtual time, writes the frames it
-// hands back, and records the counts it returns. That makes the RESUME/ACK/SEQ
-// rules drivable without a simulated network (tests/link_session_test.cpp).
+// A LinkSession is pure state: no streams, timers, metrics or tracing (lint
+// rule `netsim-free-session`). The transport hands it stream events, encoded
+// frames and virtual time, writes the frames it hands back, arms the backoffs
+// it asks for, and records the counts it returns. That makes the lifecycle and
+// the RESUME/ACK/SEQ rules drivable, and exhaustively explorable, without a
+// simulated network (tests/link_session_test.cpp).
 //
 // Sequence numbers are per link and 1-based. They stay implicit on the healthy
 // path — both ends count frames on a lossless ordered stream — and appear on
@@ -23,43 +25,71 @@
 namespace umiddle::core {
 
 struct LinkSession {
-  /// Sender half: the send ledger of one outbound node link.
+  /// Sender half: the send ledger and lifecycle of one outbound node link
+  /// (DESIGN.md §10.2). It makes every lifecycle decision; the transport feeds
+  /// it stream events and carries out what each one hands back.
   class Sender {
    public:
-    /// A stream of the link opened as `channel`. The first one donates its
-    /// world-unique id as the link epoch, under which the peer's dedup count
-    /// implicitly lives.
+    /// RuntimeConfig's reconnect and buffer limits, in plain units.
+    struct Limits {
+      std::int64_t reconnect_base_ns = 0;
+      std::int64_t reconnect_cap_ns = 0;
+      int max_attempts = 0;          ///< failed attempts tolerated before giving up
+      std::size_t outage_bytes = 0;  ///< unsent bytes held once the link was reset
+      std::size_t retain_bytes = 0;  ///< sent bytes retained beyond the stream backlog
+    };
+    explicit Sender(Limits limits) : limits_(limits) {}
+
+    enum class Phase : std::uint8_t {
+      handshake,  ///< the initial connect is in flight; the buffer is unbounded
+      up,         ///< frames are written as they come
+      down,       ///< the stream was reset; a backoff is armed
+      reopening,  ///< a reconnect stream is in flight
+      resuming,   ///< RESUME sent, its ACK not yet received
+    };
+    Phase phase() const { return phase_; }
+    /// A frame pushed now goes out plain on the current stream, at once or in
+    /// the handshake flush, not SEQ-wrapped in a later replay.
+    bool travels_plain() const { return phase_ == Phase::handshake || phase_ == Phase::up; }
+
+    /// A stream of the link opened as `channel`: the initial connect, or a
+    /// reconnect attempt. The first one donates its world-unique id as the
+    /// link epoch, under which the peer's dedup count implicitly lives.
     void open(std::uint64_t channel) {
+      phase_ = epoch_ == 0 ? Phase::handshake : Phase::reopening;
       if (epoch_ == 0) epoch_ = count_home_ = channel;
     }
     std::uint64_t epoch() const { return epoch_; }
     /// Oldest sequence number not yet retired (next_seq + 1 if none).
     std::uint64_t base_seq() const { return ledger_.empty() ? next_seq_ + 1 : ledger_.front().seq; }
-    /// The RESUME that opens a recovery handshake. Until the peer's ACK
-    /// answers it the link is resuming: new traffic buffers as unsent until
-    /// the peer says where to resume.
-    umtp::ResumeFrame resume(NodeId self) {
-      resuming_ = true;
-      return umtp::ResumeFrame{self, epoch_, count_home_, base_seq()};
-    }
-    bool resuming() const { return resuming_; }
+    /// The stream came up; write the returned frames in order. After the
+    /// initial handshake they are the held frames and the link is up; after a
+    /// reconnect, the RESUME from `self`, and the link is resuming.
+    std::vector<PayloadPtr> up(NodeId self);
 
-    /// Give the next frame the next sequence number: `sent` if the caller has
-    /// just written it to the link's stream, else held until the link is
-    /// ready. False: an unsent frame refused, because the unsent frames would
-    /// exceed `cap` bytes.
-    bool push(PayloadPtr frame, std::int64_t deadline_ns, bool sent, std::size_t cap);
-    /// Initial handshake done: every unsent frame becomes sent; the caller
-    /// writes the returned frames in order.
-    std::vector<PayloadPtr> flush();
-    /// Retire sent frames, oldest first, while retained sent bytes exceed
-    /// `budget`.
-    void trim(std::size_t budget);
+    struct Retry {
+      bool recovery_begins = false;  ///< the link was handshake or up
+      int attempt = 0;               ///< backoff attempt k >= 1; 0 = give up
+      std::int64_t backoff_ns = 0;   ///< un-jittered min(base * 2^(k-1), cap)
+      bool give_up() const { return attempt == 0; }
+    };
+    /// The stream was reset, or a reconnect attempt could not open one: arm
+    /// the next backoff attempt, or give up.
+    Retry reset();
+
+    enum class Push : std::uint8_t { write, hold, refuse };
+    /// Give the next frame the next sequence number. Write it to the stream
+    /// now; hold it for the flush or the replay; or refuse it (the outage
+    /// buffer is full).
+    Push push(PayloadPtr frame, std::int64_t deadline_ns);
+    /// While up, retire sent frames, oldest first, while retained sent bytes
+    /// exceed the retention budget plus `backlog`, the stream's unsent bytes.
+    void trim(std::size_t backlog);
 
     struct Acked {
       std::uint64_t retired = 0;          ///< sent frames the ACK retired
       std::uint64_t unacked_dropped = 0;  ///< sent frames dropped for a restarted peer
-      bool resumed = false;               ///< it answered the RESUME: recovery is done
+      bool resumed = false;               ///< it answered the RESUME: the link is up
       std::vector<Bytes> replay;          ///< SEQ-wrapped frames to write, in order
       std::uint64_t expired = 0;          ///< entries retired unreplayed: deadline passed
     };
@@ -77,6 +107,9 @@ struct LinkSession {
     /// acknowledged implicitly but not yet trimmed.
     std::size_t sent_count() const { return ledger_.size() - unsent_count(); }
 
+    /// Reads the whole state to hash it (tests/link_session_test.cpp).
+    friend struct LinkSessionProbe;
+
    private:
     struct Entry {
       std::uint64_t seq = 0;
@@ -91,10 +124,12 @@ struct LinkSession {
     void mark_sent(Entry& e);
     void replay_rest(std::uint64_t peer_count, std::int64_t now_ns, Acked& out);
 
+    Limits limits_;
+    Phase phase_ = Phase::handshake;
+    int attempts_ = 0;              ///< consecutive failed reconnect attempts
     std::uint64_t next_seq_ = 0;    ///< last assigned sequence number
     std::uint64_t epoch_ = 0;       ///< id of the link's first stream (world-unique)
     std::uint64_t count_home_ = 0;  ///< channel confirmed to hold the peer's dedup count
-    bool resuming_ = false;         ///< RESUME sent, ACK not yet received
     std::size_t unsent_bytes_ = 0;  ///< handshake/outage buffer occupancy
     std::size_t sent_bytes_ = 0;    ///< sent-but-unacknowledged retention occupancy
     Ledger ledger_;                 ///< seq-ordered: sent prefix, unsent suffix
@@ -104,12 +139,21 @@ struct LinkSession {
   /// by the sender's client stream id (the channel).
   class Receiver {
    public:
+    /// A stream was accepted on `channel`: its count starts at 0, so a RESUME
+    /// after a reset that beat the first frame finds a count and is not taken
+    /// for one after a restart.
+    void open(std::uint64_t channel) { links_.try_emplace(channel); }
     /// A plain payload frame arrived on `channel`: count it implicitly.
-    void count(std::uint64_t channel) { links_[channel].count += 1; }
+    void count(std::uint64_t channel) {
+      Link& link = links_[channel];
+      link.count += 1;
+      link.realigned = false;
+    }
     /// A SEQ-wrapped replay arrived. True: new, and counted; false: already
     /// accepted, so suppress it.
     bool accept(std::uint64_t channel, std::uint64_t seq) {
       Link& link = links_[channel];
+      link.realigned = false;
       if (seq <= link.count) return false;
       link.count = seq;
       return true;
@@ -129,14 +173,19 @@ struct LinkSession {
       links_.erase(channel);
       std::erase_if(home_, [channel](const auto& entry) { return entry.second == channel; });
     }
+    /// Reads the whole state to hash it (tests/link_session_test.cpp).
+    friend struct LinkSessionProbe;
 
    private:
     struct Link {
       std::uint64_t count = 0;  ///< frames accepted from this link so far
       std::uint64_t epoch = 0;  ///< sender's link epoch, learned via RESUME (0 = unknown)
+      /// The count was realigned to a sender's base, and no frame arrived
+      /// since: the "count unknown" ACK that answered may have been lost.
+      bool realigned = false;
     };
 
-    /// Values only, never iterated (safe to keep unordered).
+    /// Never iterated in order (safe to keep unordered).
     std::unordered_map<std::uint64_t, Link> links_;
     /// Sender node → channel its count last migrated to via RESUME. Fallback
     /// for the sender's prev-channel hint being one recovery stale (its

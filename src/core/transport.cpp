@@ -1,7 +1,6 @@
 #include "core/transport.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/log.hpp"
@@ -11,15 +10,20 @@ namespace umiddle::core {
 
 namespace {
 
-/// A stream on_data handler: reassembles UMTP frames from chunks and hands
-/// each complete one to `handle`.
+using Phase = LinkSession::Sender::Phase;
+
+/// An on_data handler for `stream`: reassembles UMTP frames from chunks and
+/// hands each complete one to `handle`. A malformed frame poisons the reader,
+/// so the stream is closed, as OBEX, MB and RMI close theirs (DESIGN.md §7.6).
 template <typename Handle>
-net::Stream::DataHandler frame_reader(Handle handle) {
-  return [reader = std::make_shared<umtp::Reader>(),
+net::Stream::DataHandler frame_reader(net::Stream& stream, Handle handle) {
+  return [reader = std::make_shared<umtp::Reader>(), stream = &stream,
           handle = std::move(handle)](std::span<const std::uint8_t> chunk) {
     std::vector<umtp::Frame> frames;
     if (auto r = reader->feed(chunk, frames); !r.ok()) {
-      log::Entry(log::Level::warn, "transport") << "bad UMTP frame: " << r.error().to_string();
+      log::Entry(log::Level::warn, "transport") << "bad UMTP frame, closing: "
+                                                << r.error().to_string();
+      stream->close();
       return;
     }
     for (umtp::Frame& frame : frames) handle(frame);
@@ -380,7 +384,7 @@ bool Transport::destination_ready(const PortRef& dst) const {
   }
   // Remote delivery: pause while the link's unsent backlog is high.
   auto it = links_.find(profile->node);
-  if (it == links_.end() || !link_ready(it->second)) return true;  // ledger absorbs
+  if (it == links_.end() || it->second.session.phase() != Phase::up) return true;  // ledger absorbs
   return it->second.stream->pending() < kLinkWatermark;
 }
 
@@ -483,15 +487,14 @@ void Transport::dispatch(Path& path, Pending item) {
   // keyed by our client stream id — never inside the frame, whose byte count
   // drives simulated serialization time (obs/trace.hpp header comment).
   data_frames_tx_.inc();
-  if (link->stream != nullptr && !link->reconnecting) {
+  if (link->session.travels_plain()) {
     const std::uint64_t span =
         tracer().begin_span(item.msg->trace, "wire", runtime_.host(), now());
     tracer().stage(link->stream->id().value(), item.msg->trace, span);
   }
-  // else: link down or mid-recovery. The frame joins the bounded outage buffer
-  // and is replayed SEQ-wrapped on a *new* stream after the RESUME/ACK
-  // handshake; baggage staged now would never pair with the replay, so
-  // replayed frames lose trace attribution (documented in DESIGN.md §10).
+  // else: a recovery replays the frame SEQ-wrapped on a *new* stream, where
+  // baggage staged now would never pair: replayed frames lose trace
+  // attribution (documented in DESIGN.md §10).
   link_send(*link, umtp::encode_data(item.dst, *item.msg, item.deadline_ns), item.deadline_ns,
             item.msg->trace);
 }
@@ -611,15 +614,18 @@ void Transport::on_unmapped(const TranslatorProfile& profile) {
 
 Transport::NodeLink* Transport::link_to(NodeId node) {
   auto it = links_.find(node);
-  if (it != links_.end()) return &it->second;  // possibly down + reconnecting
+  if (it != links_.end()) return &it->second;  // possibly down or recovering
 
-  NodeLink fresh;
-  fresh.node = node;
+  const RuntimeConfig& c = runtime_.config();
+  NodeLink fresh{node, nullptr, 0,
+                 LinkSession::Sender({c.reconnect_base.count(), c.reconnect_cap.count(),
+                                      c.reconnect_max_attempts, c.outage_buffer_bytes,
+                                      c.retain_buffer_bytes})};
   // Initial connects keep their pre-fault-plane semantics: an unreachable peer
   // yields no link and the caller drops the message. Only links that were once
   // up and got *reset* enter the reconnect loop below.
   if (!open_stream(fresh)) return nullptr;
-  return &(links_[node] = std::move(fresh));
+  return &links_.emplace(node, std::move(fresh)).first->second;
 }
 
 bool Transport::open_stream(NodeLink& link) {
@@ -633,14 +639,13 @@ bool Transport::open_stream(NodeLink& link) {
   }
   NodeId node = link.node;
   link.stream = stream.value();
-  link.connected = false;
   link.session.open(link.stream->id().value());
   link.stream->on_connected([this, node]() { handle_link_up(node); });
   link.stream->on_drain([this]() { resume_paths(); });
   link.stream->on_close([this, node]() { handle_link_close(node); });
   // ACKs come back on this (client) stream; fault-free links never carry any.
   net::Stream* raw = link.stream.get();
-  link.stream->on_data(frame_reader([this, node, raw](umtp::Frame& frame) {
+  link.stream->on_data(frame_reader(*raw, [this, node, raw](umtp::Frame& frame) {
     auto l = links_.find(node);
     if (l == links_.end() || l->second.stream.get() != raw) return;  // stale stream
     if (auto* ack = std::get_if<umtp::AckFrame>(&frame)) {
@@ -656,103 +661,78 @@ void Transport::handle_link_up(NodeId node) {
   auto l = links_.find(node);
   if (l == links_.end()) return;
   NodeLink& link = l->second;
-  link.connected = true;
-  if (!link.reconnecting) {
-    // Initial handshake done: flush everything buffered, in order, as plain
-    // frames — byte-identical to the pre-contract outbox replay.
-    link.attempts = 0;
-    for (const PayloadPtr& frame : link.session.flush()) (void)link.stream->send(frame);
-    trim_retention(link);
-    return;
-  }
-  // Fault recovery: ask the peer where we left off before replaying anything.
-  // Until its ACK arrives the link keeps buffering new traffic as unsent
-  // (outage semantics persist — reconnecting stays true).
-  (void)link.stream->send(umtp::encode(umtp::Frame{link.session.resume(runtime_.node())}));
+  for (const PayloadPtr& frame : link.session.up(runtime_.node())) (void)link.stream->send(frame);
+  link.session.trim(link.stream->pending());
 }
 
 void Transport::handle_link_close(NodeId node) {
   auto l = links_.find(node);
   if (l == links_.end()) return;
   NodeLink& link = l->second;
-  const bool reset = started_ && link.stream != nullptr && link.stream->was_reset();
-  if (!reset) {
-    // Graceful close (peer stop, or our own): drop the link as always.
-    runtime_.scheduler().post(lifetime_.guard([this, node]() { links_.erase(node); }),
+  if (!started_ || link.session.phase() == Phase::down || !link.stream->was_reset()) {
+    // Graceful close (peer stop, a poisoned stream, or our own): drop the
+    // link and whatever it never sent.
+    runtime_.scheduler().post(lifetime_.guard([this, node]() { drop_link(node, Fate::discarded); }),
                               {sim::host_id(runtime_.host()), sim::tag_id("umtp.link-close")});
     return;
   }
   // Fault path: hold the link, buffer traffic, re-establish with backoff.
-  link.connected = false;
   link.stream = nullptr;
-  if (!link.reconnecting) {
-    link.reconnecting = true;
+  retry_link(link);
+}
+
+void Transport::retry_link(NodeLink& link) {
+  const LinkSession::Sender::Retry retry = link.session.reset();
+  if (retry.recovery_begins) {
     count("recovery.link_down");
     // Trace 0 = unattributed: the outage is not part of any one message path.
     link.recover_span = tracer().begin_span(0, "recover", runtime_.host(), now());
   }
-  schedule_reconnect(link);
-}
-
-void Transport::schedule_reconnect(NodeLink& link) {
-  link.attempts += 1;
-  if (link.attempts > runtime_.config().reconnect_max_attempts) {
-    // Give up. Only never-sent frames are outage drops: the sent-but-unacked
-    // prefix may well have been delivered before the cut, so its fate is
-    // uncertain and it is counted apart, as no fate.
+  if (retry.give_up()) {
+    // Only never-sent frames are outage drops: the sent-but-unacked prefix
+    // may well have been delivered before the cut, so its fate is uncertain
+    // and it is counted apart, as no fate.
+    const NodeId node = link.node;
     const std::size_t unsent = link.session.unsent_count();
     count("recovery.giveups");
-    retire(Fate::outage_dropped, nullptr, 0, unsent);
     count("recovery.giveup_unacked", link.session.sent_count());
-    tracer().end_span(link.recover_span, now());
+    drop_link(node, Fate::outage_dropped);
     log::Entry(log::Level::warn, "transport")
-        << "giving up on node " << link.node.to_string() << " after "
+        << "giving up on node " << node.to_string() << " after "
         << runtime_.config().reconnect_max_attempts << " attempts; " << unsent
         << " buffered frame(s) dropped";
-    links_.erase(link.node);
     return;
   }
-  // Capped exponential backoff, jittered.
-  const std::int64_t base = runtime_.config().reconnect_base.count();
-  const std::int64_t cap = runtime_.config().reconnect_cap.count();
-  const int exponent = std::min(link.attempts - 1, 30);
   runtime_.scheduler().schedule_after(
-      jittered(std::min(base << exponent, cap)),
+      jittered(retry.backoff_ns),
       lifetime_.guard([this, node = link.node]() {
         auto l = links_.find(node);
         // Gone (given up), or already re-opened.
-        if (l == links_.end() || l->second.stream != nullptr) return;
+        if (l == links_.end() || l->second.session.phase() != Phase::down) return;
         // On success the handshake is in flight and lands in handle_link_up;
         // if the fault plane resets the new stream mid-handshake,
         // handle_link_close schedules the next attempt.
-        if (!open_stream(l->second)) schedule_reconnect(l->second);
+        if (!open_stream(l->second)) retry_link(l->second);
       }),
       {sim::host_id(runtime_.host()), sim::tag_id("umtp.reconnect")});
+}
+
+void Transport::drop_link(NodeId node, Fate fate) {
+  auto l = links_.find(node);
+  if (l == links_.end()) return;
+  tracer().end_span(l->second.recover_span, now());
+  retire(fate, nullptr, 0, l->second.session.unsent_count());
+  links_.erase(l);
 }
 
 void Transport::link_send(NodeLink& link, Bytes bytes, std::int64_t deadline_ns,
                           std::uint64_t trace) {
   PayloadPtr frame = make_payload(std::move(bytes));
-  const bool ready = link_ready(link);
-  if (ready) (void)link.stream->send(frame);
-  // During a fault outage the unsent ledger suffix is a *bounded* degradation
-  // buffer; during the initial handshake it stays unbounded (pre-fault
-  // semantics).
-  const std::size_t cap = link.reconnecting ? runtime_.config().outage_buffer_bytes
-                                            : std::numeric_limits<std::size_t>::max();
-  if (!link.session.push(std::move(frame), deadline_ns, ready, cap)) {
-    retire(Fate::outage_dropped, nullptr, trace);
-    return;
-  }
-  trim_retention(link);
-}
-
-void Transport::trim_retention(NodeLink& link) {
-  if (!link_ready(link)) return;
-  // Retain at least the stream's own unsent backlog — those bytes are exactly
-  // what a reset loses — plus the configured slack for frames already on the
-  // medium. Anything older has long been delivered on the lossless stream.
-  link.session.trim(runtime_.config().retain_buffer_bytes + link.stream->pending());
+  const LinkSession::Sender::Push push = link.session.push(frame, deadline_ns);
+  if (push == LinkSession::Sender::Push::refuse) retire(Fate::outage_dropped, nullptr, trace);
+  if (push != LinkSession::Sender::Push::write) return;
+  (void)link.stream->send(std::move(frame));
+  link.session.trim(link.stream->pending());
 }
 
 void Transport::handle_ack(NodeLink& link, const umtp::AckFrame& ack) {
@@ -768,12 +748,9 @@ void Transport::handle_ack(NodeLink& link, const umtp::AckFrame& ack) {
   // receiver suppress whatever the ACK race still let through.
   for (Bytes& frame : acked->replay) (void)link.stream->send(std::move(frame));
   retire(Fate::expired, nullptr, 0, acked->expired);
-  link.reconnecting = false;
-  link.attempts = 0;
   count("recovery.reconnects");
   count("recovery.replays", acked->replay.size());
   tracer().end_span(link.recover_span, now());
-  link.recover_span = 0;
   log::Entry(log::Level::info, "transport")
       << "link to node " << link.node.to_string() << " re-established, "
       << acked->replay.size() << " frame(s) replayed, " << acked->expired << " expired";
@@ -789,7 +766,8 @@ void Transport::accept_peer(net::StreamPtr stream) {
   // The sender stages trace baggage keyed by its own (client) stream id, which
   // is this accepted stream's peer.
   const std::uint64_t channel = stream->peer().value();
-  stream->on_data(frame_reader([this, channel, raw](umtp::Frame& frame) {
+  recv_.open(channel);
+  stream->on_data(frame_reader(*raw, [this, channel, raw](umtp::Frame& frame) {
     handle_frame(std::move(frame), channel, *raw);
   }));
   stream->on_close([this, raw, channel]() {

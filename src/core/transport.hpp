@@ -165,19 +165,13 @@ class Transport final : public DirectoryListener {
     PathStats stats;
   };
 
+  /// An outbound link to one peer node. Its lifecycle state lives in the
+  /// session (DESIGN.md §10.2); the link holds only the effects' handles.
   struct NodeLink {
     NodeId node;
-    net::StreamPtr stream;  ///< null while down and awaiting a reconnect attempt
-    bool connected = false;
-    /// Set when the stream was reset by the fault plane; the link is held open
-    /// for capped-backoff reconnect attempts instead of being erased, the
-    /// unsent ledger suffix becomes a *bounded* outage buffer, and the next
-    /// successful handshake counts as a recovery (metrics
-    /// `recovery.reconnects`).
-    bool reconnecting = false;
-    int attempts = 0;                ///< consecutive failed reconnect attempts
-    std::uint64_t recover_span = 0;  ///< open "recover" span while down
-    LinkSession::Sender session;     ///< send ledger and sequencing
+    net::StreamPtr stream;           ///< null while down
+    std::uint64_t recover_span = 0;  ///< open "recover" span while recovering
+    LinkSession::Sender session;     ///< lifecycle, send ledger and sequencing
   };
 
   /// Per-destination circuit breaker (closed → open after K consecutive
@@ -257,24 +251,21 @@ class Transport final : public DirectoryListener {
   /// Open (or re-open) the UMTP stream for a link and install its handlers.
   /// False if the peer is unknown or unreachable right now.
   bool open_stream(NodeLink& link);
-  /// Fully up: connected and not holding traffic for a recovery handshake.
-  static bool link_ready(const NodeLink& link) {
-    return link.connected && !link.session.resuming() && link.stream != nullptr;
-  }
   void handle_link_up(NodeId node);
   void handle_link_close(NodeId node);
-  /// Capped exponential backoff with world-Rng jitter, then a reconnect
-  /// attempt; gives the link up after reconnect_max_attempts.
-  void schedule_reconnect(NodeLink& link);
+  /// The link's stream was reset, or a reconnect attempt could not open one:
+  /// arm the jittered backoff the session asks for, then the next attempt; or
+  /// give the link up.
+  void retry_link(NodeLink& link);
+  /// Erase a link: retire what it never sent as `fate`, and close its
+  /// recover span so the trace stays pairing-balanced.
+  void drop_link(NodeId node, Fate fate);
   /// `trace` attributes an outage-buffer overflow drop of a DATA frame.
   void link_send(NodeLink& link, Bytes frame, std::int64_t deadline_ns = 0,
                  std::uint64_t trace = 0);
-  /// Retire acknowledged sent frames beyond the retention budget.
-  void trim_retention(NodeLink& link);
-  /// Peer told us its accepted-frame count: retire the acknowledged ledger
-  /// prefix and, if a recovery is pending, replay the unacknowledged,
-  /// unexpired rest SEQ-wrapped and close out the recovery (reconnect
-  /// bookkeeping, reannounce, resume paths).
+  /// Peer told us its accepted-frame count: account what the session retired
+  /// and, if that ended a recovery, replay the rest and close it out
+  /// (reconnect bookkeeping, reannounce, resume paths).
   void handle_ack(NodeLink& link, const umtp::AckFrame& ack);
   void accept_peer(net::StreamPtr stream);
   /// `channel` is the sending peer's stream id (Stream::peer() of the accepted

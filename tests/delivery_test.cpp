@@ -6,6 +6,7 @@
 
 #include "conservation.hpp"
 #include "core/umiddle.hpp"
+#include "netsim/fault.hpp"
 
 namespace umiddle::core {
 namespace {
@@ -513,6 +514,149 @@ INSTANTIATE_TEST_SUITE_P(Teardowns, DiscardTest,
                          [](const ::testing::TestParamInfo<Teardown>& info) {
                            return teardown_name(info.param);
                          });
+
+// --- link lifecycle ----------------------------------------------------------
+
+/// Two runtimes on one LAN with 100 ms latency: a source on `a`, a sink on `b`,
+/// and a path between them, so the link from a to b is easy to catch mid-way.
+struct LinkWorld {
+  sim::Scheduler sched;
+  net::Network net{sched, 1};
+  net::SegmentId lan;
+  std::unique_ptr<Runtime> ra;
+  std::unique_ptr<Runtime> rb;
+  LambdaDevice* src = nullptr;
+  CollectorDevice* sink = nullptr;
+
+  LinkWorld() {
+    net::SegmentSpec spec;
+    spec.latency = milliseconds(100);
+    lan = net.add_segment(spec);
+    for (const char* h : {"a", "b"}) {
+      EXPECT_TRUE(net.add_host(h).ok());
+      EXPECT_TRUE(net.attach(h, lan).ok());
+    }
+    RuntimeConfig config;
+    config.reconnect_base = milliseconds(10);
+    ra = std::make_unique<Runtime>(sched, net, "a", config);
+    rb = std::make_unique<Runtime>(sched, net, "b");
+    EXPECT_TRUE(ra->start().ok());
+    EXPECT_TRUE(rb->start().ok());
+    auto s = std::make_unique<LambdaDevice>("Source", make_source_shape("out", jpeg()));
+    src = s.get();
+    TranslatorId src_id = ra->map(std::move(s)).take();
+    auto k = std::make_unique<CollectorDevice>("Sink", make_sink_shape("in", jpeg()));
+    sink = k.get();
+    TranslatorId sink_id = rb->map(std::move(k)).take();
+    sched.run_for(seconds(3));
+    EXPECT_TRUE(ra->transport().connect(PortRef{src_id, "out"}, PortRef{sink_id, "in"}).ok());
+  }
+
+  void emit(int n) {
+    Message m;
+    m.type = jpeg();
+    m.payload = Bytes(100, 0xFF);
+    m.meta["n"] = std::to_string(n);
+    EXPECT_TRUE(src->emit("out", std::move(m)).ok());
+  }
+
+  std::uint64_t counter(std::string_view name) {
+    auto snap = net.metrics().snapshot();
+    const obs::SnapshotEntry* e = snap.find(name);
+    return e == nullptr ? 0 : e->count;
+  }
+};
+
+TEST(LinkLifecycleTest, PeerStopWhileResumingDiscardsTheOutageBuffer) {
+  LinkWorld w;
+  w.emit(0);
+  w.sched.run_for(seconds(1));
+  ASSERT_EQ(w.sink->count(), 1u);
+
+  // Reset the link and hold three messages while it is down.
+  w.net.faults().partition_now(w.lan);
+  for (int i = 1; i <= 3; ++i) w.emit(i);
+  w.sched.run_for(milliseconds(100));
+  w.net.faults().heal_now(w.lan);
+  // The next reconnect attempt opens a stream; 300 ms of handshake later the
+  // link sends RESUME, which takes 100 ms to reach b. Stop b in between: its
+  // graceful close reaches a link that is resuming with three unsent frames.
+  const std::uint64_t connects = w.counter("net.stream.connects");
+  for (int ms = 0; ms < 5000 && w.counter("net.stream.connects") == connects; ++ms) {
+    w.sched.run_for(milliseconds(1));
+  }
+  ASSERT_GT(w.counter("net.stream.connects"), connects) << "no reconnect attempt within 5 s";
+  w.sched.run_for(milliseconds(350));
+  const std::size_t delivered = w.sink->count();  // the stop destroys the sink
+  w.rb->stop();
+  w.sched.run_for(seconds(2));
+
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(w.counter("recovery.link_down"), 1u);
+  EXPECT_EQ(w.counter("delivery.resumes"), 0u);  // b never answered
+  EXPECT_EQ(w.counter("recovery.reconnects"), 0u);
+  EXPECT_EQ(w.counter("delivery.discarded"), 3u);
+  expect_conserved(w.net, 4, delivered);
+}
+
+TEST(LinkLifecycleTest, MalformedUmtpFrameClosesTheStream) {
+  LinkWorld w;
+  auto raw = w.net.connect("a", {"b", RuntimeConfig{}.umtp_port});
+  ASSERT_TRUE(raw.ok());
+  net::StreamPtr stream = raw.value();
+  bool closed = false;
+  stream->on_close([&closed]() { closed = true; });
+  w.sched.run_for(seconds(1));
+  // A length field past kMaxFrame poisons the UMTP reader at once.
+  ASSERT_TRUE(stream->send(Bytes(8, 0xFF)).ok());
+  w.sched.run_for(seconds(1));
+  EXPECT_TRUE(closed);
+  EXPECT_FALSE(stream->was_reset());
+}
+
+TEST(LinkLifecycleTest, ResetBeforeTheFirstFrameArrivesReplaysIt) {
+  LinkWorld w;
+  // The first message opens the link. It comes up 300 ms later and writes
+  // the message, which takes 100 ms to reach b. Reset it in between: b
+  // accepted the stream but has counted no frame on it, and never restarted.
+  w.emit(0);
+  w.sched.run_for(milliseconds(350));
+  w.net.faults().partition_now(w.lan);
+  w.sched.run_for(milliseconds(100));
+  w.net.faults().heal_now(w.lan);
+  w.sched.run_for(seconds(2));
+  EXPECT_EQ(w.counter("delivery.resumes"), 1u);
+  EXPECT_EQ(w.counter("delivery.unacked_dropped"), 0u);
+  EXPECT_EQ(w.counter("recovery.replays"), 1u);
+  EXPECT_EQ(w.sink->count(), 1u);
+  expect_conserved(w.net, 1, w.sink->count());
+}
+
+TEST(LinkLifecycleTest, MalformedAckStreamClosesTheLink) {
+  LinkWorld w;
+  // b's UMTP port is served by a raw listener instead of b's transport.
+  w.rb->transport().stop();
+  net::StreamPtr accepted;
+  ASSERT_TRUE(w.net
+                  .listen({"b", RuntimeConfig{}.umtp_port},
+                          [&accepted](net::StreamPtr s) { accepted = std::move(s); })
+                  .ok());
+  w.emit(0);
+  w.sched.run_for(seconds(1));
+  ASSERT_NE(accepted, nullptr);
+  bool closed = false;
+  accepted->on_close([&closed]() { closed = true; });
+  // Garbage where a's link expects ACKs poisons its reader.
+  ASSERT_TRUE(accepted->send(Bytes(8, 0xFF)).ok());
+  w.sched.run_for(seconds(1));
+  EXPECT_TRUE(closed);
+  EXPECT_FALSE(accepted->was_reset());
+  // The link is gone: the next message opens a new one.
+  const std::uint64_t connects = w.counter("net.stream.connects");
+  w.emit(1);
+  w.sched.run_for(seconds(1));
+  EXPECT_EQ(w.counter("net.stream.connects"), connects + 1);
+}
 
 }  // namespace
 }  // namespace umiddle::core

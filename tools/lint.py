@@ -64,6 +64,11 @@ exist to keep nondeterminism from leaking back in:
                inside the simulator and names resolve once at the API
                (DESIGN.md §8.5), so string keys stay off the frame path. The
                one name -> HostId index in src/netsim/network.hpp is exempt.
+  netsim-free-session
+               src/core/link_session.{hpp,cpp} include no netsim/, sim/ or
+               obs/ header: the link lifecycle stays a value type that tests
+               drive, and explore exhaustively, without a simulated network
+               (DESIGN.md §10.2).
   untagged-event
                every schedule_after / schedule_at / post call and every
                sim::Timer construction in src/ passes a non-empty EventTag, so
@@ -432,6 +437,24 @@ def check_one_reassembly_site(path: str, code: str) -> Iterable[Violation]:
                             f"step ({REASSEMBLY_SITE})")
 
 
+# The link lifecycle is a netsim-free value type (DESIGN.md §10.2): the
+# session files may not include the simulator, the network or telemetry.
+SESSION_FILES = {"src/core/link_session.hpp", "src/core/link_session.cpp"}
+SESSION_INCLUDE_RE = re.compile(r'#\s*include\s*[<"](netsim|sim|obs)/')
+
+
+def check_netsim_free_session(path: str, code: str) -> Iterable[Violation]:
+    if path not in SESSION_FILES:
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        m = SESSION_INCLUDE_RE.search(line)
+        if m:
+            yield Violation("netsim-free-session", path, lineno,
+                            f"{m.group(1)}/ header in the link session; it "
+                            "takes stream events and hands back actions, and "
+                            "Transport carries them out")
+
+
 # Every deferred callback carries provenance (DESIGN.md §7.1, §7.4). An
 # untagged event digests as zeros and its host time is charged to nobody. The
 # Scheduler keeps a defaulted tag for code outside src/ only. Arity is checked
@@ -523,6 +546,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
 # Checks that match string literals: they see comments blanked, strings kept.
 LITERAL_CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_one_fate_site,
+    check_netsim_free_session,
 ]
 
 
@@ -601,6 +625,8 @@ SEEDED_VIOLATIONS = [
      "std::set<std::string> groups;\n"
      "std::unordered_map<std::string, Host> hosts_;\n"
      "std::map<std::string, HostId> host_ids_;\n"),
+    ("netsim-free-session", "src/core/link_session.hpp",
+     '#include "core/umtp.hpp"\n#include "sim/timer.hpp"\n'),
     ("untagged-event", "src/motes/evil.cpp",
      'constexpr const char* kDoc = R"USDL(<port mime="*/*"/>)USDL";\n'
      "sched.schedule_after(\n"
@@ -674,6 +700,9 @@ CLEAN_SNIPPETS = [
      "bool operator==(const Endpoint&) const = default;\n"),
     ("src/core/fine.hpp",
      "std::map<std::string, NodeInfo> by_host_;\n"),
+    ("src/core/link_session.cpp",
+     '#include "core/link_session.hpp"\n'
+     '// #include "netsim/stream.hpp" in a comment is fine\n'),
     ("src/core/fine.cpp",
      "for (const auto& p : profiles_) { use(p); }\n"
      "for (auto& [k, v] : meta_) { use(k, v); }\n"
