@@ -178,7 +178,7 @@ void BtTranslator::handle_hid_bytes(const std::string& port,
     sim::Scheduler* sched = &mapper_.runtime().scheduler();
     mapper_.runtime().scheduler().schedule_after(
         mapper_.costs().vml_translate,
-        [this, alive = lifetime_.token(), port, r, tracer, sched, trace, span]() {
+        sim::boxed([this, alive = lifetime_.token(), port, r, tracer, sched, trace, span]() {
           // tracer/sched outlive the translator (world-owned): close the span
           // even if the translator was unmapped while the translation ran.
           tracer->end_span(span, sched->now());
@@ -195,7 +195,7 @@ void BtTranslator::handle_hid_bytes(const std::string& port,
           core::Message msg = core::Message::text(spec->type, vml.to_string());
           msg.trace = trace;
           (void)emit(port, std::move(msg));
-        },
+        }),
         {sim::host_id(mapper_.runtime().host()), sim::tag_id("bt.vml")});
   }
 }

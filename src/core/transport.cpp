@@ -56,6 +56,14 @@ constexpr std::array<FateRow, kFateCount> kFates = {{
     {"delivery.discarded", nullptr, true, "deliver.discarded"},
 }};
 
+/// Counter names, indexed by Transport::Stat.
+constexpr std::array<std::string_view, 12> kStats = {
+    "delivery.breaker_open", "delivery.breaker_closed", "delivery.breaker_probes",
+    "recovery.link_down",    "recovery.giveups",        "recovery.giveup_unacked",
+    "delivery.acked_retired", "recovery.reconnects",    "recovery.replays",
+    "delivery.resume_gap",   "delivery.resumes",        "delivery.dup_suppressed",
+};
+
 }  // namespace
 
 std::string_view fate_counter(Fate fate) { return kFates[static_cast<std::size_t>(fate)].counter; }
@@ -76,8 +84,13 @@ sim::TimePoint Transport::now() const { return runtime_.scheduler().now(); }
 
 obs::Tracer& Transport::tracer() { return runtime_.network().tracer(); }
 
-void Transport::count(std::string_view name, std::uint64_t n) {
-  runtime_.network().metrics().counter(name).inc(n);
+void Transport::bump(Stat stat, std::uint64_t n) {
+  static_assert(kStats.size() == kStatCount);
+  obs::Counter*& counter = stat_counters_[static_cast<std::size_t>(stat)];
+  if (counter == nullptr) {
+    counter = &runtime_.network().metrics().counter(kStats[static_cast<std::size_t>(stat)]);
+  }
+  counter->inc(n);
 }
 
 void Transport::retire(Fate fate, PathStats* path, std::uint64_t trace, std::uint64_t n) {
@@ -542,7 +555,7 @@ void Transport::breaker_record(TranslatorId id, bool ok) {
     auto it = breakers_.find(id);
     if (it == breakers_.end()) return;
     if (it->second.state == Breaker::State::half_open) {
-      count("delivery.breaker_closed");
+      bump(Stat::breaker_closed);
       log::Entry(log::Level::info, "transport")
           << "breaker for " << id.to_string() << " closed after successful probe";
     }
@@ -561,7 +574,7 @@ void Transport::breaker_record(TranslatorId id, bool ok) {
 void Transport::open_breaker(TranslatorId id, Breaker& breaker) {
   breaker.state = Breaker::State::open;
   breaker.failures = 0;
-  count("delivery.breaker_open");
+  bump(Stat::breaker_open);
   instant(0, "deliver.breaker-open");
   log::Entry(log::Level::warn, "transport")
       << "breaker for " << id.to_string() << " opened after "
@@ -577,7 +590,7 @@ Transport::Breaker::Breaker(Transport& transport, TranslatorId id)
             [&transport, id]() {
               // Armed only while open; nothing else leaves the open state.
               transport.breakers_.at(id).state = State::half_open;
-              transport.count("delivery.breaker_probes");
+              transport.bump(Stat::breaker_probes);
             }) {}
 
 // --- directory reactions ------------------------------------------------------------
@@ -684,7 +697,7 @@ void Transport::handle_link_close(NodeId node) {
 void Transport::retry_link(NodeLink& link) {
   const LinkSession::Sender::Retry retry = link.session.reset();
   if (retry.recovery_begins) {
-    count("recovery.link_down");
+    bump(Stat::link_down);
     // Trace 0 = unattributed: the outage is not part of any one message path.
     link.recover_span = tracer().begin_span(0, "recover", runtime_.host(), now());
   }
@@ -694,8 +707,8 @@ void Transport::retry_link(NodeLink& link) {
     // and it is counted apart, as no fate.
     const NodeId node = link.node;
     const std::size_t unsent = link.session.unsent_count();
-    count("recovery.giveups");
-    count("recovery.giveup_unacked", link.session.sent_count());
+    bump(Stat::giveups);
+    bump(Stat::giveup_unacked, link.session.sent_count());
     drop_link(node, Fate::outage_dropped);
     log::Entry(log::Level::warn, "transport")
         << "giving up on node " << node.to_string() << " after "
@@ -741,15 +754,15 @@ void Transport::handle_ack(NodeLink& link, const umtp::AckFrame& ack) {
   retire(Fate::unacked_dropped, nullptr, 0, acked->unacked_dropped);
   if (acked->retired > 0) {
     // Each retired entry is a frame a blind replay would have duplicated.
-    count("delivery.acked_retired", acked->retired);
+    bump(Stat::acked_retired, acked->retired);
   }
   if (!acked->resumed) return;
   // Recovery done. Replay SEQ-wrapped: the explicit sequence number lets the
   // receiver suppress whatever the ACK race still let through.
   for (Bytes& frame : acked->replay) (void)link.stream->send(std::move(frame));
   retire(Fate::expired, nullptr, 0, acked->expired);
-  count("recovery.reconnects");
-  count("recovery.replays", acked->replay.size());
+  bump(Stat::reconnects);
+  bump(Stat::replays, acked->replay.size());
   tracer().end_span(link.recover_span, now());
   log::Entry(log::Level::info, "transport")
       << "link to node " << link.node.to_string() << " re-established, "
@@ -791,12 +804,12 @@ void Transport::handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stre
     if (resumed.gap) {
       // Frames lost to the sender's retention overflow: unrecoverable, counted
       // for observability.
-      count("delivery.resume_gap");
+      bump(Stat::resume_gap);
       log::Entry(log::Level::warn, "transport")
           << "RESUME from node " << resume->node.to_string() << ": frames before base seq "
           << resume->base_seq << " lost to retention";
     }
-    count("delivery.resumes");
+    bump(Stat::resumes);
     // The one place an ACK is born (lint rule `ack-origin`).
     (void)reply.send(
         umtp::encode(umtp::Frame{umtp::AckFrame{resume->epoch, resumed.ack_count}}));
@@ -809,7 +822,7 @@ void Transport::handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stre
   bool replayed = false;
   if (auto* seq = std::get_if<umtp::SeqFrame>(&frame)) {
     if (!recv_.accept(channel, seq->seq)) {
-      count("delivery.dup_suppressed");
+      bump(Stat::dup_suppressed);
       instant(0, "deliver.dup-suppressed");
       return;
     }

@@ -192,9 +192,14 @@ class Transport final : public DirectoryListener {
 
   sim::TimePoint now() const;
   obs::Tracer& tracer();
-  /// Bump the per-world counter `name`; it registers on first use, so
-  /// counters for faults that never fire stay out of the snapshot.
-  void count(std::string_view name, std::uint64_t n = 1);
+  /// The delivery-contract counters that are not fates (kStats names them).
+  enum class Stat : std::uint8_t { breaker_open, breaker_closed, breaker_probes, link_down,
+                                   giveups, giveup_unacked, acked_retired, reconnects, replays,
+                                   resume_gap, resumes, dup_suppressed };
+  static constexpr std::size_t kStatCount = static_cast<std::size_t>(Stat::dup_suppressed) + 1;
+  /// Bump `stat`'s per-world counter. It registers on the first bump (even of
+  /// 0), so counters for faults that never fire stay out of the snapshot.
+  void bump(Stat stat, std::uint64_t n = 1);
   /// Account `n` messages leaving through `fate`: its counter, its PathStats
   /// field on `path` (null off-path), umtp.messages_dropped for drop fates,
   /// and a deliver.<fate> instant. `trace` 0 = unattributed (batch fates).
@@ -288,6 +293,8 @@ class Transport final : public DirectoryListener {
   obs::Histogram& wire_ns_;
   /// Each fate's counter, registered on the fate's first retire.
   std::array<obs::Counter*, kFateCount> fate_counters_{};
+  /// Each Stat's counter, registered on its first bump.
+  std::array<obs::Counter*, kStatCount> stat_counters_{};
   bool started_ = false;
   std::map<PathId, Path> paths_;
   /// Paths created here but hosted remotely: path → hosting node.

@@ -94,7 +94,7 @@ SegmentId Network::common_segment(HostId a, HostId b) const {
 }
 
 sim::TimePoint Network::send_frame(SegmentId seg_id, HostId src, std::size_t payload_size,
-                                   std::function<void()> deliver, bool lossless) {
+                                   sim::Callback deliver, bool lossless) {
   Segment& seg = segments_.at(seg_id);
   const SegmentSpec& spec = seg.spec;
 
@@ -163,11 +163,12 @@ Result<void> Network::udp_send(const Endpoint& from, const Endpoint& to, Payload
     return make_error(Errc::disconnected,
                       "no shared segment between " + from.host + " and " + to.host);
   }
+  // The sender travels as (host, port), not as an Endpoint whose name the
+  // capture would copy; delivery rebuilds it.
   send_frame(
       seg, src.value(), payload->size(),
-      [this, from, dst = dst.value(), port = to.port, payload]() {
-        hosts_[dst].deliver(port, from, *payload);
-      },
+      [this, src = src.value(), from_port = from.port, dst = dst.value(), port = to.port,
+       payload]() { hosts_[dst].deliver(port, Endpoint{hosts_[src].name, from_port}, *payload); },
       /*lossless=*/false);
   return ok_result();
 }
@@ -215,7 +216,8 @@ Result<void> Network::udp_multicast(const Endpoint& from, const std::string& gro
   for (const auto& [seg, on_segment] : route(src.value(), group).frames) {
     send_frame(
         seg, src.value(), payload->size(),
-        [this, from, port, receivers = on_segment, payload]() {
+        [this, src = src.value(), from_port = from.port, port, receivers = on_segment, payload]() {
+          const Endpoint from{hosts_[src].name, from_port};
           for (HostId to : *receivers) hosts_[to].deliver(port, from, *payload);
         },
         /*lossless=*/false);
@@ -282,7 +284,7 @@ Result<StreamPtr> Network::connect(const std::string& host, const Endpoint& remo
   connect_rtt_ns_.observe(handshake.count());
   sched_.schedule_after(
       handshake,
-      [this, client, server, accept = listener->second]() {
+      [client, server, accept = listener->second]() {
         server->establish();
         client->establish();
         // A connection reset during the handshake never reaches the listener.

@@ -200,7 +200,7 @@ class Network {
   /// `deliver` runs at the arrival time unless the frame is lost.
   /// Returns the arrival time (even if lost, for stats purposes).
   sim::TimePoint send_frame(SegmentId seg, HostId src, std::size_t payload_size,
-                            std::function<void()> deliver, bool lossless);
+                            sim::Callback deliver, bool lossless);
 
   /// First segment shared by both hosts, or invalid id.
   SegmentId common_segment(HostId a, HostId b) const;

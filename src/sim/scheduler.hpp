@@ -14,9 +14,12 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <unordered_set>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/audit.hpp"
@@ -36,7 +39,87 @@ constexpr Duration seconds(std::int64_t n) { return Duration(n * 1000'000'000); 
 constexpr double to_seconds(Duration d) { return static_cast<double>(d.count()) * 1e-9; }
 constexpr double to_millis(Duration d) { return static_cast<double>(d.count()) * 1e-6; }
 
-/// Handle for cancelling a scheduled event.
+/// A move-only `void()` callable stored inline, with no heap fallback: the
+/// capture of every scheduled event lives in the scheduler's slot pool, so
+/// scheduling allocates nothing (DESIGN.md §8.1). A capture that does not fit
+/// fails to compile; shrink it or wrap it in sim::boxed().
+class Callback {
+ public:
+  static constexpr std::size_t kCapacity = 64;
+
+  Callback() = default;
+
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, Callback> &&
+             std::is_invocable_r_v<void, std::decay_t<F>&>)
+  Callback(F&& fn) {  // NOLINT(google-explicit-constructor): lambdas convert
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= kCapacity,
+                  "capture exceeds sim::Callback's inline buffer: shrink it or wrap it in "
+                  "sim::boxed(...)");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "capture must be nothrow-move-constructible: a by-copy capture of a const "
+                  "object is not, so write it as an init-capture");
+    static_assert(alignof(Fn) <= alignof(void*), "over-aligned capture");
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+    ops_ = &kOps<Fn>;
+  }
+
+  Callback(Callback&& other) noexcept : ops_(other.ops_) {
+    if (ops_ != nullptr) ops_->relocate(buf_, other.buf_);
+    other.ops_ = nullptr;
+  }
+  Callback& operator=(Callback&& other) noexcept {
+    if (this != &other) {
+      reset();
+      ops_ = other.ops_;
+      if (ops_ != nullptr) ops_->relocate(buf_, other.buf_);
+      other.ops_ = nullptr;
+    }
+    return *this;
+  }
+  Callback(const Callback&) = delete;
+  Callback& operator=(const Callback&) = delete;
+  ~Callback() { reset(); }
+
+  explicit operator bool() const { return ops_ != nullptr; }
+  void operator()() { ops_->invoke(buf_); }
+
+  /// Destroy the capture now; the Callback becomes empty.
+  void reset() {
+    if (ops_ != nullptr) std::exchange(ops_, nullptr)->destroy(buf_);
+  }
+
+ private:
+  struct Ops {
+    void (*invoke)(void*);
+    void (*relocate)(void* dst, void* src) noexcept;  ///< move-construct, destroy src
+    void (*destroy)(void*) noexcept;
+  };
+  template <typename Fn>
+  static constexpr Ops kOps{
+      [](void* p) { (*static_cast<Fn*>(p))(); },
+      [](void* dst, void* src) noexcept {
+        ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
+        static_cast<Fn*>(src)->~Fn();
+      },
+      [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
+  };
+
+  alignas(void*) unsigned char buf_[kCapacity];
+  const Ops* ops_ = nullptr;
+};
+
+/// `fn` moved to the heap behind a pointer-sized capture, for the few cold
+/// sites whose capture does not fit a Callback. Costs one allocation per
+/// schedule, as std::function did for them.
+template <typename F>
+auto boxed(F fn) {
+  return [p = std::make_unique<F>(std::move(fn))]() { (*p)(); };
+}
+
+/// Handle for cancelling a scheduled event: the pool slot the event occupies
+/// and its sequence number, which no later event shares.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -45,8 +128,8 @@ class EventHandle {
 
  private:
   friend class Scheduler;
-  EventHandle(TimePoint when, std::uint64_t seq) : when_(when), seq_(seq) {}
-  TimePoint when_{0};
+  EventHandle(std::uint32_t slot, std::uint64_t seq) : slot_(slot), seq_(seq) {}
+  std::uint32_t slot_ = 0;
   std::uint64_t seq_ = 0;
 };
 
@@ -54,25 +137,29 @@ class EventHandle {
 class Scheduler {
  public:
   Scheduler() = default;
+  /// Pending callbacks die first, while every member is alive: a capture's
+  /// destructor may still cancel (a no-op by then) or schedule.
+  ~Scheduler() { auto doomed = std::move(slots_); }
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   TimePoint now() const { return now_; }
 
   /// Run `fn` at the current time, after already-queued same-time events.
-  EventHandle post(std::function<void()> fn, EventTag tag = {}) {
+  EventHandle post(Callback fn, EventTag tag = {}) {
     return schedule_after(Duration(0), std::move(fn), tag);
   }
 
   /// Run `fn` `delay` after now (negative delays clamp to 0).
-  EventHandle schedule_after(Duration delay, std::function<void()> fn, EventTag tag = {});
+  EventHandle schedule_after(Duration delay, Callback fn, EventTag tag = {});
 
   /// Run `fn` at absolute virtual time `when` (past times clamp to now).
-  EventHandle schedule_at(TimePoint when, std::function<void()> fn, EventTag tag = {});
+  EventHandle schedule_at(TimePoint when, Callback fn, EventTag tag = {});
 
   /// Cancel a queued event. A no-op for an invalid handle and for an event
   /// that already fired, was already cancelled or was discarded as cancelled;
-  /// pending() stays exact either way.
+  /// pending() stays exact either way. The callback's captures are destroyed
+  /// when the cancelled event is discarded, not here.
   void cancel(EventHandle handle);
 
   /// Process events until the queue is empty. Returns events processed.
@@ -108,45 +195,49 @@ class Scheduler {
   const TraceRecorder& trace_recorder() const { return recorder_; }
 
  private:
-  struct Event {
+  /// What the heap sifts: 24 bytes, the event's order plus where it lives.
+  struct Key {
     TimePoint when;
     std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  /// An event's payload, parked in the pool while its key is in the heap.
+  /// `seq` is the queued event's sequence number; 0 once it is cancelled or
+  /// the slot is free, so a handle matches only while its event is pending.
+  struct Slot {
+    Callback fn;
     EventTag tag;
-    std::function<void()> fn;
+    std::uint64_t seq = 0;
   };
 
   /// True if `a` must fire after `b`. (when, seq) pairs are unique, so this is
   /// a strict total order — dispatch order cannot depend on heap layout.
-  static bool later(const Event& a, const Event& b) {
+  static bool later(const Key& a, const Key& b) {
     return a.when != b.when ? a.when > b.when : a.seq > b.seq;
   }
 
-  // Hand-rolled binary min-heap over heap_. std::priority_queue only exposes a
-  // const top(), which forces a copy of the std::function per pop; these sift
-  // by move. The vector doubles as the event pool: capacity is retained across
-  // pops, so steady-state scheduling performs no per-event allocation beyond
-  // what each std::function capture needs.
-  void heap_push(Event ev);
-  Event heap_pop();
+  // Hand-rolled binary min-heap over heap_ (std::priority_queue cannot pop by
+  // move). Both vectors keep their capacity, so steady-state scheduling
+  // allocates nothing.
+  void heap_push(Key key);
+  Key heap_pop();
+  /// Empty `slot`, put it on the free list and return its callback. The
+  /// callback leaves the pool before it runs or dies: either may schedule, and
+  /// so grow the pool under it.
+  Callback release(std::uint32_t slot);
   /// Dispatch the next live event due at or before `limit`, first discarding
   /// the cancelled events ahead of it (lazy deletion); false if there is none.
-  /// Nothing is discarded past `limit` or when no live event remains, so
-  /// every popped event is at or before now() once a run returns: cancel()
-  /// relies on that. Every run mode funnels through here, and so does the
-  /// audit digest: virtual time advances to the event's deadline and the
-  /// event is absorbed before it runs.
+  /// Nothing is discarded past `limit` or when no live event remains. Every
+  /// run mode funnels through here, and so does the audit digest: virtual
+  /// time advances to the event's deadline and the event is absorbed before
+  /// it runs.
   bool dispatch_next(TimePoint limit);
 
-  std::vector<Event> heap_;
-  /// Seqs cancelled while still queued; entries are reaped when they reach the
-  /// heap head. O(1) insert/lookup vs the seed's per-pop linear scan.
-  std::unordered_set<std::uint64_t> cancelled_set_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  ///< indices of empty slots_
   TimePoint now_{0};
   std::uint64_t next_seq_ = 1;
-  /// Key of the last popped event. The heap pops in (when, seq) order and
-  /// later pushes sort after it, so a handle at or before it has left the heap.
-  TimePoint popped_when_{0};
-  std::uint64_t popped_seq_ = 0;
   std::size_t cancelled_ = 0;
   std::uint64_t reaped_ = 0;
   std::size_t high_water_ = 0;

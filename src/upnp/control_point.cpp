@@ -89,7 +89,7 @@ void ControlPoint::fetch_description(const std::string& udn, const std::string& 
                std::string body = r.value().body;
                net_.scheduler().schedule_after(
                    costs_.description_parse,
-                   lifetime_.guard([this, udn, location, body]() {
+                   sim::boxed(lifetime_.guard([this, udn, location, body = std::move(body)]() {
                      auto desc = DeviceDescription::from_xml_text(body);
                      if (!desc.ok()) {
                        log::Entry(log::Level::warn, "upnp-cp")
@@ -99,7 +99,7 @@ void ControlPoint::fetch_description(const std::string& udn, const std::string& 
                        return;
                      }
                      if (on_device_) on_device_(desc.value(), location);
-                   }),
+                   })),
                    {sim::host_id(host_), sim::tag_id("upnp.describe")});
              }));
 }
@@ -114,8 +114,8 @@ void ControlPoint::invoke(const std::string& control_url, ActionRequest request,
   // Charge request marshalling, then POST.
   net_.scheduler().schedule_after(
       costs_.soap_marshal,
-      lifetime_.guard([this, uri = uri.value(), request = std::move(request),
-                       done = std::move(done)]() mutable {
+      sim::boxed(lifetime_.guard([this, uri = uri.value(), request = std::move(request),
+                                  done = std::move(done)]() mutable {
         HttpRequest post;
         post.method = "POST";
         post.path = uri.path;
@@ -156,7 +156,7 @@ void ControlPoint::invoke(const std::string& control_url, ActionRequest request,
                          },
                          {sim::host_id(host_), sim::tag_id("upnp.marshal")});
                    }));
-      }),
+      })),
       {sim::host_id(host_), sim::tag_id("upnp.marshal")});
 }
 

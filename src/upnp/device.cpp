@@ -116,7 +116,7 @@ void UpnpDevice::handle_control(const std::string& /*service_type*/, const HttpR
   sim::Duration work = costs_.soap_unmarshal + costs_.actuation;
   net_.scheduler().schedule_after(
       work,
-      [this, request = std::move(request).take(), respond = std::move(respond)]() {
+      sim::boxed([this, request = std::move(request).take(), respond = std::move(respond)]() {
         auto handler = actions_.find({request.service_type, request.action});
         if (handler == actions_.end()) {
           respond(HttpResponse::make(500, "Internal Server Error",
@@ -128,16 +128,16 @@ void UpnpDevice::handle_control(const std::string& /*service_type*/, const HttpR
         // Charge response marshalling before the bytes leave the device.
         net_.scheduler().schedule_after(
             costs_.soap_marshal,
-            [result = std::move(result), respond = std::move(respond)]() {
+            sim::boxed([result = std::move(result), respond = std::move(respond)]() {
               if (result.ok()) {
                 respond(HttpResponse::make(200, "OK", result.value().to_envelope()));
               } else {
                 respond(HttpResponse::make(500, "Internal Server Error",
                                            SoapFault{501, result.error().message}.to_envelope()));
               }
-            },
+            }),
             {sim::host_id(host_), sim::tag_id("upnp.marshal")});
-      },
+      }),
       {sim::host_id(host_), sim::tag_id("upnp.action")});
 }
 

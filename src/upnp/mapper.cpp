@@ -77,9 +77,9 @@ void UpnpTranslator::process_next() {
   mapper_.runtime().network().metrics().counter("upnp.action_translations").inc();
   mapper_.runtime().scheduler().schedule_after(
       mapper_.costs().action_translate,
-      lifetime_.guard([this, binding = action_binding, msg = std::move(work.msg)]() {
+      sim::boxed(lifetime_.guard([this, binding = action_binding, msg = std::move(work.msg)]() {
         run_binding(*binding, msg);
-      }),
+      })),
       {sim::host_id(mapper_.runtime().host()), sim::tag_id("upnp.action")});
 }
 

@@ -131,9 +131,9 @@ void SsdpAgent::handle_datagram(const net::Endpoint& from, const Bytes& payload)
     }
     net_.scheduler().schedule_after(
         delay,
-        lifetime_.guard([this, from, matched]() {
+        sim::boxed(lifetime_.guard([this, from, matched = std::move(matched)]() {
           for (const SsdpAnnouncement& a : matched) answer_search(from, a);
-        }),
+        })),
         {sim::host_id(host_), sim::tag_id("upnp.ssdp")});
   }
 }

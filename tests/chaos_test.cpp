@@ -1397,8 +1397,9 @@ SweepRun fate_sweep(std::uint64_t seed) {
       burst_end = t + draw_ms(200, 2000);
     }
     t = t + draw_ms(20, 60);
-    const std::size_t s = rng.below(kSources);
-    const std::size_t bytes = rng.between(200, 1500);
+    // 32-bit, so that the capture fits a sim::Callback beside its six references.
+    const auto s = static_cast<std::uint32_t>(rng.below(kSources));
+    const auto bytes = static_cast<std::uint32_t>(rng.between(200, 1500));
     sched.schedule_at(t, [&, s, bytes, key = k++]() {
       for (std::size_t p = 0; p < kPaths; ++p) {
         if (kSourceOf[p] == s) run.offered += ra.transport().bound_destinations(paths[p]).size();

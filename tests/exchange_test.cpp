@@ -113,7 +113,9 @@ struct World {
       s->on_data([this, peer, host, garbage, s](std::span<const std::uint8_t>) {
         if (peer == Peer::malformed) (void)s->send(garbage);
         if (peer == Peer::closes_early) s->close();
-        if (peer == Peer::crashes) sched.post([this, host] { net.faults().crash_host(host); });
+        if (peer == Peer::crashes) {
+          sched.post([this, host = host] { net.faults().crash_host(host); });
+        }
       });
     };
     const std::uint16_t psm = client == Client::sdp_query ? bt::kPsmSdp : bt::kPsmObexBip;

@@ -1,6 +1,10 @@
 // Unit tests for the discrete-event scheduler: ordering, cancellation, run modes.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -184,6 +188,132 @@ TEST(SchedulerTest, CancelledEventsDoNotBlockRunUntil) {
   EXPECT_EQ(s.pending(), 1u);
   s.run_until(milliseconds(60));
   EXPECT_TRUE(ran);
+}
+
+/// A capture that counts its own destruction: moved-from copies do not count.
+struct DestroyProbe {
+  explicit DestroyProbe(int* destroyed) : destroyed(destroyed) {}
+  DestroyProbe(DestroyProbe&& other) noexcept
+      : destroyed(other.destroyed), owner(std::exchange(other.owner, false)) {}
+  DestroyProbe& operator=(DestroyProbe&&) = delete;
+  ~DestroyProbe() {
+    if (owner) ++*destroyed;
+  }
+  int* destroyed;
+  bool owner = true;
+};
+
+TEST(CallbackTest, HoldsAMoveOnlyCapture) {
+  Scheduler s;
+  int seen = 0;
+  s.post([&seen, p = std::make_unique<int>(42)] { seen = *p; });
+  s.run();
+  EXPECT_EQ(seen, 42);
+}
+
+TEST(CallbackTest, BoxedHoldsAnOversizeCapture) {
+  Scheduler s;
+  std::array<char, 4 * Callback::kCapacity> big{};
+  big.back() = 'x';
+  char seen = 0;
+  s.post(boxed([&seen, big] { seen = big.back(); }));
+  s.run();
+  EXPECT_EQ(seen, 'x');
+}
+
+TEST(CallbackTest, CaptureDiesOnceAfterItFires) {
+  int destroyed = 0;
+  int destroyed_while_running = -1;
+  Scheduler s;
+  s.post([&, probe = DestroyProbe(&destroyed)] { destroyed_while_running = destroyed; });
+  EXPECT_EQ(destroyed, 0);
+  s.run();
+  EXPECT_EQ(destroyed_while_running, 0);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(CallbackTest, CancelledCaptureDiesOnceWhenReapedNotWhenCancelled) {
+  int destroyed = 0;
+  Scheduler s;
+  EventHandle h = s.schedule_after(milliseconds(1), [probe = DestroyProbe(&destroyed)] {});
+  s.schedule_after(milliseconds(2), [] {});
+  s.cancel(h);
+  s.cancel(h);
+  EXPECT_EQ(destroyed, 0);
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(s.cancellations_reaped(), 1u);
+  EXPECT_EQ(s.events_dispatched(), 1u);
+}
+
+TEST(CallbackTest, PendingCapturesDieOnceWithTheScheduler) {
+  int destroyed = 0;
+  {
+    Scheduler s;
+    s.schedule_after(milliseconds(1), [probe = DestroyProbe(&destroyed)] {});
+    EventHandle h = s.schedule_after(milliseconds(2), [probe = DestroyProbe(&destroyed)] {});
+    s.cancel(h);  // cancelled but never reaped
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 2);
+}
+
+TEST(SlotPoolTest, CallbackThatGrowsThePoolWhileRunningKeepsItsCapture) {
+  Scheduler s;
+  std::vector<int> order;
+  std::string after;
+  s.post([&, tail = std::string(40, 'z')] {
+    for (int i = 0; i < 10'000; ++i) {
+      s.schedule_after(microseconds(1 + i), [&order, i] { order.push_back(i); });
+    }
+    after = tail;  // the pool regrew under this callback
+  });
+  EXPECT_EQ(s.run(), 10'001u);
+  EXPECT_EQ(after, std::string(40, 'z'));
+  ASSERT_EQ(order.size(), 10'000u);
+  for (int i = 0; i < 10'000; ++i) ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
+  EXPECT_EQ(s.heap_high_water(), 10'000u);
+}
+
+TEST(SlotPoolTest, CancellingItsOwnHandleFromInsideIsANoOp) {
+  Scheduler s;
+  EventHandle self;
+  int ran = 0;
+  self = s.schedule_after(milliseconds(1), [&] {
+    s.cancel(self);
+    ++ran;
+    // The freed slot goes to the next event; the stale handle must miss it.
+    s.schedule_after(milliseconds(1), [&] { ++ran; });
+    s.cancel(self);
+    EXPECT_EQ(s.pending(), 1u);
+  });
+  s.run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.cancellations_reaped(), 0u);
+}
+
+TEST(SlotPoolTest, StaleHandleMissesTheEventThatReusedItsSlot) {
+  Scheduler s;
+  int fired = 0;
+  EventHandle fired_handle = s.schedule_after(milliseconds(1), [&] { ++fired; });
+  s.run();
+  EventHandle reaped_handle = s.schedule_after(milliseconds(1), [&] { fired += 100; });
+  s.schedule_after(milliseconds(2), [&] { ++fired; });
+  s.cancel(reaped_handle);
+  s.run();  // reaps the cancelled event, freeing its slot
+  EXPECT_EQ(fired, 2);
+
+  EventHandle live = s.schedule_after(milliseconds(1), [&] { fired += 10; });
+  s.schedule_after(milliseconds(1), [&] { fired += 10; });
+  s.cancel(fired_handle);   // both stale handles name slots the new events took
+  s.cancel(reaped_handle);
+  EXPECT_EQ(s.pending(), 2u);
+  s.run();
+  EXPECT_EQ(fired, 22);
+  s.cancel(live);
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(TimerTest, ArmReplacesThePendingFireAndCancelDropsIt) {

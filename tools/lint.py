@@ -74,6 +74,12 @@ exist to keep nondeterminism from leaking back in:
                sim::Timer construction in src/ passes a non-empty EventTag, so
                each dispatched event is attributable in the trace digest and
                in per-tag host-cost profiles.
+  inline-callback
+               no sim::boxed( in src/sim/, src/netsim/,
+               src/core/transport.cpp or src/core/link_session.*: captures on
+               the simulator's hot paths fit sim::Callback's inline buffer,
+               so scheduling there allocates nothing (DESIGN.md §8.1). Only
+               boxed's own definition in src/sim/scheduler.hpp is exempt.
 
 Run directly:      python3 tools/lint.py --root .
 Run via ctest:     ctest -R lint
@@ -471,6 +477,25 @@ EMPTY_TAG_RE = re.compile(r"^(?:(?:sim::)?EventTag\s*)?(?:\{\s*\}|\(\s*\))$")
 TIMER_DEFINITION = "src/sim/timer.hpp"
 
 
+# Scheduling allocates nothing on the hot paths (DESIGN.md §8.1). sim::boxed is
+# the one way to put a capture on the heap; a hot site that reaches for it
+# would quietly go back to one allocation per event.
+INLINE_CALLBACK_PATHS = ("src/sim/", "src/netsim/", "src/core/transport.cpp",
+                         "src/core/link_session.")
+BOXED_CALL_RE = re.compile(r"\bboxed\s*\(")
+BOXED_DEFINITION_RE = re.compile(r"^\s*auto\s+boxed\s*\(")
+
+
+def check_inline_callback(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith(INLINE_CALLBACK_PATHS):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if BOXED_CALL_RE.search(line) and not BOXED_DEFINITION_RE.match(line):
+            yield Violation("inline-callback", path, lineno,
+                            "sim::boxed on a hot path; shrink the capture to "
+                            "fit sim::Callback's inline buffer instead")
+
+
 def call_args(code: str, open_at: int) -> list[str]:
     """Top-level arguments of the bracketed list opening at code[open_at]."""
     depth, start, args = 0, open_at + 1, []
@@ -541,6 +566,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_one_import_site,
     check_one_reassembly_site,
     check_netsim_by_handle,
+    check_inline_callback,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -634,6 +660,11 @@ SEEDED_VIOLATIONS = [
     ("untagged-event", "src/rmi/evil.cpp",
      "std::optional<sim::Timer> poll_timer_;\n"
      "poll_timer_.emplace(runtime.scheduler(), sim::EventTag{}, [this]() { poll(); });\n"),
+    ("untagged-event", "src/upnp/evil.cpp",
+     "net_.scheduler().post(sim::boxed([this, request]() { run(request); }));\n"),
+    ("inline-callback", "src/netsim/evil.cpp",
+     "send_frame(seg, src, payload->size(),\n"
+     "           sim::boxed([this, from, payload]() { deliver(from, *payload); }), false);\n"),
 ]
 
 CLEAN_SNIPPETS = [
@@ -703,6 +734,16 @@ CLEAN_SNIPPETS = [
     ("src/core/link_session.cpp",
      '#include "core/link_session.hpp"\n'
      '// #include "netsim/stream.hpp" in a comment is fine\n'),
+    ("src/upnp/fine.cpp",
+     "net_.scheduler().schedule_after(\n"
+     "    work, sim::boxed(lifetime_.guard([this, request, respond]() { run(request); })),\n"
+     "    {sim::host_id(host_), sim::tag_id(\"upnp.action\")});\n"),
+    ("src/sim/scheduler.hpp",
+     "// a hot site never calls sim::boxed(...); in a comment it is fine\n"
+     "template <typename F>\n"
+     "auto boxed(F fn) {\n"
+     "  return [p = std::make_unique<F>(std::move(fn))]() { (*p)(); };\n"
+     "}\n"),
     ("src/core/fine.cpp",
      "for (const auto& p : profiles_) { use(p); }\n"
      "for (auto& [k, v] : meta_) { use(k, v); }\n"
