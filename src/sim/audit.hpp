@@ -5,20 +5,20 @@
 // the "Correctness & determinism" section). This header provides the machinery
 // that *enforces* the claim instead of assuming it:
 //
-//   - TraceDigest: an FNV-1a rolling hash. The scheduler absorbs every
+//   - TraceDigest: a word-wise rolling hash. The scheduler absorbs every
 //     dispatched event (virtual time, sequence number, host id, event tag) into
 //     one of these; two same-seed runs must end with byte-identical digests.
-//     The hook is always on — it is a handful of integer multiplies per event,
-//     cheap enough to leave enabled in release builds.
+//     Each word costs one xor, one multiply and one xor-shift, so the hook is
+//     always on, release builds included (DESIGN.md §7.1).
 //
 //   - TraceRecorder: an optional bounded record of recent dispatches. When a
 //     digest mismatch is found, two recorders from the diverging runs can be
 //     diffed to pinpoint the first event where the runs disagreed.
 //
 //   - EventTag / tag_id(): lightweight provenance attached at schedule time.
-//     Tags are compile-time FNV hashes of short labels ("net.deliver",
-//     "umtp.drain"); hosts are runtime hashes of host names. Untagged events
-//     digest as zeros, so adopting tags is incremental.
+//     Tags are compile-time byte-wise FNV-1a hashes of short labels
+//     ("net.deliver", "umtp.drain"); hosts are runtime hashes of host names.
+//     Untagged events digest as zeros, so adopting tags is incremental.
 #pragma once
 
 #include <cstddef>
@@ -29,19 +29,21 @@
 
 namespace umiddle::sim {
 
-/// 64-bit FNV-1a over a stream of words. Not cryptographic; collision
-/// resistance is irrelevant here — we compare digests of *intended-identical*
-/// streams, so any mixing function that is sensitive to order and value works.
+/// 64-bit rolling hash over a stream of words, one word per step, with the
+/// FNV-1a constants. Not cryptographic; collision resistance is irrelevant
+/// here — we compare digests of *intended-identical* streams, so any mixing
+/// function that is sensitive to order and value works.
 class TraceDigest {
  public:
   static constexpr std::uint64_t kOffsetBasis = 0xcbf29ce484222325ull;
   static constexpr std::uint64_t kPrime = 0x00000100000001b3ull;
 
   constexpr void absorb(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (word >> (i * 8)) & 0xffu;
-      hash_ *= kPrime;
-    }
+    hash_ ^= word;
+    hash_ *= kPrime;
+    // A multiply carries differences only upward: without this shift a flip
+    // of bit 63 stays bit 63, and a second one in a later word cancels it.
+    hash_ ^= hash_ >> 29;
   }
 
   constexpr std::uint64_t value() const { return hash_; }

@@ -4,6 +4,12 @@
 
 namespace umiddle::sim {
 
+Scheduler::~Scheduler() {
+  heap_.clear();
+  free_.clear();
+  auto doomed = std::move(slots_);
+}
+
 EventHandle Scheduler::schedule_after(Duration delay, Callback fn, EventTag tag) {
   if (delay < Duration(0)) delay = Duration(0);
   return schedule_at(now_ + delay, std::move(fn), tag);

@@ -245,6 +245,36 @@ TEST(TraceDigestTest, OrderAndValueSensitivity) {
   EXPECT_EQ(d3.value(), sim::TraceDigest{}.value());
 }
 
+TEST(TraceDigestTest, AbsorbsOneWordPerStepKnownAnswer) {
+  // h ^= w; h *= kPrime; h ^= h >> 29, from the FNV-1a offset basis. Pinned
+  // so the digest format cannot silently change between builds.
+  constexpr std::uint64_t kWords[] = {0, 1, 0xdeadbeef, 1ull << 63, ~0ull};
+  sim::TraceDigest d;
+  for (std::uint64_t w : kWords) d.absorb(w);
+  EXPECT_EQ(d.value(), 0x9057214f06f94a7cull);
+  EXPECT_EQ(sim::TraceDigest{}.value(), 0xcbf29ce484222325ull);
+}
+
+TEST(TraceDigestTest, TopBitFlipsInTwoWordsDoNotCancel) {
+  constexpr std::uint64_t kTop = 1ull << 63;
+  // The bare (h ^ w) * P step carries a bit-63 difference only to bit 63, so
+  // a second flip there cancels the first: that step cannot tell these apart.
+  auto bare = [](std::uint64_t a, std::uint64_t b) {
+    std::uint64_t h = sim::TraceDigest::kOffsetBasis;
+    for (std::uint64_t w : {a, b}) h = (h ^ w) * sim::TraceDigest::kPrime;
+    return h;
+  };
+  ASSERT_EQ(bare(0x1234, 0x5678), bare(0x1234 ^ kTop, 0x5678 ^ kTop));
+
+  sim::TraceDigest plain;
+  sim::TraceDigest flipped;
+  plain.absorb(0x1234);
+  plain.absorb(0x5678);
+  flipped.absorb(0x1234 ^ kTop);
+  flipped.absorb(0x5678 ^ kTop);
+  EXPECT_NE(plain.value(), flipped.value());
+}
+
 TEST(TraceDigestTest, TagIdIsStableAndDistinct) {
   // tag_id is the classic FNV-1a; pin one known-answer value so the digest
   // format cannot silently change between runs of different builds.

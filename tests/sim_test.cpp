@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -190,16 +191,23 @@ TEST(SchedulerTest, CancelledEventsDoNotBlockRunUntil) {
   EXPECT_TRUE(ran);
 }
 
-/// A capture that counts its own destruction: moved-from copies do not count.
+/// A capture that counts its own destruction, then runs `then`: moved-from
+/// copies do neither.
 struct DestroyProbe {
-  explicit DestroyProbe(int* destroyed) : destroyed(destroyed) {}
+  explicit DestroyProbe(int* destroyed, std::function<void()> then = {})
+      : destroyed(destroyed), then(std::move(then)) {}
   DestroyProbe(DestroyProbe&& other) noexcept
-      : destroyed(other.destroyed), owner(std::exchange(other.owner, false)) {}
+      : destroyed(other.destroyed),
+        then(std::move(other.then)),
+        owner(std::exchange(other.owner, false)) {}
   DestroyProbe& operator=(DestroyProbe&&) = delete;
   ~DestroyProbe() {
-    if (owner) ++*destroyed;
+    if (!owner) return;
+    ++*destroyed;
+    if (then) then();
   }
   int* destroyed;
+  std::function<void()> then;
   bool owner = true;
 };
 
@@ -257,6 +265,19 @@ TEST(CallbackTest, PendingCapturesDieOnceWithTheScheduler) {
     EXPECT_EQ(destroyed, 0);
   }
   EXPECT_EQ(destroyed, 2);
+}
+
+TEST(CallbackTest, DyingCaptureMayCancelAndScheduleWhileTheSchedulerDies) {
+  int destroyed = 0;
+  {
+    Scheduler s;
+    EventHandle other = s.schedule_after(milliseconds(2), [probe = DestroyProbe(&destroyed)] {});
+    s.schedule_after(milliseconds(1), [probe = DestroyProbe(&destroyed, [&] {
+                                         s.cancel(other);
+                                         s.post([probe = DestroyProbe(&destroyed)] {});
+                                       })] {});
+  }
+  EXPECT_EQ(destroyed, 3);
 }
 
 TEST(SlotPoolTest, CallbackThatGrowsThePoolWhileRunningKeepsItsCapture) {
