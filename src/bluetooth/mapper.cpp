@@ -9,10 +9,8 @@ namespace umiddle::bt {
 
 BtTranslator::BtTranslator(BtMapper& mapper, BtDeviceInfo device, SdpRecord record,
                            const core::UsdlService& usdl)
-    : Translator(device.name, "bluetooth", record.service_uuid, usdl.shape),
-      mapper_(mapper), device_(std::move(device)), record_(std::move(record)), usdl_(usdl) {
-  set_hierarchy_entities(usdl.hierarchy_entities);
-}
+    : UsdlTranslator(device.name, usdl), mapper_(mapper), device_(std::move(device)),
+      record_(std::move(record)) {}
 
 BtTranslator::~BtTranslator() {
   // Close any spans still open for in-flight native operations: the tracer
@@ -27,40 +25,34 @@ BtTranslator::~BtTranslator() {
 bool BtTranslator::ready(const std::string&) const { return !busy_; }
 
 void BtTranslator::on_mapped() {
-  for (const core::UsdlBinding& binding : usdl_.bindings) {
+  for (const core::UsdlBinding& binding : usdl().bindings) {
     if (binding.kind == "obex-push-sink") setup_push_sink(binding);
     if (binding.kind == "hid-events") setup_hid_events(binding);
   }
 }
 
-void BtTranslator::on_unmapped() {
-  lifetime_.reset();
+void BtTranslator::teardown() {
   if (sink_psm_ != 0) mapper_.adapter().stop_psm(sink_psm_);
   if (hid_channel_) hid_channel_->close();
 }
 
 Result<void> BtTranslator::deliver(const std::string& port, const core::Message& msg) {
-  for (const core::UsdlBinding* binding : usdl_.bindings_for(port)) {
-    if (binding->kind == "obex-get") {
-      run_obex_get(*binding);
-      return ok_result();
-    }
-    if (binding->kind == "obex-put") {
-      run_obex_put(*binding, msg);
-      return ok_result();
-    }
+  if (const core::UsdlBinding* get = find_binding("obex-get", port)) {
+    run_obex_get(*get);
+    return ok_result();
+  }
+  if (const core::UsdlBinding* put = find_binding("obex-put", port)) {
+    run_obex_put(*put, msg);
+    return ok_result();
   }
   return make_error(Errc::unsupported, "no input binding for port " + port);
 }
 
 void BtTranslator::emit_object(const std::string& port, const obex::Object& object) {
-  const core::PortSpec* spec = profile().shape.find(port);
-  if (spec == nullptr || !mapped()) return;
   core::Message msg;
-  msg.type = spec->type.is_wildcard() ? MimeType::of("application/octet-stream") : spec->type;
   msg.payload = object.data;
   if (!object.name.empty()) msg.meta["filename"] = object.name;
-  (void)emit(port, std::move(msg));
+  (void)emit_typed(port, std::move(msg));
 }
 
 void BtTranslator::finish_operation() {
@@ -68,7 +60,7 @@ void BtTranslator::finish_operation() {
                                                 mapper_.runtime().scheduler().now());
   native_span_ = 0;
   busy_ = false;
-  if (mapped()) runtime()->notify_ready(profile().id);
+  notify_ready();
 }
 
 Result<net::StreamPtr> BtTranslator::connect_service() {
@@ -82,7 +74,7 @@ void BtTranslator::run_obex_get(const core::UsdlBinding& binding) {
       0, "native.bt", mapper_.runtime().host(), mapper_.runtime().scheduler().now());
   std::string emit_port = binding.emit_port;
   obex::Client::get(connect_service(), binding.native.attr("type"), "",
-                    lifetime_.guard([this, emit_port](Result<obex::Object> object) {
+                    lifetime().guard([this, emit_port](Result<obex::Object> object) {
                       if (object.ok() && !emit_port.empty()) {
                         emit_object(emit_port, object.value());
                       } else if (!object.ok()) {
@@ -103,7 +95,7 @@ void BtTranslator::run_obex_put(const core::UsdlBinding& binding, const core::Me
   auto name = msg.meta.find("filename");
   object.name = name != msg.meta.end() ? name->second : "object";
   object.data = msg.payload;
-  obex::Client::put(connect_service(), std::move(object), lifetime_.guard([this](Result<void> r) {
+  obex::Client::put(connect_service(), std::move(object), lifetime().guard([this](Result<void> r) {
     if (!r.ok()) {
       log::Entry(log::Level::warn, "bt") << "OBEX PUT failed: " << r.error().to_string();
     }
@@ -115,7 +107,7 @@ void BtTranslator::setup_push_sink(const core::UsdlBinding& binding) {
   sink_psm_ = mapper_.allocate_psm();
   std::string port = binding.port;
   sink_server_ = std::make_unique<obex::Server>(
-      lifetime_.guard([this, port](const obex::Object& object) {
+      lifetime().guard([this, port](const obex::Object& object) {
         if (!sink_spans_.empty()) {
           mapper_.runtime().network().tracer().end_span(sink_spans_.front(),
                                                         mapper_.runtime().scheduler().now());
@@ -158,7 +150,7 @@ void BtTranslator::setup_hid_events(const core::UsdlBinding& binding) {
   }
   hid_channel_ = stream.value();
   std::string port = binding.port;
-  hid_channel_->on_data(lifetime_.guard(
+  hid_channel_->on_data(lifetime().guard(
       [this, port](std::span<const std::uint8_t> chunk) { handle_hid_bytes(port, chunk); }));
 }
 
@@ -178,11 +170,11 @@ void BtTranslator::handle_hid_bytes(const std::string& port,
     sim::Scheduler* sched = &mapper_.runtime().scheduler();
     mapper_.runtime().scheduler().schedule_after(
         mapper_.costs().vml_translate,
-        sim::boxed([this, alive = lifetime_.token(), port, r, tracer, sched, trace, span]() {
+        sim::boxed([this, alive = lifetime().token(), port, r, tracer, sched, trace, span]() {
           // tracer/sched outlive the translator (world-owned): close the span
           // even if the translator was unmapped while the translation ran.
           tracer->end_span(span, sched->now());
-          if (!*alive || !mapped()) return;
+          if (!*alive) return;
           xml::Element vml("vml");
           vml.set_attr("xmlns", "urn:schemas-microsoft-com:vml");
           xml::Element& ev = vml.add_child("event");
@@ -190,11 +182,9 @@ void BtTranslator::handle_hid_bytes(const std::string& port,
           ev.set_attr("buttons", std::to_string(r.buttons));
           ev.set_attr("dx", std::to_string(r.dx));
           ev.set_attr("dy", std::to_string(r.dy));
-          const core::PortSpec* spec = profile().shape.find(port);
-          if (spec == nullptr) return;
-          core::Message msg = core::Message::text(spec->type, vml.to_string());
+          core::Message msg = core::Message::text({}, vml.to_string());
           msg.trace = trace;
-          (void)emit(port, std::move(msg));
+          (void)emit_typed(port, std::move(msg));
         }),
         {sim::host_id(mapper_.runtime().host()), sim::tag_id("bt.vml")});
   }
@@ -203,7 +193,7 @@ void BtTranslator::handle_hid_bytes(const std::string& port,
 // --- BtMapper --------------------------------------------------------------------------
 
 BtMapper::BtMapper(BluetoothMedium& medium, const core::UsdlLibrary& library, BtCosts costs)
-    : Mapper("bluetooth"), medium_(medium), library_(library), costs_(costs) {}
+    : Mapper("bluetooth", library), medium_(medium), costs_(costs) {}
 
 void BtMapper::start(core::Runtime& runtime) {
   if (auto r = medium_.attach_host(runtime.host()); !r.ok()) {
@@ -253,8 +243,7 @@ void BtMapper::handle_device(const BtDeviceInfo& info) {
                 return;
               }
               for (const SdpRecord& record : records.value()) {
-                const core::UsdlService* usdl =
-                    library_.find("bluetooth", record.service_uuid);
+                const core::UsdlService* usdl = this->usdl(record.service_uuid);
                 if (usdl == nullptr) continue;
                 import(hex_address(info.address),
                        std::make_unique<BtTranslator>(*this, info, record, *usdl),

@@ -25,7 +25,6 @@
 #include "bluetooth/obex.hpp"
 #include "bluetooth/sdp.hpp"
 #include "core/umiddle.hpp"
-#include "sim/timer.hpp"
 
 namespace umiddle::bt {
 
@@ -44,7 +43,7 @@ class BtMapper;
 
 /// Generic Bluetooth translator, parameterized by a USDL service description
 /// and the device's SDP record.
-class BtTranslator final : public core::Translator {
+class BtTranslator final : public core::UsdlTranslator {
  public:
   BtTranslator(BtMapper& mapper, BtDeviceInfo device, SdpRecord record,
                const core::UsdlService& usdl);
@@ -53,9 +52,9 @@ class BtTranslator final : public core::Translator {
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
   bool ready(const std::string& port) const override;
   void on_mapped() override;
-  void on_unmapped() override;
 
  private:
+  void teardown() override;
   void setup_push_sink(const core::UsdlBinding& binding);
   void setup_hid_events(const core::UsdlBinding& binding);
   /// Open an L2CAP channel from the adapter to the device's service PSM.
@@ -69,7 +68,6 @@ class BtTranslator final : public core::Translator {
   BtMapper& mapper_;
   BtDeviceInfo device_;
   SdpRecord record_;
-  const core::UsdlService& usdl_;
   bool busy_ = false;
   /// Open "native.bt" span for the in-flight OBEX operation (obs tracing);
   /// closed by finish_operation on every completion/failure path.
@@ -82,7 +80,6 @@ class BtTranslator final : public core::Translator {
   std::deque<std::uint64_t> sink_spans_;
   net::StreamPtr hid_channel_;
   HidReader hid_reader_;
-  sim::Lifetime lifetime_;  ///< ends at unmap
 };
 
 /// The mapper's own radio presence: the uMiddle node joined to the piconet.
@@ -111,7 +108,6 @@ class BtMapper final : public core::Mapper {
   void handle_device(const BtDeviceInfo& info);
 
   BluetoothMedium& medium_;
-  const core::UsdlLibrary& library_;
   BtCosts costs_;
   std::unique_ptr<BtAdapter> adapter_;
   std::vector<std::uint64_t> listener_tokens_;

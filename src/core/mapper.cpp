@@ -4,12 +4,17 @@
 
 #include "common/log.hpp"
 #include "core/runtime.hpp"
+#include "core/usdl.hpp"
 
 namespace umiddle::core {
 
 const Mapper::Import* Mapper::find(const std::string& key) const {
   auto it = imports_.find(key);
   return it == imports_.end() ? nullptr : &it->second;
+}
+
+const UsdlService* Mapper::usdl(std::string_view match) const {
+  return library_.find(platform_, match);
 }
 
 void Mapper::import(const std::string& key, std::unique_ptr<Translator> translator,

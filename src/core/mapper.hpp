@@ -10,7 +10,8 @@
 // Every mapper shares one import table (DESIGN.md §7.5): native device key →
 // mapped translator or import in flight. Subclasses do the platform work and
 // call import/gone/seen/forget_unseen; the runtime forgets the table on
-// stop() and crash().
+// stop() and crash(). USDL descriptions are looked up under the mapper's own
+// platform name.
 #pragma once
 
 #include <functional>
@@ -18,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/ids.hpp"
 #include "common/result.hpp"
@@ -27,6 +29,8 @@ namespace umiddle::core {
 
 class Runtime;
 class Translator;
+class UsdlLibrary;
+struct UsdlService;
 
 class Mapper {
  public:
@@ -40,7 +44,9 @@ class Mapper {
     sim::TimePoint last_seen{};
   };
 
-  explicit Mapper(std::string platform) : platform_(std::move(platform)) {}
+  /// `library` must outlive the mapper.
+  Mapper(std::string platform, const UsdlLibrary& library)
+      : platform_(std::move(platform)), library_(library) {}
   virtual ~Mapper() = default;
   Mapper(const Mapper&) = delete;
   Mapper& operator=(const Mapper&) = delete;
@@ -60,6 +66,9 @@ class Mapper {
   const Import* find(const std::string& key) const;
 
  protected:
+  /// The USDL description of native type `match` on this platform; nullptr if
+  /// the library has none.
+  const UsdlService* usdl(std::string_view match) const;
   /// Instantiate `translator` for the device under `key`. A known key, a null
   /// translator or a stopped runtime imports nothing and resolves `done` with
   /// an error.
@@ -88,6 +97,7 @@ class Mapper {
   void retire(Entry& entry);
 
   std::string platform_;
+  const UsdlLibrary& library_;
   Runtime* runtime_ = nullptr;
   std::map<std::string, Entry> imports_;
 };

@@ -13,10 +13,13 @@ Translator::Translator(std::string name, std::string platform, std::string devic
 }
 
 Result<void> Translator::emit(const std::string& port, Message msg) {
+  return route(port, profile_.shape.find(port), std::move(msg));
+}
+
+Result<void> Translator::route(const std::string& port, const PortSpec* spec, Message msg) {
   if (runtime_ == nullptr) {
     return make_error(Errc::internal, "translator not mapped: " + profile_.name);
   }
-  const PortSpec* spec = profile_.shape.find(port);
   if (spec == nullptr) {
     return make_error(Errc::not_found, "no such port: " + port + " on " + profile_.name);
   }
@@ -29,6 +32,36 @@ Result<void> Translator::emit(const std::string& port, Message msg) {
                                               spec->type.to_string());
   }
   return runtime_->route_emit(PortRef{profile_.id, port}, std::move(msg));
+}
+
+UsdlTranslator::UsdlTranslator(std::string name, const UsdlService& usdl)
+    : Translator(std::move(name), usdl.platform, usdl.match, usdl.shape), usdl_(usdl) {
+  set_hierarchy_entities(usdl.hierarchy_entities);
+}
+
+const UsdlBinding* UsdlTranslator::find_binding(std::string_view kind,
+                                                 std::string_view port) const {
+  for (const UsdlBinding& b : usdl_.bindings) {
+    if (b.kind == kind && b.port == port) return &b;
+  }
+  return nullptr;
+}
+
+void UsdlTranslator::on_unmapped() {
+  lifetime_.reset();
+  teardown();
+}
+
+Result<void> UsdlTranslator::emit_typed(const std::string& port, Message msg) {
+  const PortSpec* spec = profile().shape.find(port);
+  if (spec != nullptr) {
+    msg.type = spec->type.is_wildcard() ? MimeType::of("application/octet-stream") : spec->type;
+  }
+  return route(port, spec, std::move(msg));
+}
+
+void UsdlTranslator::notify_ready() {
+  if (mapped()) runtime()->notify_ready(profile().id);
 }
 
 }  // namespace umiddle::core

@@ -6,15 +6,20 @@
 // activity is emitted from its output ports — and (3) encapsulates the
 // device-specific protocol, built on the base-protocol support of its mapper.
 //
-// Concrete subclasses live in the platform modules (a generic one per platform,
-// parameterized by USDL) and in native uMiddle services (native_device.hpp).
+// Concrete subclasses live in the platform modules (one generic UsdlTranslator
+// per platform, parameterized by USDL) and in native uMiddle services
+// (native_device.hpp).
 #pragma once
 
 #include <memory>
+#include <ranges>
 #include <string>
+#include <string_view>
 
 #include "core/message.hpp"
 #include "core/profile.hpp"
+#include "core/usdl.hpp"
+#include "sim/timer.hpp"
 
 namespace umiddle::core {
 
@@ -63,9 +68,57 @@ class Translator {
 
  private:
   friend class Runtime;
+  friend class UsdlTranslator;
+  /// emit() once `port` has been looked up: `spec` is its entry in our shape,
+  /// or nullptr if there is none.
+  [[nodiscard]] Result<void> route(const std::string& port, const PortSpec* spec, Message msg);
+
   TranslatorProfile profile_;
   int hierarchy_entities_ = 0;
   Runtime* runtime_ = nullptr;
+};
+
+/// A platform's generic translator, parameterized by one USDL service
+/// description (paper §3.4, DESIGN.md §7.7). The rules every platform shares
+/// live here once: identity, shape and hierarchy entities come from the
+/// description; bindings are found by kind and port; output is typed by its
+/// port; and one Lifetime guards the platform's callbacks until unmap. A
+/// subclass keeps only its native protocol.
+class UsdlTranslator : public Translator {
+ public:
+  /// The platform and device type are the (platform, match) key the mapper
+  /// found `usdl` under; `usdl` must outlive the translator (the library
+  /// owns it).
+  UsdlTranslator(std::string name, const UsdlService& usdl);
+
+  const UsdlService& usdl() const { return usdl_; }
+  /// The first binding of `kind` on `port`, in document order; nullptr if none.
+  const UsdlBinding* find_binding(std::string_view kind, std::string_view port) const;
+  /// Every binding of `kind`, in document order. The view refers to the
+  /// characters of `kind`: pass a literal, not a temporary string.
+  auto bindings(std::string_view kind) const {
+    return usdl_.bindings |
+           std::views::filter([kind](const UsdlBinding& b) { return b.kind == kind; });
+  }
+
+  /// Ends lifetime(), then runs the platform's teardown().
+  void on_unmapped() final;
+
+ protected:
+  /// emit() typed as `port` declares: its type, or application/octet-stream
+  /// for a wildcard port. An unmapped translator or an unknown port is an
+  /// error, and nothing is routed.
+  [[nodiscard]] Result<void> emit_typed(const std::string& port, Message msg);
+  /// Tell the transport our input ports may accept again (backpressure).
+  void notify_ready();
+  /// Guards the platform's callbacks; ends at unmap, before teardown().
+  const sim::Lifetime& lifetime() const { return lifetime_; }
+  /// The platform's own unmap work: close channels, drop subscriptions.
+  virtual void teardown() {}
+
+ private:
+  const UsdlService& usdl_;
+  sim::Lifetime lifetime_;
 };
 
 }  // namespace umiddle::core

@@ -4,15 +4,6 @@
 #include "xml/parser.hpp"
 
 namespace umiddle::core {
-
-std::vector<const UsdlBinding*> UsdlService::bindings_for(std::string_view port) const {
-  std::vector<const UsdlBinding*> out;
-  for (const UsdlBinding& b : bindings) {
-    if (b.port == port) out.push_back(&b);
-  }
-  return out;
-}
-
 namespace {
 
 Result<UsdlBinding> parse_binding(const xml::Element& el, const Shape& shape) {

@@ -76,9 +76,6 @@ struct UsdlService {
   int hierarchy_entities = 0;
   Shape shape;
   std::vector<UsdlBinding> bindings;
-
-  /// All bindings attached to the given port name.
-  std::vector<const UsdlBinding*> bindings_for(std::string_view port) const;
 };
 
 struct UsdlDocument {

@@ -42,11 +42,8 @@ constexpr std::size_t kProduceBacklogLimit = 32 * 1024;
 
 MbTranslator::MbTranslator(MbMapper& mapper, std::string stream, std::string media_type,
                            const core::UsdlService& usdl)
-    : Translator("MB " + stream, "mb", "mb:" + media_type, usdl.shape),
-      mapper_(mapper), stream_(std::move(stream)), media_type_(std::move(media_type)),
-      usdl_(usdl) {
-  set_hierarchy_entities(usdl.hierarchy_entities);
-}
+    : UsdlTranslator("MB " + stream, usdl), mapper_(mapper), stream_(std::move(stream)),
+      media_type_(std::move(media_type)) {}
 
 void MbTranslator::on_mapped() {
   client_ = std::make_unique<MbClient>(mapper_.runtime().network(),
@@ -59,21 +56,15 @@ void MbTranslator::on_mapped() {
   }
   // Backpressure handshake with the transport: once our produce backlog
   // drains, paths feeding media-in may resume.
-  client_->on_drain(lifetime_.guard([this]() {
-    if (mapped()) runtime()->notify_ready(profile().id);
-  }));
-  for (const core::UsdlBinding& b : usdl_.bindings) {
+  client_->on_drain(lifetime().guard([this]() { notify_ready(); }));
+  for (const core::UsdlBinding& b : usdl().bindings) {
     if (b.kind == "mb-consume") {
       (void)client_->consume(stream_);
       std::string port = b.port;
-      client_->on_data(lifetime_.guard([this, port](const std::string&, const Bytes& data) {
-        if (!mapped()) return;
-        const core::PortSpec* spec = profile().shape.find(port);
-        if (spec == nullptr) return;
+      client_->on_data(lifetime().guard([this, port](const std::string&, const Bytes& data) {
         core::Message msg;
-        msg.type = spec->type;
         msg.payload = data;
-        (void)emit(port, std::move(msg));
+        (void)emit_typed(port, std::move(msg));
       }));
     }
     if (b.kind == "mb-produce") {
@@ -82,8 +73,7 @@ void MbTranslator::on_mapped() {
   }
 }
 
-void MbTranslator::on_unmapped() {
-  lifetime_.reset();
+void MbTranslator::teardown() {
   if (client_) {
     (void)client_->retire(out_stream());
     client_->close();
@@ -97,17 +87,16 @@ bool MbTranslator::ready(const std::string&) const {
 
 Result<void> MbTranslator::deliver(const std::string& port, const core::Message& msg) {
   if (client_ == nullptr) return make_error(Errc::disconnected, "mb: no broker connection");
-  for (const core::UsdlBinding* b : usdl_.bindings_for(port)) {
-    if (b->kind != "mb-produce") continue;
-    return client_->send(out_stream(), msg.payload);
+  if (find_binding("mb-produce", port) == nullptr) {
+    return make_error(Errc::unsupported, "no produce binding for port " + port);
   }
-  return make_error(Errc::unsupported, "no produce binding for port " + port);
+  return client_->send(out_stream(), msg.payload);
 }
 
 // --- MbMapper ------------------------------------------------------------------------
 
 MbMapper::MbMapper(net::Endpoint server, const core::UsdlLibrary& library)
-    : Mapper("mb"), server_(std::move(server)), library_(library) {}
+    : Mapper("mb", library), server_(std::move(server)) {}
 
 void MbMapper::start(core::Runtime& runtime) {
   watcher_ = std::make_unique<MbClient>(runtime.network(), runtime.host(), server_);
@@ -132,7 +121,7 @@ void MbMapper::handle_announce(const std::string& stream, const std::string& med
   }
   if (find(stream) != nullptr) return;
   if (stream.size() > 4 && stream.rfind("-out") == stream.size() - 4) return;  // our own
-  const core::UsdlService* usdl = library_.find("mb", "mb:" + media_type);
+  const core::UsdlService* usdl = this->usdl("mb:" + media_type);
   if (usdl == nullptr) {
     log::Entry(log::Level::info, "mb") << "no USDL for media type " << media_type;
     return;

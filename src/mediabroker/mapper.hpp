@@ -16,13 +16,12 @@
 
 #include "core/umiddle.hpp"
 #include "mediabroker/client.hpp"
-#include "sim/timer.hpp"
 
 namespace umiddle::mb {
 
 class MbMapper;
 
-class MbTranslator final : public core::Translator {
+class MbTranslator final : public core::UsdlTranslator {
  public:
   MbTranslator(MbMapper& mapper, std::string stream, std::string media_type,
                const core::UsdlService& usdl);
@@ -30,19 +29,18 @@ class MbTranslator final : public core::Translator {
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
   bool ready(const std::string& port) const override;
   void on_mapped() override;
-  void on_unmapped() override;
 
   const std::string& stream() const { return stream_; }
   /// Name translated traffic is published under.
   std::string out_stream() const { return stream_ + "-out"; }
 
  private:
+  void teardown() override;
+
   MbMapper& mapper_;
   std::string stream_;
   std::string media_type_;
-  const core::UsdlService& usdl_;
   std::unique_ptr<MbClient> client_;
-  sim::Lifetime lifetime_;  ///< ends at unmap
 };
 
 class MbMapper final : public core::Mapper {
@@ -58,7 +56,6 @@ class MbMapper final : public core::Mapper {
   void handle_announce(const std::string& stream, const std::string& media_type, bool alive);
 
   net::Endpoint server_;
-  const core::UsdlLibrary& library_;
   std::unique_ptr<MbClient> watcher_;
 };
 

@@ -43,25 +43,21 @@ constexpr const char* kMoteUsdl = R"USDL(
 
 MoteTranslator::MoteTranslator(std::uint16_t mote_id, SensorKind kind,
                                const core::UsdlService& usdl)
-    : Translator("Mote " + std::to_string(mote_id) + " (" + to_string(kind) + ")",
-                 "motes", "mote:" + std::string(to_string(kind)), usdl.shape),
-      mote_id_(mote_id), kind_(kind), usdl_(usdl) {}
+    : UsdlTranslator("Mote " + std::to_string(mote_id) + " (" + to_string(kind) + ")", usdl),
+      mote_id_(mote_id) {}
 
 Result<void> MoteTranslator::deliver(const std::string& port, const core::Message&) {
   return make_error(Errc::unsupported, "motes are telemetry-only: " + port);
 }
 
 void MoteTranslator::handle_reading(const Reading& reading) {
-  for (const core::UsdlBinding& b : usdl_.bindings) {
-    if (b.kind != "am-telemetry") continue;
-    const core::PortSpec* spec = profile().shape.find(b.port);
-    if (spec == nullptr || !mapped()) continue;
+  for (const core::UsdlBinding& b : bindings("am-telemetry")) {
     xml::Element doc("reading");
     doc.set_attr("mote", std::to_string(reading.mote_id));
     doc.set_attr("sensor", to_string(reading.kind));
     doc.set_attr("value", std::to_string(reading.value));
     doc.set_attr("seq", std::to_string(reading.sequence));
-    (void)emit(b.port, core::Message::text(spec->type, doc.to_string()));
+    (void)emit_typed(b.port, core::Message::text({}, doc.to_string()));
   }
 }
 
@@ -69,7 +65,7 @@ void MoteTranslator::handle_reading(const Reading& reading) {
 
 MoteMapper::MoteMapper(MoteField& field, const core::UsdlLibrary& library,
                        sim::Duration silence_timeout)
-    : Mapper("motes"), field_(field), library_(library), silence_timeout_(silence_timeout) {}
+    : Mapper("motes", library), field_(field), silence_timeout_(silence_timeout) {}
 
 void MoteMapper::start(core::Runtime& runtime) {
   sweep_timer_.emplace(runtime.scheduler(),
@@ -108,8 +104,7 @@ void MoteMapper::handle_packet(const Bytes& payload) {
     }
     return;
   }
-  const core::UsdlService* usdl =
-      library_.find("motes", "mote:" + std::string(to_string(r.kind)));
+  const core::UsdlService* usdl = this->usdl("mote:" + std::string(to_string(r.kind)));
   if (usdl == nullptr) return;
   import(key, std::make_unique<MoteTranslator>(r.mote_id, r.kind, *usdl));
 }

@@ -20,7 +20,7 @@ namespace umiddle::motes {
 
 class MoteMapper;
 
-class MoteTranslator final : public core::Translator {
+class MoteTranslator final : public core::UsdlTranslator {
  public:
   MoteTranslator(std::uint16_t mote_id, SensorKind kind, const core::UsdlService& usdl);
 
@@ -33,8 +33,6 @@ class MoteTranslator final : public core::Translator {
 
  private:
   std::uint16_t mote_id_;
-  SensorKind kind_;
-  const core::UsdlService& usdl_;
 };
 
 class MoteMapper final : public core::Mapper {
@@ -50,7 +48,6 @@ class MoteMapper final : public core::Mapper {
   void sweep();
 
   MoteField& field_;
-  const core::UsdlLibrary& library_;
   sim::Duration silence_timeout_;
   std::optional<sim::Timer> sweep_timer_;  ///< next silence sweep; set while started
 };

@@ -31,10 +31,8 @@ constexpr const char* kEchoUsdl = R"USDL(
 
 RmiTranslator::RmiTranslator(RmiMapper& mapper, Binding binding,
                              const core::UsdlService& usdl)
-    : Translator(binding.name + " (RMI)", "rmi", binding.type, usdl.shape),
-      mapper_(mapper), binding_(std::move(binding)), usdl_(usdl) {
-  set_hierarchy_entities(usdl.hierarchy_entities);
-}
+    : UsdlTranslator(binding.name + " (RMI)", usdl), mapper_(mapper),
+      binding_(std::move(binding)) {}
 
 void RmiTranslator::on_mapped() {
   // Persistent connection to the native service (real RMI stubs cache these).
@@ -48,15 +46,13 @@ void RmiTranslator::on_mapped() {
   connection_ = std::make_shared<RmiConnection>(stream.value());
 
   // Export + advertise the gateway for every gateway binding.
-  for (const core::UsdlBinding& b : usdl_.bindings) {
-    if (b.kind != "gateway") continue;
+  for (const core::UsdlBinding& b : bindings("gateway")) {
     mapper_.export_gateway(*this, b.native.attr("method"));
     mapper_.bind_gateway_in_registry(binding_.name);
   }
 }
 
-void RmiTranslator::on_unmapped() {
-  lifetime_.reset();
+void RmiTranslator::teardown() {
   mapper_.gateway_server().remove_object("umiddle-gw-" + binding_.name);
   if (connection_) connection_->close();
   connection_ = nullptr;
@@ -70,32 +66,27 @@ Result<void> RmiTranslator::deliver(const std::string& port, const core::Message
   if (connection_ == nullptr) {
     return make_error(Errc::disconnected, "rmi: no connection to " + binding_.name);
   }
-  for (const core::UsdlBinding* b : usdl_.bindings_for(port)) {
-    if (b->kind != "call") continue;
-    Call call{binding_.name, b->native.attr("method"), msg.payload};
-    connection_->call(std::move(call), lifetime_.guard([this](Result<Return> r) {
-      if (!r.ok()) {
-        log::Entry(log::Level::warn, "rmi") << "call failed: " << r.error().to_string();
-      } else if (r.value().exception) {
-        log::Entry(log::Level::warn, "rmi")
-            << "remote exception: " << umiddle::to_string(r.value().value);
-      }
-      if (mapped()) runtime()->notify_ready(profile().id);
-    }));
-    return ok_result();
-  }
-  return make_error(Errc::unsupported, "no call binding for port " + port);
+  const core::UsdlBinding* b = find_binding("call", port);
+  if (b == nullptr) return make_error(Errc::unsupported, "no call binding for port " + port);
+  Call call{binding_.name, b->native.attr("method"), msg.payload};
+  connection_->call(std::move(call), lifetime().guard([this](Result<Return> r) {
+    if (!r.ok()) {
+      log::Entry(log::Level::warn, "rmi") << "call failed: " << r.error().to_string();
+    } else if (r.value().exception) {
+      log::Entry(log::Level::warn, "rmi")
+          << "remote exception: " << umiddle::to_string(r.value().value);
+    }
+    notify_ready();
+  }));
+  return ok_result();
 }
 
 void RmiTranslator::gateway_receive(const std::string& method, const Bytes& data) {
-  for (const core::UsdlBinding& b : usdl_.bindings) {
-    if (b.kind != "gateway" || b.native.attr("method") != method) continue;
-    const core::PortSpec* spec = profile().shape.find(b.port);
-    if (spec == nullptr || !mapped()) continue;
+  for (const core::UsdlBinding& b : bindings("gateway")) {
+    if (b.native.attr("method") != method) continue;
     core::Message msg;
-    msg.type = spec->type;
     msg.payload = data;
-    (void)emit(b.port, std::move(msg));
+    (void)emit_typed(b.port, std::move(msg));
   }
 }
 
@@ -103,8 +94,8 @@ void RmiTranslator::gateway_receive(const std::string& method, const Bytes& data
 
 RmiMapper::RmiMapper(net::Endpoint registry, const core::UsdlLibrary& library,
                      std::uint16_t gateway_port, sim::Duration poll_interval)
-    : Mapper("rmi"), registry_(std::move(registry)), library_(library),
-      gateway_port_(gateway_port), poll_interval_(poll_interval) {}
+    : Mapper("rmi", library), registry_(std::move(registry)), gateway_port_(gateway_port),
+      poll_interval_(poll_interval) {}
 
 void RmiMapper::start(core::Runtime& runtime) {
   poll_timer_.emplace(runtime.scheduler(),
@@ -141,7 +132,7 @@ void RmiMapper::handle_listing(const std::vector<Binding>& bindings) {
   for (const Binding& binding : bindings) {
     if (binding.name.rfind("umiddle-gw-", 0) == 0) continue;  // our own gateways
     if (seen(binding.name, now) != nullptr) continue;
-    const core::UsdlService* usdl = library_.find("rmi", binding.type);
+    const core::UsdlService* usdl = this->usdl(binding.type);
     if (usdl == nullptr) continue;
     import(binding.name, std::make_unique<RmiTranslator>(*this, binding, *usdl));
   }

@@ -26,14 +26,13 @@ namespace umiddle::rmi {
 
 class RmiMapper;
 
-class RmiTranslator final : public core::Translator {
+class RmiTranslator final : public core::UsdlTranslator {
  public:
   RmiTranslator(RmiMapper& mapper, Binding binding, const core::UsdlService& usdl);
 
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
   bool ready(const std::string& port) const override;
   void on_mapped() override;
-  void on_unmapped() override;
 
   /// Called by the mapper's gateway server when the native service pushes.
   void gateway_receive(const std::string& method, const Bytes& data);
@@ -41,11 +40,11 @@ class RmiTranslator final : public core::Translator {
   const Binding& binding() const { return binding_; }
 
  private:
+  void teardown() override;
+
   RmiMapper& mapper_;
   Binding binding_;
-  const core::UsdlService& usdl_;
   std::shared_ptr<RmiConnection> connection_;
-  sim::Lifetime lifetime_;  ///< ends at unmap
 };
 
 class RmiMapper final : public core::Mapper {
@@ -70,7 +69,6 @@ class RmiMapper final : public core::Mapper {
   void handle_listing(const std::vector<Binding>& bindings);
 
   net::Endpoint registry_;
-  const core::UsdlLibrary& library_;
   std::uint16_t gateway_port_;
   sim::Duration poll_interval_;
   std::unique_ptr<RmiObjectServer> gateway_;

@@ -10,10 +10,8 @@ namespace umiddle::upnp {
 
 UpnpTranslator::UpnpTranslator(UpnpMapper& mapper, DeviceDescription description,
                                const core::UsdlService& usdl)
-    : Translator(description.friendly_name, "upnp", description.device_type, usdl.shape),
-      mapper_(mapper), description_(std::move(description)), usdl_(usdl) {
-  set_hierarchy_entities(usdl.hierarchy_entities);
-}
+    : UsdlTranslator(description.friendly_name, usdl), mapper_(mapper),
+      description_(std::move(description)) {}
 
 UpnpTranslator::~UpnpTranslator() {
   // The tracer (world state) outlives this translator: close the span of any
@@ -42,10 +40,11 @@ std::string UpnpTranslator::resolve_arg(const std::string& value,
 }
 
 Result<void> UpnpTranslator::deliver(const std::string& port, const core::Message& msg) {
-  if (profile().shape.find(port) == nullptr) {
-    return make_error(Errc::not_found, "no such port: " + port);
+  const core::UsdlBinding* action = find_binding("action", port);
+  if (action == nullptr) {
+    return make_error(Errc::unsupported, "no action binding for port " + port);
   }
-  queue_.push_back(Work{port, msg});
+  queue_.push_back(Work{action, msg});
   process_next();
   return ok_result();
 }
@@ -55,35 +54,19 @@ bool UpnpTranslator::ready(const std::string&) const { return !busy_ && queue_.e
 void UpnpTranslator::process_next() {
   if (busy_ || queue_.empty()) return;
   busy_ = true;
-  Work work = std::move(queue_.front());
+  current_ = std::move(queue_.front());
   queue_.pop_front();
-
-  const core::UsdlBinding* action_binding = nullptr;
-  for (const core::UsdlBinding* b : usdl_.bindings_for(work.port)) {
-    if (b->kind == "action") {
-      action_binding = b;
-      break;
-    }
-  }
-  if (action_binding == nullptr) {
-    log::Entry(log::Level::warn, "upnp") << "no action binding for port " << work.port
-                                         << " on " << profile().name;
-    busy_ = false;
-    process_next();
-    return;
-  }
   // Translate the uMiddle message into a UPnP action object (uMiddle-side
   // cost in the paper's §5.2 split), then invoke over SOAP.
   mapper_.runtime().network().metrics().counter("upnp.action_translations").inc();
   mapper_.runtime().scheduler().schedule_after(
-      mapper_.costs().action_translate,
-      sim::boxed(lifetime_.guard([this, binding = action_binding, msg = std::move(work.msg)]() {
-        run_binding(*binding, msg);
-      })),
+      mapper_.costs().action_translate, lifetime().guard([this]() { run_action(); }),
       {sim::host_id(mapper_.runtime().host()), sim::tag_id("upnp.action")});
 }
 
-void UpnpTranslator::run_binding(const core::UsdlBinding& binding, const core::Message& msg) {
+void UpnpTranslator::run_action() {
+  const core::UsdlBinding& binding = *current_.action;
+  const core::Message& msg = current_.msg;
   const ServiceDescription* svc = service_for(binding.native);
   if (svc == nullptr) {
     log::Entry(log::Level::warn, "upnp")
@@ -108,7 +91,7 @@ void UpnpTranslator::run_binding(const core::UsdlBinding& binding, const core::M
   std::string emit_arg = binding.native.attr("emit-arg");
   mapper_.control_point().invoke(
       svc->control_url, std::move(request),
-      lifetime_.guard([this, emit_port, emit_arg](Result<ActionResponse> result) {
+      lifetime().guard([this, emit_port, emit_arg](Result<ActionResponse> result) {
         last_native_duration_ = mapper_.runtime().scheduler().now() - native_started_;
         mapper_.runtime().network().tracer().end_span(native_span_,
                                                       mapper_.runtime().scheduler().now());
@@ -116,19 +99,13 @@ void UpnpTranslator::run_binding(const core::UsdlBinding& binding, const core::M
         if (!result.ok()) {
           log::Entry(log::Level::warn, "upnp")
               << "action failed on " << profile().name << ": " << result.error().to_string();
-        } else if (!emit_port.empty() && mapped()) {
-          const core::PortSpec* spec = profile().shape.find(emit_port);
-          std::string value;
-          if (!emit_arg.empty()) {
-            auto it = result.value().args.find(emit_arg);
-            if (it != result.value().args.end()) value = it->second;
-          }
-          if (spec != nullptr) {
-            (void)emit(emit_port, core::Message::text(spec->type, value));
-          }
+        } else if (!emit_port.empty()) {
+          const auto& args = result.value().args;
+          auto it = args.find(emit_arg);
+          (void)emit_typed(emit_port, core::Message::text({}, it == args.end() ? "" : it->second));
         }
         busy_ = false;
-        if (mapped()) runtime()->notify_ready(profile().id);
+        notify_ready();
         process_next();
       }));
 }
@@ -137,28 +114,25 @@ void UpnpTranslator::on_mapped() {
   // Subscribe once per service that has event bindings; fan events out to the
   // bound output ports.
   std::set<std::string> subscribed;
-  for (const core::UsdlBinding& binding : usdl_.bindings) {
-    if (binding.kind != "event") continue;
+  for (const core::UsdlBinding& binding : bindings("event")) {
     const ServiceDescription* svc = service_for(binding.native);
     if (svc == nullptr || subscribed.count(svc->service_type) != 0) continue;
     subscribed.insert(svc->service_type);
     subscription_tokens_.push_back(mapper_.control_point().subscribe(
-        svc->event_sub_url, lifetime_.guard([this](const PropertySet& set) {
-          if (!mapped()) return;
+        svc->event_sub_url, lifetime().guard([this](const PropertySet& set) {
           mapper_.runtime().network().metrics().counter("upnp.gena_events").inc();
           for (const auto& [var, value] : set.properties) {
-            for (const core::UsdlBinding& b : usdl_.bindings) {
-              if (b.kind != "event" || b.native.attr("var") != var) continue;
-              const core::PortSpec* spec = profile().shape.find(b.port);
-              if (spec == nullptr) continue;
-              (void)emit(b.port, core::Message::text(spec->type, value));
+            for (const core::UsdlBinding& b : bindings("event")) {
+              if (b.native.attr("var") == var) {
+                (void)emit_typed(b.port, core::Message::text({}, value));
+              }
             }
           }
         })));
   }
 }
 
-void UpnpTranslator::on_unmapped() {
+void UpnpTranslator::teardown() {
   for (const std::string& token : subscription_tokens_) {
     mapper_.control_point().drop_subscription(token);
   }
@@ -169,7 +143,7 @@ void UpnpTranslator::on_unmapped() {
 
 UpnpMapper::UpnpMapper(const core::UsdlLibrary& library, std::uint16_t callback_port,
                        UpnpCosts costs)
-    : Mapper("upnp"), library_(library), callback_port_(callback_port), costs_(costs) {}
+    : Mapper("upnp", library), callback_port_(callback_port), costs_(costs) {}
 
 void UpnpMapper::start(core::Runtime& runtime) {
   control_point_ = std::make_unique<ControlPoint>(runtime.network(), runtime.host(),
@@ -191,7 +165,7 @@ void UpnpMapper::stop() {
 void UpnpMapper::handle_device(const DeviceDescription& description,
                                const std::string& location) {
   if (find(description.udn) != nullptr) return;
-  const core::UsdlService* usdl = library_.find("upnp", description.device_type);
+  const core::UsdlService* usdl = this->usdl(description.device_type);
   if (usdl == nullptr) {
     log::Entry(log::Level::info, "upnp")
         << "no USDL for device type " << description.device_type << " (" << location

@@ -15,7 +15,6 @@
 #include <memory>
 
 #include "core/umiddle.hpp"
-#include "sim/timer.hpp"
 #include "upnp/control_point.hpp"
 
 namespace umiddle::upnp {
@@ -23,7 +22,7 @@ namespace umiddle::upnp {
 class UpnpMapper;
 
 /// Generic UPnP translator, parameterized by a USDL service description.
-class UpnpTranslator final : public core::Translator {
+class UpnpTranslator final : public core::UsdlTranslator {
  public:
   UpnpTranslator(UpnpMapper& mapper, DeviceDescription description,
                  const core::UsdlService& usdl);
@@ -33,7 +32,6 @@ class UpnpTranslator final : public core::Translator {
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
   bool ready(const std::string& port) const override;
   void on_mapped() override;
-  void on_unmapped() override;
 
   /// Virtual time the last completed action spent in the UPnP domain
   /// (SOAP POST dispatch → response parsed); the §5.2 bench reads this.
@@ -42,27 +40,27 @@ class UpnpTranslator final : public core::Translator {
 
  private:
   struct Work {
-    std::string port;
+    const core::UsdlBinding* action = nullptr;
     core::Message msg;
   };
 
+  void teardown() override;
   void process_next();
-  void run_binding(const core::UsdlBinding& binding, const core::Message& msg);
+  void run_action();
   std::string resolve_arg(const std::string& value, const core::Message& msg) const;
   const ServiceDescription* service_for(const core::UsdlNative& native) const;
 
   UpnpMapper& mapper_;
   DeviceDescription description_;
-  const core::UsdlService& usdl_;
   std::deque<Work> queue_;
+  /// The action being translated or invoked; the translator is serial, so
+  /// the scheduled translation reads it here instead of capturing it.
+  Work current_;
   bool busy_ = false;
   sim::TimePoint native_started_{};
   sim::Duration last_native_duration_{0};
   /// Open "native.upnp" span for the in-flight SOAP action (obs tracing).
   std::uint64_t native_span_ = 0;
-  /// Guards async callbacks (SOAP responses, GENA events) against use after
-  /// the translator is destroyed.
-  sim::Lifetime lifetime_;
   std::vector<std::string> subscription_tokens_;
 };
 
@@ -83,7 +81,6 @@ class UpnpMapper final : public core::Mapper {
  private:
   void handle_device(const DeviceDescription& description, const std::string& location);
 
-  const core::UsdlLibrary& library_;
   std::uint16_t callback_port_;
   UpnpCosts costs_;
   std::unique_ptr<ControlPoint> control_point_;

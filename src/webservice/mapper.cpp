@@ -31,16 +31,12 @@ constexpr const char* kWeatherUsdl = R"USDL(
 // --- WsTranslator ----------------------------------------------------------------------
 
 WsTranslator::WsTranslator(WsMapper& mapper, WsEntry entry, const core::UsdlService& usdl)
-    : Translator(entry.name + " (WS)", "ws", "ws:" + entry.type, usdl.shape),
-      mapper_(mapper), entry_(std::move(entry)), usdl_(usdl) {
-  set_hierarchy_entities(usdl.hierarchy_entities);
-}
+    : UsdlTranslator(entry.name + " (WS)", usdl), mapper_(mapper), entry_(std::move(entry)) {}
 
 bool WsTranslator::ready(const std::string&) const { return !busy_; }
 
 void WsTranslator::on_mapped() {
-  for (const core::UsdlBinding& b : usdl_.bindings) {
-    if (b.kind != "ws-webhook") continue;
+  for ([[maybe_unused]] const core::UsdlBinding& hook : bindings("ws-webhook")) {
     std::string url = mapper_.register_webhook(*this);
     // Subscribe our webhook with the native service.
     ws_call(mapper_.runtime().network(), mapper_.runtime().host(), entry_.url, "subscribe",
@@ -53,48 +49,34 @@ void WsTranslator::on_mapped() {
   }
 }
 
-void WsTranslator::on_unmapped() {
-  lifetime_.reset();
-  mapper_.drop_webhooks(*this);
-}
+void WsTranslator::teardown() { mapper_.drop_webhooks(*this); }
 
 Result<void> WsTranslator::deliver(const std::string& port, const core::Message& msg) {
-  for (const core::UsdlBinding* b : usdl_.bindings_for(port)) {
-    if (b->kind != "ws-call") continue;
-    busy_ = true;
-    std::string emit_port = b->emit_port;
-    ws_call(mapper_.runtime().network(), mapper_.runtime().host(), entry_.url,
-            b->native.attr("method"), msg.payload,
-            lifetime_.guard([this, emit_port](Result<Bytes> result) {
-              busy_ = false;
-              if (result.ok() && !emit_port.empty() && mapped()) {
-                const core::PortSpec* spec = profile().shape.find(emit_port);
-                if (spec != nullptr) {
-                  core::Message out;
-                  out.type = spec->type;
-                  out.payload = std::move(result).take();
-                  (void)emit(emit_port, std::move(out));
-                }
-              } else if (!result.ok()) {
-                log::Entry(log::Level::warn, "ws")
-                    << "call failed: " << result.error().to_string();
-              }
-              if (mapped()) runtime()->notify_ready(profile().id);
-            }));
-    return ok_result();
-  }
-  return make_error(Errc::unsupported, "no ws-call binding for port " + port);
+  const core::UsdlBinding* b = find_binding("ws-call", port);
+  if (b == nullptr) return make_error(Errc::unsupported, "no ws-call binding for port " + port);
+  busy_ = true;
+  std::string emit_port = b->emit_port;
+  ws_call(mapper_.runtime().network(), mapper_.runtime().host(), entry_.url,
+          b->native.attr("method"), msg.payload,
+          lifetime().guard([this, emit_port](Result<Bytes> result) {
+            busy_ = false;
+            if (!result.ok()) {
+              log::Entry(log::Level::warn, "ws") << "call failed: " << result.error().to_string();
+            } else if (!emit_port.empty()) {
+              core::Message out;
+              out.payload = std::move(result).take();
+              (void)emit_typed(emit_port, std::move(out));
+            }
+            notify_ready();
+          }));
+  return ok_result();
 }
 
 void WsTranslator::webhook_receive(const Bytes& param) {
-  for (const core::UsdlBinding& b : usdl_.bindings) {
-    if (b.kind != "ws-webhook") continue;
-    const core::PortSpec* spec = profile().shape.find(b.port);
-    if (spec == nullptr || !mapped()) continue;
+  for (const core::UsdlBinding& b : bindings("ws-webhook")) {
     core::Message msg;
-    msg.type = spec->type;
     msg.payload = param;
-    (void)emit(b.port, std::move(msg));
+    (void)emit_typed(b.port, std::move(msg));
   }
 }
 
@@ -102,8 +84,8 @@ void WsTranslator::webhook_receive(const Bytes& param) {
 
 WsMapper::WsMapper(std::string listing_url, const core::UsdlLibrary& library,
                    std::uint16_t webhook_port, sim::Duration poll_interval)
-    : Mapper("ws"), listing_url_(std::move(listing_url)), library_(library),
-      webhook_port_(webhook_port), poll_interval_(poll_interval) {}
+    : Mapper("ws", library), listing_url_(std::move(listing_url)), webhook_port_(webhook_port),
+      poll_interval_(poll_interval) {}
 
 void WsMapper::start(core::Runtime& runtime) {
   poll_timer_.emplace(runtime.scheduler(),
@@ -164,7 +146,7 @@ void WsMapper::handle_listing(const std::vector<WsEntry>& entries) {
   const sim::TimePoint now = runtime().scheduler().now();
   for (const WsEntry& entry : entries) {
     if (seen(entry.name, now) != nullptr) continue;
-    const core::UsdlService* usdl = library_.find("ws", "ws:" + entry.type);
+    const core::UsdlService* usdl = this->usdl("ws:" + entry.type);
     if (usdl == nullptr) continue;
     import(entry.name, std::make_unique<WsTranslator>(*this, entry, *usdl));
   }

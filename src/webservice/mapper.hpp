@@ -25,14 +25,13 @@ namespace umiddle::ws {
 
 class WsMapper;
 
-class WsTranslator final : public core::Translator {
+class WsTranslator final : public core::UsdlTranslator {
  public:
   WsTranslator(WsMapper& mapper, WsEntry entry, const core::UsdlService& usdl);
 
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
   bool ready(const std::string& port) const override;
   void on_mapped() override;
-  void on_unmapped() override;
 
   /// Called by the mapper's webhook server.
   void webhook_receive(const Bytes& param);
@@ -40,11 +39,11 @@ class WsTranslator final : public core::Translator {
   const WsEntry& entry() const { return entry_; }
 
  private:
+  void teardown() override;
+
   WsMapper& mapper_;
   WsEntry entry_;
-  const core::UsdlService& usdl_;
   bool busy_ = false;
-  sim::Lifetime lifetime_;  ///< ends at unmap
 };
 
 class WsMapper final : public core::Mapper {
@@ -66,7 +65,6 @@ class WsMapper final : public core::Mapper {
   void handle_listing(const std::vector<WsEntry>& entries);
 
   std::string listing_url_;
-  const core::UsdlLibrary& library_;
   std::uint16_t webhook_port_;
   sim::Duration poll_interval_;
   std::unique_ptr<upnp::HttpServer> webhook_server_;

@@ -1,7 +1,8 @@
 // Integration tests for the uMiddle core: runtime + directory + transport over
 // the simulated network. Covers mapping/advertising, fixed and dynamic (query)
-// message paths, cross-node bridging over UMTP, backpressure, QoS, and the
-// virtual-time instantiation cost.
+// message paths, cross-node bridging over UMTP, backpressure, QoS, the
+// virtual-time instantiation cost, and the USDL translator's port-typed
+// emission and unmap lifetime.
 #include <gtest/gtest.h>
 
 #include "core/umiddle.hpp"
@@ -653,6 +654,117 @@ TEST(RuntimeTest, MessageLatencyIncludesTranslationCost) {
   ASSERT_TRUE(cam_raw->emit("image-out", jpeg_message(2048)).ok());
   w.settle();
   EXPECT_EQ(delivered - emitted, w.a->costs().translation_cost(2048));
+}
+
+// --- the USDL translator (DESIGN.md §7.7) ------------------------------------------------
+
+constexpr const char* kProbeUsdl = R"(<usdl><service platform="probe" match="probe:1">
+  <shape>
+    <digital-port name="text-out" direction="output" mime="text/plain"/>
+    <digital-port name="any-out" direction="output" mime="*/*"/>
+    <digital-port name="in" direction="input" mime="text/plain"/>
+  </shape>
+</service></usdl>)";
+
+/// A generic translator with no native protocol; it exposes the protected
+/// rules so a test can drive them, and runs `on_teardown` as its teardown.
+class UsdlProbe final : public UsdlTranslator {
+ public:
+  using UsdlTranslator::UsdlTranslator;
+  using UsdlTranslator::emit_typed;
+  using UsdlTranslator::lifetime;
+
+  Result<void> deliver(const std::string&, const Message&) override { return ok_result(); }
+
+  std::function<void()> on_teardown;
+
+ private:
+  void teardown() override {
+    if (on_teardown) on_teardown();
+  }
+};
+
+UsdlService probe_usdl() {
+  auto doc = parse_usdl(kProbeUsdl);
+  EXPECT_TRUE(doc.ok());
+  return doc.value().services.at(0);
+}
+
+TEST(UsdlTranslatorTest, EmitTypedUsesThePortTypeAndRoutesNothingOnError) {
+  World w;
+  w.start_all();
+  const UsdlService usdl = probe_usdl();
+  auto probe = std::make_unique<UsdlProbe>("Probe", usdl);
+  UsdlProbe* probe_raw = probe.get();
+  auto probe_id = w.a->map(std::move(probe)).take();
+  auto text_sink = std::make_unique<CollectorDevice>(
+      "TextSink", make_sink_shape("in", MimeType::of("text/plain")));
+  auto bytes_sink = std::make_unique<CollectorDevice>(
+      "BytesSink", make_sink_shape("in", MimeType::of("application/octet-stream")));
+  CollectorDevice* text_raw = text_sink.get();
+  CollectorDevice* bytes_raw = bytes_sink.get();
+  auto text_id = w.a->map(std::move(text_sink)).take();
+  auto bytes_id = w.a->map(std::move(bytes_sink)).take();
+  w.settle();
+  auto text_path = w.a->transport().connect(PortRef{probe_id, "text-out"}, PortRef{text_id, "in"});
+  auto any_path = w.a->transport().connect(PortRef{probe_id, "any-out"}, PortRef{bytes_id, "in"});
+  ASSERT_TRUE(text_path.ok());
+  ASSERT_TRUE(any_path.ok());
+
+  // A concrete port types the message as declared, whatever it carried.
+  Message m = Message::text(MimeType::of("image/jpeg"), "hello");
+  m.meta["k"] = "v";
+  ASSERT_TRUE(probe_raw->emit_typed("text-out", std::move(m)).ok());
+  // A wildcard port types it application/octet-stream.
+  ASSERT_TRUE(probe_raw->emit_typed("any-out", Message::text({}, "bytes")).ok());
+  // An unknown port and an input port are errors.
+  Result<void> ghost = probe_raw->emit_typed("ghost", Message::text({}, "x"));
+  ASSERT_FALSE(ghost.ok());
+  EXPECT_EQ(ghost.error().code, Errc::not_found);
+  EXPECT_FALSE(probe_raw->emit_typed("in", Message::text({}, "x")).ok());
+  w.settle();
+
+  ASSERT_EQ(text_raw->count(), 1u);
+  EXPECT_EQ(text_raw->received()[0].msg.type, MimeType::of("text/plain"));
+  EXPECT_EQ(text_raw->received()[0].msg.body_text(), "hello");
+  EXPECT_EQ(text_raw->received()[0].msg.meta.at("k"), "v");
+  ASSERT_EQ(bytes_raw->count(), 1u);
+  EXPECT_EQ(bytes_raw->received()[0].msg.type, MimeType::of("application/octet-stream"));
+  EXPECT_EQ(w.a->transport().stats(text_path.value())->messages_forwarded, 1u);
+  EXPECT_EQ(w.a->transport().stats(any_path.value())->messages_forwarded, 1u);
+
+  // Unmapped: an error, and nothing is routed.
+  UsdlProbe loose("Loose", usdl);
+  Result<void> unmapped = loose.emit_typed("text-out", Message::text({}, "late"));
+  ASSERT_FALSE(unmapped.ok());
+  EXPECT_EQ(unmapped.error().code, Errc::internal);
+  w.settle();
+  EXPECT_EQ(text_raw->count(), 1u);
+  EXPECT_EQ(bytes_raw->count(), 1u);
+}
+
+TEST(UsdlTranslatorTest, LifetimeEndsAtUnmapBeforeTeardown) {
+  World w;
+  w.start_all();
+  const UsdlService usdl = probe_usdl();
+  auto probe = std::make_unique<UsdlProbe>("Probe", usdl);
+  UsdlProbe* probe_raw = probe.get();
+  auto id = w.a->map(std::move(probe)).take();
+  int runs = 0;
+  auto guarded = probe_raw->lifetime().guard([&runs]() { ++runs; });
+  // Scheduled before the unmap, due after it.
+  w.sched.schedule_after(seconds(1), probe_raw->lifetime().guard([&runs]() { runs += 100; }));
+  guarded();  // mapped: a guarded callback runs
+  ASSERT_EQ(runs, 1);
+  int runs_in_teardown = -1;
+  probe_raw->on_teardown = [&]() {
+    guarded();  // the lifetime already ended when the platform's teardown runs
+    runs_in_teardown = runs;
+  };
+  ASSERT_TRUE(w.a->unmap(id).ok());
+  EXPECT_EQ(runs_in_teardown, 1);
+  w.settle();
+  EXPECT_EQ(runs, 1);
 }
 
 }  // namespace

@@ -1,17 +1,25 @@
 // Unit + property tests for service shaping (shapes, queries), translator
-// profiles, USDL parsing, the UMTP frame codec, and the QoS token bucket.
+// profiles, USDL parsing and binding lookup, the UMTP frame codec, and the QoS
+// token bucket.
 #include <gtest/gtest.h>
 
 #include "common/rand.hpp"
 #include "core/profile.hpp"
 #include "core/qos.hpp"
 #include "core/shape.hpp"
+#include "core/translator.hpp"
 #include "core/umtp.hpp"
 #include "core/usdl.hpp"
 #include "xml/parser.hpp"
 
 namespace umiddle::core {
 namespace {
+
+/// The smallest generic translator: no native protocol at all.
+struct UsdlProbe final : UsdlTranslator {
+  using UsdlTranslator::UsdlTranslator;
+  Result<void> deliver(const std::string&, const Message&) override { return ok_result(); }
+};
 
 PortSpec digital(std::string name, Direction dir, const char* mime) {
   PortSpec p;
@@ -265,8 +273,65 @@ TEST(UsdlTest, ParsesThePaperLightExample) {
   ASSERT_EQ(s.bindings[0].native.args.size(), 1u);
   EXPECT_EQ(s.bindings[0].native.args[0].value, "1");
   EXPECT_EQ(s.bindings[1].native.args[0].value, "0");
-  EXPECT_EQ(s.bindings_for("power-on").size(), 1u);
-  EXPECT_EQ(s.bindings_for("missing").size(), 0u);
+  const UsdlProbe light("Light", s);
+  EXPECT_EQ(light.find_binding("action", "power-on"), &s.bindings[0]);
+  EXPECT_EQ(light.find_binding("action", "missing"), nullptr);
+}
+
+constexpr const char* kMixedUsdl = R"(<usdl><service platform="p" match="p:mixed">
+  <hierarchy entities="3"/>
+  <shape>
+    <digital-port name="in" direction="input" mime="text/plain"/>
+    <digital-port name="out" direction="output" mime="text/plain"/>
+  </shape>
+  <bindings>
+    <binding port="in" kind="query" emit="out"><native method="first"/></binding>
+    <binding port="in" kind="call"><native method="call"/></binding>
+    <binding port="in" kind="query"><native method="second"/></binding>
+    <binding port="out" kind="event"><native var="a"/></binding>
+    <binding port="out" kind="query"><native method="third"/></binding>
+  </bindings>
+</service></usdl>)";
+
+TEST(UsdlTranslatorTest, FindBindingIsTheFirstOfItsKindOnThePort) {
+  auto doc = parse_usdl(kMixedUsdl);
+  ASSERT_TRUE(doc.ok());
+  const UsdlService& s = doc.value().services[0];
+  const UsdlProbe t("Mixed", s);
+  // Hit: the first "query" binding on "in" in document order, not the later one.
+  EXPECT_EQ(t.find_binding("query", "in"), &s.bindings[0]);
+  EXPECT_EQ(t.find_binding("call", "in"), &s.bindings[1]);
+  EXPECT_EQ(t.find_binding("query", "out"), &s.bindings[4]);
+  // Kind mismatch: "in" has no "event" binding, "out" has no "call" binding.
+  EXPECT_EQ(t.find_binding("event", "in"), nullptr);
+  EXPECT_EQ(t.find_binding("call", "out"), nullptr);
+  // Unknown port.
+  EXPECT_EQ(t.find_binding("query", "ghost"), nullptr);
+}
+
+TEST(UsdlTranslatorTest, BindingsOfAKindComeInDocumentOrder) {
+  auto doc = parse_usdl(kMixedUsdl);
+  ASSERT_TRUE(doc.ok());
+  const UsdlService& s = doc.value().services[0];
+  const UsdlProbe t("Mixed", s);
+  std::vector<const UsdlBinding*> queries;
+  for (const UsdlBinding& b : t.bindings("query")) queries.push_back(&b);
+  EXPECT_EQ(queries, (std::vector<const UsdlBinding*>{&s.bindings[0], &s.bindings[2],
+                                                       &s.bindings[4]}));
+  EXPECT_TRUE(std::ranges::empty(t.bindings("gateway")));
+}
+
+TEST(UsdlTranslatorTest, IdentityShapeAndHierarchyComeFromTheDescription) {
+  auto doc = parse_usdl(kMixedUsdl);
+  ASSERT_TRUE(doc.ok());
+  const UsdlService& s = doc.value().services[0];
+  const UsdlProbe t("Mixed", s);
+  EXPECT_EQ(t.profile().name, "Mixed");
+  EXPECT_EQ(t.profile().platform, "p");
+  EXPECT_EQ(t.profile().device_type, "p:mixed");
+  EXPECT_EQ(t.profile().shape.size(), 2u);
+  EXPECT_EQ(t.hierarchy_entities(), 3);
+  EXPECT_EQ(&t.usdl(), &s);
 }
 
 TEST(UsdlTest, HierarchyEntities) {

@@ -74,6 +74,14 @@ exist to keep nondeterminism from leaking back in:
                sim::Timer construction in src/ passes a non-empty EventTag, so
                each dispatched event is attributable in the trace digest and
                in per-tag host-cost profiles.
+  one-usdl-translator
+               outside src/core/, nothing in src/ calls
+               profile().shape.find(, bindings_for( or
+               set_hierarchy_entities(: the six platform translators derive
+               from core::UsdlTranslator, which alone looks up bindings and
+               ports, types emitted messages by their port and takes identity
+               and hierarchy entities from the USDL description (DESIGN.md
+               §7.7), so each USDL rule has one implementation.
   inline-callback
                no sim::boxed( in src/sim/, src/netsim/,
                src/core/transport.cpp or src/core/link_session.*: captures on
@@ -402,6 +410,26 @@ def check_one_import_site(path: str, code: str) -> Iterable[Violation]:
                             "table (import/gone/forget_unseen)")
 
 
+# The USDL rules live once, in core::UsdlTranslator (DESIGN.md §7.7): a port
+# lookup, a per-port binding search or a hierarchy count set outside src/core/
+# is a platform translator re-implementing one of them.
+USDL_RULE_RE = re.compile(r"\bprofile\s*\(\s*\)\s*\.\s*shape\s*\.\s*find\s*\(|"
+                          r"\b(?:bindings_for|set_hierarchy_entities)\s*\(")
+USDL_RULE_DIR = "src/core/"
+
+
+def check_one_usdl_translator(path: str, code: str) -> Iterable[Violation]:
+    if path.startswith(USDL_RULE_DIR):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        m = USDL_RULE_RE.search(line)
+        if m:
+            yield Violation("one-usdl-translator", path, lineno,
+                            f"{m.group(0)} outside src/core/; "
+                            "derive from core::UsdlTranslator and use its "
+                            "find_binding/bindings/emit_typed")
+
+
 # netsim keys hosts by HostId (DESIGN.md §8.5): a std::string or Endpoint key
 # inside src/netsim/ would bring name hashing and string compares back onto
 # the per-frame path. Only the name -> HostId index itself may key by name.
@@ -565,6 +593,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_global_telemetry,
     check_one_import_site,
     check_one_reassembly_site,
+    check_one_usdl_translator,
     check_netsim_by_handle,
     check_inline_callback,
 ]
@@ -646,6 +675,10 @@ SEEDED_VIOLATIONS = [
      "(void)runtime().unmap(id);\n"),
     ("one-reassembly-site", "src/bluetooth/evil.cpp",
      "hid_buffer_.insert(hid_buffer_.end(), chunk.begin(), chunk.end());\n"),
+    ("one-usdl-translator", "src/webservice/evil.cpp",
+     "const core::PortSpec* spec = profile().shape.find(b.port);\n"
+     "for (const core::UsdlBinding* b : usdl_.bindings_for(port)) { use(b); }\n"
+     "set_hierarchy_entities(usdl.hierarchy_entities);\n"),
     ("netsim-by-handle", "src/netsim/evil.hpp",
      "std::map<Endpoint, DatagramHandler> udp_sockets_;\n"
      "std::set<std::string> groups;\n"
@@ -724,6 +757,14 @@ CLEAN_SNIPPETS = [
      "import(udn, std::move(translator));\n"
      "gone(udn);\n"
      "forget_unseen(now - timeout);\n"),
+    ("src/core/translator.cpp",
+     "const PortSpec* spec = profile().shape.find(port);\n"
+     "set_hierarchy_entities(usdl.hierarchy_entities);\n"),
+    ("src/motes/fine.cpp",
+     "// profile().shape.find(port) in a comment is fine\n"
+     "for (const core::UsdlBinding& b : bindings(\"am-telemetry\")) { use(b); }\n"
+     "if (find_binding(\"call\", port) == nullptr) { return; }\n"
+     "auto n = profile().shape.size();\n"),
     ("src/netsim/network.hpp",
      "std::map<std::string, HostId> host_ids_;  ///< the one name index\n"
      "std::map<std::uint16_t, DatagramHandler> sockets;\n"
