@@ -85,62 +85,41 @@ Bytes Packet::encode() const {
 Result<Packet> decode(std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
   Packet p;
-  auto opcode = r.u8();
-  if (!opcode.ok()) return opcode.error();
-  p.opcode = opcode.value();
-  auto length = r.u16();
-  if (!length.ok()) return length.error();
-  if (length.value() != wire.size()) {
-    return make_error(Errc::protocol_error, "obex: length mismatch");
-  }
+  p.opcode = r.u8();
+  const std::uint16_t length = r.u16();
+  if (!r.ok()) return r.error();
+  if (length != wire.size()) return make_error(Errc::protocol_error, "obex: length mismatch");
   if (p.opcode == kOpConnect) {
-    auto version = r.u8();
-    auto flags = r.u8();
-    auto mtu = r.u16();
-    if (!version.ok() || !flags.ok() || !mtu.ok()) {
-      return make_error(Errc::protocol_error, "obex: truncated CONNECT");
-    }
-    p.max_packet = mtu.value();
+    r.skip(2);  // version, flags
+    p.max_packet = r.u16();
+    if (!r.ok()) return make_error(Errc::protocol_error, "obex: truncated CONNECT");
   }
   while (!r.at_end()) {
-    auto id = r.u8();
-    if (!id.ok()) return id.error();
-    Header h;
-    h.id = id.value();
-    switch (header_class(h.id)) {
-      case HeaderClass::text: {
-        auto len = r.u16();
-        if (!len.ok()) return len.error();
-        if (len.value() < 3) return make_error(Errc::protocol_error, "obex: bad header length");
-        auto text = r.str(len.value() - 3);
-        if (!text.ok()) return text.error();
-        h.value = std::move(text).take();
-        break;
-      }
-      case HeaderClass::bytes: {
-        auto len = r.u16();
-        if (!len.ok()) return len.error();
-        if (len.value() < 3) return make_error(Errc::protocol_error, "obex: bad header length");
-        auto data = r.bytes(len.value() - 3);
-        if (!data.ok()) return data.error();
-        h.value = std::move(data).take();
-        break;
-      }
-      case HeaderClass::u32: {
-        auto v = r.u32();
-        if (!v.ok()) return v.error();
-        h.value = v.value();
-        break;
+    Header h{r.u8(), {}};
+    const HeaderClass cls = header_class(h.id);
+    if (cls == HeaderClass::u32) {
+      h.value = r.u32();
+    } else {
+      const std::uint16_t len = r.u16();
+      if (!r.ok()) return r.error();
+      if (len < 3) return make_error(Errc::protocol_error, "obex: bad header length");
+      if (cls == HeaderClass::text) {
+        h.value = r.str(len - 3);
+      } else {
+        h.value = r.bytes(len - 3);
       }
     }
     p.headers.push_back(std::move(h));
   }
+  if (!r.ok()) return r.error();
   return p;
 }
 
 Result<std::size_t> next_packet(std::span<const std::uint8_t> buffer, std::vector<Packet>& out) {
-  if (buffer.size() < 3) return 0;
-  const auto length = static_cast<std::size_t>((buffer[1] << 8) | buffer[2]);
+  ByteReader r(buffer);
+  r.skip(1);  // opcode
+  const std::size_t length = r.u16();
+  if (!r.ok()) return 0;
   if (length < 3) return make_error(Errc::protocol_error, "obex: bad packet length");
   if (buffer.size() < length) return 0;
   auto packet = decode(buffer.first(length));

@@ -12,24 +12,8 @@ void SdpRecord::encode(ByteWriter& w) const {
   w.str16(profile);
 }
 
-Result<SdpRecord> SdpRecord::decode(ByteReader& r) {
-  SdpRecord rec;
-  auto handle = r.u32();
-  if (!handle.ok()) return handle.error();
-  rec.handle = handle.value();
-  auto uuid = r.str16();
-  if (!uuid.ok()) return uuid.error();
-  rec.service_uuid = std::move(uuid).take();
-  auto name = r.str16();
-  if (!name.ok()) return name.error();
-  rec.name = std::move(name).take();
-  auto psm = r.u16();
-  if (!psm.ok()) return psm.error();
-  rec.psm = psm.value();
-  auto profile = r.str16();
-  if (!profile.ok()) return profile.error();
-  rec.profile = std::move(profile).take();
-  return rec;
+SdpRecord SdpRecord::decode(ByteReader& r) {
+  return SdpRecord{r.u32(), r.str16(), r.str16(), r.u16(), r.str16()};
 }
 
 Bytes SdpRequest::encode() const {
@@ -56,15 +40,10 @@ Bytes SdpResponse::encode() const {
 Result<std::size_t> next_request(std::span<const std::uint8_t> buffer,
                                  std::vector<SdpRequest>& out) {
   ByteReader r(buffer);
-  auto pdu = r.u8();
-  auto tx = r.u16();
-  if (!pdu.ok() || !tx.ok()) return 0;  // wait for more bytes
-  SdpRequest req{pdu.value(), tx.value(), {}};
-  if (req.pdu == kSdpSearchRequest) {
-    auto uuid = r.str16();
-    if (!uuid.ok()) return 0;
-    req.uuid = std::move(uuid).take();
-  }
+  SdpRequest req{r.u8(), r.u16(), {}};
+  if (!r.ok()) return 0;  // wait for more bytes
+  if (req.pdu == kSdpSearchRequest) req.uuid = r.str16();
+  if (!r.ok()) return 0;
   out.push_back(std::move(req));
   return r.position();
 }
@@ -72,25 +51,19 @@ Result<std::size_t> next_request(std::span<const std::uint8_t> buffer,
 Result<std::size_t> next_response(std::span<const std::uint8_t> buffer,
                                   std::vector<SdpResponse>& out) {
   ByteReader r(buffer);
-  auto pdu = r.u8();
-  auto tx = r.u16();
-  if (!pdu.ok() || !tx.ok()) return 0;
-  SdpResponse resp{pdu.value(), tx.value(), 0, {}};
+  SdpResponse resp{r.u8(), r.u16(), 0, {}};
+  if (!r.ok()) return 0;
   if (resp.pdu == kSdpError) {
-    auto code = r.u16();
-    if (!code.ok()) return 0;
-    resp.error = code.value();
+    resp.error = r.u16();
   } else if (resp.pdu == kSdpSearchResponse) {
-    auto count = r.u16();
-    if (!count.ok()) return 0;
-    for (std::uint16_t i = 0; i < count.value(); ++i) {
-      auto rec = SdpRecord::decode(r);
-      if (!rec.ok()) return 0;  // partial frame; wait for the rest
-      resp.records.push_back(std::move(rec).take());
+    const std::uint16_t count = r.u16();
+    for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
+      resp.records.push_back(SdpRecord::decode(r));
     }
   } else {
     return make_error(Errc::protocol_error, "sdp unexpected response");
   }
+  if (!r.ok()) return 0;  // partial frame; wait for the rest
   out.push_back(std::move(resp));
   return r.position();
 }

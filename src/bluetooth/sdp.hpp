@@ -25,7 +25,8 @@ struct SdpRecord {
   std::string profile;       ///< e.g. "BIP", "HID"
 
   void encode(ByteWriter& w) const;
-  static Result<SdpRecord> decode(ByteReader& r);
+  /// Reads one record; check r.ok() before using it.
+  static SdpRecord decode(ByteReader& r);
 };
 
 // PDU ids.

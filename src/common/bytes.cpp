@@ -38,64 +38,6 @@ void ByteWriter::patch_u32(std::size_t pos, std::uint32_t v) {
   }
 }
 
-Result<void> ByteReader::need(std::size_t n) {
-  if (remaining() < n) {
-    return make_error(Errc::parse_error,
-                      "buffer underrun: need " + std::to_string(n) + " bytes at offset " +
-                          std::to_string(pos_) + ", have " + std::to_string(remaining()));
-  }
-  return ok_result();
-}
-
-Result<std::uint8_t> ByteReader::u8() {
-  if (auto r = need(1); !r.ok()) return r.error();
-  return data_[pos_++];
-}
-
-Result<std::uint16_t> ByteReader::u16() {
-  if (auto r = need(2); !r.ok()) return r.error();
-  std::uint16_t v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);
-  pos_ += 2;
-  return v;
-}
-
-Result<std::uint32_t> ByteReader::u32() {
-  if (auto r = need(4); !r.ok()) return r.error();
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
-
-Result<std::uint64_t> ByteReader::u64() {
-  if (auto r = need(8); !r.ok()) return r.error();
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
-
-Result<Bytes> ByteReader::bytes(std::size_t n) {
-  if (auto r = need(n); !r.ok()) return r.error();
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
-}
-
-Result<std::string> ByteReader::str(std::size_t n) {
-  if (auto r = need(n); !r.ok()) return r.error();
-  std::string out(reinterpret_cast<const char*>(data_.data()) + pos_, n);
-  pos_ += n;
-  return out;
-}
-
-Result<std::string> ByteReader::str16() {
-  auto len = u16();
-  if (!len.ok()) return len.error();
-  return str(len.value());
-}
-
 Bytes to_bytes(std::string_view s) { return Bytes(s.begin(), s.end()); }
 
 std::string to_string(std::span<const std::uint8_t> data) {

@@ -48,29 +48,71 @@ class ByteWriter {
   Bytes buf_;
 };
 
-/// Bounds-checked big-endian decoder over a borrowed buffer.
+/// Bounds-checked big-endian decoder over a borrowed buffer. Reads return
+/// plain values. The first read past the end fails the reader: that read and
+/// every later one return zero or empty, position() stops moving and
+/// remaining() is 0. A decoder reads its fields straight through and checks
+/// ok() before it acts on a value it read and once at the end (DESIGN.md §7.6).
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  [[nodiscard]] Result<std::uint8_t> u8();
-  [[nodiscard]] Result<std::uint16_t> u16();
-  [[nodiscard]] Result<std::uint32_t> u32();
-  [[nodiscard]] Result<std::uint64_t> u64();
-  [[nodiscard]] Result<Bytes> bytes(std::size_t n);
-  [[nodiscard]] Result<std::string> str(std::size_t n);
+  [[nodiscard]] std::uint8_t u8() { return static_cast<std::uint8_t>(uint(1)); }
+  [[nodiscard]] std::uint16_t u16() { return static_cast<std::uint16_t>(uint(2)); }
+  [[nodiscard]] std::uint32_t u32() { return static_cast<std::uint32_t>(uint(4)); }
+  [[nodiscard]] std::uint64_t u64() { return uint(8); }
+  [[nodiscard]] Bytes bytes(std::size_t n) {
+    const std::uint8_t* p = take(n);
+    return p != nullptr ? Bytes(p, p + n) : Bytes();
+  }
+  [[nodiscard]] std::string str(std::size_t n) {
+    const std::uint8_t* p = take(n);
+    return p != nullptr ? std::string(reinterpret_cast<const char*>(p), n) : std::string();
+  }
   /// u16 length prefix followed by that many string bytes.
-  [[nodiscard]] Result<std::string> str16();
+  [[nodiscard]] std::string str16() { return str(u16()); }
+  void skip(std::size_t n) { take(n); }
+
+  bool ok() const { return need_ == 0; }
+  /// The first failed read, as a parse_error. Meaningful only when !ok().
+  Error error() const {
+    return make_error(Errc::parse_error, "buffer underrun: need " + std::to_string(need_) +
+                                             " bytes at offset " + std::to_string(pos_) +
+                                             ", have " + std::to_string(have_));
+  }
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return remaining() == 0; }
   std::size_t position() const { return pos_; }
 
  private:
-  [[nodiscard]] Result<void> need(std::size_t n);
+  /// The next n bytes, consumed; or nullptr, failing the reader, if they are
+  /// not there.
+  const std::uint8_t* take(std::size_t n) {
+    if (n > remaining()) {
+      if (ok()) {
+        need_ = n;
+        have_ = remaining();
+      }
+      data_ = data_.first(pos_);  // a failed reader has nothing left to read
+      return nullptr;
+    }
+    const std::uint8_t* p = data_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+  std::uint64_t uint(std::size_t n) {
+    const std::uint8_t* p = take(n);
+    if (p == nullptr) return 0;
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i) v = (v << 8) | p[i];
+    return v;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
+  std::size_t need_ = 0;  ///< size of the first read that did not fit; 0 while ok
+  std::size_t have_ = 0;  ///< bytes that were left for it
 };
 
 Bytes to_bytes(std::string_view s);

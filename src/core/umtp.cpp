@@ -64,36 +64,31 @@ void encode_body(const Frame& frame, ByteWriter& w) {
   }
 }
 
+/// The frame a body decoded to, once every field was there and nothing is left.
+Result<Frame> complete(const ByteReader& r, Frame frame, const char* name) {
+  if (!r.ok()) return r.error();
+  if (!r.at_end()) {
+    return make_error(Errc::protocol_error, std::string("trailing bytes in ") + name + " frame");
+  }
+  return frame;
+}
+
 Result<Frame> decode_data(ByteReader& r, std::int64_t deadline_ns) {
   DataFrame f;
   f.message.deadline_ns = deadline_ns;
-  auto id = r.u64();
-  if (!id.ok()) return id.error();
-  f.dst.translator = TranslatorId(id.value());
-  auto port = r.str16();
-  if (!port.ok()) return port.error();
-  f.dst.port = std::move(port).take();
-  auto mime_text = r.str16();
-  if (!mime_text.ok()) return mime_text.error();
-  auto mime = MimeType::parse(mime_text.value());
+  f.dst = PortRef{TranslatorId(r.u64()), r.str16()};
+  const std::string mime_text = r.str16();
+  if (!r.ok()) return r.error();
+  auto mime = MimeType::parse(mime_text);
   if (!mime.ok()) return mime.error();
   f.message.type = std::move(mime).take();
-  auto n_meta = r.u16();
-  if (!n_meta.ok()) return n_meta.error();
-  for (std::uint16_t i = 0; i < n_meta.value(); ++i) {
-    auto k = r.str16();
-    if (!k.ok()) return k.error();
-    auto v = r.str16();
-    if (!v.ok()) return v.error();
-    f.message.meta[k.value()] = v.value();
+  const std::uint16_t n_meta = r.u16();
+  for (std::uint16_t i = 0; i < n_meta && r.ok(); ++i) {
+    std::string key = r.str16();
+    f.message.meta[std::move(key)] = r.str16();
   }
-  auto len = r.u32();
-  if (!len.ok()) return len.error();
-  auto payload = r.bytes(len.value());
-  if (!payload.ok()) return payload.error();
-  f.message.payload = std::move(payload).take();
-  if (!r.at_end()) return make_error(Errc::protocol_error, "trailing bytes in DATA frame");
-  return Frame{std::move(f)};
+  f.message.payload = r.bytes(r.u32());
+  return complete(r, std::move(f), "DATA");
 }
 
 }  // namespace
@@ -128,42 +123,23 @@ Bytes encode_seq(std::uint64_t seq, const Bytes& prefixed_frame) {
 
 Result<Frame> decode_body(std::span<const std::uint8_t> body) {
   ByteReader r(body);
-  auto type = r.u8();
-  if (!type.ok()) return type.error();
-  switch (static_cast<FrameType>(type.value())) {
+  const std::uint8_t type = r.u8();
+  if (!r.ok()) return r.error();
+  switch (static_cast<FrameType>(type)) {
     case FrameType::data:
       return decode_data(r, 0);
-    case FrameType::data_deadline: {
-      auto deadline = r.u64();
-      if (!deadline.ok()) return deadline.error();
-      return decode_data(r, static_cast<std::int64_t>(deadline.value()));
-    }
+    case FrameType::data_deadline:
+      return decode_data(r, static_cast<std::int64_t>(r.u64()));
     case FrameType::connect: {
-      ConnectFrame f;
-      auto path = r.u64();
-      if (!path.ok()) return path.error();
-      f.path = PathId(path.value());
-      auto src_id = r.u64();
-      if (!src_id.ok()) return src_id.error();
-      f.src.translator = TranslatorId(src_id.value());
-      auto src_port = r.str16();
-      if (!src_port.ok()) return src_port.error();
-      f.src.port = std::move(src_port).take();
-      auto kind = r.u8();
-      if (!kind.ok()) return kind.error();
-      if (kind.value() == 1) {
-        PortRef dst;
-        auto dst_id = r.u64();
-        if (!dst_id.ok()) return dst_id.error();
-        dst.translator = TranslatorId(dst_id.value());
-        auto dst_port = r.str16();
-        if (!dst_port.ok()) return dst_port.error();
-        dst.port = std::move(dst_port).take();
-        f.dst = std::move(dst);
-      } else if (kind.value() == 2) {
-        auto text = r.str16();
-        if (!text.ok()) return text.error();
-        auto el = xml::parse(text.value());
+      ConnectFrame f{PathId(r.u64()), PortRef{TranslatorId(r.u64()), r.str16()}, {}};
+      const std::uint8_t kind = r.u8();
+      if (!r.ok()) return r.error();
+      if (kind == 1) {
+        f.dst = PortRef{TranslatorId(r.u64()), r.str16()};
+      } else if (kind == 2) {
+        const std::string text = r.str16();
+        if (!r.ok()) return r.error();
+        auto el = xml::parse(text);
         if (!el.ok()) return el.error();
         auto q = Query::from_xml(el.value());
         if (!q.ok()) return q.error();
@@ -171,48 +147,17 @@ Result<Frame> decode_body(std::span<const std::uint8_t> body) {
       } else {
         return make_error(Errc::protocol_error, "bad CONNECT dst kind");
       }
-      if (!r.at_end()) return make_error(Errc::protocol_error, "trailing bytes in CONNECT frame");
-      return Frame{std::move(f)};
+      return complete(r, std::move(f), "CONNECT");
     }
-    case FrameType::disconnect: {
-      auto path = r.u64();
-      if (!path.ok()) return path.error();
-      if (!r.at_end()) return make_error(Errc::protocol_error, "trailing bytes in DISCONNECT frame");
-      return Frame{DisconnectFrame{PathId(path.value())}};
-    }
-    case FrameType::ack: {
-      auto epoch = r.u64();
-      if (!epoch.ok()) return epoch.error();
-      auto count = r.u64();
-      if (!count.ok()) return count.error();
-      if (!r.at_end()) return make_error(Errc::protocol_error, "trailing bytes in ACK frame");
-      return Frame{AckFrame{epoch.value(), count.value()}};
-    }
-    case FrameType::resume: {
-      ResumeFrame f;
-      auto node = r.u64();
-      if (!node.ok()) return node.error();
-      f.node = NodeId(node.value());
-      auto epoch = r.u64();
-      if (!epoch.ok()) return epoch.error();
-      f.epoch = epoch.value();
-      auto prev = r.u64();
-      if (!prev.ok()) return prev.error();
-      f.prev_channel = prev.value();
-      auto base = r.u64();
-      if (!base.ok()) return base.error();
-      f.base_seq = base.value();
-      if (!r.at_end()) return make_error(Errc::protocol_error, "trailing bytes in RESUME frame");
-      return Frame{std::move(f)};
-    }
+    case FrameType::disconnect:
+      return complete(r, DisconnectFrame{PathId(r.u64())}, "DISCONNECT");
+    case FrameType::ack:
+      return complete(r, AckFrame{r.u64(), r.u64()}, "ACK");
+    case FrameType::resume:
+      return complete(r, ResumeFrame{NodeId(r.u64()), r.u64(), r.u64(), r.u64()}, "RESUME");
     case FrameType::seq: {
-      SeqFrame f;
-      auto seq = r.u64();
-      if (!seq.ok()) return seq.error();
-      f.seq = seq.value();
-      auto rest = r.bytes(r.remaining());
-      if (!rest.ok()) return rest.error();
-      f.body = std::move(rest).take();
+      SeqFrame f{r.u64(), r.bytes(r.remaining())};
+      if (!r.ok()) return r.error();
       // Validate the inner frame eagerly: only payload-class frames may be
       // replayed. A SEQ wrapping SEQ/ACK/RESUME (or garbage) is a protocol
       // error and must poison the assembler like any other malformed frame.
@@ -228,16 +173,17 @@ Result<Frame> decode_body(std::span<const std::uint8_t> body) {
       return Frame{std::move(f)};
     }
   }
-  return make_error(Errc::protocol_error, "unknown frame type " + std::to_string(type.value()));
+  return make_error(Errc::protocol_error, "unknown frame type " + std::to_string(type));
 }
 
 Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer, std::vector<Frame>& out) {
-  if (buffer.size() < 4) return 0;
-  const std::size_t len = ByteReader(buffer).u32().value();
+  ByteReader r(buffer);
+  const std::size_t len = r.u32();
+  if (!r.ok()) return 0;
   if (len > kMaxFrame - 4) {
     return make_error(Errc::protocol_error, "frame too large: " + std::to_string(len));
   }
-  if (buffer.size() < 4 + len) return 0;
+  if (r.remaining() < len) return 0;
   auto frame = decode_body(buffer.subspan(4, len));
   if (!frame.ok()) return frame.error();
   out.push_back(std::move(frame).take());

@@ -137,7 +137,8 @@ xml::Element to_xml(const UsdlDocument& doc) {
 
 void UsdlLibrary::add(UsdlDocument doc) {
   for (UsdlService& s : doc.services) {
-    services_[{s.platform, s.match}] = std::move(s);
+    const UsdlService& kept = services_.emplace_back(std::move(s));
+    by_key_[{kept.platform, kept.match}] = &kept;
   }
 }
 
@@ -149,14 +150,14 @@ Result<void> UsdlLibrary::add_text(std::string_view text) {
 }
 
 const UsdlService* UsdlLibrary::find(std::string_view platform, std::string_view match) const {
-  auto it = services_.find({std::string(platform), std::string(match)});
-  return it == services_.end() ? nullptr : &it->second;
+  auto it = by_key_.find({std::string(platform), std::string(match)});
+  return it == by_key_.end() ? nullptr : it->second;
 }
 
 std::vector<const UsdlService*> UsdlLibrary::services_for(std::string_view platform) const {
   std::vector<const UsdlService*> out;
-  for (const auto& [key, service] : services_) {
-    if (key.first == platform) out.push_back(&service);
+  for (const auto& [key, service] : by_key_) {
+    if (key.first == platform) out.push_back(service);
   }
   return out;
 }

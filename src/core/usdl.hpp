@@ -29,6 +29,7 @@
 //   </usdl>
 #pragma once
 
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -94,17 +95,25 @@ xml::Element to_xml(const UsdlDocument& doc);
 /// Keyed store of service descriptions; mappers look up by (platform, match).
 class UsdlLibrary {
  public:
+  UsdlLibrary() = default;
+  // Lookups point into services_: a copy would point into the original.
+  UsdlLibrary(const UsdlLibrary&) = delete;
+  UsdlLibrary& operator=(const UsdlLibrary&) = delete;
+
   /// Register all services of a document. Later registrations override earlier
   /// ones with the same (platform, match) key, enabling user customization.
+  /// An override frees nothing: translators built from the description it
+  /// replaces keep reading that one, and later lookups find the new one.
   void add(UsdlDocument doc);
   [[nodiscard]] Result<void> add_text(std::string_view text);
 
   const UsdlService* find(std::string_view platform, std::string_view match) const;
   std::vector<const UsdlService*> services_for(std::string_view platform) const;
-  std::size_t size() const { return services_.size(); }
+  std::size_t size() const { return by_key_.size(); }
 
  private:
-  std::map<std::pair<std::string, std::string>, UsdlService> services_;
+  std::deque<UsdlService> services_;  ///< every description added; only appended to
+  std::map<std::pair<std::string, std::string>, const UsdlService*> by_key_;
 };
 
 }  // namespace umiddle::core

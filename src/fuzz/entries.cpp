@@ -12,6 +12,7 @@
 #include "core/umtp.hpp"
 #include "core/usdl.hpp"
 #include "mediabroker/protocol.hpp"
+#include "motes/motes.hpp"
 #include "rmi/protocol.hpp"
 #include "upnp/http.hpp"
 #include "xml/parser.hpp"
@@ -96,6 +97,14 @@ int fuzz_stream_frames(const std::uint8_t* data, std::size_t size) {
   }
   if (whole_ok != split_ok || whole_frames != split_frames) std::abort();
   return whole_ok && !whole_frames.empty() ? 1 : 0;
+}
+
+int fuzz_motes_reading(const std::uint8_t* data, std::size_t size) {
+  auto reading = motes::Reading::decode({data, size});
+  if (!reading.ok()) return 0;
+  auto again = motes::Reading::decode(reading.value().encode());
+  if (!again.ok() || again.value() != reading.value()) std::abort();
+  return 1;
 }
 
 int fuzz_base64_decode(const std::uint8_t* data, std::size_t size) {

@@ -44,6 +44,11 @@ int fuzz_umtp_decode(const std::uint8_t* data, std::size_t size);
 /// both the smoke test and a coverage-guided fuzzer report as a crash.
 int fuzz_base64_decode(const std::uint8_t* data, std::size_t size);
 
+/// motes::Reading::decode on the raw bytes: the one binary decoder no stream
+/// reader reaches. Oracle on success: the reading re-encodes and decodes back
+/// to itself.
+int fuzz_motes_reading(const std::uint8_t* data, std::size_t size);
+
 /// One stream protocol's FrameReader behind a type-erased feed that hands back
 /// every complete frame re-encoded, so readers of different frame types
 /// compare alike (DESIGN.md §7.6).

@@ -25,35 +25,13 @@ Bytes Frame::encode() const {
 
 Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer, std::vector<Frame>& out) {
   ByteReader r(buffer);
-  auto op = r.u8();
-  if (!op.ok()) return 0;
-  if (op.value() < 1 || op.value() > 6) {
-    return make_error(Errc::protocol_error, "mb: bad opcode");
-  }
-  auto stream = r.str16();
-  if (!stream.ok()) return 0;  // partial
-  Frame frame;
-  frame.op = static_cast<Op>(op.value());
-  frame.stream = std::move(stream).take();
-  switch (frame.op) {
-    case Op::produce:
-    case Op::announce: {
-      auto type = r.str16();
-      if (!type.ok()) return 0;
-      frame.media_type = std::move(type).take();
-      break;
-    }
-    case Op::data: {
-      auto len = r.u32();
-      if (!len.ok()) return 0;
-      auto payload = r.bytes(len.value());
-      if (!payload.ok()) return 0;
-      frame.payload = std::move(payload).take();
-      break;
-    }
-    default:
-      break;
-  }
+  const std::uint8_t op = r.u8();
+  if (!r.ok()) return 0;
+  if (op < 1 || op > 6) return make_error(Errc::protocol_error, "mb: bad opcode");
+  Frame frame{static_cast<Op>(op), r.str16(), {}, {}};
+  if (frame.op == Op::produce || frame.op == Op::announce) frame.media_type = r.str16();
+  if (frame.op == Op::data) frame.payload = r.bytes(r.u32());
+  if (!r.ok()) return 0;  // partial
   out.push_back(std::move(frame));
   return r.position();
 }

@@ -26,27 +26,18 @@ Bytes Reading::encode() const {
 
 Result<Reading> Reading::decode(std::span<const std::uint8_t> wire) {
   ByteReader r(wire);
-  auto am = r.u16();
-  if (!am.ok()) return am.error();
-  if (am.value() != kAmTelemetry) {
-    return make_error(Errc::protocol_error, "motes: unknown AM type");
-  }
+  const std::uint16_t am = r.u16();
+  if (!r.ok()) return r.error();
+  if (am != kAmTelemetry) return make_error(Errc::protocol_error, "motes: unknown AM type");
   Reading reading;
-  auto id = r.u16();
-  if (!id.ok()) return id.error();
-  reading.mote_id = id.value();
-  auto kind = r.u8();
-  if (!kind.ok()) return kind.error();
-  if (kind.value() < 1 || kind.value() > 3) {
-    return make_error(Errc::protocol_error, "motes: bad sensor kind");
-  }
-  reading.kind = static_cast<SensorKind>(kind.value());
-  auto value = r.u16();
-  if (!value.ok()) return value.error();
-  reading.value = value.value();
-  auto seq = r.u16();
-  if (!seq.ok()) return seq.error();
-  reading.sequence = seq.value();
+  reading.mote_id = r.u16();
+  const std::uint8_t kind = r.u8();
+  if (!r.ok()) return r.error();
+  if (kind < 1 || kind > 3) return make_error(Errc::protocol_error, "motes: bad sensor kind");
+  reading.kind = static_cast<SensorKind>(kind);
+  reading.value = r.u16();
+  reading.sequence = r.u16();
+  if (!r.ok()) return r.error();
   return reading;
 }
 

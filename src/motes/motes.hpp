@@ -35,6 +35,8 @@ struct Reading {
 
   Bytes encode() const;
   static Result<Reading> decode(std::span<const std::uint8_t> wire);
+
+  friend bool operator==(const Reading&, const Reading&) = default;
 };
 
 /// The shared sensor-net radio: 250 kbps, lossy, broadcast.

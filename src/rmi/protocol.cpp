@@ -10,15 +10,6 @@ constexpr std::uint8_t kOpCall = 0x50;
 constexpr std::uint8_t kOpReturn = 0x51;
 constexpr std::uint8_t kOpException = 0x52;
 
-Result<void> check_magic(ByteReader& r) {
-  auto magic = r.str(4);
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != kMagic) {
-    return make_error(Errc::protocol_error, "rmi: bad stream magic");
-  }
-  return ok_result();
-}
-
 }  // namespace
 
 Bytes encode_call(const Call& call) {
@@ -50,20 +41,13 @@ Bytes encode_return(const Return& ret) {
 Result<std::size_t> next_call(std::span<const std::uint8_t> buffer, std::vector<Call>& out) {
   if (buffer.size() < 5) return 0;
   ByteReader r(buffer);
-  if (auto m = check_magic(r); !m.ok()) return m.error();
-  if (r.u8().value() != kOpCall) return make_error(Errc::protocol_error, "rmi: expected call");
-  auto object = r.str16();
-  if (!object.ok()) return 0;  // partial
-  auto method = r.str16();
-  if (!method.ok()) return 0;
-  auto desc_len = r.u16();
-  if (!desc_len.ok()) return 0;
-  if (auto skip = r.bytes(desc_len.value()); !skip.ok()) return 0;
-  auto len = r.u32();
-  if (!len.ok()) return 0;
-  auto args = r.bytes(len.value());
-  if (!args.ok()) return 0;
-  out.push_back(Call{std::move(object).take(), std::move(method).take(), std::move(args).take()});
+  if (r.str(4) != kMagic) return make_error(Errc::protocol_error, "rmi: bad stream magic");
+  if (r.u8() != kOpCall) return make_error(Errc::protocol_error, "rmi: expected call");
+  Call call{r.str16(), r.str16(), {}};
+  r.skip(r.u16());  // class descriptors
+  call.args = r.bytes(r.u32());
+  if (!r.ok()) return 0;  // partial
+  out.push_back(std::move(call));
   return r.position();
 }
 
@@ -71,16 +55,14 @@ Result<std::size_t> next_return(std::span<const std::uint8_t> buffer,
                                 std::vector<Return>& out) {
   if (buffer.size() < 5) return 0;
   ByteReader r(buffer);
-  if (auto m = check_magic(r); !m.ok()) return m.error();
-  const std::uint8_t op = r.u8().value();
+  if (r.str(4) != kMagic) return make_error(Errc::protocol_error, "rmi: bad stream magic");
+  const std::uint8_t op = r.u8();
   if (op != kOpReturn && op != kOpException) {
     return make_error(Errc::protocol_error, "rmi: expected return");
   }
-  auto len = r.u32();
-  if (!len.ok()) return 0;
-  auto value = r.bytes(len.value());
-  if (!value.ok()) return 0;
-  out.push_back(Return{op == kOpException, std::move(value).take()});
+  Return ret{op == kOpException, r.bytes(r.u32())};
+  if (!r.ok()) return 0;
+  out.push_back(std::move(ret));
   return r.position();
 }
 

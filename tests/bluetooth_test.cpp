@@ -136,13 +136,13 @@ TEST(SdpTest, RecordCodecRoundTrip) {
   ByteWriter w;
   rec.encode(w);
   ByteReader r(w.data());
-  auto back = SdpRecord::decode(r);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().handle, 42u);
-  EXPECT_EQ(back.value().service_uuid, "0x1124");
-  EXPECT_EQ(back.value().name, "HID Mouse");
-  EXPECT_EQ(back.value().psm, 0x13);
-  EXPECT_EQ(back.value().profile, "HID");
+  const SdpRecord back = SdpRecord::decode(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(back.handle, 42u);
+  EXPECT_EQ(back.service_uuid, "0x1124");
+  EXPECT_EQ(back.name, "HID Mouse");
+  EXPECT_EQ(back.psm, 0x13);
+  EXPECT_EQ(back.profile, "HID");
 }
 
 // --- OBEX codec -----------------------------------------------------------------------------

@@ -1,0 +1,568 @@
+// Properties of the six binary wire codecs (UMTP, OBEX, SDP, RMI, MediaBroker
+// and motes Active Messages), over seeded generated values:
+//   * encode(x) equals the bytes a reference model builds field by field from
+//     the wire format documented in each codec's header, and decode(encode(x))
+//     gives x back;
+//   * every strict prefix of an encoding gets a fixed verdict. A stream decode
+//     step returns 0 ("need more") and yields nothing. umtp::decode_body,
+//     obex::decode and motes::Reading::decode report the underrun at the first
+//     field that does not fit, with its literal parse_error message, or the
+//     protocol error the format puts ahead of it.
+#include <gtest/gtest.h>
+
+#include <optional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "bluetooth/obex.hpp"
+#include "bluetooth/sdp.hpp"
+#include "common/rand.hpp"
+#include "core/umtp.hpp"
+#include "mediabroker/protocol.hpp"
+#include "motes/motes.hpp"
+#include "rmi/protocol.hpp"
+
+namespace umiddle {
+namespace {
+
+namespace umtp = core::umtp;
+namespace obex = bt::obex;
+
+constexpr int kCases = 150;
+
+/// A reference encoding built field by field, which remembers where every
+/// field a decoder reads begins and how wide it is.
+class Layout {
+ public:
+  Layout& u8(std::uint64_t v) { return uint(1, v); }
+  Layout& u16(std::uint64_t v) { return uint(2, v); }
+  Layout& u32(std::uint64_t v) { return uint(4, v); }
+  Layout& u64(std::uint64_t v) { return uint(8, v); }
+  Layout& raw(std::span<const std::uint8_t> data) {
+    fields_.push_back({wire_.size(), data.size()});
+    wire_.insert(wire_.end(), data.begin(), data.end());
+    return *this;
+  }
+  Layout& raw(std::string_view s) { return raw(to_bytes(s)); }
+  Layout& str16(std::string_view s) { return u16(s.size()).raw(s); }
+
+  const Bytes& wire() const { return wire_; }
+
+  /// What a decoder reports on the first `len` bytes: the underrun at the
+  /// first field that does not fit, or "" when every field fits.
+  std::string underrun(std::size_t len) const {
+    for (const auto& [offset, width] : fields_) {
+      if (offset + width > len) {
+        return "buffer underrun: need " + std::to_string(width) + " bytes at offset " +
+               std::to_string(offset) + ", have " + std::to_string(len - offset);
+      }
+    }
+    return "";
+  }
+
+ private:
+  struct Field {
+    std::size_t offset;
+    std::size_t width;
+  };
+
+  Layout& uint(std::size_t width, std::uint64_t v) {
+    fields_.push_back({wire_.size(), width});
+    for (std::size_t i = width; i-- > 0;) wire_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+
+  Bytes wire_;
+  std::vector<Field> fields_;
+};
+
+Bytes random_bytes(Rng& rng, std::size_t max) {
+  Bytes out(rng.below(max + 1));
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+std::span<const std::uint8_t> prefix(const Bytes& wire, std::size_t len) {
+  return std::span<const std::uint8_t>(wire).first(len);
+}
+
+void expect_error(const Result<void>& got, Errc code, const std::string& message) {
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.error().code, code);
+  EXPECT_EQ(got.error().message, message);
+}
+
+template <typename T>
+Result<void> verdict(const Result<T>& r) {
+  if (!r.ok()) return r.error();
+  return ok_result();
+}
+
+/// A stream decode step gives nothing for every strict prefix and exactly
+/// one frame, spanning the whole encoding, for the encoding itself.
+template <typename Frame>
+Frame step_all(Result<std::size_t> (*step)(std::span<const std::uint8_t>, std::vector<Frame>&),
+               const Bytes& wire) {
+  std::vector<Frame> out;
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    auto n = step(prefix(wire, len), out);
+    EXPECT_TRUE(n.ok() && n.value() == 0 && out.empty()) << "prefix " << len << "/" << wire.size();
+  }
+  auto n = step(wire, out);
+  EXPECT_TRUE(n.ok() && n.value() == wire.size());
+  if (out.size() != 1) {
+    ADD_FAILURE() << "decode step gave " << out.size() << " frames";
+    return Frame{};
+  }
+  return std::move(out.front());
+}
+
+// --- UMTP ------------------------------------------------------------------------
+
+MimeType random_mime(Rng& rng) {
+  return MimeType(rng.ident(1 + rng.below(6)), rng.ident(1 + rng.below(8)));
+}
+
+core::PortRef random_port(Rng& rng) {
+  return core::PortRef{TranslatorId(rng.next()), rng.ident(rng.below(9))};
+}
+
+void port_layout(Layout& l, const core::PortRef& port) {
+  l.u64(port.translator.value()).str16(port.port);
+}
+
+Layout data_layout(const core::PortRef& dst, const core::Message& m) {
+  Layout l;
+  if (m.deadline_ns != 0) {
+    l.u8(4).u64(static_cast<std::uint64_t>(m.deadline_ns));
+  } else {
+    l.u8(1);
+  }
+  port_layout(l, dst);
+  l.str16(m.type.to_string()).u16(m.meta.size());
+  for (const auto& [k, v] : m.meta) l.str16(k).str16(v);
+  l.u32(m.payload.size()).raw(m.payload);
+  return l;
+}
+
+/// Every field of a frame, in a form that compares with == and prints.
+std::string fields_of(const umtp::Frame& frame) {
+  std::ostringstream os;
+  auto port = [&os](const core::PortRef& p) { os << ' ' << p.translator.value() << ':' << p.port; };
+  if (const auto* d = std::get_if<umtp::DataFrame>(&frame)) {
+    os << "DATA";
+    port(d->dst);
+    os << ' ' << d->message.type.to_string() << ' ' << d->message.deadline_ns << " ["
+       << hex(d->message.payload) << ']';
+    for (const auto& [k, v] : d->message.meta) os << ' ' << k << '=' << v;
+  } else if (const auto* c = std::get_if<umtp::ConnectFrame>(&frame)) {
+    os << "CONNECT " << c->path.value();
+    port(c->src);
+    if (const auto* fixed = std::get_if<core::PortRef>(&c->dst)) {
+      port(*fixed);
+    } else {
+      os << ' ' << std::get<core::Query>(c->dst).to_xml().to_string();
+    }
+  } else if (const auto* disc = std::get_if<umtp::DisconnectFrame>(&frame)) {
+    os << "DISCONNECT " << disc->path.value();
+  } else if (const auto* ack = std::get_if<umtp::AckFrame>(&frame)) {
+    os << "ACK " << ack->epoch << ' ' << ack->count;
+  } else if (const auto* r = std::get_if<umtp::ResumeFrame>(&frame)) {
+    os << "RESUME " << r->node.value() << ' ' << r->epoch << ' ' << r->prev_channel << ' '
+       << r->base_seq;
+  } else {
+    const auto& seq = std::get<umtp::SeqFrame>(frame);
+    os << "SEQ " << seq.seq << " [" << hex(seq.body) << ']';
+  }
+  return os.str();
+}
+
+/// One generated UMTP frame: its reference body layout, the frame it must
+/// decode to, and (unless it is an ACK, which only the transport session
+/// builds) the frame to encode.
+struct UmtpCase {
+  Layout body;
+  std::string fields;
+  std::optional<umtp::Frame> frame;
+};
+
+UmtpCase random_data(Rng& rng) {
+  core::Message m;
+  m.type = random_mime(rng);
+  m.payload = random_bytes(rng, 40);
+  for (std::size_t i = rng.below(4); i > 0; --i) {
+    std::string key = rng.ident(1 + rng.below(4));
+    m.meta[key] = rng.ident(rng.below(6));
+  }
+  if (rng.chance(0.5)) m.deadline_ns = static_cast<std::int64_t>(rng.between(1, 1ull << 62));
+  const core::PortRef dst = random_port(rng);
+  umtp::Frame frame{umtp::DataFrame{dst, m}};
+  return {data_layout(dst, m), fields_of(frame), std::move(frame)};
+}
+
+UmtpCase random_connect(Rng& rng) {
+  umtp::ConnectFrame c;
+  c.path = PathId(rng.next());
+  c.src = random_port(rng);
+  Layout l;
+  l.u8(2).u64(c.path.value());
+  port_layout(l, c.src);
+  if (rng.chance(0.5)) {
+    const core::PortRef dst = random_port(rng);
+    port_layout(l.u8(1), dst);
+    c.dst = dst;
+  } else {
+    core::Query q;
+    if (rng.chance(0.7)) q.digital_input(random_mime(rng));
+    if (rng.chance(0.5)) q.digital_output(random_mime(rng));
+    if (rng.chance(0.5)) q.platform(rng.ident(6));
+    if (rng.chance(0.5)) q.name_contains(rng.ident(4));
+    l.u8(2).str16(q.to_xml().to_string());
+    c.dst = std::move(q);
+  }
+  umtp::Frame frame{std::move(c)};
+  return {std::move(l), fields_of(frame), std::move(frame)};
+}
+
+UmtpCase random_disconnect(Rng& rng) {
+  const std::uint64_t path = rng.next();
+  umtp::Frame frame{umtp::DisconnectFrame{PathId(path)}};
+  return {Layout().u8(3).u64(path), fields_of(frame), std::move(frame)};
+}
+
+UmtpCase random_control(Rng& rng) {
+  const std::uint64_t a = rng.next(), b = rng.next(), c = rng.next(), d = rng.next();
+  switch (rng.below(3)) {
+    case 0:
+      return random_disconnect(rng);
+    case 1:
+      return {Layout().u8(5).u64(a).u64(b), "ACK " + std::to_string(a) + ' ' + std::to_string(b),
+              std::nullopt};
+    default: {
+      umtp::Frame frame{umtp::ResumeFrame{NodeId(a), b, c, d}};
+      return {Layout().u8(6).u64(a).u64(b).u64(c).u64(d), fields_of(frame), std::move(frame)};
+    }
+  }
+}
+
+/// A SEQ frame around a replayable frame, and the inner frame's case.
+std::pair<UmtpCase, UmtpCase> random_seq(Rng& rng) {
+  const std::uint64_t pick = rng.below(5);
+  UmtpCase inner = pick < 2 ? random_data(rng) : pick < 4 ? random_connect(rng)
+                                                           : random_disconnect(rng);
+  const std::uint64_t seq = rng.next();
+  umtp::Frame frame{umtp::SeqFrame{seq, inner.body.wire()}};
+  UmtpCase outer{Layout().u8(7).u64(seq).raw(inner.body.wire()), fields_of(frame),
+                 std::move(frame)};
+  return {std::move(outer), std::move(inner)};
+}
+
+Bytes length_prefixed(const Bytes& body) {
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.bytes(body);
+  return w.take();
+}
+
+void check_umtp(const UmtpCase& c) {
+  SCOPED_TRACE(c.fields);
+  const Bytes& body = c.body.wire();
+  const Bytes wire = length_prefixed(body);
+  if (c.frame.has_value()) {
+    EXPECT_EQ(umtp::encode(*c.frame), wire);
+  }
+  auto decoded = umtp::decode_body(body);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  EXPECT_EQ(fields_of(decoded.value()), c.fields);
+  EXPECT_EQ(fields_of(step_all(&umtp::next_frame, wire)), c.fields);
+}
+
+TEST(CodecPropertyTest, UmtpFramesRoundTripAndMatchTheReferenceLayout) {
+  Rng rng(0xC0DEC0DE0001ull);
+  for (int i = 0; i < kCases; ++i) {
+    check_umtp(random_data(rng));
+    check_umtp(random_connect(rng));
+    check_umtp(random_control(rng));
+    auto [seq, inner] = random_seq(rng);
+    check_umtp(seq);
+    check_umtp(inner);
+    EXPECT_EQ(umtp::encode_seq(std::get<umtp::SeqFrame>(*seq.frame).seq,
+                               length_prefixed(inner.body.wire())),
+              length_prefixed(seq.body.wire()));
+  }
+}
+
+TEST(CodecPropertyTest, UmtpDataFramesEncodeStraightFromTheMessage) {
+  Rng rng(0xC0DEC0DE0002ull);
+  for (int i = 0; i < kCases; ++i) {
+    UmtpCase c = random_data(rng);
+    const auto& data = std::get<umtp::DataFrame>(*c.frame);
+    core::Message message = data.message;
+    const std::int64_t deadline = message.deadline_ns;
+    message.deadline_ns = 0;  // encode_data's argument overrides the message's own
+    EXPECT_EQ(umtp::encode_data(data.dst, message, deadline), length_prefixed(c.body.wire()));
+  }
+}
+
+TEST(CodecPropertyTest, UmtpStrictPrefixesReportTheFirstMissingField) {
+  Rng rng(0xC0DEC0DE0003ull);
+  auto check_prefixes = [](const UmtpCase& c) {
+    SCOPED_TRACE(c.fields);
+    const Bytes& body = c.body.wire();
+    for (std::size_t len = 0; len < body.size(); ++len) {
+      expect_error(verdict(umtp::decode_body(prefix(body, len))), Errc::parse_error,
+                   c.body.underrun(len));
+    }
+  };
+  for (int i = 0; i < kCases; ++i) {
+    check_prefixes(random_data(rng));
+    check_prefixes(random_connect(rng));
+    check_prefixes(random_control(rng));
+    // A SEQ prefix that holds the sequence number decodes what it has of the
+    // inner frame, so the underrun is the inner frame's.
+    auto [seq, inner] = random_seq(rng);
+    const Bytes& body = seq.body.wire();
+    for (std::size_t len = 0; len < body.size(); ++len) {
+      auto got = verdict(umtp::decode_body(prefix(body, len)));
+      if (len < 9) {
+        expect_error(got, Errc::parse_error, seq.body.underrun(len));
+      } else if (len == 9) {
+        expect_error(got, Errc::protocol_error, "empty SEQ body");
+      } else {
+        expect_error(got, Errc::parse_error, inner.body.underrun(len - 9));
+      }
+    }
+  }
+}
+
+// --- OBEX ------------------------------------------------------------------------
+
+obex::Packet random_packet(Rng& rng) {
+  obex::Packet p;
+  if (rng.chance(0.2)) {
+    p.opcode = obex::kOpConnect;
+    p.max_packet = static_cast<std::uint16_t>(rng.next());
+  } else {
+    const std::uint8_t opcodes[] = {obex::kOpPut, obex::kOpPutFinal, obex::kOpGetFinal,
+                                    obex::kOpDisconnect, obex::kRespContinue, obex::kRespSuccess};
+    p.opcode = opcodes[rng.below(std::size(opcodes))];
+  }
+  for (std::size_t i = rng.below(5); i > 0; --i) {
+    switch (rng.below(3)) {
+      case 0:
+        p.headers.push_back(obex::Header::text(obex::kHdrName, rng.ident(rng.below(12))));
+        break;
+      case 1: {
+        const std::uint8_t ids[] = {obex::kHdrType, obex::kHdrBody, obex::kHdrEndOfBody};
+        p.headers.push_back(obex::Header::bytes(ids[rng.below(3)], random_bytes(rng, 40)));
+        break;
+      }
+      default:
+        p.headers.push_back(obex::Header::u32(rng.chance(0.5) ? obex::kHdrLength
+                                                              : obex::kHdrConnectionId,
+                                              static_cast<std::uint32_t>(rng.next())));
+        break;
+    }
+  }
+  return p;
+}
+
+Layout packet_layout(const obex::Packet& p) {
+  std::size_t length = 3 + (p.max_packet.has_value() ? 4 : 0);
+  for (const obex::Header& h : p.headers) {
+    if (const auto* s = std::get_if<std::string>(&h.value)) length += 3 + s->size();
+    if (const auto* b = std::get_if<Bytes>(&h.value)) length += 3 + b->size();
+    if (std::holds_alternative<std::uint32_t>(h.value)) length += 5;
+  }
+  Layout l;
+  l.u8(p.opcode).u16(length);
+  if (p.max_packet.has_value()) l.u8(0x10).u8(0).u16(*p.max_packet);
+  for (const obex::Header& h : p.headers) {
+    l.u8(h.id);
+    if (const auto* s = std::get_if<std::string>(&h.value)) l.u16(3 + s->size()).raw(*s);
+    if (const auto* b = std::get_if<Bytes>(&h.value)) l.u16(3 + b->size()).raw(*b);
+    if (const auto* v = std::get_if<std::uint32_t>(&h.value)) l.u32(*v);
+  }
+  return l;
+}
+
+std::string fields_of(const obex::Packet& p) {
+  std::ostringstream os;
+  os << int(p.opcode) << ' ' << (p.max_packet ? int(*p.max_packet) : -1);
+  for (const obex::Header& h : p.headers) {
+    os << " #" << int(h.id);
+    if (const auto* s = std::get_if<std::string>(&h.value)) os << " '" << *s << '\'';
+    if (const auto* b = std::get_if<Bytes>(&h.value)) os << " [" << hex(*b) << ']';
+    if (const auto* v = std::get_if<std::uint32_t>(&h.value)) os << ' ' << *v;
+  }
+  return os.str();
+}
+
+TEST(CodecPropertyTest, ObexPacketsRoundTripAndTruncationsFailAtTheLength) {
+  Rng rng(0xC0DEC0DE0004ull);
+  for (int i = 0; i < kCases; ++i) {
+    const obex::Packet p = random_packet(rng);
+    SCOPED_TRACE(fields_of(p));
+    const Layout l = packet_layout(p);
+    const Bytes& wire = l.wire();
+    EXPECT_EQ(p.encode(), wire);
+    auto decoded = obex::decode(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+    EXPECT_EQ(fields_of(decoded.value()), fields_of(p));
+    EXPECT_EQ(fields_of(step_all(&obex::next_packet, wire)), fields_of(p));
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      auto got = verdict(obex::decode(prefix(wire, len)));
+      if (len < 3) {
+        expect_error(got, Errc::parse_error, l.underrun(len));
+      } else {
+        expect_error(got, Errc::protocol_error, "obex: length mismatch");
+      }
+    }
+  }
+}
+
+// --- MediaBroker -----------------------------------------------------------------
+
+std::string fields_of(const mb::Frame& f) {
+  return std::to_string(static_cast<int>(f.op)) + ' ' + f.stream + ' ' + f.media_type + " [" +
+         hex(f.payload) + ']';
+}
+
+TEST(CodecPropertyTest, MbFramesOfEveryOpRoundTrip) {
+  Rng rng(0xC0DEC0DE0005ull);
+  for (int i = 0; i < kCases; ++i) {
+    for (int op = 1; op <= 6; ++op) {
+      mb::Frame f;
+      f.op = static_cast<mb::Op>(op);
+      f.stream = rng.ident(rng.below(10));
+      Layout l;
+      l.u8(op).str16(f.stream);
+      if (f.op == mb::Op::produce || f.op == mb::Op::announce) {
+        f.media_type = random_mime(rng).to_string();
+        l.str16(f.media_type);
+      } else if (f.op == mb::Op::data) {
+        f.payload = random_bytes(rng, 60);
+        l.u32(f.payload.size()).raw(f.payload);
+      }
+      SCOPED_TRACE(fields_of(f));
+      EXPECT_EQ(f.encode(), l.wire());
+      EXPECT_EQ(fields_of(step_all(&mb::next_frame, l.wire())), fields_of(f));
+    }
+  }
+}
+
+// --- RMI -------------------------------------------------------------------------
+
+TEST(CodecPropertyTest, RmiCallsAndReturnsRoundTrip) {
+  Rng rng(0xC0DEC0DE0006ull);
+  for (int i = 0; i < kCases; ++i) {
+    const rmi::Call call{rng.ident(rng.below(8)), rng.ident(rng.below(8)), random_bytes(rng, 60)};
+    Layout cl;
+    cl.raw("JRMI").u8(0x50).str16(call.object).str16(call.method).u16(rmi::kSerializationOverhead);
+    Bytes descriptors;
+    for (std::size_t j = 0; j < rmi::kSerializationOverhead; ++j) {
+      descriptors.push_back(static_cast<std::uint8_t>(0x70 + j % 16));
+    }
+    cl.raw(descriptors).u32(call.args.size()).raw(call.args);
+    EXPECT_EQ(rmi::encode_call(call), cl.wire());
+    const rmi::Call got_call = step_all(&rmi::next_call, cl.wire());
+    EXPECT_EQ(got_call.object, call.object);
+    EXPECT_EQ(got_call.method, call.method);
+    EXPECT_EQ(got_call.args, call.args);
+
+    const rmi::Return ret{rng.chance(0.3), random_bytes(rng, 60)};
+    Layout rl;
+    rl.raw("JRMI").u8(ret.exception ? 0x52 : 0x51).u32(ret.value.size()).raw(ret.value);
+    EXPECT_EQ(rmi::encode_return(ret), rl.wire());
+    const rmi::Return got_ret = step_all(&rmi::next_return, rl.wire());
+    EXPECT_EQ(got_ret.exception, ret.exception);
+    EXPECT_EQ(got_ret.value, ret.value);
+  }
+}
+
+// --- SDP -------------------------------------------------------------------------
+
+std::string fields_of(const bt::SdpRecord& r) {
+  return std::to_string(r.handle) + ' ' + r.service_uuid + ' ' + r.name + ' ' +
+         std::to_string(r.psm) + ' ' + r.profile;
+}
+
+std::string fields_of(const bt::SdpResponse& r) {
+  std::string out = std::to_string(r.pdu) + ' ' + std::to_string(r.tx) + ' ' +
+                    std::to_string(r.error);
+  for (const bt::SdpRecord& rec : r.records) out += " {" + fields_of(rec) + '}';
+  return out;
+}
+
+TEST(CodecPropertyTest, SdpRequestsResponsesAndErrorsRoundTrip) {
+  Rng rng(0xC0DEC0DE0007ull);
+  for (int i = 0; i < kCases; ++i) {
+    bt::SdpRequest req{bt::kSdpSearchRequest, static_cast<std::uint16_t>(rng.next()),
+                       rng.ident(rng.below(8))};
+    if (rng.chance(0.2)) {
+      req.pdu = 0x02;  // another request PDU: header only
+      req.uuid.clear();
+    }
+    Layout ql;
+    ql.u8(req.pdu).u16(req.tx);
+    if (req.pdu == bt::kSdpSearchRequest) ql.str16(req.uuid);
+    EXPECT_EQ(req.encode(), ql.wire());
+    const bt::SdpRequest got_req = step_all(&bt::next_request, ql.wire());
+    EXPECT_EQ(got_req.pdu, req.pdu);
+    EXPECT_EQ(got_req.tx, req.tx);
+    EXPECT_EQ(got_req.uuid, req.uuid);
+
+    bt::SdpResponse resp;
+    resp.tx = static_cast<std::uint16_t>(rng.next());
+    Layout rl;
+    if (rng.chance(0.3)) {
+      resp.pdu = bt::kSdpError;
+      resp.error = static_cast<std::uint16_t>(rng.next());
+      rl.u8(resp.pdu).u16(resp.tx).u16(resp.error);
+    } else {
+      for (std::size_t n = rng.below(4); n > 0; --n) {
+        resp.records.push_back(bt::SdpRecord{static_cast<std::uint32_t>(rng.next()),
+                                             rng.ident(6), rng.ident(rng.below(10)),
+                                             static_cast<std::uint16_t>(rng.next()),
+                                             rng.ident(3)});
+      }
+      rl.u8(resp.pdu).u16(resp.tx).u16(resp.records.size());
+      for (const bt::SdpRecord& rec : resp.records) {
+        rl.u32(rec.handle).str16(rec.service_uuid).str16(rec.name).u16(rec.psm).str16(rec.profile);
+      }
+    }
+    SCOPED_TRACE(fields_of(resp));
+    EXPECT_EQ(resp.encode(), rl.wire());
+    EXPECT_EQ(fields_of(step_all(&bt::next_response, rl.wire())), fields_of(resp));
+  }
+}
+
+// --- motes Active Messages -------------------------------------------------------
+
+TEST(CodecPropertyTest, MotesReadingsRoundTripAndTruncationsReportTheMissingField) {
+  Rng rng(0xC0DEC0DE0008ull);
+  for (int i = 0; i < kCases; ++i) {
+    const motes::Reading reading{static_cast<std::uint16_t>(rng.next()),
+                                 static_cast<motes::SensorKind>(rng.between(1, 3)),
+                                 static_cast<std::uint16_t>(rng.next()),
+                                 static_cast<std::uint16_t>(rng.next())};
+    Layout l;
+    l.u16(motes::kAmTelemetry).u16(reading.mote_id).u8(static_cast<std::uint8_t>(reading.kind));
+    l.u16(reading.value).u16(reading.sequence);
+    EXPECT_EQ(reading.encode(), l.wire());
+    auto back = motes::Reading::decode(l.wire());
+    ASSERT_TRUE(back.ok()) << back.error().to_string();
+    EXPECT_EQ(back.value().mote_id, reading.mote_id);
+    EXPECT_EQ(back.value().kind, reading.kind);
+    EXPECT_EQ(back.value().value, reading.value);
+    EXPECT_EQ(back.value().sequence, reading.sequence);
+    for (std::size_t len = 0; len < l.wire().size(); ++len) {
+      expect_error(verdict(motes::Reading::decode(prefix(l.wire(), len))), Errc::parse_error,
+                   l.underrun(len));
+    }
+  }
+}
+
+}  // namespace
+}  // namespace umiddle

@@ -223,11 +223,12 @@ TEST(BytesTest, RoundTripScalars) {
   w.str16("obex");
 
   ByteReader r(w.data());
-  EXPECT_EQ(r.u8().value(), 0xAB);
-  EXPECT_EQ(r.u16().value(), 0x1234);
-  EXPECT_EQ(r.u32().value(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64().value(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(r.str16().value(), "obex");
+  EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.u16(), 0x1234);
+  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
+  EXPECT_EQ(r.str16(), "obex");
+  EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.at_end());
 }
 
@@ -242,10 +243,28 @@ TEST(BytesTest, BigEndianLayout) {
 TEST(BytesTest, UnderrunIsError) {
   Bytes buf = {0x01};
   ByteReader r(buf);
-  EXPECT_TRUE(r.u8().ok());
-  auto fail = r.u16();
-  ASSERT_FALSE(fail.ok());
-  EXPECT_EQ(fail.error().code, Errc::parse_error);
+  (void)r.u8();
+  EXPECT_TRUE(r.ok());
+  (void)r.u16();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Errc::parse_error);
+}
+
+TEST(BytesTest, FirstUnderrunLatches) {
+  Bytes buf = {0x01, 0x02, 0x03};
+  ByteReader r(buf);
+  EXPECT_EQ(r.u8(), 0x01);
+  EXPECT_EQ(r.u32(), 0u);  // the first read that does not fit
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.position(), 1u);
+  EXPECT_EQ(r.remaining(), 0u);
+  // Later reads return zero or empty, even ones that would have fit, and the
+  // error stays the first one.
+  EXPECT_EQ(r.u8(), 0);
+  EXPECT_EQ(r.str16(), "");
+  EXPECT_TRUE(r.bytes(1).empty());
+  EXPECT_EQ(r.position(), 1u);
+  EXPECT_EQ(r.error().message, "buffer underrun: need 4 bytes at offset 1, have 2");
 }
 
 TEST(BytesTest, StrAndBytes) {
@@ -254,8 +273,8 @@ TEST(BytesTest, StrAndBytes) {
   Bytes raw = {1, 2, 3};
   w.bytes(raw);
   ByteReader r(w.data());
-  EXPECT_EQ(r.str(3).value(), "abc");
-  EXPECT_EQ(r.bytes(3).value(), raw);
+  EXPECT_EQ(r.str(3), "abc");
+  EXPECT_EQ(r.bytes(3), raw);
 }
 
 TEST(BytesTest, HexDump) {

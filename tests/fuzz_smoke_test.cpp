@@ -1,6 +1,7 @@
-// Deterministic mutation-fuzz smoke test over the project's five parsing
+// Deterministic mutation-fuzz smoke test over the project's six parsing
 // surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, UMTP frame decoding,
-// base64 decoding and every stream protocol's frame reader (DESIGN.md §7.6).
+// base64 decoding, motes readings and every stream protocol's frame reader
+// (DESIGN.md §7.6).
 // Each entry point (src/fuzz/entries.hpp) is driven with ≥10k
 // splitmix64-mutated inputs derived from small valid corpora — bit flips,
 // byte stomps, truncations, extensions and (for UMTP) length-prefix lies.
@@ -22,6 +23,7 @@
 #include "core/umtp.hpp"
 #include "fuzz/entries.hpp"
 #include "mediabroker/protocol.hpp"
+#include "motes/motes.hpp"
 #include "rmi/protocol.hpp"
 #include "upnp/http.hpp"
 
@@ -182,6 +184,17 @@ Corpus base64_corpus() {
   return corpus;
 }
 
+Corpus motes_corpus() {
+  Corpus corpus;
+  for (std::uint16_t id : {1, 7, 300}) {
+    for (auto kind : {motes::SensorKind::light, motes::SensorKind::temperature,
+                      motes::SensorKind::humidity}) {
+      corpus.push_back(motes::Reading{id, kind, static_cast<std::uint16_t>(100 + id), 42}.encode());
+    }
+  }
+  return corpus;
+}
+
 /// One valid stream per protocol of fuzz::stream_protocols(): the selector
 /// byte, then two or three frames back to back.
 Corpus stream_corpus() {
@@ -242,6 +255,10 @@ TEST(FuzzSmokeTest, UmtpDecoderSurvivesMutations) {
 
 TEST(FuzzSmokeTest, Base64DecoderSurvivesMutations) {
   drive(&fuzz::fuzz_base64_decode, base64_corpus(), 0x7777b64b64b64b64ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, MotesReadingDecoderSurvivesMutations) {
+  drive(&fuzz::fuzz_motes_reading, motes_corpus(), 0xabcd0123456789efull, kRounds);
 }
 
 TEST(FuzzSmokeTest, StreamFramesSurviveMutations) {

@@ -391,6 +391,37 @@ TEST(UsdlLibraryTest, FindAndOverride) {
   EXPECT_EQ(lib.find("upnp", "urn:schemas-upnp-org:device:BinaryLight:1")->name, "Hue Bridge");
 }
 
+TEST(UsdlLibraryTest, OverrideLeavesLiveTranslatorsOnTheirDescription) {
+  constexpr const char* kMatch = "urn:schemas-upnp-org:device:BinaryLight:1";
+  UsdlLibrary lib;
+  ASSERT_TRUE(lib.add_text(kLightUsdl).ok());
+  const UsdlProbe light("Light", *lib.find("upnp", kMatch));
+  const UsdlBinding* on = light.find_binding("action", "power-on");
+  ASSERT_NE(on, nullptr);
+
+  // A user override of the same (platform, match) with other ports and bindings.
+  ASSERT_TRUE(lib.add_text(R"(<usdl version="1">
+    <service platform="upnp" match="urn:schemas-upnp-org:device:BinaryLight:1" name="Dimmer">
+      <shape><digital-port name="dim" direction="input" mime="application/x-upnp-control"/></shape>
+      <bindings><binding port="dim" kind="action">
+        <native service="Dimming" action="SetLoadLevelTarget"/>
+      </binding></bindings>
+    </service></usdl>)").ok());
+  EXPECT_EQ(lib.size(), 1u);
+
+  // The live translator keeps the description it was built from ...
+  EXPECT_EQ(light.usdl().shape, light.profile().shape);
+  EXPECT_EQ(light.usdl().name, "UPnP Light");
+  EXPECT_EQ(light.find_binding("action", "power-on"), on);
+  EXPECT_EQ(on->native.attrs.at("service"), "SwitchPower");
+  EXPECT_EQ(light.find_binding("action", "dim"), nullptr);
+  // ... and the next import sees the override.
+  const UsdlProbe dimmer("Dimmer", *lib.find("upnp", kMatch));
+  EXPECT_EQ(dimmer.usdl().shape, dimmer.profile().shape);
+  ASSERT_NE(dimmer.find_binding("action", "dim"), nullptr);
+  EXPECT_EQ(dimmer.find_binding("action", "power-on"), nullptr);
+}
+
 // --- UMTP codec -------------------------------------------------------------------------
 
 TEST(UmtpTest, DataFrameRoundTrip) {

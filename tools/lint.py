@@ -88,6 +88,11 @@ exist to keep nondeterminism from leaking back in:
                the simulator's hot paths fit sim::Callback's inline buffer,
                so scheduling there allocates nothing (DESIGN.md §8.1). Only
                boxed's own definition in src/sim/scheduler.hpp is exempt.
+  byte-order   outside src/common/, nothing in src/ shifts a subscripted byte
+               left by a multiple of 8 (`(buf[1] << 8) | buf[2]`): multi-byte
+               wire integers are read only through ByteReader, whose first
+               underrun latches (DESIGN.md §7.6), so byte order and bounds
+               checks have one implementation.
 
 Run directly:      python3 tools/lint.py --root .
 Run via ctest:     ctest -R lint
@@ -524,6 +529,23 @@ def check_inline_callback(path: str, code: str) -> Iterable[Violation]:
                             "fit sim::Callback's inline buffer instead")
 
 
+# Multi-byte wire integers are read through ByteReader (DESIGN.md §7.6): a
+# hand-assembled `(buf[1] << 8) | buf[2]` is a second big-endian decoder with
+# its own bounds check.
+BYTE_SHIFT_RE = re.compile(r"\]\s*\)?\s*<<\s*(?:8|16|24|32|40|48|56)\b")
+BYTE_ORDER_SITE = "src/common/"
+
+
+def check_byte_order(path: str, code: str) -> Iterable[Violation]:
+    if path.startswith(BYTE_ORDER_SITE):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if BYTE_SHIFT_RE.search(line):
+            yield Violation("byte-order", path, lineno,
+                            "subscripted byte shifted into a wire integer; "
+                            "read it through ByteReader (common/bytes.hpp)")
+
+
 def call_args(code: str, open_at: int) -> list[str]:
     """Top-level arguments of the bracketed list opening at code[open_at]."""
     depth, start, args = 0, open_at + 1, []
@@ -596,6 +618,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_one_usdl_translator,
     check_netsim_by_handle,
     check_inline_callback,
+    check_byte_order,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -698,6 +721,10 @@ SEEDED_VIOLATIONS = [
     ("inline-callback", "src/netsim/evil.cpp",
      "send_frame(seg, src, payload->size(),\n"
      "           sim::boxed([this, from, payload]() { deliver(from, *payload); }), false);\n"),
+    ("byte-order", "src/bluetooth/evil.cpp",
+     "const auto length = static_cast<std::size_t>((buffer[1] << 8) | buffer[2]);\n"),
+    ("byte-order", "src/motes/evil.cpp",
+     "std::uint16_t id = static_cast<std::uint16_t>(wire[2]) << 8 | wire[3];\n"),
 ]
 
 CLEAN_SNIPPETS = [
@@ -793,6 +820,14 @@ CLEAN_SNIPPETS = [
      "for (auto it = by_name_.begin(); it != by_name_.end(); ++it) { }\n"
      "for (auto ib = std::next(ia); ib != gadgets_.end(); ++ib) { }\n"
      "for (char c : text) { use(c); }\n"),
+    ("src/common/bytes.hpp",
+     "for (std::size_t i = 0; i < n; ++i) v = (v << 8) | p[i];\n"
+     "std::uint16_t v = static_cast<std::uint16_t>((data_[pos_] << 8) | data_[pos_ + 1]);\n"),
+    ("src/core/fine.cpp",
+     "// (buffer[1] << 8) | buffer[2] in a comment is fine\n"
+     "w.u8(static_cast<std::uint8_t>(v >> 8));\n"
+     "os << parts[0] << ' ' << parts[1];\n"
+     "const std::uint32_t mask = 1u << 8;\n"),
 ]
 
 
