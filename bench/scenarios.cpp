@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -1181,8 +1182,9 @@ std::string to_json(const Rows& rows) {
   return out + "}\n";
 }
 
-std::string golden_path(std::string_view name) {
-  return std::string(UMIDDLE_GOLDEN_DIR) + "/" + std::string(name) + ".json";
+/// tests/golden/<file>.
+std::string golden_path(std::string_view file) {
+  return std::string(UMIDDLE_GOLDEN_DIR) + "/" + std::string(file);
 }
 
 /// The rows of a to_json document, one per line.
@@ -1200,32 +1202,42 @@ Rows parse_rows(const std::string& json) {
   return out;
 }
 
-/// tests/golden/<name>.json, or nullopt when it does not exist.
-std::optional<std::string> read_golden(std::string_view name) {
-  std::ifstream in(golden_path(name));
+/// A text's rows: its lines, keyed `line <n>` from 1.
+Rows line_rows(std::string_view text) {
+  Rows out;
+  while (!text.empty()) {
+    const std::size_t end = std::min(text.find('\n'), text.size());
+    out.emplace_back("line " + std::to_string(out.size() + 1), std::string(text.substr(0, end)));
+    text.remove_prefix(std::min(end + 1, text.size()));
+  }
+  return out;
+}
+
+/// tests/golden/<file>, or nullopt when it does not exist.
+std::optional<std::string> read_golden(std::string_view file) {
+  std::ifstream in(golden_path(file));
   if (!in) return std::nullopt;
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
 }
 
-}  // namespace
-
-bool write_golden(std::string_view name, const Rows& rows) {
-  std::ofstream out(golden_path(name));
-  out << to_json(rows);
+bool write_file(std::string_view file, std::string_view text) {
+  std::ofstream out(golden_path(file));
+  out << text;
   return static_cast<bool>(out);
 }
 
-std::vector<std::string> golden_diff(std::string_view name, const Rows& live, bool exhaustive) {
-  const std::string scenario(name);
-  const std::optional<std::string> text = read_golden(name);
-  if (!text) return {"scenario " + scenario + ": no golden " + golden_path(name)};
+/// The one comparison of every golden: one line per live row that differs
+/// from the golden rows of `file`.
+std::vector<std::string> diff_rows(std::string_view file, const Rows& golden_rows,
+                                   const Rows& live, bool exhaustive) {
   std::map<std::string, std::string> golden;
-  for (auto& [key, value] : parse_rows(*text)) golden.emplace(std::move(key), std::move(value));
+  for (const auto& [key, value] : golden_rows) golden.emplace(key, value);
   std::vector<std::string> out;
   auto mismatch = [&](const std::string& key, const std::string& want, const std::string& got) {
-    out.push_back("scenario " + scenario + ": key " + key + ": golden " + want + ", live " + got);
+    out.push_back("golden " + std::string(file) + ": key " + key + ": golden " + want +
+                  ", live " + got);
   };
   for (const auto& [key, value] : live) {
     const auto it = golden.find(key);
@@ -1240,6 +1252,30 @@ std::vector<std::string> golden_diff(std::string_view name, const Rows& live, bo
     for (const auto& [key, value] : golden) mismatch(key, value, "(absent)");
   }
   return out;
+}
+
+}  // namespace
+
+bool write_golden(std::string_view name, const Rows& rows) {
+  return write_file(std::string(name) + ".json", to_json(rows));
+}
+
+std::vector<std::string> golden_diff(std::string_view name, const Rows& live, bool exhaustive) {
+  const std::string file = std::string(name) + ".json";
+  const std::optional<std::string> text = read_golden(file);
+  if (!text) return {"no golden " + golden_path(file)};
+  return diff_rows(file, parse_rows(*text), live, exhaustive);
+}
+
+bool write_golden_text(std::string_view file, std::string_view text) {
+  std::filesystem::create_directories(std::filesystem::path(golden_path(file)).parent_path());
+  return write_file(file, text);
+}
+
+std::vector<std::string> golden_text_diff(std::string_view file, std::string_view live) {
+  const std::optional<std::string> text = read_golden(file);
+  if (!text) return {"no golden " + golden_path(file)};
+  return diff_rows(file, line_rows(*text), line_rows(live), /*exhaustive=*/true);
 }
 
 }  // namespace umiddle::repro

@@ -5,7 +5,8 @@
 // tests/reproduction_test compares every outcome with its committed golden,
 // and bench/repro prints the tables and is the goldens' only writer. The
 // golden comparison also pins the determinism and chaos suites' digests
-// (tests/golden.hpp).
+// (tests/golden.hpp) and the example programs' outputs
+// (tests/example_golden_test).
 #pragma once
 
 #include <cstdint>
@@ -68,9 +69,14 @@ Rows rows(const Outcome& outcome);
 /// Writes tests/golden/<name>.json, one `"key": value` row per line.
 bool write_golden(std::string_view name, const Rows& rows);
 /// One line per live row that differs from golden `name`, naming the
-/// scenario, the key, the golden value and the live value. `exhaustive` also
-/// reports golden rows the live rows lack.
+/// golden file, the key, the golden value and the live value. `exhaustive`
+/// also reports golden rows the live rows lack.
 std::vector<std::string> golden_diff(std::string_view name, const Rows& live, bool exhaustive);
+/// Text goldens (the example outputs, tests/golden/examples/): `file` is the
+/// path under tests/golden/ and the rows are lines, keyed `line <n>`, through
+/// the same comparison as golden_diff.
+bool write_golden_text(std::string_view file, std::string_view text);
+std::vector<std::string> golden_text_diff(std::string_view file, std::string_view live);
 
 // --- shared with the host-CPU lookup benchmarks (bench_matching) -------------------
 

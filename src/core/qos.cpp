@@ -5,14 +5,16 @@
 
 namespace umiddle::core {
 
-void TokenBucket::refill(sim::TimePoint now) {
+void TokenBucket::refill(Nanos now) {
   if (now <= last_) return;
-  double elapsed = sim::to_seconds(now - last_);
+  // Times 1e-9, as sim::to_seconds does: dividing by 1e9 rounds differently,
+  // and shaped paths' virtual timings would move.
+  double elapsed = static_cast<double>((now - last_).count()) * 1e-9;
   tokens_ = std::min(burst_, tokens_ + elapsed * rate_);
   last_ = now;
 }
 
-bool TokenBucket::try_consume(std::size_t bytes, sim::TimePoint now) {
+bool TokenBucket::try_consume(std::size_t bytes, Nanos now) {
   refill(now);
   double need = static_cast<double>(bytes);
   // Allow single messages larger than the burst to pass once the bucket is
@@ -25,16 +27,16 @@ bool TokenBucket::try_consume(std::size_t bytes, sim::TimePoint now) {
   return false;
 }
 
-sim::Duration TokenBucket::delay_for(std::size_t bytes, sim::TimePoint now) {
+Nanos TokenBucket::delay_for(std::size_t bytes, Nanos now) {
   refill(now);
   double need = std::min(static_cast<double>(bytes), burst_);
-  if (tokens_ >= need) return sim::Duration(0);
+  if (tokens_ >= need) return Nanos(0);
   double missing = need - tokens_;
   double secs = missing / rate_;
-  return sim::Duration(static_cast<std::int64_t>(std::ceil(secs * 1e9)));
+  return Nanos(static_cast<std::int64_t>(std::ceil(secs * 1e9)));
 }
 
-double TokenBucket::tokens(sim::TimePoint now) {
+double TokenBucket::tokens(Nanos now) {
   refill(now);
   return tokens_;
 }

@@ -9,12 +9,16 @@
 // that the QoS ablation bench uses to reproduce the accumulation effect.
 #pragma once
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
-#include "sim/scheduler.hpp"
-
 namespace umiddle::core {
+
+/// Virtual time, with no simulator include: sim::Duration and sim::TimePoint
+/// are aliases of this type, so callers pass them unchanged.
+using Nanos = std::chrono::nanoseconds;
 
 /// What to do when a bounded translation buffer is full and another message
 /// arrives (DESIGN.md §11). Degradation is a per-path choice because it is a
@@ -49,13 +53,13 @@ struct QosPolicy {
   /// If set, a message entering this path without its own deadline gets
   /// deadline = emit time + ttl; expired messages are dropped (and never
   /// replayed) instead of being forwarded stale.
-  std::optional<sim::Duration> message_ttl;
+  std::optional<Nanos> message_ttl;
 
   bool shaped() const { return rate_bytes_per_sec.has_value(); }
   bool bounded() const { return max_buffered_bytes.has_value(); }
   /// Effective deadline of a message entering the path at `now`: its own
   /// (`own_ns`, 0 = none), else now + message_ttl if set, else 0.
-  std::int64_t deadline(std::int64_t own_ns, sim::TimePoint now) const {
+  std::int64_t deadline(std::int64_t own_ns, Nanos now) const {
     if (own_ns != 0 || !message_ttl) return own_ns;
     return (now + *message_ttl).count();
   }
@@ -69,20 +73,20 @@ class TokenBucket {
         tokens_(static_cast<double>(burst_bytes)) {}
 
   /// Try to spend `bytes` at time `now`; returns true on success.
-  bool try_consume(std::size_t bytes, sim::TimePoint now);
+  bool try_consume(std::size_t bytes, Nanos now);
 
   /// Time until `bytes` would be affordable (zero if affordable now).
-  sim::Duration delay_for(std::size_t bytes, sim::TimePoint now);
+  Nanos delay_for(std::size_t bytes, Nanos now);
 
-  double tokens(sim::TimePoint now);
+  double tokens(Nanos now);
 
  private:
-  void refill(sim::TimePoint now);
+  void refill(Nanos now);
 
   double rate_;
   double burst_;
   double tokens_;
-  sim::TimePoint last_{0};
+  Nanos last_{0};
 };
 
 }  // namespace umiddle::core

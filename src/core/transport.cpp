@@ -105,12 +105,6 @@ void Transport::retire(Fate fate, PathStats* path, std::uint64_t trace, std::uin
   instant(trace, row.instant);
 }
 
-void Transport::discard(const Path& path) {
-  // No PathStats: they are erased with the path.
-  for (const Pending& p : path.queue) retire(Fate::discarded, nullptr, p.msg->trace);
-  if (path.translating) retire(Fate::discarded, nullptr, path.translating->msg->trace);
-}
-
 void Transport::instant(std::uint64_t trace, std::string_view name) {
   tracer().instant(trace, name, runtime_.host(), now());
 }
@@ -154,7 +148,7 @@ void Transport::teardown(bool close_streams) {
   for (auto& stream : std::exchange(peer_streams_, {})) {
     if (close_streams) stream->close();
   }
-  for (auto& [id, path] : paths_) discard(path);
+  for (auto& [id, path] : paths_) path.queue.discard(fates(nullptr));
   paths_.clear();
   remote_paths_.clear();
   recv_ = {};
@@ -235,10 +229,7 @@ void Transport::install_path(PathId id, const PortRef& src, const PortSpec& src_
   path.id = id;
   path.src = src;
   path.src_port = src_port;
-  if (qos.shaped()) {
-    path.bucket = std::make_unique<TokenBucket>(*qos.rate_bytes_per_sec, qos.burst_bytes);
-  }
-  path.qos = qos;
+  path.queue = PathQueue(qos);
   if (auto* fixed = std::get_if<PortRef>(&dst)) {
     path.bound.push_back(std::move(*fixed));
   } else {
@@ -266,7 +257,7 @@ void Transport::bind(Path& path, const TranslatorProfile& profile) {
 
 Result<void> Transport::disconnect(PathId id) {
   if (auto path = paths_.find(id); path != paths_.end()) {
-    discard(path->second);
+    path->second.queue.discard(fates(nullptr));
     paths_.erase(path);
     return ok_result();
   }
@@ -283,7 +274,10 @@ Result<void> Transport::disconnect(PathId id) {
 
 const PathStats* Transport::stats(PathId id) const {
   auto it = paths_.find(id);
-  return it == paths_.end() ? nullptr : &it->second.stats;
+  if (it == paths_.end()) return nullptr;
+  it->second.stats.buffered_bytes = it->second.queue.bytes();
+  it->second.stats.max_buffered_bytes = it->second.queue.high_water();
+  return &it->second.stats;
 }
 
 std::vector<PortRef> Transport::bound_destinations(PathId id) const {
@@ -296,17 +290,10 @@ std::vector<PortRef> Transport::bound_destinations(PathId id) const {
 Result<void> Transport::route(const PortRef& src, const Message& msg) {
   // Block-policy admission first, and all-or-nothing: if any Block path's
   // buffer cannot take the whole fan-out, the emit is refused before anything
-  // is enqueued anywhere — a retried emit must never double-deliver to the
+  // is queued anywhere — a retried emit must never double-deliver to the
   // paths that had room.
   for (auto& [id, path] : paths_) {
-    if (!(path.src == src)) continue;
-    if (path.qos.shed != ShedPolicy::block || !path.qos.bounded() || path.bound.empty()) continue;
-    // A message already past its effective deadline needs no room: enqueue()
-    // retires it as expired, so it must not trip a would-block refusal a
-    // retrying producer could spin on forever.
-    if (deadline_passed(path.qos.deadline(msg.deadline_ns, now()), now().count())) continue;
-    const std::size_t need = msg.payload.size() * path.bound.size();
-    if (path.stats.buffered_bytes + need > *path.qos.max_buffered_bytes) {
+    if (path.src == src && path.queue.refuses(msg, path.bound.size(), now())) {
       retire(Fate::blocked, &path.stats, msg.trace);
       return make_error(Errc::buffer_overflow,
                         "translation buffer full (Block policy): " + id.to_string());
@@ -319,71 +306,12 @@ Result<void> Transport::route(const PortRef& src, const Message& msg) {
     if (!(path.src == src)) continue;
     for (const PortRef& dst : path.bound) {
       if (shared == nullptr) shared = std::make_shared<const Message>(msg);
-      enqueue(path, dst, shared);
+      if (!path.queue.offer(dst, shared, now(), fates(&path.stats))) continue;
+      msgs_enqueued_.inc();
+      drain(path);
     }
   }
   return ok_result();
-}
-
-void Transport::enqueue(Path& path, const PortRef& dst, const std::shared_ptr<const Message>& msg) {
-  const std::size_t bytes = msg->payload.size();
-  const std::int64_t deadline_ns = path.qos.deadline(msg->deadline_ns, now());
-  if (deadline_passed(deadline_ns, now().count())) {
-    retire(Fate::expired, &path.stats, msg->trace);
-    return;
-  }
-  if (path.qos.bounded() &&
-      path.stats.buffered_bytes + bytes > *path.qos.max_buffered_bytes &&
-      !shed_for_room(path, dst, *msg)) {
-    return;  // the incoming message was shed (or defensively blocked)
-  }
-  msgs_enqueued_.inc();
-  path.queue.push_back(Pending{dst, msg, deadline_ns});
-  path.stats.buffered_bytes += bytes;
-  path.stats.max_buffered_bytes =
-      std::max(path.stats.max_buffered_bytes, path.stats.buffered_bytes);
-  drain(path);
-}
-
-bool Transport::shed_for_room(Path& path, const PortRef& dst, const Message& msg) {
-  const std::size_t cap = *path.qos.max_buffered_bytes;
-  const std::size_t bytes = msg.payload.size();
-  const ShedPolicy policy = path.qos.shed;
-  if (policy == ShedPolicy::drop_newest || policy == ShedPolicy::block) {
-    // Tail drop refuses the newcomer: the legacy bounded-buffer behaviour,
-    // plus accounting. route() refuses Block emits up front with
-    // fan-out-aware accounting; reaching here would mean the buffer filled
-    // between admission and enqueue, so refuse without dropping anything.
-    retire(policy == ShedPolicy::block ? Fate::blocked : Fate::shed_newest, &path.stats,
-           msg.trace);
-    return false;
-  }
-  const bool latest = policy == ShedPolicy::latest_only;
-  const Fate fate = latest ? Fate::shed_latest : Fate::shed_oldest;
-  auto evict = [&](const Pending& victim) {
-    path.stats.buffered_bytes -= victim.msg->payload.size();
-    retire(fate, &path.stats, victim.msg->trace);
-  };
-  if (latest) {
-    // Coalesce: the newcomer supersedes everything queued for the same
-    // destination, then spills into oldest-first eviction if still over.
-    std::erase_if(path.queue, [&](const Pending& p) {
-      if (!(p.dst == dst)) return false;
-      evict(p);
-      return true;
-    });
-  }
-  while (!path.queue.empty() && path.stats.buffered_bytes + bytes > cap) {
-    evict(path.queue.front());
-    path.queue.pop_front();
-  }
-  if (path.stats.buffered_bytes + bytes > cap) {
-    // The queue is empty and the message alone exceeds the bound (zero or
-    // tiny capacity): shed the newcomer itself.
-    retire(fate, &path.stats, msg.trace);
-    return false;
-  }
-  return true;
 }
 
 bool Transport::destination_ready(const PortRef& dst) const {
@@ -403,52 +331,33 @@ bool Transport::destination_ready(const PortRef& dst) const {
 
 void Transport::drain(Path& path) {
   if (path.drain_scheduled) return;
-  // Expired messages never leave the buffer: retire them before considering
-  // shaping or backpressure, so a stalled destination cannot pin stale data.
-  while (!path.queue.empty()) {
-    const Pending& front = path.queue.front();
-    if (!deadline_passed(front.deadline_ns, now().count())) break;
-    path.stats.buffered_bytes -= front.msg->payload.size();
-    retire(Fate::expired, &path.stats, front.msg->trace);
-    path.queue.pop_front();
+  const PathQueue::Next next = path.queue.next(
+      now(), [this](const PortRef& dst) { return destination_ready(dst); }, fates(&path.stats));
+  if (next.wait > sim::Duration(0)) {
+    path.drain_scheduled = true;
+    runtime_.scheduler().schedule_after(
+        next.wait,
+        lifetime_.guard([this, id = path.id]() {
+          auto it = paths_.find(id);
+          if (it == paths_.end()) return;
+          it->second.drain_scheduled = false;
+          drain(it->second);
+        }),
+        {sim::host_id(runtime_.host()), sim::tag_id("umtp.drain")});
+    return;
   }
-  if (path.queue.empty()) return;
-
-  Pending& front = path.queue.front();
-  const std::size_t bytes = front.msg->payload.size();
-
-  if (path.qos.shaped()) {
-    sim::Duration delay = path.bucket->delay_for(bytes, now());
-    if (delay > sim::Duration(0)) {
-      path.drain_scheduled = true;
-      runtime_.scheduler().schedule_after(
-          delay,
-          lifetime_.guard([this, id = path.id]() {
-            auto it = paths_.find(id);
-            if (it == paths_.end()) return;
-            it->second.drain_scheduled = false;
-            drain(it->second);
-          }),
-          {sim::host_id(runtime_.host()), sim::tag_id("umtp.drain")});
-      return;
-    }
-  }
-  if (!destination_ready(front.dst)) return;  // resumed by notify_ready / link drain
-  if (path.qos.shaped()) path.bucket->try_consume(bytes, now());
-
-  path.translating = std::move(front);
-  path.queue.pop_front();
-  path.stats.buffered_bytes -= bytes;
+  // Idle, or stalled until notify_ready or a link drain resumes the path.
+  if (next.taken == nullptr) return;
 
   // Translation is serialized per path: charge the marshal/unmarshal cost in
-  // virtual time, deliver, then continue draining. The message waits in
-  // path.translating, so erasing the path or stopping the transport meanwhile
-  // retires it as discarded.
-  sim::Duration cost = runtime_.costs().translation_cost(bytes);
+  // virtual time, deliver, then continue draining. The message waits in the
+  // queue's translation slot, so erasing the path or stopping the transport
+  // meanwhile retires it as discarded.
+  sim::Duration cost = runtime_.costs().translation_cost(next.taken->msg->payload.size());
   path.drain_scheduled = true;
   PathId id = path.id;
   const std::uint64_t span =
-      tracer().begin_span(path.translating->msg->trace, "translate", runtime_.host(), now());
+      tracer().begin_span(next.taken->msg->trace, "translate", runtime_.host(), now());
   translate_ns_.observe(cost.count());
   runtime_.scheduler().schedule_after(
       cost,
@@ -461,22 +370,18 @@ void Transport::drain(Path& path) {
         tracer.end_span(span, sched.now());
         if (!*alive) return;  // stop() or crash() discarded the message
         auto it = paths_.find(id);
-        // Gone: disconnect() discarded the message.
-        if (it == paths_.end() || !it->second.translating) return;
-        it->second.drain_scheduled = false;
-        dispatch(it->second, *std::exchange(it->second.translating, std::nullopt));
+        if (it == paths_.end()) return;  // gone: disconnect() discarded the message
+        Path& path = it->second;
+        path.drain_scheduled = false;
+        // The deadline may have passed while the translation cost was charged.
+        if (auto item = path.queue.finish(now(), fates(&path.stats))) dispatch(path, *item);
         auto again = paths_.find(id);  // dispatch may mutate the path table
         if (again != paths_.end()) drain(again->second);
       },
       {sim::host_id(runtime_.host()), sim::tag_id("umtp.translate")});
 }
 
-void Transport::dispatch(Path& path, Pending item) {
-  // The deadline may have passed while the translation cost was being charged.
-  if (deadline_passed(item.deadline_ns, now().count())) {
-    retire(Fate::expired, &path.stats, item.msg->trace);
-    return;
-  }
+void Transport::dispatch(Path& path, const PathQueue::Item& item) {
   const TranslatorProfile* profile = runtime_.directory().profile(item.dst.translator);
   if (profile == nullptr) {
     retire(Fate::unmapped, &path.stats, item.msg->trace);
@@ -605,19 +510,14 @@ void Transport::on_unmapped(const TranslatorProfile& profile) {
   // Paths whose source vanished are torn down entirely.
   std::erase_if(paths_, [&](const auto& entry) {
     if (entry.second.src.translator != profile.id) return false;
-    discard(entry.second);
+    entry.second.queue.discard(fates(nullptr));
     return true;
   });
   // Unbind the translator's ports everywhere and drop queued messages to it.
   for (auto& [id, path] : paths_) {
     std::erase_if(path.bound, [&](const PortRef& ref) { return ref.translator == profile.id; });
     path.stats.bound_destinations = path.bound.size();
-    std::erase_if(path.queue, [&](const Pending& p) {
-      if (p.dst.translator != profile.id) return false;
-      path.stats.buffered_bytes -= p.msg->payload.size();
-      retire(Fate::unmapped, &path.stats, p.msg->trace);
-      return true;
-    });
+    path.queue.unbind(profile.id, fates(&path.stats));
   }
   // The translator is gone; a recycled id must start with a clean slate.
   breakers_.erase(profile.id);

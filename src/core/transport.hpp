@@ -13,7 +13,8 @@
 // destination is applying backpressure (a slow native protocol, or a congested
 // inter-node link). An optional QosPolicy adds token-bucket rate shaping and a
 // bounded buffer with a shedding policy — the QoS control the paper names as
-// future work (§5.3, §7).
+// future work (§5.3, §7). Every decision about the buffer is core::PathQueue's
+// (core/path_queue.hpp); this module carries out its effects.
 //
 // A path lives on the node hosting its source translator. connect() calls made
 // elsewhere are forwarded there as UMTP CONNECT frames; PathIds embed the
@@ -31,7 +32,6 @@
 #pragma once
 
 #include <array>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,7 +40,7 @@
 
 #include "core/directory.hpp"
 #include "core/link_session.hpp"
-#include "core/qos.hpp"
+#include "core/path_queue.hpp"
 #include "core/umtp.hpp"
 #include "netsim/stream.hpp"
 #include "obs/metrics.hpp"
@@ -50,21 +50,7 @@ namespace umiddle::core {
 
 class Runtime;
 
-/// Every way a message leaves the transport undelivered (DESIGN.md §11, the
-/// fate table); Transport::retire is the one place a fate is accounted.
-///   blocked          emit refused with would-block by a Block-policy buffer
-///   shed_*           shed by a full bounded buffer, per its ShedPolicy
-///   expired          deadline passed, at the sender or the receiver
-///   quarantined      the destination's circuit breaker is open
-///   unmapped         destination translator unknown to the directory or runtime
-///   no_route         the link to the destination's node cannot open
-///   outage_dropped   outage buffer full, or the link given up
-///   unacked_dropped  sent but unacknowledged when the peer restarted
-///   discarded        held by a path, link or runtime that was torn down
-enum class Fate : std::uint8_t { blocked, shed_newest, shed_oldest, shed_latest, expired,
-  quarantined, unmapped, no_route, outage_dropped, unacked_dropped, discarded };
-inline constexpr std::size_t kFateCount = static_cast<std::size_t>(Fate::discarded) + 1;
-/// The per-world counter a fate bumps.
+/// The per-world counter a fate bumps (Fate: core/path_queue.hpp).
 std::string_view fate_counter(Fate fate);
 
 /// Per-path counters, exposed for applications and the QoS ablation bench.
@@ -81,9 +67,9 @@ struct PathStats {
   std::uint64_t messages_expired = 0;
   /// Emits refused with would-block by a Block-policy bounded buffer.
   std::uint64_t messages_blocked = 0;
-  /// Current translation-buffer occupancy in bytes.
+  /// Current translation-buffer occupancy in bytes, as of the stats() call.
   std::size_t buffered_bytes = 0;
-  /// High-water mark of the translation buffer.
+  /// High-water mark of the translation buffer, as of the stats() call.
   std::size_t max_buffered_bytes = 0;
   std::size_t bound_destinations = 0;
 };
@@ -137,32 +123,18 @@ class Transport final : public DirectoryListener {
   void on_unmapped(const TranslatorProfile& profile) override;
 
  private:
-  /// One queued message. The Message is shared, never copied: route() wraps
-  /// the emitted message once and every bound destination's queue entry
-  /// references that same buffer (payload-sharing rule, DESIGN.md §8).
-  struct Pending {
-    PortRef dst;
-    std::shared_ptr<const Message> msg;
-    /// Effective absolute deadline (message's own, or emit + path TTL);
-    /// 0 = none. Kept here so a path-level TTL never mutates the shared
-    /// Message.
-    std::int64_t deadline_ns = 0;
-  };
-
   struct Path {
     PathId id;
     PortRef src;
     PortSpec src_port;  ///< the source port's spec, cached at connect time
     std::optional<Query> query_dst;  ///< set for dynamic (query) paths
     std::vector<PortRef> bound;
-    QosPolicy qos;
-    std::unique_ptr<TokenBucket> bucket;
-    std::deque<Pending> queue;
-    /// The message whose translation cost is being charged; at most one,
-    /// since translation is serialized per path.
-    std::optional<Pending> translating;
+    /// The translation buffer and its QoS policy: every decision about what
+    /// waits, sheds, expires or goes next.
+    PathQueue queue;
     bool drain_scheduled = false;
-    PathStats stats;
+    /// stats() copies the queue's occupancy in.
+    mutable PathStats stats;
   };
 
   /// An outbound link to one peer node. Its lifecycle state lives in the
@@ -204,9 +176,11 @@ class Transport final : public DirectoryListener {
   /// field on `path` (null off-path), umtp.messages_dropped for drop fates,
   /// and a deliver.<fate> instant. `trace` 0 = unattributed (batch fates).
   void retire(Fate fate, PathStats* path, std::uint64_t trace, std::uint64_t n = 1);
-  /// Retire everything a path still holds, queued or in translation, as
-  /// discarded: the path is being erased.
-  void discard(const Path& path);
+  /// The sink a path's queue hands its fates to: retire() against `path`
+  /// (null: the path is being erased, stats and all).
+  auto fates(PathStats* path) {
+    return [this, path](Fate fate, const Message& msg) { retire(fate, path, msg.trace); };
+  }
   /// A trace instant on this host, now.
   void instant(std::uint64_t trace, std::string_view name);
   /// `base_ns` plus uniform jitter of up to half of it, drawn from the world
@@ -235,15 +209,13 @@ class Transport final : public DirectoryListener {
   /// Stop and crash share this: forget every link, path and peer stream,
   /// closing the streams only on a graceful stop.
   void teardown(bool close_streams);
-  void enqueue(Path& path, const PortRef& dst, const std::shared_ptr<const Message>& msg);
-  /// Apply the path's shedding policy to admit `msg` for `dst` into a full
-  /// bounded buffer. True = room was made, enqueue it.
-  bool shed_for_room(Path& path, const PortRef& dst, const Message& msg);
+  /// Let the path's queue retire, wait or take its front; on a take, charge
+  /// the translation cost and dispatch when it is paid.
   void drain(Path& path);
   /// True if the destination can accept a message right now.
   bool destination_ready(const PortRef& dst) const;
   /// Hand one message to its destination (after charging translation cost).
-  void dispatch(Path& path, Pending item);
+  void dispatch(Path& path, const PathQueue::Item& item);
   /// Deliver to a translator on this node through its breaker. `path` is the
   /// local path carrying it; null for a DATA frame received from a peer.
   void deliver(const PortRef& dst, const Message& msg, PathStats* path);

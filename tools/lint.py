@@ -65,10 +65,18 @@ exist to keep nondeterminism from leaking back in:
                (DESIGN.md §8.5), so string keys stay off the frame path. The
                one name -> HostId index in src/netsim/network.hpp is exempt.
   netsim-free-session
-               src/core/link_session.{hpp,cpp} include no netsim/, sim/ or
-               obs/ header: the link lifecycle stays a value type that tests
+               src/core/link_session.{hpp,cpp}, src/core/path_queue.* and
+               src/core/qos.* include no netsim/, sim/ or obs/ header: the
+               link lifecycle and the path queue stay value types that tests
                drive, and explore exhaustively, without a simulated network
-               (DESIGN.md §10.2).
+               (DESIGN.md §10.2, §11.6).
+  one-path-queue
+               in src/, ShedPolicy:: and TokenBucket appear only in
+               core/qos.* and core/path_queue.*, and deadline_passed( only in
+               core/message.hpp, core/path_queue.*, core/link_session.cpp
+               and once in core/transport.cpp (the receive-side check):
+               admission, shedding, shaping and sender-side expiry of a path
+               have one implementation, core::PathQueue (DESIGN.md §11.6).
   untagged-event
                every schedule_after / schedule_at / post call and every
                sim::Timer construction in src/ passes a non-empty EventTag, so
@@ -476,9 +484,12 @@ def check_one_reassembly_site(path: str, code: str) -> Iterable[Violation]:
                             f"step ({REASSEMBLY_SITE})")
 
 
-# The link lifecycle is a netsim-free value type (DESIGN.md §10.2): the
-# session files may not include the simulator, the network or telemetry.
-SESSION_FILES = {"src/core/link_session.hpp", "src/core/link_session.cpp"}
+# The link lifecycle and the path queue are netsim-free value types
+# (DESIGN.md §10.2, §11.6): their files may not include the simulator, the
+# network or telemetry.
+SESSION_FILES = {"src/core/link_session.hpp", "src/core/link_session.cpp",
+                 "src/core/path_queue.hpp", "src/core/path_queue.cpp",
+                 "src/core/qos.hpp", "src/core/qos.cpp"}
 SESSION_INCLUDE_RE = re.compile(r'#\s*include\s*[<"](netsim|sim|obs)/')
 
 
@@ -489,9 +500,41 @@ def check_netsim_free_session(path: str, code: str) -> Iterable[Violation]:
         m = SESSION_INCLUDE_RE.search(line)
         if m:
             yield Violation("netsim-free-session", path, lineno,
-                            f"{m.group(1)}/ header in the link session; it "
-                            "takes stream events and hands back actions, and "
-                            "Transport carries them out")
+                            f"{m.group(1)}/ header in a netsim-free value "
+                            "type; it takes events and hands back decisions, "
+                            "and Transport carries them out")
+
+
+# A path's translation buffer has one implementation (DESIGN.md §11.6):
+# core::PathQueue decides admission, shedding, shaping and sender-side expiry.
+# A shedding policy, a token bucket or a deadline check anywhere else is a
+# second copy of one of those rules. Transport keeps one deadline check, on
+# the receive side, where no path holds the message.
+PATH_QUEUE_FILES = ("src/core/qos.", "src/core/path_queue.")
+PATH_QUEUE_RE = re.compile(r"\bShedPolicy::|\bTokenBucket\b")
+DEADLINE_CHECK_RE = re.compile(r"\bdeadline_passed\s*\(")
+DEADLINE_CHECK_SITES = ("src/core/message.hpp", "src/core/path_queue.",
+                        "src/core/link_session.cpp")
+DEADLINE_CHECKS_IN_TRANSPORT = 1
+
+
+def check_one_path_queue(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith("src/") or path.startswith(PATH_QUEUE_FILES):
+        return
+    checks = 0
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if PATH_QUEUE_RE.search(line):
+            yield Violation("one-path-queue", path, lineno,
+                            "shedding policy or token bucket outside the "
+                            "path queue; decide it in core::PathQueue")
+        if DEADLINE_CHECK_RE.search(line) and not path.startswith(DEADLINE_CHECK_SITES):
+            checks += 1
+            if path != "src/core/transport.cpp" or checks > DEADLINE_CHECKS_IN_TRANSPORT:
+                yield Violation("one-path-queue", path, lineno,
+                                "deadline check outside the path queue; a "
+                                "path's expiry is core::PathQueue's, and "
+                                "transport.cpp keeps only the receive-side "
+                                "check")
 
 
 # Every deferred callback carries provenance (DESIGN.md §7.1, §7.4). An
@@ -619,6 +662,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_netsim_by_handle,
     check_inline_callback,
     check_byte_order,
+    check_one_path_queue,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -709,6 +753,17 @@ SEEDED_VIOLATIONS = [
      "std::map<std::string, HostId> host_ids_;\n"),
     ("netsim-free-session", "src/core/link_session.hpp",
      '#include "core/umtp.hpp"\n#include "sim/timer.hpp"\n'),
+    ("netsim-free-session", "src/core/path_queue.hpp",
+     '#include "core/qos.hpp"\n#include "obs/trace.hpp"\n'),
+    ("netsim-free-session", "src/core/qos.hpp",
+     '#include "sim/scheduler.hpp"\n'),
+    ("one-path-queue", "src/core/transport.cpp",
+     "if (path.qos.shed == ShedPolicy::block) { return; }\n"),
+    ("one-path-queue", "src/apps/evil.cpp",
+     "std::optional<core::TokenBucket> bucket_;\n"),
+    ("one-path-queue", "src/core/transport.cpp",
+     "if (deadline_passed(data->message.deadline_ns, now().count())) { return; }\n"
+     "if (deadline_passed(item.deadline_ns, now().count())) { return; }\n"),
     ("untagged-event", "src/motes/evil.cpp",
      'constexpr const char* kDoc = R"USDL(<port mime="*/*"/>)USDL";\n'
      "sched.schedule_after(\n"
@@ -802,6 +857,14 @@ CLEAN_SNIPPETS = [
     ("src/core/link_session.cpp",
      '#include "core/link_session.hpp"\n'
      '// #include "netsim/stream.hpp" in a comment is fine\n'),
+    ("src/core/path_queue.hpp",
+     '#include "core/qos.hpp"\n'
+     "return qos_.shed == ShedPolicy::block && !deadline_passed(deadline, now.count());\n"
+     "std::optional<TokenBucket> bucket_;\n"),
+    ("src/core/transport.cpp",
+     "// a ShedPolicy::block path's TokenBucket, named in a comment, is fine\n"
+     "if (deadline_passed(data->message.deadline_ns, now().count())) { return; }\n"
+     "bool shaped = qos.shaped();\n"),
     ("src/upnp/fine.cpp",
      "net_.scheduler().schedule_after(\n"
      "    work, sim::boxed(lifetime_.guard([this, request, respond]() { run(request); })),\n"
