@@ -48,10 +48,10 @@ Result<void> BtTranslator::deliver(const std::string& port, const core::Message&
   return make_error(Errc::unsupported, "no input binding for port " + port);
 }
 
-void BtTranslator::emit_object(const std::string& port, const obex::Object& object) {
+void BtTranslator::emit_object(const std::string& port, obex::Object object) {
   core::Message msg;
-  msg.payload = object.data;
-  if (!object.name.empty()) msg.meta["filename"] = object.name;
+  msg.payload = std::move(object.data);
+  if (!object.name.empty()) msg.meta["filename"] = std::move(object.name);
   (void)emit_typed(port, std::move(msg));
 }
 
@@ -76,7 +76,7 @@ void BtTranslator::run_obex_get(const core::UsdlBinding& binding) {
   obex::Client::get(connect_service(), binding.native.attr("type"), "",
                     lifetime().guard([this, emit_port](Result<obex::Object> object) {
                       if (object.ok() && !emit_port.empty()) {
-                        emit_object(emit_port, object.value());
+                        emit_object(emit_port, std::move(object).take());
                       } else if (!object.ok()) {
                         log::Entry(log::Level::warn, "bt")
                             << "OBEX GET failed: " << object.error().to_string();
@@ -107,13 +107,13 @@ void BtTranslator::setup_push_sink(const core::UsdlBinding& binding) {
   sink_psm_ = mapper_.allocate_psm();
   std::string port = binding.port;
   sink_server_ = std::make_unique<obex::Server>(
-      lifetime().guard([this, port](const obex::Object& object) {
+      lifetime().guard([this, port](obex::Object object) {
         if (!sink_spans_.empty()) {
           mapper_.runtime().network().tracer().end_span(sink_spans_.front(),
                                                         mapper_.runtime().scheduler().now());
           sink_spans_.pop_front();
         }
-        emit_object(port, object);
+        emit_object(port, std::move(object));
       }),
       nullptr);
   auto listen = mapper_.adapter().listen_psm(

@@ -62,7 +62,7 @@ class BtTranslator final : public core::UsdlTranslator {
   void run_obex_get(const core::UsdlBinding& binding);
   void run_obex_put(const core::UsdlBinding& binding, const core::Message& msg);
   void handle_hid_bytes(const std::string& port, std::span<const std::uint8_t> chunk);
-  void emit_object(const std::string& port, const obex::Object& object);
+  void emit_object(const std::string& port, obex::Object object);
   void finish_operation();
 
   BtMapper& mapper_;

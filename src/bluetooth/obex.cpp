@@ -48,37 +48,49 @@ Bytes Packet::body() const {
   return out;
 }
 
+void Packet::move_body_into(Bytes& out) {
+  for (Header& h : headers) {
+    if (h.id != kHdrBody && h.id != kHdrEndOfBody) continue;
+    auto* b = std::get_if<Bytes>(&h.value);
+    if (b == nullptr) continue;
+    if (out.empty()) {
+      out = std::move(*b);
+    } else {
+      out.insert(out.end(), b->begin(), b->end());
+    }
+  }
+}
+
 Bytes Packet::encode() const {
-  ByteWriter body;
+  ByteWriter out;
+  out.u8(opcode);
+  out.u16(0);  // packet length, patched once the headers are written
   if (max_packet.has_value()) {
-    body.u8(0x10);  // OBEX version 1.0
-    body.u8(0x00);  // flags
-    body.u16(*max_packet);
+    out.u8(0x10);  // OBEX version 1.0
+    out.u8(0x00);  // flags
+    out.u16(*max_packet);
   }
   for (const Header& h : headers) {
-    body.u8(h.id);
+    out.u8(h.id);
     switch (header_class(h.id)) {
       case HeaderClass::text: {
         const auto& s = std::get<std::string>(h.value);
-        body.u16(static_cast<std::uint16_t>(s.size() + 3));
-        body.str(s);
+        out.u16(static_cast<std::uint16_t>(s.size() + 3));
+        out.str(s);
         break;
       }
       case HeaderClass::bytes: {
         const auto& b = std::get<Bytes>(h.value);
-        body.u16(static_cast<std::uint16_t>(b.size() + 3));
-        body.bytes(b);
+        out.u16(static_cast<std::uint16_t>(b.size() + 3));
+        out.bytes(b);
         break;
       }
       case HeaderClass::u32:
-        body.u32(std::get<std::uint32_t>(h.value));
+        out.u32(std::get<std::uint32_t>(h.value));
         break;
     }
   }
-  ByteWriter out;
-  out.u8(opcode);
-  out.u16(static_cast<std::uint16_t>(body.size() + 3));
-  out.bytes(body.data());
+  out.patch_u16(1, static_cast<std::uint16_t>(out.size()));
   return out.take();
 }
 
@@ -138,11 +150,11 @@ void Server::attach(net::StreamPtr stream) {
       keep->close();
       return;
     }
-    for (const Packet& p : packets) handle(*keep, p, session);
+    for (Packet& p : packets) handle(*keep, p, session);
   });
 }
 
-void Server::handle(net::Stream& stream, const Packet& packet, Session& session) {
+void Server::handle(net::Stream& stream, Packet& packet, Session& session) {
   Packet resp;
   switch (packet.opcode) {
     case kOpConnect:
@@ -162,11 +174,11 @@ void Server::handle(net::Stream& stream, const Packet& packet, Session& session)
       Object& partial = session.object;
       if (std::string name = packet.text(kHdrName); !name.empty()) partial.name = name;
       if (std::string type = packet.text(kHdrType); !type.empty()) partial.type = type;
-      Bytes body = packet.body();
-      partial.data.insert(partial.data.end(), body.begin(), body.end());
+      packet.move_body_into(partial.data);
       if (packet.opcode == kOpPutFinal) {
-        if (on_put_) on_put_(partial);
+        Object object = std::move(partial);
         session = Session{};
+        if (on_put_) on_put_(std::move(object));
         resp.opcode = kRespSuccess;
       } else {
         resp.opcode = kRespContinue;
@@ -224,15 +236,20 @@ struct PutOperation {
 
   Bytes next() {
     Packet p;
-    const std::size_t n = std::min(kChunk, object.data.size() - offset);
-    Bytes chunk(object.data.begin() + static_cast<std::ptrdiff_t>(offset),
-                object.data.begin() + static_cast<std::ptrdiff_t>(offset + n));
-    const bool final = offset + n >= object.data.size();
+    const std::size_t size = object.data.size();
+    const std::size_t n = std::min(kChunk, size - offset);
+    const bool final = offset + n >= size;
     if (offset == 0) {
       p.headers.push_back(Header::text(kHdrName, object.name));
       p.headers.push_back(Header::bytes(kHdrType, to_bytes(object.type)));
-      p.headers.push_back(Header::u32(kHdrLength, static_cast<std::uint32_t>(object.data.size())));
+      p.headers.push_back(Header::u32(kHdrLength, static_cast<std::uint32_t>(size)));
     }
+    // A single-chunk object is its own body: it moves into the header. A
+    // larger one is sliced, and stays whole until its last chunk is out.
+    Bytes chunk = offset == 0 && final
+                      ? std::move(object.data)
+                      : Bytes(object.data.begin() + static_cast<std::ptrdiff_t>(offset),
+                              object.data.begin() + static_cast<std::ptrdiff_t>(offset + n));
     p.opcode = final ? kOpPutFinal : kOpPut;
     p.headers.push_back(Header::bytes(final ? kHdrEndOfBody : kHdrBody, std::move(chunk)));
     offset += n;
@@ -260,12 +277,11 @@ struct GetOperation {
     return p.encode();
   }
 
-  net::Exchange<Object>::Reply respond(const Packet& p) {
+  net::Exchange<Object>::Reply respond(Packet& p) {
     if (p.opcode != kRespContinue && p.opcode != kRespSuccess) {
       return make_error(Errc::not_found, "obex: GET failed");
     }
-    Bytes body = p.body();
-    assembled.data.insert(assembled.data.end(), body.begin(), body.end());
+    p.move_body_into(assembled.data);
     if (p.opcode == kRespContinue) return std::nullopt;
     if (std::string n = p.text(kHdrName); !n.empty()) assembled.name = n;
     assembled.type = type;
@@ -292,7 +308,7 @@ void run(Result<net::StreamPtr> stream, Operation op, std::function<void(Result<
           -> typename net::Exchange<T>::Reply {
         std::vector<Packet> packets;
         if (auto r = reader.feed(chunk, packets); !r.ok()) return r.error();
-        for (const Packet& p : packets) {
+        for (Packet& p : packets) {
           if (connected) {
             if (auto result = op.respond(p)) return result;
           } else if (p.opcode != kRespSuccess) {

@@ -57,6 +57,9 @@ struct Packet {
   const Header* header(std::uint8_t id) const;
   std::string text(std::uint8_t id) const;
   Bytes body() const;  ///< concatenated Body + EndOfBody headers
+  /// Moves the Body + EndOfBody bytes onto the end of `out`. The first header
+  /// moves whole into an empty `out`, so a lone body is never copied.
+  void move_body_into(Bytes& out);
 
   Bytes encode() const;
 };
@@ -81,7 +84,8 @@ struct Object {
 /// OBEX server half of a session: accepts CONNECT, assembles PUTs, serves GETs.
 class Server {
  public:
-  using PutHandler = std::function<void(const Object&)>;
+  /// Takes the assembled object: its bytes move on instead of being copied.
+  using PutHandler = std::function<void(Object)>;
   /// Return the object to serve, or an error → OBEX NotFound.
   using GetHandler = std::function<Result<Object>(const std::string& type,
                                                   const std::string& name)>;
@@ -99,7 +103,7 @@ class Server {
     std::optional<std::size_t> served;  ///< GET body bytes sent; set while serving
   };
 
-  void handle(net::Stream& stream, const Packet& packet, Session& session);
+  void handle(net::Stream& stream, Packet& packet, Session& session);
 
   PutHandler on_put_;
   GetHandler on_get_;

@@ -1,6 +1,7 @@
 #include "common/base64.hpp"
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 namespace umiddle::base64 {
@@ -72,7 +73,19 @@ std::string encode(std::span<const std::uint8_t> data) {
   char* o = out.data();
   const std::uint8_t* in = data.data();
   const std::size_t full = data.size() / 3 * 3;
-  for (std::size_t i = 0; i < full; i += 3, o += 4) {
+  std::size_t i = 0;
+  // Two groups per step from one 8-byte big-endian load, of which the top 48
+  // bits are the groups, while 8 input bytes remain; then one group per step.
+  for (; i + 8 <= data.size(); i += 6, o += 8) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, in + i, sizeof v);
+    if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);
+    std::memcpy(o, kPairs[v >> 52].data(), 2);
+    std::memcpy(o + 2, kPairs[(v >> 40) & 4095].data(), 2);
+    std::memcpy(o + 4, kPairs[(v >> 28) & 4095].data(), 2);
+    std::memcpy(o + 6, kPairs[(v >> 16) & 4095].data(), 2);
+  }
+  for (; i < full; i += 3, o += 4) {
     std::uint32_t v = (static_cast<std::uint32_t>(in[i]) << 16) |
                       (static_cast<std::uint32_t>(in[i + 1]) << 8) | in[i + 2];
     std::memcpy(o, kPairs[v >> 12].data(), 2);

@@ -36,8 +36,9 @@ class ByteWriter {
   void str(std::string_view s);  ///< raw bytes, no length prefix
   /// u16 length prefix followed by the string bytes.
   void str16(std::string_view s);
-  /// Overwrite 4 previously written bytes at `pos` with a big-endian u32 —
-  /// for back-patching a length field without a second buffer.
+  /// Overwrite 2 or 4 previously written bytes at `pos` with a big-endian
+  /// u16 or u32 — for back-patching a length field without a second buffer.
+  void patch_u16(std::size_t pos, std::uint16_t v);
   void patch_u32(std::size_t pos, std::uint32_t v);
 
   const Bytes& data() const { return buf_; }

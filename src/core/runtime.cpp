@@ -147,7 +147,7 @@ Result<void> Runtime::route_emit(const PortRef& src, Message msg) {
   if (msg.trace == 0) msg.trace = net_.tracer().new_trace();
   // A Block-policy path may refuse the emit with would-block (Errc::
   // buffer_overflow); the producer is expected to retry (DESIGN.md §11).
-  return transport_->route(src, msg);
+  return transport_->route(src, std::move(msg));
 }
 
 void Runtime::notify_ready(TranslatorId id) { transport_->notify_ready(id); }

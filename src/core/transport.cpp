@@ -287,25 +287,28 @@ std::vector<PortRef> Transport::bound_destinations(PathId id) const {
 
 // --- routing ----------------------------------------------------------------------
 
-Result<void> Transport::route(const PortRef& src, const Message& msg) {
+Result<void> Transport::route(const PortRef& src, Message msg) {
   // Block-policy admission first, and all-or-nothing: if any Block path's
   // buffer cannot take the whole fan-out, the emit is refused before anything
   // is queued anywhere — a retried emit must never double-deliver to the
   // paths that had room.
+  bool bound = false;
   for (auto& [id, path] : paths_) {
-    if (path.src == src && path.queue.refuses(msg, path.bound.size(), now())) {
+    if (!(path.src == src)) continue;
+    if (path.queue.refuses(msg, path.bound.size(), now())) {
       retire(Fate::blocked, &path.stats, msg.trace);
       return make_error(Errc::buffer_overflow,
                         "translation buffer full (Block policy): " + id.to_string());
     }
+    bound = bound || !path.bound.empty();
   }
-  // One shared copy serves every path and destination the message fans out to
-  // (created lazily: most emits hit exactly one path).
-  std::shared_ptr<const Message> shared;
+  if (!bound) return ok_result();
+  // The message moves into the one shared_ptr that every path and
+  // destination it fans out to holds.
+  const auto shared = std::make_shared<const Message>(std::move(msg));
   for (auto& [id, path] : paths_) {
     if (!(path.src == src)) continue;
     for (const PortRef& dst : path.bound) {
-      if (shared == nullptr) shared = std::make_shared<const Message>(msg);
       if (!path.queue.offer(dst, shared, now(), fates(&path.stats))) continue;
       msgs_enqueued_.inc();
       drain(path);

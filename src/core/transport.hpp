@@ -113,8 +113,9 @@ class Transport final : public DirectoryListener {
   /// A local translator emitted a message from an output port. Fails with
   /// Errc::buffer_overflow (would-block) when a Block-policy path's bounded
   /// buffer is full — admission is all-or-nothing across the emit's paths, so
-  /// a retried emit never double-delivers to the paths that had room.
-  [[nodiscard]] Result<void> route(const PortRef& src, const Message& msg);
+  /// a retried emit never double-delivers to the paths that had room. The
+  /// message moves into the one shared_ptr its paths hold.
+  [[nodiscard]] Result<void> route(const PortRef& src, Message msg);
   /// A local translator became ready again; resume paths feeding it.
   void notify_ready(TranslatorId) { resume_paths(); }
 

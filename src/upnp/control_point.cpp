@@ -48,6 +48,7 @@ void ControlPoint::stop() {
   ssdp_.stop();
   callback_server_.stop();
   lifetime_.reset();
+  invocations_.clear();
   started_ = false;
 }
 
@@ -112,52 +113,54 @@ void ControlPoint::invoke(const std::string& control_url, ActionRequest request,
     return;
   }
   // Charge request marshalling, then POST.
+  const std::uint32_t invocation =
+      invocations_.put(Invocation{std::move(uri).take(), std::move(request), std::move(done)});
   net_.scheduler().schedule_after(
-      costs_.soap_marshal,
-      sim::boxed(lifetime_.guard([this, uri = uri.value(), request = std::move(request),
-                                  done = std::move(done)]() mutable {
-        HttpRequest post;
-        post.method = "POST";
-        post.path = uri.path;
-        post.headers["soapaction"] = request.soap_action_header();
-        post.headers["content-type"] = "text/xml; charset=\"utf-8\"";
-        post.body = std::move(request).to_envelope();
-        http_fetch(net_, host_, uri, std::move(post),
-                   lifetime_.guard([this, done](Result<HttpResponse> r) {
-                     if (!r.ok()) {
-                       done(r.error());
+      costs_.soap_marshal, lifetime_.guard([this, invocation]() { post_action(invocation); }),
+      {sim::host_id(host_), sim::tag_id("upnp.marshal")});
+}
+
+void ControlPoint::post_action(std::uint32_t invocation) {
+  auto [uri, request, done] = invocations_.take(invocation);
+  HttpRequest post;
+  post.method = "POST";
+  post.path = uri.path;
+  post.headers["soapaction"] = request.soap_action_header();
+  post.headers["content-type"] = "text/xml; charset=\"utf-8\"";
+  post.body = std::move(request).to_envelope();
+  http_fetch(net_, host_, uri, std::move(post),
+             lifetime_.guard([this, done = std::move(done)](Result<HttpResponse> r) {
+               if (!r.ok()) {
+                 done(r.error());
+                 return;
+               }
+               // Charge response unmarshalling, then parse and report.
+               auto resp = std::make_shared<HttpResponse>(std::move(r).take());
+               net_.scheduler().schedule_after(
+                   costs_.soap_unmarshal,
+                   [resp, done]() {
+                     if (resp->status == 200) {
+                       auto parsed = ActionResponse::from_envelope(resp->body);
+                       if (!parsed.ok()) {
+                         done(parsed.error());
+                       } else {
+                         done(std::move(parsed).take());
+                       }
                        return;
                      }
-                     // Charge response unmarshalling, then parse and report.
-                     auto resp = std::make_shared<HttpResponse>(std::move(r).take());
-                     net_.scheduler().schedule_after(
-                         costs_.soap_unmarshal,
-                         [resp, done]() {
-                           if (resp->status == 200) {
-                             auto parsed = ActionResponse::from_envelope(resp->body);
-                             if (!parsed.ok()) {
-                               done(parsed.error());
-                             } else {
-                               done(std::move(parsed).take());
-                             }
-                             return;
-                           }
-                           auto fault = SoapFault::from_envelope(resp->body);
-                           if (fault.ok()) {
-                             done(make_error(Errc::refused,
-                                             "UPnP error " +
-                                                 std::to_string(fault.value().error_code) +
-                                                 ": " + fault.value().description));
-                           } else {
-                             done(make_error(Errc::protocol_error,
-                                             "HTTP " + std::to_string(resp->status) +
-                                                 " from control URL"));
-                           }
-                         },
-                         {sim::host_id(host_), sim::tag_id("upnp.marshal")});
-                   }));
-      })),
-      {sim::host_id(host_), sim::tag_id("upnp.marshal")});
+                     auto fault = SoapFault::from_envelope(resp->body);
+                     if (fault.ok()) {
+                       done(make_error(Errc::refused,
+                                       "UPnP error " + std::to_string(fault.value().error_code) +
+                                           ": " + fault.value().description));
+                     } else {
+                       done(make_error(Errc::protocol_error,
+                                       "HTTP " + std::to_string(resp->status) +
+                                           " from control URL"));
+                     }
+                   },
+                   {sim::host_id(host_), sim::tag_id("upnp.marshal")});
+             }));
 }
 
 std::string ControlPoint::subscribe(const std::string& event_sub_url, EventFn on_event) {

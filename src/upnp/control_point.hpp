@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 
+#include "common/slots.hpp"
 #include "sim/timer.hpp"
 #include "upnp/description.hpp"
 #include "upnp/device.hpp"
@@ -59,8 +60,16 @@ class ControlPoint {
   const UpnpCosts& costs() const { return costs_; }
 
  private:
+  /// An action between invoke() and its POST, while the marshal cost runs.
+  struct Invocation {
+    Uri uri;
+    ActionRequest request;
+    ActionFn done;
+  };
+
   void handle_announcement(const SsdpAnnouncement& a);
   void fetch_description(const std::string& udn, const std::string& location);
+  void post_action(std::uint32_t invocation);
 
   net::Network& net_;
   std::string host_;
@@ -74,6 +83,9 @@ class ControlPoint {
   std::uint64_t next_callback_ = 1;
   DeviceFn on_device_;
   DeviceGoneFn on_device_gone_;
+  /// Keyed by the marshal event that will post each; cleared by stop(),
+  /// which ends those events.
+  Slots<Invocation> invocations_;
   /// Guards fetch, parse and SOAP completions; reset by stop().
   sim::Lifetime lifetime_;
 };

@@ -113,32 +113,37 @@ void UpnpDevice::handle_control(const std::string& /*service_type*/, const HttpR
     return;
   }
   // Charge SOAP unmarshalling + actuation in virtual time, then run the handler.
-  sim::Duration work = costs_.soap_unmarshal + costs_.actuation;
-  net_.scheduler().schedule_after(
-      work,
-      sim::boxed([this, request = std::move(request).take(), respond = std::move(respond)]() {
-        auto handler = actions_.find({request.service_type, request.action});
-        if (handler == actions_.end()) {
-          respond(HttpResponse::make(500, "Internal Server Error",
-                                     SoapFault{401, "Invalid Action"}.to_envelope()));
-          return;
-        }
-        auto result = handler->second(request);
-        ++actions_handled_;
-        // Charge response marshalling before the bytes leave the device.
-        net_.scheduler().schedule_after(
-            costs_.soap_marshal,
-            sim::boxed([result = std::move(result), respond = std::move(respond)]() {
-              if (result.ok()) {
-                respond(HttpResponse::make(200, "OK", result.value().to_envelope()));
-              } else {
-                respond(HttpResponse::make(500, "Internal Server Error",
-                                           SoapFault{501, result.error().message}.to_envelope()));
-              }
-            }),
-            {sim::host_id(host_), sim::tag_id("upnp.marshal")});
-      }),
-      {sim::host_id(host_), sim::tag_id("upnp.action")});
+  const std::uint32_t key =
+      served_.put(Served{std::move(request).take(), std::move(respond)});
+  net_.scheduler().schedule_after(costs_.soap_unmarshal + costs_.actuation,
+                                  lifetime_.guard([this, key]() { run_action(key); }),
+                                  {sim::host_id(host_), sim::tag_id("upnp.action")});
+}
+
+void UpnpDevice::run_action(std::uint32_t key) {
+  const ActionRequest request = std::move(served_[key].request);
+  auto handler = actions_.find({request.service_type, request.action});
+  if (handler == actions_.end()) {
+    served_.take(key).respond(HttpResponse::make(500, "Internal Server Error",
+                                                 SoapFault{401, "Invalid Action"}.to_envelope()));
+    return;
+  }
+  served_[key].result = handler->second(request);
+  ++actions_handled_;
+  // Charge response marshalling before the bytes leave the device.
+  net_.scheduler().schedule_after(costs_.soap_marshal,
+                                  lifetime_.guard([this, key]() { send_response(key); }),
+                                  {sim::host_id(host_), sim::tag_id("upnp.marshal")});
+}
+
+void UpnpDevice::send_response(std::uint32_t key) {
+  Served served = served_.take(key);
+  if (served.result.ok()) {
+    served.respond(HttpResponse::make(200, "OK", served.result.value().to_envelope()));
+  } else {
+    served.respond(HttpResponse::make(
+        500, "Internal Server Error", SoapFault{501, served.result.error().message}.to_envelope()));
+  }
 }
 
 void UpnpDevice::handle_subscription(const std::string& service_type, const HttpRequest& req,

@@ -12,7 +12,9 @@
 #include <memory>
 #include <string>
 
+#include "common/slots.hpp"
 #include "sim/scheduler.hpp"
+#include "sim/timer.hpp"
 #include "upnp/description.hpp"
 #include "upnp/gena.hpp"
 #include "upnp/http.hpp"
@@ -75,8 +77,18 @@ class UpnpDevice {
   const std::string& host() const { return host_; }
 
  private:
+  /// A control request from its unmarshal to its response: the request until
+  /// the action has run, then its result.
+  struct Served {
+    ActionRequest request;
+    RespondFn respond;
+    Result<ActionResponse> result = ActionResponse{};
+  };
+
   void handle_control(const std::string& service_type, const HttpRequest& req,
                       RespondFn respond);
+  void run_action(std::uint32_t key);
+  void send_response(std::uint32_t key);
   void handle_subscription(const std::string& service_type, const HttpRequest& req,
                            RespondFn respond);
   void notify_subscribers(const std::string& service_type, const std::string& var,
@@ -99,6 +111,11 @@ class UpnpDevice {
   std::map<std::pair<std::string, std::string>, ActionHandler> actions_;
   std::map<std::pair<std::string, std::string>, std::string> state_;
   std::vector<Subscription> subscribers_;
+  /// Keyed by the pending action or marshal event of each request.
+  Slots<Served> served_;
+  /// Ends with the device, so an action still in flight when it is
+  /// destroyed runs nothing.
+  sim::Lifetime lifetime_;
   std::uint64_t actions_handled_ = 0;
   std::uint64_t next_sid_ = 1;
 };

@@ -44,7 +44,11 @@ Result<void> UpnpTranslator::deliver(const std::string& port, const core::Messag
   if (action == nullptr) {
     return make_error(Errc::unsupported, "no action binding for port " + port);
   }
-  queue_.push_back(Work{action, msg});
+  Work work{action, {}, msg.trace};
+  for (const core::UsdlArg& arg : action->native.args) {
+    work.args[arg.name] = resolve_arg(arg.value, msg);
+  }
+  queue_.push_back(std::move(work));
   process_next();
   return ok_result();
 }
@@ -66,7 +70,6 @@ void UpnpTranslator::process_next() {
 
 void UpnpTranslator::run_action() {
   const core::UsdlBinding& binding = *current_.action;
-  const core::Message& msg = current_.msg;
   const ServiceDescription* svc = service_for(binding.native);
   if (svc == nullptr) {
     log::Entry(log::Level::warn, "upnp")
@@ -78,15 +81,13 @@ void UpnpTranslator::run_action() {
   ActionRequest request;
   request.service_type = svc->service_type;
   request.action = binding.native.attr("action");
-  for (const core::UsdlArg& arg : binding.native.args) {
-    request.args[arg.name] = resolve_arg(arg.value, msg);
-  }
+  request.args = std::move(current_.args);
   native_started_ = mapper_.runtime().scheduler().now();
   // Time spent in the UPnP domain (SOAP dispatch → response) as a span, so the
   // camera→TV decomposition separates native-protocol time from uMiddle time.
   mapper_.runtime().network().metrics().counter("upnp.soap_actions").inc();
   native_span_ = mapper_.runtime().network().tracer().begin_span(
-      msg.trace, "native.upnp", mapper_.runtime().host(), native_started_);
+      current_.trace, "native.upnp", mapper_.runtime().host(), native_started_);
   std::string emit_port = binding.emit_port;
   std::string emit_arg = binding.native.attr("emit-arg");
   mapper_.control_point().invoke(

@@ -12,6 +12,7 @@
 //       emitted from the binding's (output) port.
 #pragma once
 
+#include <map>
 #include <memory>
 
 #include "core/umiddle.hpp"
@@ -39,9 +40,12 @@ class UpnpTranslator final : public core::UsdlTranslator {
   const DeviceDescription& device() const { return description_; }
 
  private:
+  /// A queued action: its SOAP arguments are resolved from the message on
+  /// delivery, so the queue holds no copy of the payload.
   struct Work {
     const core::UsdlBinding* action = nullptr;
-    core::Message msg;
+    std::map<std::string, std::string> args;
+    std::uint64_t trace = 0;
   };
 
   void teardown() override;

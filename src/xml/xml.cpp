@@ -1,6 +1,8 @@
 #include "xml/xml.hpp"
 
 #include <array>
+#include <cstdint>
+#include <cstring>
 
 namespace umiddle::xml {
 
@@ -74,13 +76,31 @@ std::string_view Element::local_name() const {
 }
 
 std::string Element::to_string(bool pretty, bool declaration) const {
+  constexpr std::string_view kDeclaration = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
   std::string out;
+  // Escapes lengthen the output past this; a photo's base64 text has none,
+  // so its envelope is written into one buffer that never grows.
+  out.reserve((declaration ? kDeclaration.size() + 1 : 0) + unescaped_size(0, pretty));
   if (declaration) {
-    out += "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
+    out += kDeclaration;
     if (pretty) out += "\n";
   }
   write(out, 0, pretty);
   return out;
+}
+
+std::size_t Element::unescaped_size(int indent, bool pretty) const {
+  const std::size_t pad = pretty ? static_cast<std::size_t>(indent) * 2 : 0;
+  const std::size_t newline = pretty ? 1 : 0;
+  std::size_t n = pad + 1 + name_.size();                           // <name
+  for (const auto& [k, v] : attrs_) n += 4 + k.size() + v.size();  //  k="v"
+  if (text_.empty() && children_.empty()) return n + 2 + newline;  // />
+  n += 1 + text_.size() + 3 + name_.size() + newline;              // >text</name>
+  if (!children_.empty()) {
+    n += newline + pad;
+    for (const auto& c : children_) n += c.unescaped_size(indent + 1, pretty);
+  }
+  return n;
 }
 
 void Element::write(std::string& out, int indent, bool pretty) const {
@@ -122,17 +142,28 @@ constexpr std::array<bool, 256> kEscapable = [] {
   return table;
 }();
 
+/// Sixteen bytes as one GCC/Clang vector: plain C++ operators on it compile
+/// to whatever SIMD the target has, so the scan has one implementation.
+using Lanes = unsigned char __attribute__((vector_size(16)));
+
 /// Index of the first escapable character of `s` at or after `from`, or npos.
-/// Eight bytes per step while none of them is escapable, then byte by byte.
+/// 64 bytes per step while none of them is escapable. Three compares cover
+/// the five characters: '"' itself, (c | 1) == '\'' for '&' (0x26) and '\''
+/// (0x27), and (c | 2) == '>' for '<' (0x3C) and '>' (0x3E). The table then
+/// finds the character inside the step that hit, or in the tail.
 std::size_t find_escapable(std::string_view s, std::size_t from) {
   const auto* p = reinterpret_cast<const unsigned char*>(s.data());
   std::size_t i = from;
-  for (; i + 8 <= s.size(); i += 8) {
-    if (kEscapable[p[i]] | kEscapable[p[i + 1]] | kEscapable[p[i + 2]] | kEscapable[p[i + 3]] |
-        kEscapable[p[i + 4]] | kEscapable[p[i + 5]] | kEscapable[p[i + 6]] |
-        kEscapable[p[i + 7]]) {
-      break;
+  for (; i + 64 <= s.size(); i += 64) {
+    Lanes hit{};
+    for (std::size_t k = 0; k < 64; k += sizeof(Lanes)) {
+      Lanes v{};
+      std::memcpy(&v, p + i + k, sizeof v);
+      hit |= reinterpret_cast<Lanes>((v == '"') | ((v | 1) == '\'') | ((v | 2) == '>'));
     }
+    std::uint64_t words[2] = {};
+    std::memcpy(words, &hit, sizeof words);
+    if ((words[0] | words[1]) != 0) break;
   }
   for (; i < s.size(); ++i) {
     if (kEscapable[p[i]]) return i;

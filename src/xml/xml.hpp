@@ -67,6 +67,9 @@ class Element {
 
  private:
   void write(std::string& out, int indent, bool pretty) const;
+  /// Length of write()'s output when no character needs escaping: one pass
+  /// over the tree, so to_string() reserves its buffer once.
+  std::size_t unescaped_size(int indent, bool pretty) const;
 
   std::string name_;
   std::string text_;

@@ -806,5 +806,26 @@ TEST(HotpathEquivalenceTest, XmlEscapeMatchesFindFirstOfReference) {
   }
 }
 
+TEST(HotpathEquivalenceTest, XmlEscapeScanFindsEveryByteAtEveryOffset) {
+  // Every byte value at every offset of plain strings of length 1..130: the
+  // scan's 64-byte steps, the step boundaries and the byte-wise tail each see
+  // all 256 values, among them the near misses '#', '$', '%', ';' and '?'
+  // that the (c | 1) and (c | 2) compares must reject.
+  std::string out;
+  for (int value = 0; value < 256; ++value) {
+    for (std::size_t len = 1; len <= 130; ++len) {
+      for (std::size_t at = 0; at < len; ++at) {
+        std::string s(len, 'x');
+        s[at] = static_cast<char>(value);
+        ASSERT_EQ(xml::needs_escape(s), s.find_first_of("&<>\"'") != std::string::npos)
+            << "byte " << value << " at " << at << " of " << len;
+        out.clear();
+        xml::escape_to(out, s);
+        ASSERT_EQ(out, reference_escape(s)) << "byte " << value << " at " << at << " of " << len;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace umiddle

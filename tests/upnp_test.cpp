@@ -439,6 +439,90 @@ TEST(UpnpDeviceTest, InvalidActionYieldsSoapFault) {
   EXPECT_FALSE(light.is_on());
 }
 
+TEST(UpnpDeviceTest, ConcurrentActionsEachGetTheirOwnResponse) {
+  // Both ends park an action in flight under a key (ControlPoint until the
+  // POST, UpnpDevice until the response): several at once must not cross.
+  Fixture f;
+  f.add_host("light-host");
+  f.add_host("cp-host");
+  BinaryLight light(f.net, "light-host");
+  ASSERT_TRUE(light.start().ok());
+  ControlPoint cp(f.net, "cp-host");
+  ASSERT_TRUE(cp.start().ok());
+  const std::string url = "http://light-host:8000/control/SwitchPower";
+  auto action = [](const std::string& name, const std::string& power) {
+    ActionRequest r;
+    r.service_type = kSwitchPowerService;
+    r.action = name;
+    if (!power.empty()) r.args["Power"] = power;
+    return r;
+  };
+  cp.invoke(url, action("SetPower", "1"), [](Result<ActionResponse> r) { EXPECT_TRUE(r.ok()); });
+  f.sched.run();
+  ASSERT_TRUE(light.is_on());
+
+  std::vector<std::string> outcomes(4);
+  auto record = [&outcomes](std::size_t i) {
+    return [&outcomes, i](Result<ActionResponse> r) {
+      if (!r.ok()) {
+        outcomes[i] = "error";
+      } else {
+        auto status = r.value().args.find("ResultStatus");
+        outcomes[i] = r.value().action + ":" +
+                      (status == r.value().args.end() ? "-" : status->second);
+      }
+    };
+  };
+  cp.invoke(url, action("GetStatus", ""), record(0));
+  cp.invoke(url, action("SetPower", "7"), record(1));
+  cp.invoke(url, action("SetPower", "1"), record(2));
+  cp.invoke(url, action("GetStatus", ""), record(3));
+  f.sched.run();
+  EXPECT_EQ(outcomes, (std::vector<std::string>{"GetStatus:1", "error", "SetPower:-",
+                                                 "GetStatus:1"}));
+  EXPECT_EQ(light.actions_handled(), 5u);
+
+  // stop() ends the actions still waiting to be posted, and a restarted
+  // control point posts new ones.
+  bool ended = false;
+  cp.invoke(url, action("SetPower", "0"), [&ended](Result<ActionResponse>) { ended = true; });
+  cp.stop();
+  f.sched.run();
+  EXPECT_FALSE(ended);
+  EXPECT_TRUE(light.is_on());
+  ASSERT_TRUE(cp.start().ok());
+  cp.invoke(url, action("SetPower", "0"), [&ended](Result<ActionResponse> r) {
+    EXPECT_TRUE(r.ok());
+    ended = true;
+  });
+  f.sched.run();
+  EXPECT_TRUE(ended);
+  EXPECT_FALSE(light.is_on());
+}
+
+TEST(UpnpDeviceTest, DestroyedWithAnActionInFlightRunsNothing) {
+  // The action and marshal events outlive a device destroyed mid-action;
+  // they must not touch it (a use-after-free under ASan before the fix).
+  Fixture f;
+  f.add_host("light-host");
+  f.add_host("cp-host");
+  auto light = std::make_unique<BinaryLight>(f.net, "light-host");
+  ASSERT_TRUE(light->start().ok());
+  ControlPoint cp(f.net, "cp-host");
+  ASSERT_TRUE(cp.start().ok());
+  ActionRequest set;
+  set.service_type = kSwitchPowerService;
+  set.action = "SetPower";
+  set.args["Power"] = "1";
+  cp.invoke("http://light-host:8000/control/SwitchPower", set, [](Result<ActionResponse>) {});
+  // Past the POST (the 18 ms marshal), inside the 93 ms unmarshal + actuation.
+  f.sched.run_for(milliseconds(40));
+  ASSERT_EQ(light->actions_handled(), 0u);
+  light.reset();
+  f.sched.run();
+  SUCCEED();
+}
+
 TEST(UpnpDeviceTest, GenaEventsReachSubscribers) {
   Fixture f;
   f.add_host("light-host");

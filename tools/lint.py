@@ -101,6 +101,13 @@ exist to keep nondeterminism from leaking back in:
                wire integers are read only through ByteReader, whose first
                underrun latches (DESIGN.md §7.6), so byte order and bounds
                checks have one implementation.
+  one-kernel   src/ includes no ISA intrinsics header (<immintrin.h>,
+               <x86intrin.h>, <emmintrin.h>, <tmmintrin.h>, <arm_neon.h>)
+               and uses no __builtin_cpu_supports, __attribute__((target(
+               ([[gnu::target(]) or target_clones: each payload kernel (base64, the XML escape
+               scan) has one implementation, in plain C++ or GCC/Clang vector
+               extensions, that builds for every target with no runtime
+               dispatch (DESIGN.md §8.3).
 
 Run directly:      python3 tools/lint.py --root .
 Run via ctest:     ctest -R lint
@@ -589,6 +596,25 @@ def check_byte_order(path: str, code: str) -> Iterable[Violation]:
                             "read it through ByteReader (common/bytes.hpp)")
 
 
+# One implementation per kernel (DESIGN.md §8.3): a per-ISA variant is a second
+# implementation that the baseline build neither compiles nor tests.
+ISA_KERNEL_RE = re.compile(
+    r'#\s*include\s*[<"](?:immintrin|x86intrin|emmintrin|tmmintrin|arm_neon)\.h[>"]'
+    r"|\b__builtin_cpu_supports\b"
+    r"|__attribute__\s*\(\s*\(\s*target\s*\("
+    r"|\[\[\s*gnu::target\s*\("
+    r"|\btarget_clones\b")
+
+
+def check_one_kernel(path: str, code: str) -> Iterable[Violation]:
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if ISA_KERNEL_RE.search(line):
+            yield Violation("one-kernel", path, lineno,
+                            "ISA-specific kernel or runtime dispatch; write the "
+                            "kernel once in plain C++ or GCC/Clang vector "
+                            "extensions (DESIGN.md §8.3)")
+
+
 def call_args(code: str, open_at: int) -> list[str]:
     """Top-level arguments of the bracketed list opening at code[open_at]."""
     depth, start, args = 0, open_at + 1, []
@@ -669,6 +695,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
 LITERAL_CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_one_fate_site,
     check_netsim_free_session,
+    check_one_kernel,
 ]
 
 
@@ -780,6 +807,21 @@ SEEDED_VIOLATIONS = [
      "const auto length = static_cast<std::size_t>((buffer[1] << 8) | buffer[2]);\n"),
     ("byte-order", "src/motes/evil.cpp",
      "std::uint16_t id = static_cast<std::uint16_t>(wire[2]) << 8 | wire[3];\n"),
+    ("one-kernel", "src/xml/evil.cpp",
+     "#include <emmintrin.h>\n"
+     "const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));\n"),
+    ("one-kernel", "src/common/evil.cpp",
+     '#include "tmmintrin.h"\n#include <x86intrin.h>\n#include <immintrin.h>\n'),
+    ("one-kernel", "src/common/evil.cpp",
+     "#include <arm_neon.h>\n"),
+    ("one-kernel", "src/common/evil.cpp",
+     'if (__builtin_cpu_supports("avx2")) { return encode_avx2(data); }\n'),
+    ("one-kernel", "src/common/evil.cpp",
+     '__attribute__((target("ssse3"))) std::string encode_ssse3(std::span<const std::uint8_t>);\n'),
+    ("one-kernel", "src/xml/evil.cpp",
+     '[[gnu::target_clones("default", "avx2")]] std::size_t scan(std::string_view s);\n'),
+    ("one-kernel", "src/xml/evil.cpp",
+     '[[gnu::target("avx2")]] std::size_t scan_avx2(std::string_view s);\n'),
 ]
 
 CLEAN_SNIPPETS = [
@@ -891,6 +933,14 @@ CLEAN_SNIPPETS = [
      "w.u8(static_cast<std::uint8_t>(v >> 8));\n"
      "os << parts[0] << ' ' << parts[1];\n"
      "const std::uint32_t mask = 1u << 8;\n"),
+    ("src/xml/xml.cpp",
+     "// no <immintrin.h>, no __builtin_cpu_supports: named in a comment is fine\n"
+     "#include <cstring>\n"
+     "using Lanes = unsigned char __attribute__((vector_size(16)));\n"
+     "hit |= reinterpret_cast<Lanes>((v == '\"') | ((v | 1) == '\\'') | ((v | 2) == '>'));\n"),
+    ("src/common/base64.cpp",
+     "if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);\n"
+     "std::string_view target = \"x-bt/img-img\";\n"),
 ]
 
 
