@@ -62,9 +62,17 @@ void Packet::move_body_into(Bytes& out) {
 }
 
 Bytes Packet::encode() const {
-  ByteWriter out;
+  std::size_t length = 3 + (max_packet.has_value() ? 4 : 0);
+  for (const Header& h : headers) {
+    switch (header_class(h.id)) {
+      case HeaderClass::text: length += 3 + std::get<std::string>(h.value).size(); break;
+      case HeaderClass::bytes: length += 3 + std::get<Bytes>(h.value).size(); break;
+      case HeaderClass::u32: length += 5; break;
+    }
+  }
+  ByteWriter out(length);
   out.u8(opcode);
-  out.u16(0);  // packet length, patched once the headers are written
+  out.u16(static_cast<std::uint16_t>(length));
   if (max_packet.has_value()) {
     out.u8(0x10);  // OBEX version 1.0
     out.u8(0x00);  // flags
@@ -90,7 +98,6 @@ Bytes Packet::encode() const {
         break;
     }
   }
-  out.patch_u16(1, static_cast<std::uint16_t>(out.size()));
   return out.take();
 }
 

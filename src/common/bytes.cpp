@@ -32,17 +32,6 @@ void ByteWriter::str16(std::string_view s) {
   str(s);
 }
 
-void ByteWriter::patch_u16(std::size_t pos, std::uint16_t v) {
-  buf_[pos] = static_cast<std::uint8_t>(v >> 8);
-  buf_[pos + 1] = static_cast<std::uint8_t>(v);
-}
-
-void ByteWriter::patch_u32(std::size_t pos, std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    buf_[pos++] = static_cast<std::uint8_t>(v >> shift);
-  }
-}
-
 Bytes to_bytes(std::string_view s) { return Bytes(s.begin(), s.end()); }
 
 std::string to_string(std::span<const std::uint8_t> data) {

@@ -25,9 +25,15 @@ inline PayloadPtr make_payload(Bytes data) {
   return std::make_shared<const Bytes>(std::move(data));
 }
 
-/// Append-only big-endian encoder.
+/// Append-only big-endian encoder. A frame encoder on a hot path computes its
+/// frame's size first and builds it in one buffer of exactly that size
+/// (DESIGN.md §8.4, lint rule `sized-frame`); the default writer grows.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// A writer whose buffer is reserved for exactly `exact` bytes.
+  explicit ByteWriter(std::size_t exact) { buf_.reserve(exact); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -36,10 +42,6 @@ class ByteWriter {
   void str(std::string_view s);  ///< raw bytes, no length prefix
   /// u16 length prefix followed by the string bytes.
   void str16(std::string_view s);
-  /// Overwrite 2 or 4 previously written bytes at `pos` with a big-endian
-  /// u16 or u32 — for back-patching a length field without a second buffer.
-  void patch_u16(std::size_t pos, std::uint16_t v);
-  void patch_u32(std::size_t pos, std::uint32_t v);
 
   const Bytes& data() const { return buf_; }
   Bytes take() { return std::move(buf_); }
@@ -72,6 +74,13 @@ class ByteReader {
   }
   /// u16 length prefix followed by that many string bytes.
   [[nodiscard]] std::string str16() { return str(u16()); }
+  /// str16() as a view into the buffer being read, which must outlive it.
+  [[nodiscard]] std::string_view str16_view() {
+    const std::size_t n = u16();
+    const std::uint8_t* p = take(n);
+    return p != nullptr ? std::string_view(reinterpret_cast<const char*>(p), n)
+                        : std::string_view();
+  }
   void skip(std::size_t n) { take(n); }
 
   bool ok() const { return need_ == 0; }

@@ -17,16 +17,26 @@ using Phase = LinkSession::Sender::Phase;
 /// so the stream is closed, as OBEX, MB and RMI close theirs (DESIGN.md §7.6).
 template <typename Handle>
 net::Stream::DataHandler frame_reader(net::Stream& stream, Handle handle) {
-  return [reader = std::make_shared<umtp::Reader>(), stream = &stream,
-          handle = std::move(handle)](std::span<const std::uint8_t> chunk) {
+  struct State {
+    umtp::Reader reader;
+    /// The frames of one chunk, kept across chunks for its capacity.
     std::vector<umtp::Frame> frames;
-    if (auto r = reader->feed(chunk, frames); !r.ok()) {
+  };
+  return [state = std::make_shared<State>(), stream = &stream,
+          handle = std::move(handle)](std::span<const std::uint8_t> chunk) {
+    // Taken out while the frames are handled, so a feed they cause gets a
+    // vector of its own; `keep` holds the state should they drop this handler.
+    const std::shared_ptr<State> keep = state;
+    std::vector<umtp::Frame> frames = std::move(keep->frames);
+    frames.clear();
+    if (auto r = keep->reader.feed(chunk, frames); !r.ok()) {
       log::Entry(log::Level::warn, "transport") << "bad UMTP frame, closing: "
                                                 << r.error().to_string();
       stream->close();
       return;
     }
     for (umtp::Frame& frame : frames) handle(frame);
+    keep->frames = std::move(frames);
   };
 }
 

@@ -5,64 +5,76 @@
 namespace umiddle::core::umtp {
 namespace {
 
-void encode_data_body(const PortRef& dst, const Message& message, std::int64_t deadline_ns,
-                      ByteWriter& w) {
-  // A deadline upgrades the frame to DATA_DL; deadline-free messages keep the
-  // exact legacy DATA byte layout (fault-free-invisibility, DESIGN.md §11).
-  if (deadline_ns != 0) {
-    w.u8(static_cast<std::uint8_t>(FrameType::data_deadline));
-    w.u64(static_cast<std::uint64_t>(deadline_ns));
-  } else {
-    w.u8(static_cast<std::uint8_t>(FrameType::data));
-  }
-  w.u64(dst.translator.value());
-  w.str16(dst.port);
-  w.str16(message.type.to_string());
-  w.u16(static_cast<std::uint16_t>(message.meta.size()));
-  for (const auto& [k, v] : message.meta) {
-    w.str16(k);
-    w.str16(v);
-  }
-  w.u32(static_cast<std::uint32_t>(message.payload.size()));
-  w.bytes(message.payload);
+std::size_t str16_size(std::string_view s) { return 2 + s.size(); }
+
+/// A writer for a frame whose body is `body` bytes, holding its u32 length
+/// prefix: the frame is built in one buffer of exactly its size (DESIGN.md
+/// §8.4).
+ByteWriter framed(std::size_t body) {
+  ByteWriter w(4 + body);
+  w.u32(static_cast<std::uint32_t>(body));
+  return w;
 }
 
-void encode_body(const Frame& frame, ByteWriter& w) {
-  if (const auto* data = std::get_if<DataFrame>(&frame)) {
-    encode_data_body(data->dst, data->message, data->message.deadline_ns, w);
-  } else if (const auto* conn = std::get_if<ConnectFrame>(&frame)) {
-    w.u8(static_cast<std::uint8_t>(FrameType::connect));
-    w.u64(conn->path.value());
-    w.u64(conn->src.translator.value());
-    w.str16(conn->src.port);
-    if (const auto* fixed = std::get_if<PortRef>(&conn->dst)) {
-      w.u8(1);
-      w.u64(fixed->translator.value());
-      w.str16(fixed->port);
-    } else {
-      w.u8(2);
-      w.str16(std::get<Query>(conn->dst).to_xml().to_string());
-    }
-  } else if (const auto* disc = std::get_if<DisconnectFrame>(&frame)) {
-    w.u8(static_cast<std::uint8_t>(FrameType::disconnect));
-    w.u64(disc->path.value());
-  } else if (const auto* ack = std::get_if<AckFrame>(&frame)) {
-    w.u8(static_cast<std::uint8_t>(FrameType::ack));
-    w.u64(ack->epoch);
-    w.u64(ack->count);
-  } else if (const auto* resume = std::get_if<ResumeFrame>(&frame)) {
-    w.u8(static_cast<std::uint8_t>(FrameType::resume));
-    w.u64(resume->node.value());
-    w.u64(resume->epoch);
-    w.u64(resume->prev_channel);
-    w.u64(resume->base_seq);
-  } else {
-    const auto& seq = std::get<SeqFrame>(frame);
-    w.u8(static_cast<std::uint8_t>(FrameType::seq));
-    w.u64(seq.seq);
-    w.bytes(seq.body);
-  }
+Bytes encode_one(const DataFrame& data) {
+  return encode_data(data.dst, data.message, data.message.deadline_ns);
 }
+
+Bytes encode_one(const ConnectFrame& conn) {
+  const auto* fixed = std::get_if<PortRef>(&conn.dst);
+  const std::string query =
+      fixed != nullptr ? std::string() : std::get<Query>(conn.dst).to_xml().to_string();
+  ByteWriter w = framed(1 + 8 + 8 + str16_size(conn.src.port) + 1 +
+                        (fixed != nullptr ? 8 + str16_size(fixed->port) : str16_size(query)));
+  w.u8(static_cast<std::uint8_t>(FrameType::connect));
+  w.u64(conn.path.value());
+  w.u64(conn.src.translator.value());
+  w.str16(conn.src.port);
+  if (fixed != nullptr) {
+    w.u8(1);
+    w.u64(fixed->translator.value());
+    w.str16(fixed->port);
+  } else {
+    w.u8(2);
+    w.str16(query);
+  }
+  return w.take();
+}
+
+Bytes encode_one(const DisconnectFrame& disc) {
+  ByteWriter w = framed(1 + 8);
+  w.u8(static_cast<std::uint8_t>(FrameType::disconnect));
+  w.u64(disc.path.value());
+  return w.take();
+}
+
+Bytes encode_one(const AckFrame& ack) {
+  ByteWriter w = framed(1 + 8 + 8);
+  w.u8(static_cast<std::uint8_t>(FrameType::ack));
+  w.u64(ack.epoch);
+  w.u64(ack.count);
+  return w.take();
+}
+
+Bytes encode_one(const ResumeFrame& resume) {
+  ByteWriter w = framed(1 + 4 * 8);
+  w.u8(static_cast<std::uint8_t>(FrameType::resume));
+  w.u64(resume.node.value());
+  w.u64(resume.epoch);
+  w.u64(resume.prev_channel);
+  w.u64(resume.base_seq);
+  return w.take();
+}
+
+Bytes encode_seq_body(std::uint64_t seq, std::span<const std::uint8_t> body) {
+  ByteWriter w = framed(1 + 8 + body.size());
+  w.u8(static_cast<std::uint8_t>(FrameType::seq));
+  w.u64(seq);
+  w.bytes(body);
+  return w.take();
+}
+
+Bytes encode_one(const SeqFrame& seq) { return encode_seq_body(seq.seq, seq.body); }
 
 /// The frame a body decoded to, once every field was there and nothing is left.
 Result<Frame> complete(const ByteReader& r, Frame frame, const char* name) {
@@ -77,7 +89,7 @@ Result<Frame> decode_data(ByteReader& r, std::int64_t deadline_ns) {
   DataFrame f;
   f.message.deadline_ns = deadline_ns;
   f.dst = PortRef{TranslatorId(r.u64()), r.str16()};
-  const std::string mime_text = r.str16();
+  const std::string_view mime_text = r.str16_view();
   if (!r.ok()) return r.error();
   auto mime = MimeType::parse(mime_text);
   if (!mime.ok()) return mime.error();
@@ -94,31 +106,43 @@ Result<Frame> decode_data(ByteReader& r, std::int64_t deadline_ns) {
 }  // namespace
 
 Bytes encode(const Frame& frame) {
-  // Single-buffer encode: write a length placeholder, the body, then patch the
-  // length — the seed's body-then-copy pattern copied every payload twice.
-  ByteWriter out;
-  out.u32(0);
-  encode_body(frame, out);
-  out.patch_u32(0, static_cast<std::uint32_t>(out.size() - 4));
-  return out.take();
+  return std::visit([](const auto& f) { return encode_one(f); }, frame);
 }
 
 Bytes encode_data(const PortRef& dst, const Message& message, std::int64_t deadline_ns) {
-  ByteWriter out;
-  out.u32(0);
-  encode_data_body(dst, message, deadline_ns, out);
-  out.patch_u32(0, static_cast<std::uint32_t>(out.size() - 4));
-  return out.take();
+  const MimeType& mime = message.type;
+  const std::size_t mime_size = mime.type().size() + 1 + mime.subtype().size();
+  std::size_t body = 1 + (deadline_ns != 0 ? 8 : 0) + 8 + str16_size(dst.port) + 2 + mime_size +
+                     2 + 4 + message.payload.size();
+  for (const auto& [k, v] : message.meta) body += str16_size(k) + str16_size(v);
+  ByteWriter w = framed(body);
+  // A deadline upgrades the frame to DATA_DL; deadline-free messages keep the
+  // exact legacy DATA byte layout (fault-free-invisibility, DESIGN.md §11).
+  if (deadline_ns != 0) {
+    w.u8(static_cast<std::uint8_t>(FrameType::data_deadline));
+    w.u64(static_cast<std::uint64_t>(deadline_ns));
+  } else {
+    w.u8(static_cast<std::uint8_t>(FrameType::data));
+  }
+  w.u64(dst.translator.value());
+  w.str16(dst.port);
+  // MimeType::to_string()'s bytes, written without building the string.
+  w.u16(static_cast<std::uint16_t>(mime_size));
+  w.str(mime.type());
+  w.u8('/');
+  w.str(mime.subtype());
+  w.u16(static_cast<std::uint16_t>(message.meta.size()));
+  for (const auto& [k, v] : message.meta) {
+    w.str16(k);
+    w.str16(v);
+  }
+  w.u32(static_cast<std::uint32_t>(message.payload.size()));
+  w.bytes(message.payload);
+  return w.take();
 }
 
 Bytes encode_seq(std::uint64_t seq, const Bytes& prefixed_frame) {
-  ByteWriter out;
-  out.u32(0);
-  out.u8(static_cast<std::uint8_t>(FrameType::seq));
-  out.u64(seq);
-  out.bytes(std::span<const std::uint8_t>(prefixed_frame).subspan(4));
-  out.patch_u32(0, static_cast<std::uint32_t>(out.size() - 4));
-  return out.take();
+  return encode_seq_body(seq, std::span<const std::uint8_t>(prefixed_frame).subspan(4));
 }
 
 Result<Frame> decode_body(std::span<const std::uint8_t> body) {

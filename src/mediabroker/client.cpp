@@ -16,7 +16,11 @@ Result<void> MbClient::connect() {
   stream_ = stream.value();
   stream_->on_connected(lifetime_.guard([this]() { connected_ = true; }));
   stream_->on_data(lifetime_.guard([this](std::span<const std::uint8_t> chunk) {
-    std::vector<Frame> frames;
+    // Taken out while the callbacks run, so a feed they cause gets a vector
+    // of its own; put back afterwards unless they destroyed this client.
+    std::vector<Frame> frames = std::move(frames_);
+    frames.clear();
+    const sim::Lifetime::Token alive = lifetime_.token();
     if (auto r = reader_.feed(chunk, frames); !r.ok()) {
       log::Entry(log::Level::warn, "mb") << "bad frame: " << r.error().to_string();
       stream_->close();
@@ -27,7 +31,7 @@ Result<void> MbClient::connect() {
         case Op::data:
           ++frames_received_;
           bytes_received_ += frame.payload.size();
-          if (on_data_) on_data_(frame.stream, frame.payload);
+          if (on_data_) on_data_(frame.stream, std::move(frame.payload));
           break;
         case Op::announce:
           if (on_announce_) on_announce_(frame.stream, frame.media_type, true);
@@ -39,6 +43,7 @@ Result<void> MbClient::connect() {
           break;
       }
     }
+    if (*alive) frames_ = std::move(frames);
   }));
   stream_->on_close(lifetime_.guard([this]() { connected_ = false; }));
   return ok_result();
@@ -50,9 +55,9 @@ void MbClient::close() {
   connected_ = false;
 }
 
-Result<void> MbClient::send_frame(const Frame& frame) {
+Result<void> MbClient::send_wire(Bytes wire) {
   if (stream_ == nullptr) return make_error(Errc::disconnected, "mb: not connected");
-  return stream_->send(frame.encode());
+  return stream_->send(std::move(wire));
 }
 
 Result<void> MbClient::produce(const std::string& stream, const std::string& media_type) {
@@ -60,29 +65,25 @@ Result<void> MbClient::produce(const std::string& stream, const std::string& med
   f.op = Op::produce;
   f.stream = stream;
   f.media_type = media_type;
-  return send_frame(f);
+  return send_wire(f.encode());
 }
 
-Result<void> MbClient::send(const std::string& stream, Bytes payload) {
-  Frame f;
-  f.op = Op::data;
-  f.stream = stream;
-  f.payload = std::move(payload);
-  return send_frame(f);
+Result<void> MbClient::send(std::string_view stream, std::span<const std::uint8_t> payload) {
+  return send_wire(encode_data(stream, payload));
 }
 
 Result<void> MbClient::consume(const std::string& stream) {
   Frame f;
   f.op = Op::consume;
   f.stream = stream;
-  return send_frame(f);
+  return send_wire(f.encode());
 }
 
 Result<void> MbClient::retire(const std::string& stream) {
   Frame f;
   f.op = Op::retire;
   f.stream = stream;
-  return send_frame(f);
+  return send_wire(f.encode());
 }
 
 Result<void> MbClient::watch() {
@@ -91,7 +92,7 @@ Result<void> MbClient::watch() {
   // "*" = every stream. Appended, not assigned: GCC 12 under -fsanitize=address
   // reports a bogus -Wrestrict overlap for the inlined assignment of a literal.
   f.stream.push_back('*');
-  return send_frame(f);
+  return send_wire(f.encode());
 }
 
 std::size_t MbClient::backlog() const {

@@ -11,7 +11,8 @@ namespace umiddle::mb {
 
 class MbClient {
  public:
-  using DataFn = std::function<void(const std::string& stream, const Bytes& payload)>;
+  /// Takes the decoded payload: its bytes move on instead of being copied.
+  using DataFn = std::function<void(const std::string& stream, Bytes payload)>;
   using AnnounceFn = std::function<void(const std::string& stream,
                                         const std::string& media_type, bool alive)>;
 
@@ -26,8 +27,9 @@ class MbClient {
 
   /// Declare a producer for `stream`.
   [[nodiscard]] Result<void> produce(const std::string& stream, const std::string& media_type);
-  /// Publish one media frame (streaming: no per-frame acknowledgement).
-  [[nodiscard]] Result<void> send(const std::string& stream, Bytes payload);
+  /// Publish one media frame (streaming: no per-frame acknowledgement). The
+  /// frame is encoded straight from `payload`.
+  [[nodiscard]] Result<void> send(std::string_view stream, std::span<const std::uint8_t> payload);
   /// Subscribe; `on_data` fires per arriving frame.
   [[nodiscard]] Result<void> consume(const std::string& stream);
   /// Withdraw a produced stream.
@@ -46,13 +48,15 @@ class MbClient {
   std::size_t backlog() const;
 
  private:
-  [[nodiscard]] Result<void> send_frame(const Frame& frame);
+  [[nodiscard]] Result<void> send_wire(Bytes wire);
 
   net::Network& net_;
   std::string host_;
   net::Endpoint server_;
   net::StreamPtr stream_;
   Reader reader_;
+  /// The frames of one received chunk, kept across chunks for its capacity.
+  std::vector<Frame> frames_;
   bool connected_ = false;
   DataFn on_data_;
   AnnounceFn on_announce_;

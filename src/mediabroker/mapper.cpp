@@ -61,9 +61,9 @@ void MbTranslator::on_mapped() {
     if (b.kind == "mb-consume") {
       (void)client_->consume(stream_);
       std::string port = b.port;
-      client_->on_data(lifetime().guard([this, port](const std::string&, const Bytes& data) {
+      client_->on_data(lifetime().guard([this, port](const std::string&, Bytes data) {
         core::Message msg;
-        msg.payload = data;
+        msg.payload = std::move(data);
         (void)emit_typed(port, std::move(msg));
       }));
     }

@@ -3,23 +3,21 @@
 namespace umiddle::mb {
 
 Bytes Frame::encode() const {
-  ByteWriter w;
+  if (op == Op::data) return encode_data(stream, payload);
+  const bool typed = op == Op::produce || op == Op::announce;
+  ByteWriter w(1 + 2 + stream.size() + (typed ? 2 + media_type.size() : 0));
   w.u8(static_cast<std::uint8_t>(op));
   w.str16(stream);
-  switch (op) {
-    case Op::produce:
-    case Op::announce:
-      w.str16(media_type);
-      break;
-    case Op::data:
-      w.u32(static_cast<std::uint32_t>(payload.size()));
-      w.bytes(payload);
-      break;
-    case Op::consume:
-    case Op::watch:
-    case Op::retire:
-      break;
-  }
+  if (typed) w.str16(media_type);
+  return w.take();
+}
+
+Bytes encode_data(std::string_view stream, std::span<const std::uint8_t> payload) {
+  ByteWriter w(1 + 2 + stream.size() + 4 + payload.size());
+  w.u8(static_cast<std::uint8_t>(Op::data));
+  w.str16(stream);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.bytes(payload);
   return w.take();
 }
 

@@ -44,6 +44,10 @@ struct Frame {
   Bytes encode() const;
 };
 
+/// A DATA frame for `stream` carrying `payload`, encoded straight from the
+/// caller's bytes (Frame::encode's DATA case).
+Bytes encode_data(std::string_view stream, std::span<const std::uint8_t> payload);
+
 /// Decode step for the frame at the front of a receive buffer.
 [[nodiscard]] Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer,
                                              std::vector<Frame>& out);

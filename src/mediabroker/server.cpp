@@ -39,13 +39,18 @@ void MbServer::set_transform(const std::string& stream, Transform transform) {
 void MbServer::serve(net::StreamPtr stream) {
   net::Stream* raw = stream.get();
   connections_[raw] = stream;
-  stream->on_data([this, raw, reader = Reader{}](std::span<const std::uint8_t> chunk) mutable {
-    std::vector<Frame> frames;
+  stream->on_data([this, raw, reader = Reader{},
+                   kept = std::vector<Frame>{}](std::span<const std::uint8_t> chunk) mutable {
+    // The frame vector is kept across chunks for its capacity; it is taken
+    // out while the frames are handled, so a feed they cause gets its own.
+    std::vector<Frame> frames = std::move(kept);
+    frames.clear();
     if (auto r = reader.feed(chunk, frames); !r.ok()) {
       raw->close();
       return;
     }
     for (Frame& frame : frames) handle(raw, std::move(frame));
+    kept = std::move(frames);
   });
   stream->on_close([this, raw]() { drop_connection(raw); });
 }
@@ -57,7 +62,7 @@ void MbServer::drop_connection(net::Stream* conn) {
 }
 
 void MbServer::broadcast_watchers(const Frame& frame) {
-  Bytes wire = frame.encode();
+  const PayloadPtr wire = make_payload(frame.encode());
   for (net::Stream* watcher : watchers_) (void)watcher->send(wire);
 }
 
@@ -84,13 +89,12 @@ void MbServer::handle(net::Stream* conn, Frame frame) {
     case Op::data: {
       auto it = streams_.find(frame.stream);
       if (it == streams_.end()) break;
-      Bytes payload = it->second.transform ? it->second.transform(frame.payload)
-                                           : std::move(frame.payload);
-      Frame out;
-      out.op = Op::data;
-      out.stream = frame.stream;
-      out.payload = std::move(payload);
-      Bytes wire = out.encode();
+      const Transform& transform = it->second.transform;
+      Bytes transformed;
+      if (transform) transformed = transform(frame.payload);
+      // One wire buffer, shared by every consumer's stream.
+      const PayloadPtr wire =
+          make_payload(encode_data(frame.stream, transform ? transformed : frame.payload));
       for (net::Stream* consumer : it->second.consumers) {
         if (consumer == conn) continue;  // never echo to the producer itself
         if (consumer->pending() > kConsumerBacklogLimit) {

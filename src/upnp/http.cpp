@@ -189,9 +189,23 @@ void HttpServer::serve(net::StreamPtr stream) {
     }
     if (requests.empty()) return;
     const HttpRequest& req = requests.front();
-    RespondFn respond = [raw, keep](HttpResponse resp) {
-      (void)raw->send(resp.to_wire());
-      raw->close();
+    // Every copy of the responder shares one guard. The last copy to die
+    // unanswered closes the stream, so the client sees a disconnect instead
+    // of waiting forever for a handler that is gone.
+    struct Guard {
+      explicit Guard(net::StreamPtr s) : stream(std::move(s)) {}
+      Guard(const Guard&) = delete;
+      Guard& operator=(const Guard&) = delete;
+      net::StreamPtr stream;
+      bool answered = false;
+      ~Guard() {
+        if (!answered) stream->close();
+      }
+    };
+    RespondFn respond = [guard = std::make_shared<Guard>(keep)](HttpResponse resp) {
+      guard->answered = true;
+      (void)guard->stream->send(resp.to_wire());
+      guard->stream->close();
     };
     auto exact = exact_.find(req.path);
     if (exact != exact_.end()) {

@@ -1,9 +1,14 @@
-// Copy budget of the camera→TV photo path (DESIGN.md §8.4): a photo is copied
-// only where its bytes change form. This binary replaces the global operator
-// new with a counting one and pins how many large heap blocks (16 KiB or more,
-// so only photo-sized buffers count) one 30 kB photo costs over the real Fig. 5
-// pipeline: BT camera → runtime A → UMTP → runtime B → UPnP SOAP → TV. A
-// reintroduced whole-photo copy raises the count and fails this test by name.
+// Copy and allocation budgets of the message paths (DESIGN.md §8.4). This
+// binary replaces the global operator new with a counting one and pins:
+//   * how many large heap blocks (16 KiB or more, so only photo-sized buffers
+//     count) one 30 kB photo costs over the real Fig. 5 pipeline: BT camera →
+//     runtime A → UMTP → runtime B → UPnP SOAP → TV. A photo is copied only
+//     where its bytes change form;
+//   * how many heap blocks of any size one message costs on the Fig. 11
+//     MediaBroker echo and on a remote UMTP DATA path. A frame is built in one
+//     buffer of its exact size.
+// A reintroduced copy or a regrowing encoder raises a count and fails a test
+// by name.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -11,7 +16,10 @@
 
 #include "bluetooth/bip.hpp"
 #include "bluetooth/mapper.hpp"
+#include "core/native_device.hpp"
 #include "core/umiddle.hpp"
+#include "mediabroker/client.hpp"
+#include "mediabroker/mapper.hpp"
 #include "upnp/devices.hpp"
 #include "upnp/mapper.hpp"
 
@@ -20,9 +28,13 @@ namespace {
 constexpr std::size_t kLarge = 16 * 1024;
 bool g_counting = false;
 std::size_t g_large = 0;
+std::size_t g_all = 0;
 
 void* counted_alloc(std::size_t n) {
-  if (g_counting && n >= kLarge) ++g_large;
+  if (g_counting) {
+    ++g_all;
+    if (n >= kLarge) ++g_large;
+  }
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -30,7 +42,7 @@ void* counted_alloc(std::size_t n) {
 }  // namespace
 
 // The replaceable allocation functions. The aligned overloads keep the
-// library's versions, which no photo buffer uses.
+// library's versions, which nothing on the measured paths uses.
 void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -129,6 +141,152 @@ TEST(CopyBudgetTest, CameraToTvPhotoStaysWithinItsLargeAllocationBudget) {
       << "a camera→TV photo made " << per_photo << " heap allocations of 16 KiB or more; "
       << "the budget is " << kLargeAllocsPerPhoto
       << ". A new whole-photo copy on the path? (DESIGN.md §8.4)";
+}
+
+/// Heap allocations per message over `count` messages that `one(i, start)`
+/// sends and runs to delivery, after `warmup` uncounted ones. `one` builds
+/// its message, then calls `start()`, which opens the counting window.
+template <typename One>
+double allocations_per_message(int warmup, int count, One one) {
+  for (int i = 0; i < warmup; ++i) {
+    if (!one(i, [] {})) return -1;
+  }
+  std::size_t all = 0;
+  for (int i = warmup; i < warmup + count; ++i) {
+    g_all = 0;
+    const bool delivered = one(i, [] { g_counting = true; });
+    g_counting = false;
+    if (!delivered) return -1;
+    all += g_all;
+  }
+  return static_cast<double>(all) / count;
+}
+
+/// Heap allocations per echoed 1400-byte message on the Fig. 11 MediaBroker
+/// echo. Four MB frames cross per echo (producer → broker → runtime's MB
+/// translator → broker → consumer), and each costs three: its wire buffer,
+/// the stream's shared-payload block and the decoded payload at the far end.
+/// The translator's routed message is the thirteenth; new blocks of the
+/// queues' std::deques and growth of the tracer's span vector add the rest.
+/// 41.3 when each frame grew its buffer from empty,
+/// each received chunk built a frame vector, the translator copied the
+/// payload it was handed and the broker copied its forward per consumer.
+constexpr double kAllocsPerMbEcho = 13.5;
+
+/// Heap allocations per 1400-byte message on a remote UMTP DATA path between
+/// two runtimes: the routed message, the DATA frame, the stream's
+/// shared-payload block, the decoded payload, and three for the tracer's
+/// per-link baggage queue, which is erased whenever it empties; new blocks
+/// of the queues' std::deques and growth of the tracer's span vector add the
+/// rest. 18.3 when the DATA frame grew its buffer
+/// from empty, its MIME text was copied into a string and each received
+/// chunk built a frame vector.
+constexpr double kAllocsPerUmtpData = 7.5;
+
+TEST(CopyBudgetTest, MbEchoStaysWithinItsAllocationBudget) {
+  sim::Scheduler sched;
+  net::Network net{sched, 1};
+  net::SegmentSpec spec;
+  spec.bandwidth_bps = 10e6;
+  spec.shared_medium = true;
+  const net::SegmentId hub = net.add_segment(spec);
+  for (const char* h : {"node1", "node2"}) {
+    ASSERT_TRUE(net.add_host(h).ok());
+    ASSERT_TRUE(net.attach(h, hub).ok());
+  }
+  mb::MbServer server(net, "node1");
+  ASSERT_TRUE(server.start().ok());
+  core::UsdlLibrary library;
+  mb::register_mb_usdl(library);
+  core::Runtime runtime(sched, net, "node2");
+  runtime.add_mapper(std::make_unique<mb::MbMapper>(server.endpoint(), library));
+  ASSERT_TRUE(runtime.start().ok());
+  mb::MbClient producer(net, "node1", server.endpoint());
+  mb::MbClient consumer(net, "node1", server.endpoint());
+  ASSERT_TRUE(producer.connect().ok());
+  ASSERT_TRUE(consumer.connect().ok());
+  ASSERT_TRUE(producer.produce("bench", "application/octet-stream").ok());
+  sched.run_for(seconds(6));
+  auto found = runtime.directory().lookup(core::Query().platform("mb"));
+  ASSERT_EQ(found.size(), 1u);
+  const TranslatorId id = found.front().id;
+  ASSERT_TRUE(runtime.transport()
+                  .connect(core::PortRef{id, "media-out"}, core::PortRef{id, "media-in"})
+                  .ok());
+  std::size_t echoed = 0;
+  consumer.on_data([&echoed](const std::string&, const Bytes& payload) {
+    if (payload.size() == 1400) ++echoed;
+  });
+  ASSERT_TRUE(consumer.consume("bench-out").ok());
+  sched.run_for(seconds(1));
+
+  const double per_echo = allocations_per_message(20, 200, [&](int i, auto start) {
+    Bytes msg(1400, static_cast<std::uint8_t>(i));
+    const std::size_t before = echoed;
+    start();
+    if (!producer.send("bench", std::move(msg)).ok()) return false;
+    const sim::TimePoint deadline = sched.now() + seconds(1);
+    while (echoed == before && sched.now() < deadline && sched.step()) {
+    }
+    return echoed == before + 1;
+  });
+  ASSERT_GE(per_echo, 0) << "an echo did not arrive";
+  RecordProperty("allocs_per_mb_echo", std::to_string(per_echo));
+  EXPECT_LE(per_echo, kAllocsPerMbEcho)
+      << "an MB echo made " << per_echo << " heap allocations; the budget is "
+      << kAllocsPerMbEcho << ". A frame encoder regrowing its buffer, or a payload copy "
+      << "on the MB hop? (DESIGN.md §8.4)";
+}
+
+TEST(CopyBudgetTest, RemoteUmtpDataStaysWithinItsAllocationBudget) {
+  sim::Scheduler sched;
+  net::Network net{sched, 1};
+  const net::SegmentId lan = net.add_segment(net::SegmentSpec{});
+  for (const char* h : {"node-a", "node-b"}) {
+    ASSERT_TRUE(net.add_host(h).ok());
+    ASSERT_TRUE(net.attach(h, lan).ok());
+  }
+  core::Runtime a(sched, net, "node-a");
+  core::Runtime b(sched, net, "node-b");
+  ASSERT_TRUE(a.start().ok());
+  ASSERT_TRUE(b.start().ok());
+  const MimeType octets = MimeType::of("application/octet-stream");
+  auto source = std::make_unique<core::LambdaDevice>("src", core::make_source_shape("out", octets));
+  core::LambdaDevice* src = source.get();
+  auto src_id = a.map(std::move(source));
+  ASSERT_TRUE(src_id.ok());
+  std::size_t delivered = 0;
+  auto sink_id = b.map(std::make_unique<core::LambdaDevice>(
+      "sink", core::make_sink_shape("in", octets),
+      [&delivered](const std::string&, const core::Message& msg) {
+        if (msg.payload.size() == 1400) ++delivered;
+        return ok_result();
+      }));
+  ASSERT_TRUE(sink_id.ok());
+  sched.run_for(seconds(2));
+  ASSERT_TRUE(a.transport()
+                  .connect(core::PortRef{src_id.value(), "out"},
+                           core::PortRef{sink_id.value(), "in"})
+                  .ok());
+
+  const double per_message = allocations_per_message(20, 200, [&](int i, auto start) {
+    core::Message msg;
+    msg.type = octets;
+    msg.payload.assign(1400, static_cast<std::uint8_t>(i));
+    const std::size_t before = delivered;
+    start();
+    if (!src->emit("out", std::move(msg)).ok()) return false;
+    const sim::TimePoint deadline = sched.now() + seconds(1);
+    while (delivered == before && sched.now() < deadline && sched.step()) {
+    }
+    return delivered == before + 1;
+  });
+  ASSERT_GE(per_message, 0) << "a message was not delivered";
+  RecordProperty("allocs_per_umtp_data", std::to_string(per_message));
+  EXPECT_LE(per_message, kAllocsPerUmtpData)
+      << "a remote UMTP DATA message made " << per_message << " heap allocations; the budget is "
+      << kAllocsPerUmtpData << ". A frame encoder regrowing its buffer, or a copy on the "
+      << "UMTP path? (DESIGN.md §8.4)";
 }
 
 }  // namespace

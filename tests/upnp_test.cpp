@@ -502,7 +502,9 @@ TEST(UpnpDeviceTest, ConcurrentActionsEachGetTheirOwnResponse) {
 
 TEST(UpnpDeviceTest, DestroyedWithAnActionInFlightRunsNothing) {
   // The action and marshal events outlive a device destroyed mid-action;
-  // they must not touch it (a use-after-free under ASan before the fix).
+  // they must not touch it (a use-after-free under ASan before the fix). The
+  // unanswered responder dies with the device and closes its stream, so the
+  // control point's completion runs once, with a disconnect.
   Fixture f;
   f.add_host("light-host");
   f.add_host("cp-host");
@@ -514,13 +516,17 @@ TEST(UpnpDeviceTest, DestroyedWithAnActionInFlightRunsNothing) {
   set.service_type = kSwitchPowerService;
   set.action = "SetPower";
   set.args["Power"] = "1";
-  cp.invoke("http://light-host:8000/control/SwitchPower", set, [](Result<ActionResponse>) {});
+  std::vector<Result<ActionResponse>> completions;
+  cp.invoke("http://light-host:8000/control/SwitchPower", set,
+            [&completions](Result<ActionResponse> r) { completions.push_back(std::move(r)); });
   // Past the POST (the 18 ms marshal), inside the 93 ms unmarshal + actuation.
   f.sched.run_for(milliseconds(40));
   ASSERT_EQ(light->actions_handled(), 0u);
   light.reset();
   f.sched.run();
-  SUCCEED();
+  ASSERT_EQ(completions.size(), 1u);
+  ASSERT_FALSE(completions.front().ok());
+  EXPECT_EQ(completions.front().error().code, Errc::disconnected);
 }
 
 TEST(UpnpDeviceTest, GenaEventsReachSubscribers) {

@@ -108,6 +108,11 @@ exist to keep nondeterminism from leaking back in:
                scan) has one implementation, in plain C++ or GCC/Clang vector
                extensions, that builds for every target with no runtime
                dispatch (DESIGN.md §8.3).
+  sized-frame  in src/core/umtp.cpp, src/mediabroker/ and
+               src/bluetooth/obex.cpp no ByteWriter is default-constructed:
+               each frame encoder a workload runs computes its frame's size
+               and builds it in one buffer of exactly that size, so a frame
+               never regrows (DESIGN.md §8.4).
 
 Run directly:      python3 tools/lint.py --root .
 Run via ctest:     ctest -R lint
@@ -615,6 +620,25 @@ def check_one_kernel(path: str, code: str) -> Iterable[Violation]:
                             "extensions (DESIGN.md §8.3)")
 
 
+# A frame is built in one buffer of its exact size (DESIGN.md §8.4): on the
+# hot encoders a default-constructed ByteWriter grows from empty and
+# reallocates several times per frame. The cold codecs (SDP, RMI, HIDP,
+# motes) keep the growing writer.
+SIZED_FRAME_PATHS = ("src/core/umtp.cpp", "src/mediabroker/", "src/bluetooth/obex.cpp")
+DEFAULT_WRITER_RE = re.compile(r"\bByteWriter\s*(?:\w+\s*)?(?:;|\{\s*\}|\(\s*\))")
+
+
+def check_sized_frame(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith(SIZED_FRAME_PATHS):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if DEFAULT_WRITER_RE.search(line):
+            yield Violation("sized-frame", path, lineno,
+                            "default-constructed ByteWriter in a hot frame "
+                            "encoder; compute the frame's size and build it "
+                            "with ByteWriter(exact)")
+
+
 def call_args(code: str, open_at: int) -> list[str]:
     """Top-level arguments of the bracketed list opening at code[open_at]."""
     depth, start, args = 0, open_at + 1, []
@@ -689,6 +713,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_inline_callback,
     check_byte_order,
     check_one_path_queue,
+    check_sized_frame,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -822,6 +847,10 @@ SEEDED_VIOLATIONS = [
      '[[gnu::target_clones("default", "avx2")]] std::size_t scan(std::string_view s);\n'),
     ("one-kernel", "src/xml/evil.cpp",
      '[[gnu::target("avx2")]] std::size_t scan_avx2(std::string_view s);\n'),
+    ("sized-frame", "src/mediabroker/protocol.cpp",
+     "ByteWriter w;\n"
+     "ByteWriter out{};\n"
+     "return ByteWriter().take();\n"),
 ]
 
 CLEAN_SNIPPETS = [
@@ -938,6 +967,12 @@ CLEAN_SNIPPETS = [
      "#include <cstring>\n"
      "using Lanes = unsigned char __attribute__((vector_size(16)));\n"
      "hit |= reinterpret_cast<Lanes>((v == '\"') | ((v | 1) == '\\'') | ((v | 2) == '>'));\n"),
+    ("src/core/umtp.cpp",
+     "// a default ByteWriter w; named in a comment is fine\n"
+     "ByteWriter w(4 + body);\n"
+     "ByteWriter w = framed(1 + 8);\n"
+     "ByteWriter framed(std::size_t body) {\n"
+     "void encode_body(const Frame& frame, ByteWriter& w);\n"),
     ("src/common/base64.cpp",
      "if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);\n"
      "std::string_view target = \"x-bt/img-img\";\n"),
