@@ -140,7 +140,7 @@ Result<std::size_t> next_packet(std::span<const std::uint8_t> buffer, std::vecto
   const std::size_t length = r.u16();
   if (!r.ok()) return 0;
   if (length < 3) return make_error(Errc::protocol_error, "obex: bad packet length");
-  if (buffer.size() < length) return 0;
+  if (buffer.size() < length) return length;  // incomplete: its full length
   auto packet = decode(buffer.first(length));
   if (!packet.ok()) return packet.error();
   out.push_back(std::move(packet).take());

@@ -67,7 +67,8 @@ struct Packet {
 /// Decode one complete packet. Exposed for tests.
 [[nodiscard]] Result<Packet> decode(std::span<const std::uint8_t> wire);
 
-/// Decode step for the packet at the front of a receive buffer.
+/// Decode step for the packet at the front of a receive buffer; an
+/// incomplete packet whose length field is in reports that full length.
 [[nodiscard]] Result<std::size_t> next_packet(std::span<const std::uint8_t> buffer,
                                               std::vector<Packet>& out);
 

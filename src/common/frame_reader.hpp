@@ -20,7 +20,9 @@ inline constexpr std::size_t kMaxFrame = 16 * 1024 * 1024;
 /// A protocol's decode step over the bytes at the front of a receive buffer.
 /// A complete frame is consumed: the step appends what it decodes to `out`
 /// (nothing, for a frame the protocol skips) and returns the bytes it spans.
-/// An incomplete frame returns 0; malformed bytes return an error.
+/// An incomplete frame returns 0, or, once its header is in, its full length
+/// n > buffer.size(), which lets the reader buffer it in one allocation.
+/// Malformed bytes return an error.
 template <typename Frame>
 using DecodeStep = Result<std::size_t> (*)(std::span<const std::uint8_t> buffer,
                                            std::vector<Frame>& out);
@@ -36,33 +38,58 @@ class FrameReader {
   /// Feed received bytes; complete frames are appended to `out`.
   [[nodiscard]] Result<void> feed(std::span<const std::uint8_t> chunk, std::vector<Frame>& out) {
     if (poisoned_) return *poisoned_;
-    buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
-    // Consume with a cursor and erase the prefix once per feed: erasing per
-    // frame made a burst of n frames cost O(n^2) byte moves.
-    std::size_t pos = 0;
-    while (pos < buffer_.size()) {
-      const auto rest = std::span<const std::uint8_t>(buffer_).subspan(pos);
-      auto consumed = decode(rest, out);
-      if (!consumed.ok()) {
-        poisoned_ = consumed.error();
-        break;
+    if (buffer_.empty()) {
+      // Nothing buffered: decode whole frames straight from the chunk and
+      // keep only a trailing partial frame.
+      const Scan scan = consume(chunk, out);
+      if (!poisoned_ && scan.pos < chunk.size()) {
+        buffer_.reserve(scan.want);
+        buffer_.assign(chunk.begin() + static_cast<std::ptrdiff_t>(scan.pos), chunk.end());
       }
-      if (consumed.value() == 0) {
-        if (rest.size() >= kMaxFrame) {
-          poisoned_ = make_error(Errc::protocol_error, "frame exceeds kMaxFrame");
-        }
-        break;
-      }
-      pos += consumed.value();
-    }
-    if (pos != 0) {
-      buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(pos));
+    } else {
+      buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());
+      // Erase the consumed prefix once per feed: erasing per frame made a
+      // burst of n frames cost O(n^2) byte moves.
+      const Scan scan = consume(buffer_, out);
+      buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(scan.pos));
+      buffer_.reserve(scan.want);
     }
     if (poisoned_) return *poisoned_;
     return ok_result();
   }
 
  private:
+  /// How far a scan consumed, and the full length of the incomplete frame
+  /// that stopped it (0 while its header is incomplete).
+  struct Scan {
+    std::size_t pos = 0;
+    std::size_t want = 0;
+  };
+
+  /// Decode the complete frames at the front of `bytes`, poisoning the
+  /// reader on a malformed or oversized one.
+  Scan consume(std::span<const std::uint8_t> bytes, std::vector<Frame>& out) {
+    Scan scan;
+    while (scan.pos < bytes.size()) {
+      const auto rest = bytes.subspan(scan.pos);
+      auto consumed = decode(rest, out);
+      if (!consumed.ok()) {
+        poisoned_ = consumed.error();
+      } else if (consumed.value() > rest.size()) {
+        scan.want = consumed.value();
+      } else if (consumed.value() == 0) {
+        if (rest.size() >= kMaxFrame) {
+          poisoned_ = make_error(Errc::protocol_error, "frame exceeds kMaxFrame");
+        }
+      } else {
+        scan.pos += consumed.value();
+        continue;
+      }
+      break;
+    }
+    return scan;
+  }
+
   Bytes buffer_;
   std::optional<Error> poisoned_;
 };

@@ -88,7 +88,11 @@ Transport::Transport(Runtime& runtime)
       deliver_failures_(runtime.network().metrics().counter("umtp.deliver_failures")),
       translate_ns_(runtime.network().metrics().histogram("umtp.translate_ns",
                                                           obs::latency_bounds_ns())),
-      wire_ns_(runtime.network().metrics().histogram("umtp.wire_ns", obs::latency_bounds_ns())) {}
+      wire_ns_(runtime.network().metrics().histogram("umtp.wire_ns", obs::latency_bounds_ns())),
+      span_ids_{runtime.network().tracer().intern(runtime.host()),
+                runtime.network().tracer().intern("translate"),
+                runtime.network().tracer().intern("wire"),
+                runtime.network().tracer().intern("deliver")} {}
 
 sim::TimePoint Transport::now() const { return runtime_.scheduler().now(); }
 
@@ -115,8 +119,12 @@ void Transport::retire(Fate fate, PathStats* path, std::uint64_t trace, std::uin
   instant(trace, row.instant);
 }
 
+void Transport::instant(std::uint64_t trace, std::uint32_t name) {
+  tracer().instant(trace, name, span_ids_.track, now());
+}
+
 void Transport::instant(std::uint64_t trace, std::string_view name) {
-  tracer().instant(trace, name, runtime_.host(), now());
+  instant(trace, tracer().intern(name));
 }
 
 sim::Duration Transport::jittered(std::int64_t base_ns) {
@@ -370,7 +378,7 @@ void Transport::drain(Path& path) {
   path.drain_scheduled = true;
   PathId id = path.id;
   const std::uint64_t span =
-      tracer().begin_span(next.taken->msg->trace, "translate", runtime_.host(), now());
+      tracer().begin_span(next.taken->msg->trace, span_ids_.translate, span_ids_.track, now());
   translate_ns_.observe(cost.count());
   runtime_.scheduler().schedule_after(
       cost,
@@ -420,7 +428,7 @@ void Transport::dispatch(Path& path, const PathQueue::Item& item) {
   data_frames_tx_.inc();
   if (link->session.travels_plain()) {
     const std::uint64_t span =
-        tracer().begin_span(item.msg->trace, "wire", runtime_.host(), now());
+        tracer().begin_span(item.msg->trace, span_ids_.wire, span_ids_.track, now());
     tracer().stage(link->stream->id().value(), item.msg->trace, span);
   }
   // else: a recovery replays the frame SEQ-wrapped on a *new* stream, where
@@ -450,7 +458,7 @@ void Transport::deliver(const PortRef& dst, const Message& msg, PathStats* path)
     path->bytes_forwarded += msg.payload.size();
     msgs_forwarded_.inc();
   }
-  instant(msg.trace, "deliver");
+  instant(msg.trace, span_ids_.deliver);
   if (auto r = t->deliver(dst.port, msg); !r.ok()) {
     deliver_failures_.inc();
     breaker_record(dst.translator, false);
@@ -602,7 +610,9 @@ void Transport::handle_link_close(NodeId node) {
                               {sim::host_id(runtime_.host()), sim::tag_id("umtp.link-close")});
     return;
   }
-  // Fault path: hold the link, buffer traffic, re-establish with backoff.
+  // Fault path: hold the link, buffer traffic, re-establish with backoff. The
+  // reset stream delivers nothing more, so baggage staged on it is dead.
+  tracer().forget(link.stream->id().value());
   link.stream = nullptr;
   retry_link(link);
 }
@@ -702,6 +712,8 @@ void Transport::accept_peer(net::StreamPtr stream) {
     // same node starts a fresh sequence space — stale counts must not
     // suppress it. Reset counts survive for the RESUME migration.
     if (!raw->was_reset()) recv_.forget(channel);
+    // Nothing more arrives on the stream: drop what frames lost with it staged.
+    tracer().forget(channel);
   });
 }
 

@@ -183,6 +183,7 @@ class Transport final : public DirectoryListener {
     return [this, path](Fate fate, const Message& msg) { retire(fate, path, msg.trace); };
   }
   /// A trace instant on this host, now.
+  void instant(std::uint64_t trace, std::uint32_t name);
   void instant(std::uint64_t trace, std::string_view name);
   /// `base_ns` plus uniform jitter of up to half of it, drawn from the world
   /// Rng: deterministic per seed, and it desynchronizes peers that hit the
@@ -264,6 +265,12 @@ class Transport final : public DirectoryListener {
   obs::Counter& deliver_failures_;
   obs::Histogram& translate_ns_;
   obs::Histogram& wire_ns_;
+  /// Tracer intern ids (obs::Tracer::intern) of this host's track and of the
+  /// phases every message passes, resolved once so spans copy no text.
+  struct SpanIds {
+    std::uint32_t track, translate, wire, deliver;
+  };
+  const SpanIds span_ids_;
   /// Each fate's counter, registered on the fate's first retire.
   std::array<obs::Counter*, kFateCount> fate_counters_{};
   /// Each Stat's counter, registered on its first bump.

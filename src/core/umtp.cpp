@@ -207,7 +207,7 @@ Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer, std::vector
   if (len > kMaxFrame - 4) {
     return make_error(Errc::protocol_error, "frame too large: " + std::to_string(len));
   }
-  if (r.remaining() < len) return 0;
+  if (r.remaining() < len) return 4 + len;  // incomplete: its full length
   auto frame = decode_body(buffer.subspan(4, len));
   if (!frame.ok()) return frame.error();
   out.push_back(std::move(frame).take());

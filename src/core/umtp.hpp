@@ -117,7 +117,8 @@ Bytes encode_data(const PortRef& dst, const Message& message, std::int64_t deadl
 Bytes encode_seq(std::uint64_t seq, const Bytes& prefixed_frame);
 
 /// Decode step for the length-prefixed frame at the front of a receive buffer;
-/// a length announcing more than kMaxFrame is malformed at once.
+/// a length announcing more than kMaxFrame is malformed at once, and an
+/// incomplete frame whose length is in reports that full length.
 [[nodiscard]] Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer,
                                              std::vector<Frame>& out);
 

@@ -113,7 +113,7 @@ std::map<std::string, SpanAgg> aggregate_spans(const Tracer& tracer) {
   for (const auto& span : tracer.spans()) {
     if (!span.closed) continue;
     const std::int64_t d = span.duration().count();
-    SpanAgg& a = agg[span.name];
+    SpanAgg& a = agg[tracer.text(span.name)];
     if (a.count == 0) {
       a.min_ns = a.max_ns = d;
     } else {
@@ -127,25 +127,25 @@ std::map<std::string, SpanAgg> aggregate_spans(const Tracer& tracer) {
 }
 
 std::string chrome_trace_json(const Tracer& tracer) {
-  // Stable track numbering: first-appearance order of track names.
-  std::map<std::string, int> tids;
-  std::vector<const std::string*> track_names;
+  // Stable track numbering: first-appearance order of tracks.
+  std::vector<int> tids;  // by interned track id; 0 = not seen yet
+  std::vector<std::uint32_t> tracks;
   for (const auto& span : tracer.spans()) {
-    if (tids.emplace(span.track, static_cast<int>(tids.size()) + 1).second) {
-      track_names.push_back(&span.track);
+    if (span.track >= tids.size()) tids.resize(span.track + 1, 0);
+    if (tids[span.track] == 0) {
+      tracks.push_back(span.track);
+      tids[span.track] = static_cast<int>(tracks.size());
     }
   }
-  std::sort(track_names.begin(), track_names.end(),
-            [&](const std::string* a, const std::string* b) { return tids[*a] < tids[*b]; });
 
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
-  for (const std::string* name : track_names) {
+  for (const std::uint32_t track : tracks) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-           std::to_string(tids[*name]) + ",\"args\":{\"name\":";
-    append_quoted(out, *name);
+           std::to_string(tids[track]) + ",\"args\":{\"name\":";
+    append_quoted(out, tracer.text(track));
     out += "}}";
   }
   for (const auto& span : tracer.spans()) {
@@ -153,7 +153,7 @@ std::string chrome_trace_json(const Tracer& tracer) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
-    append_quoted(out, span.name);
+    append_quoted(out, tracer.text(span.name));
     out += ",\"cat\":\"umiddle\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tids[span.track]) +
            ",\"ts\":" + micros_fixed(span.begin.count()) +
            ",\"dur\":" + micros_fixed(span.duration().count()) +

@@ -1,37 +1,14 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+
 namespace umiddle::obs {
 
-std::uint64_t Tracer::begin_span(std::uint64_t trace, std::string_view name,
-                                 std::string_view track, sim::TimePoint now) {
-  if (spans_.size() >= capacity_) {
-    ++dropped_;
-    return 0;
-  }
-  Span span;
-  span.id = spans_.size() + 1;
-  span.trace = trace;
-  span.name.assign(name);
-  span.track.assign(track);
-  span.begin = now;
-  span.end = now;
-  spans_.push_back(std::move(span));
-  ++open_count_;
-  return spans_.back().id;
-}
-
-void Tracer::end_span(std::uint64_t span_id, sim::TimePoint now) {
-  if (span_id == 0 || span_id > spans_.size()) return;
-  Span& span = spans_[span_id - 1];
-  if (span.closed) return;
-  span.end = now;
-  span.closed = true;
-  --open_count_;
-}
-
-void Tracer::instant(std::uint64_t trace, std::string_view name, std::string_view track,
-                     sim::TimePoint now) {
-  end_span(begin_span(trace, name, track, now), now);
+std::uint32_t Tracer::intern(std::string_view text) {
+  const auto it = std::find(texts_.begin(), texts_.end(), text);
+  if (it != texts_.end()) return static_cast<std::uint32_t>(it - texts_.begin());
+  texts_.emplace_back(text);
+  return static_cast<std::uint32_t>(texts_.size() - 1);
 }
 
 void Tracer::stage(std::uint64_t channel, std::uint64_t trace, std::uint64_t span) {
@@ -43,7 +20,6 @@ std::optional<Tracer::Staged> Tracer::take(std::uint64_t channel) {
   if (it == staged_.end() || it->second.empty()) return std::nullopt;
   Staged staged = it->second.front();
   it->second.pop_front();
-  if (it->second.empty()) staged_.erase(it);
   return staged;
 }
 

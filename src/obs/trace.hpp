@@ -22,8 +22,9 @@
 // processing is deterministic, so the FIFO pairing is exact. One phase is not
 // message-scoped: "recover" (trace 0, unattributed) brackets a link outage
 // from reset detection to reconnect/give-up — staged baggage dies with the
-// old stream, so replayed frames are counted (recovery.replays) but get no
-// wire span; the recover span carries the outage's timing instead.
+// old stream (the transport forgets its channel when the stream ends), so
+// replayed frames are counted (recovery.replays) but get no wire span; the
+// recover span carries the outage's timing instead.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -39,17 +41,19 @@
 namespace umiddle::obs {
 
 /// One timed phase of one message's journey (or of a discovery handshake).
+/// A plain record: the phase name and the host track are ids into the
+/// tracer's intern table, so a span copies by memcpy and owns no heap.
 struct Span {
-  std::uint64_t id = 0;     ///< 1-based; equals index+1 in Tracer::spans()
   std::uint64_t trace = 0;  ///< owning trace, 0 = unattributed
-  std::string name;         ///< phase: "discovery", "translate", "wire", ...
-  std::string track;        ///< host/node the work ran on (Perfetto thread row)
   sim::TimePoint begin{0};
   sim::TimePoint end{0};
+  std::uint32_t name = 0;   ///< phase ("discovery", "translate", "wire", ...): Tracer::text
+  std::uint32_t track = 0;  ///< host/node the work ran on (Perfetto thread row): Tracer::text
   bool closed = false;
 
   sim::Duration duration() const { return end - begin; }
 };
+static_assert(std::is_trivially_copyable_v<Span> && sizeof(Span) <= 40);
 
 class Tracer {
  public:
@@ -60,14 +64,46 @@ class Tracer {
   /// Mint a fresh trace id (deterministic per-world sequence).
   std::uint64_t new_trace() { return ++trace_seq_; }
 
-  /// Open a span; returns its id, or 0 if the tracer is at capacity (the drop
-  /// is counted). end_span(0) is a no-op, so call sites need no branches.
+  /// The id of `text` in the intern table that span names and tracks share,
+  /// added on first use. The table is a closed set (about 15 phase names and
+  /// one track per host; lint rule `span-name-literal`), so a scan is cheap.
+  std::uint32_t intern(std::string_view text);
+  /// The text of an interned id. Valid until the next intern().
+  const std::string& text(std::uint32_t id) const { return texts_[id]; }
+
+  /// Open a span; returns its id (index + 1 in spans()), or 0 if the tracer
+  /// is at capacity (the drop is counted). end_span(0) is a no-op, so call
+  /// sites need no branches. Hot callers intern once and pass ids.
+  std::uint64_t begin_span(std::uint64_t trace, std::uint32_t name, std::uint32_t track,
+                           sim::TimePoint now) {
+    if (spans_.size() >= capacity_) {
+      ++dropped_;
+      return 0;
+    }
+    spans_.push_back(Span{trace, now, now, name, track, false});
+    ++open_count_;
+    return spans_.size();
+  }
   std::uint64_t begin_span(std::uint64_t trace, std::string_view name, std::string_view track,
-                           sim::TimePoint now);
-  void end_span(std::uint64_t span_id, sim::TimePoint now);
+                           sim::TimePoint now) {
+    return begin_span(trace, intern(name), intern(track), now);
+  }
+  void end_span(std::uint64_t span_id, sim::TimePoint now) {
+    if (span_id == 0 || span_id > spans_.size()) return;
+    Span& span = spans_[span_id - 1];
+    if (span.closed) return;
+    span.end = now;
+    span.closed = true;
+    --open_count_;
+  }
   /// Zero-duration marker (e.g. local delivery handoff).
+  void instant(std::uint64_t trace, std::uint32_t name, std::uint32_t track, sim::TimePoint now) {
+    end_span(begin_span(trace, name, track, now), now);
+  }
   void instant(std::uint64_t trace, std::string_view name, std::string_view track,
-               sim::TimePoint now);
+               sim::TimePoint now) {
+    instant(trace, intern(name), intern(track), now);
+  }
 
   const std::vector<Span>& spans() const { return spans_; }
   std::size_t open_spans() const { return open_count_; }
@@ -85,10 +121,17 @@ class Tracer {
   /// sender-side stream id). One stage() per DATA frame sent.
   void stage(std::uint64_t channel, std::uint64_t trace, std::uint64_t span);
   /// Receiver: claim baggage for the DATA frame just decoded from `channel`.
+  /// An emptied queue stays, so an idle link does not rebuild it per frame.
   std::optional<Staged> take(std::uint64_t channel);
+  /// Drop `channel`'s queue: its stream has ended, so nothing will take what
+  /// a frame lost with it staged.
+  void forget(std::uint64_t channel) { staged_.erase(channel); }
+  /// Channels that hold a queue, empty or not.
+  std::size_t baggage_channels() const { return staged_.size(); }
 
  private:
   std::vector<Span> spans_;
+  std::vector<std::string> texts_;
   std::map<std::uint64_t, std::deque<Staged>> staged_;
   std::size_t capacity_ = 65536;
   std::size_t open_count_ = 0;

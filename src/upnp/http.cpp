@@ -119,7 +119,8 @@ Result<std::size_t> next_message(std::span<const std::uint8_t> buffer, std::vect
   if (body_at > kMaxFrame || length.value() > kMaxFrame - body_at) {
     return make_error(Errc::protocol_error, "http: message exceeds kMaxFrame");
   }
-  if (bytes.size() - body_at < length.value()) return std::size_t{0};
+  // Incomplete: the head is in, so report the message's full length.
+  if (bytes.size() - body_at < length.value()) return body_at + length.value();
 
   auto lines = strings::split(head, "\r\n");
   Message m;

@@ -48,7 +48,8 @@ struct HttpResponse {
 /// HTTP's FrameReader decode steps (DESIGN.md §7.6): a head up to the blank
 /// line, then a content-length body (absent means empty). A malformed head,
 /// a content-length that is not a u64, and a message longer than kMaxFrame
-/// are errors.
+/// are errors. A message whose head is in but whose body is not reports its
+/// full length.
 [[nodiscard]] Result<std::size_t> next_request(std::span<const std::uint8_t> buffer,
                                                std::vector<HttpRequest>& out);
 [[nodiscard]] Result<std::size_t> next_response(std::span<const std::uint8_t> buffer,

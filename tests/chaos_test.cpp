@@ -440,6 +440,56 @@ TEST(ChaosTest, MidStreamCutDeliversEveryMessageExactlyOnce) {
   EXPECT_EQ(a.telemetry, b.telemetry);
 }
 
+// A cut lands while a burst of DATA frames is queued and on the medium: the
+// wire baggage staged for the frames it loses is never taken (their replays
+// travel SEQ-wrapped on the new stream and carry none), so it must die with
+// the reset stream instead of staying in the tracer for the world's life.
+TEST(ChaosTest, CutLeavesNoBaggageBehindItsResetStream) {
+  sim::Scheduler sched;
+  net::Network net(sched, 1);
+  net::SegmentSpec spec;
+  spec.name = "lan";
+  spec.bandwidth_bps = 1e6;
+  spec.latency = milliseconds(1);
+  const net::SegmentId lan = net.add_segment(spec);
+  for (const char* h : {"a", "b"}) {
+    ASSERT_TRUE(net.add_host(h).ok());
+    ASSERT_TRUE(net.attach(h, lan).ok());
+  }
+  core::Runtime ra(sched, net, "a");
+  core::Runtime rb(sched, net, "b");
+  ASSERT_TRUE(ra.start().ok());
+  ASSERT_TRUE(rb.start().ok());
+  auto src = std::make_unique<core::LambdaDevice>(
+      "Sensor", core::make_source_shape("out", MimeType::of("image/jpeg")));
+  core::LambdaDevice* src_raw = src.get();
+  const TranslatorId src_id = ra.map(std::move(src)).take();
+  auto sink = std::make_unique<core::CollectorDevice>(
+      "Recorder", core::make_sink_shape("in", MimeType::of("image/jpeg")));
+  core::CollectorDevice* sink_raw = sink.get();
+  const TranslatorId sink_id = rb.map(std::move(sink)).take();
+  sched.run_for(seconds(1));
+  ASSERT_TRUE(
+      ra.transport().connect(core::PortRef{src_id, "out"}, core::PortRef{sink_id, "in"}).ok());
+
+  // At 1 Mbps a 2 kB frame serializes for ~17 ms: 100 ms into a burst of 20,
+  // most of it is still queued or in flight.
+  const int kMessages = 20;
+  for (int i = 0; i < kMessages; ++i) {
+    core::Message m;
+    m.type = MimeType::of("image/jpeg");
+    m.payload = Bytes(2000, 0xD8);
+    ASSERT_TRUE(src_raw->emit("out", std::move(m)).ok());
+  }
+  const sim::TimePoint t0 = sched.now() + milliseconds(100);
+  net.faults().cut(lan, t0, t0 + seconds(1));
+  sched.run_for(seconds(20));
+
+  ASSERT_EQ(sink_raw->count(), static_cast<std::size_t>(kMessages));
+  EXPECT_GE(counter_of(net, "recovery.replays"), 1u);
+  EXPECT_EQ(net.tracer().baggage_channels(), 0u);
+}
+
 // --- scenario 6: deadlines expire in the outage buffer instead of replaying -----
 
 void deadline_outage_scenario(RunRecord* rec) {

@@ -107,9 +107,16 @@ template <typename Frame>
 Frame step_all(Result<std::size_t> (*step)(std::span<const std::uint8_t>, std::vector<Frame>&),
                const Bytes& wire) {
   std::vector<Frame> out;
+  // A strict prefix decodes nothing: the step returns 0, or the frame's full
+  // length once its header is in, and then on every longer prefix.
+  bool length_known = false;
   for (std::size_t len = 0; len < wire.size(); ++len) {
     auto n = step(prefix(wire, len), out);
-    EXPECT_TRUE(n.ok() && n.value() == 0 && out.empty()) << "prefix " << len << "/" << wire.size();
+    const bool reports_length = n.ok() && n.value() == wire.size();
+    EXPECT_TRUE(n.ok() && (n.value() == 0 || reports_length) && out.empty() &&
+                (reports_length || !length_known))
+        << "prefix " << len << "/" << wire.size();
+    length_known = length_known || reports_length;
   }
   auto n = step(wire, out);
   EXPECT_TRUE(n.ok() && n.value() == wire.size());

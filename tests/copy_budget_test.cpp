@@ -57,11 +57,13 @@ using sim::seconds;
 
 /// Large allocations per photo, each where the bytes change form: the OBEX
 /// push's copy of the camera's current image, the PUT packet, the sink's
-/// reassembly buffer (grown twice) and decoded body, the UMTP frame and its
-/// decoded payload, the base64 text, the SOAP envelope, the HTTP request,
-/// the device's reassembly buffer (grown twice) and request body, the parsed
-/// argument text, and the TV's decoded image. 23 before the hand-offs moved.
-constexpr double kLargeAllocsPerPhoto = 15.0;
+/// reassembly buffer and decoded body, the UMTP frame, the receiving link's
+/// reassembly buffer and the decoded payload, the base64 text, the SOAP
+/// envelope, the HTTP request, the device's reassembly buffer and request
+/// body, the parsed argument text, and the TV's decoded image. Each
+/// reassembly buffer is reserved once at its frame's length. 23 before the
+/// hand-offs moved, 15 while the readers regrew their buffers.
+constexpr double kLargeAllocsPerPhoto = 14.0;
 
 /// Figure 5: the camera on runtime A's piconet, the TV on runtime B's LAN.
 struct PhotoPath {
@@ -175,13 +177,13 @@ constexpr double kAllocsPerMbEcho = 13.5;
 
 /// Heap allocations per 1400-byte message on a remote UMTP DATA path between
 /// two runtimes: the routed message, the DATA frame, the stream's
-/// shared-payload block, the decoded payload, and three for the tracer's
-/// per-link baggage queue, which is erased whenever it empties; new blocks
-/// of the queues' std::deques and growth of the tracer's span vector add the
-/// rest. 18.3 when the DATA frame grew its buffer
-/// from empty, its MIME text was copied into a string and each received
-/// chunk built a frame vector.
-constexpr double kAllocsPerUmtpData = 7.5;
+/// shared-payload block and the decoded payload; new blocks of the queues'
+/// std::deques (the tracer's per-link baggage queue among them) and growth
+/// of the tracer's span vector add the rest. 18.3 when the DATA frame grew
+/// its buffer from empty, its MIME text was copied into a string and each
+/// received chunk built a frame vector; 7.3 while the tracer erased a
+/// link's emptied baggage queue, so each DATA frame rebuilt it.
+constexpr double kAllocsPerUmtpData = 4.5;
 
 TEST(CopyBudgetTest, MbEchoStaysWithinItsAllocationBudget) {
   sim::Scheduler sched;

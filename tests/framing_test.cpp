@@ -232,6 +232,67 @@ INSTANTIATE_TEST_SUITE_P(
         Instance{"http", &random_http, bytes_of("BAD\r\n\r\n")}),
     [](const ::testing::TestParamInfo<Instance>& info) { return info.param.protocol; });
 
+// UMTP, OBEX and HTTP steps report an incomplete frame's full length once
+// its header is in, and the reader reserves it, decoding whole frames straight
+// from the chunk while nothing is buffered. Fed in every chunk size from one
+// byte to the whole stream, each still gives the frames of one feed.
+class LengthReportingReaderTest : public ::testing::TestWithParam<Instance> {};
+
+TEST_P(LengthReportingReaderTest, EveryChunkSizeGivesTheSameFrames) {
+  Rng rng(11);
+  Bytes stream;
+  std::vector<Bytes> expected;
+  for (int i = 0; i < 3; ++i) {
+    const Bytes frame = GetParam().random_frame(rng);
+    stream.insert(stream.end(), frame.begin(), frame.end());
+    ASSERT_TRUE(make_reader(GetParam().protocol)(frame, expected).ok());
+  }
+  ASSERT_EQ(expected.size(), 3u);
+  for (std::size_t size = 1; size <= stream.size(); ++size) {
+    fuzz::FrameFeed reader = make_reader(GetParam().protocol);
+    std::vector<Bytes> got;
+    for (std::size_t off = 0; off < stream.size(); off += size) {
+      const std::size_t n = std::min(size, stream.size() - off);
+      ASSERT_TRUE(reader(std::span(stream).subspan(off, n), got).ok()) << "chunk " << size;
+    }
+    EXPECT_EQ(got, expected) << "chunk " << size;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LengthReportingStreams, LengthReportingReaderTest,
+    ::testing::Values(Instance{"umtp", &random_umtp, std::nullopt},
+                      Instance{"obex", &random_obex, std::nullopt},
+                      Instance{"http", &random_http, std::nullopt}),
+    [](const ::testing::TestParamInfo<Instance>& info) { return info.param.protocol; });
+
+/// Feed `header` a byte at a time: the reader must fail as soon as the header
+/// announces more than kMaxFrame, before any body arrives, and stay failed.
+/// (OBEX's u16 packet length cannot announce that much.)
+void expect_poisoned_by_header(const std::string& protocol, const Bytes& header) {
+  fuzz::FrameFeed reader = make_reader(protocol);
+  std::vector<Bytes> out;
+  for (std::size_t i = 0; i + 1 < header.size(); ++i) {
+    ASSERT_TRUE(reader(std::span(header).subspan(i, 1), out).ok()) << "byte " << i;
+  }
+  EXPECT_FALSE(reader(std::span(header).last(1), out).ok());
+  EXPECT_FALSE(reader(Bytes{0}, out).ok());
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(FrameReaderBoundTest, UmtpLengthAboveMaxFramePoisonsAtTheHeader) {
+  // The u32 length counts the body after it, so kMaxFrame - 3 is one too many.
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(kMaxFrame - 3));
+  expect_poisoned_by_header("umtp", w.take());
+}
+
+TEST(FrameReaderBoundTest, HttpContentLengthAboveMaxFramePoisonsAtTheHead) {
+  expect_poisoned_by_header(
+      "http", bytes_of("POST /x HTTP/1.1\r\ncontent-length: " + std::to_string(kMaxFrame) +
+                       "\r\n\r\n"));
+}
+
 // A header announcing 0xFFFFFFF0 bytes, then kMaxFrame + 1 bytes: the frame
 // outgrows the shared bound, so the reader fails and stays failed instead of
 // buffering without limit.

@@ -155,6 +155,97 @@ TEST(TracerTest, BaggageChannelIsFifoPerChannel) {
   EXPECT_FALSE(t.take(99).has_value());
 }
 
+TEST(TracerTest, EmptiedBaggageQueueStaysUntilItsChannelIsForgotten) {
+  obs::Tracer t;
+  t.stage(7, 100, 1);
+  ASSERT_TRUE(t.take(7).has_value());
+  // An idle link keeps its queue, so the next DATA frame does not rebuild it.
+  EXPECT_EQ(t.baggage_channels(), 1u);
+  t.stage(7, 200, 2);
+  t.stage(8, 300, 3);  // a frame lost with its stream: never taken
+  EXPECT_EQ(t.baggage_channels(), 2u);
+  t.forget(8);
+  t.forget(99);  // unknown channel: no-op
+  EXPECT_EQ(t.baggage_channels(), 1u);
+  EXPECT_FALSE(t.take(8).has_value());
+  EXPECT_EQ(t.take(7)->trace, 200u);
+  t.forget(7);
+  EXPECT_EQ(t.baggage_channels(), 0u);
+}
+
+TEST(TracerTest, NamesAndTracksShareOneInternTable) {
+  obs::Tracer t;
+  const std::uint32_t wire = t.intern("wire");
+  const std::uint32_t host = t.intern("host-a");
+  EXPECT_NE(wire, host);
+  EXPECT_EQ(t.intern("wire"), wire);
+  EXPECT_EQ(t.intern(std::string("host-") + "a"), host);
+  EXPECT_EQ(t.text(wire), "wire");
+  EXPECT_EQ(t.text(host), "host-a");
+  // The string_view forms intern into the same table as the id forms.
+  const std::uint64_t a = t.begin_span(1, "wire", "host-a", sim::TimePoint(0));
+  const std::uint64_t b = t.begin_span(1, wire, host, sim::TimePoint(0));
+  t.instant(1, "host-a", "wire", sim::TimePoint(0));  // a name may double as a track
+  EXPECT_EQ(t.spans()[a - 1].name, wire);
+  EXPECT_EQ(t.spans()[b - 1].track, host);
+  EXPECT_EQ(t.spans()[2].name, host);
+  EXPECT_EQ(t.spans()[2].track, wire);
+  EXPECT_EQ(t.intern("translate"), 2u);  // nothing else was added
+}
+
+TEST(TracerTest, CapacityDropsIdFormSpansAndInstants) {
+  obs::Tracer t;
+  t.set_capacity(2);
+  const std::uint32_t name = t.intern("wire");
+  const std::uint32_t track = t.intern("n");
+  EXPECT_EQ(t.begin_span(1, name, track, sim::TimePoint(0)), 1u);
+  t.instant(1, name, track, sim::TimePoint(0));
+  EXPECT_EQ(t.begin_span(1, name, track, sim::TimePoint(0)), 0u);
+  t.instant(1, "deliver", "n", sim::TimePoint(0));
+  EXPECT_EQ(t.spans().size(), 2u);
+  EXPECT_EQ(t.dropped(), 2u);
+  EXPECT_EQ(t.open_spans(), 1u);
+}
+
+// Three names interleaved over two tracks. "alpha" is interned first but
+// appears second, so the tids follow first appearance, not intern order,
+// and the aggregates are sorted by name.
+TEST(TracerTest, ExportsResolveInternedNamesAndTracksByteForByte) {
+  obs::Tracer t;
+  (void)t.intern("alpha");
+  const std::uint64_t wire = t.begin_span(1, "wire", "beta", sim::TimePoint(1000));
+  t.instant(1, "deliver", "alpha", sim::TimePoint(1500));
+  const std::uint64_t translate = t.begin_span(2, "translate", "beta", sim::TimePoint(2000));
+  t.end_span(translate, sim::TimePoint(2250));
+  t.end_span(wire, sim::TimePoint(3000));
+  const std::uint64_t second = t.begin_span(2, "wire", "alpha", sim::TimePoint(4000));
+  t.end_span(second, sim::TimePoint(4500));
+  (void)t.begin_span(3, "translate", "alpha", sim::TimePoint(5000));  // left open
+
+  EXPECT_EQ(obs::chrome_trace_json(t),
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
+            "\"args\":{\"name\":\"beta\"}},"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,"
+            "\"args\":{\"name\":\"alpha\"}},"
+            "{\"name\":\"wire\",\"cat\":\"umiddle\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
+            "\"ts\":1.000,\"dur\":2.000,\"args\":{\"trace\":1}},"
+            "{\"name\":\"deliver\",\"cat\":\"umiddle\",\"ph\":\"X\",\"pid\":1,\"tid\":2,"
+            "\"ts\":1.500,\"dur\":0.000,\"args\":{\"trace\":1}},"
+            "{\"name\":\"translate\",\"cat\":\"umiddle\",\"ph\":\"X\",\"pid\":1,\"tid\":1,"
+            "\"ts\":2.000,\"dur\":0.250,\"args\":{\"trace\":2}},"
+            "{\"name\":\"wire\",\"cat\":\"umiddle\",\"ph\":\"X\",\"pid\":1,\"tid\":2,"
+            "\"ts\":4.000,\"dur\":0.500,\"args\":{\"trace\":2}}]}");
+
+  obs::MetricsRegistry metrics;
+  EXPECT_EQ(obs::world_json(metrics, t),
+            "{\"schema\":1,\"metrics\":{},\"histograms\":{},\"spans\":{"
+            "\"deliver\":{\"count\":1,\"total_ns\":0,\"min_ns\":0,\"max_ns\":0},"
+            "\"translate\":{\"count\":1,\"total_ns\":250,\"min_ns\":250,\"max_ns\":250},"
+            "\"wire\":{\"count\":2,\"total_ns\":2500,\"min_ns\":500,\"max_ns\":2000}},"
+            "\"trace\":{\"spans\":5,\"open\":1,\"dropped\":0}}");
+}
+
 // --- spans close on translator failure paths --------------------------------------------
 
 // Unmap the mouse translator while a 21 ms VML translation is in flight: the
@@ -186,8 +277,8 @@ TEST(SpanFailurePathTest, UnmapMidTranslationLeavesNoOpenSpans) {
 
   bool saw_vml = false;
   for (const obs::Span& s : net.tracer().spans()) {
-    if (s.name == "translate.vml") saw_vml = true;
-    EXPECT_TRUE(s.closed) << "open span: " << s.name;
+    if (net.tracer().text(s.name) == "translate.vml") saw_vml = true;
+    EXPECT_TRUE(s.closed) << "open span: " << net.tracer().text(s.name);
   }
   EXPECT_TRUE(saw_vml) << "translation never started; test timing assumption broken";
   EXPECT_EQ(net.tracer().open_spans(), 0u);

@@ -113,6 +113,12 @@ exist to keep nondeterminism from leaking back in:
                each frame encoder a workload runs computes its frame's size
                and builds it in one buffer of exactly that size, so a frame
                never regrows (DESIGN.md §8.4).
+  span-name-literal
+               in src/, the name argument of begin_span( / instant( is a
+               string literal, a fate-table field or an interned id, never
+               text built at run time (`+`, std::string(, to_string(): span
+               names share the tracer's intern table with host tracks, which
+               stays a closed set (DESIGN.md §9.2).
 
 Run directly:      python3 tools/lint.py --root .
 Run via ctest:     ctest -R lint
@@ -639,6 +645,22 @@ def check_sized_frame(path: str, code: str) -> Iterable[Violation]:
                             "with ByteWriter(exact)")
 
 
+# Span names are interned (DESIGN.md §9.2): a name built at run time would
+# add one table entry per distinct value.
+SPAN_CALL_RE = re.compile(r"\b(?:begin_span|instant)\s*\(")
+BUILT_NAME_RE = re.compile(r"\+|\bstd::string\s*\(|\bto_string\s*\(")
+
+
+def check_span_name_literal(path: str, code: str) -> Iterable[Violation]:
+    for m in SPAN_CALL_RE.finditer(code):
+        args = call_args(code, m.end() - 1)
+        if len(args) >= 2 and BUILT_NAME_RE.search(args[1]):
+            yield Violation("span-name-literal", path, code.count("\n", 0, m.end()) + 1,
+                            "span name built at run time; pass a string literal, "
+                            "a fate-table field or an interned id so the "
+                            "tracer's intern table stays a closed set")
+
+
 def call_args(code: str, open_at: int) -> list[str]:
     """Top-level arguments of the bracketed list opening at code[open_at]."""
     depth, start, args = 0, open_at + 1, []
@@ -714,6 +736,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_byte_order,
     check_one_path_queue,
     check_sized_frame,
+    check_span_name_literal,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -851,6 +874,8 @@ SEEDED_VIOLATIONS = [
      "ByteWriter w;\n"
      "ByteWriter out{};\n"
      "return ByteWriter().take();\n"),
+    ("span-name-literal", "src/core/evil.cpp",
+     'tracer().instant(trace, "deliver." + fate, runtime_.host(), now());\n'),
 ]
 
 CLEAN_SNIPPETS = [
@@ -976,6 +1001,10 @@ CLEAN_SNIPPETS = [
     ("src/common/base64.cpp",
      "if constexpr (std::endian::native == std::endian::little) v = __builtin_bswap64(v);\n"
      "std::string_view target = \"x-bt/img-img\";\n"),
+    ("src/core/transport.cpp",
+     'tracer().begin_span(trace, "wire", runtime_.host(), now());\n'
+     "instant(trace, row.instant);\n"
+     "tracer().begin_span(trace, span_ids_.translate, span_ids_.track, now());\n"),
 ]
 
 
