@@ -81,7 +81,7 @@ struct DirectoryWorld {
 
 // Sparse-hit query: audio consumers are ~1/9 of the blueprint population, so
 // the lookup cost is dominated by deciding who matches, not by copying the
-// result — exactly the component a directory index can remove.
+// result.
 void BM_DirectoryLookup(benchmark::State& state) {
   DirectoryWorld world(static_cast<std::size_t>(state.range(0)));
   const core::Directory& dir = world.runtime->directory();
@@ -110,24 +110,8 @@ void BM_DirectoryLookupMiss(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-// The retained reference scan, same query as BM_DirectoryLookup — the
-// committed BENCH_*.json files juxtapose the two.
-void BM_DirectoryLookupLinear(benchmark::State& state) {
-  DirectoryWorld world(static_cast<std::size_t>(state.range(0)));
-  const core::Directory& dir = world.runtime->directory();
-  core::Query query = core::Query().digital_input(MimeType::of("audio/wav"));
-  std::size_t hits = 0;
-  for (auto _ : state) {
-    auto out = dir.lookup_linear(query);
-    hits += out.size();
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
 BENCHMARK(BM_DirectoryLookup)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_DirectoryLookupMiss)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
-BENCHMARK(BM_DirectoryLookupLinear)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 
 }  // namespace
 

@@ -1,6 +1,5 @@
 #include "core/directory.hpp"
 
-#include <algorithm>
 #include <optional>
 
 #include "common/log.hpp"
@@ -13,8 +12,6 @@ namespace umiddle::core {
 Directory::Directory(Runtime& runtime)
     : runtime_(runtime),
       lookups_(runtime.network().metrics().counter("dir.lookups")),
-      linear_scans_(runtime.network().metrics().counter("dir.linear_scans")),
-      index_candidates_(runtime.network().metrics().counter("dir.index_candidates")),
       announce_cache_hits_(runtime.network().metrics().counter("dir.announce_cache_hits")),
       announce_cache_misses_(runtime.network().metrics().counter("dir.announce_cache_misses")),
       adverts_tx_(runtime.network().metrics().counter("dir.adverts_tx")),
@@ -43,24 +40,6 @@ void Directory::multicast_payload(const PayloadPtr& payload) {
                                             runtime_.config().directory_port, payload);
   if (!r.ok()) {
     log::Entry(log::Level::warn, "directory") << "multicast failed: " << r.error().to_string();
-  }
-}
-
-void Directory::index_profile(const TranslatorProfile& profile) {
-  for (const PortSpec& port : profile.shape.ports()) {
-    shape_index_[IndexKey{static_cast<int>(port.kind), static_cast<int>(port.direction),
-                          port.type.type()}]
-        .insert(profile.id);
-  }
-}
-
-void Directory::unindex_profile(const TranslatorProfile& profile) {
-  for (const PortSpec& port : profile.shape.ports()) {
-    auto it = shape_index_.find(IndexKey{static_cast<int>(port.kind),
-                                         static_cast<int>(port.direction), port.type.type()});
-    if (it == shape_index_.end()) continue;
-    it->second.erase(profile.id);
-    if (it->second.empty()) shape_index_.erase(it);
   }
 }
 
@@ -103,7 +82,6 @@ std::size_t Directory::expire_stale() {
   }
   for (const TranslatorProfile& profile : expired) {
     expired_.inc();
-    unindex_profile(profile);
     entries_.erase(profile.id);
     log::Entry(log::Level::info, "directory")
         << "expired stale translator " << profile.name << " (node "
@@ -141,81 +119,11 @@ void Directory::crash() {
   refresh_.cancel();
   lifetime_.reset();
   entries_.clear();
-  shape_index_.clear();
   nodes_.clear();
 }
 
 std::vector<TranslatorProfile> Directory::lookup(const Query& query) const {
   lookups_.inc();
-  // Pick an indexable requirement: one naming both kind and direction,
-  // preferring one with a concrete MIME major type (the smallest buckets).
-  // Candidates drawn from that requirement's buckets are a superset of every
-  // profile the full query can match; the final matches() filter makes the
-  // result exact, so lookup() == lookup_linear() by construction.
-  const PortQuery* best = nullptr;
-  bool best_concrete = false;
-  for (const PortQuery& pq : query.requirements()) {
-    if (!pq.kind || !pq.direction) continue;
-    const bool concrete = pq.type.has_value() && pq.type->type() != "*";
-    if (best == nullptr || (concrete && !best_concrete)) {
-      best = &pq;
-      best_concrete = concrete;
-    }
-    if (best_concrete) break;
-  }
-  if (best == nullptr) return lookup_linear(query);
-
-  const int kind = static_cast<int>(*best->kind);
-  const int direction = static_cast<int>(*best->direction);
-  std::vector<TranslatorId> candidates;
-  if (best_concrete) {
-    // A port satisfies a concrete-major requirement iff its own major equals
-    // the query's or is the wildcard — exactly two buckets.
-    static const std::string kAnyMajor = "*";
-    const std::set<TranslatorId>* exact = nullptr;
-    const std::set<TranslatorId>* any = nullptr;
-    if (auto it = shape_index_.find(IndexKey{kind, direction, best->type->type()});
-        it != shape_index_.end()) {
-      exact = &it->second;
-    }
-    if (auto it = shape_index_.find(IndexKey{kind, direction, kAnyMajor});
-        it != shape_index_.end()) {
-      any = &it->second;
-    }
-    if (exact != nullptr && any != nullptr) {
-      candidates.reserve(exact->size() + any->size());
-      std::set_union(exact->begin(), exact->end(), any->begin(), any->end(),
-                     std::back_inserter(candidates));
-    } else if (const std::set<TranslatorId>* only = exact != nullptr ? exact : any;
-               only != nullptr) {
-      candidates.assign(only->begin(), only->end());
-    }
-  } else {
-    // Requirement accepts any major: every (kind, direction, ·) bucket.
-    for (auto it = shape_index_.lower_bound(IndexKey{kind, direction, std::string()});
-         it != shape_index_.end() && std::get<0>(it->first) == kind &&
-         std::get<1>(it->first) == direction;
-         ++it) {
-      candidates.insert(candidates.end(), it->second.begin(), it->second.end());
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
-  }
-
-  index_candidates_.inc(candidates.size());
-  std::vector<TranslatorProfile> out;
-  out.reserve(candidates.size());
-  for (TranslatorId id : candidates) {
-    auto it = entries_.find(id);
-    if (it != entries_.end() && matches(query, it->second.profile)) {
-      out.push_back(it->second.profile);
-    }
-  }
-  return out;
-}
-
-std::vector<TranslatorProfile> Directory::lookup_linear(const Query& query) const {
-  linear_scans_.inc();
   std::vector<TranslatorProfile> out;
   for (const auto& [id, entry] : entries_) {
     if (matches(query, entry.profile)) out.push_back(entry.profile);
@@ -242,10 +150,7 @@ const NodeInfo* Directory::node_info(NodeId id) const {
 }
 
 void Directory::publish_local(const TranslatorProfile& profile) {
-  Entry& entry = entries_[profile.id];
-  unindex_profile(entry.profile);  // re-publish may carry a different shape
-  entry = Entry{profile, nullptr, std::nullopt};
-  index_profile(profile);
+  entries_[profile.id] = Entry{profile, nullptr, std::nullopt};
   notify_mapped(profile);
   if (!started_) return;
   // Listeners may have withdrawn it meanwhile.
@@ -256,7 +161,6 @@ void Directory::withdraw_local(TranslatorId id) {
   auto it = entries_.find(id);
   if (it == entries_.end()) return;
   TranslatorProfile profile = std::move(it->second.profile);
-  unindex_profile(profile);
   entries_.erase(it);
   notify_unmapped(profile);
   if (started_) {
@@ -349,10 +253,8 @@ void Directory::handle_datagram(const net::Endpoint& from, const Bytes& payload)
           prev.device_type != next.device_type || !(prev.shape == next.shape)) {
         old = prev;
       }
-      unindex_profile(prev);  // re-announce may change the shape
     }
     it->second = Entry{next, nullptr, runtime_.scheduler().now()};
-    index_profile(next);
     if (old) notify_unmapped(*old);
     if (fresh || old) notify_mapped(next);
   } else if (type == "bye") {
@@ -361,7 +263,6 @@ void Directory::handle_datagram(const net::Endpoint& from, const Bytes& payload)
     auto it = entries_.find(TranslatorId(id_raw));
     if (it == entries_.end() || it->second.profile.node != sender) return;
     TranslatorProfile profile = std::move(it->second.profile);
-    unindex_profile(profile);
     entries_.erase(it);
     notify_unmapped(profile);
   } else if (type == "probe") {

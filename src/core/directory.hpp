@@ -20,8 +20,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/profile.hpp"
@@ -98,13 +96,9 @@ class Directory {
   void set_max_age(sim::Duration age) { max_age_ = age; }
 
   // --- paper Fig. 6 API -------------------------------------------------------
-  /// Profiles of all known translators (local and remote) matching the query.
+  /// Profiles of all known translators (local and remote) matching the query,
+  /// in ascending-id order: a scan over every known profile.
   std::vector<TranslatorProfile> lookup(const Query& query) const;
-  /// Reference implementation of lookup(): an unindexed scan over every known
-  /// profile. Kept as the oracle for the indexed lookup's property tests and
-  /// for benchmark comparison; returns the same profiles in the same
-  /// (ascending-id) order as lookup().
-  std::vector<TranslatorProfile> lookup_linear(const Query& query) const;
   /// Register for map/unmap notifications. The listener must outlive the
   /// directory or be removed first.
   void add_directory_listener(DirectoryListener* listener);
@@ -121,10 +115,6 @@ class Directory {
   void withdraw_local(TranslatorId id);
 
  private:
-  /// Inverted-index bucket key: (port kind, direction, MIME major type). Ports
-  /// whose type has a wildcard major land in the "*" bucket.
-  using IndexKey = std::tuple<int, int, std::string>;
-
   /// Everything known about one translator. Replacing or erasing an entry
   /// replaces or erases its cached announce payload with it.
   struct Entry {
@@ -145,17 +135,11 @@ class Directory {
   xml::Element envelope(const char* type) const;
   void multicast(const xml::Element& advert);
   void multicast_payload(const PayloadPtr& payload);
-  /// Add/remove a profile's ports in shape_index_. Every insert, replace or
-  /// erase in entries_ must pair with one of these.
-  void index_profile(const TranslatorProfile& profile);
-  void unindex_profile(const TranslatorProfile& profile);
 
   Runtime& runtime_;
   // World-level instruments (net::Network::metrics); counts aggregate across
   // every runtime in the world — per-node attribution lives in span tracks.
   obs::Counter& lookups_;
-  obs::Counter& linear_scans_;
-  obs::Counter& index_candidates_;
   obs::Counter& announce_cache_hits_;
   obs::Counter& announce_cache_misses_;
   obs::Counter& adverts_tx_;
@@ -164,11 +148,6 @@ class Directory {
   bool started_ = false;
   sim::Duration max_age_ = sim::seconds(30);
   std::map<TranslatorId, Entry> entries_;
-  /// Inverted index over profile shapes: lookup() walks only the buckets a
-  /// query's (kind, direction, major) requirement can possibly match instead
-  /// of scanning every profile. Buckets are ordered sets so candidate merging
-  /// preserves lookup_linear()'s ascending-id result order.
-  std::map<IndexKey, std::set<TranslatorId>> shape_index_;
   std::map<NodeId, NodeInfo> nodes_;
   std::vector<DirectoryListener*> listeners_;
   /// Soft-state refresh: re-announce local entries, expire silent remote ones.

@@ -119,7 +119,6 @@ class Query {
     return *this;
   }
 
-  const std::vector<PortQuery>& requirements() const { return require_; }
   const std::string& platform_filter() const { return platform_; }
   const std::string& name_filter() const { return name_needle_; }
 

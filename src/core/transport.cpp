@@ -611,8 +611,9 @@ void Transport::handle_link_close(NodeId node) {
     return;
   }
   // Fault path: hold the link, buffer traffic, re-establish with backoff. The
-  // reset stream delivers nothing more, so baggage staged on it is dead.
-  tracer().forget(link.stream->id().value());
+  // reset stream delivers nothing more, so baggage staged on it is dead and
+  // its wire spans end now.
+  tracer().forget(link.stream->id().value(), now());
   link.stream = nullptr;
   retry_link(link);
 }
@@ -712,8 +713,9 @@ void Transport::accept_peer(net::StreamPtr stream) {
     // same node starts a fresh sequence space — stale counts must not
     // suppress it. Reset counts survive for the RESUME migration.
     if (!raw->was_reset()) recv_.forget(channel);
-    // Nothing more arrives on the stream: drop what frames lost with it staged.
-    tracer().forget(channel);
+    // Nothing more arrives on the stream: drop what frames lost with it
+    // staged, and end their wire spans.
+    tracer().forget(channel, now());
   });
 }
 

@@ -9,6 +9,7 @@
 #include "bluetooth/hidp.hpp"
 #include "bluetooth/obex.hpp"
 #include "common/base64.hpp"
+#include "core/profile.hpp"
 #include "core/umtp.hpp"
 #include "core/usdl.hpp"
 #include "mediabroker/protocol.hpp"
@@ -59,6 +60,25 @@ int fuzz_usdl_parse(const std::uint8_t* data, std::size_t size) {
   if (!doc.ok()) return 0;
   auto usdl = core::parse_usdl(doc.value());
   return usdl.ok() ? 1 : 0;
+}
+
+int fuzz_directory_advert(const std::uint8_t* data, std::size_t size) {
+  std::string_view text(reinterpret_cast<const char*>(data), size);
+  auto doc = xml::parse(text);
+  if (!doc.ok()) return 0;
+  const xml::Element* tr = doc.value().child("translator");
+  if (tr == nullptr) return 0;
+  auto profile = core::TranslatorProfile::from_xml(*tr);
+  if (!profile.ok()) return 0;
+  const core::TranslatorProfile& p = profile.value();
+  auto again = core::TranslatorProfile::from_xml(p.to_xml());
+  if (!again.ok()) std::abort();
+  const core::TranslatorProfile& q = again.value();
+  if (q.id != p.id || q.node != p.node || q.name != p.name || q.platform != p.platform ||
+      q.device_type != p.device_type || !(q.shape == p.shape)) {
+    std::abort();
+  }
+  return 1;
 }
 
 int fuzz_umtp_decode(const std::uint8_t* data, std::size_t size) {

@@ -31,6 +31,12 @@ int fuzz_xml_parse(const std::uint8_t* data, std::size_t size);
 /// xml::parse followed by core::parse_usdl on any well-formed document.
 int fuzz_usdl_parse(const std::uint8_t* data, std::size_t size);
 
+/// xml::parse, then core::TranslatorProfile::from_xml on the document's
+/// <translator> child: the untrusted half of a directory announce advert.
+/// Oracle on success: the profile re-serializes and parses back with the same
+/// id, node, name, platform, device type and shape.
+int fuzz_directory_advert(const std::uint8_t* data, std::size_t size);
+
 /// core::umtp::decode_body on the raw bytes, then fuzz_stream_frames on a
 /// length-prefixed copy, to exercise reassembly state.
 /// Covers the whole frame surface including the delivery-contract additions:

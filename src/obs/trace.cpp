@@ -23,4 +23,11 @@ std::optional<Tracer::Staged> Tracer::take(std::uint64_t channel) {
   return staged;
 }
 
+void Tracer::forget(std::uint64_t channel, sim::TimePoint now) {
+  auto it = staged_.find(channel);
+  if (it == staged_.end()) return;
+  for (const Staged& staged : it->second) end_span(staged.span, now);
+  staged_.erase(it);
+}
+
 }  // namespace umiddle::obs

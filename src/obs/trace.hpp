@@ -21,10 +21,12 @@
 // DATA frame is decoded. Streams are reliable and ordered and all event
 // processing is deterministic, so the FIFO pairing is exact. One phase is not
 // message-scoped: "recover" (trace 0, unattributed) brackets a link outage
-// from reset detection to reconnect/give-up — staged baggage dies with the
-// old stream (the transport forgets its channel when the stream ends), so
-// replayed frames are counted (recovery.replays) but get no wire span; the
-// recover span carries the outage's timing instead.
+// from reset detection to reconnect/give-up. Staged baggage dies with the
+// old stream: the transport forgets its channel when the stream ends, which
+// ends each staged wire span at that moment, so a lost frame's wire span
+// stops where its stream did. Replayed frames are counted (recovery.replays)
+// but get no wire span of their own; the recover span carries the outage's
+// timing instead.
 #pragma once
 
 #include <cstdint>
@@ -124,8 +126,9 @@ class Tracer {
   /// An emptied queue stays, so an idle link does not rebuild it per frame.
   std::optional<Staged> take(std::uint64_t channel);
   /// Drop `channel`'s queue: its stream has ended, so nothing will take what
-  /// a frame lost with it staged.
-  void forget(std::uint64_t channel) { staged_.erase(channel); }
+  /// a frame lost with it staged. The wire spans still staged there end at
+  /// `now`, when the stream that would have carried them died.
+  void forget(std::uint64_t channel, sim::TimePoint now);
   /// Channels that hold a queue, empty or not.
   std::size_t baggage_channels() const { return staged_.size(); }
 

@@ -488,6 +488,8 @@ TEST(ChaosTest, CutLeavesNoBaggageBehindItsResetStream) {
   ASSERT_EQ(sink_raw->count(), static_cast<std::size_t>(kMessages));
   EXPECT_GE(counter_of(net, "recovery.replays"), 1u);
   EXPECT_EQ(net.tracer().baggage_channels(), 0u);
+  // The wire spans of the frames lost with the reset stream ended with it.
+  EXPECT_EQ(net.tracer().open_spans(), 0u);
 }
 
 // --- scenario 6: deadlines expire in the outage buffer instead of replaying -----

@@ -1,7 +1,7 @@
-// Deterministic mutation-fuzz smoke test over the project's six parsing
-// surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, UMTP frame decoding,
-// base64 decoding, motes readings and every stream protocol's frame reader
-// (DESIGN.md §7.6).
+// Deterministic mutation-fuzz smoke test over the project's seven parsing
+// surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, directory adverts,
+// UMTP frame decoding, base64 decoding, motes readings and every stream
+// protocol's frame reader (DESIGN.md §7.6).
 // Each entry point (src/fuzz/entries.hpp) is driven with ≥10k
 // splitmix64-mutated inputs derived from small valid corpora — bit flips,
 // byte stomps, truncations, extensions and (for UMTP) length-prefix lies.
@@ -122,6 +122,22 @@ Corpus usdl_corpus() {
                "<digital-port name=\"image-out\" direction=\"output\" mime=\"image/jpeg\"/>"
                "</shape><bindings><binding port=\"image-out\" kind=\"obex-push-sink\">"
                "<native type=\"x-bt/img-img\"/></binding></bindings></service></usdl>"),
+  };
+}
+
+Corpus directory_advert_corpus() {
+  return {
+      bytes_of("<umiddle-adv type=\"announce\" node=\"7\" host=\"h1\" umtp-port=\"7701\">"
+               "<translator id=\"30064771073\" name=\"Camera\" platform=\"bluetooth\""
+               " device-type=\"BIP\" node=\"7\"><shape>"
+               "<digital-port name=\"image-out\" direction=\"output\" mime=\"image/jpeg\"/>"
+               "</shape></translator></umiddle-adv>"),
+      bytes_of("<umiddle-adv type=\"announce\" node=\"3\" host=\"h2\" umtp-port=\"7702\">"
+               "<translator id=\"12884901890\" name=\"Printer &amp; Co\" platform=\"upnp\""
+               " device-type=\"urn:x:device:Printer:1\" node=\"3\"><shape>"
+               "<digital-port name=\"doc-in\" direction=\"input\" mime=\"text/*\"/>"
+               "<physical-port name=\"paper\" direction=\"output\" tag=\"visible/paper\"/>"
+               "</shape></translator></umiddle-adv>"),
   };
 }
 
@@ -247,6 +263,11 @@ TEST(FuzzSmokeTest, XmlParserSurvivesMutations) {
 
 TEST(FuzzSmokeTest, UsdlParserSurvivesMutations) {
   drive(&fuzz::fuzz_usdl_parse, usdl_corpus(), 0x3333cccc4444ddddull, kRounds);
+}
+
+TEST(FuzzSmokeTest, DirectoryAdvertSurvivesMutations) {
+  drive(&fuzz::fuzz_directory_advert, directory_advert_corpus(), 0x0d17ad7e0d17ad7eull,
+        kRounds);
 }
 
 TEST(FuzzSmokeTest, UmtpDecoderSurvivesMutations) {

@@ -157,19 +157,27 @@ TEST(TracerTest, BaggageChannelIsFifoPerChannel) {
 
 TEST(TracerTest, EmptiedBaggageQueueStaysUntilItsChannelIsForgotten) {
   obs::Tracer t;
-  t.stage(7, 100, 1);
+  const sim::TimePoint t0(0);
+  t.stage(7, 100, t.begin_span(100, "wire", "a", t0));
   ASSERT_TRUE(t.take(7).has_value());
   // An idle link keeps its queue, so the next DATA frame does not rebuild it.
   EXPECT_EQ(t.baggage_channels(), 1u);
-  t.stage(7, 200, 2);
-  t.stage(8, 300, 3);  // a frame lost with its stream: never taken
+  t.stage(7, 200, t.begin_span(200, "wire", "a", t0));
+  const std::uint64_t lost = t.begin_span(300, "wire", "a", t0);
+  t.stage(8, 300, lost);  // a frame lost with its stream: never taken
   EXPECT_EQ(t.baggage_channels(), 2u);
-  t.forget(8);
-  t.forget(99);  // unknown channel: no-op
+  EXPECT_EQ(t.open_spans(), 3u);
+  const sim::TimePoint reset(5000);
+  t.forget(8, reset);
+  t.forget(99, reset);  // unknown channel: no-op
   EXPECT_EQ(t.baggage_channels(), 1u);
+  // The forgotten staged span ends when its stream did; the others stay open.
+  EXPECT_TRUE(t.spans()[lost - 1].closed);
+  EXPECT_EQ(t.spans()[lost - 1].end, reset);
+  EXPECT_EQ(t.open_spans(), 2u);
   EXPECT_FALSE(t.take(8).has_value());
   EXPECT_EQ(t.take(7)->trace, 200u);
-  t.forget(7);
+  t.forget(7, reset);
   EXPECT_EQ(t.baggage_channels(), 0u);
 }
 

@@ -121,6 +121,9 @@ exist to keep nondeterminism from leaking back in:
                stays a closed set (DESIGN.md §9.2).
 
 Run directly:      python3 tools/lint.py --root .
+                   (on success it also prints src/'s counted lines: the
+                   non-blank, non-// lines of src/**/*.{cpp,hpp}, the size
+                   ROADMAP.md tracks)
 Run via ctest:     ctest -R lint
 Self-test (proves every rule still fires on a seeded violation):
                    python3 tools/lint.py --root . --self-test
@@ -760,11 +763,23 @@ def lint_file(rel_path: str, source: str, timers: frozenset[str] = frozenset()) 
     return found
 
 
-def lint_tree(root: pathlib.Path) -> list[Violation]:
+def read_sources(root: pathlib.Path) -> dict[str, str]:
     sources = {}
     for path in sorted((root / "src").rglob("*")):
         if path.suffix in SRC_EXTENSIONS and path.is_file():
             sources[path.relative_to(root).as_posix()] = path.read_text(encoding="utf-8")
+    return sources
+
+
+def counted_lines(sources: dict[str, str]) -> int:
+    """Non-blank, non-`//` lines of src/**/*.{cpp,hpp}: the size ROADMAP.md tracks."""
+    return sum(1 for rel, source in sources.items()
+               if rel.endswith((".cpp", ".hpp"))
+               for line in source.splitlines()
+               if line.strip() and not line.strip().startswith("//"))
+
+
+def lint_tree(sources: dict[str, str]) -> list[Violation]:
     timers = frozenset().union(*(timer_names(strip_comments_and_strings(s))
                                  for s in sources.values()))
     violations: list[Violation] = []
@@ -1022,6 +1037,11 @@ def self_test() -> int:
             print(f"SELF-TEST FAIL: clean snippet {path} raised: "
                   + "; ".join(str(v) for v in extra))
             failures += 1
+    counted = counted_lines({"src/a.cpp": "int x;\n\n  // note\n/* c */ int y;  // tail\n",
+                             "src/b.h": "int z;\n"})
+    if counted != 2:
+        print(f"SELF-TEST FAIL: counted_lines gave {counted} for 2 counted lines")
+        failures += 1
     if failures == 0:
         print(f"self-test ok: {len(SEEDED_VIOLATIONS)} seeded violations caught, "
               f"{len(CLEAN_SNIPPETS)} sanctioned snippets passed")
@@ -1043,7 +1063,8 @@ def main() -> int:
     if not (root / "src").is_dir():
         print(f"error: {root} has no src/ directory", file=sys.stderr)
         return 2
-    violations = lint_tree(root)
+    sources = read_sources(root)
+    violations = lint_tree(sources)
     for v in violations:
         print(v)
     if violations:
@@ -1051,7 +1072,8 @@ def main() -> int:
               "determinism contract — see tools/lint.py docstring and "
               "DESIGN.md 'Correctness & determinism'.")
         return 1
-    print("lint ok")
+    print(f"lint ok: src/ has {counted_lines(sources)} counted lines "
+          "(non-blank, non-// lines of src/**/*.{cpp,hpp})")
     return 0
 
 
