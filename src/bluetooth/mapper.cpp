@@ -149,13 +149,12 @@ void BtTranslator::setup_hid_events(const core::UsdlBinding& binding) {
     return;
   }
   hid_channel_ = stream.value();
-  std::string port = binding.port;
-  hid_channel_->on_data(lifetime().guard(
-      [this, port](std::span<const std::uint8_t> chunk) { handle_hid_bytes(port, chunk); }));
+  hid_port_ = binding.port;
+  hid_channel_->on_data(
+      lifetime().guard([this](std::span<const std::uint8_t> chunk) { handle_hid_bytes(chunk); }));
 }
 
-void BtTranslator::handle_hid_bytes(const std::string& port,
-                                    std::span<const std::uint8_t> chunk) {
+void BtTranslator::handle_hid_bytes(std::span<const std::uint8_t> chunk) {
   std::vector<MouseReport> reports;
   if (!hid_reader_.feed(chunk, reports).ok()) return;
   for (const MouseReport& r : reports) {
@@ -170,7 +169,7 @@ void BtTranslator::handle_hid_bytes(const std::string& port,
     sim::Scheduler* sched = &mapper_.runtime().scheduler();
     mapper_.runtime().scheduler().schedule_after(
         mapper_.costs().vml_translate,
-        sim::boxed([this, alive = lifetime().token(), port, r, tracer, sched, trace, span]() {
+        [this, alive = lifetime().token(), r, tracer, sched, trace, span]() {
           // tracer/sched outlive the translator (world-owned): close the span
           // even if the translator was unmapped while the translation ran.
           tracer->end_span(span, sched->now());
@@ -184,8 +183,8 @@ void BtTranslator::handle_hid_bytes(const std::string& port,
           ev.set_attr("dy", std::to_string(r.dy));
           core::Message msg = core::Message::text({}, vml.to_string());
           msg.trace = trace;
-          (void)emit_typed(port, std::move(msg));
-        }),
+          (void)emit_typed(hid_port_, std::move(msg));
+        },
         {sim::host_id(mapper_.runtime().host()), sim::tag_id("bt.vml")});
   }
 }

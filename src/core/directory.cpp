@@ -1,7 +1,5 @@
 #include "core/directory.hpp"
 
-#include <optional>
-
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "core/runtime.hpp"
@@ -75,20 +73,9 @@ void Directory::refresh_tick() {
 }
 
 std::size_t Directory::expire_stale() {
-  sim::TimePoint now = runtime_.scheduler().now();
-  std::vector<TranslatorProfile> expired;
-  for (const auto& [id, entry] : entries_) {
-    if (entry.last_seen && now - *entry.last_seen > max_age_) expired.push_back(entry.profile);
-  }
-  for (const TranslatorProfile& profile : expired) {
-    expired_.inc();
-    entries_.erase(profile.id);
-    log::Entry(log::Level::info, "directory")
-        << "expired stale translator " << profile.name << " (node "
-        << profile.node.to_string() << " silent)";
-    notify_unmapped(profile);
-  }
-  return expired.size();
+  const std::size_t expired = expire(runtime_.scheduler().now() - max_age_);
+  expired_.inc(expired);
+  return expired;
 }
 
 void Directory::reannounce() {
@@ -118,7 +105,7 @@ void Directory::crash() {
   started_ = false;
   refresh_.cancel();
   lifetime_.reset();
-  entries_.clear();
+  clear();
   nodes_.clear();
 }
 
@@ -131,39 +118,20 @@ std::vector<TranslatorProfile> Directory::lookup(const Query& query) const {
   return out;
 }
 
-void Directory::add_directory_listener(DirectoryListener* listener) {
-  listeners_.push_back(listener);
-}
-
-void Directory::remove_directory_listener(DirectoryListener* listener) {
-  std::erase(listeners_, listener);
-}
-
-const TranslatorProfile* Directory::profile(TranslatorId id) const {
-  auto it = entries_.find(id);
-  return it == entries_.end() ? nullptr : &it->second.profile;
-}
-
 const NodeInfo* Directory::node_info(NodeId id) const {
   auto it = nodes_.find(id);
   return it == nodes_.end() ? nullptr : &it->second;
 }
 
 void Directory::publish_local(const TranslatorProfile& profile) {
-  entries_[profile.id] = Entry{profile, nullptr, std::nullopt};
-  notify_mapped(profile);
+  publish(profile);
   if (!started_) return;
   // Listeners may have withdrawn it meanwhile.
   if (auto it = entries_.find(profile.id); it != entries_.end()) send_announce(it->second);
 }
 
 void Directory::withdraw_local(TranslatorId id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return;
-  TranslatorProfile profile = std::move(it->second.profile);
-  entries_.erase(it);
-  notify_unmapped(profile);
-  if (started_) {
+  if (withdraw(id) && started_) {
     xml::Element bye = envelope("bye");
     bye.set_attr("translator-id", id.to_string());
     multicast(bye);
@@ -189,17 +157,6 @@ void Directory::announce_all_local() {
   for (auto& [id, entry] : entries_) {
     if (entry.profile.node == runtime_.node()) send_announce(entry);
   }
-}
-
-void Directory::notify_mapped(const TranslatorProfile& profile) {
-  // Copy: listeners may add/remove listeners while being notified.
-  auto listeners = listeners_;
-  for (DirectoryListener* l : listeners) l->on_mapped(profile);
-}
-
-void Directory::notify_unmapped(const TranslatorProfile& profile) {
-  auto listeners = listeners_;
-  for (DirectoryListener* l : listeners) l->on_unmapped(profile);
 }
 
 void Directory::handle_datagram(const net::Endpoint& from, const Bytes& payload) {
@@ -237,34 +194,10 @@ void Directory::handle_datagram(const net::Endpoint& from, const Bytes& payload)
           << "bad announce: " << profile.error().to_string();
       return;
     }
-    const TranslatorProfile& next = profile.value();
-    // A node may only describe, and overwrite, translators it owns.
-    if (next.node != sender) return;
-    auto [it, fresh] = entries_.try_emplace(next.id);
-    if (!fresh && it->second.profile.node != sender) return;
-    // Tombstone-free rebind: a node that crashed and restarted reuses its
-    // translator ids, so a re-announce can carry a *different* device under a
-    // known id without any intervening bye. Detect the change and replay it as
-    // unmap + map so listeners (and dynamic message paths) rebind cleanly.
-    std::optional<TranslatorProfile> old;
-    if (!fresh) {
-      const TranslatorProfile& prev = it->second.profile;
-      if (prev.name != next.name || prev.platform != next.platform ||
-          prev.device_type != next.device_type || !(prev.shape == next.shape)) {
-        old = prev;
-      }
-    }
-    it->second = Entry{next, nullptr, runtime_.scheduler().now()};
-    if (old) notify_unmapped(*old);
-    if (fresh || old) notify_mapped(next);
+    announce(sender, profile.value(), runtime_.scheduler().now());
   } else if (type == "bye") {
     std::uint64_t id_raw = 0;
-    if (!strings::parse_u64(adv.attr("translator-id"), id_raw)) return;
-    auto it = entries_.find(TranslatorId(id_raw));
-    if (it == entries_.end() || it->second.profile.node != sender) return;
-    TranslatorProfile profile = std::move(it->second.profile);
-    entries_.erase(it);
-    notify_unmapped(profile);
+    if (strings::parse_u64(adv.attr("translator-id"), id_raw)) bye(sender, TranslatorId(id_raw));
   } else if (type == "probe") {
     // Re-announce after a deterministic per-node jitter so simultaneous
     // responders do not collide on the shared medium.

@@ -14,15 +14,16 @@
 //   lookup(Query)                  — profiles of translators matching the query
 //   add_directory_listener(...)    — notification when a native device is
 //                                    mapped to (or unmapped from) uMiddle
+//
+// The rules about which translators are known live in the DirectoryTable this
+// class derives from; the Directory turns adverts into table calls and table
+// state into adverts.
 #pragma once
 
-#include <functional>
 #include <map>
-#include <memory>
-#include <optional>
 #include <vector>
 
-#include "core/profile.hpp"
+#include "core/directory_table.hpp"
 #include "netsim/network.hpp"
 #include "obs/metrics.hpp"
 #include "sim/timer.hpp"
@@ -31,31 +32,6 @@ namespace umiddle::core {
 
 class Runtime;
 
-/// Receives directory change notifications (paper Fig. 6 (2)).
-class DirectoryListener {
- public:
-  virtual ~DirectoryListener() = default;
-  virtual void on_mapped(const TranslatorProfile& profile) = 0;
-  virtual void on_unmapped(const TranslatorProfile& profile) = 0;
-};
-
-/// Adapts two callables to DirectoryListener.
-class LambdaListener final : public DirectoryListener {
- public:
-  using Fn = std::function<void(const TranslatorProfile&)>;
-  LambdaListener(Fn mapped, Fn unmapped)
-      : mapped_(std::move(mapped)), unmapped_(std::move(unmapped)) {}
-  void on_mapped(const TranslatorProfile& p) override {
-    if (mapped_) mapped_(p);
-  }
-  void on_unmapped(const TranslatorProfile& p) override {
-    if (unmapped_) unmapped_(p);
-  }
-
- private:
-  Fn mapped_, unmapped_;
-};
-
 /// How to reach a peer runtime's transport module.
 struct NodeInfo {
   NodeId id;
@@ -63,7 +39,7 @@ struct NodeInfo {
   std::uint16_t umtp_port = 0;
 };
 
-class Directory {
+class Directory : public DirectoryTable {
  public:
   explicit Directory(Runtime& runtime);
 
@@ -83,10 +59,9 @@ class Directory {
   /// UMTP link, so peers whose soft state expired during the outage re-learn
   /// our translators without waiting up to max_age/3.
   void reannounce();
-  /// Drop remote entries not refreshed within max_age (crashed nodes never
-  /// send bye) and notify listeners. Returns the number of entries expired.
-  /// Called by the refresh tick; public so tests can force an expiry sweep
-  /// deterministically.
+  /// expire(now - max_age), counted as dir.expired. Returns the number of
+  /// entries expired. Called by the refresh tick; public so tests can force
+  /// an expiry sweep deterministically.
   std::size_t expire_stale();
 
   /// Lifetime granted to remote entries per advertisement. Local translators
@@ -96,42 +71,23 @@ class Directory {
   void set_max_age(sim::Duration age) { max_age_ = age; }
 
   // --- paper Fig. 6 API -------------------------------------------------------
+  // add_directory_listener and profile are the table's.
   /// Profiles of all known translators (local and remote) matching the query,
   /// in ascending-id order: a scan over every known profile.
   std::vector<TranslatorProfile> lookup(const Query& query) const;
-  /// Register for map/unmap notifications. The listener must outlive the
-  /// directory or be removed first.
-  void add_directory_listener(DirectoryListener* listener);
-  void remove_directory_listener(DirectoryListener* listener);
 
-  /// Profile by id (local or remote), nullptr if unknown.
-  const TranslatorProfile* profile(TranslatorId id) const;
   /// Transport endpoint of the node hosting a translator, if known.
   const NodeInfo* node_info(NodeId id) const;
-  std::size_t known_translators() const { return entries_.size(); }
 
   // --- called by the runtime ----------------------------------------------------
   void publish_local(const TranslatorProfile& profile);
   void withdraw_local(TranslatorId id);
 
  private:
-  /// Everything known about one translator. Replacing or erasing an entry
-  /// replaces or erases its cached announce payload with it.
-  struct Entry {
-    TranslatorProfile profile;
-    /// Serialized announce advert (local translators only), built on first
-    /// send so periodic refresh_tick() re-announcements reuse one buffer.
-    PayloadPtr announce;
-    /// Last refresh (remote translators only; locals never expire).
-    std::optional<sim::TimePoint> last_seen;
-  };
-
   void handle_datagram(const net::Endpoint& from, const Bytes& payload);
   void send_announce(Entry& entry);
   void announce_all_local();
   void refresh_tick();
-  void notify_mapped(const TranslatorProfile& profile);
-  void notify_unmapped(const TranslatorProfile& profile);
   xml::Element envelope(const char* type) const;
   void multicast(const xml::Element& advert);
   void multicast_payload(const PayloadPtr& payload);
@@ -147,9 +103,7 @@ class Directory {
   obs::Counter& expired_;
   bool started_ = false;
   sim::Duration max_age_ = sim::seconds(30);
-  std::map<TranslatorId, Entry> entries_;
   std::map<NodeId, NodeInfo> nodes_;
-  std::vector<DirectoryListener*> listeners_;
   /// Soft-state refresh: re-announce local entries, expire silent remote ones.
   /// Armed while started.
   sim::Timer refresh_;

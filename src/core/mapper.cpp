@@ -1,8 +1,7 @@
 #include "core/mapper.hpp"
 
-#include <vector>
-
 #include "common/log.hpp"
+#include "core/directory_table.hpp"
 #include "core/runtime.hpp"
 #include "core/usdl.hpp"
 
@@ -58,11 +57,7 @@ const Mapper::Import* Mapper::seen(const std::string& key, sim::TimePoint now) {
 }
 
 void Mapper::forget_unseen(sim::TimePoint before) {
-  std::vector<std::string> stale;
-  for (const auto& [key, entry] : imports_) {
-    if (entry.last_seen < before) stale.push_back(key);
-  }
-  for (const std::string& key : stale) gone(key);
+  for (const std::string& key : unseen_before(imports_, before)) gone(key);
 }
 
 void Mapper::forget_imports() {

@@ -78,7 +78,8 @@ class Mapper {
   void gone(const std::string& key);
   /// Note the device as present at `now`; nullptr if the key is unknown.
   const Import* seen(const std::string& key, sim::TimePoint now);
-  /// gone() for every device last seen before `before`, in key order.
+  /// gone() for every device last seen before `before`, in key order: the
+  /// directory's expiry rule, core::unseen_before.
   void forget_unseen(sim::TimePoint before);
 
  private:

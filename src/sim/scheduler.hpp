@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -42,7 +41,8 @@ constexpr double to_millis(Duration d) { return static_cast<double>(d.count()) *
 /// A move-only `void()` callable stored inline, with no heap fallback: the
 /// capture of every scheduled event lives in the scheduler's slot pool, so
 /// scheduling allocates nothing (DESIGN.md §8.1). A capture that does not fit
-/// fails to compile; shrink it or wrap it in sim::boxed().
+/// fails to compile; shrink it, for example by parking the state in a
+/// Slots<T> table (common/slots.hpp) and capturing its key.
 class Callback {
  public:
   static constexpr std::size_t kCapacity = 64;
@@ -55,8 +55,7 @@ class Callback {
   Callback(F&& fn) {  // NOLINT(google-explicit-constructor): lambdas convert
     using Fn = std::decay_t<F>;
     static_assert(sizeof(Fn) <= kCapacity,
-                  "capture exceeds sim::Callback's inline buffer: shrink it or wrap it in "
-                  "sim::boxed(...)");
+                  "capture exceeds sim::Callback's inline buffer: shrink it");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "capture must be nothrow-move-constructible: a by-copy capture of a const "
                   "object is not, so write it as an init-capture");
@@ -107,14 +106,6 @@ class Callback {
   alignas(void*) unsigned char buf_[kCapacity];
   const Ops* ops_ = nullptr;
 };
-
-/// `fn` moved to the heap behind a pointer-sized capture, for the few cold
-/// sites whose capture does not fit a Callback. Costs one allocation per
-/// schedule, as std::function did for them.
-template <typename F>
-auto boxed(F fn) {
-  return [p = std::make_unique<F>(std::move(fn))]() { (*p)(); };
-}
 
 /// Handle for cancelling a scheduled event: the pool slot the event occupies
 /// and its sequence number, which no later event shares.

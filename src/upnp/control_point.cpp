@@ -49,6 +49,7 @@ void ControlPoint::stop() {
   callback_server_.stop();
   lifetime_.reset();
   invocations_.clear();
+  fetched_.clear();
   started_ = false;
 }
 
@@ -87,22 +88,25 @@ void ControlPoint::fetch_description(const std::string& udn, const std::string& 
                  return;
                }
                // Charge CyberLink-era description parsing before reporting.
-               std::string body = r.value().body;
+               const std::uint32_t fetched =
+                   fetched_.put(Fetched{udn, location, std::move(r.value().body)});
                net_.scheduler().schedule_after(
                    costs_.description_parse,
-                   sim::boxed(lifetime_.guard([this, udn, location, body = std::move(body)]() {
-                     auto desc = DeviceDescription::from_xml_text(body);
-                     if (!desc.ok()) {
-                       log::Entry(log::Level::warn, "upnp-cp")
-                           << "bad description from " << location << ": "
-                           << desc.error().to_string();
-                       known_.erase(udn);
-                       return;
-                     }
-                     if (on_device_) on_device_(desc.value(), location);
-                   })),
+                   lifetime_.guard([this, fetched]() { parse_description(fetched); }),
                    {sim::host_id(host_), sim::tag_id("upnp.describe")});
              }));
+}
+
+void ControlPoint::parse_description(std::uint32_t fetched) {
+  auto [udn, location, body] = fetched_.take(fetched);
+  auto desc = DeviceDescription::from_xml_text(body);
+  if (!desc.ok()) {
+    log::Entry(log::Level::warn, "upnp-cp")
+        << "bad description from " << location << ": " << desc.error().to_string();
+    known_.erase(udn);
+    return;
+  }
+  if (on_device_) on_device_(desc.value(), location);
 }
 
 void ControlPoint::invoke(const std::string& control_url, ActionRequest request,

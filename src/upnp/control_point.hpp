@@ -66,9 +66,16 @@ class ControlPoint {
     ActionRequest request;
     ActionFn done;
   };
+  /// A fetched description document, while its parse cost runs.
+  struct Fetched {
+    std::string udn;
+    std::string location;
+    std::string body;
+  };
 
   void handle_announcement(const SsdpAnnouncement& a);
   void fetch_description(const std::string& udn, const std::string& location);
+  void parse_description(std::uint32_t fetched);
   void post_action(std::uint32_t invocation);
 
   net::Network& net_;
@@ -86,6 +93,8 @@ class ControlPoint {
   /// Keyed by the marshal event that will post each; cleared by stop(),
   /// which ends those events.
   Slots<Invocation> invocations_;
+  /// Keyed by the parse event that will report each; cleared by stop().
+  Slots<Fetched> fetched_;
   /// Guards fetch, parse and SOAP completions; reset by stop().
   sim::Lifetime lifetime_;
 };

@@ -45,6 +45,7 @@ void SsdpAgent::stop() {
   net_.leave_group(host_, kSsdpGroup);
   net_.udp_close({host_, kSsdpPort});
   lifetime_.reset();
+  replies_.clear();
   started_ = false;
 }
 
@@ -125,15 +126,16 @@ void SsdpAgent::handle_datagram(const net::Endpoint& from, const Bytes& payload)
     for (char c : host_) spread = spread * 31 + static_cast<unsigned char>(c);
     sim::Duration delay = sim::milliseconds(
         20 + static_cast<std::int64_t>(spread % (mx * 400 + 1)));
-    std::vector<SsdpAnnouncement> matched;
+    Reply reply{from, {}};
     for (const SsdpAnnouncement& a : advertised_) {
-      if (target == "ssdp:all" || target == a.notification_type) matched.push_back(a);
+      if (target == "ssdp:all" || target == a.notification_type) reply.matched.push_back(a);
     }
+    const std::uint32_t key = replies_.put(std::move(reply));
     net_.scheduler().schedule_after(
-        delay,
-        sim::boxed(lifetime_.guard([this, from, matched = std::move(matched)]() {
-          for (const SsdpAnnouncement& a : matched) answer_search(from, a);
-        })),
+        delay, lifetime_.guard([this, key]() {
+          const auto [to, matched] = replies_.take(key);
+          for (const SsdpAnnouncement& a : matched) answer_search(to, a);
+        }),
         {sim::host_id(host_), sim::tag_id("upnp.ssdp")});
   }
 }

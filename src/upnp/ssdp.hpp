@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/slots.hpp"
 #include "netsim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
@@ -52,6 +53,12 @@ class SsdpAgent {
   void withdraw(const std::string& usn);
 
  private:
+  /// A search's matched announcements, while its response delay runs.
+  struct Reply {
+    net::Endpoint to;
+    std::vector<SsdpAnnouncement> matched;
+  };
+
   void handle_datagram(const net::Endpoint& from, const Bytes& payload);
   void send_notify(const SsdpAnnouncement& a, bool alive);
   void answer_search(const net::Endpoint& to, const SsdpAnnouncement& a);
@@ -61,6 +68,8 @@ class SsdpAgent {
   bool started_ = false;
   std::vector<SsdpAnnouncement> advertised_;
   AnnouncementFn on_announcement_;
+  /// Keyed by the event that will send each; cleared by stop().
+  Slots<Reply> replies_;
   /// Guards pending search replies; reset by stop().
   sim::Lifetime lifetime_;
 };

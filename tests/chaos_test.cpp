@@ -235,7 +235,7 @@ void expiry_scenario(RunRecord* rec) {
   sched.run_for(seconds(4));
   EXPECT_EQ(rb.directory().lookup(core::Query().platform("umiddle")).size(), 0u);
   EXPECT_EQ(unmapped, 1);
-  EXPECT_GE(rb.directory().expire_stale(), 0u);  // idempotent: already clean
+  EXPECT_EQ(rb.directory().expire_stale(), 0u);  // idempotent: already clean
   EXPECT_EQ(counter_of(net, "dir.expired"), 1u);
 
   // A restarts and re-maps its device: B re-learns it as a fresh mapping.

@@ -1,7 +1,6 @@
 // Unit tests for the discrete-event scheduler: ordering, cancellation, run modes.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -217,16 +216,6 @@ TEST(CallbackTest, HoldsAMoveOnlyCapture) {
   s.post([&seen, p = std::make_unique<int>(42)] { seen = *p; });
   s.run();
   EXPECT_EQ(seen, 42);
-}
-
-TEST(CallbackTest, BoxedHoldsAnOversizeCapture) {
-  Scheduler s;
-  std::array<char, 4 * Callback::kCapacity> big{};
-  big.back() = 'x';
-  char seen = 0;
-  s.post(boxed([&seen, big] { seen = big.back(); }));
-  s.run();
-  EXPECT_EQ(seen, 'x');
 }
 
 TEST(CallbackTest, CaptureDiesOnceAfterItFires) {

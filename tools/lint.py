@@ -65,11 +65,20 @@ exist to keep nondeterminism from leaking back in:
                (DESIGN.md §8.5), so string keys stay off the frame path. The
                one name -> HostId index in src/netsim/network.hpp is exempt.
   netsim-free-session
-               src/core/link_session.{hpp,cpp}, src/core/path_queue.* and
-               src/core/qos.* include no netsim/, sim/ or obs/ header: the
-               link lifecycle and the path queue stay value types that tests
+               src/core/link_session.{hpp,cpp}, src/core/path_queue.*,
+               src/core/qos.* and src/core/directory_table.* include no
+               netsim/, sim/ or obs/ header: the link lifecycle, the path
+               queue and the directory's rules stay value types that tests
                drive, and explore exhaustively, without a simulated network
-               (DESIGN.md §10.2, §11.6).
+               (DESIGN.md §7.8, §10.2, §11.6).
+  one-directory-rule
+               outside src/core/directory_table.*, no src/ file notifies a
+               directory listener with a profile (`->on_mapped(p)`,
+               `.on_unmapped(p)`) or compares a `last_seen`: which
+               translators a runtime knows, and when a silent one expires,
+               are decided once, by core::DirectoryTable and
+               core::unseen_before (DESIGN.md §7.8). Translator hooks take no
+               argument and stay legal.
   one-path-queue
                in src/, ShedPolicy:: and TokenBucket appear only in
                core/qos.* and core/path_queue.*, and deadline_passed( only in
@@ -91,11 +100,10 @@ exist to keep nondeterminism from leaking back in:
                and hierarchy entities from the USDL description (DESIGN.md
                §7.7), so each USDL rule has one implementation.
   inline-callback
-               no sim::boxed( in src/sim/, src/netsim/,
-               src/core/transport.cpp or src/core/link_session.*: captures on
-               the simulator's hot paths fit sim::Callback's inline buffer,
-               so scheduling there allocates nothing (DESIGN.md §8.1). Only
-               boxed's own definition in src/sim/scheduler.hpp is exempt.
+               no boxed( anywhere in src/: every scheduled capture fits
+               sim::Callback's inline buffer, so scheduling allocates
+               nothing (DESIGN.md §8.1). State too large for it is parked in
+               a Slots<T> table and the event captures its key.
   byte-order   outside src/common/, nothing in src/ shifts a subscripted byte
                left by a multiple of 8 (`(buf[1] << 8) | buf[2]`): multi-byte
                wire integers are read only through ByteReader, whose first
@@ -505,12 +513,13 @@ def check_one_reassembly_site(path: str, code: str) -> Iterable[Violation]:
                             f"step ({REASSEMBLY_SITE})")
 
 
-# The link lifecycle and the path queue are netsim-free value types
-# (DESIGN.md §10.2, §11.6): their files may not include the simulator, the
-# network or telemetry.
+# The link lifecycle, the path queue and the directory's rules are netsim-free
+# value types (DESIGN.md §7.8, §10.2, §11.6): their files may not include the
+# simulator, the network or telemetry.
 SESSION_FILES = {"src/core/link_session.hpp", "src/core/link_session.cpp",
                  "src/core/path_queue.hpp", "src/core/path_queue.cpp",
-                 "src/core/qos.hpp", "src/core/qos.cpp"}
+                 "src/core/qos.hpp", "src/core/qos.cpp",
+                 "src/core/directory_table.hpp", "src/core/directory_table.cpp"}
 SESSION_INCLUDE_RE = re.compile(r'#\s*include\s*[<"](netsim|sim|obs)/')
 
 
@@ -574,23 +583,46 @@ EMPTY_TAG_RE = re.compile(r"^(?:(?:sim::)?EventTag\s*)?(?:\{\s*\}|\(\s*\))$")
 TIMER_DEFINITION = "src/sim/timer.hpp"
 
 
-# Scheduling allocates nothing on the hot paths (DESIGN.md §8.1). sim::boxed is
-# the one way to put a capture on the heap; a hot site that reaches for it
-# would quietly go back to one allocation per event.
-INLINE_CALLBACK_PATHS = ("src/sim/", "src/netsim/", "src/core/transport.cpp",
-                         "src/core/link_session.")
+# Scheduling allocates nothing (DESIGN.md §8.1): a helper that moves a capture
+# to the heap would quietly bring back one allocation per event.
 BOXED_CALL_RE = re.compile(r"\bboxed\s*\(")
-BOXED_DEFINITION_RE = re.compile(r"^\s*auto\s+boxed\s*\(")
 
 
 def check_inline_callback(path: str, code: str) -> Iterable[Violation]:
-    if not path.startswith(INLINE_CALLBACK_PATHS):
+    if not path.startswith("src/"):
         return
     for lineno, line in enumerate(code.splitlines(), 1):
-        if BOXED_CALL_RE.search(line) and not BOXED_DEFINITION_RE.match(line):
+        if BOXED_CALL_RE.search(line):
             yield Violation("inline-callback", path, lineno,
-                            "sim::boxed on a hot path; shrink the capture to "
-                            "fit sim::Callback's inline buffer instead")
+                            "capture boxed on the heap; shrink it to fit "
+                            "sim::Callback's inline buffer (park large state "
+                            "in a Slots<T> table and capture its key)")
+
+
+# The directory's rules live once, in core::DirectoryTable (DESIGN.md §7.8):
+# a listener notified with a profile elsewhere is a second map/unmap rule, and
+# a `last_seen` compared elsewhere is a second expiry rule beside
+# core::unseen_before. Member access on the right of a comparison is required
+# so a declaration (`std::optional<T> last_seen`) does not match.
+DIRECTORY_RULE_FILES = "src/core/directory_table."
+NOTIFY_RE = re.compile(r"(?:\.|->)\s*on_(?:un)?mapped\s*\(\s*[^)\s]")
+LAST_SEEN_CMP_RE = re.compile(
+    r"\blast_seen\s*(?:[<>]=?|[!=]=)(?!>)|"
+    r"(?<![-<>])(?:[<>]=?|[!=]=)\s*\*?\w+(?:(?:\.|->)\w+)*(?:\.|->)\s*last_seen\b")
+
+
+def check_one_directory_rule(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith("src/") or path.startswith(DIRECTORY_RULE_FILES):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if NOTIFY_RE.search(line):
+            yield Violation("one-directory-rule", path, lineno,
+                            "directory listener notified outside the table; "
+                            "change entries through core::DirectoryTable")
+        if LAST_SEEN_CMP_RE.search(line):
+            yield Violation("one-directory-rule", path, lineno,
+                            "last_seen compared outside the table; expire "
+                            "through core::unseen_before")
 
 
 # Multi-byte wire integers are read through ByteReader (DESIGN.md §7.6): a
@@ -736,6 +768,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_one_usdl_translator,
     check_netsim_by_handle,
     check_inline_callback,
+    check_one_directory_rule,
     check_byte_order,
     check_one_path_queue,
     check_sized_frame,
@@ -847,6 +880,8 @@ SEEDED_VIOLATIONS = [
      '#include "core/qos.hpp"\n#include "obs/trace.hpp"\n'),
     ("netsim-free-session", "src/core/qos.hpp",
      '#include "sim/scheduler.hpp"\n'),
+    ("netsim-free-session", "src/core/directory_table.cpp",
+     '#include "core/directory_table.hpp"\n#include "netsim/network.hpp"\n'),
     ("one-path-queue", "src/core/transport.cpp",
      "if (path.qos.shed == ShedPolicy::block) { return; }\n"),
     ("one-path-queue", "src/apps/evil.cpp",
@@ -866,6 +901,14 @@ SEEDED_VIOLATIONS = [
     ("inline-callback", "src/netsim/evil.cpp",
      "send_frame(seg, src, payload->size(),\n"
      "           sim::boxed([this, from, payload]() { deliver(from, *payload); }), false);\n"),
+    ("inline-callback", "src/upnp/evil.cpp",
+     "work, boxed(lifetime_.guard([this, udn, location, body]() { parse(body); })),\n"),
+    ("one-directory-rule", "src/core/directory.cpp",
+     "for (DirectoryListener* l : listeners) l->on_unmapped(profile);\n"
+     "listener.on_mapped(next);\n"
+     "if (entry.last_seen && now - *entry.last_seen > max_age_) { expire(id); }\n"
+     "if (entry.last_seen < before) stale.push_back(key);\n"
+     "bool stale = before > it->second.last_seen;\n"),
     ("byte-order", "src/bluetooth/evil.cpp",
      "const auto length = static_cast<std::size_t>((buffer[1] << 8) | buffer[2]);\n"),
     ("byte-order", "src/motes/evil.cpp",
@@ -977,15 +1020,22 @@ CLEAN_SNIPPETS = [
      "if (deadline_passed(data->message.deadline_ns, now().count())) { return; }\n"
      "bool shaped = qos.shaped();\n"),
     ("src/upnp/fine.cpp",
+     "// no site calls sim::boxed(...); in a comment it is fine\n"
      "net_.scheduler().schedule_after(\n"
-     "    work, sim::boxed(lifetime_.guard([this, request, respond]() { run(request); })),\n"
+     "    work, lifetime_.guard([this, key]() { run(requests_.take(key)); }),\n"
      "    {sim::host_id(host_), sim::tag_id(\"upnp.action\")});\n"),
-    ("src/sim/scheduler.hpp",
-     "// a hot site never calls sim::boxed(...); in a comment it is fine\n"
-     "template <typename F>\n"
-     "auto boxed(F fn) {\n"
-     "  return [p = std::make_unique<F>(std::move(fn))]() { (*p)(); };\n"
-     "}\n"),
+    ("src/core/directory_table.cpp",
+     "for (DirectoryListener* l : listeners) l->on_unmapped(profile);\n"
+     "if (entry.last_seen < before) stale.push_back(key);\n"),
+    ("src/core/mapper.cpp",
+     "// entry.last_seen < before, l->on_mapped(profile): named in a comment is fine\n"
+     "raw->on_mapped();\n"
+     "it->second->on_unmapped();\n"
+     "void on_mapped(const TranslatorProfile& profile) override;\n"
+     "std::optional<sim::TimePoint> last_seen;\n"
+     "entry.last_seen = rt.scheduler().now();\n"
+     "it->second.last_seen = now;\n"
+     "for (const std::string& key : unseen_before(imports_, before)) gone(key);\n"),
     ("src/core/fine.cpp",
      "for (const auto& p : profiles_) { use(p); }\n"
      "for (auto& [k, v] : meta_) { use(k, v); }\n"
