@@ -83,7 +83,7 @@ void BM_SoapRoundTrip(benchmark::State& state) {
   upnp::ActionRequest request;
   request.service_type = "urn:schemas-upnp-org:service:SwitchPower:1";
   request.action = "SetPower";
-  request.args["Power"] = "1";
+  request.args.emplace("Power", "1");
   soap_round_trip(state, std::move(request));
 }
 

@@ -49,7 +49,10 @@ std::uint16_t Uri::effective_port() const {
 
 std::string Uri::to_string() const {
   std::string out = scheme + "://" + host;
-  if (port != 0) out += ":" + std::to_string(port);
+  if (port != 0) {
+    out += ':';
+    out += std::to_string(port);
+  }
   out += path;
   return out;
 }

@@ -21,6 +21,8 @@ struct Uri {
   std::uint16_t effective_port() const;
 
   std::string to_string() const;
+
+  friend bool operator==(const Uri&, const Uri&) = default;
 };
 
 }  // namespace umiddle

@@ -9,6 +9,8 @@
 #include "bluetooth/hidp.hpp"
 #include "bluetooth/obex.hpp"
 #include "common/base64.hpp"
+#include "common/mime.hpp"
+#include "common/uri.hpp"
 #include "core/profile.hpp"
 #include "core/umtp.hpp"
 #include "core/usdl.hpp"
@@ -137,6 +139,22 @@ int fuzz_base64_decode(const std::uint8_t* data, std::size_t size) {
   if (decoded.value().size() != size / 4 * 3 - padding) std::abort();
   auto again = base64::decode(base64::encode(decoded.value()));
   if (!again.ok() || again.value() != decoded.value()) std::abort();
+  return 1;
+}
+
+int fuzz_uri_parse(const std::uint8_t* data, std::size_t size) {
+  auto uri = Uri::parse(std::string_view(reinterpret_cast<const char*>(data), size));
+  if (!uri.ok()) return 0;
+  auto again = Uri::parse(uri.value().to_string());
+  if (!again.ok() || again.value() != uri.value()) std::abort();
+  return 1;
+}
+
+int fuzz_mime_parse(const std::uint8_t* data, std::size_t size) {
+  auto mime = MimeType::parse(std::string_view(reinterpret_cast<const char*>(data), size));
+  if (!mime.ok()) return 0;
+  auto again = MimeType::parse(mime.value().to_string());
+  if (!again.ok() || again.value() != mime.value()) std::abort();
   return 1;
 }
 

@@ -55,6 +55,14 @@ int fuzz_base64_decode(const std::uint8_t* data, std::size_t size);
 /// to itself.
 int fuzz_motes_reading(const std::uint8_t* data, std::size_t size);
 
+/// Uri::parse on the bytes as text. Oracle on success: the URI prints and
+/// parses back to itself.
+int fuzz_uri_parse(const std::uint8_t* data, std::size_t size);
+
+/// MimeType::parse on the bytes as text. Oracle on success: the type prints
+/// and parses back to itself.
+int fuzz_mime_parse(const std::uint8_t* data, std::size_t size);
+
 /// One stream protocol's FrameReader behind a type-erased feed that hands back
 /// every complete frame re-encoded, so readers of different frame types
 /// compare alike (DESIGN.md §7.6).

@@ -94,7 +94,7 @@ SegmentId Network::common_segment(HostId a, HostId b) const {
 }
 
 sim::TimePoint Network::send_frame(SegmentId seg_id, HostId src, std::size_t payload_size,
-                                   sim::Callback deliver, bool lossless) {
+                                   sim::Callback&& deliver, bool lossless) {
   Segment& seg = segments_.at(seg_id);
   const SegmentSpec& spec = seg.spec;
 

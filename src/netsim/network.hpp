@@ -162,6 +162,7 @@ class Network {
  private:
   friend class Stream;
   friend class FaultPlane;
+  friend struct NetworkProbe;
 
   struct Segment {
     SegmentSpec spec;
@@ -200,7 +201,7 @@ class Network {
   /// `deliver` runs at the arrival time unless the frame is lost.
   /// Returns the arrival time (even if lost, for stats purposes).
   sim::TimePoint send_frame(SegmentId seg, HostId src, std::size_t payload_size,
-                            sim::Callback deliver, bool lossless);
+                            sim::Callback&& deliver, bool lossless);
 
   /// First segment shared by both hosts, or invalid id.
   SegmentId common_segment(HostId a, HostId b) const;

@@ -1,44 +1,55 @@
 #include "sim/scheduler.hpp"
 
-#include <utility>
-
 namespace umiddle::sim {
 
 Scheduler::~Scheduler() {
-  heap_.clear();
-  free_.clear();
-  auto doomed = std::move(slots_);
-}
-
-EventHandle Scheduler::schedule_after(Duration delay, Callback fn, EventTag tag) {
-  if (delay < Duration(0)) delay = Duration(0);
-  return schedule_at(now_ + delay, std::move(fn), tag);
-}
-
-EventHandle Scheduler::schedule_at(TimePoint when, Callback fn, EventTag tag) {
-  if (when < now_) when = now_;
-  const std::uint64_t seq = next_seq_++;
-  std::uint32_t slot;
-  if (free_.empty()) {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_.back();
-    free_.pop_back();
+  const auto built = [this](std::size_t c) {
+    return c + 1 == chunks_.size() ? built_ : chunk_size(c);
+  };
+  // An event a dying capture schedules takes a newly built slot, which this
+  // loop reaches too; every chunk stays allocated until it ends.
+  free_ = nullptr;
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    for (std::size_t i = 0; i < built(c); ++i) chunks_[c][i].fn.reset();
   }
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    std::destroy_n(chunks_[c], built(c));
+    alloc_.deallocate(chunks_[c], chunk_size(c));
+  }
+}
+
+void Scheduler::build_slot() {
+  if (chunks_.empty() || built_ == chunk_size(chunks_.size() - 1)) {
+    chunks_.push_back(alloc_.allocate(chunk_size(chunks_.size())));
+    built_ = 0;
+  }
+  free_ = std::construct_at(chunks_.back() + built_++);
+}
+
+EventHandle Scheduler::enqueue(TimePoint when, Slot& s, EventTag tag) {
+  const std::uint64_t seq = next_seq_++;
   s.tag = tag;
   s.seq = seq;
-  heap_push(Key{when, seq, slot});
-  return EventHandle(slot, seq);
+  const Key key{when, seq, &s};
+  if (lane_.size() - lane_head_ == 1 && later(lane_.back(), key)) {
+    heap_push(lane_.back());  // a lone later key must not turn a burst away
+    lane_.clear();
+    lane_head_ = 0;
+  }
+  if (lane_.empty() || !later(lane_.back(), key)) {
+    lane_.push_back(key);
+  } else {
+    heap_push(key);
+  }
+  if (queued() > high_water_) high_water_ = queued();
+  return EventHandle(&s, seq);
 }
 
 void Scheduler::cancel(EventHandle handle) {
   // A fired or discarded event freed its slot, and a cancelled one cleared
   // its seq; seqs are never reused, so only a pending event matches.
-  if (!handle.valid() || handle.slot_ >= slots_.size()) return;
-  Slot& s = slots_[handle.slot_];
+  if (!handle.valid()) return;
+  Slot& s = *static_cast<Slot*>(handle.slot_);
   if (s.seq != handle.seq_) return;
   s.seq = 0;
   ++cancelled_;
@@ -46,7 +57,6 @@ void Scheduler::cancel(EventHandle handle) {
 
 void Scheduler::heap_push(Key key) {
   heap_.push_back(key);
-  if (heap_.size() > high_water_) high_water_ = heap_.size();
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
     std::size_t parent = (i - 1) / 2;
@@ -78,39 +88,48 @@ Scheduler::Key Scheduler::heap_pop() {
   return top;
 }
 
-Callback Scheduler::release(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.seq = 0;
-  free_.push_back(slot);
-  return std::move(s.fn);
+Scheduler::Key Scheduler::lane_pop() {
+  const Key front = lane_[lane_head_++];
+  if (lane_head_ == lane_.size()) {
+    lane_.clear();
+    lane_head_ = 0;
+  } else if (2 * lane_head_ >= lane_.size()) {
+    lane_.erase(lane_.begin(), lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+    lane_head_ = 0;
+  }
+  return front;
 }
 
 bool Scheduler::dispatch_next(TimePoint limit) {
-  for (;;) {
-    if (pending() == 0) return false;
-    const Key& top = heap_.front();
-    if (top.when > limit) return false;
-    if (slots_[top.slot].seq == top.seq) break;
-    // Cancelled: discard it. Its captures die here, after the pool is
-    // consistent again, since their destructors may schedule or cancel.
-    --cancelled_;
-    ++reaped_;
-    (void)release(heap_pop().slot);
+  while (pending() != 0) {
+    const bool from_lane =
+        lane_head_ < lane_.size() && (heap_.empty() || later(heap_.front(), lane_[lane_head_]));
+    if ((from_lane ? lane_[lane_head_] : heap_.front()).when > limit) return false;
+    const Key key = from_lane ? lane_pop() : heap_pop();
+    Slot& s = *key.slot;
+    if (s.seq != key.seq) {
+      // Cancelled: discard it. Its captures die here, after the queues are
+      // consistent again, since their destructors may schedule or cancel.
+      --cancelled_;
+      ++reaped_;
+      retire(s);
+      continue;
+    }
+    s.seq = 0;  // running: its own handle no longer cancels anything
+    now_ = key.when;
+    digest_.absorb(static_cast<std::uint64_t>(key.when.count()));
+    digest_.absorb(key.seq);
+    digest_.absorb(s.tag.host);
+    digest_.absorb(s.tag.tag);
+    ++dispatched_;
+    if (recorder_.enabled()) {
+      recorder_.record(TraceRecord{key.when.count(), key.seq, s.tag.host, s.tag.tag});
+    }
+    s.fn();  // in place: chunks never move, and the slot is not free until it returns
+    retire(s);
+    return true;
   }
-  const Key key = heap_pop();
-  const EventTag tag = slots_[key.slot].tag;
-  Callback fn = release(key.slot);
-  now_ = key.when;
-  digest_.absorb(static_cast<std::uint64_t>(key.when.count()));
-  digest_.absorb(key.seq);
-  digest_.absorb(tag.host);
-  digest_.absorb(tag.tag);
-  ++dispatched_;
-  if (recorder_.enabled()) {
-    recorder_.record(TraceRecord{key.when.count(), key.seq, tag.host, tag.tag});
-  }
-  fn();
-  return true;
+  return false;
 }
 
 std::size_t Scheduler::run() {

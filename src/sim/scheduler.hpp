@@ -16,6 +16,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -38,11 +39,12 @@ constexpr Duration seconds(std::int64_t n) { return Duration(n * 1000'000'000); 
 constexpr double to_seconds(Duration d) { return static_cast<double>(d.count()) * 1e-9; }
 constexpr double to_millis(Duration d) { return static_cast<double>(d.count()) * 1e-6; }
 
-/// A move-only `void()` callable stored inline, with no heap fallback: the
-/// capture of every scheduled event lives in the scheduler's slot pool, so
-/// scheduling allocates nothing (DESIGN.md §8.1). A capture that does not fit
-/// fails to compile; shrink it, for example by parking the state in a
-/// Slots<T> table (common/slots.hpp) and capturing its key.
+/// A non-copyable `void()` callable stored inline, with no heap fallback: the
+/// capture of every scheduled event is built in its slot of the scheduler's
+/// pool and runs there, so scheduling allocates and relocates nothing
+/// (DESIGN.md §8.1). A capture that does not fit fails to compile; shrink it,
+/// for example by parking the state in a Slots<T> table (common/slots.hpp)
+/// and capturing its key.
 class Callback {
  public:
   static constexpr std::size_t kCapacity = 64;
@@ -53,41 +55,40 @@ class Callback {
     requires(!std::is_same_v<std::remove_cvref_t<F>, Callback> &&
              std::is_invocable_r_v<void, std::decay_t<F>&>)
   Callback(F&& fn) {  // NOLINT(google-explicit-constructor): lambdas convert
-    using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= kCapacity,
-                  "capture exceeds sim::Callback's inline buffer: shrink it");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "capture must be nothrow-move-constructible: a by-copy capture of a const "
-                  "object is not, so write it as an init-capture");
-    static_assert(alignof(Fn) <= alignof(void*), "over-aligned capture");
-    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
-    ops_ = &kOps<Fn>;
-  }
-
-  Callback(Callback&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) ops_->relocate(buf_, other.buf_);
-    other.ops_ = nullptr;
-  }
-  Callback& operator=(Callback&& other) noexcept {
-    if (this != &other) {
-      reset();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) ops_->relocate(buf_, other.buf_);
-      other.ops_ = nullptr;
-    }
-    return *this;
+    emplace(std::forward<F>(fn));
   }
   Callback(const Callback&) = delete;
   Callback& operator=(const Callback&) = delete;
   ~Callback() { reset(); }
 
+  /// Fill this empty callback: a callable is constructed in the buffer, and
+  /// another Callback is moved in with one relocation, leaving it empty.
+  template <typename F>
+  void emplace(F&& fn) {
+    if constexpr (std::is_same_v<std::remove_cvref_t<F>, Callback>) {
+      ops_ = std::exchange(fn.ops_, nullptr);
+      if (ops_ != nullptr) ops_->relocate(buf_, fn.buf_);
+    } else {
+      using Fn = std::decay_t<F>;
+      static_assert(sizeof(Fn) <= kCapacity,
+                    "capture exceeds sim::Callback's inline buffer: shrink it");
+      static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                    "capture must be nothrow-move-constructible: a by-copy capture of a const "
+                    "object is not, so write it as an init-capture");
+      static_assert(alignof(Fn) <= alignof(void*), "over-aligned capture");
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+      ops_ = &kOps<Fn>;
+    }
+  }
+
   void operator()() { ops_->invoke(buf_); }
 
- private:
+  /// Destroy the callable, if any. Its destructor may schedule or cancel.
   void reset() {
     if (ops_ != nullptr) std::exchange(ops_, nullptr)->destroy(buf_);
   }
 
+ private:
   struct Ops {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src) noexcept;  ///< move-construct, destroy src
@@ -117,8 +118,8 @@ class EventHandle {
 
  private:
   friend class Scheduler;
-  EventHandle(std::uint32_t slot, std::uint64_t seq) : slot_(slot), seq_(seq) {}
-  std::uint32_t slot_ = 0;
+  EventHandle(void* slot, std::uint64_t seq) : slot_(slot), seq_(seq) {}
+  void* slot_ = nullptr;  ///< the issuing Scheduler's Slot
   std::uint64_t seq_ = 0;
 };
 
@@ -127,7 +128,7 @@ class Scheduler {
  public:
   Scheduler() = default;
   /// Pending callbacks die first, while every member is alive: a capture's
-  /// destructor may still cancel (a no-op by then) or schedule (never run).
+  /// destructor may still cancel or schedule (the new event never runs).
   ~Scheduler();
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -135,15 +136,29 @@ class Scheduler {
   TimePoint now() const { return now_; }
 
   /// Run `fn` at the current time, after already-queued same-time events.
-  EventHandle post(Callback fn, EventTag tag = {}) {
-    return schedule_after(Duration(0), std::move(fn), tag);
+  template <typename F>
+  EventHandle post(F&& fn, EventTag tag = {}) {
+    return schedule_at(now_, std::forward<F>(fn), tag);
   }
 
   /// Run `fn` `delay` after now (negative delays clamp to 0).
-  EventHandle schedule_after(Duration delay, Callback fn, EventTag tag = {});
+  template <typename F>
+  EventHandle schedule_after(Duration delay, F&& fn, EventTag tag = {}) {
+    return schedule_at(now_ + (delay < Duration(0) ? Duration(0) : delay), std::forward<F>(fn),
+                       tag);
+  }
 
   /// Run `fn` at absolute virtual time `when` (past times clamp to now).
-  EventHandle schedule_at(TimePoint when, Callback fn, EventTag tag = {});
+  /// The capture is built in the event's slot, where it later runs and dies.
+  template <typename F>
+    requires std::is_invocable_r_v<void, std::decay_t<F>&>
+  EventHandle schedule_at(TimePoint when, F&& fn, EventTag tag = {}) {
+    if (free_ == nullptr) build_slot();
+    Slot& s = *free_;
+    s.fn.emplace(std::forward<F>(fn));
+    free_ = s.next_free;
+    return enqueue(when < now_ ? now_ : when, s, tag);
+  }
 
   /// Cancel a queued event. A no-op for an invalid handle and for an event
   /// that already fired, was already cancelled or was discarded as cancelled;
@@ -164,7 +179,7 @@ class Scheduler {
   /// Process at most one event. Returns false if the queue is empty.
   bool step() { return dispatch_next(TimePoint::max()); }
 
-  std::size_t pending() const { return heap_.size() - cancelled_; }
+  std::size_t pending() const { return queued() - cancelled_; }
 
   // --- determinism audit (sim/audit.hpp) -----------------------------------------
   /// Rolling digest of every event dispatched so far: (virtual time, sequence
@@ -173,47 +188,69 @@ class Scheduler {
   std::uint64_t trace_digest() const { return digest_.value(); }
   /// Events dispatched so far (cancelled events never count).
   std::uint64_t events_dispatched() const { return dispatched_; }
-  /// Cancelled events lazily discarded at the heap head so far.
+  /// Cancelled events lazily discarded at the queue head so far.
   std::uint64_t cancellations_reaped() const { return reaped_; }
-  /// Largest heap size ever reached (queue pressure high-water mark). Plain
-  /// counters, not obs instruments: sim sits below obs in the layering, so the
-  /// world's registry samples these via a snapshot-time collector instead.
+  /// Largest number of queued keys ever reached, lane and heap together
+  /// (queue pressure high-water mark). Plain counters, not obs instruments:
+  /// sim sits below obs in the layering, so the world's registry samples
+  /// these via a snapshot-time collector instead.
   std::size_t heap_high_water() const { return high_water_; }
   /// Optional bounded record of recent dispatches, for diffing divergent runs.
   TraceRecorder& trace_recorder() { return recorder_; }
   const TraceRecorder& trace_recorder() const { return recorder_; }
 
  private:
-  /// What the heap sifts: 24 bytes, the event's order plus where it lives.
-  struct Key {
-    TimePoint when;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  /// An event's payload, parked in the pool while its key is in the heap.
-  /// `seq` is the queued event's sequence number; 0 once it is cancelled or
-  /// the slot is free, so a handle matches only while its event is pending.
+  /// Where an event lives from schedule to run. `seq` is the queued event's
+  /// sequence number; 0 once it is cancelled, running or the slot is free, so
+  /// a handle matches only while its event is pending.
   struct Slot {
     Callback fn;
     EventTag tag;
     std::uint64_t seq = 0;
+    Slot* next_free = nullptr;  ///< the free list's link, while the slot is free
+  };
+  /// What the queues order: 24 bytes, the event's order plus where it lives.
+  struct Key {
+    TimePoint when;
+    std::uint64_t seq;
+    Slot* slot;
   };
 
   /// True if `a` must fire after `b`. (when, seq) pairs are unique, so this is
-  /// a strict total order — dispatch order cannot depend on heap layout.
+  /// a strict total order — dispatch order cannot depend on queue layout.
   static bool later(const Key& a, const Key& b) {
     return a.when != b.when ? a.when > b.when : a.seq > b.seq;
   }
 
+  /// Slots live in chunks that never move, so a callback runs where it was
+  /// built even when it schedules more events than the pool holds. Chunk c
+  /// has room for kFirstChunk << c slots: the pool doubles as a vector would,
+  /// but keeps its old slots in place, and a slot is constructed (and its
+  /// memory touched) only when the free list first runs dry.
+  static constexpr std::size_t kFirstChunk = 16;
+  static std::size_t chunk_size(std::size_t c) { return kFirstChunk << c; }
+  /// Put a newly constructed slot on the empty free list, adding a chunk if
+  /// the newest one is full.
+  void build_slot();
+  /// Stamp `s` with a fresh seq and queue its key.
+  EventHandle enqueue(TimePoint when, Slot& s, EventTag tag);
+  /// Destroy `s`'s callback in place, then free the slot. Its destructor
+  /// may schedule, and must not be handed its own slot.
+  void retire(Slot& s) {
+    s.fn.reset();
+    s.next_free = free_;
+    free_ = &s;
+  }
+
+  std::size_t queued() const { return lane_.size() - lane_head_ + heap_.size(); }
   // Hand-rolled binary min-heap over heap_; std::push_heap/pop_heap measured
-  // no faster on space_standup and mixed on mb_echo. heap_ and the pool keep
-  // their capacity, so steady-state scheduling allocates nothing.
+  // no faster on space_standup and mixed on mb_echo.
   void heap_push(Key key);
   Key heap_pop();
-  /// Empty `slot`, put it on the free list and return its callback. The
-  /// callback leaves the pool before it runs or dies: either may schedule, and
-  /// so grow the pool under it.
-  Callback release(std::uint32_t slot);
+  /// Take the lane's front key, compacting the consumed prefix once it is
+  /// at least half the lane: the lane never holds more than twice its live
+  /// keys.
+  Key lane_pop();
   /// Dispatch the next live event due at or before `limit`, first discarding
   /// the cancelled events ahead of it (lazy deletion); false if there is none.
   /// Nothing is discarded past `limit` or when no live event remains. Every
@@ -222,9 +259,19 @@ class Scheduler {
   /// it runs.
   bool dispatch_next(TimePoint limit);
 
+  /// The FIFO lane: keys in dispatch order from lane_head_ on. A key not
+  /// earlier than the lane's last joins it; any other goes to the heap, except
+  /// that a lane of one live key hands that key to the heap and restarts at
+  /// the new one, so a lone far-future timer cannot turn a burst away. A
+  /// NIC's frames arrive in send order, so a burst of them stays out of the
+  /// heap. Dispatch takes the earlier of the lane front and the heap top.
+  std::vector<Key> lane_;
+  std::size_t lane_head_ = 0;
   std::vector<Key> heap_;
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_;  ///< indices of empty slots_
+  std::allocator<Slot> alloc_;
+  std::vector<Slot*> chunks_;
+  std::size_t built_ = 0;    ///< slots constructed in chunks_.back()
+  Slot* free_ = nullptr;     ///< the free list: empty slots, last freed first
   TimePoint now_{0};
   std::uint64_t next_seq_ = 1;
   std::size_t cancelled_ = 0;

@@ -38,7 +38,12 @@ inline void expect_conserved(net::Network& net, std::uint64_t offered, std::uint
     const std::string_view name = core::fate_counter(static_cast<core::Fate>(f));
     const std::uint64_t n = value(name);
     fates += n;
-    if (n != 0) detail += " " + std::string(name) + "=" + std::to_string(n);
+    if (n != 0) {
+      detail += ' ';
+      detail += name;
+      detail += '=';
+      detail += std::to_string(n);
+    }
   }
   const std::uint64_t unacked = value(core::fate_counter(core::Fate::unacked_dropped));
   const std::uint64_t abandoned = value("recovery.giveup_unacked");

@@ -1,7 +1,7 @@
-// Deterministic mutation-fuzz smoke test over the project's seven parsing
+// Deterministic mutation-fuzz smoke test over the project's nine parsing
 // surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, directory adverts,
-// UMTP frame decoding, base64 decoding, motes readings and every stream
-// protocol's frame reader (DESIGN.md §7.6).
+// UMTP frame decoding, base64 decoding, motes readings, URIs, MIME types and
+// every stream protocol's frame reader (DESIGN.md §7.6).
 // Each entry point (src/fuzz/entries.hpp) is driven with ≥10k
 // splitmix64-mutated inputs derived from small valid corpora — bit flips,
 // byte stomps, truncations, extensions and (for UMTP) length-prefix lies.
@@ -211,6 +211,25 @@ Corpus motes_corpus() {
   return corpus;
 }
 
+Corpus uri_corpus() {
+  Corpus corpus;
+  for (const char* text :
+       {"http://192.168.0.10:8080/upnp/control/SwitchPower", "mb://broker/", "rmi://host:1099",
+        "HTTP://Camera.local/photo?id=7", "ws://a:b:80/x y", "http://h:080/"}) {
+    corpus.push_back(bytes_of(text));
+  }
+  return corpus;
+}
+
+Corpus mime_corpus() {
+  Corpus corpus;
+  for (const char* text : {"image/jpeg", "text/plain", "*/*", "image/*", "Audio/WAV",
+                           "application/x-control", "visible/paper"}) {
+    corpus.push_back(bytes_of(text));
+  }
+  return corpus;
+}
+
 /// One valid stream per protocol of fuzz::stream_protocols(): the selector
 /// byte, then two or three frames back to back.
 Corpus stream_corpus() {
@@ -280,6 +299,14 @@ TEST(FuzzSmokeTest, Base64DecoderSurvivesMutations) {
 
 TEST(FuzzSmokeTest, MotesReadingDecoderSurvivesMutations) {
   drive(&fuzz::fuzz_motes_reading, motes_corpus(), 0xabcd0123456789efull, kRounds);
+}
+
+TEST(FuzzSmokeTest, UriParserSurvivesMutations) {
+  drive(&fuzz::fuzz_uri_parse, uri_corpus(), 0x0a11ce5ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, MimeParserSurvivesMutations) {
+  drive(&fuzz::fuzz_mime_parse, mime_corpus(), 0x313e7e5ull, kRounds);
 }
 
 TEST(FuzzSmokeTest, StreamFramesSurviveMutations) {

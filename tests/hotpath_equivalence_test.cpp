@@ -26,6 +26,7 @@
 #include <queue>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -100,7 +101,8 @@ core::Shape random_shape(Rng& rng) {
   std::size_t n_ports = rng.between(1, 4);
   for (std::size_t p = 0; p < n_ports; ++p) {
     core::PortSpec spec;
-    spec.name = "p" + std::to_string(p);
+    spec.name = "p";
+    spec.name += std::to_string(p);
     spec.kind = rng.chance(0.8) ? core::PortKind::digital : core::PortKind::physical;
     spec.direction = rng.chance(0.5) ? core::Direction::input : core::Direction::output;
     spec.type = MimeType::of(spec.kind == core::PortKind::digital
@@ -114,7 +116,10 @@ core::Shape random_shape(Rng& rng) {
 core::TranslatorProfile random_profile(std::uint64_t id, Rng& rng) {
   core::TranslatorProfile profile;
   profile.id = TranslatorId(id);
-  profile.name = "dev-" + std::to_string(id) + "-" + rng.ident(4);
+  profile.name = "dev-";
+  profile.name += std::to_string(id);
+  profile.name += '-';
+  profile.name += rng.ident(4);
   profile.platform = kPlatforms[rng.below(std::size(kPlatforms))];
   profile.device_type = "RandomDevice";
   profile.node = NodeId(1);
@@ -565,6 +570,126 @@ TEST(HotpathEquivalenceTest, SchedulerStressMatchesSeedImplementation) {
   for (std::size_t i = 0; i < expected.fired.size(); ++i) {
     ASSERT_EQ(actual.fired[i], expected.fired[i]) << "first divergence at dispatch " << i;
   }
+}
+
+/// NIC-burst workload: what Directory::refresh_tick leaves in the queues. Each
+/// round sends a burst of 4000+ frames whose arrival times strictly increase,
+/// as Network::send_frame serialises them on one NIC, and re-arms a
+/// far-future refresh timer behind it, or in odd rounds arms the timer alone
+/// first. Fired frames post zero-delay work, schedule short timeouts, re-arm
+/// the timer and cancel events held in either queue. Each round then pops
+/// through three quarters of its burst, past the point where consumed keys
+/// are compacted, so the next burst lands behind the queued rest. If
+/// `peak_queued` is given, the workload counts queued keys itself (scheduled -
+/// fired - reaped) and keeps the largest count seen.
+template <typename S>
+DriverResult run_burst_driver(S& sched, std::size_t* peak_queued = nullptr) {
+  using Handle = decltype(sched.schedule_after(Duration(0), std::function<void()>{},
+                                               sim::EventTag{}));
+  DriverResult result;
+  Rng rng(0xB0257);
+  std::vector<Handle> frames;  // mostly in the lane
+  std::vector<Handle> others;  // posts and timeouts: mostly in the heap
+  Handle timer{};
+  std::uint64_t next_id = 0;
+  std::uint64_t fired = 0;
+
+  const auto cancel_one = [&](std::vector<Handle>& from) {
+    if (from.empty()) return;
+    sched.cancel(from[rng.below(from.size())]);
+    ++result.cancels;
+    result.pending.push_back(sched.pending());
+  };
+  std::function<Handle(Duration, bool)> spawn;
+  const std::function<void(std::uint64_t, bool)> on_fire = [&](std::uint64_t id, bool frame) {
+    ++fired;
+    result.fired.emplace_back(sched.now().count(), id);
+    if (!frame) return;
+    if (rng.chance(0.05)) others.push_back(spawn(Duration(0), false));
+    if (rng.chance(0.03)) {
+      others.push_back(spawn(Duration(static_cast<std::int64_t>(rng.between(1, 500'000))), false));
+    }
+    if (rng.chance(0.01)) {
+      sched.cancel(timer);
+      timer = spawn(sim::seconds(1), false);
+    }
+    if (rng.chance(0.01)) cancel_one(frames);
+    if (rng.chance(0.01)) cancel_one(others);
+  };
+  spawn = [&](Duration delay, bool frame) {
+    const std::uint64_t id = next_id++;
+    Handle h = sched.schedule_after(delay, [&on_fire, id, frame] { on_fire(id, frame); },
+                                    sim::EventTag{id % 5, id % 11});
+    ++result.scheduled;
+    if constexpr (std::is_same_v<S, sim::Scheduler>) {
+      if (peak_queued != nullptr) {
+        *peak_queued = std::max<std::size_t>(
+            *peak_queued, result.scheduled - fired - sched.cancellations_reaped());
+      }
+    }
+    return h;
+  };
+
+  sim::TimePoint nic_free{0};
+  for (int round = 0; round < 6; ++round) {
+    // Odd rounds start from empty queues with the timer armed first, as
+    // between two refreshes: the burst then arrives ahead of a lone key.
+    const bool quiet = round % 2 == 1;
+    if (quiet) {
+      sched.run();
+      timer = spawn(sim::seconds(1), false);
+    }
+    sim::TimePoint t = std::max(sched.now(), nic_free);
+    const std::uint64_t burst = 4000 + rng.below(100);
+    for (std::uint64_t k = 0; k < burst; ++k) {
+      t += Duration(static_cast<std::int64_t>(1 + rng.below(800)));
+      frames.push_back(spawn(t - sched.now(), true));
+    }
+    nic_free = t;
+    if (!quiet) {
+      sched.cancel(timer);
+      timer = spawn(sim::seconds(1), false);
+    }
+    for (int c = 0; c < 30; ++c) cancel_one(frames);
+    for (int c = 0; c < 10; ++c) cancel_one(others);
+    sched.run_for((t - sched.now()) * 3 / 4);
+  }
+  sched.run();
+  for (int c = 0; c < 20; ++c) cancel_one(frames);  // every handle has fired or was reaped
+
+  result.digest = sched.trace_digest();
+  result.dispatched = sched.events_dispatched();
+  result.end_ns = sched.now().count();
+  return result;
+}
+
+TEST(HotpathEquivalenceTest, SchedulerNicBurstsMatchSeedImplementation) {
+  SeedScheduler reference;
+  DriverResult expected = run_burst_driver(reference);
+
+  sim::Scheduler optimized;
+  std::size_t peak_queued = 0;
+  DriverResult actual = run_burst_driver(optimized, &peak_queued);
+
+  ASSERT_GT(expected.fired.size(), 16000u);
+  ASSERT_GE(expected.cancels, 150u);
+
+  EXPECT_EQ(actual.scheduled, expected.scheduled);
+  EXPECT_EQ(actual.cancels, expected.cancels);
+  EXPECT_EQ(actual.dispatched, expected.dispatched);
+  EXPECT_EQ(actual.end_ns, expected.end_ns);
+  EXPECT_EQ(actual.digest, expected.digest);
+  ASSERT_EQ(actual.pending.size(), expected.pending.size());
+  for (std::size_t i = 0; i < expected.pending.size(); ++i) {
+    ASSERT_EQ(actual.pending[i], expected.pending[i]) << "pending() differs after cancel " << i;
+  }
+  ASSERT_EQ(actual.fired.size(), expected.fired.size());
+  for (std::size_t i = 0; i < expected.fired.size(); ++i) {
+    ASSERT_EQ(actual.fired[i], expected.fired[i]) << "first divergence at dispatch " << i;
+  }
+  // The high-water mark counts every queued key, lane and heap alike.
+  EXPECT_GE(peak_queued, 4000u);
+  EXPECT_EQ(optimized.heap_high_water(), peak_queued);
 }
 
 

@@ -3,12 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 
 #include "netsim/fault.hpp"
 #include "netsim/network.hpp"
 #include "netsim/stream.hpp"
 
 namespace umiddle::net {
+
+/// Reaches Network::send_frame, the path every datagram and stream frame
+/// takes to the scheduler.
+struct NetworkProbe {
+  static void send_frame(Network& net, const std::string& host, SegmentId seg,
+                         sim::Callback&& deliver) {
+    net.send_frame(seg, net.resolve(host).value(), 0, std::move(deliver), /*lossless=*/true);
+  }
+};
+
 namespace {
 
 using sim::microseconds;
@@ -485,6 +497,37 @@ TEST(NetworkTest, ConnectFailsWhenNoEphemeralPortIsFree) {
   EXPECT_EQ(none.error().code, Errc::buffer_overflow);
   // Another host's ports are its own.
   EXPECT_TRUE(f.net.connect("n3", {"n2", 80}).ok());
+}
+
+/// A capture that counts its move constructions.
+struct MoveCounter {
+  explicit MoveCounter(int* moves) : moves(moves) {}
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) { ++*moves; }
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  int* moves;
+};
+
+// A capture is built in its event's slot and runs there: scheduling costs the
+// one move that building any sim::Callback from the same lambda costs, and
+// send_frame, which takes an already built Callback, adds one relocation.
+TEST(CallbackTest, CaptureIsMovedOnlyIntoItsSlotAndOnceMoreThroughSendFrame) {
+  Fixture f;
+  int fired = 0;
+  int built = 0;
+  { sim::Callback cb([&fired, c = MoveCounter(&built)] { ++fired; }); }
+  ASSERT_EQ(built, 1);  // from the lambda argument into the buffer
+
+  int at = 0, after = 0, posted = 0, framed = 0;
+  f.sched.schedule_at(milliseconds(1), [&fired, c = MoveCounter(&at)] { ++fired; });
+  f.sched.schedule_after(milliseconds(1), [&fired, c = MoveCounter(&after)] { ++fired; });
+  f.sched.post([&fired, c = MoveCounter(&posted)] { ++fired; });
+  NetworkProbe::send_frame(f.net, "n1", f.hub, [&fired, c = MoveCounter(&framed)] { ++fired; });
+  f.sched.run();
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(at, built);
+  EXPECT_EQ(after, built);
+  EXPECT_EQ(posted, built);
+  EXPECT_LE(framed, built + 1);
 }
 
 }  // namespace

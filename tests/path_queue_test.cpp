@@ -184,7 +184,10 @@ class Model {
   std::string outcome() const {
     std::string out;
     for (std::uint64_t id = 1; id <= offered_; ++id) {
-      out += (id == 1 ? "" : " ") + std::to_string(id) + ":" + where(id);
+      if (id != 1) out += ' ';
+      out += std::to_string(id);
+      out += ':';
+      out += where(id);
     }
     return out;
   }

@@ -190,7 +190,9 @@ TEST_P(QuerySelfMatchTest, ShapeMatchesItsOwnTemplate) {
   Shape shape;
   std::size_t n = 1 + rng.below(6);
   for (std::size_t i = 0; i < n; ++i) {
-    PortSpec p = digital("p" + std::to_string(i),
+    std::string name = "p";
+    name += std::to_string(i);
+    PortSpec p = digital(name,
                          rng.chance(0.5) ? Direction::input : Direction::output,
                          types[rng.below(4)]);
     if (rng.chance(0.3)) p.kind = PortKind::physical;

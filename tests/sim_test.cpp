@@ -244,6 +244,29 @@ TEST(CallbackTest, CancelledCaptureDiesOnceWhenReapedNotWhenCancelled) {
   EXPECT_EQ(s.events_dispatched(), 1u);
 }
 
+TEST(CallbackTest, ReapedCaptureMayScheduleAndCancelAsItDies) {
+  int destroyed = 0;
+  std::vector<int> order;
+  Scheduler s;
+  EventHandle doomed = s.schedule_after(milliseconds(3), [&order] { order.push_back(3); });
+  EventHandle reaped = s.schedule_after(
+      milliseconds(1), [&order, probe = DestroyProbe(&destroyed, [&] {
+                                  s.post([&order] { order.push_back(1); });
+                                  s.cancel(doomed);
+                                })] { order.push_back(-1); });
+  s.schedule_after(milliseconds(2), [&order] { order.push_back(2); });
+  s.cancel(reaped);
+  EXPECT_EQ(s.pending(), 2u);
+  // Reaping the cancelled event runs its capture's destructor, which posts
+  // an event and cancels the one at 3 ms. That one is never reaped: only
+  // cancelled events remain once the 2 ms event has run.
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(s.cancellations_reaped(), 1u);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
 TEST(CallbackTest, PendingCapturesDieOnceWithTheScheduler) {
   int destroyed = 0;
   {
@@ -284,6 +307,28 @@ TEST(SlotPoolTest, CallbackThatGrowsThePoolWhileRunningKeepsItsCapture) {
   ASSERT_EQ(order.size(), 10'000u);
   for (int i = 0; i < 10'000; ++i) ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
   EXPECT_EQ(s.heap_high_water(), 10'000u);
+}
+
+TEST(SlotPoolTest, RunningCallbackStaysInPlaceWhileItsEventsFillNewChunks) {
+  Scheduler s;
+  struct {
+    int fired = 0;
+    const void* before = nullptr;
+    const void* after = nullptr;
+    std::string tail;
+  } seen;
+  s.post([&s, &seen, tail = std::string(24, 'q')] {
+    seen.before = &tail;
+    // More events than the first few chunks hold: new chunks are added while
+    // this callback runs, and it must not move.
+    for (int i = 0; i < 300; ++i) s.post([&seen] { ++seen.fired; });
+    seen.after = &tail;
+    seen.tail = tail;
+  });
+  EXPECT_EQ(s.run(), 301u);
+  EXPECT_EQ(seen.fired, 300);
+  EXPECT_EQ(seen.before, seen.after);
+  EXPECT_EQ(seen.tail, std::string(24, 'q'));
 }
 
 TEST(SlotPoolTest, CancellingItsOwnHandleFromInsideIsANoOp) {

@@ -102,7 +102,8 @@ TEST(DirectoryScaleTest, FiveNodesConvergeUnderChurn) {
   net::SegmentId lan = net.add_segment(net::SegmentSpec{});
   std::vector<std::unique_ptr<core::Runtime>> nodes;
   for (int i = 0; i < 5; ++i) {
-    std::string host = "n" + std::to_string(i);
+    std::string host = "n";
+    host += std::to_string(i);
     ASSERT_TRUE(net.add_host(host).ok());
     ASSERT_TRUE(net.attach(host, lan).ok());
     nodes.push_back(std::make_unique<core::Runtime>(sched, net, host));
@@ -174,10 +175,9 @@ TEST(TransportScaleTest, WideFanOutDeliversToAll) {
             static_cast<std::size_t>(kSinks));
 
   for (int m = 0; m < 10; ++m) {
-    ASSERT_TRUE(
-        src_raw->emit("out", core::Message::text(MimeType::of("text/plain"),
-                                                 "m" + std::to_string(m)))
-            .ok());
+    std::string body = "m";
+    body += std::to_string(m);
+    ASSERT_TRUE(src_raw->emit("out", core::Message::text(MimeType::of("text/plain"), body)).ok());
   }
   // run_for, not run(): a live runtime re-announces periodically forever.
   sched.run_for(seconds(5));

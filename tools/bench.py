@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Runner and comparator for the host-CPU microbenchmarks in bench/.
 
-Runs every ``bench_*`` google-benchmark binary (``bench_codecs``, and
-``bench_matching``'s lookup rates), parses the JSON each one emits, and writes
+Runs every ``bench_*`` google-benchmark binary (``bench_codecs``,
+``bench_matching``'s lookup rates and ``bench_sim``'s scheduler queue shapes),
+parses the JSON each one emits, and writes
 one consolidated document (the committed ``BENCH_PR<N>.json`` files at the
 repo root are such documents). The paper's virtual-time tables are not
 benchmarks: ``build/bench/repro`` prints them, and ``tests/reproduction_test``
