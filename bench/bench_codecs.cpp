@@ -1,13 +1,15 @@
 // Ablation D — codec microbenchmarks (real CPU time).
 //
 // Supporting measurements for the substrates: the XML engine (USDL, SOAP),
-// the OBEX and UMTP binary codecs, stream reassembly bursts, and base64.
+// the OBEX and UMTP binary codecs, stream reassembly bursts, base64, and the
+// MIME parse every received UMTP DATA frame pays.
 // These run the actual encode / decode paths the protocol stacks exercise,
 // under classic google-benchmark wall-clock timing (no simulation involved).
 #include <benchmark/benchmark.h>
 
 #include "bluetooth/obex.hpp"
 #include "common/base64.hpp"
+#include "common/mime.hpp"
 #include "core/umtp.hpp"
 #include "core/usdl.hpp"
 #include "mediabroker/protocol.hpp"
@@ -195,6 +197,16 @@ void BM_Base64(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 
+// The type of every DATA frame fanout_chaos and camera_tv receive: trim,
+// validate and lowercase both parts through the ASCII text rules.
+void BM_MimeParse(benchmark::State& state) {
+  for (auto _ : state) {
+    auto type = MimeType::parse("application/octet-stream");
+    benchmark::DoNotOptimize(type);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 BENCHMARK(BM_XmlParse);
 BENCHMARK(BM_UsdlParse);
 BENCHMARK(BM_SoapRoundTrip);
@@ -207,6 +219,7 @@ BENCHMARK(BM_BurstMb)->Arg(1000)->Arg(4000)->Arg(16000);
 BENCHMARK(BM_BurstRmi)->Arg(1000)->Arg(4000)->Arg(16000);
 BENCHMARK(BM_BurstObex)->Arg(1000)->Arg(4000)->Arg(16000);
 BENCHMARK(BM_Base64)->Arg(1400)->Arg(32000);
+BENCHMARK(BM_MimeParse);
 
 }  // namespace
 

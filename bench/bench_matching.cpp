@@ -2,6 +2,8 @@
 // query under coarse-grained (type name) and fine-grained (port type)
 // matching, and of the real core::Directory lookup. The coverage half of the
 // ablation is the virtual-time `ablation_b` scenario (bench/scenarios.hpp).
+// BM_RouteFanout times the other side of dynamic binding: one emit through
+// Transport::route into the paths of its source.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -112,6 +114,42 @@ void BM_DirectoryLookupMiss(benchmark::State& state) {
 
 BENCHMARK(BM_DirectoryLookup)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_DirectoryLookupMiss)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+// fanout_chaos's shape on one runtime: `n` local paths spread over 8
+// sources, each to its own sink. One iteration is one emit, from the next
+// source in turn, run to idle: route() visits the source's paths, each
+// path translates and delivers. The runtime is never start()ed, so no timer
+// keeps the scheduler busy.
+void BM_RouteFanout(benchmark::State& state) {
+  constexpr std::size_t kSources = 8;
+  DirectoryWorld world(0);
+  core::Runtime& rt = *world.runtime;
+  const MimeType type = MimeType::of("application/octet-stream");
+  std::vector<core::LambdaDevice*> sources;
+  for (std::size_t i = 0; i < kSources; ++i) {
+    auto src = std::make_unique<core::LambdaDevice>("src", core::make_source_shape("out", type));
+    sources.push_back(src.get());
+    (void)rt.map(std::move(src)).ok();
+  }
+  for (std::size_t i = 0; i < static_cast<std::size_t>(state.range(0)); ++i) {
+    auto sink =
+        rt.map(std::make_unique<core::LambdaDevice>("sink", core::make_sink_shape("in", type)));
+    (void)rt.transport()
+        .connect({sources[i % kSources]->profile().id, "out"}, {sink.value(), "in"})
+        .ok();
+  }
+  core::Message msg;
+  msg.type = type;
+  msg.payload = Bytes(256, 0x5A);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    (void)sources[next++ % kSources]->emit("out", msg).ok();
+    world.sched.run();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK(BM_RouteFanout)->Arg(32);
 
 }  // namespace
 

@@ -1,6 +1,5 @@
 #include "common/mime.hpp"
 
-#include <cctype>
 #include <cstdlib>
 
 #include "common/strings.hpp"
@@ -11,14 +10,14 @@ namespace {
 bool valid_token(std::string_view s) {
   if (s.empty()) return false;
   for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c)) || c == '/') return false;
+    if (strings::is_space(c) || c == '/') return false;
   }
   return true;
 }
 
 }  // namespace
 
-MimeType::MimeType(std::string type, std::string subtype)
+MimeType::MimeType(std::string_view type, std::string_view subtype)
     : type_(strings::to_lower(type)), subtype_(strings::to_lower(subtype)) {}
 
 Result<MimeType> MimeType::parse(std::string_view text) {
@@ -32,7 +31,7 @@ Result<MimeType> MimeType::parse(std::string_view text) {
   if (!valid_token(type) || !valid_token(subtype)) {
     return make_error(Errc::parse_error, "malformed mime type: " + std::string(text));
   }
-  return MimeType(std::string(type), std::string(subtype));
+  return MimeType(type, subtype);
 }
 
 MimeType MimeType::of(std::string_view text) {

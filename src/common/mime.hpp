@@ -17,7 +17,8 @@ namespace umiddle {
 class MimeType {
  public:
   MimeType() = default;
-  MimeType(std::string type, std::string subtype);
+  /// Lowercases both parts, each built once.
+  MimeType(std::string_view type, std::string_view subtype);
 
   /// Parse "type/subtype"; lowercases both parts. Fails on missing '/',
   /// empty parts, or embedded whitespace.

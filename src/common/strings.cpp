@@ -1,7 +1,6 @@
 #include "common/strings.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <limits>
 
@@ -40,35 +39,26 @@ std::vector<std::string> split(std::string_view s, std::string_view sep) {
 }
 
 std::string_view trim(std::string_view s) {
-  auto is_space = [](unsigned char c) { return std::isspace(c) != 0; };
-  while (!s.empty() && is_space(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-  while (!s.empty() && is_space(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
+  while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
   return s;
 }
 
 std::string to_lower(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  std::transform(out.begin(), out.end(), out.begin(), lower);
   return out;
 }
 
 std::string to_upper(std::string_view s) {
   std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::toupper(c)); });
+  std::transform(out.begin(), out.end(), out.begin(), upper);
   return out;
 }
 
 bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](char x, char y) { return lower(x) == lower(y); });
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) {
@@ -93,7 +83,7 @@ bool parse_u64(std::string_view s, std::uint64_t& out) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t v = 0;
   for (char c : s) {
-    if (c < '0' || c > '9') return false;
+    if (!is_digit(c)) return false;
     const auto digit = static_cast<std::uint64_t>(c - '0');
     if (v > (kMax - digit) / 10) return false;  // v * 10 + digit would wrap
     v = v * 10 + digit;

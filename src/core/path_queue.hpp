@@ -57,11 +57,12 @@ class PathQueue {
     std::int64_t deadline_ns = 0;
   };
 
-  /// What next() decided. Neither field set: nothing to do now (the queue is
-  /// empty, an item is in translation, or the front's destination stalls).
+  /// What next() decided. No field set: nothing to do now (the queue is
+  /// empty, or an item is in translation).
   struct Next {
     const Item* taken = nullptr;  ///< the front, now in translation
     Nanos wait{0};                ///< > 0: the shaper holds the front this long
+    bool stalled = false;         ///< the front's destination is not ready
   };
 
   explicit PathQueue(QosPolicy qos = {}) : qos_(std::move(qos)) {
@@ -121,7 +122,7 @@ class PathQueue {
     const std::size_t size = items_.front().msg->payload.size();
     const Nanos delay = bucket_ ? bucket_->delay_for(size, now) : Nanos(0);
     if (delay > Nanos(0)) return {nullptr, delay};
-    if (!ready(items_.front().dst)) return {};
+    if (!ready(items_.front().dst)) return {nullptr, Nanos(0), true};
     if (bucket_) bucket_->try_consume(size, now);
     translating_ = std::move(items_.front());
     items_.pop_front();

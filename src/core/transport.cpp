@@ -168,6 +168,8 @@ void Transport::teardown(bool close_streams) {
   }
   for (auto& [id, path] : paths_) path.queue.discard(fates(nullptr));
   paths_.clear();
+  by_source_.clear();
+  stalled_ = 0;
   remote_paths_.clear();
   recv_ = {};
   breakers_.clear();
@@ -257,7 +259,27 @@ void Transport::install_path(PathId id, const PortRef& src, const PortSpec& src_
     }
   }
   path.stats.bound_destinations = path.bound.size();
-  paths_[id] = std::move(path);
+  auto [it, fresh] = paths_.try_emplace(id);
+  if (!fresh) unlink(it->second);  // a repeated CONNECT replaces the path
+  it->second = std::move(path);
+  std::vector<Path*>& list = by_source_[src];
+  list.insert(std::upper_bound(list.begin(), list.end(), id,
+                               [](PathId a, const Path* b) { return a < b->id; }),
+              &it->second);
+}
+
+void Transport::unlink(const Path& path) {
+  if (path.stalled) --stalled_;
+  auto source = by_source_.find(path.src);
+  std::erase(source->second, &path);
+  if (source->second.empty()) by_source_.erase(source);
+}
+
+std::map<PathId, Transport::Path>::iterator Transport::erase_path(
+    std::map<PathId, Path>::iterator it) {
+  it->second.queue.discard(fates(nullptr));
+  unlink(it->second);
+  return paths_.erase(it);
 }
 
 void Transport::bind(Path& path, const TranslatorProfile& profile) {
@@ -275,8 +297,7 @@ void Transport::bind(Path& path, const TranslatorProfile& profile) {
 
 Result<void> Transport::disconnect(PathId id) {
   if (auto path = paths_.find(id); path != paths_.end()) {
-    path->second.queue.discard(fates(nullptr));
-    paths_.erase(path);
+    erase_path(path);
     return ok_result();
   }
   auto it = remote_paths_.find(id);
@@ -306,30 +327,30 @@ std::vector<PortRef> Transport::bound_destinations(PathId id) const {
 // --- routing ----------------------------------------------------------------------
 
 Result<void> Transport::route(const PortRef& src, Message msg) {
+  auto source = by_source_.find(src);
+  if (source == by_source_.end()) return ok_result();
   // Block-policy admission first, and all-or-nothing: if any Block path's
   // buffer cannot take the whole fan-out, the emit is refused before anything
   // is queued anywhere — a retried emit must never double-deliver to the
   // paths that had room.
   bool bound = false;
-  for (auto& [id, path] : paths_) {
-    if (!(path.src == src)) continue;
-    if (path.queue.refuses(msg, path.bound.size(), now())) {
-      retire(Fate::blocked, &path.stats, msg.trace);
+  for (Path* path : source->second) {
+    if (path->queue.refuses(msg, path->bound.size(), now())) {
+      retire(Fate::blocked, &path->stats, msg.trace);
       return make_error(Errc::buffer_overflow,
-                        "translation buffer full (Block policy): " + id.to_string());
+                        "translation buffer full (Block policy): " + path->id.to_string());
     }
-    bound = bound || !path.bound.empty();
+    bound = bound || !path->bound.empty();
   }
   if (!bound) return ok_result();
   // The message moves into the one shared_ptr that every path and
   // destination it fans out to holds.
   const auto shared = std::make_shared<const Message>(std::move(msg));
-  for (auto& [id, path] : paths_) {
-    if (!(path.src == src)) continue;
-    for (const PortRef& dst : path.bound) {
-      if (!path.queue.offer(dst, shared, now(), fates(&path.stats))) continue;
+  for (Path* path : source->second) {
+    for (const PortRef& dst : path->bound) {
+      if (!path->queue.offer(dst, shared, now(), fates(&path->stats))) continue;
       msgs_enqueued_.inc();
-      drain(path);
+      drain(*path);
     }
   }
   return ok_result();
@@ -354,6 +375,10 @@ void Transport::drain(Path& path) {
   if (path.drain_scheduled) return;
   const PathQueue::Next next = path.queue.next(
       now(), [this](const PortRef& dst) { return destination_ready(dst); }, fates(&path.stats));
+  if (next.stalled != path.stalled) {
+    path.stalled = next.stalled;
+    stalled_ = next.stalled ? stalled_ + 1 : stalled_ - 1;
+  }
   if (next.wait > sim::Duration(0)) {
     path.drain_scheduled = true;
     runtime_.scheduler().schedule_after(
@@ -470,6 +495,9 @@ void Transport::deliver(const PortRef& dst, const Message& msg, PathStats* path)
 }
 
 void Transport::resume_paths() {
+  // A path with queued items and no drain scheduled has stalled: route()
+  // drains after every offer and a translation drains after it dispatches.
+  if (stalled_ == 0) return;
   for (auto& [id, path] : paths_) drain(path);
 }
 
@@ -529,11 +557,9 @@ void Transport::on_mapped(const TranslatorProfile& profile) {
 
 void Transport::on_unmapped(const TranslatorProfile& profile) {
   // Paths whose source vanished are torn down entirely.
-  std::erase_if(paths_, [&](const auto& entry) {
-    if (entry.second.src.translator != profile.id) return false;
-    entry.second.queue.discard(fates(nullptr));
-    return true;
-  });
+  for (auto it = paths_.begin(); it != paths_.end();) {
+    it = it->second.src.translator == profile.id ? erase_path(it) : std::next(it);
+  }
   // Unbind the translator's ports everywhere and drop queued messages to it.
   for (auto& [id, path] : paths_) {
     std::erase_if(path.bound, [&](const PortRef& ref) { return ref.translator == profile.id; });

@@ -134,6 +134,9 @@ class Transport final : public DirectoryListener {
     /// waits, sheds, expires or goes next.
     PathQueue queue;
     bool drain_scheduled = false;
+    /// The last drain left the front waiting on a destination that was not
+    /// ready; counted in stalled_.
+    bool stalled = false;
     /// stats() copies the queue's occupancy in.
     mutable PathStats stats;
   };
@@ -205,6 +208,10 @@ class Transport final : public DirectoryListener {
   /// Install a path on this (hosting) node and bind its destinations.
   void install_path(PathId id, const PortRef& src, const PortSpec& src_port,
                     std::variant<PortRef, Query> dst, const QosPolicy& qos);
+  /// Take `path` out of its source's list and out of the stall count.
+  void unlink(const Path& path);
+  /// Discard the path's queue, unlink it and erase it.
+  std::map<PathId, Path>::iterator erase_path(std::map<PathId, Path>::iterator it);
   /// Bind the first input port of `profile` connectable from the path's
   /// source, unless already bound.
   void bind(Path& path, const TranslatorProfile& profile);
@@ -251,7 +258,11 @@ class Transport final : public DirectoryListener {
   /// stream) — the tracer baggage channel DATA trace ids arrive on. `reply`
   /// carries ACKs back to the sender (streams are bidirectional).
   void handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stream& reply);
+  /// Drain every path, if any is stalled: only a stalled path has work that
+  /// a ready destination or a drained link can start (DESIGN.md §8.7).
   void resume_paths();
+
+  friend struct TransportProbe;
 
   Runtime& runtime_;
   // Per-world instruments (net::Network::metrics), shared across runtimes.
@@ -277,6 +288,12 @@ class Transport final : public DirectoryListener {
   std::array<obs::Counter*, kStatCount> stat_counters_{};
   bool started_ = false;
   std::map<PathId, Path> paths_;
+  /// Each source's paths in paths_, in ascending PathId: the order a walk of
+  /// paths_ meets them, which route() keeps. CONNECT-installed ids come from
+  /// the requester's scope, so this is not insertion order.
+  std::map<PortRef, std::vector<Path*>> by_source_;
+  /// Paths whose `stalled` is set.
+  std::size_t stalled_ = 0;
   /// Paths created here but hosted remotely: path → hosting node.
   std::map<PathId, NodeId> remote_paths_;
   std::map<NodeId, NodeLink> links_;

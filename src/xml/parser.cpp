@@ -1,7 +1,5 @@
 #include "xml/parser.hpp"
 
-#include <cctype>
-
 #include "common/strings.hpp"
 
 namespace umiddle::xml {
@@ -43,7 +41,7 @@ class Parser {
   }
 
   void skip_ws() {
-    while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) ++pos_;
+    while (!eof() && strings::is_space(peek())) ++pos_;
   }
 
   void skip_prolog() {
@@ -69,11 +67,10 @@ class Parser {
   }
 
   static bool name_start(char c) {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
+    return strings::is_alpha(c) || c == '_' || c == ':';
   }
   static bool name_char(char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':' || c == '-' ||
-           c == '.';
+    return strings::is_alnum(c) || c == '_' || c == ':' || c == '-' || c == '.';
   }
 
   // Returns a view into text_: end-tag names are only ever compared, so they

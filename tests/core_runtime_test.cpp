@@ -5,6 +5,7 @@
 // emission and unmap lifetime.
 #include <gtest/gtest.h>
 
+#include "conservation.hpp"
 #include "core/umiddle.hpp"
 
 namespace umiddle::core {
@@ -594,6 +595,64 @@ TEST(QosTest, TokenBucketShapesPathRate) {
   w.sched.run_for(seconds(10));
   EXPECT_EQ(disp_raw->count(), 50u);
   EXPECT_GT(w.sched.now() - start, seconds(4));
+}
+
+TEST(QosTest, RemotePathStalledOnLinkBacklogResumesWhenTheLinkDrains) {
+  // 30 kB photos translate in about 12 ms but take 24 ms on the 10 Mbps
+  // wire, so the link's unsent backlog passes the 64 KiB watermark and the
+  // path stops taking messages into translation. Nothing but the link's
+  // drain can start it again: no more emits, and the destination is remote.
+  World w;
+  w.start_all();
+  auto cam = make_camera();
+  LambdaDevice* cam_raw = cam.get();
+  auto cam_id = w.a->map(std::move(cam)).take();
+  auto disp = make_display();
+  CollectorDevice* disp_raw = disp.get();
+  auto disp_id = w.b->map(std::move(disp)).take();
+  w.settle();
+  auto path = w.a->transport()
+                  .connect(PortRef{cam_id, "image-out"}, PortRef{disp_id, "image-in"})
+                  .take();
+
+  constexpr int kPhotos = 12;
+  for (int i = 0; i < kPhotos; ++i) {
+    Message m = jpeg_message(30000);
+    m.payload[0] = static_cast<std::uint8_t>(i);
+    ASSERT_TRUE(cam_raw->emit("image-out", std::move(m)).ok());
+  }
+  // Stalled: messages queued and none in translation (every translation
+  // started has been forwarded), held for longer than two translations.
+  auto translations = [&]() -> std::uint64_t {
+    const obs::Snapshot snap = w.net.metrics().snapshot();
+    const obs::SnapshotEntry* e = snap.find("umtp.translate_ns");
+    return e == nullptr ? 0 : e->count;
+  };
+  const PathStats* stats = w.a->transport().stats(path);
+  auto stalled = [&] {
+    stats = w.a->transport().stats(path);
+    return stats->buffered_bytes > 0 && translations() == stats->messages_forwarded;
+  };
+  sim::Duration longest{0};
+  sim::TimePoint since{};
+  bool was_stalled = false;
+  for (int step = 0; step < 2000 && stats->messages_forwarded < kPhotos; ++step) {
+    w.sched.run_for(sim::microseconds(500));
+    const bool now_stalled = stalled();
+    if (now_stalled && !was_stalled) since = w.sched.now();
+    if (now_stalled) longest = std::max(longest, w.sched.now() - since);
+    was_stalled = now_stalled;
+  }
+  EXPECT_GT(longest, milliseconds(25)) << "the link backlog never held the path";
+  EXPECT_EQ(stats->messages_forwarded, static_cast<std::uint64_t>(kPhotos));
+  EXPECT_EQ(stats->buffered_bytes, 0u);
+
+  w.settle();
+  ASSERT_EQ(disp_raw->count(), static_cast<std::size_t>(kPhotos));
+  for (int i = 0; i < kPhotos; ++i) {
+    EXPECT_EQ(disp_raw->received()[i].msg.payload[0], i) << "out of order at " << i;
+  }
+  expect_conserved(w.net, kPhotos, disp_raw->count());
 }
 
 // --- instantiation cost (Fig. 10 plumbing) -------------------------------------------------

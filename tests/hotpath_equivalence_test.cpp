@@ -14,12 +14,22 @@
 //   3. The payload kernels of the SOAP path: base64 encode/decode and XML
 //      escaping must produce the same bytes, and decode the same error
 //      messages, as the per-character reference loops reproduced here.
+//   4. Transport::route() must offer each emit to the paths a walk of the
+//      whole path table finds, in that order, under connect / disconnect /
+//      unmap / rebind churn, and the stall count must match the paths that
+//      stalled.
+//   5. The ASCII text rules must classify every byte as <cctype> does in the
+//      C locale, and MimeType::parse must match the <cctype> parser it
+//      replaced.
 //
 // All workloads are seeded Rng-driven: failures replay exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <clocale>
 #include <cstring>
+#include <deque>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -33,6 +43,7 @@
 #include "common/base64.hpp"
 #include "common/log.hpp"
 #include "common/rand.hpp"
+#include "common/strings.hpp"
 #include "core/umiddle.hpp"
 #include "xml/xml.hpp"
 
@@ -101,7 +112,7 @@ core::Shape random_shape(Rng& rng) {
   std::size_t n_ports = rng.between(1, 4);
   for (std::size_t p = 0; p < n_ports; ++p) {
     core::PortSpec spec;
-    spec.name = "p";
+    spec.name.assign(1, 'p');
     spec.name += std::to_string(p);
     spec.kind = rng.chance(0.8) ? core::PortKind::digital : core::PortKind::physical;
     spec.direction = rng.chance(0.5) ? core::Direction::input : core::Direction::output;
@@ -942,6 +953,405 @@ TEST(HotpathEquivalenceTest, XmlEscapeScanFindsEveryByteAtEveryOffset) {
         xml::escape_to(out, s);
         ASSERT_EQ(out, reference_escape(s)) << "byte " << value << " at " << at << " of " << len;
       }
+    }
+  }
+}
+
+}  // namespace
+
+// --- 4. route() vs a walk of the whole path table ----------------------------------
+
+namespace core {
+
+/// Reads the transport's path table, its per-source lists and its stall count.
+struct TransportProbe {
+  /// The reference: every path whose source is `src`, met by a walk of the
+  /// whole table (what route() visited before per-source lists), with the
+  /// destinations each is bound to.
+  static std::vector<std::pair<PathId, std::vector<PortRef>>> scan(const Transport& t,
+                                                                   const PortRef& src) {
+    std::vector<std::pair<PathId, std::vector<PortRef>>> out;
+    for (const auto& [id, path] : t.paths_) {
+      if (path.src == src) out.emplace_back(id, path.bound);
+    }
+    return out;
+  }
+
+  /// Some path has a translation or a drain pending.
+  static bool busy(const Transport& t) {
+    return std::any_of(t.paths_.begin(), t.paths_.end(),
+                       [](const auto& entry) { return entry.second.drain_scheduled; });
+  }
+
+  static std::vector<PathId> ids(const Transport& t) {
+    std::vector<PathId> out;
+    for (const auto& [id, path] : t.paths_) out.push_back(id);
+    return out;
+  }
+
+  /// The per-source lists hold exactly the table's paths, each under its
+  /// source in ascending id; the stall count is the number of stalled paths,
+  /// and every path left holding messages with no drain scheduled is one.
+  /// Sizes are compared before any listed path is read, so a list that kept
+  /// an erased path fails here instead of reading freed memory.
+  static std::string check(const Transport& t) {
+    std::map<PortRef, std::vector<PathId>> expected;
+    std::size_t stalled = 0;
+    for (const auto& [id, path] : t.paths_) {
+      expected[path.src].push_back(id);
+      if (path.stalled) ++stalled;
+      if (path.queue.bytes() > 0 && !path.drain_scheduled && !path.stalled) {
+        return "path " + id.to_string() + " holds messages but is not counted as stalled";
+      }
+    }
+    if (t.stalled_ != stalled) {
+      return "stall count " + std::to_string(t.stalled_) + ", stalled paths " +
+             std::to_string(stalled);
+    }
+    if (t.by_source_.size() != expected.size()) {
+      return std::to_string(t.by_source_.size()) + " source lists for " +
+             std::to_string(expected.size()) + " sources";
+    }
+    for (const auto& [src, want] : expected) {
+      auto it = t.by_source_.find(src);
+      if (it == t.by_source_.end() || it->second.size() != want.size()) {
+        return "list of " + src.to_string() + " does not hold its paths";
+      }
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        if (it->second[i]->id != want[i]) {
+          return "list of " + src.to_string() + " is not in ascending id at " + std::to_string(i);
+        }
+      }
+    }
+    return "";
+  }
+};
+
+}  // namespace core
+
+namespace {
+
+/// One delivery: the sink it reached and the emit it came from.
+using Delivery = std::pair<TranslatorId, std::uint64_t>;
+
+/// A text/plain sink whose readiness the test gates; it logs every delivery.
+class GateSink : public core::Translator {
+ public:
+  GateSink(std::string name, std::vector<Delivery>* log)
+      : Translator(std::move(name), "umiddle", "umiddle:gate",
+                   core::make_sink_shape("in", MimeType::of("text/plain"))),
+        log_(log) {}
+
+  Result<void> deliver(const std::string&, const core::Message& msg) override {
+    std::uint64_t emit = 0;
+    std::memcpy(&emit, msg.payload.data(), sizeof emit);
+    log_->emplace_back(profile().id, emit);
+    return ok_result();
+  }
+  bool ready(const std::string&) const override { return open_; }
+  void set_open(bool open) {
+    open_ = open;
+    if (open) runtime()->notify_ready(profile().id);
+  }
+  bool open() const { return open_; }
+
+ private:
+  std::vector<Delivery>* log_;
+  bool open_ = true;
+};
+
+TEST(HotpathEquivalenceTest, RouteOffersMatchTheFullPathScan) {
+  // Two runtimes: every translator lives on A, so every path does; B only
+  // connects and disconnects, so its paths carry ids from B's scope, above
+  // all of A's, and reach A's table out of id order.
+  sim::Scheduler sched;
+  net::Network net(sched, 1);
+  net::SegmentId lan = net.add_segment(net::SegmentSpec{});
+  for (const char* h : {"a", "b"}) {
+    ASSERT_TRUE(net.add_host(h).ok());
+    ASSERT_TRUE(net.attach(h, lan).ok());
+  }
+  core::RuntimeConfig cfg_a;
+  cfg_a.node_id = 1;
+  core::RuntimeConfig cfg_b;
+  cfg_b.node_id = 2;
+  core::Runtime a(sched, net, "a", cfg_a);
+  core::Runtime b(sched, net, "b", cfg_b);
+  ASSERT_TRUE(a.start().ok());
+  ASSERT_TRUE(b.start().ok());
+  core::Transport& transport = a.transport();
+  // Until adverts and CONNECT/DISCONNECT frames have landed and no path has
+  // a translation or drain pending.
+  auto settle = [&] {
+    do {
+      sched.run_for(sim::milliseconds(100));
+    } while (core::TransportProbe::busy(transport));
+  };
+
+  std::vector<Delivery> log;
+  std::vector<Delivery> expected_log;
+  std::map<TranslatorId, core::LambdaDevice*> sources;
+  std::map<TranslatorId, GateSink*> sinks;
+  const MimeType text = MimeType::of("text/plain");
+  int names = 0;
+  auto map_source = [&] {
+    auto dev = std::make_unique<core::LambdaDevice>("source-" + std::to_string(names++),
+                                                    core::make_source_shape("out", text));
+    core::LambdaDevice* raw = dev.get();
+    sources[a.map(std::move(dev)).take()] = raw;
+  };
+  auto map_sink = [&](Rng& rng) {
+    const char* colour = rng.chance(0.5) ? "red" : "green";
+    auto dev = std::make_unique<GateSink>(std::string(colour) + "-" + std::to_string(names++),
+                                          &log);
+    GateSink* raw = dev.get();
+    sinks[a.map(std::move(dev)).take()] = raw;
+  };
+  Rng rng(0x80E7E);
+  for (int i = 0; i < 4; ++i) map_source();
+  for (int i = 0; i < 6; ++i) map_sink(rng);
+  settle();
+
+  // The model: each path's queued messages, as (sink, emit), and the fates
+  // the table's churn must account.
+  std::map<PathId, std::deque<Delivery>> queued;
+  std::uint64_t expired = 0, discarded = 0, unmapped = 0;
+  /// Every path B's CONNECT frames installed.
+  std::set<PathId> b_installed;
+  auto open = [&](TranslatorId sink) { return sinks.at(sink)->open(); };
+  // Paths the last op drained, in the order it drained them, take their
+  // fronts; each translation delivers, then drains its path again. All
+  // payloads are one size, so each round of translations ends at one
+  // instant and runs in the order the round before ran.
+  auto run_rounds = [&](const std::vector<PathId>& drained) {
+    std::vector<PathId> active;
+    for (PathId id : drained) {
+      if (!queued[id].empty() && open(queued[id].front().first)) active.push_back(id);
+    }
+    while (!active.empty()) {
+      std::vector<PathId> next;
+      for (PathId id : active) {
+        expected_log.push_back(queued[id].front());
+        queued[id].pop_front();
+        if (!queued[id].empty() && open(queued[id].front().first)) next.push_back(id);
+      }
+      active = std::move(next);
+    }
+  };
+  // Paths the table lost since the last op discard what they held.
+  auto sync_paths = [&] {
+    const std::vector<PathId> live = core::TransportProbe::ids(transport);
+    for (auto it = queued.begin(); it != queued.end();) {
+      if (std::binary_search(live.begin(), live.end(), it->first)) {
+        ++it;
+        continue;
+      }
+      discarded += it->second.size();
+      it = queued.erase(it);
+    }
+    for (PathId id : live) {
+      queued.try_emplace(id);
+      if (id.value() >> 32 == cfg_b.node_id) b_installed.insert(id);
+    }
+  };
+  auto counter = [&](std::string_view name) -> std::uint64_t {
+    const obs::Snapshot snap = net.metrics().snapshot();
+    const obs::SnapshotEntry* e = snap.find(name);
+    return e == nullptr ? 0 : e->count;
+  };
+  auto pick = [&](const auto& map) {
+    auto it = map.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng.below(map.size())));
+    return it->first;
+  };
+  auto random_dst = [&]() -> std::variant<core::PortRef, core::Query> {
+    switch (rng.below(3)) {
+      case 0: return core::PortRef{pick(sinks), "in"};
+      case 1: return core::Query().digital_input(text);
+      default: return core::Query().digital_input(text).name_contains(rng.chance(0.5) ? "red"
+                                                                                      : "green");
+    }
+  };
+  std::vector<PathId> b_paths;
+  std::uint64_t emits = 0;
+  std::size_t stalled_emits = 0, stalled_erasures = 0;
+
+  for (int op = 0; op < 600; ++op) {
+    std::vector<PathId> drained;
+    switch (rng.below(12)) {
+      case 0:
+      case 1: {  // a local connect, fixed or by query
+        const core::PortRef src{pick(sources), "out"};
+        auto dst = random_dst();
+        auto r = std::holds_alternative<core::PortRef>(dst)
+                     ? transport.connect(src, std::get<core::PortRef>(dst))
+                     : transport.connect(src, std::get<core::Query>(dst));
+        ASSERT_TRUE(r.ok()) << r.error().to_string();
+        break;
+      }
+      case 2: {  // a connect from B: a CONNECT frame, a path with B's id on A
+        const core::PortRef src{pick(sources), "out"};
+        auto dst = random_dst();
+        auto r = std::holds_alternative<core::PortRef>(dst)
+                     ? b.transport().connect(src, std::get<core::PortRef>(dst))
+                     : b.transport().connect(src, std::get<core::Query>(dst));
+        if (r.ok()) b_paths.push_back(r.value());
+        break;
+      }
+      case 3: {  // a disconnect, from A or, for B's paths, from B
+        const std::vector<PathId> live = core::TransportProbe::ids(transport);
+        if (live.empty()) break;
+        const PathId id = live[rng.below(live.size())];
+        if (!queued[id].empty()) ++stalled_erasures;
+        const bool from_b = std::find(b_paths.begin(), b_paths.end(), id) != b_paths.end();
+        ASSERT_TRUE((from_b && rng.chance(0.5) ? b.transport() : transport).disconnect(id).ok());
+        break;
+      }
+      case 4: {  // a source goes, with its paths; a new one comes
+        const TranslatorId id = pick(sources);
+        for (const auto& [path, dsts] : core::TransportProbe::scan(transport, {id, "out"})) {
+          if (!queued[path].empty()) ++stalled_erasures;
+        }
+        sources.erase(id);
+        ASSERT_TRUE(a.unmap(id).ok());
+        map_source();
+        break;
+      }
+      case 5: {  // a sink goes, unbound everywhere; a new one is bound by
+                 // the query paths it matches
+        const TranslatorId id = pick(sinks);
+        for (auto& [path, items] : queued) {
+          unmapped += std::erase_if(items, [&](const Delivery& d) { return d.first == id; });
+        }
+        sinks.erase(id);
+        ASSERT_TRUE(a.unmap(id).ok());
+        map_sink(rng);
+        break;
+      }
+      case 6: {  // a gate toggles; opening one resumes every path
+        GateSink* sink = sinks.at(pick(sinks));
+        sink->set_open(!sink->open());
+        if (sink->open()) drained = core::TransportProbe::ids(transport);
+        break;
+      }
+      default: {  // an emit, live or already past its deadline
+        const core::PortRef src{pick(sources), "out"};
+        const auto reference = core::TransportProbe::scan(transport, src);
+        const bool late = rng.chance(0.15);
+        std::map<PathId, std::uint64_t> expired_before;
+        for (const auto& [id, dsts] : reference) {
+          expired_before[id] = transport.stats(id)->messages_expired;
+        }
+        core::Message m;
+        m.type = text;
+        m.payload = Bytes(64, 0);
+        const std::uint64_t n = ++emits;
+        std::memcpy(m.payload.data(), &n, sizeof n);
+        if (late) m.deadline_ns = 1;
+        ASSERT_TRUE(sources.at(src.translator)->emit("out", std::move(m)).ok());
+        for (const auto& [id, dsts] : reference) {
+          // A late emit leaves every path it is offered to as expired.
+          ASSERT_EQ(transport.stats(id)->messages_expired - expired_before[id],
+                    late ? dsts.size() : 0u)
+              << "path " << id.to_string() << " at op " << op;
+          if (late) {
+            expired += dsts.size();
+            continue;
+          }
+          if (!queued[id].empty()) ++stalled_emits;
+          for (const core::PortRef& dst : dsts) queued[id].emplace_back(dst.translator, n);
+          drained.push_back(id);
+        }
+        break;
+      }
+    }
+    settle();
+    sync_paths();
+    run_rounds(drained);
+    ASSERT_EQ(core::TransportProbe::check(transport), "") << "op " << op;
+    ASSERT_EQ(log, expected_log) << "op " << op;
+    ASSERT_EQ(counter("delivery.expired"), expired) << "op " << op;
+    ASSERT_EQ(counter("delivery.discarded"), discarded) << "op " << op;
+    ASSERT_EQ(counter("delivery.unmapped"), unmapped) << "op " << op;
+  }
+  // The churn must reach the cases each part of the oracle is for.
+  EXPECT_GT(log.size(), 500u);
+  EXPECT_GT(b_installed.size(), 10u);
+  EXPECT_GT(stalled_emits, 10u);
+  EXPECT_GT(stalled_erasures, 5u);
+  EXPECT_GT(expired, 20u);
+  EXPECT_GT(unmapped, 5u);
+}
+
+// --- 5. the ASCII text rules vs <cctype> in the C locale ------------------------------
+
+/// MimeType::parse as it was before the ASCII rule, on <cctype>: its result
+/// as "type/subtype", or its error message.
+std::string reference_mime_parse(std::string_view text) {
+  auto space = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
+  while (!text.empty() && space(text.front())) text.remove_prefix(1);
+  while (!text.empty() && space(text.back())) text.remove_suffix(1);
+  const std::size_t slash = text.find('/');
+  if (slash == std::string_view::npos) {
+    return "parse_error: mime type missing '/': " + std::string(text);
+  }
+  auto valid = [&](std::string_view s) {
+    if (s.empty()) return false;
+    for (char c : s) {
+      if (space(c) || c == '/') return false;
+    }
+    return true;
+  };
+  auto lowered = [](std::string_view s) {
+    std::string out(s);
+    for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return out;
+  };
+  if (!valid(text.substr(0, slash)) || !valid(text.substr(slash + 1))) {
+    return "parse_error: malformed mime type: " + std::string(text);
+  }
+  return lowered(text.substr(0, slash)) + "/" + lowered(text.substr(slash + 1));
+}
+
+std::string mime_outcome(std::string_view text) {
+  auto r = MimeType::parse(text);
+  return r.ok() ? r.value().to_string() : r.error().to_string();
+}
+
+TEST(HotpathEquivalenceTest, AsciiTextRulesMatchCctypeInTheCLocale) {
+  // Nothing in the library or this test sets a locale.
+  ASSERT_STREQ(std::setlocale(LC_ALL, nullptr), "C");
+  for (int value = 0; value < 256; ++value) {
+    const char c = static_cast<char>(value);
+    const auto u = static_cast<unsigned char>(value);
+    ASSERT_EQ(strings::is_space(c), std::isspace(u) != 0) << value;
+    ASSERT_EQ(strings::is_digit(c), std::isdigit(u) != 0) << value;
+    ASSERT_EQ(strings::is_alpha(c), std::isalpha(u) != 0) << value;
+    ASSERT_EQ(strings::is_alnum(c), std::isalnum(u) != 0) << value;
+    ASSERT_EQ(strings::lower(c), static_cast<char>(std::tolower(u))) << value;
+    ASSERT_EQ(strings::upper(c), static_cast<char>(std::toupper(u))) << value;
+    for (int other = 0; other < 256; ++other) {
+      const auto v = static_cast<unsigned char>(other);
+      ASSERT_EQ(strings::iequals(std::string(1, c), std::string(1, static_cast<char>(other))),
+                std::tolower(u) == std::tolower(v))
+          << value << " vs " << other;
+    }
+  }
+  // Every byte replacing, and inserted before, each position of " type/sub ".
+  const std::string base = " type/sub ";
+  ASSERT_EQ(mime_outcome(base), "type/sub");
+  ASSERT_EQ(reference_mime_parse(base), "type/sub");
+  for (int value = 0; value < 256; ++value) {
+    for (std::size_t at = 0; at <= base.size(); ++at) {
+      std::string inserted = base;
+      inserted.insert(at, 1, static_cast<char>(value));
+      ASSERT_EQ(mime_outcome(inserted), reference_mime_parse(inserted))
+          << "byte " << value << " inserted at " << at;
+      if (at == base.size()) continue;
+      std::string replaced = base;
+      replaced[at] = static_cast<char>(value);
+      ASSERT_EQ(mime_outcome(replaced), reference_mime_parse(replaced))
+          << "byte " << value << " at " << at;
     }
   }
 }

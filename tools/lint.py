@@ -127,6 +127,12 @@ exist to keep nondeterminism from leaking back in:
                text built at run time (`+`, std::string(, to_string(): span
                names share the tracer's intern table with host tracks, which
                stays a closed set (DESIGN.md §9.2).
+  ascii-text   outside src/common/strings.*, nothing in src/ names
+               isspace, isalpha, isalnum, isdigit, isxdigit, tolower or
+               toupper: protocol text is classified by the constexpr ASCII
+               tests in common/strings.hpp, so no wire parser's result
+               depends on the locale an embedding program sets, and none
+               pays an out-of-line <cctype> call per byte (DESIGN.md §7.3).
 
 Run directly:      python3 tools/lint.py --root .
                    (on success it also prints src/'s counted lines: the
@@ -567,6 +573,24 @@ def check_one_path_queue(path: str, code: str) -> Iterable[Violation]:
                                 "check")
 
 
+# One ASCII rule for protocol text (DESIGN.md §7.3): a <cctype> call reads the
+# process locale, so the same bytes could parse differently in a program that
+# calls setlocale.
+CCTYPE_RE = re.compile(r"\b(?:isspace|isalpha|isalnum|isdigit|isxdigit|tolower|toupper)\b")
+ASCII_TEXT_SITE = "src/common/strings."
+
+
+def check_ascii_text(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith("src/") or path.startswith(ASCII_TEXT_SITE):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if CCTYPE_RE.search(line):
+            yield Violation("ascii-text", path, lineno,
+                            "locale-dependent <cctype> classification; use "
+                            "strings::is_space / is_alpha / is_alnum / "
+                            "is_digit / lower / upper (common/strings.hpp)")
+
+
 # Every deferred callback carries provenance (DESIGN.md §7.1, §7.4). An
 # untagged event digests as zeros and its host time is charged to nobody. The
 # Scheduler keeps a defaulted tag for code outside src/ only. Arity is checked
@@ -773,6 +797,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_one_path_queue,
     check_sized_frame,
     check_span_name_literal,
+    check_ascii_text,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -934,6 +959,9 @@ SEEDED_VIOLATIONS = [
      "return ByteWriter().take();\n"),
     ("span-name-literal", "src/core/evil.cpp",
      'tracer().instant(trace, "deliver." + fate, runtime_.host(), now());\n'),
+    ("ascii-text", "src/xml/evil.cpp",
+     "while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) ++pos_;\n"
+     "std::transform(s.begin(), s.end(), s.begin(), ::tolower);\n"),
 ]
 
 CLEAN_SNIPPETS = [
@@ -1070,6 +1098,10 @@ CLEAN_SNIPPETS = [
      'tracer().begin_span(trace, "wire", runtime_.host(), now());\n'
      "instant(trace, row.instant);\n"
      "tracer().begin_span(trace, span_ids_.translate, span_ids_.track, now());\n"),
+    ("src/common/mime.cpp",
+     "// std::isspace named in a comment is fine\n"
+     'const char* doc = "tolower(c) in a string";\n'
+     "return strings::is_space(c) || strings::lower(c) == 'x' || is_alnum(c);\n"),
 ]
 
 
