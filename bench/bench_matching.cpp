@@ -52,8 +52,8 @@ BENCHMARK(BM_CoarseLookup)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 /// A directory populated with `n` translators drawn from the blueprint
 /// population — the real `core::Directory` hot path, not a raw shape scan.
-/// The runtime is never start()ed: no sockets, no timers, no announcements —
-/// the benchmark measures lookup cost only.
+/// The runtime is not start()ed: no sockets, no timers, no announcements —
+/// the lookup benchmarks measure lookup cost only.
 struct DirectoryWorld {
   sim::Scheduler sched;
   net::Network net{sched, 1};
@@ -114,6 +114,21 @@ void BM_DirectoryLookupMiss(benchmark::State& state) {
 
 BENCHMARK(BM_DirectoryLookup)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 BENCHMARK(BM_DirectoryLookupMiss)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+// space_standup's soft-state refresh (Ablation A): one started runtime with
+// `n` local translators re-announces them every max_age/3. One iteration
+// advances virtual time by one refresh period: one tick, then the delivery of
+// every advert it sent (the runtime's own group membership loops each back).
+void BM_DirectoryRefresh(benchmark::State& state) {
+  DirectoryWorld world(static_cast<std::size_t>(state.range(0)));
+  (void)world.runtime->start().ok();
+  const sim::Duration period = world.runtime->directory().max_age() / 3;
+  world.sched.run_until(period / 2);  // start() built and sent every advert
+  for (auto _ : state) world.sched.run_for(period);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+BENCHMARK(BM_DirectoryRefresh)->Arg(4032);
 
 // fanout_chaos's shape on one runtime: `n` local paths spread over 8
 // sources, each to its own sink. One iteration is one emit, from the next

@@ -1,6 +1,7 @@
 // Strong identifier types used across the uMiddle core and substrates.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -17,9 +18,7 @@ class Id {
   constexpr std::uint64_t value() const { return value_; }
   constexpr bool valid() const { return value_ != 0; }
 
-  friend constexpr bool operator==(Id a, Id b) { return a.value_ == b.value_; }
-  friend constexpr bool operator!=(Id a, Id b) { return a.value_ != b.value_; }
-  friend constexpr bool operator<(Id a, Id b) { return a.value_ < b.value_; }
+  friend constexpr auto operator<=>(const Id&, const Id&) = default;
 
   std::string to_string() const { return std::to_string(value_); }
 

@@ -1,5 +1,7 @@
 #include "core/directory.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "core/runtime.hpp"
@@ -33,8 +35,7 @@ void Directory::multicast(const xml::Element& advert) {
 
 void Directory::multicast_payload(const PayloadPtr& payload) {
   adverts_tx_.inc();
-  net::Endpoint from{runtime_.host(), runtime_.config().directory_port};
-  auto r = runtime_.network().udp_multicast(from, runtime_.config().group,
+  auto r = runtime_.network().udp_multicast(socket_, runtime_.config().group,
                                             runtime_.config().directory_port, payload);
   if (!r.ok()) {
     log::Entry(log::Level::warn, "directory") << "multicast failed: " << r.error().to_string();
@@ -43,17 +44,16 @@ void Directory::multicast_payload(const PayloadPtr& payload) {
 
 Result<void> Directory::start() {
   if (started_) return ok_result();
-  net::Endpoint local{runtime_.host(), runtime_.config().directory_port};
   auto bind = runtime_.network().udp_bind(
-      local, [this](const net::Endpoint& from, const Bytes& payload) {
-        handle_datagram(from, payload);
-      });
-  if (!bind.ok()) return bind;
+      {runtime_.host(), runtime_.config().directory_port},
+      [this](const net::Endpoint& from, const Bytes& payload) { handle_datagram(from, payload); });
+  if (!bind.ok()) return bind.error();
   if (auto join = runtime_.network().join_group(runtime_.host(), runtime_.config().group);
       !join.ok()) {
-    runtime_.network().udp_close(local);
+    runtime_.network().udp_close(bind.value());
     return join;
   }
+  socket_ = bind.value();
   started_ = true;
   nodes_[runtime_.node()] =
       NodeInfo{runtime_.node(), runtime_.host(), runtime_.config().umtp_port};
@@ -85,14 +85,13 @@ void Directory::reannounce() {
 
 void Directory::stop() {
   if (!started_) return;
-  for (const auto& [id, entry] : entries_) {
-    if (entry.profile.node != runtime_.node()) continue;
+  for (const Advert& advert : live_adverts()) {
     xml::Element bye = envelope("bye");
-    bye.set_attr("translator-id", id.to_string());
+    bye.set_attr("translator-id", advert.id.to_string());
     multicast(bye);
   }
   runtime_.network().leave_group(runtime_.host(), runtime_.config().group);
-  runtime_.network().udp_close({runtime_.host(), runtime_.config().directory_port});
+  runtime_.network().udp_close(socket_);
   started_ = false;
   refresh_.cancel();
   lifetime_.reset();
@@ -106,6 +105,7 @@ void Directory::crash() {
   refresh_.cancel();
   lifetime_.reset();
   clear();
+  adverts_.clear();
   nodes_.clear();
 }
 
@@ -123,14 +123,30 @@ const NodeInfo* Directory::node_info(NodeId id) const {
   return it == nodes_.end() ? nullptr : &it->second;
 }
 
+std::vector<Directory::Advert>::iterator Directory::find_advert(TranslatorId id) {
+  auto it = std::ranges::lower_bound(adverts_, id, {}, &Advert::id);
+  return it != adverts_.end() && it->id == id ? it : adverts_.end();
+}
+
+std::vector<Directory::Advert>& Directory::live_adverts() {
+  std::erase_if(adverts_, [](const Advert& advert) { return advert.withdrawn; });
+  return adverts_;
+}
+
 void Directory::publish_local(const TranslatorProfile& profile) {
+  auto at = std::ranges::lower_bound(adverts_, profile.id, {}, &Advert::id);
+  if (at == adverts_.end() || at->id != profile.id) at = adverts_.insert(at, Advert{});
+  *at = Advert{profile.id, nullptr};  // a republish (a rebind) drops the stale payload
   publish(profile);
   if (!started_) return;
   // Listeners may have withdrawn it meanwhile.
-  if (auto it = entries_.find(profile.id); it != entries_.end()) send_announce(it->second);
+  if (auto it = find_advert(profile.id); it != adverts_.end() && !it->withdrawn) {
+    send_announce(*it);
+  }
 }
 
 void Directory::withdraw_local(TranslatorId id) {
+  if (auto it = find_advert(id); it != adverts_.end()) *it = Advert{id, nullptr, true};
   if (withdraw(id) && started_) {
     xml::Element bye = envelope("bye");
     bye.set_attr("translator-id", id.to_string());
@@ -138,25 +154,23 @@ void Directory::withdraw_local(TranslatorId id) {
   }
 }
 
-void Directory::send_announce(Entry& entry) {
+void Directory::send_announce(Advert& advert) {
   // The serialized advertisement only changes when the profile does (the
-  // envelope attributes are fixed per runtime, and a new profile replaces the
-  // whole entry), so periodic re-announcements multicast one cached buffer.
-  if (entry.announce == nullptr) {
+  // envelope attributes are fixed per runtime, and a republish resets the
+  // advert), so periodic re-announcements multicast one cached buffer.
+  if (advert.announce == nullptr) {
     announce_cache_misses_.inc();
     xml::Element adv = envelope("announce");
-    adv.add_child(entry.profile.to_xml());
-    entry.announce = make_payload(to_bytes(adv.to_string()));
+    adv.add_child(profile(advert.id)->to_xml());
+    advert.announce = make_payload(to_bytes(adv.to_string()));
   } else {
     announce_cache_hits_.inc();
   }
-  multicast_payload(entry.announce);
+  multicast_payload(advert.announce);
 }
 
 void Directory::announce_all_local() {
-  for (auto& [id, entry] : entries_) {
-    if (entry.profile.node == runtime_.node()) send_announce(entry);
-  }
+  for (Advert& advert : live_adverts()) send_announce(advert);
 }
 
 void Directory::handle_datagram(const net::Endpoint& from, const Bytes& payload) {

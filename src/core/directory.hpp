@@ -84,8 +84,21 @@ class Directory : public DirectoryTable {
   void withdraw_local(TranslatorId id);
 
  private:
+  /// One local translator's announce, serialized on first send so periodic
+  /// re-announcements reuse one buffer. A withdraw leaves a tombstone that the
+  /// next walk of the list compacts, so it shifts nothing.
+  struct Advert {
+    TranslatorId id;
+    PayloadPtr announce;
+    bool withdrawn = false;
+  };
+  /// The advert of `id` (live or a tombstone), or adverts_.end().
+  std::vector<Advert>::iterator find_advert(TranslatorId id);
+  /// adverts_ without its tombstones.
+  std::vector<Advert>& live_adverts();
+
   void handle_datagram(const net::Endpoint& from, const Bytes& payload);
-  void send_announce(Entry& entry);
+  void send_announce(Advert& advert);
   void announce_all_local();
   void refresh_tick();
   xml::Element envelope(const char* type) const;
@@ -102,6 +115,9 @@ class Directory : public DirectoryTable {
   obs::Counter& adverts_rx_;
   obs::Counter& expired_;
   bool started_ = false;
+  net::UdpSocket socket_;  ///< bound while started
+  /// The local translators in ascending id: what a refresh tick walks.
+  std::vector<Advert> adverts_;
   sim::Duration max_age_ = sim::seconds(30);
   std::map<NodeId, NodeInfo> nodes_;
   /// Soft-state refresh: re-announce local entries, expire silent remote ones.

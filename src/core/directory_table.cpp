@@ -7,7 +7,8 @@
 namespace umiddle::core {
 
 void DirectoryTable::publish(const TranslatorProfile& profile) {
-  entries_[profile.id] = Entry{profile, nullptr, Nanos::max()};
+  entries_[profile.id] = Entry{profile};
+  leases_.erase(profile.id);
   notify_mapped(profile);
 }
 
@@ -34,7 +35,8 @@ void DirectoryTable::announce(NodeId sender, const TranslatorProfile& next, Nano
       old = prev;
     }
   }
-  it->second = Entry{next, nullptr, now};
+  it->second = Entry{next};
+  leases_[next.id] = Lease{now};
   if (old) notify_unmapped(*old);
   if (fresh || old) notify_mapped(next);
 }
@@ -46,7 +48,7 @@ void DirectoryTable::bye(NodeId sender, TranslatorId id) {
 
 std::size_t DirectoryTable::expire(Nanos before) {
   std::size_t expired = 0;
-  for (TranslatorId id : unseen_before(entries_, before)) {
+  for (TranslatorId id : unseen_before(leases_, before)) {
     auto it = entries_.find(id);
     if (it == entries_.end()) continue;  // a listener already removed it
     ++expired;
@@ -60,6 +62,7 @@ std::size_t DirectoryTable::expire(Nanos before) {
 
 void DirectoryTable::drop(std::map<TranslatorId, Entry>::iterator it) {
   TranslatorProfile profile = std::move(it->second.profile);
+  leases_.erase(it->first);
   entries_.erase(it);
   notify_unmapped(profile);
 }

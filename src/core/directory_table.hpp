@@ -49,8 +49,8 @@ class LambdaListener final : public DirectoryListener {
 };
 
 /// The one soft-state expiry rule (DESIGN.md §7.8): the keys of `entries`
-/// whose `last_seen` is before `before`, in key order. The directory and the
-/// mapper import table both expire through it.
+/// whose `last_seen` is before `before`, in key order. The directory's leases
+/// and the mapper import table both expire through it.
 template <typename Map>
 std::vector<typename Map::key_type> unseen_before(const Map& entries, Nanos before) {
   std::vector<typename Map::key_type> stale;
@@ -93,19 +93,22 @@ class DirectoryTable {
   /// send bye) and notify unmapped. Returns the number of entries expired.
   std::size_t expire(Nanos before);
   /// Simulated process death: forget every entry without notifying.
-  void clear() { entries_.clear(); }
+  void clear() {
+    entries_.clear();
+    leases_.clear();
+  }
 
-  /// Everything known about one translator. Replacing or erasing an entry
-  /// replaces or erases its cached announce payload with it.
+  /// Everything known about one translator.
   struct Entry {
     TranslatorProfile profile;
-    /// Serialized announce advert (local translators only), built on first
-    /// send so periodic re-announcements reuse one buffer.
-    PayloadPtr announce;
-    /// Last refresh; Nanos::max() for a local translator, which never expires.
-    Nanos last_seen;
   };
   std::map<TranslatorId, Entry> entries_;
+  /// A remote entry's last refresh. Local entries hold none: they never expire.
+  struct Lease {
+    Nanos last_seen;
+  };
+  /// Remote entries only, so an expiry sweep reads no local one.
+  std::map<TranslatorId, Lease> leases_;
 
  private:
   /// Erase `it` and notify unmapped.

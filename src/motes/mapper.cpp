@@ -83,12 +83,13 @@ void MoteMapper::start(core::Runtime& runtime) {
     log::Entry(log::Level::error, "motes") << "AM bind failed: " << bind.error().to_string();
     return;
   }
+  socket_ = bind.value();
   sweep();
 }
 
 void MoteMapper::stop() {
   sweep_timer_.reset();
-  runtime().network().udp_close({runtime().host(), kAmPort});
+  if (socket_) runtime().network().udp_close(*std::exchange(socket_, std::nullopt));
 }
 
 void MoteMapper::handle_packet(const Bytes& payload) {

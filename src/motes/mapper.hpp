@@ -50,6 +50,7 @@ class MoteMapper final : public core::Mapper {
   MoteField& field_;
   sim::Duration silence_timeout_;
   std::optional<sim::Timer> sweep_timer_;  ///< next silence sweep; set while started
+  std::optional<net::UdpSocket> socket_;   ///< the AM socket; set while bound
 };
 
 /// Register the built-in USDL documents for mote sensor kinds.

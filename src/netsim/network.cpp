@@ -140,35 +140,30 @@ sim::TimePoint Network::send_frame(SegmentId seg_id, HostId src, std::size_t pay
 
 // --- datagrams ---------------------------------------------------------------
 
-Result<void> Network::udp_bind(const Endpoint& local, DatagramHandler handler) {
+Result<UdpSocket> Network::udp_bind(const Endpoint& local, DatagramHandler handler) {
   auto id = resolve(local.host);
   if (!id.ok()) return id.error();
   if (!hosts_[id.value()].sockets.emplace(local.port, std::move(handler)).second) {
     return make_error(Errc::already_exists, "udp endpoint in use: " + local.to_string());
   }
-  return ok_result();
+  return UdpSocket{id.value(), local.port};
 }
 
-void Network::udp_close(const Endpoint& local) {
-  if (auto id = resolve(local.host); id.ok()) hosts_[id.value()].sockets.erase(local.port);
-}
-
-Result<void> Network::udp_send(const Endpoint& from, const Endpoint& to, PayloadPtr payload) {
-  auto src = resolve(from.host);
-  if (!src.ok()) return src.error();
+Result<void> Network::udp_send(UdpSocket from, const Endpoint& to, PayloadPtr payload) {
   udp_datagrams_.inc();
   auto dst = resolve(to.host);
-  SegmentId seg = dst.ok() ? common_segment(src.value(), dst.value()) : SegmentId{};
+  SegmentId seg = dst.ok() ? common_segment(from.host, dst.value()) : SegmentId{};
   if (!seg.valid()) {
     return make_error(Errc::disconnected,
-                      "no shared segment between " + from.host + " and " + to.host);
+                      "no shared segment between " + hosts_[from.host].name + " and " + to.host);
   }
   // The sender travels as (host, port), not as an Endpoint whose name the
   // capture would copy; delivery rebuilds it.
   send_frame(
-      seg, src.value(), payload->size(),
-      [this, src = src.value(), from_port = from.port, dst = dst.value(), port = to.port,
-       payload]() { hosts_[dst].deliver(port, Endpoint{hosts_[src].name, from_port}, *payload); },
+      seg, from.host, payload->size(),
+      [this, from, dst = dst.value(), port = to.port, payload]() {
+        hosts_[dst].deliver(port, Endpoint{hosts_[from.host].name, from.port}, *payload);
+      },
       /*lossless=*/false);
   return ok_result();
 }
@@ -208,17 +203,15 @@ const Network::Route& Network::route(HostId sender, const std::string& group) {
   return routes_.emplace_back(std::move(route));
 }
 
-Result<void> Network::udp_multicast(const Endpoint& from, const std::string& group,
+Result<void> Network::udp_multicast(UdpSocket from, const std::string& group,
                                     std::uint16_t port, PayloadPtr payload) {
-  auto src = resolve(from.host);
-  if (!src.ok()) return src.error();
   udp_multicast_sends_.inc();
-  for (const auto& [seg, on_segment] : route(src.value(), group).frames) {
+  for (const auto& [seg, on_segment] : route(from.host, group).frames) {
     send_frame(
-        seg, src.value(), payload->size(),
-        [this, src = src.value(), from_port = from.port, port, receivers = on_segment, payload]() {
-          const Endpoint from{hosts_[src].name, from_port};
-          for (HostId to : *receivers) hosts_[to].deliver(port, from, *payload);
+        seg, from.host, payload->size(),
+        [this, from, port, receivers = on_segment, payload]() {
+          const Endpoint sender{hosts_[from.host].name, from.port};
+          for (HostId to : *receivers) hosts_[to].deliver(port, sender, *payload);
         },
         /*lossless=*/false);
   }

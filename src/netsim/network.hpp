@@ -42,6 +42,12 @@ using SegmentId = Id<SegmentTag>;
 /// Index in the Network's host table; names resolve to it at the API (DESIGN.md §8.5).
 using HostId = std::uint32_t;
 
+/// A bound datagram socket: its host resolved once, at udp_bind (DESIGN.md §8.5).
+struct UdpSocket {
+  HostId host = 0;
+  std::uint16_t port = 0;
+};
+
 /// host:port address of a socket.
 struct Endpoint {
   std::string host;
@@ -129,28 +135,34 @@ class Network {
   const SegmentSpec& spec(SegmentId segment) const;
 
   // --- datagram service -----------------------------------------------------
-  /// Bind a datagram handler; fails if the endpoint is taken.
-  [[nodiscard]] Result<void> udp_bind(const Endpoint& local, DatagramHandler handler);
-  void udp_close(const Endpoint& local);
-  /// Unicast; fails if src/dst share no segment.
-  [[nodiscard]] Result<void> udp_send(const Endpoint& from, const Endpoint& to, Bytes payload) {
-    return udp_send(from, to, make_payload(std::move(payload)));
-  }
-  /// Copy-free unicast: the caller-provided buffer is referenced, never copied.
-  [[nodiscard]] Result<void> udp_send(const Endpoint& from, const Endpoint& to,
-                                      PayloadPtr payload);
+  /// Bind a datagram handler; fails if the endpoint is taken. Sends and the
+  /// close take the returned handle.
+  [[nodiscard]] Result<UdpSocket> udp_bind(const Endpoint& local, DatagramHandler handler);
+  void udp_close(UdpSocket socket) { hosts_[socket.host].sockets.erase(socket.port); }
+  /// Copy-free unicast: the buffer is referenced, never copied. Fails if
+  /// src/dst share no segment.
+  [[nodiscard]] Result<void> udp_send(UdpSocket from, const Endpoint& to, PayloadPtr payload);
   /// Join a multicast group on every segment the host is attached to.
   [[nodiscard]] Result<void> join_group(const std::string& host, const std::string& group);
   void leave_group(const std::string& host, const std::string& group);
-  /// Multicast to every group member sharing a segment with the sender
-  /// (including the sender itself if joined and bound — SSDP relies on loopback).
+  /// Copy-free multicast to every group member sharing a segment with the
+  /// sender (including the sender itself if joined and bound — SSDP relies on
+  /// loopback); one shared buffer serves every segment and receiver.
+  [[nodiscard]] Result<void> udp_multicast(UdpSocket from, const std::string& group,
+                                           std::uint16_t port, PayloadPtr payload);
+  // By name, for senders that never bound (a mote's radio, tests): resolve, then delegate.
+  [[nodiscard]] Result<void> udp_send(const Endpoint& from, const Endpoint& to, Bytes payload) {
+    auto src = resolve(from.host);
+    if (!src.ok()) return src.error();
+    return udp_send(UdpSocket{src.value(), from.port}, to, make_payload(std::move(payload)));
+  }
   [[nodiscard]] Result<void> udp_multicast(const Endpoint& from, const std::string& group,
                                            std::uint16_t port, Bytes payload) {
-    return udp_multicast(from, group, port, make_payload(std::move(payload)));
+    auto src = resolve(from.host);
+    if (!src.ok()) return src.error();
+    return udp_multicast(UdpSocket{src.value(), from.port}, group, port,
+                         make_payload(std::move(payload)));
   }
-  /// Copy-free multicast; one shared buffer serves every segment and receiver.
-  [[nodiscard]] Result<void> udp_multicast(const Endpoint& from, const std::string& group,
-                                           std::uint16_t port, PayloadPtr payload);
 
   // --- stream service ---------------------------------------------------------
   [[nodiscard]] Result<void> listen(const Endpoint& local, AcceptHandler handler);

@@ -25,28 +25,28 @@ SsdpAgent::SsdpAgent(net::Network& net, std::string host)
 SsdpAgent::~SsdpAgent() { stop(); }
 
 Result<void> SsdpAgent::start() {
-  if (started_) return ok_result();
+  if (socket_) return ok_result();
   auto bind = net_.udp_bind({host_, kSsdpPort},
                             [this](const net::Endpoint& from, const Bytes& payload) {
                               handle_datagram(from, payload);
                             });
-  if (!bind.ok()) return bind;
+  if (!bind.ok()) return bind.error();
   if (auto join = net_.join_group(host_, kSsdpGroup); !join.ok()) {
-    net_.udp_close({host_, kSsdpPort});
+    net_.udp_close(bind.value());
     return join;
   }
-  started_ = true;
+  socket_ = bind.value();
   return ok_result();
 }
 
 void SsdpAgent::stop() {
-  if (!started_) return;
+  if (!socket_) return;
   for (const SsdpAnnouncement& a : advertised_) send_notify(a, /*alive=*/false);
   net_.leave_group(host_, kSsdpGroup);
-  net_.udp_close({host_, kSsdpPort});
+  net_.udp_close(*socket_);
   lifetime_.reset();
   replies_.clear();
-  started_ = false;
+  socket_.reset();
 }
 
 Result<void> SsdpAgent::search(const std::string& target, int mx_seconds) {
@@ -55,7 +55,8 @@ Result<void> SsdpAgent::search(const std::string& target, int mx_seconds) {
                     "MAN: \"ssdp:discover\"\r\n"
                     "MX: " + std::to_string(mx_seconds) + "\r\n"
                     "ST: " + target + "\r\n\r\n";
-  return net_.udp_multicast({host_, kSsdpPort}, kSsdpGroup, kSsdpPort, to_bytes(msg));
+  if (!socket_) return make_error(Errc::disconnected, "ssdp: search before start");
+  return net_.udp_multicast(*socket_, kSsdpGroup, kSsdpPort, make_payload(to_bytes(msg)));
 }
 
 void SsdpAgent::advertise(SsdpAnnouncement announcement) {
@@ -81,7 +82,8 @@ void SsdpAgent::send_notify(const SsdpAnnouncement& a, bool alive) {
                     "USN: " + a.usn + "\r\n";
   if (alive) msg += "LOCATION: " + a.location + "\r\nCACHE-CONTROL: max-age=1800\r\n";
   msg += "\r\n";
-  auto r = net_.udp_multicast({host_, kSsdpPort}, kSsdpGroup, kSsdpPort, to_bytes(msg));
+  if (!socket_) return;
+  auto r = net_.udp_multicast(*socket_, kSsdpGroup, kSsdpPort, make_payload(to_bytes(msg)));
   if (!r.ok()) {
     log::Entry(log::Level::warn, "ssdp") << "notify failed: " << r.error().to_string();
   }
@@ -93,7 +95,7 @@ void SsdpAgent::answer_search(const net::Endpoint& to, const SsdpAnnouncement& a
                     "USN: " + a.usn + "\r\n"
                     "LOCATION: " + a.location + "\r\n"
                     "CACHE-CONTROL: max-age=1800\r\n\r\n";
-  (void)net_.udp_send({host_, kSsdpPort}, to, to_bytes(msg));
+  (void)net_.udp_send(*socket_, to, make_payload(to_bytes(msg)));
 }
 
 void SsdpAgent::handle_datagram(const net::Endpoint& from, const Bytes& payload) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,9 +48,9 @@ class SsdpAgent {
   /// Multicast an M-SEARCH for the given search target ("ssdp:all" or a URN).
   [[nodiscard]] Result<void> search(const std::string& target, int mx_seconds = 2);
 
-  /// Device side: register something to be announced and answered for.
+  /// Device side: register something to be announced (if started) and answered for.
   void advertise(SsdpAnnouncement announcement);
-  /// Multicast ssdp:byebye and stop answering for this USN.
+  /// Multicast ssdp:byebye (if started) and stop answering for this USN.
   void withdraw(const std::string& usn);
 
  private:
@@ -65,7 +66,8 @@ class SsdpAgent {
 
   net::Network& net_;
   std::string host_;
-  bool started_ = false;
+  /// Bound by start(), which every send needs; reset by stop().
+  std::optional<net::UdpSocket> socket_;
   std::vector<SsdpAnnouncement> advertised_;
   AnnouncementFn on_announcement_;
   /// Keyed by the event that will send each; cleared by stop().

@@ -178,6 +178,135 @@ TEST(DirectoryTest, LookupAppliesQuery) {
   EXPECT_EQ(w.a->directory().lookup(Query().platform("upnp")).size(), 0u);
 }
 
+// The refresh oracle. Random churn of hostA's local translators: publish,
+// withdraw, a republish that changes the shape (a rebind), publish while
+// stopped, stop/start and crash/restart. After every refresh tick, the adverts
+// hostA multicast in it are, in order, a fresh serialization of its local
+// entries in id order; the announce cache's hits and misses follow a model of
+// which adverts are built; and the peer knows every local translator as it is.
+TEST(DirectoryTest, RefreshAnnouncesEveryLocalInIdOrder) {
+  World w;
+  const RuntimeConfig& config = w.a->config();
+  ASSERT_TRUE(w.net.add_host("tap").ok());
+  ASSERT_TRUE(w.net.attach("tap", w.hub).ok());
+  ASSERT_TRUE(w.net.join_group("tap", config.group).ok());
+  std::vector<std::string> heard;  // hostA's adverts, as a third host hears them
+  ASSERT_TRUE(w.net
+                  .udp_bind({"tap", config.directory_port},
+                            [&heard](const net::Endpoint& from, const Bytes& payload) {
+                              if (from.host == "hostA") heard.push_back(umiddle::to_string(payload));
+                            })
+                  .ok());
+  w.start_all();  // at t = 0, so the first tick is due at one period
+  Directory& dir = w.a->directory();
+  const obs::Counter& hits = w.net.metrics().counter("dir.announce_cache_hits");
+  const obs::Counter& misses = w.net.metrics().counter("dir.announce_cache_misses");
+  const sim::Duration period = dir.max_age() / 3;
+  sim::TimePoint next_tick = period;
+
+  // The model: every local translator, and whether its advert is built.
+  struct Local {
+    TranslatorProfile profile;
+    bool built;
+  };
+  std::map<TranslatorId, Local> locals;
+  std::uint64_t want_hits = 0, want_misses = 0;
+  bool started = true;
+  auto send_all = [&] {
+    for (auto& [id, local] : locals) {
+      ++(local.built ? want_hits : want_misses);
+      local.built = true;
+    }
+  };
+  Rng rng(29);
+  auto publish = [&] {
+    TranslatorProfile p;
+    p.id = TranslatorId(rng.between(1, 16));
+    p.name = "device-" + p.id.to_string();
+    p.platform = "umiddle";
+    p.node = w.a->node();
+    p.shape = rng.below(2) == 0 ? make_source_shape("out", jpeg()) : make_sink_shape("in", jpeg());
+    dir.publish_local(p);
+    locals.insert_or_assign(p.id, Local{p, started});
+    if (started) ++want_misses;
+  };
+  auto restart = [&] {
+    ASSERT_TRUE(w.a->start().ok());
+    started = true;
+    send_all();
+    next_tick = w.sched.now() + period;
+  };
+  auto announce = [&](const TranslatorProfile& p) {
+    xml::Element adv("umiddle-adv");
+    adv.set_attr("type", "announce");
+    adv.set_attr("node", w.a->node().to_string());
+    adv.set_attr("host", "hostA");
+    adv.set_attr("umtp-port", std::to_string(config.umtp_port));
+    adv.add_child(p.to_xml());
+    return adv.to_string();
+  };
+
+  std::size_t most = 0, republished = 0;
+  for (int tick = 0; tick < 80; ++tick) {
+    for (std::uint64_t op = rng.below(4); op > 0; --op) {
+      switch (rng.below(8)) {
+        case 0:
+        case 1:
+        case 2: {
+          const std::size_t known = locals.size();
+          publish();
+          republished += locals.size() == known;
+          break;
+        }
+        case 3:
+        case 4: {
+          const TranslatorId id(rng.between(1, 16));
+          dir.withdraw_local(id);
+          locals.erase(id);
+          break;
+        }
+        case 5:  // published while stopped: built at the next start
+          w.a->stop();
+          started = false;
+          publish();
+          restart();
+          break;
+        case 6:  // ids recycle after a crash
+          w.a->crash();
+          locals.clear();
+          restart();
+          publish();
+          break;
+        default: break;
+      }
+    }
+    w.sched.run_until(next_tick - milliseconds(1));
+    heard.clear();
+    w.sched.run_until(next_tick + milliseconds(500));
+    next_tick += period;
+    send_all();
+
+    std::vector<std::string> table, model;
+    for (const TranslatorProfile& p : dir.lookup(Query())) {
+      if (p.node == w.a->node()) table.push_back(announce(p));
+    }
+    for (const auto& [id, local] : locals) {
+      model.push_back(announce(local.profile));
+      const TranslatorProfile* known = w.b->directory().profile(id);
+      ASSERT_NE(known, nullptr) << "tick " << tick;
+      ASSERT_EQ(known->shape, local.profile.shape) << "tick " << tick;
+    }
+    ASSERT_EQ(table, model) << "tick " << tick;
+    ASSERT_EQ(heard, table) << "tick " << tick;
+    ASSERT_EQ(hits.value(), want_hits) << "tick " << tick;
+    ASSERT_EQ(misses.value(), want_misses) << "tick " << tick;
+    most = std::max(most, locals.size());
+  }
+  // The churn reached what it is for.
+  EXPECT_GE(most, 8u);
+  EXPECT_GT(republished, 10u);
+}
+
 // --- fixed paths -------------------------------------------------------------------------
 
 TEST(TransportTest, LocalFixedPathDeliversInOrder) {

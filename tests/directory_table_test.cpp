@@ -10,6 +10,7 @@
 // checks the table's invariants:
 //   - a remote advert never changes an entry owned by this node;
 //   - each entry's owner is the node that announced (or published) it;
+//   - each remote entry, and nothing else, holds a lease;
 //   - no remote entry last seen before the expiry bound survives expire(),
 //     and every other entry does;
 //   - a rebind notifies unmapped(old) before mapped(new);
@@ -37,18 +38,33 @@
 namespace umiddle::core {
 namespace {
 
-/// The table with its changes callable and its entries readable, as they are
-/// to the Directory that derives from it.
+/// One entry as the probe reads it: the profile and its lease's last refresh,
+/// Nanos::max() for an entry that holds no lease.
+struct Seen {
+  TranslatorProfile profile;
+  Nanos last_seen;
+};
+
+/// The table with its changes callable and its entries and leases readable,
+/// as they are to the Directory that derives from it.
 class Table : public DirectoryTable {
  public:
   using DirectoryTable::announce;
   using DirectoryTable::bye;
   using DirectoryTable::clear;
-  using DirectoryTable::Entry;
   using DirectoryTable::expire;
   using DirectoryTable::publish;
   using DirectoryTable::withdraw;
-  const std::map<TranslatorId, Entry>& entries() const { return entries_; }
+  std::map<TranslatorId, Seen> entries() const {
+    std::map<TranslatorId, Seen> out;
+    for (const auto& [id, entry] : entries_) {
+      auto lease = leases_.find(id);
+      out.emplace(id, Seen{entry.profile,
+                           lease == leases_.end() ? Nanos::max() : lease->second.last_seen});
+    }
+    return out;
+  }
+  const std::map<TranslatorId, Lease>& leases() const { return leases_; }
 };
 
 enum class Kind : std::uint8_t { Publish, Withdraw, Announce, Bye, Advance, Expire, Clear };
@@ -215,7 +231,7 @@ class Model {
   }
 
   void run(const Op& op) {
-    const std::map<TranslatorId, Table::Entry> before = table_.entries();
+    const std::map<TranslatorId, Seen> before = table_.entries();
     const TranslatorId id(op.id);
     switch (op.kind) {
       case Kind::Publish: table_.publish(profile(op.id, kSelf, op.variant)); break;
@@ -268,9 +284,9 @@ class Model {
     if (fault_.empty()) fault_ = std::move(why);
   }
 
-  void check(const Op& op, const std::map<TranslatorId, Table::Entry>& before,
+  void check(const Op& op, const std::map<TranslatorId, Seen>& before,
              const std::vector<Recorder::Event>& events) {
-    const auto& after = table_.entries();
+    const auto after = table_.entries();
     const NodeId self(static_cast<std::uint64_t>(kSelf));
     const NodeId actor(static_cast<std::uint64_t>(op.node));
     auto changed = [&](TranslatorId id) {
@@ -299,6 +315,17 @@ class Model {
       if (op.kind == Kind::Expire && a == after.end() &&
           (b->second.last_seen >= Nanos(now_ - kMaxAge))) {
         fail("expire() dropped " + spell(b->second.profile) + ", seen within max_age");
+      }
+    }
+    for (const auto& [id, lease] : table_.leases()) {
+      auto a = after.find(id);
+      if (a == after.end() || a->second.profile.node == self) {
+        fail("a lease outlived remote entry " + id.to_string());
+      }
+    }
+    for (const auto& [id, entry] : after) {
+      if (entry.profile.node != self && !table_.leases().contains(id)) {
+        fail("remote entry " + spell(entry.profile) + " holds no lease");
       }
     }
     if (op.kind == Kind::Expire) {
@@ -380,6 +407,10 @@ const std::vector<Row>& rows() {
       {"j_a_crash_forgets_everything_silently_and_ids_recycle",
        {publish(1, A), announce(N2, 2, A), clear(), publish(1, B), announce(N3, 2, B)},
        "table {1:N1/B 2:N3/B@0} events {+1:N1/A +2:N2/A +1:N1/B +2:N3/B}"},
+      {"k_leases_expire_in_id_order_a_renewed_one_later_and_locals_never",
+       {publish(2, A), announce(N3, 3, A), announce(N2, 1, A), announce(N2, 4, A), advance(),
+        announce(N2, 4, A), advance(), expire(), advance(), expire()},
+       "table {2:N1/A} events {+2:N1/A +3:N3/A +1:N2/A +4:N2/A -1:N2/A -3:N3/A -4:N2/A}"},
   };
   return table;
 }

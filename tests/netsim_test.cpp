@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "netsim/fault.hpp"
 #include "netsim/network.hpp"
@@ -101,9 +102,10 @@ TEST(NetworkTest, UdpAcrossUnconnectedHostsFails) {
 
 TEST(NetworkTest, UdpBindConflictRejected) {
   Fixture f;
-  ASSERT_TRUE(f.net.udp_bind({"n1", 5}, [](auto&, auto&) {}).ok());
+  auto bound = f.net.udp_bind({"n1", 5}, [](auto&, auto&) {});
+  ASSERT_TRUE(bound.ok());
   EXPECT_FALSE(f.net.udp_bind({"n1", 5}, [](auto&, auto&) {}).ok());
-  f.net.udp_close({"n1", 5});
+  f.net.udp_close(bound.value());
   EXPECT_TRUE(f.net.udp_bind({"n1", 5}, [](auto&, auto&) {}).ok());
 }
 
@@ -178,12 +180,72 @@ TEST(NetworkTest, MulticastDeliveryOrderIsPinned) {
   }
 }
 
+// A bound socket's handle and its host's name send the same multicast: the
+// same frames on every segment and the same deliveries, in the same order and
+// at the same times, also after attach and join_group rebuild the routes.
+TEST(NetworkTest, MulticastByHandleMatchesMulticastByName) {
+  struct World {
+    Scheduler sched;
+    Network net{sched};
+    SegmentId hub = net.add_segment(SegmentSpec{});
+    SegmentId side = net.add_segment(SegmentSpec{});
+    std::vector<std::string> heard;
+    UdpSocket sender;
+
+    World() {
+      for (const char* h : {"s", "c", "a", "b"}) EXPECT_TRUE(net.add_host(h).ok());
+      for (const char* h : {"s", "b", "a"}) EXPECT_TRUE(net.attach(h, hub).ok());
+      EXPECT_TRUE(net.attach("s", side).ok());
+      for (const std::string h : {"a", "b", "c", "s"}) {
+        auto bound = net.udp_bind({h, 9}, [this, h](const Endpoint& from, const Bytes& p) {
+          heard.push_back(std::to_string(sched.now().count()) + " " + h + " <- " +
+                          from.to_string() + " " + to_string(p));
+        });
+        EXPECT_TRUE(bound.ok());
+        if (h == "s") sender = bound.value();
+      }
+    }
+    /// One route change, then one multicast, by handle or by name.
+    void step(int change, bool by_handle) {
+      switch (change) {
+        case 0: EXPECT_TRUE(net.join_group("b", "g").ok()); break;
+        case 1: EXPECT_TRUE(net.join_group("c", "g").ok()); break;  // shares no segment yet
+        case 2: EXPECT_TRUE(net.attach("c", side).ok()); break;
+        case 3: EXPECT_TRUE(net.join_group("s", "g").ok()); break;  // loops back to "s"
+        case 4: EXPECT_TRUE(net.attach("a", side).ok()); break;
+      }
+      const std::string body = "m" + std::to_string(change);
+      EXPECT_TRUE((by_handle ? net.udp_multicast(sender, "g", 9, make_payload(to_bytes(body)))
+                             : net.udp_multicast({"s", 9}, "g", 9, to_bytes(body)))
+                      .ok());
+      sched.run();
+    }
+  };
+  World by_handle, by_name;
+  for (int change = 0; change < 5; ++change) {
+    by_handle.step(change, true);
+    by_name.step(change, false);
+    ASSERT_EQ(by_handle.heard, by_name.heard) << "after change " << change;
+    for (SegmentId seg : {by_handle.hub, by_handle.side}) {
+      EXPECT_EQ(by_handle.net.stats(seg).frames, by_name.net.stats(seg).frames);
+      EXPECT_EQ(by_handle.net.stats(seg).wire_bytes, by_name.net.stats(seg).wire_bytes);
+    }
+  }
+  // b; b; b c; then "s" on both segments hears each frame: b s, s c (twice).
+  EXPECT_EQ(by_name.heard.size(), 1u + 1 + 2 + 4 + 4);
+  EXPECT_EQ(by_name.heard.back().substr(by_name.heard.back().find(' ') + 1), "c <- s:9 m4");
+  // The handle is the socket: closing by it frees the port for a new bind.
+  by_handle.net.udp_close(by_handle.sender);
+  EXPECT_TRUE(by_handle.net.udp_bind({"s", 9}, [](auto&, auto&) {}).ok());
+}
+
 // Counts, per host, the deliveries of one multicast from "s" to group "g".
 struct MembershipFixture {
   Scheduler sched;
   Network net{sched};
   SegmentId hub, side, far;
   std::map<std::string, int> heard;
+  std::map<std::string, UdpSocket> sockets;  ///< each receiver's, from its bind
 
   MembershipFixture() {
     hub = net.add_segment(SegmentSpec{});
@@ -196,7 +258,9 @@ struct MembershipFixture {
     for (const char* h : {"a", "b", "c"}) bind(h);
   }
   void bind(const std::string& host) {
-    EXPECT_TRUE(net.udp_bind({host, 9}, [this, host](auto&, auto&) { ++heard[host]; }).ok());
+    auto bound = net.udp_bind({host, 9}, [this, host](auto&, auto&) { ++heard[host]; });
+    EXPECT_TRUE(bound.ok());
+    if (bound.ok()) sockets[host] = bound.value();
   }
   std::map<std::string, int> multicast() {
     heard.clear();
@@ -247,10 +311,10 @@ TEST(NetworkTest, MulticastInFlightKeepsItsReceiversButLooksUpSockets) {
   // Sockets are looked up at delivery: a handler that closes a later
   // receiver's socket suppresses that receiver's copy of the same frame.
   ASSERT_TRUE(f.net.join_group("b", "g").ok());
-  f.net.udp_close({"a", 9});
+  f.net.udp_close(f.sockets["a"]);
   ASSERT_TRUE(f.net.udp_bind({"a", 9}, [&f](auto&, auto&) {
     ++f.heard["a"];
-    f.net.udp_close({"b", 9});
+    f.net.udp_close(f.sockets["b"]);
   }).ok());
   EXPECT_EQ(f.multicast(), (Heard{{"a", 1}, {"c", 1}}));
 }
