@@ -599,21 +599,6 @@ TEST(LinkLifecycleTest, PeerStopWhileResumingDiscardsTheOutageBuffer) {
   expect_conserved(w.net, 4, delivered);
 }
 
-TEST(LinkLifecycleTest, MalformedUmtpFrameClosesTheStream) {
-  LinkWorld w;
-  auto raw = w.net.connect("a", {"b", RuntimeConfig{}.umtp_port});
-  ASSERT_TRUE(raw.ok());
-  net::StreamPtr stream = raw.value();
-  bool closed = false;
-  stream->on_close([&closed]() { closed = true; });
-  w.sched.run_for(seconds(1));
-  // A length field past kMaxFrame poisons the UMTP reader at once.
-  ASSERT_TRUE(stream->send(Bytes(8, 0xFF)).ok());
-  w.sched.run_for(seconds(1));
-  EXPECT_TRUE(closed);
-  EXPECT_FALSE(stream->was_reset());
-}
-
 TEST(LinkLifecycleTest, ResetBeforeTheFirstFrameArrivesReplaysIt) {
   LinkWorld w;
   // The first message opens the link. It comes up 300 ms later and writes

@@ -148,33 +148,6 @@ TEST(HttpTest, OversizedContentLengthPoisonsAtOnce) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(HttpTest, ServerAnswers400ToBadContentLength) {
-  Fixture f;
-  f.add_host("server");
-  f.add_host("client");
-  HttpServer server(f.net, "server", 80);
-  int handled = 0;
-  server.route("/c", sync_handler([&](const HttpRequest&) {
-                 ++handled;
-                 return HttpResponse::make(200, "OK");
-               }));
-  ASSERT_TRUE(server.start().ok());
-  auto stream = f.net.connect("client", {"server", 80});
-  ASSERT_TRUE(stream.ok());
-  net::StreamPtr s = stream.value();
-  std::string reply;
-  s->on_connected([s]() {
-    (void)s->send(std::string_view("POST /c HTTP/1.1\r\ncontent-length: 12x\r\n\r\nhello"));
-  });
-  s->on_data([&reply](std::span<const std::uint8_t> chunk) {
-    reply.append(reinterpret_cast<const char*>(chunk.data()), chunk.size());
-  });
-  f.sched.run_for(seconds(1));
-  EXPECT_EQ(handled, 0);
-  EXPECT_TRUE(strings::starts_with(reply, "HTTP/1.1 400 Bad Request\r\n")) << reply;
-  s->drop_handlers();
-}
-
 TEST(HttpTest, ServerRoutesAndFetch) {
   Fixture f;
   f.add_host("server");
