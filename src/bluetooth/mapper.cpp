@@ -1,6 +1,7 @@
 #include "bluetooth/mapper.hpp"
 
 #include "common/log.hpp"
+#include "netsim/exchange.hpp"
 #include "xml/xml.hpp"
 
 namespace umiddle::bt {
@@ -150,43 +151,39 @@ void BtTranslator::setup_hid_events(const core::UsdlBinding& binding) {
   }
   hid_channel_ = stream.value();
   hid_port_ = binding.port;
-  hid_channel_->on_data(
-      lifetime().guard([this](std::span<const std::uint8_t> chunk) { handle_hid_bytes(chunk); }));
+  hid_channel_->on_data(lifetime().guard(net::frames<HidReader>(
+      *hid_channel_, [this](const MouseReport& r) { handle_hid_report(r); })));
 }
 
-void BtTranslator::handle_hid_bytes(std::span<const std::uint8_t> chunk) {
-  std::vector<MouseReport> reports;
-  if (!hid_reader_.feed(chunk, reports).ok()) return;
-  for (const MouseReport& r : reports) {
-    // Translate the HID report into a VML document (§5.2), charging the
-    // 2006-stack translation cost in virtual time. The trace starts here (HID
-    // ingress) so the VML span and the downstream path share one id.
-    mapper_.runtime().network().metrics().counter("bt.hid_reports").inc();
-    obs::Tracer* tracer = &mapper_.runtime().network().tracer();
-    const std::uint64_t trace = tracer->new_trace();
-    const std::uint64_t span = tracer->begin_span(trace, "translate.vml", mapper_.runtime().host(),
-                                                  mapper_.runtime().scheduler().now());
-    sim::Scheduler* sched = &mapper_.runtime().scheduler();
-    mapper_.runtime().scheduler().schedule_after(
-        mapper_.costs().vml_translate,
-        [this, alive = lifetime().token(), r, tracer, sched, trace, span]() {
-          // tracer/sched outlive the translator (world-owned): close the span
-          // even if the translator was unmapped while the translation ran.
-          tracer->end_span(span, sched->now());
-          if (!*alive) return;
-          xml::Element vml("vml");
-          vml.set_attr("xmlns", "urn:schemas-microsoft-com:vml");
-          xml::Element& ev = vml.add_child("event");
-          ev.set_attr("type", r.buttons != 0 ? "button" : "move");
-          ev.set_attr("buttons", std::to_string(r.buttons));
-          ev.set_attr("dx", std::to_string(r.dx));
-          ev.set_attr("dy", std::to_string(r.dy));
-          core::Message msg = core::Message::text({}, vml.to_string());
-          msg.trace = trace;
-          (void)emit_typed(hid_port_, std::move(msg));
-        },
-        {sim::host_id(mapper_.runtime().host()), sim::tag_id("bt.vml")});
-  }
+void BtTranslator::handle_hid_report(const MouseReport& r) {
+  // Translate the HID report into a VML document (§5.2), charging the
+  // 2006-stack translation cost in virtual time. The trace starts here (HID
+  // ingress) so the VML span and the downstream path share one id.
+  mapper_.runtime().network().metrics().counter("bt.hid_reports").inc();
+  obs::Tracer* tracer = &mapper_.runtime().network().tracer();
+  const std::uint64_t trace = tracer->new_trace();
+  const std::uint64_t span = tracer->begin_span(trace, "translate.vml", mapper_.runtime().host(),
+                                                mapper_.runtime().scheduler().now());
+  sim::Scheduler* sched = &mapper_.runtime().scheduler();
+  mapper_.runtime().scheduler().schedule_after(
+      mapper_.costs().vml_translate,
+      [this, alive = lifetime().token(), r, tracer, sched, trace, span]() {
+        // tracer/sched outlive the translator (world-owned): close the span
+        // even if the translator was unmapped while the translation ran.
+        tracer->end_span(span, sched->now());
+        if (!*alive) return;
+        xml::Element vml("vml");
+        vml.set_attr("xmlns", "urn:schemas-microsoft-com:vml");
+        xml::Element& ev = vml.add_child("event");
+        ev.set_attr("type", r.buttons != 0 ? "button" : "move");
+        ev.set_attr("buttons", std::to_string(r.buttons));
+        ev.set_attr("dx", std::to_string(r.dx));
+        ev.set_attr("dy", std::to_string(r.dy));
+        core::Message msg = core::Message::text({}, vml.to_string());
+        msg.trace = trace;
+        (void)emit_typed(hid_port_, std::move(msg));
+      },
+      {sim::host_id(mapper_.runtime().host()), sim::tag_id("bt.vml")});
 }
 
 // --- BtMapper --------------------------------------------------------------------------

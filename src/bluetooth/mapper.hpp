@@ -61,7 +61,7 @@ class BtTranslator final : public core::UsdlTranslator {
   [[nodiscard]] Result<net::StreamPtr> connect_service();
   void run_obex_get(const core::UsdlBinding& binding);
   void run_obex_put(const core::UsdlBinding& binding, const core::Message& msg);
-  void handle_hid_bytes(std::span<const std::uint8_t> chunk);
+  void handle_hid_report(const MouseReport& r);
   void emit_object(const std::string& port, obex::Object object);
   void finish_operation();
 
@@ -82,7 +82,6 @@ class BtTranslator final : public core::UsdlTranslator {
   /// The hid-events binding's port, kept here so a report's translation
   /// event captures no string and fits sim::Callback.
   std::string hid_port_;
-  HidReader hid_reader_;
 };
 
 /// The mapper's own radio presence: the uMiddle node joined to the piconet.

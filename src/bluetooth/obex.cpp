@@ -150,15 +150,10 @@ Result<std::size_t> next_packet(std::span<const std::uint8_t> buffer, std::vecto
 // --- Server ---------------------------------------------------------------------------
 
 void Server::attach(net::StreamPtr stream) {
-  stream->on_data([this, reader = PacketReader{}, session = Session{},
-                   keep = stream](std::span<const std::uint8_t> chunk) mutable {
-    std::vector<Packet> packets;
-    if (!reader.feed(chunk, packets).ok()) {
-      keep->close();
-      return;
-    }
-    for (Packet& p : packets) handle(*keep, p, session);
-  });
+  stream->on_data(net::frames<PacketReader>(
+      *stream, [this, session = Session{}, keep = stream](Packet& p) mutable {
+        handle(*keep, p, session);
+      }));
 }
 
 void Server::handle(net::Stream& stream, Packet& packet, Session& session) {
@@ -308,22 +303,17 @@ Bytes packet_with(std::uint8_t opcode, std::optional<std::uint16_t> max_packet =
 /// its next one on every response it leaves open; DISCONNECT after success.
 template <typename T, typename Operation>
 void run(Result<net::StreamPtr> stream, Operation op, std::function<void(Result<T>)> done) {
-  net::Exchange<T>::run(
+  net::Exchange<T>::template run<PacketReader>(
       std::move(stream), make_payload(packet_with(kOpConnect, kMaxPacket)),
-      [reader = PacketReader{}, op = std::move(op), connected = false](
-          net::Stream& s, std::span<const std::uint8_t> chunk) mutable
-          -> typename net::Exchange<T>::Reply {
-        std::vector<Packet> packets;
-        if (auto r = reader.feed(chunk, packets); !r.ok()) return r.error();
-        for (Packet& p : packets) {
-          if (connected) {
-            if (auto result = op.respond(p)) return result;
-          } else if (p.opcode != kRespSuccess) {
-            return make_error(Errc::refused, "obex: CONNECT refused");
-          }
-          connected = true;
-          (void)s.send(op.next());
+      [op = std::move(op), connected = false](
+          net::Stream& s, Packet& p) mutable -> typename net::Exchange<T>::Reply {
+        if (connected) {
+          if (auto result = op.respond(p)) return result;
+        } else if (p.opcode != kRespSuccess) {
+          return make_error(Errc::refused, "obex: CONNECT refused");
         }
+        connected = true;
+        (void)s.send(op.next());
         return std::nullopt;
       },
       std::move(done), make_payload(packet_with(kOpDisconnect)));

@@ -70,23 +70,20 @@ Result<std::size_t> next_response(std::span<const std::uint8_t> buffer,
 
 Result<void> start_sdp_server(BtDevice& device, const std::vector<SdpRecord>* records) {
   return device.listen_psm(kPsmSdp, [records](net::StreamPtr stream) {
-    stream->on_data([records, reader = SdpRequestReader{},
-                     keep = stream](std::span<const std::uint8_t> chunk) mutable {
-      std::vector<SdpRequest> requests;
-      if (!reader.feed(chunk, requests).ok() || requests.empty()) return;
-      const SdpRequest& req = requests.front();
-      SdpResponse resp{kSdpSearchResponse, req.tx, 0, {}};
-      if (req.pdu != kSdpSearchRequest) {
-        resp.pdu = kSdpError;
-        resp.error = 0x0003;  // invalid request syntax
-      } else {
-        for (const SdpRecord& rec : *records) {
-          if (req.uuid == "*" || rec.service_uuid == req.uuid) resp.records.push_back(rec);
-        }
-      }
-      (void)keep->send(resp.encode());
-      keep->close();
-    });
+    stream->on_data(net::frames<SdpRequestReader>(
+        *stream, [records, keep = stream](const SdpRequest& req) {
+          SdpResponse resp{kSdpSearchResponse, req.tx, 0, {}};
+          if (req.pdu != kSdpSearchRequest) {
+            resp.pdu = kSdpError;
+            resp.error = 0x0003;  // invalid request syntax
+          } else {
+            for (const SdpRecord& rec : *records) {
+              if (req.uuid == "*" || rec.service_uuid == req.uuid) resp.records.push_back(rec);
+            }
+          }
+          (void)keep->send(resp.encode());
+          keep->close();
+        }));
   });
 }
 
@@ -98,14 +95,9 @@ void sdp_query(BluetoothMedium& medium, const std::string& from_host, BtAddress 
   // request to response on this stream, and unlike a process-global counter it
   // is identical across repeated same-seed runs.
   const auto tx = static_cast<std::uint16_t>(stream.ok() ? stream.value()->id().value() : 0);
-  Exchange::run(
+  Exchange::run<SdpResponseReader>(
       std::move(stream), make_payload(SdpRequest{kSdpSearchRequest, tx, uuid}.encode()),
-      [reader = SdpResponseReader{}, tx](net::Stream&, std::span<const std::uint8_t> chunk) mutable
-          -> Exchange::Reply {
-        std::vector<SdpResponse> responses;
-        if (auto r = reader.feed(chunk, responses); !r.ok()) return r.error();
-        if (responses.empty()) return std::nullopt;
-        SdpResponse& resp = responses.front();
+      [tx](net::Stream&, SdpResponse& resp) -> Exchange::Reply {
         if (resp.pdu == kSdpError) return make_error(Errc::protocol_error, "sdp error response");
         if (resp.tx != tx) return make_error(Errc::protocol_error, "sdp unexpected response");
         return std::move(resp.records);

@@ -29,7 +29,8 @@ using DecodeStep = Result<std::size_t> (*)(std::span<const std::uint8_t> buffer,
 
 /// Reassembles `Frame`s from stream chunks with the protocol's decode step.
 /// The first malformed or oversized frame poisons the reader: every later
-/// feed returns the same error, and callers drop the connection.
+/// feed returns the same error. Streams feed it only through net::frames
+/// (netsim/exchange.hpp), which applies the one poison rule.
 template <typename F, DecodeStep<F> decode>
 class FrameReader {
  public:
@@ -57,6 +58,8 @@ class FrameReader {
     if (poisoned_) return *poisoned_;
     return ok_result();
   }
+
+  bool poisoned() const { return poisoned_.has_value(); }
 
  private:
   /// How far a scan consumed, and the full length of the incomplete frame

@@ -5,40 +5,13 @@
 
 #include "common/log.hpp"
 #include "core/runtime.hpp"
+#include "netsim/exchange.hpp"
 
 namespace umiddle::core {
 
 namespace {
 
 using Phase = LinkSession::Sender::Phase;
-
-/// An on_data handler for `stream`: reassembles UMTP frames from chunks and
-/// hands each complete one to `handle`. A malformed frame poisons the reader,
-/// so the stream is closed, as OBEX, MB and RMI close theirs (DESIGN.md §7.6).
-template <typename Handle>
-net::Stream::DataHandler frame_reader(net::Stream& stream, Handle handle) {
-  struct State {
-    umtp::Reader reader;
-    /// The frames of one chunk, kept across chunks for its capacity.
-    std::vector<umtp::Frame> frames;
-  };
-  return [state = std::make_shared<State>(), stream = &stream,
-          handle = std::move(handle)](std::span<const std::uint8_t> chunk) {
-    // Taken out while the frames are handled, so a feed they cause gets a
-    // vector of its own; `keep` holds the state should they drop this handler.
-    const std::shared_ptr<State> keep = state;
-    std::vector<umtp::Frame> frames = std::move(keep->frames);
-    frames.clear();
-    if (auto r = keep->reader.feed(chunk, frames); !r.ok()) {
-      log::Entry(log::Level::warn, "transport") << "bad UMTP frame, closing: "
-                                                << r.error().to_string();
-      stream->close();
-      return;
-    }
-    for (umtp::Frame& frame : frames) handle(frame);
-    keep->frames = std::move(frames);
-  };
-}
 
 /// One row per Fate: what accounting a message leaving the transport that way
 /// gets (DESIGN.md §11, the fate table; lint rule `one-fate-site`).
@@ -605,7 +578,7 @@ bool Transport::open_stream(NodeLink& link) {
   link.stream->on_close([this, node]() { handle_link_close(node); });
   // ACKs come back on this (client) stream; fault-free links never carry any.
   net::Stream* raw = link.stream.get();
-  link.stream->on_data(frame_reader(*raw, [this, node, raw](umtp::Frame& frame) {
+  link.stream->on_data(net::frames<umtp::Reader>(*raw, [this, node, raw](umtp::Frame& frame) {
     auto l = links_.find(node);
     if (l == links_.end() || l->second.stream.get() != raw) return;  // stale stream
     if (auto* ack = std::get_if<umtp::AckFrame>(&frame)) {
@@ -730,7 +703,7 @@ void Transport::accept_peer(net::StreamPtr stream) {
   // is this accepted stream's peer.
   const std::uint64_t channel = stream->peer().value();
   recv_.open(channel);
-  stream->on_data(frame_reader(*raw, [this, channel, raw](umtp::Frame& frame) {
+  stream->on_data(net::frames<umtp::Reader>(*raw, [this, channel, raw](umtp::Frame& frame) {
     handle_frame(std::move(frame), channel, *raw);
   }));
   stream->on_close([this, raw, channel]() {

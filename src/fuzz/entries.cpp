@@ -12,11 +12,13 @@
 #include "common/mime.hpp"
 #include "common/uri.hpp"
 #include "core/profile.hpp"
+#include "core/shape.hpp"
 #include "core/umtp.hpp"
 #include "core/usdl.hpp"
 #include "mediabroker/protocol.hpp"
 #include "motes/motes.hpp"
 #include "rmi/protocol.hpp"
+#include "rmi/registry.hpp"
 #include "upnp/http.hpp"
 #include "xml/parser.hpp"
 
@@ -155,6 +157,30 @@ int fuzz_mime_parse(const std::uint8_t* data, std::size_t size) {
   if (!mime.ok()) return 0;
   auto again = MimeType::parse(mime.value().to_string());
   if (!again.ok() || again.value() != mime.value()) std::abort();
+  return 1;
+}
+
+int fuzz_query_xml(const std::uint8_t* data, std::size_t size) {
+  auto doc = xml::parse(std::string_view(reinterpret_cast<const char*>(data), size));
+  if (!doc.ok()) return 0;
+  auto query = core::Query::from_xml(doc.value());
+  if (!query.ok()) return 0;
+  const std::string text = query.value().to_xml().to_string();
+  auto reparsed = xml::parse(text);
+  if (!reparsed.ok()) std::abort();
+  auto again = core::Query::from_xml(reparsed.value());
+  if (!again.ok() || again.value().to_xml().to_string() != text) std::abort();
+  return 1;
+}
+
+int fuzz_rmi_binding(const std::uint8_t* data, std::size_t size) {
+  auto binding = rmi::Binding::parse(std::string_view(reinterpret_cast<const char*>(data), size));
+  if (!binding.ok()) return 0;
+  const rmi::Binding& b = binding.value();
+  auto again = rmi::Binding::parse(b.serialize());
+  if (!again.ok()) std::abort();
+  const rmi::Binding& c = again.value();
+  if (c.name != b.name || c.type != b.type || c.host != b.host || c.port != b.port) std::abort();
   return 1;
 }
 

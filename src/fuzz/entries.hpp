@@ -63,6 +63,16 @@ int fuzz_uri_parse(const std::uint8_t* data, std::size_t size);
 /// and parses back to itself.
 int fuzz_mime_parse(const std::uint8_t* data, std::size_t size);
 
+/// xml::parse, then core::Query::from_xml on the document: the query path a
+/// remote UMTP CONNECT frame carries. Oracle on success: the query's XML
+/// parses back to a query whose XML is the same.
+int fuzz_query_xml(const std::uint8_t* data, std::size_t size);
+
+/// rmi::Binding::parse on the bytes as text: one line of the RMI registry
+/// listing. Oracle on success: the binding serializes and parses back to the
+/// same name, type, host and port.
+int fuzz_rmi_binding(const std::uint8_t* data, std::size_t size);
+
 /// One stream protocol's FrameReader behind a type-erased feed that hands back
 /// every complete frame re-encoded, so readers of different frame types
 /// compare alike (DESIGN.md §7.6).

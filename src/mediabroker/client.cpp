@@ -1,6 +1,6 @@
 #include "mediabroker/client.hpp"
 
-#include "common/log.hpp"
+#include "netsim/exchange.hpp"
 
 namespace umiddle::mb {
 
@@ -15,36 +15,23 @@ Result<void> MbClient::connect() {
   if (!stream.ok()) return stream.error();
   stream_ = stream.value();
   stream_->on_connected(lifetime_.guard([this]() { connected_ = true; }));
-  stream_->on_data(lifetime_.guard([this](std::span<const std::uint8_t> chunk) {
-    // Taken out while the callbacks run, so a feed they cause gets a vector
-    // of its own; put back afterwards unless they destroyed this client.
-    std::vector<Frame> frames = std::move(frames_);
-    frames.clear();
-    const sim::Lifetime::Token alive = lifetime_.token();
-    if (auto r = reader_.feed(chunk, frames); !r.ok()) {
-      log::Entry(log::Level::warn, "mb") << "bad frame: " << r.error().to_string();
-      stream_->close();
-      return;
+  stream_->on_data(lifetime_.guard(net::frames<Reader>(*stream_, [this](Frame& frame) {
+    switch (frame.op) {
+      case Op::data:
+        ++frames_received_;
+        bytes_received_ += frame.payload.size();
+        if (on_data_) on_data_(frame.stream, std::move(frame.payload));
+        break;
+      case Op::announce:
+        if (on_announce_) on_announce_(frame.stream, frame.media_type, true);
+        break;
+      case Op::retire:
+        if (on_announce_) on_announce_(frame.stream, {}, false);
+        break;
+      default:
+        break;
     }
-    for (Frame& frame : frames) {
-      switch (frame.op) {
-        case Op::data:
-          ++frames_received_;
-          bytes_received_ += frame.payload.size();
-          if (on_data_) on_data_(frame.stream, std::move(frame.payload));
-          break;
-        case Op::announce:
-          if (on_announce_) on_announce_(frame.stream, frame.media_type, true);
-          break;
-        case Op::retire:
-          if (on_announce_) on_announce_(frame.stream, {}, false);
-          break;
-        default:
-          break;
-      }
-    }
-    if (*alive) frames_ = std::move(frames);
-  }));
+  })));
   stream_->on_close(lifetime_.guard([this]() { connected_ = false; }));
   return ok_result();
 }

@@ -54,9 +54,6 @@ class MbClient {
   std::string host_;
   net::Endpoint server_;
   net::StreamPtr stream_;
-  Reader reader_;
-  /// The frames of one received chunk, kept across chunks for its capacity.
-  std::vector<Frame> frames_;
   bool connected_ = false;
   DataFn on_data_;
   AnnounceFn on_announce_;

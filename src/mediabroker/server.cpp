@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
+#include "netsim/exchange.hpp"
 
 namespace umiddle::mb {
 
@@ -39,19 +39,8 @@ void MbServer::set_transform(const std::string& stream, Transform transform) {
 void MbServer::serve(net::StreamPtr stream) {
   net::Stream* raw = stream.get();
   connections_[raw] = stream;
-  stream->on_data([this, raw, reader = Reader{},
-                   kept = std::vector<Frame>{}](std::span<const std::uint8_t> chunk) mutable {
-    // The frame vector is kept across chunks for its capacity; it is taken
-    // out while the frames are handled, so a feed they cause gets its own.
-    std::vector<Frame> frames = std::move(kept);
-    frames.clear();
-    if (auto r = reader.feed(chunk, frames); !r.ok()) {
-      raw->close();
-      return;
-    }
-    for (Frame& frame : frames) handle(raw, std::move(frame));
-    kept = std::move(frames);
-  });
+  stream->on_data(
+      net::frames<Reader>(*raw, [this, raw](Frame& frame) { handle(raw, std::move(frame)); }));
   stream->on_close([this, raw]() { drop_connection(raw); });
 }
 

@@ -1,6 +1,8 @@
 #include "rmi/protocol.hpp"
 
-#include "common/log.hpp"
+#include <utility>
+
+#include "netsim/exchange.hpp"
 
 namespace umiddle::rmi {
 namespace {
@@ -74,35 +76,24 @@ RmiConnection::RmiConnection(net::StreamPtr stream) : stream_(std::move(stream))
     pump();
   }));
   // `done` may release the last reference to this connection (its caller can
-  // drop it), so the checks after it go through a token.
-  stream_->on_data(lifetime_.guard([this, alive = lifetime_.token()](
-                                       std::span<const std::uint8_t> chunk) {
-    std::vector<Return> returns;
-    if (auto r = reader_.feed(chunk, returns); !r.ok()) {
-      if (current_done_) {
-        auto done = std::move(current_done_);
-        current_done_ = nullptr;
-        done(r.error());
-      }
-      if (*alive) stream_->close();
-      return;
-    }
-    for (Return& ret : returns) {
-      in_flight_ = false;
-      {
-        auto done = std::move(current_done_);
-        current_done_ = nullptr;
-        if (done) done(std::move(ret));
-      }
-      if (!*alive) return;
-      pump();
-    }
-  }));
+  // drop it), so the checks after it go through a token. A framing error
+  // fails the call in flight.
+  const sim::Lifetime::Token alive = lifetime_.token();
+  stream_->on_data(lifetime_.guard(net::frames<ReturnReader>(
+      *stream_,
+      [this, alive](Return& ret) {
+        if (!*alive) return;
+        in_flight_ = false;
+        if (auto done = std::exchange(current_done_, nullptr)) done(std::move(ret));
+        if (*alive) pump();
+      },
+      [this, alive](const Error& error) {
+        if (auto done = std::exchange(current_done_, nullptr)) done(error);
+        if (*alive) stream_->close();
+      })));
   stream_->on_close(lifetime_.guard([this]() {
     closed_ = true;
-    if (current_done_) {
-      auto done = std::move(current_done_);
-      current_done_ = nullptr;
+    if (auto done = std::exchange(current_done_, nullptr)) {
       done(make_error(Errc::disconnected, "rmi: connection closed"));
     }
     for (auto& [call, done] : queue_) {
@@ -182,31 +173,24 @@ void RmiObjectServer::serve(net::StreamPtr stream) {
   stream->on_close([this, raw]() {
     std::erase_if(connections_, [raw](const net::StreamPtr& s) { return s.get() == raw; });
   });
-  stream->on_data([this, reader = CallReader{}, raw](std::span<const std::uint8_t> chunk) mutable {
-    std::vector<Call> calls;
-    if (auto r = reader.feed(chunk, calls); !r.ok()) {
-      raw->close();
-      return;
-    }
-    for (const Call& call : calls) {
-      ++calls_served_;
-      auto method = methods_.find({call.object, call.method});
-      Return ret;
-      if (method == methods_.end()) {
-        ret.exception = true;
-        ret.value = to_bytes("NoSuchMethodException: " + call.object + "." + call.method);
+  stream->on_data(net::frames<CallReader>(*raw, [this, raw](const Call& call) {
+    ++calls_served_;
+    auto method = methods_.find({call.object, call.method});
+    Return ret;
+    if (method == methods_.end()) {
+      ret.exception = true;
+      ret.value = to_bytes("NoSuchMethodException: " + call.object + "." + call.method);
+    } else {
+      auto result = method->second(call.args);
+      if (result.ok()) {
+        ret.value = std::move(result).take();
       } else {
-        auto result = method->second(call.args);
-        if (result.ok()) {
-          ret.value = std::move(result).take();
-        } else {
-          ret.exception = true;
-          ret.value = to_bytes(result.error().to_string());
-        }
+        ret.exception = true;
+        ret.value = to_bytes(result.error().to_string());
       }
-      (void)raw->send(encode_return(ret));
     }
-  });
+    (void)raw->send(encode_return(ret));
+  }));
 }
 
 }  // namespace umiddle::rmi

@@ -74,7 +74,6 @@ class RmiConnection {
   void pump();
 
   net::StreamPtr stream_;
-  ReturnReader reader_;
   std::deque<std::pair<Call, ReturnFn>> queue_;
   ReturnFn current_done_;
   bool in_flight_ = false;

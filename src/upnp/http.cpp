@@ -179,17 +179,10 @@ void HttpServer::route_prefix(std::string prefix, HttpHandler handler) {
 }
 
 void HttpServer::serve(net::StreamPtr stream) {
-  auto reader = std::make_shared<HttpRequestReader>();
   net::Stream* raw = stream.get();
-  stream->on_data([this, reader, raw, keep = stream](std::span<const std::uint8_t> chunk) {
-    std::vector<HttpRequest> requests;
-    if (!reader->feed(chunk, requests).ok()) {
-      (void)raw->send(HttpResponse::make(400, "Bad Request").to_wire());
-      raw->close();
-      return;
-    }
-    if (requests.empty()) return;
-    const HttpRequest& req = requests.front();
+  auto handle = [this, keep = stream, served = false](const HttpRequest& req) mutable {
+    // One request per connection: its response closes the stream.
+    if (std::exchange(served, true)) return;
     // Every copy of the responder shares one guard. The last copy to die
     // unanswered closes the stream, so the client sees a disconnect instead
     // of waiting forever for a handler that is gone.
@@ -226,22 +219,20 @@ void HttpServer::serve(net::StreamPtr stream) {
     } else {
       respond(HttpResponse::make(404, "Not Found"));
     }
-  });
+  };
+  stream->on_data(net::frames<HttpRequestReader>(*raw, std::move(handle), [raw](const Error&) {
+    (void)raw->send(HttpResponse::make(400, "Bad Request").to_wire());
+    raw->close();
+  }));
 }
 
 void http_fetch(net::Network& net, const std::string& from_host, const Uri& uri,
                 HttpRequest request, HttpResultFn done) {
   using Exchange = net::Exchange<HttpResponse>;
   request.headers["host"] = uri.host;
-  Exchange::run(
+  Exchange::run<HttpResponseReader>(
       net.connect(from_host, {uri.host, uri.effective_port()}), make_payload(request.to_wire()),
-      [reader = HttpResponseReader()](net::Stream&, std::span<const std::uint8_t> chunk) mutable
-          -> Exchange::Reply {
-        std::vector<HttpResponse> responses;
-        if (auto fed = reader.feed(chunk, responses); !fed.ok()) return fed.error();
-        if (responses.empty()) return std::nullopt;
-        return std::move(responses.front());
-      },
+      [](net::Stream&, HttpResponse& response) -> Exchange::Reply { return std::move(response); },
       std::move(done));
 }
 

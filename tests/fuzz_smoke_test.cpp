@@ -1,7 +1,8 @@
-// Deterministic mutation-fuzz smoke test over the project's nine parsing
+// Deterministic mutation-fuzz smoke test over the project's eleven parsing
 // surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, directory adverts,
-// UMTP frame decoding, base64 decoding, motes readings, URIs, MIME types and
-// every stream protocol's frame reader (DESIGN.md §7.6).
+// UMTP frame decoding, base64 decoding, motes readings, URIs, MIME types,
+// query paths from UMTP CONNECT frames, RMI registry bindings and every
+// stream protocol's frame reader (DESIGN.md §7.6).
 // Each entry point (src/fuzz/entries.hpp) is driven with ≥10k
 // splitmix64-mutated inputs derived from small valid corpora — bit flips,
 // byte stomps, truncations, extensions and (for UMTP) length-prefix lies.
@@ -230,6 +231,29 @@ Corpus mime_corpus() {
   return corpus;
 }
 
+Corpus query_corpus() {
+  Corpus corpus;
+  for (const char* text :
+       {"<query platform=\"upnp\"><port kind=\"digital\" direction=\"input\""
+        " type=\"image/jpeg\"/></query>",
+        "<query name-contains=\"Camera\"><port direction=\"output\" type=\"image/*\"/>"
+        "<port kind=\"digital\"/></query>",
+        "<query><port kind=\"physical\" direction=\"output\" type=\"visible/paper\"/></query>",
+        "<query platform=\"a&amp;b\"/>"}) {
+    corpus.push_back(bytes_of(text));
+  }
+  return corpus;
+}
+
+Corpus rmi_binding_corpus() {
+  Corpus corpus;
+  for (const char* text : {"camera|urn:Camera|host1|1099", "printer|Printer|10.0.0.7|65535",
+                           "x||h|1", "a b|c:d|e|0080"}) {
+    corpus.push_back(bytes_of(text));
+  }
+  return corpus;
+}
+
 /// One valid stream per protocol of fuzz::stream_protocols(): the selector
 /// byte, then two or three frames back to back.
 Corpus stream_corpus() {
@@ -307,6 +331,14 @@ TEST(FuzzSmokeTest, UriParserSurvivesMutations) {
 
 TEST(FuzzSmokeTest, MimeParserSurvivesMutations) {
   drive(&fuzz::fuzz_mime_parse, mime_corpus(), 0x313e7e5ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, QueryXmlSurvivesMutations) {
+  drive(&fuzz::fuzz_query_xml, query_corpus(), 0x9e77c0ec7ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, RmiBindingSurvivesMutations) {
+  drive(&fuzz::fuzz_rmi_binding, rmi_binding_corpus(), 0xb1dd1e5ull, kRounds);
 }
 
 TEST(FuzzSmokeTest, StreamFramesSurviveMutations) {

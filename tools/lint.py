@@ -57,6 +57,13 @@ exist to keep nondeterminism from leaking back in:
                through FrameReader with its own decode step (DESIGN.md §7.6),
                so the buffer, cursor, size bound and poisoning have one
                implementation.
+  one-frame-feed
+               a reader's feed( (`reader.feed(`, `reader->feed(`) appears in
+               src/ only in src/netsim/exchange.hpp and src/fuzz/: every
+               stream turns chunks into frames through net::frames, so the
+               frame vector, the log line and the poison rule (close the
+               stream, or run the caller's on_poison, then hand on nothing
+               more) have one implementation (DESIGN.md §7.6).
   netsim-by-handle
                in src/netsim/, no container keyed by std::string or Endpoint
                (std::map<Endpoint, std::set<std::string>,
@@ -519,6 +526,24 @@ def check_one_reassembly_site(path: str, code: str) -> Iterable[Violation]:
                             f"step ({REASSEMBLY_SITE})")
 
 
+# Chunks become frames in one place (DESIGN.md §7.6): net::frames feeds the
+# reader and applies the one poison rule. A feed( anywhere else is a second
+# chunk loop that decides for itself what a poisoned stream does. The fuzz
+# entries drive readers directly, with no stream.
+FEED_RE = re.compile(r"(?:\.|->)\s*feed\s*\(")
+FEED_SITES = ("src/netsim/exchange.hpp", "src/fuzz/")
+
+
+def check_one_frame_feed(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith("src/") or path.startswith(FEED_SITES):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if FEED_RE.search(line):
+            yield Violation("one-frame-feed", path, lineno,
+                            "reader fed outside net::frames; hand the stream "
+                            f"a net::frames<Reader> handler ({FEED_SITES[0]})")
+
+
 # The link lifecycle, the path queue and the directory's rules are netsim-free
 # value types (DESIGN.md §7.8, §10.2, §11.6): their files may not include the
 # simulator, the network or telemetry.
@@ -789,6 +814,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_global_telemetry,
     check_one_import_site,
     check_one_reassembly_site,
+    check_one_frame_feed,
     check_one_usdl_translator,
     check_netsim_by_handle,
     check_inline_callback,
@@ -890,6 +916,9 @@ SEEDED_VIOLATIONS = [
      "(void)runtime().unmap(id);\n"),
     ("one-reassembly-site", "src/bluetooth/evil.cpp",
      "hid_buffer_.insert(hid_buffer_.end(), chunk.begin(), chunk.end());\n"),
+    ("one-frame-feed", "src/mediabroker/evil.cpp",
+     "if (auto r = reader_.feed(chunk, frames); !r.ok()) { stream_->close(); }\n"
+     "if (!reader->feed(chunk, requests).ok()) return;\n"),
     ("one-usdl-translator", "src/webservice/evil.cpp",
      "const core::PortSpec* spec = profile().shape.find(b.port);\n"
      "for (const core::UsdlBinding* b : usdl_.bindings_for(port)) { use(b); }\n"
@@ -1012,6 +1041,14 @@ CLEAN_SNIPPETS = [
      "(void)runtime().unmap(*entry.id);\n"),
     ("src/common/frame_reader.hpp",
      "buffer_.insert(buffer_.end(), chunk.begin(), chunk.end());\n"),
+    ("src/netsim/exchange.hpp",
+     "if (auto r = reader.feed(chunk, frames); !r.ok()) { return; }\n"),
+    ("src/fuzz/entries.cpp",
+     "auto r = reader->feed(chunk, frames);\n"),
+    ("src/rmi/fine.cpp",
+     "// reader_.feed(chunk, returns) in a comment is fine\n"
+     "stream->on_data(net::frames<CallReader>(*raw, [this, raw](const Call& call) { serve(call); }));\n"
+     "[[nodiscard]] Result<void> feed(std::span<const std::uint8_t> chunk, std::vector<Frame>& out);\n"),
     ("src/bluetooth/fine.cpp",
      "// buffer.insert(buffer.end(), chunk.begin(), chunk.end()) in a comment is fine\n"
      "partial.data.insert(partial.data.end(), body.begin(), body.end());\n"
