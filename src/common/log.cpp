@@ -39,11 +39,6 @@ void set_level(Level level) {
   refresh_effective_locked(state());
 }
 
-Level level() {
-  std::lock_guard lock(state().mu);
-  return state().level;
-}
-
 bool enabled(Level level) {
   const Level threshold = state().effective.load(std::memory_order_relaxed);
   return level >= threshold && threshold != Level::off;

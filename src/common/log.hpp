@@ -29,7 +29,6 @@ using Sink = std::function<void(Level, std::string_view component, std::string_v
 /// Replace the process-wide sink (empty sink disables output).
 void set_sink(Sink sink);
 void set_level(Level level);
-Level level();
 
 /// True iff a statement at `level` would reach the sink. Lock-free fast path
 /// (single relaxed atomic load) so hot loops can log unconditionally and pay

@@ -20,24 +20,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
   }
 }
 
-std::vector<std::string> split(std::string_view s, std::string_view sep) {
-  std::vector<std::string> out;
-  if (sep.empty()) {
-    out.emplace_back(s);
-    return out;
-  }
-  std::size_t start = 0;
-  while (true) {
-    std::size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      return out;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + sep.size();
-  }
-}
-
 std::string_view trim(std::string_view s) {
   while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
   while (!s.empty() && is_space(s.back())) s.remove_suffix(1);

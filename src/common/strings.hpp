@@ -24,9 +24,6 @@ constexpr char upper(char c) { return c >= 'a' && c <= 'z' ? static_cast<char>(c
 /// Split on a single-character delimiter; empty fields are kept.
 std::vector<std::string> split(std::string_view s, char delim);
 
-/// Split on a multi-character separator (e.g. "\r\n"); empty fields are kept.
-std::vector<std::string> split(std::string_view s, std::string_view sep);
-
 /// Strip ASCII whitespace from both ends.
 std::string_view trim(std::string_view s);
 

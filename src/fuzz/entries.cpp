@@ -20,6 +20,7 @@
 #include "rmi/protocol.hpp"
 #include "rmi/registry.hpp"
 #include "upnp/http.hpp"
+#include "upnp/ssdp.hpp"
 #include "xml/parser.hpp"
 
 namespace umiddle::fuzz {
@@ -181,6 +182,27 @@ int fuzz_rmi_binding(const std::uint8_t* data, std::size_t size) {
   if (!again.ok()) std::abort();
   const rmi::Binding& c = again.value();
   if (c.name != b.name || c.type != b.type || c.host != b.host || c.port != b.port) std::abort();
+  return 1;
+}
+
+int fuzz_ssdp_datagram(const std::uint8_t* data, std::size_t size) {
+  const std::string_view text(reinterpret_cast<const char*>(data), size);
+  auto a = upnp::announcement_of(text);
+  if (!a.ok()) {
+    // A failure keeps its error: the head's or the announcement's parse_error.
+    if (a.error().code != Errc::parse_error) std::abort();
+    return 0;
+  }
+  // Written as a NOTIFY and as a search response, the announcement parses
+  // back to itself. A byebye carries no location and no max-age.
+  const upnp::SsdpAnnouncement& got = a.value();
+  const upnp::SsdpAnnouncement bye{got.notification_type, got.usn, "", false, 0};
+  auto notified = upnp::announcement_of(to_string(upnp::notify_datagram(got, got.alive)));
+  auto answered = upnp::announcement_of(to_string(upnp::search_response_datagram(got)));
+  if (!notified.ok() || notified.value() != (got.alive ? got : bye) ||
+      (got.alive && (!answered.ok() || answered.value() != got))) {
+    std::abort();
+  }
   return 1;
 }
 

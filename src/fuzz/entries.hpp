@@ -73,6 +73,13 @@ int fuzz_query_xml(const std::uint8_t* data, std::size_t size);
 /// same name, type, host and port.
 int fuzz_rmi_binding(const std::uint8_t* data, std::size_t size);
 
+/// upnp::announcement_of on the bytes as one SSDP datagram: the one HTTP head
+/// reader, then the NOTIFY and search-response fields. Oracle: a failure is a
+/// parse_error, and on success the announcement, written as a NOTIFY and as
+/// a search response by the one head writer, parses back to itself, max_age
+/// included.
+int fuzz_ssdp_datagram(const std::uint8_t* data, std::size_t size);
+
 /// One stream protocol's FrameReader behind a type-erased feed that hands back
 /// every complete frame re-encoded, so readers of different frame types
 /// compare alike (DESIGN.md §7.6).

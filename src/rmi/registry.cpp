@@ -46,8 +46,6 @@ RmiRegistry::RmiRegistry(net::Network& net, std::string host, std::uint16_t port
 
 Result<void> RmiRegistry::start() { return server_.start(); }
 
-void RmiRegistry::stop() { server_.stop(); }
-
 RegistryClient::RegistryClient(net::Network& net, std::string from_host, net::Endpoint registry)
     : net_(net), from_host_(std::move(from_host)), registry_(std::move(registry)) {}
 

@@ -28,7 +28,6 @@ class RmiRegistry {
   RmiRegistry(net::Network& net, std::string host, std::uint16_t port = kRegistryPort);
 
   [[nodiscard]] Result<void> start();
-  void stop();
 
   std::size_t size() const { return bindings_.size(); }
   net::Endpoint endpoint() const { return {host_, port_}; }

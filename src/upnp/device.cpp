@@ -96,11 +96,6 @@ void UpnpDevice::set_state(const std::string& service_type, const std::string& v
   notify_subscribers(service_type, var, value);
 }
 
-std::string UpnpDevice::state(const std::string& service_type, const std::string& var) const {
-  auto it = state_.find({service_type, var});
-  return it == state_.end() ? std::string() : it->second;
-}
-
 void UpnpDevice::handle_control(const std::string& /*service_type*/, const HttpRequest& req,
                                 RespondFn respond) {
   if (req.method != "POST") {

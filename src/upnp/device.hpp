@@ -62,7 +62,6 @@ class UpnpDevice {
   /// Set an evented state variable; notifies GENA subscribers on change.
   void set_state(const std::string& service_type, const std::string& var,
                  const std::string& value);
-  std::string state(const std::string& service_type, const std::string& var) const;
 
   const DeviceDescription& description() const { return description_; }
   std::string location() const;

@@ -6,83 +6,40 @@
 namespace umiddle::upnp {
 namespace {
 
-std::string find_header(const std::map<std::string, std::string>& headers,
-                        std::string_view name) {
-  auto it = headers.find(strings::to_lower(name));
-  return it == headers.end() ? std::string() : it->second;
-}
+constexpr std::string_view kLineEnd = "\r\n";
+constexpr std::string_view kBlankLine = "\r\n\r\n";
 
-std::string start_line(const HttpRequest& r) { return r.method + " " + r.path + " HTTP/1.1\r\n"; }
-
-std::string start_line(const HttpResponse& r) {
-  return "HTTP/1.1 " + std::to_string(r.status) + " " + r.reason + "\r\n";
-}
-
-/// Start line, headers, blank line and body, in one buffer that a stream
-/// can send without copying it again.
-template <typename Message>
-Bytes wire_of(const Message& m) {
-  std::string head = start_line(m);
-  for (const auto& [k, v] : m.headers) head += k + ": " + v + "\r\n";
-  if (m.headers.count("content-length") == 0) {
-    head += "content-length: " + std::to_string(m.body.size()) + "\r\n";
-  }
-  head += "\r\n";
-  Bytes out;
-  out.reserve(head.size() + m.body.size());
-  out.insert(out.end(), head.begin(), head.end());
-  out.insert(out.end(), m.body.begin(), m.body.end());
-  return out;
-}
-
-}  // namespace
-
-std::string HttpRequest::header(std::string_view name) const {
-  return find_header(headers, name);
-}
-
-Bytes HttpRequest::to_wire() const { return wire_of(*this); }
-
-std::string HttpResponse::header(std::string_view name) const {
-  return find_header(headers, name);
-}
-
-Bytes HttpResponse::to_wire() const { return wire_of(*this); }
-
-HttpResponse HttpResponse::make(int status, std::string reason, std::string body,
-                                std::string content_type) {
-  HttpResponse r;
-  r.status = status;
-  r.reason = std::move(reason);
-  r.body = std::move(body);
-  if (!r.body.empty()) r.headers["content-type"] = std::move(content_type);
-  return r;
-}
-
-namespace {
-
-/// The body length a head announces: its last content-length, or 0 when
-/// absent. A scan of the header lines only, so a body arriving in many
-/// chunks does not parse its head once per chunk.
-Result<std::uint64_t> content_length(std::string_view head) {
-  std::uint64_t length = 0;
-  for (std::size_t pos = head.find("\r\n"); pos != std::string_view::npos;) {
-    const std::size_t start = pos + 2;
-    pos = head.find("\r\n", start);
-    const std::string_view line = head.substr(start, pos - start);
+/// The one line splitter and colon rule: calls `on_field(name, value)` for
+/// each header line of `head` (the bytes before its blank line), split at its
+/// first colon and trimmed, and gives the start line. A header line with no
+/// colon is a parse_error (RFC 7230 §3.2), and so is one `on_field` rejects.
+template <typename OnField>
+Result<std::string_view> split_head(std::string_view head, OnField on_field) {
+  std::size_t end = head.find(kLineEnd);
+  const std::string_view start_line = head.substr(0, end);
+  while (end != std::string_view::npos) {
+    const std::size_t from = end + kLineEnd.size();
+    end = head.find(kLineEnd, from);
+    const std::string_view line = head.substr(from, end - from);
     const std::size_t colon = line.find(':');
     if (colon == std::string_view::npos ||
-        !strings::iequals(strings::trim(line.substr(0, colon)), "content-length")) {
-      continue;
-    }
-    // A present content-length must parse, or the real body would be left
-    // behind as if it were the next message.
-    const std::string_view value = strings::trim(line.substr(colon + 1));
-    if (!strings::parse_u64(value, length)) {
-      return make_error(Errc::parse_error, "http: bad content-length: " + std::string(value));
+        !on_field(strings::trim(line.substr(0, colon)), strings::trim(line.substr(colon + 1)))) {
+      return make_error(Errc::parse_error, "http: bad header line: " + std::string(line));
     }
   }
-  return length;
+  return start_line;
+}
+
+/// The message as the one writer sends it: its headers in map order, then a
+/// content-length unless it has one.
+template <typename Message>
+Bytes wire_of(const Message& m, std::string_view start_line) {
+  const std::string length = std::to_string(m.body.size());
+  std::vector<Field> fields;
+  fields.reserve(m.headers.size() + 1);
+  fields.insert(fields.end(), m.headers.begin(), m.headers.end());
+  if (m.headers.count("content-length") == 0) fields.emplace_back("content-length", length);
+  return write_message(start_line, fields, m.body);
 }
 
 Result<void> parse_start_line(const std::string& line, HttpRequest& m) {
@@ -107,48 +64,92 @@ Result<void> parse_start_line(const std::string& line, HttpResponse& m) {
   return ok_result();
 }
 
+}  // namespace
+
+std::string Headers::header(std::string_view name, std::string_view absent) const {
+  auto it = headers.find(strings::to_lower(name));
+  return it == headers.end() ? std::string(absent) : it->second;
+}
+
+Result<Head> parse_head(std::string_view message) {
+  const std::size_t end = message.find(kBlankLine);
+  if (end == std::string_view::npos) return make_error(Errc::parse_error, "http: no blank line");
+  Head head;
+  auto start_line = split_head(message.substr(0, end), [&head](auto name, auto value) {
+    head.headers[strings::to_lower(name)] = value;
+    return true;
+  });
+  if (!start_line.ok()) return start_line.error();
+  head.start_line = start_line.value();
+  return head;
+}
+
+Bytes write_message(std::string_view start, std::span<const Field> fields, std::string_view body) {
+  // Each field is its line end, then `name: value`.
+  std::size_t size = start.size() + kBlankLine.size() + body.size();
+  for (const auto& [name, value] : fields) size += kLineEnd.size() + name.size() + 2 + value.size();
+  Bytes out;
+  out.reserve(size);
+  const auto put = [&out](std::string_view s) { out.insert(out.end(), s.begin(), s.end()); };
+  put(start);
+  for (const auto& [name, value] : fields) {
+    for (const std::string_view text : {kLineEnd, name, std::string_view(": "), value}) put(text);
+  }
+  put(kBlankLine);
+  put(body);
+  return out;
+}
+
+Bytes HttpRequest::to_wire() const { return wire_of(*this, method + " " + path + " HTTP/1.1"); }
+
+Bytes HttpResponse::to_wire() const {
+  return wire_of(*this, "HTTP/1.1 " + std::to_string(status) + " " + reason);
+}
+
+HttpResponse HttpResponse::make(int status, std::string reason, std::string body,
+                                std::string content_type) {
+  HttpResponse r;
+  r.status = status;
+  r.reason = std::move(reason);
+  r.body = std::move(body);
+  if (!r.body.empty()) r.headers["content-type"] = std::move(content_type);
+  return r;
+}
+
 template <typename Message>
 Result<std::size_t> next_message(std::span<const std::uint8_t> buffer, std::vector<Message>& out) {
   const std::string_view bytes(reinterpret_cast<const char*>(buffer.data()), buffer.size());
-  const std::size_t end = bytes.find("\r\n\r\n");
+  const std::size_t end = bytes.find(kBlankLine);
   if (end == std::string_view::npos) return std::size_t{0};
-  const std::string_view head = bytes.substr(0, end);
-  auto length = content_length(head);
-  if (!length.ok()) return length.error();
-  const std::size_t body_at = end + 4;
-  if (body_at > kMaxFrame || length.value() > kMaxFrame - body_at) {
+  // The body length: the last content-length, or 0 when absent. A present
+  // one must parse, or the real body would be left behind as if it were the
+  // next message. A scan of the header lines only, so a body arriving in many
+  // chunks does not parse its head once per chunk.
+  std::uint64_t length = 0;
+  auto scanned = split_head(bytes.substr(0, end), [&length](auto name, auto value) {
+    return !strings::iequals(name, "content-length") || strings::parse_u64(value, length);
+  });
+  if (!scanned.ok()) return scanned.error();
+  const std::size_t body_at = end + kBlankLine.size();
+  if (body_at > kMaxFrame || length > kMaxFrame - body_at) {
     return make_error(Errc::protocol_error, "http: message exceeds kMaxFrame");
   }
   // Incomplete: the head is in, so report the message's full length.
-  if (bytes.size() - body_at < length.value()) return body_at + length.value();
+  if (bytes.size() - body_at < length) return body_at + length;
 
-  auto lines = strings::split(head, "\r\n");
+  auto head = parse_head(bytes.substr(0, body_at));
+  if (!head.ok()) return head.error();
   Message m;
-  if (auto r = parse_start_line(lines[0], m); !r.ok()) return r.error();
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    std::size_t colon = lines[i].find(':');
-    if (colon == std::string::npos) {
-      return make_error(Errc::parse_error, "http: bad header line: " + lines[i]);
-    }
-    m.headers[strings::to_lower(strings::trim(lines[i].substr(0, colon)))] =
-        std::string(strings::trim(lines[i].substr(colon + 1)));
-  }
-  m.body.assign(bytes.substr(body_at, length.value()));
+  if (auto r = parse_start_line(head.value().start_line, m); !r.ok()) return r.error();
+  m.headers = std::move(head.value().headers);
+  m.body.assign(bytes.substr(body_at, length));
   out.push_back(std::move(m));
-  return body_at + length.value();
+  return body_at + length;
 }
 
-}  // namespace
-
-Result<std::size_t> next_request(std::span<const std::uint8_t> buffer,
-                                 std::vector<HttpRequest>& out) {
-  return next_message(buffer, out);
-}
-
-Result<std::size_t> next_response(std::span<const std::uint8_t> buffer,
-                                  std::vector<HttpResponse>& out) {
-  return next_message(buffer, out);
-}
+template Result<std::size_t> next_message(std::span<const std::uint8_t>, std::vector<HttpRequest>&);
+template Result<std::size_t> next_message(std::span<const std::uint8_t>,
+                                          std::vector<HttpResponse>&);
 
 HttpServer::HttpServer(net::Network& net, std::string host, std::uint16_t port)
     : net_(net), host_(std::move(host)), port_(port) {}

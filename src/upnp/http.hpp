@@ -20,24 +20,45 @@
 
 namespace umiddle::upnp {
 
-struct HttpRequest {
+/// Header fields, names lower-cased. A repeated name keeps its last value.
+struct Headers {
+  std::map<std::string, std::string> headers;
+
+  /// The value of header `name`, in any case, or `absent` when it has none.
+  std::string header(std::string_view name, std::string_view absent = "") const;
+};
+
+/// An HTTP message head (RFC 7230 §3): the start line and the header fields.
+/// SOAP and GENA messages carry one, and an SSDP datagram is one (UPnP DA 1.0
+/// §1). Its one reader and one writer are below (DESIGN.md §7.9).
+struct Head : Headers { std::string start_line; };
+
+/// The head at the front of `message`, up to its first blank line. A message
+/// with no blank line, or a header line with no colon, is a parse_error.
+[[nodiscard]] Result<Head> parse_head(std::string_view message);
+
+/// One header field as the writer takes it: name and value.
+using Field = std::pair<std::string_view, std::string_view>;
+
+/// The one head writer: the `start` line, each field as `Name: value`, the
+/// blank line, then `body`, in one buffer of exactly that size.
+Bytes write_message(std::string_view start, std::span<const Field> fields,
+                    std::string_view body = {});
+
+struct HttpRequest : Headers {
   std::string method = "GET";
   std::string path = "/";
-  std::map<std::string, std::string> headers;  ///< names lower-cased
   std::string body;
 
-  std::string header(std::string_view name) const;
   /// The message as sent on a stream: head, blank line, body.
   Bytes to_wire() const;
 };
 
-struct HttpResponse {
+struct HttpResponse : Headers {
   int status = 200;
   std::string reason = "OK";
-  std::map<std::string, std::string> headers;
   std::string body;
 
-  std::string header(std::string_view name) const;
   /// The message as sent on a stream: head, blank line, body.
   Bytes to_wire() const;
 
@@ -45,17 +66,16 @@ struct HttpResponse {
                            std::string content_type = "text/xml");
 };
 
-/// HTTP's FrameReader decode steps (DESIGN.md §7.6): a head up to the blank
-/// line, then a content-length body (absent means empty). A malformed head,
-/// a content-length that is not a u64, and a message longer than kMaxFrame
-/// are errors. A message whose head is in but whose body is not reports its
-/// full length.
-[[nodiscard]] Result<std::size_t> next_request(std::span<const std::uint8_t> buffer,
-                                               std::vector<HttpRequest>& out);
-[[nodiscard]] Result<std::size_t> next_response(std::span<const std::uint8_t> buffer,
-                                                std::vector<HttpResponse>& out);
-using HttpRequestReader = FrameReader<HttpRequest, next_request>;
-using HttpResponseReader = FrameReader<HttpResponse, next_response>;
+/// HTTP's FrameReader decode step (DESIGN.md §7.6), for an HttpRequest or an
+/// HttpResponse: a head up to the blank line, then a content-length body
+/// (absent means empty). A malformed head, a content-length that is not a
+/// u64, and a message longer than kMaxFrame are errors. A message whose head
+/// is in but whose body is not reports its full length.
+template <typename Message>
+[[nodiscard]] Result<std::size_t> next_message(std::span<const std::uint8_t> buffer,
+                                               std::vector<Message>& out);
+using HttpRequestReader = FrameReader<HttpRequest, next_message<HttpRequest>>;
+using HttpResponseReader = FrameReader<HttpResponse, next_message<HttpResponse>>;
 
 /// Asynchronous request handler: call `respond` exactly once, possibly after
 /// scheduling virtual-time work (device actuation, SOAP unmarshalling).

@@ -2,22 +2,54 @@
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
+#include "upnp/http.hpp"
 
 namespace umiddle::upnp {
 namespace {
 
-std::map<std::string, std::string> parse_headers(const std::vector<std::string>& lines) {
-  std::map<std::string, std::string> headers;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    std::size_t colon = lines[i].find(':');
-    if (colon == std::string::npos) continue;
-    headers[strings::to_lower(strings::trim(lines[i].substr(0, colon)))] =
-        std::string(strings::trim(lines[i].substr(colon + 1)));
-  }
-  return headers;
+constexpr std::string_view kGroupHost = "239.255.255.250:1900";
+
+/// The seconds of a CACHE-CONTROL value `max-age=N` (RFC 7234 §5.2.2.8), at
+/// most UINT32_MAX; 0 for any other value.
+std::uint32_t max_age_of(std::string_view value) {
+  const std::size_t eq = value.find('=');
+  std::uint64_t seconds = 0;
+  const bool ok = eq != std::string_view::npos &&
+                  strings::iequals(strings::trim(value.substr(0, eq)), "max-age") &&
+                  strings::parse_u64(strings::trim(value.substr(eq + 1)), seconds);
+  return ok ? static_cast<std::uint32_t>(std::min<std::uint64_t>(seconds, UINT32_MAX)) : 0;
 }
 
 }  // namespace
+
+Result<SsdpAnnouncement> announcement_of(std::string_view datagram) {
+  auto parsed = parse_head(datagram);
+  if (!parsed.ok()) return parsed.error();
+  const Head& head = parsed.value();
+  const bool is_response = strings::starts_with(head.start_line, "HTTP/1.1 200");
+  SsdpAnnouncement a{head.header(is_response ? "st" : "nt"), head.header("usn"),
+                     head.header("location"), is_response || head.header("nts") == "ssdp:alive",
+                     max_age_of(head.header("cache-control"))};
+  if ((!is_response && !strings::starts_with(head.start_line, "NOTIFY")) || a.usn.empty()) {
+    return make_error(Errc::parse_error, "ssdp: not an announcement: " + head.start_line);
+  }
+  return a;
+}
+
+Bytes notify_datagram(const SsdpAnnouncement& a, bool alive) {
+  const std::string max_age = "max-age=" + std::to_string(a.max_age);
+  const Field fields[] = {{"HOST", kGroupHost}, {"NT", a.notification_type},
+                          {"NTS", alive ? "ssdp:alive" : "ssdp:byebye"}, {"USN", a.usn},
+                          {"LOCATION", a.location}, {"CACHE-CONTROL", max_age}};
+  return write_message("NOTIFY * HTTP/1.1", std::span(fields).first(alive ? 6 : 4));
+}
+
+Bytes search_response_datagram(const SsdpAnnouncement& a) {
+  const std::string max_age = "max-age=" + std::to_string(a.max_age);
+  const Field fields[] = {{"ST", a.notification_type}, {"USN", a.usn},
+                          {"LOCATION", a.location}, {"CACHE-CONTROL", max_age}};
+  return write_message("HTTP/1.1 200 OK", fields);
+}
 
 SsdpAgent::SsdpAgent(net::Network& net, std::string host)
     : net_(net), host_(std::move(host)) {}
@@ -49,14 +81,12 @@ void SsdpAgent::stop() {
   socket_.reset();
 }
 
-Result<void> SsdpAgent::search(const std::string& target, int mx_seconds) {
-  std::string msg = "M-SEARCH * HTTP/1.1\r\n"
-                    "HOST: 239.255.255.250:1900\r\n"
-                    "MAN: \"ssdp:discover\"\r\n"
-                    "MX: " + std::to_string(mx_seconds) + "\r\n"
-                    "ST: " + target + "\r\n\r\n";
+Result<void> SsdpAgent::search(const std::string& target) {
+  const Field fields[] = {
+      {"HOST", kGroupHost}, {"MAN", "\"ssdp:discover\""}, {"MX", "2"}, {"ST", target}};
   if (!socket_) return make_error(Errc::disconnected, "ssdp: search before start");
-  return net_.udp_multicast(*socket_, kSsdpGroup, kSsdpPort, make_payload(to_bytes(msg)));
+  return net_.udp_multicast(*socket_, kSsdpGroup, kSsdpPort,
+                            make_payload(write_message("M-SEARCH * HTTP/1.1", fields)));
 }
 
 void SsdpAgent::advertise(SsdpAnnouncement announcement) {
@@ -75,71 +105,48 @@ void SsdpAgent::withdraw(const std::string& usn) {
 }
 
 void SsdpAgent::send_notify(const SsdpAnnouncement& a, bool alive) {
-  std::string msg = "NOTIFY * HTTP/1.1\r\n"
-                    "HOST: 239.255.255.250:1900\r\n"
-                    "NT: " + a.notification_type + "\r\n"
-                    "NTS: " + std::string(alive ? "ssdp:alive" : "ssdp:byebye") + "\r\n"
-                    "USN: " + a.usn + "\r\n";
-  if (alive) msg += "LOCATION: " + a.location + "\r\nCACHE-CONTROL: max-age=1800\r\n";
-  msg += "\r\n";
   if (!socket_) return;
-  auto r = net_.udp_multicast(*socket_, kSsdpGroup, kSsdpPort, make_payload(to_bytes(msg)));
+  auto r = net_.udp_multicast(*socket_, kSsdpGroup, kSsdpPort,
+                              make_payload(notify_datagram(a, alive)));
   if (!r.ok()) {
     log::Entry(log::Level::warn, "ssdp") << "notify failed: " << r.error().to_string();
   }
 }
 
-void SsdpAgent::answer_search(const net::Endpoint& to, const SsdpAnnouncement& a) {
-  std::string msg = "HTTP/1.1 200 OK\r\n"
-                    "ST: " + a.notification_type + "\r\n"
-                    "USN: " + a.usn + "\r\n"
-                    "LOCATION: " + a.location + "\r\n"
-                    "CACHE-CONTROL: max-age=1800\r\n\r\n";
-  (void)net_.udp_send(*socket_, to, make_payload(to_bytes(msg)));
-}
-
 void SsdpAgent::handle_datagram(const net::Endpoint& from, const Bytes& payload) {
-  std::string text = umiddle::to_string(payload);
-  auto lines = strings::split(text, "\r\n");
-  if (lines.empty()) return;
-  auto headers = parse_headers(lines);
-
-  if (strings::starts_with(lines[0], "NOTIFY") || strings::starts_with(lines[0], "HTTP/1.1 200")) {
-    SsdpAnnouncement a;
-    bool is_response = strings::starts_with(lines[0], "HTTP/");
-    a.notification_type = headers.count(is_response ? "st" : "nt") != 0
-                              ? headers[is_response ? "st" : "nt"]
-                              : "";
-    a.usn = headers.count("usn") != 0 ? headers["usn"] : "";
-    a.location = headers.count("location") != 0 ? headers["location"] : "";
-    a.alive = is_response || (headers.count("nts") != 0 && headers["nts"] == "ssdp:alive");
-    if (a.usn.empty()) return;
-    if (on_announcement_) on_announcement_(a);
+  // A malformed head drops the datagram.
+  const std::string_view text(reinterpret_cast<const char*>(payload.data()), payload.size());
+  if (!strings::starts_with(text, "M-SEARCH")) {
+    auto a = announcement_of(text);
+    if (a.ok() && on_announcement_) on_announcement_(a.value());
     return;
   }
-
-  if (strings::starts_with(lines[0], "M-SEARCH")) {
-    if (advertised_.empty()) return;
-    std::string target = headers.count("st") != 0 ? headers["st"] : "ssdp:all";
-    std::uint64_t mx = 1;
-    if (headers.count("mx") != 0) (void)strings::parse_u64(headers["mx"], mx);
-    // Deterministic per-host response delay spread inside the MX window.
-    std::uint64_t spread = 0;
-    for (char c : host_) spread = spread * 31 + static_cast<unsigned char>(c);
-    sim::Duration delay = sim::milliseconds(
-        20 + static_cast<std::int64_t>(spread % (mx * 400 + 1)));
-    Reply reply{from, {}};
-    for (const SsdpAnnouncement& a : advertised_) {
-      if (target == "ssdp:all" || target == a.notification_type) reply.matched.push_back(a);
-    }
-    const std::uint32_t key = replies_.put(std::move(reply));
-    net_.scheduler().schedule_after(
-        delay, lifetime_.guard([this, key]() {
-          const auto [to, matched] = replies_.take(key);
-          for (const SsdpAnnouncement& a : matched) answer_search(to, a);
-        }),
-        {sim::host_id(host_), sim::tag_id("upnp.ssdp")});
+  auto head = parse_head(text);
+  if (!head.ok() || advertised_.empty()) return;
+  const std::string target = head.value().header("st", "ssdp:all");
+  std::uint64_t mx = 1;
+  (void)strings::parse_u64(head.value().header("mx"), mx);
+  // UPnP DA 1.0 §1.2.3 bounds MX at 120 s. An MX from the wire is untrusted,
+  // and the reply delay below is signed arithmetic on it.
+  mx = std::min<std::uint64_t>(mx, 120);
+  // Deterministic per-host response delay spread inside the MX window.
+  std::uint64_t spread = 0;
+  for (char c : host_) spread = spread * 31 + static_cast<unsigned char>(c);
+  sim::Duration delay =
+      sim::milliseconds(20 + static_cast<std::int64_t>(spread % (mx * 400 + 1)));
+  Reply reply{from, {}};
+  for (const SsdpAnnouncement& a : advertised_) {
+    if (target == "ssdp:all" || target == a.notification_type) reply.matched.push_back(a);
   }
+  const std::uint32_t key = replies_.put(std::move(reply));
+  net_.scheduler().schedule_after(
+      delay, lifetime_.guard([this, key]() {
+        const auto [to, matched] = replies_.take(key);
+        for (const SsdpAnnouncement& a : matched) {
+          (void)net_.udp_send(*socket_, to, make_payload(search_response_datagram(a)));
+        }
+      }),
+      {sim::host_id(host_), sim::tag_id("upnp.ssdp")});
 }
 
 }  // namespace umiddle::upnp

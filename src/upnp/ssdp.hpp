@@ -4,6 +4,8 @@
 //   NOTIFY ssdp:alive / ssdp:byebye — unsolicited device announcements;
 //   M-SEARCH — active search; devices answer with a unicast 200 OK after a
 //   random delay within MX seconds (we use a deterministic per-device delay).
+// Each is an HTTP head (upnp::Head), read and written by http.cpp's one
+// reader and one writer.
 #pragma once
 
 #include <functional>
@@ -27,7 +29,21 @@ struct SsdpAnnouncement {
   std::string usn;                ///< unique service name, e.g. "uuid:...::urn:..."
   std::string location;           ///< URL of the device description document
   bool alive = true;              ///< false for ssdp:byebye
+  /// Seconds the announcement stays valid (CACHE-CONTROL max-age); a received
+  /// one is 0 when the datagram states none.
+  std::uint32_t max_age = 1800;
+
+  bool operator==(const SsdpAnnouncement&) const = default;
 };
+
+/// The announcement a NOTIFY or search-response datagram carries. A
+/// malformed head, any other message and one without a USN are parse_errors.
+[[nodiscard]] Result<SsdpAnnouncement> announcement_of(std::string_view datagram);
+/// NOTIFY ssdp:alive or ssdp:byebye for `a`. A byebye carries neither
+/// LOCATION nor CACHE-CONTROL.
+Bytes notify_datagram(const SsdpAnnouncement& a, bool alive);
+/// The unicast answer to an M-SEARCH that `a` matches.
+Bytes search_response_datagram(const SsdpAnnouncement& a);
 
 /// Both halves of SSDP; devices use announce/byebye + search responses,
 /// control points use search() and the announcement callback.
@@ -45,8 +61,9 @@ class SsdpAgent {
 
   /// Control-point side: called for alive/byebye notifies and search replies.
   void on_announcement(AnnouncementFn fn) { on_announcement_ = std::move(fn); }
-  /// Multicast an M-SEARCH for the given search target ("ssdp:all" or a URN).
-  [[nodiscard]] Result<void> search(const std::string& target, int mx_seconds = 2);
+  /// Multicast an M-SEARCH for the given search target ("ssdp:all" or a URN),
+  /// with MX 2.
+  [[nodiscard]] Result<void> search(const std::string& target);
 
   /// Device side: register something to be announced (if started) and answered for.
   void advertise(SsdpAnnouncement announcement);
@@ -62,7 +79,6 @@ class SsdpAgent {
 
   void handle_datagram(const net::Endpoint& from, const Bytes& payload);
   void send_notify(const SsdpAnnouncement& a, bool alive);
-  void answer_search(const net::Endpoint& to, const SsdpAnnouncement& a);
 
   net::Network& net_;
   std::string host_;

@@ -60,15 +60,6 @@ TEST(StringsTest, SplitChar) {
   EXPECT_EQ(parts[3], "c");
 }
 
-TEST(StringsTest, SplitSeparator) {
-  auto parts = strings::split("GET / HTTP/1.1\r\nHost: x\r\n\r\n", "\r\n");
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "GET / HTTP/1.1");
-  EXPECT_EQ(parts[1], "Host: x");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(parts[3], "");
-}
-
 TEST(StringsTest, SplitNoDelimiterYieldsWhole) {
   auto parts = strings::split("plain", ',');
   ASSERT_EQ(parts.size(), 1u);

@@ -1,8 +1,9 @@
-// Deterministic mutation-fuzz smoke test over the project's eleven parsing
+// Deterministic mutation-fuzz smoke test over the project's twelve parsing
 // surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, directory adverts,
 // UMTP frame decoding, base64 decoding, motes readings, URIs, MIME types,
-// query paths from UMTP CONNECT frames, RMI registry bindings and every
-// stream protocol's frame reader (DESIGN.md §7.6).
+// query paths from UMTP CONNECT frames, RMI registry bindings, SSDP
+// datagrams (DESIGN.md §7.9) and every stream protocol's frame reader
+// (DESIGN.md §7.6).
 // Each entry point (src/fuzz/entries.hpp) is driven with ≥10k
 // splitmix64-mutated inputs derived from small valid corpora — bit flips,
 // byte stomps, truncations, extensions and (for UMTP) length-prefix lies.
@@ -27,6 +28,7 @@
 #include "motes/motes.hpp"
 #include "rmi/protocol.hpp"
 #include "upnp/http.hpp"
+#include "upnp/ssdp.hpp"
 
 namespace umiddle {
 namespace {
@@ -254,6 +256,20 @@ Corpus rmi_binding_corpus() {
   return corpus;
 }
 
+/// Announcements as SsdpAgent writes them, and one as another stack might:
+/// mixed-case names, spaces around the colon and the max-age `=`, a header
+/// SSDP does not read and a body after the blank line.
+Corpus ssdp_corpus() {
+  const upnp::SsdpAnnouncement lamp{"urn:schemas-upnp-org:device:BinaryLight:1",
+                                    "uuid:lamp-1::urn:schemas-upnp-org:device:BinaryLight:1",
+                                    "http://lamp:80/description.xml", true, 1800};
+  return {upnp::notify_datagram(lamp, true), upnp::notify_datagram(lamp, false),
+          upnp::search_response_datagram(lamp),
+          bytes_of("HTTP/1.1 200 OK\r\nCache-Control : max-age = 60\r\nEXT:\r\n"
+                   "St: upnp:rootdevice\r\nusn: uuid:tv::upnp:rootdevice\r\n"
+                   "Location: http://tv:49152/d.xml\r\n\r\ntrailing")};
+}
+
 /// One valid stream per protocol of fuzz::stream_protocols(): the selector
 /// byte, then two or three frames back to back.
 Corpus stream_corpus() {
@@ -339,6 +355,10 @@ TEST(FuzzSmokeTest, QueryXmlSurvivesMutations) {
 
 TEST(FuzzSmokeTest, RmiBindingSurvivesMutations) {
   drive(&fuzz::fuzz_rmi_binding, rmi_binding_corpus(), 0xb1dd1e5ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, SsdpDatagramSurvivesMutations) {
+  drive(&fuzz::fuzz_ssdp_datagram, ssdp_corpus(), 0x55d9da7a6ull, kRounds);
 }
 
 TEST(FuzzSmokeTest, StreamFramesSurviveMutations) {

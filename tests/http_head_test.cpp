@@ -1,12 +1,17 @@
 // The HTTP message head that UPnP speaks twice (DESIGN.md §7.9): over streams
 // for SOAP and GENA, and over UDP as SSDP (UPnP DA 1.0 §1). These rows pin
-// the exact bytes SsdpAgent sends.
+// the head's rules on each transport: a header line with no colon is
+// rejected, names fold case, the last repeat wins, and an SSDP datagram's
+// head ends at its blank line. They also pin the exact bytes SsdpAgent sends
+// and bound the reply delay an M-SEARCH's MX can ask for.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "netsim/network.hpp"
+#include "upnp/http.hpp"
 #include "upnp/ssdp.hpp"
 
 namespace umiddle::upnp {
@@ -100,6 +105,148 @@ TEST(SsdpTest, DatagramBytesArePinned) {
             "NTS: ssdp:byebye\r\n"
             "USN: uuid:lamp-1::urn:schemas-upnp-org:device:BinaryLight:1\r\n"
             "\r\n");
+}
+
+// --- the colon rule: the same colon-less line on every transport -----------------
+
+constexpr std::string_view kColonless = "no colon here";
+
+template <typename Reader>
+Result<void> feed_text(Reader& reader, const std::string& text) {
+  std::vector<typename Reader::Frame> out;
+  auto r = reader.feed(to_bytes(text), out);
+  EXPECT_TRUE(out.empty());
+  return r;
+}
+
+TEST(HeadColonRuleTest, HttpRequestReaderRejects) {
+  HttpRequestReader reader;
+  const auto r = feed_text(reader, "GET / HTTP/1.1\r\nhost: tv\r\n" + std::string(kColonless) +
+                                       "\r\n\r\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Errc::parse_error);
+}
+
+// The line is rejected as soon as the head is in, before the body the
+// content-length announces arrives.
+TEST(HeadColonRuleTest, HttpResponseReaderRejectsBeforeTheBody) {
+  HttpResponseReader reader;
+  const auto r = feed_text(reader, "HTTP/1.1 200 OK\r\ncontent-length: 5\r\n" +
+                                       std::string(kColonless) + "\r\n\r\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Errc::parse_error);
+  HttpResponseReader complete;
+  EXPECT_FALSE(feed_text(complete, "HTTP/1.1 200 OK\r\n" + std::string(kColonless) +
+                                       "\r\ncontent-length: 5\r\n\r\nhello")
+                   .ok());
+}
+
+// A NOTIFY with the line is dropped; the same NOTIFY without it is announced.
+TEST(HeadColonRuleTest, SsdpDatagramIsDropped) {
+  Lan lan;
+  lan.add_host("cp");
+  lan.add_host("sender");
+  SsdpAgent cp(lan.net, "cp");
+  std::vector<SsdpAnnouncement> seen;
+  cp.on_announcement([&](const SsdpAnnouncement& a) { seen.push_back(a); });
+  ASSERT_TRUE(cp.start().ok());
+  const auto notify = [&](std::string_view extra) {
+    const std::string text = "NOTIFY * HTTP/1.1\r\nNT: urn:x:Light:1\r\nNTS: ssdp:alive\r\n" +
+                             std::string(extra) + "USN: uuid:1::urn:x:Light:1\r\n\r\n";
+    ASSERT_TRUE(
+        lan.net.udp_multicast({"sender", 5000}, kSsdpGroup, kSsdpPort, to_bytes(text)).ok());
+    lan.sched.run();
+  };
+  notify(std::string(kColonless) + "\r\n");
+  EXPECT_TRUE(seen.empty());
+  notify("");
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].usn, "uuid:1::urn:x:Light:1");
+}
+
+// --- the head ----------------------------------------------------------------------
+
+TEST(HeadTest, NamesFoldCaseAndTheLastRepeatWins) {
+  auto head = parse_head("NOTIFY * HTTP/1.1\r\nCache-Control: max-age=5\r\nNT :  a \r\n"
+                         "nt: b\r\n\r\nbody: not a header");
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(head.value().start_line, "NOTIFY * HTTP/1.1");
+  EXPECT_EQ(head.value().headers.size(), 2u);
+  EXPECT_EQ(head.value().header("CACHE-CONTROL"), "max-age=5");
+  EXPECT_EQ(head.value().header("Nt"), "b");
+  EXPECT_EQ(head.value().header("usn"), "");
+  EXPECT_EQ(head.value().header("usn", "none"), "none");
+  EXPECT_FALSE(parse_head("NOTIFY * HTTP/1.1\r\nNT: a\r\n").ok()) << "no blank line";
+}
+
+TEST(HeadTest, WriterBytesParseBack) {
+  const Field fields[] = {{"HOST", "tv:80"}, {"x-empty", ""}};
+  const Bytes wire = write_message("GET / HTTP/1.1", fields, "body");
+  EXPECT_EQ(umiddle::to_string(wire), "GET / HTTP/1.1\r\nHOST: tv:80\r\nx-empty: \r\n\r\nbody");
+  auto head = parse_head(umiddle::to_string(wire));
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(head.value().header("host"), "tv:80");
+  EXPECT_EQ(head.value().header("X-Empty", "absent"), "");
+}
+
+TEST(SsdpTest, AnnouncementCarriesMaxAge) {
+  const SsdpAnnouncement a{"urn:x:Light:1", "uuid:1::urn:x:Light:1", "http://d/d.xml", true, 60};
+  auto alive = announcement_of(umiddle::to_string(notify_datagram(a, true)));
+  ASSERT_TRUE(alive.ok());
+  EXPECT_EQ(alive.value(), a);
+  auto answer = announcement_of(umiddle::to_string(search_response_datagram(a)));
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer.value(), a);
+  auto bye = announcement_of(umiddle::to_string(notify_datagram(a, false)));
+  ASSERT_TRUE(bye.ok());
+  EXPECT_FALSE(bye.value().alive);
+  EXPECT_EQ(bye.value().max_age, 0u) << "a byebye states no lease";
+  for (const char* value : {"max-age = 90", "MAX-AGE=90"}) {
+    auto head = "HTTP/1.1 200 OK\r\nUSN: u\r\nCACHE-CONTROL: " + std::string(value) + "\r\n\r\n";
+    auto parsed = announcement_of(head);
+    ASSERT_TRUE(parsed.ok()) << value;
+    EXPECT_EQ(parsed.value().max_age, 90u) << value;
+  }
+  for (const char* value : {"no-cache", "max-age=", "max-age=-1", "s-maxage=5"}) {
+    auto head = "HTTP/1.1 200 OK\r\nUSN: u\r\nCACHE-CONTROL: " + std::string(value) + "\r\n\r\n";
+    auto parsed = announcement_of(head);
+    ASSERT_TRUE(parsed.ok()) << value;
+    EXPECT_EQ(parsed.value().max_age, 0u) << value;
+  }
+}
+
+// --- MX from the wire ----------------------------------------------------------------
+
+// An M-SEARCH's MX is untrusted. Unbounded, it overflowed the reply delay's
+// signed arithmetic (a sanitizer report) or parked the reply tens of
+// thousands of days out. UPnP DA 1.0 bounds MX at 120 s, so the reply
+// arrives within 120 s plus the 20 ms floor.
+TEST(SsdpTest, HugeMxRepliesWithinTheSpecBound) {
+  for (const char* mx : {"100000000000", "18446744073709551615"}) {
+    Lan lan;
+    lan.add_host("living-room-television");
+    lan.add_host("cp");
+    SsdpAgent device(lan.net, "living-room-television");
+    ASSERT_TRUE(device.start().ok());
+    device.advertise({"urn:x:TV:1", "uuid:tv::urn:x:TV:1", "http://tv/d.xml", true});
+    lan.sched.run();
+    std::optional<sim::TimePoint> answered;
+    auto socket = lan.net.udp_bind({"cp", 5000}, [&](const net::Endpoint&, const Bytes&) {
+      if (!answered) answered = lan.sched.now();
+    });
+    ASSERT_TRUE(socket.ok());
+    const sim::TimePoint asked = lan.sched.now();
+    const std::string msearch = "M-SEARCH * HTTP/1.1\r\nHOST: 239.255.255.250:1900\r\n"
+                                "MAN: \"ssdp:discover\"\r\nMX: " +
+                                std::string(mx) + "\r\nST: ssdp:all\r\n\r\n";
+    ASSERT_TRUE(lan.net
+                    .udp_multicast(socket.value(), kSsdpGroup, kSsdpPort,
+                                   make_payload(to_bytes(msearch)))
+                    .ok());
+    lan.sched.run();
+    ASSERT_TRUE(answered.has_value()) << mx;
+    EXPECT_LE(*answered - asked, sim::seconds(120) + sim::milliseconds(20)) << mx;
+  }
 }
 
 }  // namespace

@@ -134,6 +134,12 @@ exist to keep nondeterminism from leaking back in:
                text built at run time (`+`, std::string(, to_string(): span
                names share the tracer's intern table with host tracks, which
                stays a closed set (DESIGN.md §9.2).
+  one-http-head
+               the CRLF literal ("\\r\\n") appears in src/ code only in
+               src/upnp/http.cpp: SOAP, GENA and SSDP messages are HTTP heads,
+               read by upnp::parse_head and written by upnp::write_message, so
+               framing, case folding, the colon rule and the field syntax
+               have one implementation (DESIGN.md §7.9).
   ascii-text   outside src/common/strings.*, nothing in src/ names
                isspace, isalpha, isalnum, isdigit, isxdigit, tolower or
                toupper: protocol text is classified by the constexpr ASCII
@@ -616,6 +622,24 @@ def check_ascii_text(path: str, code: str) -> Iterable[Violation]:
                             "is_digit / lower / upper (common/strings.hpp)")
 
 
+# The HTTP message head has one reader and one writer (DESIGN.md §7.9): a CRLF
+# literal anywhere else in src/ is a second head parser or builder, with its
+# own colon rule or field syntax. Read with comments blanked and strings kept.
+CRLF_RE = re.compile(r"\\r\\n")
+HTTP_HEAD_SITE = "src/upnp/http.cpp"
+
+
+def check_one_http_head(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith("src/") or path == HTTP_HEAD_SITE:
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if CRLF_RE.search(line):
+            yield Violation("one-http-head", path, lineno,
+                            "CRLF literal outside the one HTTP head; read with "
+                            "upnp::parse_head and write with upnp::write_message "
+                            f"({HTTP_HEAD_SITE})")
+
+
 # Every deferred callback carries provenance (DESIGN.md §7.1, §7.4). An
 # untagged event digests as zeros and its host time is charged to nobody. The
 # Scheduler keeps a defaulted tag for code outside src/ only. Arity is checked
@@ -831,6 +855,7 @@ LITERAL_CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_one_fate_site,
     check_netsim_free_session,
     check_one_kernel,
+    check_one_http_head,
 ]
 
 
@@ -988,6 +1013,11 @@ SEEDED_VIOLATIONS = [
      "return ByteWriter().take();\n"),
     ("span-name-literal", "src/core/evil.cpp",
      'tracer().instant(trace, "deliver." + fate, runtime_.host(), now());\n'),
+    ("one-http-head", "src/upnp/ssdp.cpp",
+     'std::string msg = "NOTIFY * HTTP/1.1\\r\\n"\n'
+     '                  "USN: " + a.usn + "\\r\\n\\r\\n";\n'),
+    ("one-http-head", "src/common/evil.cpp",
+     'auto lines = strings::split(text, "\\r\\n");\n'),
     ("ascii-text", "src/xml/evil.cpp",
      "while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) ++pos_;\n"
      "std::transform(s.begin(), s.end(), s.begin(), ::tolower);\n"),
@@ -1135,6 +1165,11 @@ CLEAN_SNIPPETS = [
      'tracer().begin_span(trace, "wire", runtime_.host(), now());\n'
      "instant(trace, row.instant);\n"
      "tracer().begin_span(trace, span_ids_.translate, span_ids_.track, now());\n"),
+    ("src/upnp/http.cpp",
+     'constexpr std::string_view kBlankLine = "\\r\\n\\r\\n";\n'),
+    ("src/common/strings.hpp",
+     '/// Split on a multi-character separator (e.g. "\\r\\n"); empty fields are kept.\n'
+     "constexpr bool is_space(char c) { return c == ' ' || (c >= '\\t' && c <= '\\r'); }\n"),
     ("src/common/mime.cpp",
      "// std::isspace named in a comment is fine\n"
      'const char* doc = "tolower(c) in a string";\n'
