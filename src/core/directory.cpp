@@ -35,8 +35,8 @@ void Directory::multicast(const xml::Element& advert) {
 
 void Directory::multicast_payload(const PayloadPtr& payload) {
   adverts_tx_.inc();
-  auto r = runtime_.network().udp_multicast(socket_, runtime_.config().group,
-                                            runtime_.config().directory_port, payload);
+  auto r = runtime_.network().udp_multicast(socket_, group_, runtime_.config().directory_port,
+                                            payload);
   if (!r.ok()) {
     log::Entry(log::Level::warn, "directory") << "multicast failed: " << r.error().to_string();
   }
@@ -46,7 +46,7 @@ Result<void> Directory::start() {
   if (started_) return ok_result();
   auto bind = runtime_.network().udp_bind(
       {runtime_.host(), runtime_.config().directory_port},
-      [this](const net::Endpoint& from, const Bytes& payload) { handle_datagram(from, payload); });
+      [this](net::UdpSocket from, const Bytes& payload) { handle_datagram(from, payload); });
   if (!bind.ok()) return bind.error();
   if (auto join = runtime_.network().join_group(runtime_.host(), runtime_.config().group);
       !join.ok()) {
@@ -54,6 +54,7 @@ Result<void> Directory::start() {
     return join;
   }
   socket_ = bind.value();
+  group_ = runtime_.network().group(runtime_.config().group);
   started_ = true;
   nodes_[runtime_.node()] =
       NodeInfo{runtime_.node(), runtime_.host(), runtime_.config().umtp_port};
@@ -173,15 +174,16 @@ void Directory::announce_all_local() {
   for (Advert& advert : live_adverts()) send_announce(advert);
 }
 
-void Directory::handle_datagram(const net::Endpoint& from, const Bytes& payload) {
+void Directory::handle_datagram(net::UdpSocket from, const Bytes& payload) {
   adverts_rx_.inc();
   // Multicast loops every advert back to its sender. Only this directory's
   // socket sends from its bound endpoint, so drop those before parsing.
-  if (from.port == runtime_.config().directory_port && from.host == runtime_.host()) return;
-  auto doc = xml::parse(umiddle::to_string(payload));
+  if (from == socket_) return;
+  auto doc = xml::parse({reinterpret_cast<const char*>(payload.data()), payload.size()});
   if (!doc.ok() || doc.value().name() != "umiddle-adv") {
-    log::Entry(log::Level::warn, "directory") << "ignoring malformed advert from "
-                                              << from.to_string();
+    log::Entry(log::Level::warn, "directory")
+        << "ignoring malformed advert from " << runtime_.network().host_name(from.host) << ":"
+        << from.port;
     return;
   }
   const xml::Element& adv = doc.value();

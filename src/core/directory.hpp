@@ -97,7 +97,7 @@ class Directory : public DirectoryTable {
   /// adverts_ without its tombstones.
   std::vector<Advert>& live_adverts();
 
-  void handle_datagram(const net::Endpoint& from, const Bytes& payload);
+  void handle_datagram(net::UdpSocket from, const Bytes& payload);
   void send_announce(Advert& advert);
   void announce_all_local();
   void refresh_tick();
@@ -116,6 +116,7 @@ class Directory : public DirectoryTable {
   obs::Counter& expired_;
   bool started_ = false;
   net::UdpSocket socket_;  ///< bound while started
+  net::GroupId group_ = 0;  ///< config().group, interned by start()
   /// The local translators in ascending id: what a refresh tick walks.
   std::vector<Advert> adverts_;
   sim::Duration max_age_ = sim::seconds(30);

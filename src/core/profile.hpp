@@ -25,6 +25,8 @@ struct TranslatorProfile {
 
   xml::Element to_xml() const;
   static Result<TranslatorProfile> from_xml(const xml::Element& el);
+
+  bool operator==(const TranslatorProfile&) const = default;
 };
 
 /// Reference to one port of one translator — the address messages flow between.

@@ -19,7 +19,9 @@
 #include "motes/motes.hpp"
 #include "rmi/protocol.hpp"
 #include "rmi/registry.hpp"
+#include "upnp/gena.hpp"
 #include "upnp/http.hpp"
+#include "upnp/soap.hpp"
 #include "upnp/ssdp.hpp"
 #include "xml/parser.hpp"
 
@@ -49,41 +51,45 @@ const StreamProtocol kStreamProtocols[] = {
     {"http", [] { return feed_of<upnp::HttpRequestReader>(&upnp::HttpRequest::to_wire); }},
 };
 
+std::string_view text_of(const std::uint8_t* data, std::size_t size) {
+  return {reinterpret_cast<const char*>(data), size};
+}
+
+/// The decoder oracle on what `decode` made of the fuzz input: a failure
+/// keeps one of the decoder's `failures`, and a decoded value comes back from
+/// decoding its encoding. A violation aborts.
+template <typename T, typename Decode, typename Encode>
+int round_trips(const Result<T>& decoded, Decode decode, Encode encode,
+                std::initializer_list<Errc> failures = {Errc::parse_error}) {
+  if (!decoded.ok()) {
+    if (std::ranges::find(failures, decoded.error().code) == failures.end()) std::abort();
+    return 0;
+  }
+  auto again = decode(std::invoke(encode, decoded.value()));
+  if (!again.ok() || !(again.value() == decoded.value())) std::abort();
+  return 1;
+}
+
 }  // namespace
 
 std::span<const StreamProtocol> stream_protocols() { return kStreamProtocols; }
 
 int fuzz_xml_parse(const std::uint8_t* data, std::size_t size) {
-  std::string_view text(reinterpret_cast<const char*>(data), size);
-  auto doc = xml::parse(text);
-  return doc.ok() ? 1 : 0;
+  return xml::parse(text_of(data, size)).ok() ? 1 : 0;
 }
 
 int fuzz_usdl_parse(const std::uint8_t* data, std::size_t size) {
-  std::string_view text(reinterpret_cast<const char*>(data), size);
-  auto doc = xml::parse(text);
-  if (!doc.ok()) return 0;
-  auto usdl = core::parse_usdl(doc.value());
-  return usdl.ok() ? 1 : 0;
+  auto doc = xml::parse(text_of(data, size));
+  return doc.ok() && core::parse_usdl(doc.value()).ok() ? 1 : 0;
 }
 
 int fuzz_directory_advert(const std::uint8_t* data, std::size_t size) {
-  std::string_view text(reinterpret_cast<const char*>(data), size);
-  auto doc = xml::parse(text);
-  if (!doc.ok()) return 0;
-  const xml::Element* tr = doc.value().child("translator");
+  auto doc = xml::parse(text_of(data, size));
+  const xml::Element* tr = doc.ok() ? doc.value().child("translator") : nullptr;
   if (tr == nullptr) return 0;
-  auto profile = core::TranslatorProfile::from_xml(*tr);
-  if (!profile.ok()) return 0;
-  const core::TranslatorProfile& p = profile.value();
-  auto again = core::TranslatorProfile::from_xml(p.to_xml());
-  if (!again.ok()) std::abort();
-  const core::TranslatorProfile& q = again.value();
-  if (q.id != p.id || q.node != p.node || q.name != p.name || q.platform != p.platform ||
-      q.device_type != p.device_type || !(q.shape == p.shape)) {
-    std::abort();
-  }
-  return 1;
+  using core::TranslatorProfile;
+  return round_trips(TranslatorProfile::from_xml(*tr), &TranslatorProfile::from_xml,
+                     &TranslatorProfile::to_xml, {Errc::parse_error, Errc::already_exists});
 }
 
 int fuzz_umtp_decode(const std::uint8_t* data, std::size_t size) {
@@ -125,15 +131,13 @@ int fuzz_stream_frames(const std::uint8_t* data, std::size_t size) {
 }
 
 int fuzz_motes_reading(const std::uint8_t* data, std::size_t size) {
-  auto reading = motes::Reading::decode({data, size});
-  if (!reading.ok()) return 0;
-  auto again = motes::Reading::decode(reading.value().encode());
-  if (!again.ok() || again.value() != reading.value()) std::abort();
-  return 1;
+  using motes::Reading;
+  return round_trips(Reading::decode({data, size}), &Reading::decode, &Reading::encode,
+                     {Errc::parse_error, Errc::protocol_error});
 }
 
 int fuzz_base64_decode(const std::uint8_t* data, std::size_t size) {
-  std::string_view text(reinterpret_cast<const char*>(data), size);
+  const std::string_view text = text_of(data, size);
   auto decoded = base64::decode(text);
   if (!decoded.ok()) return 0;
   std::size_t padding = 0;
@@ -146,23 +150,28 @@ int fuzz_base64_decode(const std::uint8_t* data, std::size_t size) {
 }
 
 int fuzz_uri_parse(const std::uint8_t* data, std::size_t size) {
-  auto uri = Uri::parse(std::string_view(reinterpret_cast<const char*>(data), size));
-  if (!uri.ok()) return 0;
-  auto again = Uri::parse(uri.value().to_string());
-  if (!again.ok() || again.value() != uri.value()) std::abort();
-  return 1;
+  return round_trips(Uri::parse(text_of(data, size)), &Uri::parse, &Uri::to_string);
 }
 
 int fuzz_mime_parse(const std::uint8_t* data, std::size_t size) {
-  auto mime = MimeType::parse(std::string_view(reinterpret_cast<const char*>(data), size));
-  if (!mime.ok()) return 0;
-  auto again = MimeType::parse(mime.value().to_string());
-  if (!again.ok() || again.value() != mime.value()) std::abort();
-  return 1;
+  return round_trips(MimeType::parse(text_of(data, size)), &MimeType::parse,
+                     &MimeType::to_string);
+}
+
+int fuzz_gena_property_set(const std::uint8_t* data, std::size_t size) {
+  using upnp::PropertySet;
+  return round_trips(PropertySet::from_xml_text(text_of(data, size)),
+                     &PropertySet::from_xml_text, &PropertySet::to_xml_text);
+}
+
+int fuzz_soap_action_response(const std::uint8_t* data, std::size_t size) {
+  using upnp::ActionResponse;
+  return round_trips(ActionResponse::from_envelope(text_of(data, size)),
+                     &ActionResponse::from_envelope, &ActionResponse::to_envelope);
 }
 
 int fuzz_query_xml(const std::uint8_t* data, std::size_t size) {
-  auto doc = xml::parse(std::string_view(reinterpret_cast<const char*>(data), size));
+  auto doc = xml::parse(text_of(data, size));
   if (!doc.ok()) return 0;
   auto query = core::Query::from_xml(doc.value());
   if (!query.ok()) return 0;
@@ -175,19 +184,12 @@ int fuzz_query_xml(const std::uint8_t* data, std::size_t size) {
 }
 
 int fuzz_rmi_binding(const std::uint8_t* data, std::size_t size) {
-  auto binding = rmi::Binding::parse(std::string_view(reinterpret_cast<const char*>(data), size));
-  if (!binding.ok()) return 0;
-  const rmi::Binding& b = binding.value();
-  auto again = rmi::Binding::parse(b.serialize());
-  if (!again.ok()) std::abort();
-  const rmi::Binding& c = again.value();
-  if (c.name != b.name || c.type != b.type || c.host != b.host || c.port != b.port) std::abort();
-  return 1;
+  return round_trips(rmi::Binding::parse(text_of(data, size)), &rmi::Binding::parse,
+                     &rmi::Binding::serialize);
 }
 
 int fuzz_ssdp_datagram(const std::uint8_t* data, std::size_t size) {
-  const std::string_view text(reinterpret_cast<const char*>(data), size);
-  auto a = upnp::announcement_of(text);
+  auto a = upnp::announcement_of(text_of(data, size));
   if (!a.ok()) {
     // A failure keeps its error: the head's or the announcement's parse_error.
     if (a.error().code != Errc::parse_error) std::abort();

@@ -33,8 +33,9 @@ int fuzz_usdl_parse(const std::uint8_t* data, std::size_t size);
 
 /// xml::parse, then core::TranslatorProfile::from_xml on the document's
 /// <translator> child: the untrusted half of a directory announce advert.
-/// Oracle on success: the profile re-serializes and parses back with the same
-/// id, node, name, platform, device type and shape.
+/// Oracle: a failure is a parse_error or, for a repeated port name,
+/// already_exists, and on success the profile re-serializes and parses back
+/// to itself.
 int fuzz_directory_advert(const std::uint8_t* data, std::size_t size);
 
 /// core::umtp::decode_body on the raw bytes, then fuzz_stream_frames on a
@@ -51,17 +52,28 @@ int fuzz_umtp_decode(const std::uint8_t* data, std::size_t size);
 int fuzz_base64_decode(const std::uint8_t* data, std::size_t size);
 
 /// motes::Reading::decode on the raw bytes: the one binary decoder no stream
-/// reader reaches. Oracle on success: the reading re-encodes and decodes back
-/// to itself.
+/// reader reaches. Oracle: a failure is a parse_error (too short) or a
+/// protocol_error (unknown AM type or sensor kind), and on success the
+/// reading re-encodes and decodes back to itself.
 int fuzz_motes_reading(const std::uint8_t* data, std::size_t size);
 
-/// Uri::parse on the bytes as text. Oracle on success: the URI prints and
-/// parses back to itself.
+/// Uri::parse on the bytes as text. Oracle: a failure is a parse_error, and
+/// on success the URI prints and parses back to itself.
 int fuzz_uri_parse(const std::uint8_t* data, std::size_t size);
 
-/// MimeType::parse on the bytes as text. Oracle on success: the type prints
-/// and parses back to itself.
+/// MimeType::parse on the bytes as text. Oracle: a failure is a parse_error,
+/// and on success the type prints and parses back to itself.
 int fuzz_mime_parse(const std::uint8_t* data, std::size_t size);
+
+/// upnp::PropertySet::from_xml_text on the bytes as a GENA NOTIFY body.
+/// Oracle: a failure is a parse_error, and on success the property set
+/// written by to_xml_text parses back to itself.
+int fuzz_gena_property_set(const std::uint8_t* data, std::size_t size);
+
+/// upnp::ActionResponse::from_envelope on the bytes as a SOAP response body.
+/// Oracle: a failure is a parse_error, and on success the response written
+/// by to_envelope parses back to itself.
+int fuzz_soap_action_response(const std::uint8_t* data, std::size_t size);
 
 /// xml::parse, then core::Query::from_xml on the document: the query path a
 /// remote UMTP CONNECT frame carries. Oracle on success: the query's XML
@@ -69,8 +81,8 @@ int fuzz_mime_parse(const std::uint8_t* data, std::size_t size);
 int fuzz_query_xml(const std::uint8_t* data, std::size_t size);
 
 /// rmi::Binding::parse on the bytes as text: one line of the RMI registry
-/// listing. Oracle on success: the binding serializes and parses back to the
-/// same name, type, host and port.
+/// listing. Oracle: a failure is a parse_error, and on success the binding
+/// serializes and parses back to itself.
 int fuzz_rmi_binding(const std::uint8_t* data, std::size_t size);
 
 /// upnp::announcement_of on the bytes as one SSDP datagram: the one HTTP head

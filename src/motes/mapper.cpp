@@ -78,7 +78,7 @@ void MoteMapper::start(core::Runtime& runtime) {
   }
   auto bind = runtime.network().udp_bind(
       {runtime.host(), kAmPort},
-      [this](const net::Endpoint&, const Bytes& payload) { handle_packet(payload); });
+      [this](net::UdpSocket, const Bytes& payload) { handle_packet(payload); });
   if (!bind.ok()) {
     log::Entry(log::Level::error, "motes") << "AM bind failed: " << bind.error().to_string();
     return;

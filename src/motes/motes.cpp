@@ -65,7 +65,7 @@ Result<void> MoteField::attach_gateway(const std::string& host) {
 
 Mote::Mote(MoteField& field, std::uint16_t id, SensorKind kind, sim::Duration period)
     : field_(field), id_(id), kind_(kind), period_(period),
-      host_("mote-" + std::to_string(id)),
+      host_("mote-" + std::to_string(id)), group_(field.network().group(kAmGroup)),
       tick_(field.network().scheduler(), {sim::host_id(host_), sim::tag_id("motes.tick")},
             [this]() { tick(); }) {}
 
@@ -75,14 +75,21 @@ Result<void> Mote::start() {
     if (auto r = field_.network().add_host(host_); !r.ok()) return r;
     if (auto r = field_.network().attach(host_, field_.segment()); !r.ok()) return r;
   }
+  // The radio sends from this socket. A mote joins no group, so nothing is
+  // delivered to it.
+  auto bind = field_.network().udp_bind({host_, kAmPort}, [](net::UdpSocket, const Bytes&) {});
+  if (!bind.ok()) return bind.error();
+  socket_ = bind.value();
   running_ = true;
   tick();
   return ok_result();
 }
 
 void Mote::stop() {
+  if (!running_) return;
   running_ = false;
   tick_.cancel();
+  field_.network().udp_close(socket_);
 }
 
 std::uint16_t Mote::sample(std::uint16_t sequence) const {
@@ -96,8 +103,8 @@ std::uint16_t Mote::sample(std::uint16_t sequence) const {
 void Mote::tick() {
   Reading reading{id_, kind_, sample(sequence_), sequence_};
   ++sequence_;
-  auto r = field_.network().udp_multicast({host_, kAmPort}, kAmGroup, kAmPort,
-                                          reading.encode());
+  auto r = field_.network().udp_multicast(socket_, group_, kAmPort,
+                                          make_payload(reading.encode()));
   if (!r.ok()) {
     log::Entry(log::Level::warn, "motes") << "broadcast failed: " << r.error().to_string();
   }

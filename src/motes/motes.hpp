@@ -79,6 +79,8 @@ class Mote {
   SensorKind kind_;
   sim::Duration period_;
   std::string host_;
+  net::GroupId group_;     ///< kAmGroup
+  net::UdpSocket socket_;  ///< {host_, kAmPort}, bound while running
   bool running_ = false;
   std::uint16_t sequence_ = 0;
   sim::Timer tick_;  ///< next broadcast; armed while running

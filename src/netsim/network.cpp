@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 #include "netsim/fault.hpp"
 #include "netsim/stream.hpp"
 
@@ -149,40 +148,39 @@ Result<UdpSocket> Network::udp_bind(const Endpoint& local, DatagramHandler handl
   return UdpSocket{id.value(), local.port};
 }
 
-Result<void> Network::udp_send(UdpSocket from, const Endpoint& to, PayloadPtr payload) {
+Result<void> Network::udp_send(UdpSocket from, UdpSocket to, PayloadPtr payload) {
   udp_datagrams_.inc();
-  auto dst = resolve(to.host);
-  SegmentId seg = dst.ok() ? common_segment(from.host, dst.value()) : SegmentId{};
+  const SegmentId seg = common_segment(from.host, to.host);
   if (!seg.valid()) {
-    return make_error(Errc::disconnected,
-                      "no shared segment between " + hosts_[from.host].name + " and " + to.host);
+    return make_error(Errc::disconnected, "no shared segment between " + hosts_[from.host].name +
+                                              " and " + hosts_[to.host].name);
   }
-  // The sender travels as (host, port), not as an Endpoint whose name the
-  // capture would copy; delivery rebuilds it.
   send_frame(
       seg, from.host, payload->size(),
-      [this, from, dst = dst.value(), port = to.port, payload]() {
-        hosts_[dst].deliver(port, Endpoint{hosts_[from.host].name, from.port}, *payload);
-      },
+      [this, from, to, payload]() { hosts_[to.host].deliver(to.port, from, *payload); },
       /*lossless=*/false);
   return ok_result();
 }
 
-Result<void> Network::join_group(const std::string& host, const std::string& group) {
+GroupId Network::group(const std::string& name) {
+  return group_ids_.emplace(name, static_cast<GroupId>(group_ids_.size())).first->second;
+}
+
+Result<void> Network::join_group(const std::string& host, const std::string& name) {
   auto id = resolve(host);
   if (!id.ok()) return id.error();
-  std::vector<std::string>& groups = hosts_[id.value()].groups;
-  if (std::ranges::count(groups, group) == 0) groups.push_back(group);
+  std::vector<GroupId>& groups = hosts_[id.value()].groups;
+  if (const GroupId g = group(name); std::ranges::count(groups, g) == 0) groups.push_back(g);
   routes_.clear();
   return ok_result();
 }
 
-void Network::leave_group(const std::string& host, const std::string& group) {
-  if (auto id = resolve(host); id.ok()) std::erase(hosts_[id.value()].groups, group);
+void Network::leave_group(const std::string& host, const std::string& name) {
+  if (auto id = resolve(host); id.ok()) std::erase(hosts_[id.value()].groups, group(name));
   routes_.clear();
 }
 
-const Network::Route& Network::route(HostId sender, const std::string& group) {
+const Network::Route& Network::route(HostId sender, GroupId group) {
   for (const Route& r : routes_) {
     if (r.sender == sender && r.group == group) return r;
   }
@@ -203,15 +201,14 @@ const Network::Route& Network::route(HostId sender, const std::string& group) {
   return routes_.emplace_back(std::move(route));
 }
 
-Result<void> Network::udp_multicast(UdpSocket from, const std::string& group,
-                                    std::uint16_t port, PayloadPtr payload) {
+Result<void> Network::udp_multicast(UdpSocket from, GroupId group, std::uint16_t port,
+                                    PayloadPtr payload) {
   udp_multicast_sends_.inc();
   for (const auto& [seg, on_segment] : route(from.host, group).frames) {
     send_frame(
         seg, from.host, payload->size(),
         [this, from, port, receivers = on_segment, payload]() {
-          const Endpoint sender{hosts_[from.host].name, from.port};
-          for (HostId to : *receivers) hosts_[to].deliver(port, sender, *payload);
+          for (HostId to : *receivers) hosts_[to].deliver(port, from, *payload);
         },
         /*lossless=*/false);
   }

@@ -17,12 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,11 +39,16 @@ struct SegmentTag {};
 using SegmentId = Id<SegmentTag>;
 /// Index in the Network's host table; names resolve to it at the API (DESIGN.md §8.5).
 using HostId = std::uint32_t;
+/// A multicast group name interned by Network::group (DESIGN.md §8.5).
+using GroupId = std::uint32_t;
 
 /// A bound datagram socket: its host resolved once, at udp_bind (DESIGN.md §8.5).
+/// A datagram's sender reaches its handler as one.
 struct UdpSocket {
   HostId host = 0;
   std::uint16_t port = 0;
+
+  bool operator==(const UdpSocket&) const = default;
 };
 
 /// host:port address of a socket.
@@ -92,7 +95,7 @@ class Stream;
 using StreamPtr = std::shared_ptr<Stream>;
 class FaultPlane;
 
-using DatagramHandler = std::function<void(const Endpoint& from, const Bytes& payload)>;
+using DatagramHandler = std::function<void(UdpSocket from, const Bytes& payload)>;
 using AcceptHandler = std::function<void(StreamPtr stream)>;
 
 /// The simulated internetwork: segments, hosts, sockets, streams.
@@ -130,6 +133,8 @@ class Network {
   /// Attach an existing host to a segment.
   [[nodiscard]] Result<void> attach(const std::string& host, SegmentId segment);
   bool host_exists(const std::string& name) const { return host_ids_.count(name) != 0; }
+  /// For logs and error messages: handles carry no name.
+  const std::string& host_name(HostId host) const { return hosts_[host].name; }
 
   const SegmentStats& stats(SegmentId segment) const;
   const SegmentSpec& spec(SegmentId segment) const;
@@ -141,28 +146,17 @@ class Network {
   void udp_close(UdpSocket socket) { hosts_[socket.host].sockets.erase(socket.port); }
   /// Copy-free unicast: the buffer is referenced, never copied. Fails if
   /// src/dst share no segment.
-  [[nodiscard]] Result<void> udp_send(UdpSocket from, const Endpoint& to, PayloadPtr payload);
+  [[nodiscard]] Result<void> udp_send(UdpSocket from, UdpSocket to, PayloadPtr payload);
+  /// The id of a multicast group name, interned on first use.
+  GroupId group(const std::string& name);
   /// Join a multicast group on every segment the host is attached to.
   [[nodiscard]] Result<void> join_group(const std::string& host, const std::string& group);
   void leave_group(const std::string& host, const std::string& group);
   /// Copy-free multicast to every group member sharing a segment with the
   /// sender (including the sender itself if joined and bound — SSDP relies on
   /// loopback); one shared buffer serves every segment and receiver.
-  [[nodiscard]] Result<void> udp_multicast(UdpSocket from, const std::string& group,
-                                           std::uint16_t port, PayloadPtr payload);
-  // By name, for senders that never bound (a mote's radio, tests): resolve, then delegate.
-  [[nodiscard]] Result<void> udp_send(const Endpoint& from, const Endpoint& to, Bytes payload) {
-    auto src = resolve(from.host);
-    if (!src.ok()) return src.error();
-    return udp_send(UdpSocket{src.value(), from.port}, to, make_payload(std::move(payload)));
-  }
-  [[nodiscard]] Result<void> udp_multicast(const Endpoint& from, const std::string& group,
-                                           std::uint16_t port, Bytes payload) {
-    auto src = resolve(from.host);
-    if (!src.ok()) return src.error();
-    return udp_multicast(UdpSocket{src.value(), from.port}, group, port,
-                         make_payload(std::move(payload)));
-  }
+  [[nodiscard]] Result<void> udp_multicast(UdpSocket from, GroupId group, std::uint16_t port,
+                                           PayloadPtr payload);
 
   // --- stream service ---------------------------------------------------------
   [[nodiscard]] Result<void> listen(const Endpoint& local, AcceptHandler handler);
@@ -185,20 +179,20 @@ class Network {
   /// A (sender, group) multicast: per sender segment, a shared receiver list.
   struct Route {
     HostId sender;
-    std::string group;
+    GroupId group;
     std::vector<std::pair<SegmentId, std::shared_ptr<const std::vector<HostId>>>> frames;
   };
 
   struct Host {
     explicit Host(const std::string& n) : name(n), trace_id(sim::host_id(n)) {}
     /// Call as hosts_[id].deliver per receiver: a handler may add hosts.
-    void deliver(std::uint16_t port, const Endpoint& from, const Bytes& payload) {
+    void deliver(std::uint16_t port, UdpSocket from, const Bytes& payload) {
       if (auto it = sockets.find(port); it != sockets.end()) it->second(from, payload);
     }
     std::string name;
     std::uint64_t trace_id;  ///< sim::host_id(name), cached for per-frame audit tags
     std::set<SegmentId> segments;
-    std::vector<std::string> groups;
+    std::vector<GroupId> groups;
     /// Per-segment NIC availability (full-duplex media serialize per sender).
     std::map<SegmentId, sim::TimePoint> nic_busy_until;
     std::map<std::uint16_t, DatagramHandler> sockets;
@@ -208,7 +202,7 @@ class Network {
   static_assert(std::is_nothrow_move_constructible_v<Host>);  // handlers survive hosts_ growth
 
   [[nodiscard]] Result<HostId> resolve(const std::string& name) const;  ///< or not_found
-  const Route& route(HostId sender, const std::string& group);
+  const Route& route(HostId sender, GroupId group);
   /// Schedule delivery of `payload_size` bytes from `src` on `seg`;
   /// `deliver` runs at the arrival time unless the frame is lost.
   /// Returns the arrival time (even if lost, for stats purposes).
@@ -235,6 +229,7 @@ class Network {
   std::map<SegmentId, Segment> segments_;
   std::vector<Host> hosts_;  ///< indexed by HostId
   std::map<std::string, HostId> host_ids_;  ///< the one name index, in name order
+  std::map<std::string, GroupId> group_ids_;  ///< the one group name index
   /// Built on first use; any membership or topology change clears them all.
   std::vector<Route> routes_;
   std::unordered_map<StreamId, StreamPtr> streams_;

@@ -21,6 +21,8 @@ struct Binding {
 
   std::string serialize() const;
   static Result<Binding> parse(std::string_view text);
+
+  bool operator==(const Binding&) const = default;
 };
 
 class RmiRegistry {

@@ -21,6 +21,8 @@ struct PropertySet {
 
   std::string to_xml_text() const;
   static Result<PropertySet> from_xml_text(std::string_view text);
+
+  bool operator==(const PropertySet&) const = default;
 };
 
 }  // namespace umiddle::upnp

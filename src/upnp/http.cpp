@@ -60,7 +60,8 @@ Result<void> parse_start_line(const std::string& line, HttpResponse& m) {
     return make_error(Errc::parse_error, "http: bad status code: " + line);
   }
   m.status = static_cast<int>(status);
-  m.reason = first.size() > 2 ? std::string(first[2]) : "";
+  // The reason phrase is the rest of the line, spaces included (RFC 7230 §3.1.2).
+  m.reason = first.size() > 2 ? line.substr(first[0].size() + first[1].size() + 2) : "";
   return ok_result();
 }
 

@@ -31,6 +31,8 @@ struct ActionResponse {
 
   std::string to_envelope() const;
   static Result<ActionResponse> from_envelope(std::string_view body);
+
+  bool operator==(const ActionResponse&) const = default;
 };
 
 /// UPnP SOAP fault (error 401 Invalid Action etc. carried in a 500 response).

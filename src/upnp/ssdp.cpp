@@ -52,14 +52,14 @@ Bytes search_response_datagram(const SsdpAnnouncement& a) {
 }
 
 SsdpAgent::SsdpAgent(net::Network& net, std::string host)
-    : net_(net), host_(std::move(host)) {}
+    : net_(net), host_(std::move(host)), group_(net.group(kSsdpGroup)) {}
 
 SsdpAgent::~SsdpAgent() { stop(); }
 
 Result<void> SsdpAgent::start() {
   if (socket_) return ok_result();
   auto bind = net_.udp_bind({host_, kSsdpPort},
-                            [this](const net::Endpoint& from, const Bytes& payload) {
+                            [this](net::UdpSocket from, const Bytes& payload) {
                               handle_datagram(from, payload);
                             });
   if (!bind.ok()) return bind.error();
@@ -77,7 +77,6 @@ void SsdpAgent::stop() {
   net_.leave_group(host_, kSsdpGroup);
   net_.udp_close(*socket_);
   lifetime_.reset();
-  replies_.clear();
   socket_.reset();
 }
 
@@ -85,7 +84,7 @@ Result<void> SsdpAgent::search(const std::string& target) {
   const Field fields[] = {
       {"HOST", kGroupHost}, {"MAN", "\"ssdp:discover\""}, {"MX", "2"}, {"ST", target}};
   if (!socket_) return make_error(Errc::disconnected, "ssdp: search before start");
-  return net_.udp_multicast(*socket_, kSsdpGroup, kSsdpPort,
+  return net_.udp_multicast(*socket_, group_, kSsdpPort,
                             make_payload(write_message("M-SEARCH * HTTP/1.1", fields)));
 }
 
@@ -106,14 +105,14 @@ void SsdpAgent::withdraw(const std::string& usn) {
 
 void SsdpAgent::send_notify(const SsdpAnnouncement& a, bool alive) {
   if (!socket_) return;
-  auto r = net_.udp_multicast(*socket_, kSsdpGroup, kSsdpPort,
+  auto r = net_.udp_multicast(*socket_, group_, kSsdpPort,
                               make_payload(notify_datagram(a, alive)));
   if (!r.ok()) {
     log::Entry(log::Level::warn, "ssdp") << "notify failed: " << r.error().to_string();
   }
 }
 
-void SsdpAgent::handle_datagram(const net::Endpoint& from, const Bytes& payload) {
+void SsdpAgent::handle_datagram(net::UdpSocket from, const Bytes& payload) {
   // A malformed head drops the datagram.
   const std::string_view text(reinterpret_cast<const char*>(payload.data()), payload.size());
   if (!strings::starts_with(text, "M-SEARCH")) {
@@ -134,16 +133,14 @@ void SsdpAgent::handle_datagram(const net::Endpoint& from, const Bytes& payload)
   for (char c : host_) spread = spread * 31 + static_cast<unsigned char>(c);
   sim::Duration delay =
       sim::milliseconds(20 + static_cast<std::int64_t>(spread % (mx * 400 + 1)));
-  Reply reply{from, {}};
+  std::vector<SsdpAnnouncement> matched;
   for (const SsdpAnnouncement& a : advertised_) {
-    if (target == "ssdp:all" || target == a.notification_type) reply.matched.push_back(a);
+    if (target == "ssdp:all" || target == a.notification_type) matched.push_back(a);
   }
-  const std::uint32_t key = replies_.put(std::move(reply));
   net_.scheduler().schedule_after(
-      delay, lifetime_.guard([this, key]() {
-        const auto [to, matched] = replies_.take(key);
+      delay, lifetime_.guard([this, from, matched = std::move(matched)]() {
         for (const SsdpAnnouncement& a : matched) {
-          (void)net_.udp_send(*socket_, to, make_payload(search_response_datagram(a)));
+          (void)net_.udp_send(*socket_, from, make_payload(search_response_datagram(a)));
         }
       }),
       {sim::host_id(host_), sim::tag_id("upnp.ssdp")});

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/slots.hpp"
 #include "netsim/network.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
@@ -71,23 +70,16 @@ class SsdpAgent {
   void withdraw(const std::string& usn);
 
  private:
-  /// A search's matched announcements, while its response delay runs.
-  struct Reply {
-    net::Endpoint to;
-    std::vector<SsdpAnnouncement> matched;
-  };
-
-  void handle_datagram(const net::Endpoint& from, const Bytes& payload);
+  void handle_datagram(net::UdpSocket from, const Bytes& payload);
   void send_notify(const SsdpAnnouncement& a, bool alive);
 
   net::Network& net_;
   std::string host_;
   /// Bound by start(), which every send needs; reset by stop().
   std::optional<net::UdpSocket> socket_;
+  net::GroupId group_;  ///< kSsdpGroup, interned once
   std::vector<SsdpAnnouncement> advertised_;
   AnnouncementFn on_announcement_;
-  /// Keyed by the event that will send each; cleared by stop().
-  Slots<Reply> replies_;
   /// Guards pending search replies; reset by stop().
   sim::Lifetime lifetime_;
 };

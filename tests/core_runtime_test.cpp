@@ -178,6 +178,43 @@ TEST(DirectoryTest, LookupAppliesQuery) {
   EXPECT_EQ(w.a->directory().lookup(Query().platform("upnp")).size(), 0u);
 }
 
+// Only the directory's own socket is loopback: an advert from a second
+// socket on the runtime's host, on another port, is parsed, and its node and
+// translator are learned.
+TEST(DirectoryTest, AdvertFromAnotherSocketOnTheSameHostIsLearned) {
+  World w;
+  ASSERT_TRUE(w.a->start().ok());
+  w.settle();
+  const RuntimeConfig& config = w.a->config();
+  auto other = w.net.udp_bind({"hostA", static_cast<std::uint16_t>(config.directory_port + 1)},
+                              [](net::UdpSocket, const Bytes&) {});
+  ASSERT_TRUE(other.ok());
+  TranslatorProfile p;
+  p.id = TranslatorId((999ull << 32) | 1);
+  p.node = NodeId(999);
+  p.name = "Neighbour";
+  p.platform = "upnp";
+  p.shape = make_source_shape("out", jpeg());
+  xml::Element adv("umiddle-adv");
+  adv.set_attr("type", "announce");
+  adv.set_attr("node", "999");
+  adv.set_attr("host", "hostA");
+  adv.set_attr("umtp-port", "7702");
+  adv.add_child(p.to_xml());
+  ASSERT_TRUE(w.net
+                  .udp_multicast(other.value(), w.net.group(config.group), config.directory_port,
+                                 make_payload(to_bytes(adv.to_string())))
+                  .ok());
+  w.settle();
+  const NodeInfo* info = w.a->directory().node_info(NodeId(999));
+  ASSERT_NE(info, nullptr);
+  EXPECT_EQ(info->host, "hostA");
+  EXPECT_EQ(info->umtp_port, 7702);
+  const TranslatorProfile* learned = w.a->directory().profile(p.id);
+  ASSERT_NE(learned, nullptr);
+  EXPECT_EQ(learned->name, "Neighbour");
+}
+
 // The refresh oracle. Random churn of hostA's local translators: publish,
 // withdraw, a republish that changes the shape (a rebind), publish while
 // stopped, stop/start and crash/restart. After every refresh tick, the adverts
@@ -193,8 +230,10 @@ TEST(DirectoryTest, RefreshAnnouncesEveryLocalInIdOrder) {
   std::vector<std::string> heard;  // hostA's adverts, as a third host hears them
   ASSERT_TRUE(w.net
                   .udp_bind({"tap", config.directory_port},
-                            [&heard](const net::Endpoint& from, const Bytes& payload) {
-                              if (from.host == "hostA") heard.push_back(umiddle::to_string(payload));
+                            [&](net::UdpSocket from, const Bytes& payload) {
+                              if (w.net.host_name(from.host) == "hostA") {
+                                heard.push_back(umiddle::to_string(payload));
+                              }
                             })
                   .ok());
   w.start_all();  // at t = 0, so the first tick is due at one period

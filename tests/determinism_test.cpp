@@ -163,9 +163,13 @@ RunAudit run_lossy_network_scenario(std::uint64_t seed) {
     EXPECT_TRUE(net.attach(h, lan).ok());
   }
   std::uint64_t received = 0;
-  EXPECT_TRUE(net.udp_bind({"b", 9}, [&](auto&, const Bytes& p) { received += p.size(); }).ok());
+  auto b = net.udp_bind({"b", 9}, [&](auto, const Bytes& p) { received += p.size(); });
+  auto a = net.udp_bind({"a", 9}, [](auto, auto&) {});
+  EXPECT_TRUE(a.ok() && b.ok());
   for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(net.udp_send({"a", 9}, {"b", 9}, Bytes(100, static_cast<std::uint8_t>(i))).ok());
+    EXPECT_TRUE(net.udp_send(a.value(), b.value(),
+                             make_payload(Bytes(100, static_cast<std::uint8_t>(i))))
+                    .ok());
     sched.run_for(milliseconds(2));
   }
   sched.run();

@@ -37,8 +37,10 @@ struct World {
     adv.set_attr("umtp-port", "7701");
     adv.add_child(p.to_xml());
     ASSERT_TRUE(net.join_group("ghost", config.group).ok());
-    ASSERT_TRUE(net.udp_multicast({"ghost", config.directory_port}, config.group,
-                                  config.directory_port, to_bytes(adv.to_string()))
+    auto ghost = net.udp_bind({"ghost", config.directory_port}, [](auto, auto&) {});
+    ASSERT_TRUE(ghost.ok());
+    ASSERT_TRUE(net.udp_multicast(ghost.value(), net.group(config.group), config.directory_port,
+                                  make_payload(to_bytes(adv.to_string())))
                     .ok());
   }
 };

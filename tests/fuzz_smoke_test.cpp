@@ -1,9 +1,9 @@
-// Deterministic mutation-fuzz smoke test over the project's twelve parsing
+// Deterministic mutation-fuzz smoke test over the project's fourteen parsing
 // surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, directory adverts,
 // UMTP frame decoding, base64 decoding, motes readings, URIs, MIME types,
 // query paths from UMTP CONNECT frames, RMI registry bindings, SSDP
-// datagrams (DESIGN.md §7.9) and every stream protocol's frame reader
-// (DESIGN.md §7.6).
+// datagrams (DESIGN.md §7.9), GENA property sets, SOAP action responses and
+// every stream protocol's frame reader (DESIGN.md §7.6).
 // Each entry point (src/fuzz/entries.hpp) is driven with ≥10k
 // splitmix64-mutated inputs derived from small valid corpora — bit flips,
 // byte stomps, truncations, extensions and (for UMTP) length-prefix lies.
@@ -27,7 +27,9 @@
 #include "mediabroker/protocol.hpp"
 #include "motes/motes.hpp"
 #include "rmi/protocol.hpp"
+#include "upnp/gena.hpp"
 #include "upnp/http.hpp"
+#include "upnp/soap.hpp"
 #include "upnp/ssdp.hpp"
 
 namespace umiddle {
@@ -270,6 +272,30 @@ Corpus ssdp_corpus() {
                    "Location: http://tv:49152/d.xml\r\n\r\ntrailing")};
 }
 
+/// Property sets as a device's NOTIFY carries them, and one as another stack
+/// might write it: another prefix, an empty value and an escaped one.
+Corpus gena_corpus() {
+  return {bytes_of(upnp::PropertySet{{{"Status", "1"}, {"Target", "0"}}}.to_xml_text()),
+          bytes_of(upnp::PropertySet{{{"Power", "on & off"}}}.to_xml_text()),
+          bytes_of("<?xml version=\"1.0\"?><ev:propertyset xmlns:ev=\"urn:x\">"
+                   "<ev:property><Volume>42</Volume></ev:property>"
+                   "<ev:property><Mute/></ev:property></ev:propertyset>")};
+}
+
+/// Action responses as UpnpDevice writes them, and one as another stack might
+/// write it: another prefix and an empty out-argument.
+Corpus soap_response_corpus() {
+  return {bytes_of(upnp::ActionResponse{"urn:schemas-upnp-org:service:SwitchPower:1",
+                                        "GetStatus", {{"ResultStatus", "1"}}}
+                       .to_envelope()),
+          bytes_of(upnp::ActionResponse{"urn:x:service:Printer:1", "Print",
+                                        {{"JobId", "7"}, {"Note", "a<b"}}}
+                       .to_envelope()),
+          bytes_of("<s:Envelope xmlns:s=\"http://schemas.xmlsoap.org/soap/envelope/\">"
+                   "<s:Body><m:SetPowerResponse xmlns:m=\"urn:x\"><Note/></m:SetPowerResponse>"
+                   "</s:Body></s:Envelope>")};
+}
+
 /// One valid stream per protocol of fuzz::stream_protocols(): the selector
 /// byte, then two or three frames back to back.
 Corpus stream_corpus() {
@@ -359,6 +385,14 @@ TEST(FuzzSmokeTest, RmiBindingSurvivesMutations) {
 
 TEST(FuzzSmokeTest, SsdpDatagramSurvivesMutations) {
   drive(&fuzz::fuzz_ssdp_datagram, ssdp_corpus(), 0x55d9da7a6ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, GenaPropertySetSurvivesMutations) {
+  drive(&fuzz::fuzz_gena_property_set, gena_corpus(), 0x6e7a9709e77e5ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, SoapActionResponseSurvivesMutations) {
+  drive(&fuzz::fuzz_soap_action_response, soap_response_corpus(), 0x50a9ac710e5ull, kRounds);
 }
 
 TEST(FuzzSmokeTest, StreamFramesSurviveMutations) {

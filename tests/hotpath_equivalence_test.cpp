@@ -233,6 +233,9 @@ TEST(HotpathEquivalenceTest, DirectorySurvivesExpireRepublishCrashInterleavings)
   dir.set_max_age(sim::seconds(5));
   ASSERT_TRUE(runtime.start().ok());
   ASSERT_TRUE(net.join_group("ghost", cfg.group).ok());
+  auto ghost = net.udp_bind({"ghost", cfg.directory_port}, [](auto, auto&) {});
+  ASSERT_TRUE(ghost.ok());
+  const net::GroupId group = net.group(cfg.group);
 
   Rng rng(0xC4A05);
   constexpr std::uint64_t kGhostNodes = 4;    // 900..903
@@ -252,8 +255,8 @@ TEST(HotpathEquivalenceTest, DirectorySurvivesExpireRepublishCrashInterleavings)
     adv.set_attr("host", "ghost");
     adv.set_attr("umtp-port", "7701");
     adv.add_child(p.to_xml());
-    ASSERT_TRUE(net.udp_multicast({"ghost", cfg.directory_port}, cfg.group,
-                                  cfg.directory_port, to_bytes(adv.to_string()))
+    ASSERT_TRUE(net.udp_multicast(ghost.value(), group, cfg.directory_port,
+                                  make_payload(to_bytes(adv.to_string())))
                     .ok());
   };
   auto forge_announce = [&](std::uint64_t node, std::uint64_t k) {
@@ -266,8 +269,8 @@ TEST(HotpathEquivalenceTest, DirectorySurvivesExpireRepublishCrashInterleavings)
     bye.set_attr("host", "ghost");
     bye.set_attr("umtp-port", "7701");
     bye.set_attr("translator-id", std::to_string(id));
-    ASSERT_TRUE(net.udp_multicast({"ghost", cfg.directory_port}, cfg.group,
-                                  cfg.directory_port, to_bytes(bye.to_string()))
+    ASSERT_TRUE(net.udp_multicast(ghost.value(), group, cfg.directory_port,
+                                  make_payload(to_bytes(bye.to_string())))
                     .ok());
   };
   auto local_id = [](std::uint64_t k) { return (1ull << 32) | (1 + k); };

@@ -41,12 +41,12 @@ TEST(SsdpTest, DatagramBytesArePinned) {
   std::vector<std::string> answers;
   ASSERT_TRUE(lan.net
                   .udp_bind({"sniffer", kSsdpPort},
-                            [&](const net::Endpoint&, const Bytes& p) {
+                            [&](net::UdpSocket, const Bytes& p) {
                               heard.push_back(umiddle::to_string(p));
                             })
                   .ok());
   ASSERT_TRUE(lan.net.join_group("sniffer", kSsdpGroup).ok());
-  auto asker = lan.net.udp_bind({"sniffer", 5000}, [&](const net::Endpoint&, const Bytes& p) {
+  auto asker = lan.net.udp_bind({"sniffer", 5000}, [&](net::UdpSocket, const Bytes& p) {
     answers.push_back(umiddle::to_string(p));
   });
   ASSERT_TRUE(asker.ok());
@@ -82,7 +82,7 @@ TEST(SsdpTest, DatagramBytesArePinned) {
       "\r\n";
   EXPECT_EQ(heard[1], msearch);
 
-  ASSERT_TRUE(lan.net.udp_multicast(asker.value(), kSsdpGroup, kSsdpPort,
+  ASSERT_TRUE(lan.net.udp_multicast(asker.value(), lan.net.group(kSsdpGroup), kSsdpPort,
                                     make_payload(to_bytes(msearch)))
                   .ok());
   lan.sched.run();
@@ -150,11 +150,15 @@ TEST(HeadColonRuleTest, SsdpDatagramIsDropped) {
   std::vector<SsdpAnnouncement> seen;
   cp.on_announcement([&](const SsdpAnnouncement& a) { seen.push_back(a); });
   ASSERT_TRUE(cp.start().ok());
+  auto sender = lan.net.udp_bind({"sender", 5000}, [](net::UdpSocket, const Bytes&) {});
+  ASSERT_TRUE(sender.ok());
   const auto notify = [&](std::string_view extra) {
     const std::string text = "NOTIFY * HTTP/1.1\r\nNT: urn:x:Light:1\r\nNTS: ssdp:alive\r\n" +
                              std::string(extra) + "USN: uuid:1::urn:x:Light:1\r\n\r\n";
-    ASSERT_TRUE(
-        lan.net.udp_multicast({"sender", 5000}, kSsdpGroup, kSsdpPort, to_bytes(text)).ok());
+    ASSERT_TRUE(lan.net
+                    .udp_multicast(sender.value(), lan.net.group(kSsdpGroup), kSsdpPort,
+                                   make_payload(to_bytes(text)))
+                    .ok());
     lan.sched.run();
   };
   notify(std::string(kColonless) + "\r\n");
@@ -187,6 +191,19 @@ TEST(HeadTest, WriterBytesParseBack) {
   ASSERT_TRUE(head.ok());
   EXPECT_EQ(head.value().header("host"), "tv:80");
   EXPECT_EQ(head.value().header("X-Empty", "absent"), "");
+}
+
+// The reason phrase is the rest of the status line, spaces included.
+TEST(HeadTest, ReasonPhraseKeepsItsSpaces) {
+  for (const auto& [status, reason] :
+       {std::pair{404, "Not Found"}, std::pair{405, "Method Not Allowed"}}) {
+    HttpResponseReader reader;
+    std::vector<HttpResponse> out;
+    ASSERT_TRUE(reader.feed(HttpResponse::make(status, reason).to_wire(), out).ok());
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].status, status);
+    EXPECT_EQ(out[0].reason, reason);
+  }
 }
 
 TEST(SsdpTest, AnnouncementCarriesMaxAge) {
@@ -231,7 +248,7 @@ TEST(SsdpTest, HugeMxRepliesWithinTheSpecBound) {
     device.advertise({"urn:x:TV:1", "uuid:tv::urn:x:TV:1", "http://tv/d.xml", true});
     lan.sched.run();
     std::optional<sim::TimePoint> answered;
-    auto socket = lan.net.udp_bind({"cp", 5000}, [&](const net::Endpoint&, const Bytes&) {
+    auto socket = lan.net.udp_bind({"cp", 5000}, [&](net::UdpSocket, const Bytes&) {
       if (!answered) answered = lan.sched.now();
     });
     ASSERT_TRUE(socket.ok());
@@ -240,7 +257,7 @@ TEST(SsdpTest, HugeMxRepliesWithinTheSpecBound) {
                                 "MAN: \"ssdp:discover\"\r\nMX: " +
                                 std::string(mx) + "\r\nST: ssdp:all\r\n\r\n";
     ASSERT_TRUE(lan.net
-                    .udp_multicast(socket.value(), kSsdpGroup, kSsdpPort,
+                    .udp_multicast(socket.value(), lan.net.group(kSsdpGroup), kSsdpPort,
                                    make_payload(to_bytes(msearch)))
                     .ok());
     lan.sched.run();

@@ -29,6 +29,13 @@ using sim::milliseconds;
 using sim::Scheduler;
 using sim::seconds;
 
+/// A socket that ignores what it hears, for a sender.
+UdpSocket bind_sender(Network& net, const Endpoint& at) {
+  auto bound = net.udp_bind(at, [](UdpSocket, const Bytes&) {});
+  EXPECT_TRUE(bound.ok()) << at.to_string();
+  return bound.ok() ? bound.value() : UdpSocket{};
+}
+
 struct Fixture {
   Scheduler sched;
   Network net{sched, /*seed=*/1};
@@ -66,13 +73,15 @@ TEST(NetworkTest, AttachUnknownHostRejected) {
 
 TEST(NetworkTest, UdpDeliversWithLatency) {
   Fixture f;
-  Endpoint from{"n1", 1000}, to{"n2", 2000};
+  const UdpSocket from = bind_sender(f.net, {"n1", 1000});
   Bytes received;
-  ASSERT_TRUE(f.net.udp_bind(to, [&](const Endpoint& src, const Bytes& data) {
-    EXPECT_EQ(src.host, "n1");
+  auto to = f.net.udp_bind({"n2", 2000}, [&](UdpSocket src, const Bytes& data) {
+    EXPECT_EQ(src, from);
+    EXPECT_EQ(f.net.host_name(src.host), "n1");
     received = data;
-  }).ok());
-  ASSERT_TRUE(f.net.udp_send(from, to, to_bytes("hello")).ok());
+  });
+  ASSERT_TRUE(to.ok());
+  ASSERT_TRUE(f.net.udp_send(from, to.value(), make_payload(to_bytes("hello"))).ok());
   f.sched.run();
   EXPECT_EQ(to_string(received), "hello");
   // 5 + 58 + 20 = 83 bytes at 10 Mbps = 66.4 us + 100 us latency.
@@ -82,7 +91,10 @@ TEST(NetworkTest, UdpDeliversWithLatency) {
 
 TEST(NetworkTest, UdpToUnboundPortIsSilentlyDropped) {
   Fixture f;
-  ASSERT_TRUE(f.net.udp_send({"n1", 1}, {"n2", 9}, to_bytes("x")).ok());
+  const UdpSocket closed = bind_sender(f.net, {"n2", 9});
+  f.net.udp_close(closed);
+  const UdpSocket from = bind_sender(f.net, {"n1", 1});
+  ASSERT_TRUE(f.net.udp_send(from, closed, make_payload(to_bytes("x"))).ok());
   f.sched.run();  // no crash, nothing delivered
 }
 
@@ -95,30 +107,33 @@ TEST(NetworkTest, UdpAcrossUnconnectedHostsFails) {
   ASSERT_TRUE(net.add_host("y").ok());
   ASSERT_TRUE(net.attach("x", a).ok());
   ASSERT_TRUE(net.attach("y", b).ok());
-  auto r = net.udp_send({"x", 1}, {"y", 2}, to_bytes("data"));
+  auto r = net.udp_send(bind_sender(net, {"x", 1}), bind_sender(net, {"y", 2}),
+                        make_payload(to_bytes("data")));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, Errc::disconnected);
 }
 
 TEST(NetworkTest, UdpBindConflictRejected) {
   Fixture f;
-  auto bound = f.net.udp_bind({"n1", 5}, [](auto&, auto&) {});
+  auto bound = f.net.udp_bind({"n1", 5}, [](auto, auto&) {});
   ASSERT_TRUE(bound.ok());
-  EXPECT_FALSE(f.net.udp_bind({"n1", 5}, [](auto&, auto&) {}).ok());
+  EXPECT_FALSE(f.net.udp_bind({"n1", 5}, [](auto, auto&) {}).ok());
   f.net.udp_close(bound.value());
-  EXPECT_TRUE(f.net.udp_bind({"n1", 5}, [](auto&, auto&) {}).ok());
+  EXPECT_TRUE(f.net.udp_bind({"n1", 5}, [](auto, auto&) {}).ok());
 }
 
 TEST(NetworkTest, MulticastReachesExactlyJoinedHosts) {
   Fixture f;
   int n2_count = 0, n3_count = 0, n1_count = 0;
-  ASSERT_TRUE(f.net.udp_bind({"n1", 1900}, [&](auto&, auto&) { ++n1_count; }).ok());
-  ASSERT_TRUE(f.net.udp_bind({"n2", 1900}, [&](auto&, auto&) { ++n2_count; }).ok());
-  ASSERT_TRUE(f.net.udp_bind({"n3", 1900}, [&](auto&, auto&) { ++n3_count; }).ok());
+  auto n1 = f.net.udp_bind({"n1", 1900}, [&](auto, auto&) { ++n1_count; });
+  ASSERT_TRUE(n1.ok());
+  const GroupId ssdp = f.net.group("ssdp");
+  ASSERT_TRUE(f.net.udp_bind({"n2", 1900}, [&](auto, auto&) { ++n2_count; }).ok());
+  ASSERT_TRUE(f.net.udp_bind({"n3", 1900}, [&](auto, auto&) { ++n3_count; }).ok());
   ASSERT_TRUE(f.net.join_group("n2", "ssdp").ok());
   ASSERT_TRUE(f.net.join_group("n3", "ssdp").ok());
 
-  ASSERT_TRUE(f.net.udp_multicast({"n1", 1900}, "ssdp", 1900, to_bytes("NOTIFY")).ok());
+  ASSERT_TRUE(f.net.udp_multicast(n1.value(), ssdp, 1900, make_payload(to_bytes("NOTIFY"))).ok());
   f.sched.run();
   EXPECT_EQ(n1_count, 0);  // sender did not join
   EXPECT_EQ(n2_count, 1);
@@ -126,12 +141,12 @@ TEST(NetworkTest, MulticastReachesExactlyJoinedHosts) {
 
   // Sender that joined hears its own transmissions (SSDP loopback).
   ASSERT_TRUE(f.net.join_group("n1", "ssdp").ok());
-  ASSERT_TRUE(f.net.udp_multicast({"n1", 1900}, "ssdp", 1900, to_bytes("NOTIFY")).ok());
+  ASSERT_TRUE(f.net.udp_multicast(n1.value(), ssdp, 1900, make_payload(to_bytes("NOTIFY"))).ok());
   f.sched.run();
   EXPECT_EQ(n1_count, 1);
 
   f.net.leave_group("n3", "ssdp");
-  ASSERT_TRUE(f.net.udp_multicast({"n1", 1900}, "ssdp", 1900, to_bytes("NOTIFY")).ok());
+  ASSERT_TRUE(f.net.udp_multicast(n1.value(), ssdp, 1900, make_payload(to_bytes("NOTIFY"))).ok());
   f.sched.run();
   EXPECT_EQ(n3_count, 2);  // unchanged
   EXPECT_EQ(n2_count, 3);
@@ -156,20 +171,23 @@ TEST(NetworkTest, MulticastDeliveryOrderIsPinned) {
       {"z", {seg_a, seg_b}}, {"s", {seg_b, seg_a}}, {"m", {seg_a}},
       {"c", {seg_b}},        {"b", {seg_b}}};
   std::vector<std::pair<sim::TimePoint, std::string>> heard;
+  UdpSocket sender;
   for (const auto& [name, segments] : hosts) {
     ASSERT_TRUE(net.add_host(name).ok());
     for (SegmentId seg : segments) ASSERT_TRUE(net.attach(name, seg).ok());
     ASSERT_TRUE(net.join_group(name, "g").ok());
     const std::string host = name;
-    ASSERT_TRUE(net.udp_bind({host, 9}, [&heard, &sched, host](const Endpoint& from, auto&) {
-      EXPECT_EQ(from, (Endpoint{"s", 9}));
+    auto bound = net.udp_bind({host, 9}, [&heard, &sched, &sender, host](UdpSocket from, auto&) {
+      EXPECT_EQ(from, sender);
       heard.emplace_back(sched.now(), host);
-    }).ok());
+    });
+    ASSERT_TRUE(bound.ok());
+    if (host == "s") sender = bound.value();
   }
 
   for (int round = 0; round < 2; ++round) {  // the second send takes the same order
     heard.clear();
-    ASSERT_TRUE(net.udp_multicast({"s", 9}, "g", 9, to_bytes("hi")).ok());
+    ASSERT_TRUE(net.udp_multicast(sender, net.group("g"), 9, make_payload(to_bytes("hi"))).ok());
     sched.run();
     std::vector<std::string> on_a, on_b;
     for (const auto& [when, host] : heard) {
@@ -180,63 +198,64 @@ TEST(NetworkTest, MulticastDeliveryOrderIsPinned) {
   }
 }
 
-// A bound socket's handle and its host's name send the same multicast: the
-// same frames on every segment and the same deliveries, in the same order and
-// at the same times, also after attach and join_group rebuild the routes.
+// A multicast by handle gives the frames on every segment and the
+// deliveries, in their order and at their times, that the by-name send it
+// replaced gave, also after attach and join_group rebuild the routes. The
+// expected log and segment counters were recorded from that by-name send.
 TEST(NetworkTest, MulticastByHandleMatchesMulticastByName) {
-  struct World {
-    Scheduler sched;
-    Network net{sched};
-    SegmentId hub = net.add_segment(SegmentSpec{});
-    SegmentId side = net.add_segment(SegmentSpec{});
-    std::vector<std::string> heard;
-    UdpSocket sender;
-
-    World() {
-      for (const char* h : {"s", "c", "a", "b"}) EXPECT_TRUE(net.add_host(h).ok());
-      for (const char* h : {"s", "b", "a"}) EXPECT_TRUE(net.attach(h, hub).ok());
-      EXPECT_TRUE(net.attach("s", side).ok());
-      for (const std::string h : {"a", "b", "c", "s"}) {
-        auto bound = net.udp_bind({h, 9}, [this, h](const Endpoint& from, const Bytes& p) {
-          heard.push_back(std::to_string(sched.now().count()) + " " + h + " <- " +
-                          from.to_string() + " " + to_string(p));
-        });
-        EXPECT_TRUE(bound.ok());
-        if (h == "s") sender = bound.value();
-      }
-    }
-    /// One route change, then one multicast, by handle or by name.
-    void step(int change, bool by_handle) {
-      switch (change) {
-        case 0: EXPECT_TRUE(net.join_group("b", "g").ok()); break;
-        case 1: EXPECT_TRUE(net.join_group("c", "g").ok()); break;  // shares no segment yet
-        case 2: EXPECT_TRUE(net.attach("c", side).ok()); break;
-        case 3: EXPECT_TRUE(net.join_group("s", "g").ok()); break;  // loops back to "s"
-        case 4: EXPECT_TRUE(net.attach("a", side).ok()); break;
-      }
-      const std::string body = "m" + std::to_string(change);
-      EXPECT_TRUE((by_handle ? net.udp_multicast(sender, "g", 9, make_payload(to_bytes(body)))
-                             : net.udp_multicast({"s", 9}, "g", 9, to_bytes(body)))
-                      .ok());
-      sched.run();
-    }
-  };
-  World by_handle, by_name;
-  for (int change = 0; change < 5; ++change) {
-    by_handle.step(change, true);
-    by_name.step(change, false);
-    ASSERT_EQ(by_handle.heard, by_name.heard) << "after change " << change;
-    for (SegmentId seg : {by_handle.hub, by_handle.side}) {
-      EXPECT_EQ(by_handle.net.stats(seg).frames, by_name.net.stats(seg).frames);
-      EXPECT_EQ(by_handle.net.stats(seg).wire_bytes, by_name.net.stats(seg).wire_bytes);
-    }
+  Scheduler sched;
+  Network net{sched};
+  const SegmentId hub = net.add_segment(SegmentSpec{});
+  const SegmentId side = net.add_segment(SegmentSpec{});
+  std::vector<std::string> heard;
+  UdpSocket sender;
+  for (const char* h : {"s", "c", "a", "b"}) ASSERT_TRUE(net.add_host(h).ok());
+  for (const char* h : {"s", "b", "a"}) ASSERT_TRUE(net.attach(h, hub).ok());
+  ASSERT_TRUE(net.attach("s", side).ok());
+  for (const std::string h : {"a", "b", "c", "s"}) {
+    auto bound = net.udp_bind({h, 9}, [&, h](UdpSocket from, const Bytes& p) {
+      heard.push_back(std::to_string(sched.now().count()) + " " + h + " <- " +
+                      net.host_name(from.host) + ":" + std::to_string(from.port) + " " +
+                      to_string(p));
+    });
+    ASSERT_TRUE(bound.ok());
+    if (h == "s") sender = bound.value();
   }
-  // b; b; b c; then "s" on both segments hears each frame: b s, s c (twice).
-  EXPECT_EQ(by_name.heard.size(), 1u + 1 + 2 + 4 + 4);
-  EXPECT_EQ(by_name.heard.back().substr(by_name.heard.back().find(' ') + 1), "c <- s:9 m4");
+  const GroupId g = net.group("g");
+
+  const std::vector<std::string> log = {
+      "164000 b <- s:9 m0",  // b
+      "328000 b <- s:9 m1",  // c joins, but shares no segment yet
+      "492000 b <- s:9 m2", "492000 c <- s:9 m2",  // c attaches to side
+      // "s" joins: it hears each frame on both of its segments
+      "656000 b <- s:9 m3", "656000 s <- s:9 m3", "656000 s <- s:9 m3", "656000 c <- s:9 m3",
+      // "a" attaches to side but never joined
+      "820000 b <- s:9 m4", "820000 s <- s:9 m4", "820000 s <- s:9 m4", "820000 c <- s:9 m4"};
+  const std::size_t heard_after[] = {1, 2, 4, 8, 12};
+  // Cumulative {frames, wire bytes} of hub, then of side, after each change.
+  const std::uint64_t counters[][4] = {
+      {1, 80, 0, 0}, {2, 160, 0, 0}, {3, 240, 1, 80}, {4, 320, 2, 160}, {5, 400, 3, 240}};
+  for (int change = 0; change < 5; ++change) {
+    switch (change) {
+      case 0: ASSERT_TRUE(net.join_group("b", "g").ok()); break;
+      case 1: ASSERT_TRUE(net.join_group("c", "g").ok()); break;
+      case 2: ASSERT_TRUE(net.attach("c", side).ok()); break;
+      case 3: ASSERT_TRUE(net.join_group("s", "g").ok()); break;
+      case 4: ASSERT_TRUE(net.attach("a", side).ok()); break;
+    }
+    const std::string body = "m" + std::to_string(change);
+    ASSERT_TRUE(net.udp_multicast(sender, g, 9, make_payload(to_bytes(body))).ok());
+    sched.run();
+    EXPECT_EQ(heard, std::vector<std::string>(log.begin(), log.begin() + heard_after[change]))
+        << "after change " << change;
+    EXPECT_EQ(net.stats(hub).frames, counters[change][0]) << "after change " << change;
+    EXPECT_EQ(net.stats(hub).wire_bytes, counters[change][1]) << "after change " << change;
+    EXPECT_EQ(net.stats(side).frames, counters[change][2]) << "after change " << change;
+    EXPECT_EQ(net.stats(side).wire_bytes, counters[change][3]) << "after change " << change;
+  }
   // The handle is the socket: closing by it frees the port for a new bind.
-  by_handle.net.udp_close(by_handle.sender);
-  EXPECT_TRUE(by_handle.net.udp_bind({"s", 9}, [](auto&, auto&) {}).ok());
+  net.udp_close(sender);
+  EXPECT_TRUE(net.udp_bind({"s", 9}, [](auto, auto&) {}).ok());
 }
 
 // Counts, per host, the deliveries of one multicast from "s" to group "g".
@@ -246,6 +265,7 @@ struct MembershipFixture {
   SegmentId hub, side, far;
   std::map<std::string, int> heard;
   std::map<std::string, UdpSocket> sockets;  ///< each receiver's, from its bind
+  UdpSocket sender;  ///< "s", which joins no group
 
   MembershipFixture() {
     hub = net.add_segment(SegmentSpec{});
@@ -256,15 +276,16 @@ struct MembershipFixture {
     EXPECT_TRUE(net.attach("s", side).ok());
     EXPECT_TRUE(net.attach("c", far).ok());  // shares no segment with "s" yet
     for (const char* h : {"a", "b", "c"}) bind(h);
+    sender = bind_sender(net, {"s", 9});
   }
   void bind(const std::string& host) {
-    auto bound = net.udp_bind({host, 9}, [this, host](auto&, auto&) { ++heard[host]; });
+    auto bound = net.udp_bind({host, 9}, [this, host](auto, auto&) { ++heard[host]; });
     EXPECT_TRUE(bound.ok());
     if (bound.ok()) sockets[host] = bound.value();
   }
   std::map<std::string, int> multicast() {
     heard.clear();
-    EXPECT_TRUE(net.udp_multicast({"s", 9}, "g", 9, to_bytes("x")).ok());
+    EXPECT_TRUE(net.udp_multicast(sender, net.group("g"), 9, make_payload(to_bytes("x"))).ok());
     sched.run();
     return heard;
   }
@@ -301,7 +322,7 @@ TEST(NetworkTest, MulticastInFlightKeepsItsReceiversButLooksUpSockets) {
   ASSERT_TRUE(f.net.join_group("b", "g").ok());
 
   // Membership changes after the send do not touch a frame already in flight.
-  ASSERT_TRUE(f.net.udp_multicast({"s", 9}, "g", 9, to_bytes("x")).ok());
+  ASSERT_TRUE(f.net.udp_multicast(f.sender, f.net.group("g"), 9, make_payload(to_bytes("x"))).ok());
   f.net.leave_group("b", "g");
   ASSERT_TRUE(f.net.join_group("c", "g").ok());
   ASSERT_TRUE(f.net.attach("c", f.hub).ok());
@@ -312,7 +333,7 @@ TEST(NetworkTest, MulticastInFlightKeepsItsReceiversButLooksUpSockets) {
   // receiver's socket suppresses that receiver's copy of the same frame.
   ASSERT_TRUE(f.net.join_group("b", "g").ok());
   f.net.udp_close(f.sockets["a"]);
-  ASSERT_TRUE(f.net.udp_bind({"a", 9}, [&f](auto&, auto&) {
+  ASSERT_TRUE(f.net.udp_bind({"a", 9}, [&f](auto, auto&) {
     ++f.heard["a"];
     f.net.udp_close(f.sockets["b"]);
   }).ok());
@@ -437,11 +458,14 @@ TEST(NetworkTest, HalfDuplexSharedMediumSerializesTransmissions) {
     ASSERT_TRUE(net.attach(h, hub).ok());
   }
   int received = 0;
-  ASSERT_TRUE(net.udp_bind({"c", 9}, [&](auto&, auto&) { ++received; }).ok());
+  auto c = net.udp_bind({"c", 9}, [&](auto, auto&) { ++received; });
+  ASSERT_TRUE(c.ok());
 
   const std::size_t payload = 10000;  // 10 KB each (split across frames? no: udp single frame)
-  ASSERT_TRUE(net.udp_send({"a", 1}, {"c", 9}, Bytes(payload)).ok());
-  ASSERT_TRUE(net.udp_send({"b", 1}, {"c", 9}, Bytes(payload)).ok());
+  for (const char* h : {"a", "b"}) {
+    ASSERT_TRUE(
+        net.udp_send(bind_sender(net, {h, 1}), c.value(), make_payload(Bytes(payload))).ok());
+  }
   sched.run();
   EXPECT_EQ(received, 2);
   // Each ~10 KB frame takes ~8 ms at 10 Mbps; serialized on the medium → ≥16 ms.
@@ -463,9 +487,11 @@ TEST(NetworkTest, FullDuplexAllowsParallelSenders) {
     ASSERT_TRUE(net.attach(h, sw).ok());
   }
   int received = 0;
-  ASSERT_TRUE(net.udp_bind({"c", 9}, [&](auto&, auto&) { ++received; }).ok());
-  ASSERT_TRUE(net.udp_send({"a", 1}, {"c", 9}, Bytes(10000)).ok());
-  ASSERT_TRUE(net.udp_send({"b", 1}, {"c", 9}, Bytes(10000)).ok());
+  auto c = net.udp_bind({"c", 9}, [&](auto, auto&) { ++received; });
+  ASSERT_TRUE(c.ok());
+  for (const char* h : {"a", "b"}) {
+    ASSERT_TRUE(net.udp_send(bind_sender(net, {h, 1}), c.value(), make_payload(Bytes(10000))).ok());
+  }
   sched.run();
   EXPECT_EQ(received, 2);
   EXPECT_LT(sched.now(), milliseconds(10));  // in parallel, ~8 ms each
@@ -483,10 +509,12 @@ TEST(NetworkTest, LossDropsDatagramsButStatsCount) {
   ASSERT_TRUE(net.attach("tx", radio).ok());
   ASSERT_TRUE(net.attach("rx", radio).ok());
   int received = 0;
-  ASSERT_TRUE(net.udp_bind({"rx", 7}, [&](auto&, auto&) { ++received; }).ok());
+  auto rx = net.udp_bind({"rx", 7}, [&](auto, auto&) { ++received; });
+  ASSERT_TRUE(rx.ok());
+  const UdpSocket tx = bind_sender(net, {"tx", 7});
   const int sent = 400;
   for (int i = 0; i < sent; ++i) {
-    ASSERT_TRUE(net.udp_send({"tx", 7}, {"rx", 7}, Bytes(10)).ok());
+    ASSERT_TRUE(net.udp_send(tx, rx.value(), make_payload(Bytes(10))).ok());
     sched.run();
   }
   EXPECT_GT(received, sent / 4);

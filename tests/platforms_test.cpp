@@ -433,7 +433,7 @@ TEST(MotesTest, MoteBroadcastsPeriodically) {
   f.add_host("gw");
   ASSERT_TRUE(field.attach_gateway("gw").ok());
   int received = 0;
-  ASSERT_TRUE(f.net.udp_bind({"gw", motes::kAmPort}, [&](auto&, const Bytes& p) {
+  ASSERT_TRUE(f.net.udp_bind({"gw", motes::kAmPort}, [&](auto, const Bytes& p) {
     auto r = motes::Reading::decode(p);
     ASSERT_TRUE(r.ok());
     ++received;
@@ -452,7 +452,7 @@ TEST(MotesTest, RestartInsideOnePeriodKeepsTheBroadcastRate) {
   ASSERT_TRUE(field.attach_gateway("gw").ok());
   int received = 0;
   ASSERT_TRUE(
-      f.net.udp_bind({"gw", motes::kAmPort}, [&](auto&, const Bytes&) { ++received; }).ok());
+      f.net.udp_bind({"gw", motes::kAmPort}, [&](auto, const Bytes&) { ++received; }).ok());
   motes::Mote mote(field, 3, motes::SensorKind::light, milliseconds(500));
   ASSERT_TRUE(mote.start().ok());
   f.sched.run_for(milliseconds(1200));  // 200 ms into a period
@@ -461,6 +461,36 @@ TEST(MotesTest, RestartInsideOnePeriodKeepsTheBroadcastRate) {
   received = 0;
   f.sched.run_for(seconds(10));
   EXPECT_EQ(received, 20);
+}
+
+// A mote sends from its own bound socket: the port is taken while it runs,
+// free after stop(), and a restarted mote binds it again and keeps sending.
+TEST(MotesTest, RestartedMoteSendsFromAReboundSocket) {
+  Lan f;
+  motes::MoteField field(f.net, /*loss=*/0.0);
+  f.add_host("gw");
+  ASSERT_TRUE(field.attach_gateway("gw").ok());
+  std::vector<std::uint16_t> sequences;
+  ASSERT_TRUE(f.net.udp_bind({"gw", motes::kAmPort}, [&](auto, const Bytes& p) {
+    auto r = motes::Reading::decode(p);
+    ASSERT_TRUE(r.ok());
+    sequences.push_back(r.value().sequence);
+  }).ok());
+  motes::Mote mote(field, 7, motes::SensorKind::humidity, milliseconds(500));
+  const auto bind_mote_port = [&] {
+    auto bound = f.net.udp_bind({"mote-7", motes::kAmPort}, [](auto, auto&) {});
+    if (bound.ok()) f.net.udp_close(bound.value());
+    return bound.ok();
+  };
+  for (int run = 0; run < 2; ++run) {
+    ASSERT_TRUE(mote.start().ok());
+    EXPECT_FALSE(bind_mote_port()) << "run " << run;
+    f.sched.run_for(milliseconds(1200));
+    mote.stop();
+    EXPECT_TRUE(bind_mote_port()) << "run " << run;
+  }
+  // Three readings per run, and the restart resumes the sequence.
+  EXPECT_EQ(sequences, (std::vector<std::uint16_t>{0, 1, 2, 3, 4, 5}));
 }
 
 TEST(MotesTest, MapperRestartInsideOneSweepKeepsTheSweepRate) {

@@ -206,11 +206,18 @@ TEST(NetsimInvariantTest, SharedMediumNeverExceedsCapacity) {
   }
   // Three senders saturate the hub toward one receiver.
   std::uint64_t received = 0;
-  ASSERT_TRUE(net.udp_bind({"d", 7}, [&](auto&, const Bytes& p) { received += p.size(); }).ok());
+  auto d = net.udp_bind({"d", 7}, [&](auto, const Bytes& p) { received += p.size(); });
+  ASSERT_TRUE(d.ok());
+  std::vector<net::UdpSocket> senders;
+  for (const char* h : {"a", "b", "c"}) {
+    auto bound = net.udp_bind({h, 7}, [](auto, auto&) {});
+    ASSERT_TRUE(bound.ok());
+    senders.push_back(bound.value());
+  }
   Rng rng(3);
   for (int burst = 0; burst < 50; ++burst) {
-    for (const char* h : {"a", "b", "c"}) {
-      ASSERT_TRUE(net.udp_send({h, 7}, {"d", 7}, Bytes(1 + rng.below(1400))).ok());
+    for (net::UdpSocket from : senders) {
+      ASSERT_TRUE(net.udp_send(from, d.value(), make_payload(Bytes(1 + rng.below(1400)))).ok());
     }
     sched.run_for(sim::milliseconds(static_cast<std::int64_t>(rng.below(3))));
   }
@@ -241,13 +248,15 @@ TEST(RobustnessTest, DirectoryIgnoresGarbageAdvertisements) {
   sched.run_for(seconds(1));
 
   ASSERT_TRUE(net.join_group("evil", runtime.config().group).ok());
+  auto evil = net.udp_bind({"evil", runtime.config().directory_port}, [](auto, auto&) {});
+  ASSERT_TRUE(evil.ok());
+  const net::GroupId group = net.group(runtime.config().group);
   Rng rng(13);
   for (int i = 0; i < 50; ++i) {
     Bytes garbage(rng.below(200));
     for (auto& b : garbage) b = static_cast<std::uint8_t>(rng.next());
-    ASSERT_TRUE(net.udp_multicast({"evil", runtime.config().directory_port},
-                                  runtime.config().group, runtime.config().directory_port,
-                                  std::move(garbage))
+    ASSERT_TRUE(net.udp_multicast(evil.value(), group, runtime.config().directory_port,
+                                  make_payload(std::move(garbage)))
                     .ok());
   }
   // And some well-formed-XML-but-wrong documents.
@@ -258,9 +267,8 @@ TEST(RobustnessTest, DirectoryIgnoresGarbageAdvertisements) {
                           "umtp-port=\"7701\"><translator id=\"0\" node=\"0\"/></umiddle-adv>",
                           "<umiddle-adv type=\"bye\" node=\"998\" host=\"evil\" "
                           "umtp-port=\"70001\" translator-id=\"1\"/>"}) {
-    ASSERT_TRUE(net.udp_multicast({"evil", runtime.config().directory_port},
-                                  runtime.config().group, runtime.config().directory_port,
-                                  to_bytes(doc))
+    ASSERT_TRUE(net.udp_multicast(evil.value(), group, runtime.config().directory_port,
+                                  make_payload(to_bytes(doc)))
                     .ok());
   }
   sched.run_for(seconds(1));

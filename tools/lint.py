@@ -67,10 +67,12 @@ exist to keep nondeterminism from leaking back in:
   netsim-by-handle
                in src/netsim/, no container keyed by std::string or Endpoint
                (std::map<Endpoint, std::set<std::string>,
-               unordered_map<std::string, ...): hosts are HostId handles
-               inside the simulator and names resolve once at the API
-               (DESIGN.md §8.5), so string keys stay off the frame path. The
-               one name -> HostId index in src/netsim/network.hpp is exempt.
+               unordered_map<std::string, ...) and no std::vector of names
+               scanned by string compare: hosts and multicast groups are
+               HostId and GroupId handles inside the simulator and names
+               resolve once at the API (DESIGN.md §8.5), so string keys stay
+               off the frame path. The two name indexes in
+               src/netsim/network.hpp, host_ids_ and group_ids_, are exempt.
   netsim-free-session
                src/core/link_session.{hpp,cpp}, src/core/path_queue.*,
                src/core/qos.* and src/core/directory_table.* include no
@@ -491,12 +493,14 @@ def check_one_usdl_translator(path: str, code: str) -> Iterable[Violation]:
                             "find_binding/bindings/emit_typed")
 
 
-# netsim keys hosts by HostId (DESIGN.md §8.5): a std::string or Endpoint key
-# inside src/netsim/ would bring name hashing and string compares back onto
-# the per-frame path. Only the name -> HostId index itself may key by name.
-STRING_KEY_RE = re.compile(r"\b(?:unordered_)?(?:multi)?(?:map|set)\s*<\s*(?:const\s+)?"
-                           r"(?:std::string|(?:net::)?Endpoint)\b")
-NAME_INDEX_RE = re.compile(r"\bmap\s*<\s*std::string\s*,\s*HostId\s*>\s*host_ids_\b")
+# netsim keys hosts and groups by HostId and GroupId (DESIGN.md §8.5): a
+# std::string or Endpoint key inside src/netsim/, or a vector of names that a
+# membership test scans, would bring name hashing and string compares back
+# onto the per-frame path. Only the two name indexes may key by name.
+STRING_KEY_RE = re.compile(r"\b(?:(?:unordered_)?(?:multi)?(?:map|set)|vector)\s*<\s*"
+                           r"(?:const\s+)?(?:std::string|(?:net::)?Endpoint)\b")
+NAME_INDEX_RE = re.compile(r"\bmap\s*<\s*std::string\s*,\s*(?:HostId\s*>\s*host_ids_|"
+                           r"GroupId\s*>\s*group_ids_)\b")
 NAME_INDEX_SITE = "src/netsim/network.hpp"
 
 
@@ -508,9 +512,10 @@ def check_netsim_by_handle(path: str, code: str) -> Iterable[Violation]:
             continue
         if STRING_KEY_RE.search(line):
             yield Violation("netsim-by-handle", path, lineno,
-                            "container keyed by std::string or Endpoint in "
-                            "netsim; key by HostId (and port) and resolve "
-                            "names once at the API")
+                            "container keyed by std::string or Endpoint, or "
+                            "list of names, in netsim; key by HostId (and "
+                            "port) or GroupId and resolve names once at the "
+                            "API")
 
 
 # Stream reassembly has one implementation (DESIGN.md §7.6): FrameReader owns
@@ -953,6 +958,9 @@ SEEDED_VIOLATIONS = [
      "std::set<std::string> groups;\n"
      "std::unordered_map<std::string, Host> hosts_;\n"
      "std::map<std::string, HostId> host_ids_;\n"),
+    ("netsim-by-handle", "src/netsim/network.hpp",
+     "std::map<std::string, GroupId> group_ids_;\n"
+     "std::vector<std::string> groups;\n"),
     ("netsim-free-session", "src/core/link_session.hpp",
      '#include "core/umtp.hpp"\n#include "sim/timer.hpp"\n'),
     ("netsim-free-session", "src/core/path_queue.hpp",
@@ -1098,8 +1106,9 @@ CLEAN_SNIPPETS = [
      "auto n = profile().shape.size();\n"),
     ("src/netsim/network.hpp",
      "std::map<std::string, HostId> host_ids_;  ///< the one name index\n"
+     "std::map<std::string, GroupId> group_ids_;  ///< the one group name index\n"
      "std::map<std::uint16_t, DatagramHandler> sockets;\n"
-     "std::vector<std::string> groups;\n"
+     "std::vector<GroupId> groups;\n"
      "bool operator==(const Endpoint&) const = default;\n"),
     ("src/core/fine.hpp",
      "std::map<std::string, NodeInfo> by_host_;\n"),
