@@ -23,8 +23,6 @@ BtTranslator::~BtTranslator() {
   for (std::uint64_t span : sink_spans_) tracer.end_span(span, now);
 }
 
-bool BtTranslator::ready(const std::string&) const { return !busy_; }
-
 void BtTranslator::on_mapped() {
   for (const core::UsdlBinding& binding : usdl().bindings) {
     if (binding.kind == "obex-push-sink") setup_push_sink(binding);
@@ -39,11 +37,11 @@ void BtTranslator::teardown() {
 
 Result<void> BtTranslator::deliver(const std::string& port, const core::Message& msg) {
   if (const core::UsdlBinding* get = find_binding("obex-get", port)) {
-    run_obex_get(*get);
+    run_native([this, get] { run_obex_get(*get); });
     return ok_result();
   }
   if (const core::UsdlBinding* put = find_binding("obex-put", port)) {
-    run_obex_put(*put, msg);
+    run_native([this, put, msg]() mutable { run_obex_put(*put, std::move(msg)); });
     return ok_result();
   }
   return make_error(Errc::unsupported, "no input binding for port " + port);
@@ -60,8 +58,7 @@ void BtTranslator::finish_operation() {
   mapper_.runtime().network().tracer().end_span(native_span_,
                                                 mapper_.runtime().scheduler().now());
   native_span_ = 0;
-  busy_ = false;
-  notify_ready();
+  native_done();
 }
 
 Result<net::StreamPtr> BtTranslator::connect_service() {
@@ -69,7 +66,6 @@ Result<net::StreamPtr> BtTranslator::connect_service() {
 }
 
 void BtTranslator::run_obex_get(const core::UsdlBinding& binding) {
-  busy_ = true;
   mapper_.runtime().network().metrics().counter("bt.obex_gets").inc();
   native_span_ = mapper_.runtime().network().tracer().begin_span(
       0, "native.bt", mapper_.runtime().host(), mapper_.runtime().scheduler().now());
@@ -86,16 +82,15 @@ void BtTranslator::run_obex_get(const core::UsdlBinding& binding) {
                     }));
 }
 
-void BtTranslator::run_obex_put(const core::UsdlBinding& binding, const core::Message& msg) {
-  busy_ = true;
+void BtTranslator::run_obex_put(const core::UsdlBinding& binding, core::Message msg) {
   mapper_.runtime().network().metrics().counter("bt.obex_puts").inc();
   native_span_ = mapper_.runtime().network().tracer().begin_span(
       msg.trace, "native.bt", mapper_.runtime().host(), mapper_.runtime().scheduler().now());
   obex::Object object;
   object.type = binding.native.attr("type");
   auto name = msg.meta.find("filename");
-  object.name = name != msg.meta.end() ? name->second : "object";
-  object.data = msg.payload;
+  object.name = name != msg.meta.end() ? std::move(name->second) : "object";
+  object.data = std::move(msg.payload);
   obex::Client::put(connect_service(), std::move(object), lifetime().guard([this](Result<void> r) {
     if (!r.ok()) {
       log::Entry(log::Level::warn, "bt") << "OBEX PUT failed: " << r.error().to_string();

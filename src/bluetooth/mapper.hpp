@@ -50,7 +50,6 @@ class BtTranslator final : public core::UsdlTranslator {
   ~BtTranslator() override;
 
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
-  bool ready(const std::string& port) const override;
   void on_mapped() override;
 
  private:
@@ -60,7 +59,8 @@ class BtTranslator final : public core::UsdlTranslator {
   /// Open an L2CAP channel from the adapter to the device's service PSM.
   [[nodiscard]] Result<net::StreamPtr> connect_service();
   void run_obex_get(const core::UsdlBinding& binding);
-  void run_obex_put(const core::UsdlBinding& binding, const core::Message& msg);
+  /// `msg` is the queued copy of the delivered message: its payload moves on.
+  void run_obex_put(const core::UsdlBinding& binding, core::Message msg);
   void handle_hid_report(const MouseReport& r);
   void emit_object(const std::string& port, obex::Object object);
   void finish_operation();
@@ -68,7 +68,6 @@ class BtTranslator final : public core::UsdlTranslator {
   BtMapper& mapper_;
   BtDeviceInfo device_;
   SdpRecord record_;
-  bool busy_ = false;
   /// Open "native.bt" span for the in-flight OBEX operation (obs tracing);
   /// closed by finish_operation on every completion/failure path.
   std::uint64_t native_span_ = 0;

@@ -1,5 +1,7 @@
 #include "core/translator.hpp"
 
+#include <utility>
+
 #include "core/runtime.hpp"
 
 namespace umiddle::core {
@@ -47,8 +49,11 @@ const UsdlBinding* UsdlTranslator::find_binding(std::string_view kind,
   return nullptr;
 }
 
+bool UsdlTranslator::ready(const std::string&) const { return native_calls_.empty(); }
+
 void UsdlTranslator::on_unmapped() {
   lifetime_.reset();
+  native_calls_.clear();
   teardown();
 }
 
@@ -62,6 +67,24 @@ Result<void> UsdlTranslator::emit_typed(const std::string& port, Message msg) {
 
 void UsdlTranslator::notify_ready() {
   if (mapped()) runtime()->notify_ready(profile().id);
+}
+
+void UsdlTranslator::run_native(std::function<void()> call) {
+  native_calls_.push_back(std::move(call));
+  if (native_calls_.size() == 1) start_native();
+}
+
+void UsdlTranslator::native_done() {
+  native_calls_.erase(native_calls_.begin());
+  notify_ready();
+  // notify_ready() may have delivered, and so started, the next call already.
+  if (!native_calls_.empty() && native_calls_.front()) start_native();
+}
+
+void UsdlTranslator::start_native() {
+  // The running call is taken out and leaves an empty entry at the front: it
+  // may complete, and native_done() erase that entry, before it returns.
+  std::exchange(native_calls_.front(), nullptr)();
 }
 
 }  // namespace umiddle::core

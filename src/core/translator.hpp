@@ -11,10 +11,12 @@
 // (native_device.hpp).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <ranges>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/message.hpp"
 #include "core/profile.hpp"
@@ -51,7 +53,9 @@ class Translator {
   /// message on this input port (e.g. a synchronous RMI call is outstanding).
   /// The transport pauses path drainage and resumes when the translator calls
   /// Runtime::notify_ready(). This is what makes the paper's §5.3 "translation
-  /// buffer" accumulation observable.
+  /// buffer" accumulation observable. A platform translator's rule is
+  /// UsdlTranslator's serial native calls (DESIGN.md §7.7): a peer's DATA
+  /// frame is delivered without asking, so ready() paces paths, not calls.
   virtual bool ready(const std::string& port) const {
     (void)port;
     return true;
@@ -82,8 +86,9 @@ class Translator {
 /// description (paper §3.4, DESIGN.md §7.7). The rules every platform shares
 /// live here once: identity, shape and hierarchy entities come from the
 /// description; bindings are found by kind and port; output is typed by its
-/// port; and one Lifetime guards the platform's callbacks until unmap. A
-/// subclass keeps only its native protocol.
+/// port; one Lifetime guards the platform's callbacks until unmap; and native
+/// calls run one at a time, in delivery order. A subclass keeps only its
+/// native protocol.
 class UsdlTranslator : public Translator {
  public:
   /// The platform and device type are the (platform, match) key the mapper
@@ -101,7 +106,10 @@ class UsdlTranslator : public Translator {
            std::views::filter([kind](const UsdlBinding& b) { return b.kind == kind; });
   }
 
-  /// Ends lifetime(), then runs the platform's teardown().
+  /// Ready while no native call runs or waits.
+  bool ready(const std::string& port) const override;
+  /// Ends lifetime() and drops the queued native calls, then runs the
+  /// platform's teardown().
   void on_unmapped() final;
 
  protected:
@@ -111,14 +119,26 @@ class UsdlTranslator : public Translator {
   [[nodiscard]] Result<void> emit_typed(const std::string& port, Message msg);
   /// Tell the transport our input ports may accept again (backpressure).
   void notify_ready();
+  /// Queue one native call (DESIGN.md §7.7, "Serial native calls"): `call`
+  /// starts at once when no other runs, else after those queued before it.
+  /// Every path out of it ends in native_done(), guarded by lifetime().
+  void run_native(std::function<void()> call);
+  /// The running native call completed: drop it, notify_ready(), then start
+  /// the next queued call.
+  void native_done();
   /// Guards the platform's callbacks; ends at unmap, before teardown().
   const sim::Lifetime& lifetime() const { return lifetime_; }
   /// The platform's own unmap work: close channels, drop subscriptions.
   virtual void teardown() {}
 
  private:
+  void start_native();
+
   const UsdlService& usdl_;
   sim::Lifetime lifetime_;
+  /// The running native call, as an empty entry, then the queued ones. A
+  /// vector: it allocates nothing until a first call, and rarely holds two.
+  std::vector<std::function<void()>> native_calls_;
 };
 
 }  // namespace umiddle::core

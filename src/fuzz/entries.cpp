@@ -23,6 +23,7 @@
 #include "upnp/http.hpp"
 #include "upnp/soap.hpp"
 #include "upnp/ssdp.hpp"
+#include "webservice/service.hpp"
 #include "xml/parser.hpp"
 
 namespace umiddle::fuzz {
@@ -168,6 +169,36 @@ int fuzz_soap_action_response(const std::uint8_t* data, std::size_t size) {
   using upnp::ActionResponse;
   return round_trips(ActionResponse::from_envelope(text_of(data, size)),
                      &ActionResponse::from_envelope, &ActionResponse::to_envelope);
+}
+
+int fuzz_soap_action_request(const std::uint8_t* data, std::size_t size) {
+  using upnp::ActionRequest;
+  // The SOAPACTION header, a newline, then the envelope. With no newline,
+  // npos + 1 wraps to 0 and the whole text is both.
+  auto decode = [](std::string_view text) {
+    const std::size_t eol = text.find('\n');
+    return ActionRequest::from_envelope(text.substr(eol + 1), text.substr(0, eol));
+  };
+  return round_trips(decode(text_of(data, size)), decode, [](ActionRequest request) {
+    return request.soap_action_header() + "\n" + std::move(request).to_envelope();
+  });
+}
+
+int fuzz_soap_fault(const std::uint8_t* data, std::size_t size) {
+  using upnp::SoapFault;
+  return round_trips(SoapFault::from_envelope(text_of(data, size)), &SoapFault::from_envelope,
+                     &SoapFault::to_envelope);
+}
+
+int fuzz_ws_method_response(const std::uint8_t* data, std::size_t size) {
+  return round_trips(ws::decode_method_response(text_of(data, size)),
+                     &ws::decode_method_response, &ws::encode_method_response,
+                     {Errc::parse_error, Errc::refused});
+}
+
+int fuzz_ws_notification(const std::uint8_t* data, std::size_t size) {
+  return round_trips(ws::decode_notification(text_of(data, size)), &ws::decode_notification,
+                     &ws::encode_notification);
 }
 
 int fuzz_query_xml(const std::uint8_t* data, std::size_t size) {

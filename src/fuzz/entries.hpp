@@ -75,6 +75,27 @@ int fuzz_gena_property_set(const std::uint8_t* data, std::size_t size);
 /// by to_envelope parses back to itself.
 int fuzz_soap_action_response(const std::uint8_t* data, std::size_t size);
 
+/// upnp::ActionRequest::from_envelope on the bytes as a SOAP control POST:
+/// the first line is the SOAPACTION header, the rest the body. Oracle: a
+/// failure is a parse_error, and on success the request, written back as a
+/// header line and an envelope, parses back to itself.
+int fuzz_soap_action_request(const std::uint8_t* data, std::size_t size);
+
+/// upnp::SoapFault::from_envelope on the bytes as a SOAP fault body. Oracle:
+/// a failure is a parse_error, and on success the fault written by
+/// to_envelope parses back to itself.
+int fuzz_soap_fault(const std::uint8_t* data, std::size_t size);
+
+/// ws::decode_method_response on the bytes as an XML-RPC reply body. Oracle:
+/// a failure is a parse_error or, for a fault, refused, and on success the
+/// parameter written by encode_method_response decodes back to itself.
+int fuzz_ws_method_response(const std::uint8_t* data, std::size_t size);
+
+/// ws::decode_notification on the bytes as a webhook body. Oracle: a failure
+/// is a parse_error, and on success the parameter written by
+/// encode_notification decodes back to itself.
+int fuzz_ws_notification(const std::uint8_t* data, std::size_t size);
+
 /// xml::parse, then core::Query::from_xml on the document: the query path a
 /// remote UMTP CONNECT frame carries. Oracle on success: the query's XML
 /// parses back to a query whose XML is the same.

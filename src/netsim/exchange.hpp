@@ -2,8 +2,8 @@
 // stream's chunks become frames and the one poison rule: UMTP, OBEX, SDP,
 // RMI, MediaBroker, HTTP and HIDP each supply only a per-frame step.
 // net::Exchange runs a one-shot client request on a fresh stream over it;
-// sdp_query, http_fetch and the OBEX client operations supply only their
-// protocol step.
+// sdp_query, http_fetch, the OBEX client operations and the RMI registry
+// client supply only their protocol step.
 #pragma once
 
 #include <functional>

@@ -54,12 +54,11 @@ void RmiTranslator::on_mapped() {
 
 void RmiTranslator::teardown() {
   mapper_.gateway_server().remove_object("umiddle-gw-" + binding_.name);
-  if (connection_) connection_->close();
-  connection_ = nullptr;
+  connection_ = nullptr;  // its destructor closes the stream
 }
 
-bool RmiTranslator::ready(const std::string&) const {
-  return connection_ != nullptr && connection_->idle();
+bool RmiTranslator::ready(const std::string& port) const {
+  return connection_ != nullptr && UsdlTranslator::ready(port);
 }
 
 Result<void> RmiTranslator::deliver(const std::string& port, const core::Message& msg) {
@@ -68,16 +67,17 @@ Result<void> RmiTranslator::deliver(const std::string& port, const core::Message
   }
   const core::UsdlBinding* b = find_binding("call", port);
   if (b == nullptr) return make_error(Errc::unsupported, "no call binding for port " + port);
-  Call call{binding_.name, b->native.attr("method"), msg.payload};
-  connection_->call(std::move(call), lifetime().guard([this](Result<Return> r) {
-    if (!r.ok()) {
-      log::Entry(log::Level::warn, "rmi") << "call failed: " << r.error().to_string();
-    } else if (r.value().exception) {
-      log::Entry(log::Level::warn, "rmi")
-          << "remote exception: " << umiddle::to_string(r.value().value);
-    }
-    notify_ready();
-  }));
+  run_native([this, call = Call{binding_.name, b->native.attr("method"), msg.payload}]() mutable {
+    connection_->call(std::move(call), lifetime().guard([this](Result<Return> r) {
+      if (!r.ok()) {
+        log::Entry(log::Level::warn, "rmi") << "call failed: " << r.error().to_string();
+      } else if (r.value().exception) {
+        log::Entry(log::Level::warn, "rmi")
+            << "remote exception: " << umiddle::to_string(r.value().value);
+      }
+      native_done();
+    }));
+  });
   return ok_result();
 }
 

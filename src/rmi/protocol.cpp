@@ -68,13 +68,15 @@ Result<std::size_t> next_return(std::span<const std::uint8_t> buffer,
   return r.position();
 }
 
+Result<void> completed(const Result<Return>& r) {
+  if (!r.ok()) return r.error();
+  if (r.value().exception) return make_error(Errc::refused, umiddle::to_string(r.value().value));
+  return ok_result();
+}
+
 // --- RmiConnection ------------------------------------------------------------------
 
 RmiConnection::RmiConnection(net::StreamPtr stream) : stream_(std::move(stream)) {
-  stream_->on_connected(lifetime_.guard([this]() {
-    connected_ = true;
-    pump();
-  }));
   // `done` may release the last reference to this connection (its caller can
   // drop it), so the checks after it go through a token. A framing error
   // fails the call in flight.
@@ -83,54 +85,39 @@ RmiConnection::RmiConnection(net::StreamPtr stream) : stream_(std::move(stream))
       *stream_,
       [this, alive](Return& ret) {
         if (!*alive) return;
-        in_flight_ = false;
         if (auto done = std::exchange(current_done_, nullptr)) done(std::move(ret));
-        if (*alive) pump();
       },
       [this, alive](const Error& error) {
         if (auto done = std::exchange(current_done_, nullptr)) done(error);
         if (*alive) stream_->close();
       })));
   stream_->on_close(lifetime_.guard([this]() {
-    closed_ = true;
     if (auto done = std::exchange(current_done_, nullptr)) {
       done(make_error(Errc::disconnected, "rmi: connection closed"));
     }
-    for (auto& [call, done] : queue_) {
-      done(make_error(Errc::disconnected, "rmi: connection closed"));
-    }
-    queue_.clear();
   }));
-  // Streams returned by an accept handler are already established.
-  connected_ = stream_->connected();
 }
 
 void RmiConnection::call(Call call, ReturnFn done) {
-  if (closed_) {
-    done(make_error(Errc::disconnected, "rmi: connection closed"));
+  if (current_done_) {
+    done(make_error(Errc::refused, "rmi: a call is already outstanding"));
     return;
   }
-  queue_.emplace_back(std::move(call), std::move(done));
-  pump();
-}
-
-void RmiConnection::pump() {
-  if (!connected_ || in_flight_ || queue_.empty() || closed_) return;
-  auto [call, done] = std::move(queue_.front());
-  queue_.pop_front();
-  in_flight_ = true;
+  // A stream still connecting holds the bytes and sends them once it is up;
+  // a closed one refuses them.
+  if (auto sent = stream_->send(encode_call(call)); !sent.ok()) {
+    done(sent.error());
+    return;
+  }
   current_done_ = std::move(done);
-  (void)stream_->send(encode_call(call));
 }
 
 RmiConnection::~RmiConnection() {
   lifetime_.reset();  // close() runs the close handler synchronously: mute it first
-  if (!closed_) stream_->close();
+  stream_->close();
 }
 
-void RmiConnection::close() {
-  if (!closed_) stream_->close();
-}
+void RmiConnection::close() { stream_->close(); }
 
 // --- RmiObjectServer -------------------------------------------------------------------
 

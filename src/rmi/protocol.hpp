@@ -15,7 +15,6 @@
 //   return: "JRMI" u8 0x51 (return) | 0x52 (exception), u32 len, payload
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -43,6 +42,9 @@ struct Return {
 Bytes encode_call(const Call& call);
 Bytes encode_return(const Return& ret);
 
+/// A call's outcome without its value: a remote exception is Errc::refused.
+[[nodiscard]] Result<void> completed(const Result<Return>& r);
+
 /// Decode steps for the call (server side) or return (client side) at the
 /// front of a receive buffer.
 [[nodiscard]] Result<std::size_t> next_call(std::span<const std::uint8_t> buffer,
@@ -53,7 +55,9 @@ Bytes encode_return(const Return& ret);
 using CallReader = FrameReader<Call, next_call>;
 using ReturnReader = FrameReader<Return, next_return>;
 
-/// Client side of one RMI connection: serial, queued synchronous calls.
+/// Client side of one persistent RMI connection: one synchronous call at a
+/// time. Its caller waits for each return before the next call; the RMI
+/// translator does so through its native call queue (DESIGN.md §7.7).
 class RmiConnection {
  public:
   using ReturnFn = std::function<void(Result<Return>)>;
@@ -63,22 +67,15 @@ class RmiConnection {
   RmiConnection(const RmiConnection&) = delete;
   RmiConnection& operator=(const RmiConnection&) = delete;
 
-  /// Queue a call; callbacks fire strictly in call order.
+  /// Send a call, also before the stream connects; `done` fires once, with
+  /// the return or the error. A call made while another is outstanding fails
+  /// at once with Errc::refused.
   void call(Call call, ReturnFn done);
-  /// True when no call is outstanding or queued (the backpressure signal
-  /// uMiddle's RMI translator surfaces to the transport).
-  bool idle() const { return !in_flight_ && queue_.empty(); }
   void close();
 
  private:
-  void pump();
-
   net::StreamPtr stream_;
-  std::deque<std::pair<Call, ReturnFn>> queue_;
-  ReturnFn current_done_;
-  bool in_flight_ = false;
-  bool connected_ = false;
-  bool closed_ = false;
+  ReturnFn current_done_;  ///< the outstanding call's; empty when none is
   /// Stream handlers may outlive this object (the stream is owned by the
   /// network until teardown completes); they run only while it lives.
   sim::Lifetime lifetime_;

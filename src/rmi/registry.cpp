@@ -1,6 +1,7 @@
 #include "rmi/registry.hpp"
 
 #include "common/strings.hpp"
+#include "netsim/exchange.hpp"
 
 namespace umiddle::rmi {
 
@@ -51,33 +52,17 @@ RegistryClient::RegistryClient(net::Network& net, std::string from_host, net::En
 
 void RegistryClient::invoke(const std::string& method, Bytes args,
                             std::function<void(Result<Return>)> done) {
-  auto stream = net_.connect(from_host_, registry_);
-  if (!stream.ok()) {
-    done(stream.error());
-    return;
-  }
-  auto conn = std::make_shared<RmiConnection>(stream.value());
-  // The stream keeps the connection alive until it closes; the network drops
-  // a closed stream's handlers even when its host died and no callback runs.
-  // A reference held by the queued call would be a cycle nothing breaks then.
-  stream.value()->on_close([conn]() {});
-  conn->call(Call{"registry", method, std::move(args)},
-             [weak = std::weak_ptr<RmiConnection>(conn), done = std::move(done)](Result<Return> r) {
-               done(std::move(r));
-               if (auto c = weak.lock()) c->close();
-             });
+  using Exchange = net::Exchange<Return>;
+  Exchange::run<ReturnReader>(
+      net_.connect(from_host_, registry_),
+      make_payload(encode_call(Call{"registry", method, std::move(args)})),
+      [](net::Stream&, Return& ret) -> Exchange::Reply { return std::move(ret); },
+      std::move(done));
 }
 
 void RegistryClient::bind(const Binding& binding, DoneFn done) {
-  invoke("bind", to_bytes(binding.serialize()), [done = std::move(done)](Result<Return> r) {
-    if (!r.ok()) {
-      done(r.error());
-    } else if (r.value().exception) {
-      done(make_error(Errc::refused, umiddle::to_string(r.value().value)));
-    } else {
-      done(ok_result());
-    }
-  });
+  invoke("bind", to_bytes(binding.serialize()),
+         [done = std::move(done)](Result<Return> r) { done(completed(r)); });
 }
 
 void RegistryClient::unbind(const std::string& name, DoneFn done) {

@@ -41,7 +41,8 @@ class RmiRegistry {
   std::map<std::string, Binding> bindings_;
 };
 
-/// Client helpers (each opens a short-lived connection to the registry).
+/// Client helpers: each runs one call on a fresh stream to the registry, as a
+/// net::Exchange (DESIGN.md §7.6).
 class RegistryClient {
  public:
   using ListFn = std::function<void(Result<std::vector<Binding>>)>;

@@ -60,15 +60,7 @@ void RmiEchoService::push(Bytes data, std::function<void(Result<void>)> done) {
     return;
   }
   gateway_conn_->call(Call{"umiddle-gw-" + name_, "send", std::move(data)},
-                      [done = std::move(done)](Result<Return> r) {
-                        if (!r.ok()) {
-                          done(r.error());
-                        } else if (r.value().exception) {
-                          done(make_error(Errc::refused, umiddle::to_string(r.value().value)));
-                        } else {
-                          done(ok_result());
-                        }
-                      });
+                      [done = std::move(done)](Result<Return> r) { done(completed(r)); });
 }
 
 }  // namespace umiddle::rmi

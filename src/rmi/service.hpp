@@ -26,7 +26,7 @@ class RmiEchoService {
 
   /// Push a message into uMiddle via the gateway object (synchronous RMI
   /// call). `done` fires when the gateway acks — the service is call-at-a-time,
-  /// like real RMI stubs.
+  /// like real RMI stubs: a push before the last one's `done` is refused.
   void push(Bytes data, std::function<void(Result<void>)> done);
   /// Resolve the gateway binding from the registry (name: "umiddle-gw-<name>").
   void resolve_gateway(std::function<void(Result<void>)> done);

@@ -48,24 +48,16 @@ Result<void> UpnpTranslator::deliver(const std::string& port, const core::Messag
   for (const core::UsdlArg& arg : action->native.args) {
     work.args[arg.name] = resolve_arg(arg.value, msg);
   }
-  queue_.push_back(std::move(work));
-  process_next();
+  run_native([this, work = std::move(work)]() mutable {
+    current_ = std::move(work);
+    // Translate the uMiddle message into a UPnP action object (uMiddle-side
+    // cost in the paper's §5.2 split), then invoke over SOAP.
+    mapper_.runtime().network().metrics().counter("upnp.action_translations").inc();
+    mapper_.runtime().scheduler().schedule_after(
+        mapper_.costs().action_translate, lifetime().guard([this]() { run_action(); }),
+        {sim::host_id(mapper_.runtime().host()), sim::tag_id("upnp.action")});
+  });
   return ok_result();
-}
-
-bool UpnpTranslator::ready(const std::string&) const { return !busy_ && queue_.empty(); }
-
-void UpnpTranslator::process_next() {
-  if (busy_ || queue_.empty()) return;
-  busy_ = true;
-  current_ = std::move(queue_.front());
-  queue_.pop_front();
-  // Translate the uMiddle message into a UPnP action object (uMiddle-side
-  // cost in the paper's §5.2 split), then invoke over SOAP.
-  mapper_.runtime().network().metrics().counter("upnp.action_translations").inc();
-  mapper_.runtime().scheduler().schedule_after(
-      mapper_.costs().action_translate, lifetime().guard([this]() { run_action(); }),
-      {sim::host_id(mapper_.runtime().host()), sim::tag_id("upnp.action")});
 }
 
 void UpnpTranslator::run_action() {
@@ -74,8 +66,7 @@ void UpnpTranslator::run_action() {
   if (svc == nullptr) {
     log::Entry(log::Level::warn, "upnp")
         << "device " << profile().name << " lacks service " << binding.native.attr("service");
-    busy_ = false;
-    process_next();
+    native_done();
     return;
   }
   ActionRequest request;
@@ -105,9 +96,7 @@ void UpnpTranslator::run_action() {
           auto it = args.find(emit_arg);
           (void)emit_typed(emit_port, core::Message::text({}, it == args.end() ? "" : it->second));
         }
-        busy_ = false;
-        notify_ready();
-        process_next();
+        native_done();
       }));
 }
 

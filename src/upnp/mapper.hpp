@@ -31,7 +31,6 @@ class UpnpTranslator final : public core::UsdlTranslator {
   ~UpnpTranslator() override;
 
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
-  bool ready(const std::string& port) const override;
   void on_mapped() override;
 
   /// Virtual time the last completed action spent in the UPnP domain
@@ -41,7 +40,7 @@ class UpnpTranslator final : public core::UsdlTranslator {
 
  private:
   /// A queued action: its SOAP arguments are resolved from the message on
-  /// delivery, so the queue holds no copy of the payload.
+  /// delivery, so the native call queue holds no copy of the payload.
   struct Work {
     const core::UsdlBinding* action = nullptr;
     std::map<std::string, std::string> args;
@@ -49,18 +48,15 @@ class UpnpTranslator final : public core::UsdlTranslator {
   };
 
   void teardown() override;
-  void process_next();
   void run_action();
   std::string resolve_arg(const std::string& value, const core::Message& msg) const;
   const ServiceDescription* service_for(const core::UsdlNative& native) const;
 
   UpnpMapper& mapper_;
   DeviceDescription description_;
-  std::deque<Work> queue_;
-  /// The action being translated or invoked; the translator is serial, so
-  /// the scheduled translation reads it here instead of capturing it.
+  /// The action being translated or invoked; native calls are serial, so the
+  /// scheduled translation reads it here instead of capturing it.
   Work current_;
-  bool busy_ = false;
   sim::TimePoint native_started_{};
   sim::Duration last_native_duration_{0};
   /// Open "native.upnp" span for the in-flight SOAP action (obs tracing).

@@ -1,5 +1,7 @@
 #include "upnp/soap.hpp"
 
+#include <limits>
+
 #include "common/strings.hpp"
 #include "xml/parser.hpp"
 
@@ -114,8 +116,10 @@ Result<SoapFault> SoapFault::from_envelope(std::string_view body) {
   if (fault == nullptr) return make_error(Errc::parse_error, "soap: no Fault element");
   SoapFault out;
   if (const xml::Element* err = fault->find("UPnPError"); err != nullptr) {
+    // A code that does not fit an int keeps the default, as a missing one does.
     std::uint64_t code = 0;
-    if (strings::parse_u64(err->child_text("errorCode"), code)) {
+    if (strings::parse_u64(err->child_text("errorCode"), code) &&
+        code <= static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
       out.error_code = static_cast<int>(code);
     }
     out.description = std::string(err->child_text("errorDescription"));

@@ -22,6 +22,8 @@ struct ActionRequest {
 
   static Result<ActionRequest> from_envelope(std::string_view body,
                                              std::string_view soap_action_header);
+
+  bool operator==(const ActionRequest&) const = default;
 };
 
 struct ActionResponse {
@@ -42,6 +44,8 @@ struct SoapFault {
 
   std::string to_envelope() const;
   static Result<SoapFault> from_envelope(std::string_view body);
+
+  bool operator==(const SoapFault&) const = default;
 };
 
 }  // namespace umiddle::upnp

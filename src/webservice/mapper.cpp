@@ -33,8 +33,6 @@ constexpr const char* kWeatherUsdl = R"USDL(
 WsTranslator::WsTranslator(WsMapper& mapper, WsEntry entry, const core::UsdlService& usdl)
     : UsdlTranslator(entry.name + " (WS)", usdl), mapper_(mapper), entry_(std::move(entry)) {}
 
-bool WsTranslator::ready(const std::string&) const { return !busy_; }
-
 void WsTranslator::on_mapped() {
   for ([[maybe_unused]] const core::UsdlBinding& hook : bindings("ws-webhook")) {
     std::string url = mapper_.register_webhook(*this);
@@ -54,21 +52,20 @@ void WsTranslator::teardown() { mapper_.drop_webhooks(*this); }
 Result<void> WsTranslator::deliver(const std::string& port, const core::Message& msg) {
   const core::UsdlBinding* b = find_binding("ws-call", port);
   if (b == nullptr) return make_error(Errc::unsupported, "no ws-call binding for port " + port);
-  busy_ = true;
-  std::string emit_port = b->emit_port;
-  ws_call(mapper_.runtime().network(), mapper_.runtime().host(), entry_.url,
-          b->native.attr("method"), msg.payload,
-          lifetime().guard([this, emit_port](Result<Bytes> result) {
-            busy_ = false;
-            if (!result.ok()) {
-              log::Entry(log::Level::warn, "ws") << "call failed: " << result.error().to_string();
-            } else if (!emit_port.empty()) {
-              core::Message out;
-              out.payload = std::move(result).take();
-              (void)emit_typed(emit_port, std::move(out));
-            }
-            notify_ready();
-          }));
+  run_native([this, b, param = msg.payload] {
+    ws_call(mapper_.runtime().network(), mapper_.runtime().host(), entry_.url,
+            b->native.attr("method"), param, lifetime().guard([this, b](Result<Bytes> result) {
+              if (!result.ok()) {
+                log::Entry(log::Level::warn, "ws")
+                    << "call failed: " << result.error().to_string();
+              } else if (!b->emit_port.empty()) {
+                core::Message out;
+                out.payload = std::move(result).take();
+                (void)emit_typed(b->emit_port, std::move(out));
+              }
+              native_done();
+            }));
+  });
   return ok_result();
 }
 

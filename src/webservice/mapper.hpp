@@ -30,7 +30,6 @@ class WsTranslator final : public core::UsdlTranslator {
   WsTranslator(WsMapper& mapper, WsEntry entry, const core::UsdlService& usdl);
 
   [[nodiscard]] Result<void> deliver(const std::string& port, const core::Message& msg) override;
-  bool ready(const std::string& port) const override;
   void on_mapped() override;
 
   /// Called by the mapper's webhook server.
@@ -43,7 +42,6 @@ class WsTranslator final : public core::UsdlTranslator {
 
   WsMapper& mapper_;
   WsEntry entry_;
-  bool busy_ = false;
 };
 
 class WsMapper final : public core::Mapper {

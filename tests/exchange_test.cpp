@@ -1,5 +1,6 @@
 // The one-shot client exchange (net::Exchange, DESIGN.md §7.6), through each
-// of its four clients — sdp_query, http_fetch, OBEX PUT and OBEX GET — against
+// of its five clients — sdp_query, http_fetch, OBEX PUT, OBEX GET and the RMI
+// registry client — against
 // a peer that replies, replies with garbage, closes early, crashes mid-exchange
 // or is not there. Whatever the peer does, `done` runs exactly once with the
 // right result, and the client's stream ends closed.
@@ -11,12 +12,13 @@
 #include "bluetooth/obex.hpp"
 #include "bluetooth/sdp.hpp"
 #include "netsim/fault.hpp"
+#include "rmi/registry.hpp"
 #include "upnp/http.hpp"
 
 namespace umiddle {
 namespace {
 
-enum class Client { sdp_query, http_fetch, obex_put, obex_get };
+enum class Client { sdp_query, http_fetch, obex_put, obex_get, rmi_registry };
 enum class Peer { replies, malformed, closes_early, crashes, absent };
 
 const char* name(Client c) {
@@ -25,6 +27,7 @@ const char* name(Client c) {
     case Client::http_fetch: return "http_fetch";
     case Client::obex_put: return "obex_put";
     case Client::obex_get: return "obex_get";
+    case Client::rmi_registry: return "rmi_registry";
   }
   return "?";
 }
@@ -54,7 +57,7 @@ std::optional<Errc> expected(Client client, Peer peer) {
 }
 
 /// A client host on a LAN and on the Bluetooth radio; the peer is a web host
-/// on the LAN or a Bluetooth device.
+/// on the LAN (HTTP and the RMI registry) or a Bluetooth device.
 struct World {
   sim::Scheduler sched;
   net::Network net{sched, 1};
@@ -67,6 +70,7 @@ struct World {
                                      bt::obex::Object{"a.jpg", type, Bytes(70000, 0x11)});
                                }};
   upnp::HttpServer http_server{net, "web", 80};
+  rmi::RmiRegistry rmi_registry{net, "web"};
 
   World() {
     net::SegmentSpec spec;
@@ -82,7 +86,7 @@ struct World {
 
   /// Install the peer's behaviour for `client`'s protocol.
   void serve(Client client, Peer peer) {
-    const bool web = client == Client::http_fetch;
+    const bool web = client == Client::http_fetch || client == Client::rmi_registry;
     const std::string host = web ? "web" : device.host();
     if (peer == Peer::absent) return;
     if (peer == Peer::replies) {
@@ -96,6 +100,9 @@ struct World {
                             }));
           EXPECT_TRUE(http_server.start().ok());
           return;
+        case Client::rmi_registry:
+          EXPECT_TRUE(rmi_registry.start().ok());
+          return;
         case Client::obex_put:
         case Client::obex_get:
           EXPECT_TRUE(device
@@ -105,9 +112,10 @@ struct World {
           return;
       }
     }
-    Bytes garbage = client == Client::sdp_query    ? Bytes{0x55, 0x00, 0x01}
-                    : client == Client::http_fetch ? to_bytes("garbage\r\n\r\n")
-                                                   : Bytes{bt::obex::kRespSuccess, 0x00, 0x01};
+    Bytes garbage = client == Client::sdp_query      ? Bytes{0x55, 0x00, 0x01}
+                    : client == Client::http_fetch   ? to_bytes("garbage\r\n\r\n")
+                    : client == Client::rmi_registry ? to_bytes("JRMX\x51garbage")
+                                                     : Bytes{bt::obex::kRespSuccess, 0x00, 0x01};
     // The peer acts once the client's first request has arrived.
     net::AcceptHandler accept = [this, peer, host, garbage](net::StreamPtr s) {
       s->on_data([this, peer, host, garbage, s](std::span<const std::uint8_t>) {
@@ -119,7 +127,8 @@ struct World {
       });
     };
     const std::uint16_t psm = client == Client::sdp_query ? bt::kPsmSdp : bt::kPsmObexBip;
-    EXPECT_TRUE((web ? net.listen({"web", 80}, accept) : device.listen_psm(psm, accept)).ok());
+    const std::uint16_t port = client == Client::rmi_registry ? rmi::kRegistryPort : 80;
+    EXPECT_TRUE((web ? net.listen({"web", port}, accept) : device.listen_psm(psm, accept)).ok());
   }
 
   /// Start `client`'s exchange; `done` sees each result.
@@ -139,6 +148,9 @@ struct World {
       case Client::obex_get:
         bt::obex::Client::get(medium.l2cap_connect("client", device.address(), bt::kPsmObexBip),
                               "image/jpeg", "", done);
+        return;
+      case Client::rmi_registry:
+        rmi::RegistryClient(net, "client", rmi_registry.endpoint()).list(done);
         return;
     }
   }
@@ -173,7 +185,7 @@ TEST_P(ExchangeTest, ResolvesOnceAndClosesTheStream) {
 INSTANTIATE_TEST_SUITE_P(
     AllClients, ExchangeTest,
     ::testing::Combine(::testing::Values(Client::sdp_query, Client::http_fetch, Client::obex_put,
-                                         Client::obex_get),
+                                         Client::obex_get, Client::rmi_registry),
                        ::testing::Values(Peer::replies, Peer::malformed, Peer::closes_early,
                                          Peer::crashes, Peer::absent)),
     [](const ::testing::TestParamInfo<std::tuple<Client, Peer>>& info) {

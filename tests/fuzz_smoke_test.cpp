@@ -1,9 +1,10 @@
-// Deterministic mutation-fuzz smoke test over the project's fourteen parsing
+// Deterministic mutation-fuzz smoke test over the project's eighteen parsing
 // surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, directory adverts,
 // UMTP frame decoding, base64 decoding, motes readings, URIs, MIME types,
 // query paths from UMTP CONNECT frames, RMI registry bindings, SSDP
-// datagrams (DESIGN.md §7.9), GENA property sets, SOAP action responses and
-// every stream protocol's frame reader (DESIGN.md §7.6).
+// datagrams (DESIGN.md §7.9), GENA property sets, SOAP action requests,
+// responses and faults, WS method responses and notifications, and every
+// stream protocol's frame reader (DESIGN.md §7.6).
 // Each entry point (src/fuzz/entries.hpp) is driven with ≥10k
 // splitmix64-mutated inputs derived from small valid corpora — bit flips,
 // byte stomps, truncations, extensions and (for UMTP) length-prefix lies.
@@ -31,6 +32,7 @@
 #include "upnp/http.hpp"
 #include "upnp/soap.hpp"
 #include "upnp/ssdp.hpp"
+#include "webservice/service.hpp"
 
 namespace umiddle {
 namespace {
@@ -296,6 +298,55 @@ Corpus soap_response_corpus() {
                    "</s:Body></s:Envelope>")};
 }
 
+/// Action requests as ControlPoint posts them (the SOAPACTION header line,
+/// then the envelope), and one as another stack might write it: an unquoted
+/// header, another prefix and an empty argument.
+Corpus soap_request_corpus() {
+  Corpus corpus;
+  for (upnp::ActionRequest request :
+       {upnp::ActionRequest{"urn:schemas-upnp-org:service:SwitchPower:1", "SetPower",
+                            {{"Power", "1"}}},
+        upnp::ActionRequest{"urn:x:service:Clock:1", "SetTime",
+                            {{"NewTime", "12:00"}, {"Zone", "a<b"}}}}) {
+    const std::string header = request.soap_action_header();
+    corpus.push_back(bytes_of(header + "\n" + std::move(request).to_envelope()));
+  }
+  corpus.push_back(
+      bytes_of("urn:x:service:Tv:1#Show\n"
+               "<s:Envelope xmlns:s=\"http://schemas.xmlsoap.org/soap/envelope/\">"
+               "<s:Body><m:Show xmlns:m=\"urn:x:service:Tv:1\"><Image/><Name>a.jpg</Name>"
+               "</m:Show></s:Body></s:Envelope>"));
+  return corpus;
+}
+
+/// Faults as UpnpDevice writes them, a bare Fault with no UPnPError, and one
+/// whose errorCode does not fit an int.
+Corpus soap_fault_corpus() {
+  std::string too_big = upnp::SoapFault{401, "Invalid Action"}.to_envelope();
+  too_big.replace(too_big.find("401"), 3, "2147483648");
+  return {bytes_of(upnp::SoapFault{401, "Invalid Action"}.to_envelope()),
+          bytes_of(upnp::SoapFault{501, "device on fire & smoking"}.to_envelope()),
+          bytes_of("<s:Envelope xmlns:s=\"http://schemas.xmlsoap.org/soap/envelope/\">"
+                   "<s:Body><s:Fault><faultcode>s:Server</faultcode></s:Fault></s:Body>"
+                   "</s:Envelope>"),
+          bytes_of(too_big)};
+}
+
+/// XML-RPC replies as WsService writes them: a report, an empty one and a
+/// binary one.
+Corpus ws_response_corpus() {
+  return {bytes_of(ws::encode_method_response(to_bytes("report for Fujisawa: sunny, 23C"))),
+          bytes_of(ws::encode_method_response({})),
+          bytes_of(ws::encode_method_response(Bytes{0x00, 0xff, 0x10}))};
+}
+
+/// Webhook bodies as WsService writes them, and one with a declaration.
+Corpus ws_notification_corpus() {
+  return {bytes_of(ws::encode_notification(to_bytes("storm warning"))),
+          bytes_of(ws::encode_notification(Bytes{1, 2, 3, 4, 5})),
+          bytes_of("<?xml version=\"1.0\"?><notification><param>aGk=</param></notification>")};
+}
+
 /// One valid stream per protocol of fuzz::stream_protocols(): the selector
 /// byte, then two or three frames back to back.
 Corpus stream_corpus() {
@@ -393,6 +444,22 @@ TEST(FuzzSmokeTest, GenaPropertySetSurvivesMutations) {
 
 TEST(FuzzSmokeTest, SoapActionResponseSurvivesMutations) {
   drive(&fuzz::fuzz_soap_action_response, soap_response_corpus(), 0x50a9ac710e5ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, SoapActionRequestSurvivesMutations) {
+  drive(&fuzz::fuzz_soap_action_request, soap_request_corpus(), 0x50a9e9c357ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, SoapFaultSurvivesMutations) {
+  drive(&fuzz::fuzz_soap_fault, soap_fault_corpus(), 0x50a9fa017ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, WsMethodResponseSurvivesMutations) {
+  drive(&fuzz::fuzz_ws_method_response, ws_response_corpus(), 0x3e7a0d9e5ull, kRounds);
+}
+
+TEST(FuzzSmokeTest, WsNotificationSurvivesMutations) {
+  drive(&fuzz::fuzz_ws_notification, ws_notification_corpus(), 0x3e9071f1ull, kRounds);
 }
 
 TEST(FuzzSmokeTest, StreamFramesSurviveMutations) {

@@ -77,49 +77,40 @@ TEST(RmiProtocolTest, ServerDispatchAndException) {
   ASSERT_TRUE(stream.ok());
   auto conn = std::make_shared<rmi::RmiConnection>(stream.value());
   int done = 0;
+  // One call at a time: the second waits for the first's return.
   conn->call(rmi::Call{"calc", "double", Bytes{1, 2}}, [&](Result<rmi::Return> r) {
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r.value().exception);
     EXPECT_EQ(r.value().value, (Bytes{1, 2, 1, 2}));
     ++done;
-  });
-  conn->call(rmi::Call{"calc", "missing", {}}, [&](Result<rmi::Return> r) {
-    ASSERT_TRUE(r.ok());
-    EXPECT_TRUE(r.value().exception);
-    ++done;
+    conn->call(rmi::Call{"calc", "missing", {}}, [&](Result<rmi::Return> r2) {
+      ASSERT_TRUE(r2.ok());
+      EXPECT_TRUE(r2.value().exception);
+      ++done;
+    });
   });
   f.sched.run();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(server.calls_served(), 2u);
 }
 
-TEST(RmiProtocolTest, CallsAreStrictlySerialized) {
-  // The connection must never have two calls in flight (RMI is synchronous);
-  // completion order equals call order.
+TEST(RmiProtocolTest, ASecondOutstandingCallIsRefused) {
   Lan f;
   f.add_host("server");
   f.add_host("client");
   rmi::RmiObjectServer server(f.net, "server", 2000);
-  int concurrent = 0, max_concurrent = 0;
-  server.export_method("o", "m", [&](const Bytes&) -> Result<Bytes> {
-    ++concurrent;
-    max_concurrent = std::max(max_concurrent, concurrent);
-    --concurrent;
-    return Bytes{};
-  });
+  server.export_method("o", "m", [](const Bytes&) -> Result<Bytes> { return Bytes{}; });
   ASSERT_TRUE(server.start().ok());
   auto conn = std::make_shared<rmi::RmiConnection>(f.net.connect("client", {"server", 2000}).value());
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    conn->call(rmi::Call{"o", "m", Bytes(1000)}, [&, i](Result<rmi::Return> r) {
-      ASSERT_TRUE(r.ok());
-      order.push_back(i);
+  std::vector<std::optional<Errc>> results;
+  for (int i = 0; i < 2; ++i) {
+    conn->call(rmi::Call{"o", "m", {}}, [&](Result<rmi::Return> r) {
+      results.push_back(r.ok() ? std::nullopt : std::optional<Errc>(r.error().code));
     });
   }
-  EXPECT_FALSE(conn->idle());
   f.sched.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_TRUE(conn->idle());
+  EXPECT_EQ(results, (std::vector<std::optional<Errc>>{Errc::refused, std::nullopt}));
+  EXPECT_EQ(server.calls_served(), 1u);
 }
 
 TEST(RmiRegistryTest, BindLookupListUnbind) {

@@ -142,6 +142,14 @@ exist to keep nondeterminism from leaking back in:
                read by upnp::parse_head and written by upnp::write_message, so
                framing, case folding, the colon rule and the field syntax
                have one implementation (DESIGN.md §7.9).
+  one-native-queue
+               in src/upnp/, src/bluetooth/, src/rmi/ and src/webservice/, no
+               busy or in-flight flag (`bool busy_`, `bool in_flight_`), no
+               call queue (a std::deque or std::queue named *queue_ or
+               *calls_) and no process_next: a platform translator's native
+               calls run one at a time through core::UsdlTranslator's
+               run_native/native_done, so the serial-call rule and its
+               readiness have one implementation (DESIGN.md §7.7).
   ascii-text   outside src/common/strings.*, nothing in src/ names
                isspace, isalpha, isalnum, isdigit, isxdigit, tolower or
                toupper: protocol text is classified by the constexpr ASCII
@@ -609,6 +617,26 @@ def check_one_path_queue(path: str, code: str) -> Iterable[Violation]:
                                 "check")
 
 
+# Native calls are serial in one place (DESIGN.md §7.7): core::UsdlTranslator
+# queues them and keeps the one in-flight flag. A busy flag or a call queue in
+# a platform module is a second copy of that rule, with its own readiness.
+NATIVE_QUEUE_DIRS = ("src/upnp/", "src/bluetooth/", "src/rmi/", "src/webservice/")
+NATIVE_QUEUE_RE = re.compile(r"\bbool\s+\w*(?:busy|in_flight)\w*\b|"
+                             r"\b(?:deque|queue)\s*<.*>\s*\w*(?:queue|calls)_\b|"
+                             r"\bprocess_next\b")
+
+
+def check_one_native_queue(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith(NATIVE_QUEUE_DIRS):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if NATIVE_QUEUE_RE.search(line):
+            yield Violation("one-native-queue", path, lineno,
+                            "busy flag or call queue in a platform module; "
+                            "run native calls through core::UsdlTranslator's "
+                            "run_native and native_done")
+
+
 # One ASCII rule for protocol text (DESIGN.md §7.3): a <cctype> call reads the
 # process locale, so the same bytes could parse differently in a program that
 # calls setlocale.
@@ -853,6 +881,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_sized_frame,
     check_span_name_literal,
     check_ascii_text,
+    check_one_native_queue,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -1026,6 +1055,11 @@ SEEDED_VIOLATIONS = [
      '                  "USN: " + a.usn + "\\r\\n\\r\\n";\n'),
     ("one-http-head", "src/common/evil.cpp",
      'auto lines = strings::split(text, "\\r\\n");\n'),
+    ("one-native-queue", "src/webservice/evil.hpp",
+     "bool busy_ = false;\n"
+     "std::deque<Work> queue_;\n"
+     "void process_next();\n"
+     "bool in_flight_ = false;\n"),
     ("ascii-text", "src/xml/evil.cpp",
      "while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) ++pos_;\n"
      "std::transform(s.begin(), s.end(), s.begin(), ::tolower);\n"),
@@ -1033,6 +1067,13 @@ SEEDED_VIOLATIONS = [
 
 CLEAN_SNIPPETS = [
     # Things that look suspicious but are sanctioned; the linter must pass them.
+    ("src/bluetooth/mapper.hpp",
+     "std::deque<std::uint64_t> sink_spans_;\n"
+     "run_native([this, get] { run_obex_get(*get); });\n"
+     "bool ready(const std::string& port) const override;\n"),
+    ("src/core/translator.hpp",
+     "std::vector<std::function<void()>> native_calls_;\n"
+     "bool native_running_ = false;\n"),
     ("src/sim/fine.cpp",
      "// std::chrono::system_clock::now() is banned — in a comment it is fine\n"
      'const char* s = "time(nullptr) inside a string literal";\n'
