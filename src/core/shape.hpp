@@ -90,6 +90,7 @@ struct PortQuery {
   std::optional<MimeType> type;  ///< may use wildcards, e.g. "visible/*"
 
   bool matches(const PortSpec& port) const;
+  bool operator==(const PortQuery&) const = default;
 };
 
 /// A shape template (paper Fig. 6/7). Matches a translator when every port
@@ -127,6 +128,8 @@ class Query {
   /// XML form (carried inside CONNECT frames for remote query paths).
   xml::Element to_xml() const;
   static Result<Query> from_xml(const xml::Element& el);
+
+  bool operator==(const Query&) const = default;
 
  private:
   std::vector<PortQuery> require_;

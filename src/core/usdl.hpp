@@ -45,6 +45,8 @@ namespace umiddle::core {
 struct UsdlArg {
   std::string name;
   std::string value;
+
+  bool operator==(const UsdlArg&) const = default;
 };
 
 /// The platform-specific half of a binding, passed through to the mapper.
@@ -56,6 +58,7 @@ struct UsdlNative {
     auto it = attrs.find(std::string(name));
     return it == attrs.end() ? std::string() : it->second;
   }
+  bool operator==(const UsdlNative&) const = default;
 };
 
 /// Connects one port of the shape to a native operation.
@@ -64,6 +67,8 @@ struct UsdlBinding {
   std::string kind;           ///< mapper-defined: "action", "event", "query", ...
   std::string emit_port;      ///< optional output port for results/events
   UsdlNative native;
+
+  bool operator==(const UsdlBinding&) const = default;
 };
 
 /// One device type's description.
@@ -77,10 +82,14 @@ struct UsdlService {
   int hierarchy_entities = 0;
   Shape shape;
   std::vector<UsdlBinding> bindings;
+
+  bool operator==(const UsdlService&) const = default;
 };
 
 struct UsdlDocument {
   std::vector<UsdlService> services;
+
+  bool operator==(const UsdlDocument&) const = default;
 };
 
 /// Parse a USDL document; validates that every binding references a declared

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 
 #include "bluetooth/hidp.hpp"
 #include "bluetooth/obex.hpp"
@@ -19,6 +20,7 @@
 #include "motes/motes.hpp"
 #include "rmi/protocol.hpp"
 #include "rmi/registry.hpp"
+#include "upnp/description.hpp"
 #include "upnp/gena.hpp"
 #include "upnp/http.hpp"
 #include "upnp/soap.hpp"
@@ -28,6 +30,8 @@
 
 namespace umiddle::fuzz {
 namespace {
+
+using Input = std::span<const std::uint8_t>;
 
 template <typename Reader, typename Encode>
 FrameFeed feed_of(Encode encode) {
@@ -52,13 +56,11 @@ const StreamProtocol kStreamProtocols[] = {
     {"http", [] { return feed_of<upnp::HttpRequestReader>(&upnp::HttpRequest::to_wire); }},
 };
 
-std::string_view text_of(const std::uint8_t* data, std::size_t size) {
-  return {reinterpret_cast<const char*>(data), size};
-}
+std::string_view text_of(Input in) { return {reinterpret_cast<const char*>(in.data()), in.size()}; }
 
-/// The decoder oracle on what `decode` made of the fuzz input: a failure
-/// keeps one of the decoder's `failures`, and a decoded value comes back from
-/// decoding its encoding. A violation aborts.
+/// The one decoder oracle, on what a row's decoder made of the fuzz input: a
+/// failure keeps one of the row's `failures`, and a decoded value comes back
+/// from decoding its encoding. A violation aborts.
 template <typename T, typename Decode, typename Encode>
 int round_trips(const Result<T>& decoded, Decode decode, Encode encode,
                 std::initializer_list<Errc> failures = {Errc::parse_error}) {
@@ -66,59 +68,33 @@ int round_trips(const Result<T>& decoded, Decode decode, Encode encode,
     if (std::ranges::find(failures, decoded.error().code) == failures.end()) std::abort();
     return 0;
   }
-  auto again = decode(std::invoke(encode, decoded.value()));
+  auto again = std::invoke(decode, std::invoke(encode, decoded.value()));
   if (!again.ok() || !(again.value() == decoded.value())) std::abort();
   return 1;
 }
 
-}  // namespace
-
-std::span<const StreamProtocol> stream_protocols() { return kStreamProtocols; }
-
-int fuzz_xml_parse(const std::uint8_t* data, std::size_t size) {
-  return xml::parse(text_of(data, size)).ok() ? 1 : 0;
+/// The usual row: `decode` on the input, as text or as bytes, whichever it
+/// reads, under the oracle. A failure is a parse_error or one of `also`.
+template <auto decode, auto encode, Errc... also>
+int row(Input in) {
+  if constexpr (std::is_invocable_v<decltype(decode), std::string_view>) {
+    return round_trips(decode(text_of(in)), decode, encode, {Errc::parse_error, also...});
+  } else {
+    return round_trips(decode(in), decode, encode, {Errc::parse_error, also...});
+  }
 }
 
-int fuzz_usdl_parse(const std::uint8_t* data, std::size_t size) {
-  auto doc = xml::parse(text_of(data, size));
-  return doc.ok() && core::parse_usdl(doc.value()).ok() ? 1 : 0;
-}
-
-int fuzz_directory_advert(const std::uint8_t* data, std::size_t size) {
-  auto doc = xml::parse(text_of(data, size));
-  const xml::Element* tr = doc.ok() ? doc.value().child("translator") : nullptr;
-  if (tr == nullptr) return 0;
-  using core::TranslatorProfile;
-  return round_trips(TranslatorProfile::from_xml(*tr), &TranslatorProfile::from_xml,
-                     &TranslatorProfile::to_xml, {Errc::parse_error, Errc::already_exists});
-}
-
-int fuzz_umtp_decode(const std::uint8_t* data, std::size_t size) {
-  // First the body decoder on the raw bytes (no length prefix): this is the
-  // layer that must survive truncation, bit flips and lying inner lengths.
-  auto frame = core::umtp::decode_body({data, size});
-
-  // Then the UMTP reader on a length-prefixed copy, fed whole and in uneven
-  // chunks so the reassembly state machine runs too. The prefix is the *true*
-  // size; inner-length lies are already part of `data`.
-  ByteWriter wire;
-  wire.u8(0);  // stream_protocols()[0]: umtp
-  wire.u32(static_cast<std::uint32_t>(size));
-  wire.bytes({data, size});
-  const int fed = fuzz_stream_frames(wire.data().data(), wire.size());
-  // Both layers must agree on well-formedness of a correctly-prefixed frame.
-  return frame.ok() && fed == 1 ? 1 : 0;
-}
-
-int fuzz_stream_frames(const std::uint8_t* data, std::size_t size) {
-  if (size == 0) return 0;
-  const StreamProtocol& protocol = kStreamProtocols[data[0] % std::size(kStreamProtocols)];
-  const std::span<const std::uint8_t> stream(data + 1, size - 1);
-  FrameFeed whole = protocol.make_reader();
+/// data[0] picks a protocol from kStreamProtocols; the rest is its byte
+/// stream, fed whole to one reader and in uneven chunks to another. Both give
+/// the same frames and the same verdict, and a reader that failed keeps
+/// failing. The frames, re-encoded back to back, are what a fresh reader
+/// makes of them. Returns 1 when the stream fed cleanly and held a frame.
+int stream_round_trips(Input in) {
+  if (in.empty()) return 0;
+  const StreamProtocol& protocol = kStreamProtocols[in[0] % std::size(kStreamProtocols)];
+  const Input stream = in.subspan(1);
   FrameFeed split = protocol.make_reader();
-  std::vector<Bytes> whole_frames;
   std::vector<Bytes> split_frames;
-  const bool whole_ok = whole(stream, whole_frames).ok();
   bool split_ok = true;
   for (std::size_t off = 0; off < stream.size();) {
     const std::size_t n = std::min<std::size_t>(1 + (off * 7) % 13, stream.size() - off);
@@ -127,116 +103,152 @@ int fuzz_stream_frames(const std::uint8_t* data, std::size_t size) {
     split_ok = split_ok && ok;
     off += n;
   }
-  if (whole_ok != split_ok || whole_frames != split_frames) std::abort();
-  return whole_ok && !whole_frames.empty() ? 1 : 0;
-}
-
-int fuzz_motes_reading(const std::uint8_t* data, std::size_t size) {
-  using motes::Reading;
-  return round_trips(Reading::decode({data, size}), &Reading::decode, &Reading::encode,
-                     {Errc::parse_error, Errc::protocol_error});
-}
-
-int fuzz_base64_decode(const std::uint8_t* data, std::size_t size) {
-  const std::string_view text = text_of(data, size);
-  auto decoded = base64::decode(text);
-  if (!decoded.ok()) return 0;
-  std::size_t padding = 0;
-  if (size >= 1 && text[size - 1] == '=') ++padding;
-  if (size >= 2 && text[size - 2] == '=') ++padding;
-  if (decoded.value().size() != size / 4 * 3 - padding) std::abort();
-  auto again = base64::decode(base64::encode(decoded.value()));
-  if (!again.ok() || again.value() != decoded.value()) std::abort();
-  return 1;
-}
-
-int fuzz_uri_parse(const std::uint8_t* data, std::size_t size) {
-  return round_trips(Uri::parse(text_of(data, size)), &Uri::parse, &Uri::to_string);
-}
-
-int fuzz_mime_parse(const std::uint8_t* data, std::size_t size) {
-  return round_trips(MimeType::parse(text_of(data, size)), &MimeType::parse,
-                     &MimeType::to_string);
-}
-
-int fuzz_gena_property_set(const std::uint8_t* data, std::size_t size) {
-  using upnp::PropertySet;
-  return round_trips(PropertySet::from_xml_text(text_of(data, size)),
-                     &PropertySet::from_xml_text, &PropertySet::to_xml_text);
-}
-
-int fuzz_soap_action_response(const std::uint8_t* data, std::size_t size) {
-  using upnp::ActionResponse;
-  return round_trips(ActionResponse::from_envelope(text_of(data, size)),
-                     &ActionResponse::from_envelope, &ActionResponse::to_envelope);
-}
-
-int fuzz_soap_action_request(const std::uint8_t* data, std::size_t size) {
-  using upnp::ActionRequest;
-  // The SOAPACTION header, a newline, then the envelope. With no newline,
-  // npos + 1 wraps to 0 and the whole text is both.
-  auto decode = [](std::string_view text) {
-    const std::size_t eol = text.find('\n');
-    return ActionRequest::from_envelope(text.substr(eol + 1), text.substr(0, eol));
+  std::vector<Bytes> frames;
+  const Result<void> whole = protocol.make_reader()(stream, frames);
+  if (whole.ok() != split_ok || frames != split_frames) std::abort();
+  auto decode = [&protocol](Input bytes) -> Result<std::vector<Bytes>> {
+    std::vector<Bytes> again;
+    if (auto r = protocol.make_reader()(bytes, again); !r.ok()) return r.error();
+    return again;
   };
-  return round_trips(decode(text_of(data, size)), decode, [](ActionRequest request) {
-    return request.soap_action_header() + "\n" + std::move(request).to_envelope();
-  });
+  auto concat = [](const std::vector<Bytes>& decoded) {
+    Bytes wire;
+    for (const Bytes& frame : decoded) wire.insert(wire.end(), frame.begin(), frame.end());
+    return wire;
+  };
+  const bool held = !frames.empty();
+  const int fed = round_trips(whole.ok() ? Result(std::move(frames)) : whole.error(), decode,
+                              concat, {Errc::parse_error, Errc::protocol_error});
+  return held ? fed : 0;
 }
 
-int fuzz_soap_fault(const std::uint8_t* data, std::size_t size) {
-  using upnp::SoapFault;
-  return round_trips(SoapFault::from_envelope(text_of(data, size)), &SoapFault::from_envelope,
-                     &SoapFault::to_envelope);
+/// core::umtp::decode_body on the raw bytes agrees with the stream row's UMTP
+/// reader on a length-prefixed copy, which runs the reassembly state and the
+/// round trip. That covers the delivery-contract frames too: deadline-stamped
+/// DATA, ACK/RESUME, and SEQ replay wrappers (whose inner body is validated
+/// eagerly, so nesting lies fail here). The prefix is the true size;
+/// inner-length lies are already part of the input.
+int umtp_round_trips(Input body) {
+  ByteWriter wire;
+  wire.u8(0);  // kStreamProtocols[0]: umtp
+  wire.u32(static_cast<std::uint32_t>(body.size()));
+  wire.bytes(body);
+  const int fed = stream_round_trips(wire.data());
+  if (core::umtp::decode_body(body).ok() != (fed == 1)) std::abort();
+  return fed;
 }
 
-int fuzz_ws_method_response(const std::uint8_t* data, std::size_t size) {
-  return round_trips(ws::decode_method_response(text_of(data, size)),
-                     &ws::decode_method_response, &ws::encode_method_response,
-                     {Errc::parse_error, Errc::refused});
+std::string xml_text(const xml::Element& doc) { return doc.to_string(); }
+
+Result<core::UsdlDocument> usdl_of(std::string_view text) { return core::parse_usdl(text); }
+
+std::string usdl_text(const core::UsdlDocument& doc) { return core::to_xml(doc).to_string(); }
+
+/// The <translator> profile of a directory announce: the untrusted half of an
+/// advert, back in an advert of its own.
+Result<core::TranslatorProfile> advert_of(std::string_view text) {
+  auto doc = xml::parse(text);
+  if (!doc.ok()) return doc.error();
+  const xml::Element* tr = doc.value().child("translator");
+  if (tr == nullptr) return make_error(Errc::parse_error, "advert: no <translator>");
+  return core::TranslatorProfile::from_xml(*tr);
 }
 
-int fuzz_ws_notification(const std::uint8_t* data, std::size_t size) {
-  return round_trips(ws::decode_notification(text_of(data, size)), &ws::decode_notification,
-                     &ws::encode_notification);
+std::string advert_text(const core::TranslatorProfile& profile) {
+  xml::Element advert("umiddle-adv");
+  advert.add_child(profile.to_xml());
+  return advert.to_string();
 }
 
-int fuzz_query_xml(const std::uint8_t* data, std::size_t size) {
-  auto doc = xml::parse(text_of(data, size));
-  if (!doc.ok()) return 0;
-  auto query = core::Query::from_xml(doc.value());
-  if (!query.ok()) return 0;
-  const std::string text = query.value().to_xml().to_string();
-  auto reparsed = xml::parse(text);
-  if (!reparsed.ok()) std::abort();
-  auto again = core::Query::from_xml(reparsed.value());
-  if (!again.ok() || again.value().to_xml().to_string() != text) std::abort();
-  return 1;
+/// The query path a remote UMTP CONNECT frame carries.
+Result<core::Query> query_of(std::string_view text) {
+  auto doc = xml::parse(text);
+  if (!doc.ok()) return doc.error();
+  return core::Query::from_xml(doc.value());
 }
 
-int fuzz_rmi_binding(const std::uint8_t* data, std::size_t size) {
-  return round_trips(rmi::Binding::parse(text_of(data, size)), &rmi::Binding::parse,
-                     &rmi::Binding::serialize);
+std::string query_text(const core::Query& query) { return query.to_xml().to_string(); }
+
+/// The SOAP `$body64` payload surface. On success the output also holds
+/// len/4*3 bytes minus the padding.
+Result<Bytes> base64_of(std::string_view text) {
+  auto decoded = base64::decode(text);
+  const auto tail = text.substr(text.size() - std::min<std::size_t>(text.size(), 2));
+  const auto padding = static_cast<std::size_t>(std::ranges::count(tail, '='));
+  if (decoded.ok() && decoded.value().size() != text.size() / 4 * 3 - padding) std::abort();
+  return decoded;
 }
 
-int fuzz_ssdp_datagram(const std::uint8_t* data, std::size_t size) {
-  auto a = upnp::announcement_of(text_of(data, size));
-  if (!a.ok()) {
-    // A failure keeps its error: the head's or the announcement's parse_error.
-    if (a.error().code != Errc::parse_error) std::abort();
-    return 0;
-  }
-  // Written as a NOTIFY and as a search response, the announcement parses
-  // back to itself. A byebye carries no location and no max-age.
-  const upnp::SsdpAnnouncement& got = a.value();
-  const upnp::SsdpAnnouncement bye{got.notification_type, got.usn, "", false, 0};
-  auto notified = upnp::announcement_of(to_string(upnp::notify_datagram(got, got.alive)));
-  auto answered = upnp::announcement_of(to_string(upnp::search_response_datagram(got)));
-  if (!notified.ok() || notified.value() != (got.alive ? got : bye) ||
-      (got.alive && (!answered.ok() || answered.value() != got))) {
-    std::abort();
-  }
-  return 1;
+/// A SOAP control POST: the SOAPACTION header, a newline, then the envelope.
+/// With no newline, npos + 1 wraps to 0 and the whole text is both.
+Result<upnp::ActionRequest> request_of(std::string_view text) {
+  const std::size_t eol = text.find('\n');
+  return upnp::ActionRequest::from_envelope(text.substr(eol + 1), text.substr(0, eol));
 }
+
+std::string request_text(upnp::ActionRequest request) {
+  return request.soap_action_header() + "\n" + std::move(request).to_envelope();
+}
+
+/// One SSDP datagram through the one HTTP head reader, as a NOTIFY keeps it: a
+/// byebye carries no location and no max-age. It parses back to itself
+/// written as a NOTIFY and, when alive, as a search response.
+Result<upnp::SsdpAnnouncement> notified_of(std::string_view datagram) {
+  auto a = upnp::announcement_of(datagram);
+  if (!a.ok() || a.value().alive) return a;
+  return upnp::SsdpAnnouncement{a.value().notification_type, a.value().usn, "", false, 0};
+}
+
+std::string notify_text(const upnp::SsdpAnnouncement& a) {
+  return to_string(upnp::notify_datagram(a, a.alive));
+}
+
+std::string search_response_text(const upnp::SsdpAnnouncement& a) {
+  return to_string(upnp::search_response_datagram(a));
+}
+
+int ssdp_round_trips(Input in) {
+  auto got = notified_of(text_of(in));
+  if (got.ok() && got.value().alive) round_trips(got, &notified_of, &search_response_text);
+  return round_trips(got, &notified_of, &notify_text);
+}
+
+using motes::Reading;
+using upnp::ActionResponse;
+using upnp::DeviceDescription;
+using upnp::PropertySet;
+using upnp::SoapFault;
+
+/// A failure that is not a parse_error: a repeated port name in an advert is
+/// already_exists, an unknown motes AM type or sensor kind a protocol_error,
+/// and a WS fault reply refused.
+const Target kTargets[] = {
+    {"xml", row<&xml::parse, &xml_text>},
+    {"usdl", row<&usdl_of, &usdl_text>},
+    {"directory_advert", row<&advert_of, &advert_text, Errc::already_exists>},
+    {"umtp", &umtp_round_trips},
+    {"base64", row<&base64_of, &base64::encode>},
+    {"motes_reading", row<&Reading::decode, &Reading::encode, Errc::protocol_error>},
+    {"uri", row<&Uri::parse, &Uri::to_string>},
+    {"mime", row<&MimeType::parse, &MimeType::to_string>},
+    {"query", row<&query_of, &query_text>},
+    {"rmi_binding", row<&rmi::Binding::parse, &rmi::Binding::serialize>},
+    {"ssdp_datagram", &ssdp_round_trips},
+    {"gena_property_set", row<&PropertySet::from_xml_text, &PropertySet::to_xml_text>},
+    {"soap_action_response", row<&ActionResponse::from_envelope, &ActionResponse::to_envelope>},
+    {"soap_action_request", row<&request_of, &request_text>},
+    {"soap_fault", row<&SoapFault::from_envelope, &SoapFault::to_envelope>},
+    {"ws_method_response",
+     row<&ws::decode_method_response, &ws::encode_method_response, Errc::refused>},
+    {"ws_notification", row<&ws::decode_notification, &ws::encode_notification>},
+    {"upnp_description", row<&DeviceDescription::from_xml_text, &DeviceDescription::to_xml_text>},
+    {"stream", &stream_round_trips},
+};
+
+}  // namespace
+
+std::span<const Target> targets() { return kTargets; }
+
+std::span<const StreamProtocol> stream_protocols() { return kStreamProtocols; }
 
 }  // namespace umiddle::fuzz

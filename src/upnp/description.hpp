@@ -20,6 +20,8 @@ struct ServiceDescription {
   std::vector<std::string> actions;
   /// Evented state variable names.
   std::vector<std::string> state_vars;
+
+  bool operator==(const ServiceDescription&) const = default;
 };
 
 struct DeviceDescription {
@@ -32,6 +34,8 @@ struct DeviceDescription {
 
   std::string to_xml_text() const;
   static Result<DeviceDescription> from_xml_text(std::string_view text);
+
+  bool operator==(const DeviceDescription&) const = default;
 };
 
 }  // namespace umiddle::upnp

@@ -30,15 +30,18 @@ Result<std::string_view> split_head(std::string_view head, OnField on_field) {
   return start_line;
 }
 
-/// The message as the one writer sends it: its headers in map order, then a
-/// content-length unless it has one.
+/// The message as the one writer sends it: its headers in map order, then the
+/// body's content-length. A content-length in the map is not copied: it may
+/// be a parsed message's, framing a body since replaced.
 template <typename Message>
 Bytes wire_of(const Message& m, std::string_view start_line) {
   const std::string length = std::to_string(m.body.size());
   std::vector<Field> fields;
   fields.reserve(m.headers.size() + 1);
-  fields.insert(fields.end(), m.headers.begin(), m.headers.end());
-  if (m.headers.count("content-length") == 0) fields.emplace_back("content-length", length);
+  for (const auto& [name, value] : m.headers) {
+    if (name != "content-length") fields.emplace_back(name, value);
+  }
+  fields.emplace_back("content-length", length);
   return write_message(start_line, fields, m.body);
 }
 

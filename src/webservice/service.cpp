@@ -1,5 +1,7 @@
 #include "webservice/service.hpp"
 
+#include <algorithm>
+
 #include "common/base64.hpp"
 #include "common/log.hpp"
 #include "xml/parser.hpp"
@@ -85,7 +87,7 @@ WsService::WsService(net::Network& net, std::string host, std::uint16_t port,
   export_method("subscribe", [this](const Bytes& param) -> Result<Bytes> {
     std::string url = umiddle::to_string(param);
     if (!Uri::parse(url).ok()) return make_error(Errc::invalid_argument, "bad webhook url");
-    subscribers_.push_back(std::move(url));
+    if (std::ranges::count(subscribers_, url) == 0) subscribers_.push_back(std::move(url));
     return to_bytes("ok");
   });
 }
@@ -152,11 +154,16 @@ void WsService::notify_subscribers(const Bytes& param) {
     post.path = uri.value().path;
     post.headers["content-type"] = "text/xml";
     post.body = body;
-    upnp::http_fetch(net_, host_, uri.value(), std::move(post), [](Result<upnp::HttpResponse> r) {
+    // A webhook answered 404 is gone (its mapper restarted and hooks anew),
+    // so it is dropped. A transport failure keeps it: a partition must not
+    // unsubscribe a live mapper.
+    auto posted = [this, url](Result<upnp::HttpResponse> r) {
+      if (r.ok() && r.value().status == 404) std::erase(subscribers_, url);
       if (!r.ok()) {
         log::Entry(log::Level::debug, "ws") << "webhook post failed: " << r.error().to_string();
       }
-    });
+    };
+    upnp::http_fetch(net_, host_, uri.value(), std::move(post), lifetime_.guard(posted));
   }
 }
 

@@ -10,15 +10,16 @@
 //     (faults: <methodResponse><fault>message</fault></methodResponse>)
 //
 // Push out of the service is by *webhook*: a subscriber registers a callback
-// URL via the built-in `subscribe` method; the service then POSTs
-// <notification><param>...</param></notification> documents to it. This is how
-// the uMiddle mapper gets events out of a web service.
+// URL via the built-in `subscribe` method (once per URL); the service then
+// POSTs <notification><param>...</param></notification> documents to it. This
+// is how the uMiddle mapper gets events out of a web service.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <string>
 
+#include "sim/timer.hpp"
 #include "upnp/http.hpp"
 
 namespace umiddle::ws {
@@ -48,7 +49,8 @@ class WsService {
   void stop();
 
   void export_method(const std::string& method, MethodFn fn);
-  /// POST a notification document to every subscriber webhook.
+  /// POST a notification document to every subscriber webhook. A webhook
+  /// that answers 404 is unsubscribed; one that cannot be reached stays.
   void notify_subscribers(const Bytes& param);
 
   const std::string& name() const { return name_; }
@@ -70,6 +72,7 @@ class WsService {
   std::vector<std::string> subscribers_;  ///< webhook URLs
   std::uint64_t calls_served_ = 0;
   bool started_ = false;
+  sim::Lifetime lifetime_;  ///< guards webhook POST callbacks
 };
 
 /// One-shot client call to a service's /rpc endpoint.

@@ -65,6 +65,8 @@ class Element {
   /// Serialize. `pretty` adds indentation; `declaration` prepends <?xml ...?>.
   std::string to_string(bool pretty = false, bool declaration = false) const;
 
+  bool operator==(const Element&) const = default;
+
  private:
   void write(std::string& out, int indent, bool pretty) const;
   /// Length of write()'s output when no character needs escaping: one pass

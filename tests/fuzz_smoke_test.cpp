@@ -1,21 +1,21 @@
-// Deterministic mutation-fuzz smoke test over the project's eighteen parsing
-// surfaces (DESIGN.md §10): xml::parse, core::parse_usdl, directory adverts,
-// UMTP frame decoding, base64 decoding, motes readings, URIs, MIME types,
-// query paths from UMTP CONNECT frames, RMI registry bindings, SSDP
-// datagrams (DESIGN.md §7.9), GENA property sets, SOAP action requests,
-// responses and faults, WS method responses and notifications, and every
-// stream protocol's frame reader (DESIGN.md §7.6).
-// Each entry point (src/fuzz/entries.hpp) is driven with ≥10k
-// splitmix64-mutated inputs derived from small valid corpora — bit flips,
-// byte stomps, truncations, extensions and (for UMTP) length-prefix lies.
+// Deterministic mutation-fuzz smoke test over the fuzz table (DESIGN.md §7.6):
+// one parameterized test drives every row of fuzz::targets()
+// (src/fuzz/entries.hpp) with ≥10k splitmix64-mutated inputs derived from the
+// row's small valid corpus — bit flips, byte stomps, truncations, extensions
+// and (for UMTP) length-prefix lies. Each row keeps its own corpus and seed.
 //
-// The contract under test is the Result discipline: malformed input must come
-// back as an error, never as a crash, hang, or sanitizer finding. This runs
-// under ASan/UBSan in CI (label `chaos`); the same entry points can be linked
-// into an out-of-tree libFuzzer target for coverage-guided runs.
+// The contract under test is the Result discipline and the one oracle:
+// malformed input must come back as one of the row's error codes, never as a
+// crash, hang, or sanitizer finding, and a decoded value must decode back from
+// its encoding. This runs under ASan/UBSan in CI (label `chaos`); the same
+// rows can be linked into an out-of-tree libFuzzer target for coverage-guided
+// runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bluetooth/hidp.hpp"
@@ -28,6 +28,7 @@
 #include "mediabroker/protocol.hpp"
 #include "motes/motes.hpp"
 #include "rmi/protocol.hpp"
+#include "upnp/description.hpp"
 #include "upnp/gena.hpp"
 #include "upnp/http.hpp"
 #include "upnp/soap.hpp"
@@ -35,12 +36,27 @@
 #include "webservice/service.hpp"
 
 namespace umiddle {
+
+namespace fuzz {
+void PrintTo(const Target& target, std::ostream* os) { *os << target.name; }
+}  // namespace fuzz
+
 namespace {
 
 using Corpus = std::vector<Bytes>;
-using Entry = int (*)(const std::uint8_t*, std::size_t);
+
+/// The largest input a mutation leaves, to keep the smoke run fast. A corpus
+/// item longer than this would make every mutation a truncation.
+constexpr std::size_t kMaxInput = 512;
 
 Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
+
+/// One corpus item per text, in order.
+Corpus texts(std::initializer_list<std::string> items) {
+  Corpus corpus;
+  for (const std::string& item : items) corpus.push_back(bytes_of(item));
+  return corpus;
+}
 
 /// Mutate one corpus item: a deterministic stack of small corruptions.
 Bytes mutate(const Bytes& seed, Rng& rng) {
@@ -76,25 +92,9 @@ Bytes mutate(const Bytes& seed, Rng& rng) {
         }
         break;
     }
-    if (out.size() > 512) out.resize(512);  // keep the smoke run fast
+    if (out.size() > kMaxInput) out.resize(kMaxInput);
   }
   return out;
-}
-
-/// Drive one entry with `rounds` mutated inputs; both outcome classes (parse
-/// error and parse success) must occur, proving the fuzz actually explores.
-void drive(Entry entry, const Corpus& corpus, std::uint64_t seed, int rounds) {
-  Rng rng(seed);
-  int ok = 0, err = 0;
-  for (const Bytes& item : corpus) {  // the valid corpus itself must parse
-    ASSERT_EQ(entry(item.data(), item.size()), 1);
-  }
-  for (int i = 0; i < rounds; ++i) {
-    const Bytes input = mutate(corpus[rng.below(corpus.size())], rng);
-    (entry(input.data(), input.size()) == 1 ? ok : err) += 1;
-  }
-  EXPECT_GT(ok, 0) << "no mutated input parsed — mutations too destructive";
-  EXPECT_GT(err, 0) << "no mutated input failed — mutations too tame";
 }
 
 constexpr int kRounds = 10000;
@@ -219,45 +219,29 @@ Corpus motes_corpus() {
 }
 
 Corpus uri_corpus() {
-  Corpus corpus;
-  for (const char* text :
-       {"http://192.168.0.10:8080/upnp/control/SwitchPower", "mb://broker/", "rmi://host:1099",
-        "HTTP://Camera.local/photo?id=7", "ws://a:b:80/x y", "http://h:080/"}) {
-    corpus.push_back(bytes_of(text));
-  }
-  return corpus;
+  return texts({"http://192.168.0.10:8080/upnp/control/SwitchPower", "mb://broker/",
+                "rmi://host:1099", "HTTP://Camera.local/photo?id=7", "ws://a:b:80/x y",
+                "http://h:080/"});
 }
 
 Corpus mime_corpus() {
-  Corpus corpus;
-  for (const char* text : {"image/jpeg", "text/plain", "*/*", "image/*", "Audio/WAV",
-                           "application/x-control", "visible/paper"}) {
-    corpus.push_back(bytes_of(text));
-  }
-  return corpus;
+  return texts({"image/jpeg", "text/plain", "*/*", "image/*", "Audio/WAV",
+                "application/x-control", "visible/paper"});
 }
 
 Corpus query_corpus() {
-  Corpus corpus;
-  for (const char* text :
-       {"<query platform=\"upnp\"><port kind=\"digital\" direction=\"input\""
-        " type=\"image/jpeg\"/></query>",
-        "<query name-contains=\"Camera\"><port direction=\"output\" type=\"image/*\"/>"
-        "<port kind=\"digital\"/></query>",
-        "<query><port kind=\"physical\" direction=\"output\" type=\"visible/paper\"/></query>",
-        "<query platform=\"a&amp;b\"/>"}) {
-    corpus.push_back(bytes_of(text));
-  }
-  return corpus;
+  return texts({"<query platform=\"upnp\"><port kind=\"digital\" direction=\"input\""
+                " type=\"image/jpeg\"/></query>",
+                "<query name-contains=\"Camera\"><port direction=\"output\" type=\"image/*\"/>"
+                "<port kind=\"digital\"/></query>",
+                "<query><port kind=\"physical\" direction=\"output\" type=\"visible/paper\"/>"
+                "</query>",
+                "<query platform=\"a&amp;b\"/>"});
 }
 
 Corpus rmi_binding_corpus() {
-  Corpus corpus;
-  for (const char* text : {"camera|urn:Camera|host1|1099", "printer|Printer|10.0.0.7|65535",
-                           "x||h|1", "a b|c:d|e|0080"}) {
-    corpus.push_back(bytes_of(text));
-  }
-  return corpus;
+  return texts({"camera|urn:Camera|host1|1099", "printer|Printer|10.0.0.7|65535", "x||h|1",
+                "a b|c:d|e|0080"});
 }
 
 /// Announcements as SsdpAgent writes them, and one as another stack might:
@@ -393,80 +377,92 @@ Corpus stream_corpus() {
   return corpus;
 }
 
-TEST(FuzzSmokeTest, XmlParserSurvivesMutations) {
-  drive(&fuzz::fuzz_xml_parse, xml_corpus(), 0x1111aaaa2222bbbbull, kRounds);
+/// Descriptions as UpnpDevice writes them: one service with an action and a
+/// state variable, and two services with empty lists. And one as another
+/// stack might write it, so that the corpus does not depend on the encoder:
+/// a comment, fields out of order, an escaped name and a service with no
+/// lists at all.
+Corpus upnp_description_corpus() {
+  using upnp::DeviceDescription;
+  return {bytes_of(DeviceDescription{"urn:x:Lamp:1", "a&b", "uuid:lamp",
+                                     {{"urn:x:Power:1", "x:Power", "/c", "/e", {"Set"}, {"On"}}}}
+                       .to_xml_text()),
+          bytes_of(DeviceDescription{"urn:x:Tv:1", "", "uuid:tv",
+                                     {{"urn:x:A:1", "", "", "", {}, {}},
+                                      {"urn:x:B:1", "", "", "", {}, {}}}}
+                       .to_xml_text()),
+          bytes_of("<root><!-- tv --><device><deviceType>urn:x:Tv:1</deviceType>"
+                   "<UDN>uuid:tv</UDN><friendlyName>a&lt;b</friendlyName><serviceList>"
+                   "<service><serviceType>urn:x:Show:1</serviceType><actionList>"
+                   "<action>Show</action></actionList><stateVariableList>"
+                   "<stateVariable>Image</stateVariable></stateVariableList></service>"
+                   "<service><serviceType>urn:x:Mute:1</serviceType></service>"
+                   "</serviceList></device></root>")};
 }
 
-TEST(FuzzSmokeTest, UsdlParserSurvivesMutations) {
-  drive(&fuzz::fuzz_usdl_parse, usdl_corpus(), 0x3333cccc4444ddddull, kRounds);
+/// Each row of fuzz::targets() by name: its corpus and its mutation seed.
+struct RowCorpus {
+  std::string_view name;
+  Corpus (*corpus)();
+  std::uint64_t seed;
+};
+
+const RowCorpus kCorpora[] = {
+    {"xml", xml_corpus, 0x1111aaaa2222bbbbull},
+    {"usdl", usdl_corpus, 0x3333cccc4444ddddull},
+    {"directory_advert", directory_advert_corpus, 0x0d17ad7e0d17ad7eull},
+    {"umtp", umtp_corpus, 0x5555eeee6666ffffull},
+    {"base64", base64_corpus, 0x7777b64b64b64b64ull},
+    {"motes_reading", motes_corpus, 0xabcd0123456789efull},
+    {"uri", uri_corpus, 0x0a11ce5ull},
+    {"mime", mime_corpus, 0x313e7e5ull},
+    {"query", query_corpus, 0x9e77c0ec7ull},
+    {"rmi_binding", rmi_binding_corpus, 0xb1dd1e5ull},
+    {"ssdp_datagram", ssdp_corpus, 0x55d9da7a6ull},
+    {"gena_property_set", gena_corpus, 0x6e7a9709e77e5ull},
+    {"soap_action_response", soap_response_corpus, 0x50a9ac710e5ull},
+    {"soap_action_request", soap_request_corpus, 0x50a9e9c357ull},
+    {"soap_fault", soap_fault_corpus, 0x50a9fa017ull},
+    {"ws_method_response", ws_response_corpus, 0x3e7a0d9e5ull},
+    {"ws_notification", ws_notification_corpus, 0x3e9071f1ull},
+    {"upnp_description", upnp_description_corpus, 0xde5c417ull},
+    {"stream", stream_corpus, 0x9999f4a3e5f4a3e5ull},
+};
+
+TEST(FuzzSmokeTest, EveryRowHasOneCorpus) {
+  std::set<std::string_view> rows, corpora;
+  for (const fuzz::Target& t : fuzz::targets()) EXPECT_TRUE(rows.insert(t.name).second) << t.name;
+  for (const RowCorpus& c : kCorpora) EXPECT_TRUE(corpora.insert(c.name).second) << c.name;
+  EXPECT_EQ(rows, corpora) << "a row has no corpus, or a corpus no row";
+  EXPECT_EQ(stream_corpus().size(), fuzz::stream_protocols().size());
 }
 
-TEST(FuzzSmokeTest, DirectoryAdvertSurvivesMutations) {
-  drive(&fuzz::fuzz_directory_advert, directory_advert_corpus(), 0x0d17ad7e0d17ad7eull,
-        kRounds);
+class FuzzSmokeTest : public ::testing::TestWithParam<fuzz::Target> {};
+
+/// Drive each row with kRounds mutated inputs of its corpus; both outcome
+/// classes (decode error and decode success) must occur, proving the fuzz
+/// actually explores.
+TEST_P(FuzzSmokeTest, SurvivesMutations) {
+  const auto& [name, entry] = GetParam();
+  const auto* row = std::ranges::find(kCorpora, std::string_view(name), &RowCorpus::name);
+  ASSERT_NE(row, std::end(kCorpora)) << "no corpus for row " << name;
+  const Corpus corpus = row->corpus();
+  for (const Bytes& item : corpus) {  // the valid corpus itself must decode
+    ASSERT_LE(item.size(), kMaxInput);
+    ASSERT_EQ(entry(item), 1);
+  }
+  Rng rng(row->seed);
+  int ok = 0, err = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    const Bytes input = mutate(corpus[rng.below(corpus.size())], rng);
+    (entry(input) == 1 ? ok : err) += 1;
+  }
+  EXPECT_GT(ok, 0) << "no mutated input decoded — mutations too destructive";
+  EXPECT_GT(err, 0) << "no mutated input failed — mutations too tame";
 }
 
-TEST(FuzzSmokeTest, UmtpDecoderSurvivesMutations) {
-  drive(&fuzz::fuzz_umtp_decode, umtp_corpus(), 0x5555eeee6666ffffull, kRounds);
-}
-
-TEST(FuzzSmokeTest, Base64DecoderSurvivesMutations) {
-  drive(&fuzz::fuzz_base64_decode, base64_corpus(), 0x7777b64b64b64b64ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, MotesReadingDecoderSurvivesMutations) {
-  drive(&fuzz::fuzz_motes_reading, motes_corpus(), 0xabcd0123456789efull, kRounds);
-}
-
-TEST(FuzzSmokeTest, UriParserSurvivesMutations) {
-  drive(&fuzz::fuzz_uri_parse, uri_corpus(), 0x0a11ce5ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, MimeParserSurvivesMutations) {
-  drive(&fuzz::fuzz_mime_parse, mime_corpus(), 0x313e7e5ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, QueryXmlSurvivesMutations) {
-  drive(&fuzz::fuzz_query_xml, query_corpus(), 0x9e77c0ec7ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, RmiBindingSurvivesMutations) {
-  drive(&fuzz::fuzz_rmi_binding, rmi_binding_corpus(), 0xb1dd1e5ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, SsdpDatagramSurvivesMutations) {
-  drive(&fuzz::fuzz_ssdp_datagram, ssdp_corpus(), 0x55d9da7a6ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, GenaPropertySetSurvivesMutations) {
-  drive(&fuzz::fuzz_gena_property_set, gena_corpus(), 0x6e7a9709e77e5ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, SoapActionResponseSurvivesMutations) {
-  drive(&fuzz::fuzz_soap_action_response, soap_response_corpus(), 0x50a9ac710e5ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, SoapActionRequestSurvivesMutations) {
-  drive(&fuzz::fuzz_soap_action_request, soap_request_corpus(), 0x50a9e9c357ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, SoapFaultSurvivesMutations) {
-  drive(&fuzz::fuzz_soap_fault, soap_fault_corpus(), 0x50a9fa017ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, WsMethodResponseSurvivesMutations) {
-  drive(&fuzz::fuzz_ws_method_response, ws_response_corpus(), 0x3e7a0d9e5ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, WsNotificationSurvivesMutations) {
-  drive(&fuzz::fuzz_ws_notification, ws_notification_corpus(), 0x3e9071f1ull, kRounds);
-}
-
-TEST(FuzzSmokeTest, StreamFramesSurviveMutations) {
-  const Corpus corpus = stream_corpus();
-  ASSERT_EQ(corpus.size(), fuzz::stream_protocols().size());
-  drive(&fuzz::fuzz_stream_frames, corpus, 0x9999f4a3e5f4a3e5ull, kRounds);
-}
+INSTANTIATE_TEST_SUITE_P(Rows, FuzzSmokeTest, ::testing::ValuesIn(fuzz::targets()),
+                         [](const auto& info) { return std::string(info.param.name); });
 
 TEST(FuzzSmokeTest, UmtpLengthPrefixLiesAreRejectedNotTrusted) {
   // Length-prefix lies at the *outer* framing layer: a prefix larger than the

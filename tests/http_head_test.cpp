@@ -206,6 +206,18 @@ TEST(HeadTest, ReasonPhraseKeepsItsSpaces) {
   }
 }
 
+// A parsed message keeps its content-length in the header map. Written again
+// with a new body, it is framed by the new body's length, once.
+TEST(HeadTest, ContentLengthFollowsTheBody) {
+  HttpRequestReader reader;
+  std::vector<HttpRequest> out;
+  ASSERT_TRUE(reader.feed(to_bytes("POST /c HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi"), out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  out[0].body = "hello";
+  EXPECT_EQ(umiddle::to_string(out[0].to_wire()),
+            "POST /c HTTP/1.1\r\ncontent-length: 5\r\n\r\nhello");
+}
+
 TEST(SsdpTest, AnnouncementCarriesMaxAge) {
   const SsdpAnnouncement a{"urn:x:Light:1", "uuid:1::urn:x:Light:1", "http://d/d.xml", true, 60};
   auto alive = announcement_of(umiddle::to_string(notify_datagram(a, true)));

@@ -257,6 +257,37 @@ TEST(WsMapperTest, WebhookUpdatesFlowIntoSemanticSpace) {
   EXPECT_EQ(sink_raw->received()[0].msg.body_text(), "storm warning");
 }
 
+// Each mapper restart subscribes a new webhook path. The first notification
+// finds three of the four answer 404 and drops them, so each notification
+// reaches the one live webhook, once.
+TEST(WsMapperTest, RestartsLeaveOneSubscriber) {
+  WsWorld w;
+  for (int i = 0; i < 3; ++i) {
+    w.runtime->stop();
+    ASSERT_TRUE(w.runtime->start().ok());
+    w.sched.run_for(seconds(4));
+  }
+  auto profiles = w.runtime->directory().lookup(core::Query().platform("ws"));
+  ASSERT_EQ(profiles.size(), 1u);
+  auto sink = std::make_unique<core::CollectorDevice>(
+      "Log", core::make_sink_shape("in", MimeType::of("text/plain")));
+  core::CollectorDevice* sink_raw = sink.get();
+  auto sink_id = w.runtime->map(std::move(sink)).take();
+  ASSERT_TRUE(w.runtime->transport()
+                  .connect(core::PortRef{profiles[0].id, "update-out"},
+                           core::PortRef{sink_id, "in"})
+                  .ok());
+  EXPECT_EQ(w.weather->subscriber_count(), 4u);
+  for (const char* update : {"storm", "calm"}) {
+    w.weather->notify_subscribers(to_bytes(update));
+    w.sched.run_for(seconds(1));
+    EXPECT_EQ(w.weather->subscriber_count(), 1u) << update;
+    ASSERT_FALSE(sink_raw->received().empty());
+    EXPECT_EQ(sink_raw->received().back().msg.body_text(), update);
+  }
+  EXPECT_EQ(sink_raw->count(), 2u);
+}
+
 TEST(WsMapperTest, UnregisteredServiceIsUnmapped) {
   WsWorld w;
   ASSERT_EQ(w.runtime->directory().lookup(core::Query().platform("ws")).size(), 1u);
