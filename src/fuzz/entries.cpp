@@ -54,6 +54,7 @@ const StreamProtocol kStreamProtocols[] = {
     {"sdp_response", [] { return feed_of<bt::SdpResponseReader>(&bt::SdpResponse::encode); }},
     {"hid", [] { return feed_of<bt::HidReader>(&bt::MouseReport::encode); }},
     {"http", [] { return feed_of<upnp::HttpRequestReader>(&upnp::HttpRequest::to_wire); }},
+    {"mb_wire", [] { return feed_of<mb::WireReader>(&mb::WireFrame::encode); }},
 };
 
 std::string_view text_of(Input in) { return {reinterpret_cast<const char*>(in.data()), in.size()}; }
@@ -169,6 +170,11 @@ Result<core::Query> query_of(std::string_view text) {
 
 std::string query_text(const core::Query& query) { return query.to_xml().to_string(); }
 
+/// An XML-RPC request as WsService reads it from any client.
+std::string method_call_text(const std::pair<std::string, Bytes>& call) {
+  return ws::encode_method_call(call.first, call.second);
+}
+
 /// The SOAP `$body64` payload surface. On success the output also holds
 /// len/4*3 bytes minus the padding.
 Result<Bytes> base64_of(std::string_view text) {
@@ -238,6 +244,7 @@ const Target kTargets[] = {
     {"soap_action_response", row<&ActionResponse::from_envelope, &ActionResponse::to_envelope>},
     {"soap_action_request", row<&request_of, &request_text>},
     {"soap_fault", row<&SoapFault::from_envelope, &SoapFault::to_envelope>},
+    {"ws_method_call", row<&ws::decode_method_call, &method_call_text>},
     {"ws_method_response",
      row<&ws::decode_method_response, &ws::encode_method_response, Errc::refused>},
     {"ws_notification", row<&ws::decode_notification, &ws::encode_notification>},

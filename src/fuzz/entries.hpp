@@ -41,7 +41,8 @@ struct Target {
 /// Every row, each name once: xml, usdl, directory_advert, umtp, base64,
 /// motes_reading, uri, mime, query, rmi_binding, ssdp_datagram,
 /// gena_property_set, soap_action_response, soap_action_request, soap_fault,
-/// ws_method_response, ws_notification, upnp_description and stream.
+/// ws_method_call, ws_method_response, ws_notification, upnp_description and
+/// stream.
 std::span<const Target> targets();
 
 /// One stream protocol's FrameReader behind a type-erased feed that hands back
@@ -55,8 +56,8 @@ struct StreamProtocol {
 };
 
 /// Every stream protocol's reader: umtp, obex, mb, rmi_call, rmi_return,
-/// sdp_request, sdp_response, hid and http (requests). The `stream` row's
-/// first byte picks one.
+/// sdp_request, sdp_response, hid, http (requests) and mb_wire (the
+/// MediaBroker broker's). The `stream` row's first byte picks one.
 std::span<const StreamProtocol> stream_protocols();
 
 }  // namespace umiddle::fuzz

@@ -44,15 +44,33 @@ struct Frame {
   Bytes encode() const;
 };
 
+/// A frame as the broker reads it. A DATA frame keeps its bytes as they
+/// arrived, so that the broker forwards them as they are instead of decoding
+/// the payload and encoding it again.
+struct WireFrame {
+  Frame head;  ///< op, stream and media type; its payload stays empty
+  Bytes wire;  ///< data: the whole frame
+
+  /// data: the payload, a view into `wire`.
+  std::span<const std::uint8_t> payload() const;
+  /// The bytes it arrived as: `wire` for DATA, else head.encode().
+  Bytes encode() const;
+};
+
 /// A DATA frame for `stream` carrying `payload`, encoded straight from the
 /// caller's bytes (Frame::encode's DATA case).
 Bytes encode_data(std::string_view stream, std::span<const std::uint8_t> payload);
 
-/// Decode step for the frame at the front of a receive buffer.
+/// Decode steps for the frame at the front of a receive buffer: one header
+/// parse, and a DATA frame keeps its payload (clients) or its bytes (the
+/// broker).
 [[nodiscard]] Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer,
                                              std::vector<Frame>& out);
+[[nodiscard]] Result<std::size_t> next_wire_frame(std::span<const std::uint8_t> buffer,
+                                                  std::vector<WireFrame>& out);
 
-/// Incremental frame reader.
+/// Incremental frame readers: a client's, and the broker's.
 using Reader = FrameReader<Frame, next_frame>;
+using WireReader = FrameReader<WireFrame, next_wire_frame>;
 
 }  // namespace umiddle::mb

@@ -40,14 +40,17 @@ void MbServer::serve(net::StreamPtr stream) {
   net::Stream* raw = stream.get();
   connections_[raw] = stream;
   stream->on_data(
-      net::frames<Reader>(*raw, [this, raw](Frame& frame) { handle(raw, std::move(frame)); }));
+      net::frames<WireReader>(*raw, [this, raw](WireFrame& frame) { handle(raw, frame); }));
   stream->on_close([this, raw]() { drop_connection(raw); });
 }
 
 void MbServer::drop_connection(net::Stream* conn) {
   connections_.erase(conn);
   std::erase(watchers_, conn);
-  for (auto& [name, info] : streams_) std::erase(info.consumers, conn);
+  for (auto& [name, info] : streams_) {
+    std::erase(info.consumers, conn);
+    if (info.producer == conn) info.producer = nullptr;
+  }
 }
 
 void MbServer::broadcast_watchers(const Frame& frame) {
@@ -55,10 +58,12 @@ void MbServer::broadcast_watchers(const Frame& frame) {
   for (net::Stream* watcher : watchers_) (void)watcher->send(wire);
 }
 
-void MbServer::handle(net::Stream* conn, Frame frame) {
+void MbServer::handle(net::Stream* conn, WireFrame& wire_frame) {
+  const Frame& frame = wire_frame.head;
   switch (frame.op) {
     case Op::produce: {
       StreamInfo& info = streams_[frame.stream];
+      if (info.producer == nullptr) info.producer = conn;
       info.media_type = frame.media_type;
       Frame announce;
       announce.op = Op::announce;
@@ -79,11 +84,11 @@ void MbServer::handle(net::Stream* conn, Frame frame) {
       auto it = streams_.find(frame.stream);
       if (it == streams_.end()) break;
       const Transform& transform = it->second.transform;
-      Bytes transformed;
-      if (transform) transformed = transform(frame.payload);
-      // One wire buffer, shared by every consumer's stream.
+      // One wire buffer, shared by every consumer's stream: the frame as it
+      // arrived, or a frame of the transformed payload.
       const PayloadPtr wire =
-          make_payload(encode_data(frame.stream, transform ? transformed : frame.payload));
+          make_payload(transform ? encode_data(frame.stream, transform(wire_frame.payload()))
+                                 : std::move(wire_frame.wire));
       for (net::Stream* consumer : it->second.consumers) {
         if (consumer == conn) continue;  // never echo to the producer itself
         if (consumer->pending() > kConsumerBacklogLimit) {
@@ -96,8 +101,10 @@ void MbServer::handle(net::Stream* conn, Frame frame) {
       break;
     }
     case Op::watch: {
-      watchers_.push_back(conn);
-      // Replay existing streams to the new watcher.
+      if (std::find(watchers_.begin(), watchers_.end(), conn) == watchers_.end()) {
+        watchers_.push_back(conn);
+      }
+      // Replay existing streams to the watcher.
       for (const auto& [name, info] : streams_) {
         if (info.media_type.empty()) continue;
         Frame announce;
@@ -109,12 +116,13 @@ void MbServer::handle(net::Stream* conn, Frame frame) {
       break;
     }
     case Op::retire: {
-      if (streams_.erase(frame.stream) > 0) {
-        Frame retire;
-        retire.op = Op::retire;
-        retire.stream = frame.stream;
-        broadcast_watchers(retire);
-      }
+      auto it = streams_.find(frame.stream);
+      if (it == streams_.end() || it->second.producer != conn) break;  // not its producer
+      streams_.erase(it);
+      Frame retire;
+      retire.op = Op::retire;
+      retire.stream = frame.stream;
+      broadcast_watchers(retire);
       break;
     }
     case Op::announce:

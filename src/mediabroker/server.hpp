@@ -15,8 +15,8 @@ constexpr std::uint16_t kMbPort = 5060;
 
 class MbServer {
  public:
-  /// Optional per-stream transformation applied to every DATA frame.
-  using Transform = std::function<Bytes(const Bytes&)>;
+  /// Optional per-stream transformation applied to every DATA frame's payload.
+  using Transform = std::function<Bytes(std::span<const std::uint8_t>)>;
 
   MbServer(net::Network& net, std::string host, std::uint16_t port = kMbPort);
   ~MbServer();
@@ -42,12 +42,15 @@ class MbServer {
  private:
   struct StreamInfo {
     std::string media_type;
+    /// The connection whose PRODUCE claimed the stream, the only one that
+    /// may RETIRE it; null once that connection drops.
+    net::Stream* producer = nullptr;
     std::vector<net::Stream*> consumers;
     Transform transform;
   };
 
   void serve(net::StreamPtr stream);
-  void handle(net::Stream* conn, Frame frame);
+  void handle(net::Stream* conn, WireFrame& frame);
   void drop_connection(net::Stream* conn);
   void broadcast_watchers(const Frame& frame);
 

@@ -166,14 +166,17 @@ double allocations_per_message(int warmup, int count, One one) {
 
 /// Heap allocations per echoed 1400-byte message on the Fig. 11 MediaBroker
 /// echo. Four MB frames cross per echo (producer → broker → runtime's MB
-/// translator → broker → consumer), and each costs three: its wire buffer,
-/// the stream's shared-payload block and the decoded payload at the far end.
-/// The translator's routed message is the thirteenth; new blocks of the
+/// translator → broker → consumer). The two the broker receives cost two
+/// each: the frame's bytes, kept as they arrived and forwarded, and the
+/// stream's shared-payload block. The two the clients send cost three: the
+/// wire buffer, the shared-payload block and the decoded payload at the far
+/// end. The translator's routed message is the eleventh; new blocks of the
 /// queues' std::deques and growth of the tracer's span vector add the rest.
-/// 41.3 when each frame grew its buffer from empty,
-/// each received chunk built a frame vector, the translator copied the
-/// payload it was handed and the broker copied its forward per consumer.
-constexpr double kAllocsPerMbEcho = 13.5;
+/// 13.3 while the broker decoded each DATA frame and encoded it again; 41.3
+/// when each frame grew its buffer from empty, each received chunk built a
+/// frame vector, the translator copied the payload it was handed and the
+/// broker copied its forward per consumer.
+constexpr double kAllocsPerMbEcho = 11.5;
 
 /// Heap allocations per 1400-byte message on a remote UMTP DATA path between
 /// two runtimes: the routed message, the DATA frame, the stream's

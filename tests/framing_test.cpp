@@ -1,8 +1,8 @@
 // Netsim-free properties of the one stream framing layer (DESIGN.md §7.6).
-// Every protocol's FrameReader — UMTP, OBEX, MediaBroker, RMI calls and
-// returns, SDP requests and responses, HIDP, HTTP requests — is driven
-// through the type-erased table in src/fuzz, which hands each frame back
-// re-encoded:
+// Every protocol's FrameReader — UMTP, OBEX, MediaBroker (a client's and the
+// broker's), RMI calls and returns, SDP requests and responses, HIDP, HTTP
+// requests — is driven through the type-erased table in src/fuzz, which hands
+// each frame back re-encoded:
 //   * random frames fed at random splits (1-byte splits included) give the
 //     same frames as one feed, and as each frame fed alone;
 //   * a strict prefix of a frame gives no frame and no error;
@@ -229,7 +229,8 @@ INSTANTIATE_TEST_SUITE_P(
         Instance{"sdp_request", &random_sdp_request, std::nullopt},
         Instance{"sdp_response", &random_sdp_response, Bytes{0x55, 0x00, 0x01}},
         Instance{"hid", &random_hid, std::nullopt},
-        Instance{"http", &random_http, bytes_of("BAD\r\n\r\n")}),
+        Instance{"http", &random_http, bytes_of("BAD\r\n\r\n")},
+        Instance{"mb_wire", &random_mb, Bytes{99, 0, 0}}),
     [](const ::testing::TestParamInfo<Instance>& info) { return info.param.protocol; });
 
 // UMTP, OBEX and HTTP steps report an incomplete frame's full length once
@@ -318,7 +319,9 @@ TEST(FrameReaderBoundTest, OversizedMbDataFramePoisons) {
   w.u8(static_cast<std::uint8_t>(mb::Op::data));
   w.str16("cam-1");
   w.u32(0xFFFFFFF0);
-  expect_bounded<mb::Reader>(w.take());
+  const Bytes header = w.take();
+  expect_bounded<mb::Reader>(header);
+  expect_bounded<mb::WireReader>(header);
 }
 
 TEST(FrameReaderBoundTest, OversizedRmiReturnPoisons) {

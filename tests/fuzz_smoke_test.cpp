@@ -316,6 +316,17 @@ Corpus soap_fault_corpus() {
           bytes_of(too_big)};
 }
 
+/// XML-RPC requests as `ws_call` writes them: a method with a
+/// parameter, one with an empty parameter and a binary one. And one as
+/// another client might write it: a declaration, whitespace and no params.
+Corpus ws_call_corpus() {
+  return {bytes_of(ws::encode_method_call("forecast", to_bytes("Fujisawa"))),
+          bytes_of(ws::encode_method_call("ping", {})),
+          bytes_of(ws::encode_method_call("put", Bytes{0x00, 0xff, 0x10})),
+          bytes_of("<?xml version=\"1.0\"?>\n<methodCall>\n  <methodName>status</methodName>\n"
+                   "</methodCall>")};
+}
+
 /// XML-RPC replies as WsService writes them: a report, an empty one and a
 /// binary one.
 Corpus ws_response_corpus() {
@@ -368,6 +379,8 @@ Corpus stream_corpus() {
   post.headers["soapaction"] = "\"urn:x#SetPower\"";
   post.body = "<s:Envelope/>";
   streams.push_back({post.to_wire(), upnp::HttpRequest{}.to_wire()});
+  streams.push_back({mb::Frame{mb::Op::consume, "cam", "", {}}.encode(),
+                     mb::encode_data("cam", Bytes(30, 0x9)), mb::encode_data("cam", {})});
   Corpus corpus;
   for (std::size_t i = 0; i < streams.size(); ++i) {
     Bytes item{static_cast<std::uint8_t>(i)};
@@ -423,6 +436,7 @@ const RowCorpus kCorpora[] = {
     {"soap_action_response", soap_response_corpus, 0x50a9ac710e5ull},
     {"soap_action_request", soap_request_corpus, 0x50a9e9c357ull},
     {"soap_fault", soap_fault_corpus, 0x50a9fa017ull},
+    {"ws_method_call", ws_call_corpus, 0x3e7ca11ull},
     {"ws_method_response", ws_response_corpus, 0x3e7a0d9e5ull},
     {"ws_notification", ws_notification_corpus, 0x3e9071f1ull},
     {"upnp_description", upnp_description_corpus, 0xde5c417ull},

@@ -270,6 +270,31 @@ TEST(MbProtocolTest, DecoderRejectsBadOpcode) {
   EXPECT_FALSE(d.feed(Bytes{99, 0, 0}, out).ok());
 }
 
+// The broker's step keeps a DATA frame's bytes as they arrived, and its
+// payload view is the client's decoded payload; other frames decode alike.
+TEST(MbProtocolTest, WireFrameKeepsTheDataFrameItArrivedAs) {
+  Bytes payload(300);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i);
+  const Bytes data = mb::encode_data("cam-1", payload);
+  std::vector<mb::WireFrame> out;
+  ASSERT_EQ(mb::next_wire_frame(data, out).value(), data.size());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].head.op, mb::Op::data);
+  EXPECT_EQ(out[0].head.stream, "cam-1");
+  EXPECT_TRUE(out[0].head.payload.empty());
+  EXPECT_EQ(out[0].wire, data);
+  EXPECT_EQ(Bytes(out[0].payload().begin(), out[0].payload().end()), payload);
+  EXPECT_EQ(out[0].encode(), data);
+
+  const Bytes produce = mb::Frame{mb::Op::produce, "cam-1", "image/jpeg", {}}.encode();
+  out.clear();
+  ASSERT_EQ(mb::next_wire_frame(produce, out).value(), produce.size());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].head.media_type, "image/jpeg");
+  EXPECT_TRUE(out[0].wire.empty());
+  EXPECT_EQ(out[0].encode(), produce);
+}
+
 TEST(MbServerTest, ProducerToConsumerFanOut) {
   Lan f;
   f.add_host("broker");
@@ -305,7 +330,7 @@ TEST(MbServerTest, TransformAppliesInline) {
   f.add_host("cons");
   mb::MbServer server(f.net, "broker");
   // MediaBroker's signature: in-line media transformation (here: downscale 2:1).
-  server.set_transform("video", [](const Bytes& in) {
+  server.set_transform("video", [](std::span<const std::uint8_t> in) {
     Bytes out;
     for (std::size_t i = 0; i < in.size(); i += 2) out.push_back(in[i]);
     return out;
@@ -348,6 +373,79 @@ TEST(MbServerTest, WatchAnnouncesExistingAndFutureStreams) {
   ASSERT_TRUE(early.produce("second", "image/jpeg").ok());
   f.sched.run();
   EXPECT_EQ(announced, (std::vector<std::string>{"first", "second"}));
+}
+
+TEST(MbServerTest, RepeatedWatchAnnouncesOnce) {
+  Lan f;
+  f.add_host("broker");
+  f.add_host("a");
+  f.add_host("b");
+  mb::MbServer server(f.net, "broker");
+  ASSERT_TRUE(server.start().ok());
+  mb::MbClient watcher(f.net, "b", server.endpoint());
+  std::vector<std::pair<std::string, bool>> seen;
+  watcher.on_announce([&](const std::string& s, const std::string&, bool alive) {
+    seen.emplace_back(s, alive);
+  });
+  ASSERT_TRUE(watcher.connect().ok());
+  ASSERT_TRUE(watcher.watch().ok());
+  ASSERT_TRUE(watcher.watch().ok());
+  f.sched.run();
+
+  mb::MbClient producer(f.net, "a", server.endpoint());
+  ASSERT_TRUE(producer.connect().ok());
+  ASSERT_TRUE(producer.produce("cam", "image/jpeg").ok());
+  f.sched.run();
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, bool>>{{"cam", true}}));
+
+  // A repeated WATCH still replays the streams that exist.
+  ASSERT_TRUE(watcher.watch().ok());
+  f.sched.run();
+  ASSERT_TRUE(producer.retire("cam").ok());
+  f.sched.run();
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, bool>>{
+                      {"cam", true}, {"cam", true}, {"cam", false}}));
+}
+
+TEST(MbServerTest, OnlyTheProducerRetiresItsStream) {
+  Lan f;
+  f.add_host("broker");
+  f.add_host("prod");
+  f.add_host("cons");
+  f.add_host("watch");
+  mb::MbServer server(f.net, "broker");
+  ASSERT_TRUE(server.start().ok());
+  mb::MbClient producer(f.net, "prod", server.endpoint());
+  mb::MbClient consumer(f.net, "cons", server.endpoint());
+  mb::MbClient watcher(f.net, "watch", server.endpoint());
+  std::vector<std::pair<std::string, bool>> seen;
+  watcher.on_announce([&](const std::string& s, const std::string&, bool alive) {
+    seen.emplace_back(s, alive);
+  });
+  ASSERT_TRUE(producer.connect().ok());
+  ASSERT_TRUE(consumer.connect().ok());
+  ASSERT_TRUE(watcher.connect().ok());
+  ASSERT_TRUE(watcher.watch().ok());
+  ASSERT_TRUE(producer.produce("feed", "application/octet-stream").ok());
+  ASSERT_TRUE(consumer.consume("feed").ok());
+  f.sched.run();
+  ASSERT_EQ(server.stream_count(), 1u);
+
+  ASSERT_TRUE(consumer.retire("feed").ok());
+  f.sched.run();
+  EXPECT_EQ(server.stream_count(), 1u);
+  ASSERT_TRUE(producer.send("feed", Bytes(200)).ok());
+  f.sched.run();
+  EXPECT_EQ(consumer.frames_received(), 1u);
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, bool>>{{"feed", true}}));
+
+  ASSERT_TRUE(producer.retire("feed").ok());
+  f.sched.run();
+  EXPECT_EQ(server.stream_count(), 0u);
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, bool>>{{"feed", true}, {"feed", false}}));
+  ASSERT_TRUE(producer.send("feed", Bytes(200)).ok());
+  f.sched.run();
+  EXPECT_EQ(consumer.frames_received(), 1u);
 }
 
 TEST(MbMapperTest, ImportsStreamAndBridgesBothDirections) {
