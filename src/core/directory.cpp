@@ -20,17 +20,44 @@ Directory::Directory(Runtime& runtime)
       refresh_(runtime.scheduler(), {sim::host_id(runtime.host()), sim::tag_id("dir.refresh")},
                [this]() { refresh_tick(); }) {}
 
-xml::Element Directory::envelope(const char* type) const {
-  xml::Element el("umiddle-adv");
-  el.set_attr("type", type);
-  el.set_attr("node", runtime_.node().to_string());
-  el.set_attr("host", runtime_.host());
-  el.set_attr("umtp-port", std::to_string(runtime_.config().umtp_port));
-  return el;
+namespace {
+
+/// Open the <umiddle-adv> element every advert starts with.
+void open_envelope(xml::Writer& out, const char* type, const NodeInfo& sender) {
+  out.start("umiddle-adv")
+      .attr("type", type)
+      .attr("node", sender.id.to_string())
+      .attr("host", sender.host)
+      .attr("umtp-port", std::to_string(sender.umtp_port));
 }
 
-void Directory::multicast(const xml::Element& advert) {
-  multicast_payload(make_payload(to_bytes(advert.to_string())));
+}  // namespace
+
+std::string announce_text(const TranslatorProfile& profile, const NodeInfo& sender) {
+  // Room for the tags and for short names: a three-port announce (about 440
+  // bytes) is written without regrowing its buffer.
+  xml::Writer out(256 + 128 * profile.shape.size());
+  open_envelope(out, "announce", sender);
+  out.start("translator")
+      .attr("id", profile.id.to_string())
+      .attr("name", profile.name)
+      .attr("platform", profile.platform)
+      .attr("device-type", profile.device_type)
+      .attr("node", profile.node.to_string());
+  profile.shape.write(out);
+  out.end("translator").end("umiddle-adv");
+  return std::move(out).take();
+}
+
+std::string bye_text(TranslatorId id, const NodeInfo& sender) {
+  xml::Writer out;
+  open_envelope(out, "bye", sender);
+  out.attr("translator-id", id.to_string()).end("umiddle-adv");
+  return std::move(out).take();
+}
+
+void Directory::multicast(std::string_view advert) {
+  multicast_payload(make_payload(to_bytes(advert)));
 }
 
 void Directory::multicast_payload(const PayloadPtr& payload) {
@@ -56,11 +83,14 @@ Result<void> Directory::start() {
   socket_ = bind.value();
   group_ = runtime_.network().group(runtime_.config().group);
   started_ = true;
-  nodes_[runtime_.node()] =
-      NodeInfo{runtime_.node(), runtime_.host(), runtime_.config().umtp_port};
+  self_ = NodeInfo{runtime_.node(), runtime_.host(), runtime_.config().umtp_port};
+  nodes_[self_.id] = self_;
   // Tell peers about anything mapped before start, and ask them to re-announce.
   announce_all_local();
-  multicast(envelope("probe"));
+  xml::Writer probe;
+  open_envelope(probe, "probe", self_);
+  probe.end("umiddle-adv");
+  multicast(std::move(probe).take());
   // Soft-state maintenance: periodic re-announcement + expiry of stale
   // remote entries (a crashed node never sends bye).
   refresh_.arm(max_age_ / 3);
@@ -86,11 +116,7 @@ void Directory::reannounce() {
 
 void Directory::stop() {
   if (!started_) return;
-  for (const Advert& advert : live_adverts()) {
-    xml::Element bye = envelope("bye");
-    bye.set_attr("translator-id", advert.id.to_string());
-    multicast(bye);
-  }
+  for (const Advert& advert : live_adverts()) multicast(bye_text(advert.id, self_));
   runtime_.network().leave_group(runtime_.host(), runtime_.config().group);
   runtime_.network().udp_close(socket_);
   started_ = false;
@@ -148,11 +174,7 @@ void Directory::publish_local(const TranslatorProfile& profile) {
 
 void Directory::withdraw_local(TranslatorId id) {
   if (auto it = find_advert(id); it != adverts_.end()) *it = Advert{id, nullptr, true};
-  if (withdraw(id) && started_) {
-    xml::Element bye = envelope("bye");
-    bye.set_attr("translator-id", id.to_string());
-    multicast(bye);
-  }
+  if (withdraw(id) && started_) multicast(bye_text(id, self_));
 }
 
 void Directory::send_announce(Advert& advert) {
@@ -161,9 +183,7 @@ void Directory::send_announce(Advert& advert) {
   // advert), so periodic re-announcements multicast one cached buffer.
   if (advert.announce == nullptr) {
     announce_cache_misses_.inc();
-    xml::Element adv = envelope("announce");
-    adv.add_child(profile(advert.id)->to_xml());
-    advert.announce = make_payload(to_bytes(adv.to_string()));
+    advert.announce = make_payload(to_bytes(announce_text(*profile(advert.id), self_)));
   } else {
     announce_cache_hits_.inc();
   }

@@ -39,6 +39,14 @@ struct NodeInfo {
   std::uint16_t umtp_port = 0;
 };
 
+/// The announce advert `sender` multicasts for `profile`, written in one pass
+/// without an element tree. The directory sends these bytes; tests and the
+/// fuzz table forge adverts with it (a profile's node need not be the
+/// sender's).
+std::string announce_text(const TranslatorProfile& profile, const NodeInfo& sender);
+/// The bye advert `sender` multicasts when translator `id` is unmapped.
+std::string bye_text(TranslatorId id, const NodeInfo& sender);
+
 class Directory : public DirectoryTable {
  public:
   explicit Directory(Runtime& runtime);
@@ -101,8 +109,7 @@ class Directory : public DirectoryTable {
   void send_announce(Advert& advert);
   void announce_all_local();
   void refresh_tick();
-  xml::Element envelope(const char* type) const;
-  void multicast(const xml::Element& advert);
+  void multicast(std::string_view advert);
   void multicast_payload(const PayloadPtr& payload);
 
   Runtime& runtime_;
@@ -117,6 +124,7 @@ class Directory : public DirectoryTable {
   bool started_ = false;
   net::UdpSocket socket_;  ///< bound while started
   net::GroupId group_ = 0;  ///< config().group, interned by start()
+  NodeInfo self_;  ///< this runtime's endpoint, the sender of its adverts
   /// The local translators in ascending id: what a refresh tick walks.
   std::vector<Advert> adverts_;
   sim::Duration max_age_ = sim::seconds(30);

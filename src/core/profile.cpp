@@ -4,17 +4,6 @@
 
 namespace umiddle::core {
 
-xml::Element TranslatorProfile::to_xml() const {
-  xml::Element el("translator");
-  el.set_attr("id", id.to_string());
-  el.set_attr("name", name);
-  el.set_attr("platform", platform);
-  el.set_attr("device-type", device_type);
-  el.set_attr("node", node.to_string());
-  el.add_child(shape.to_xml());
-  return el;
-}
-
 Result<TranslatorProfile> TranslatorProfile::from_xml(const xml::Element& el) {
   if (el.name() != "translator") {
     return make_error(Errc::parse_error, "expected <translator>, got <" + el.name() + ">");

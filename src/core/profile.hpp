@@ -23,7 +23,7 @@ struct TranslatorProfile {
   NodeId node;
   Shape shape;
 
-  xml::Element to_xml() const;
+  /// Parse the <translator> element of an announce (written by announce_text).
   static Result<TranslatorProfile> from_xml(const xml::Element& el);
 
   bool operator==(const TranslatorProfile&) const = default;

@@ -58,19 +58,18 @@ std::vector<const PortSpec*> Shape::digital_outputs() const {
   return out;
 }
 
-xml::Element Shape::to_xml() const {
-  xml::Element el("shape");
+void Shape::write(xml::Writer& out) const {
+  out.start("shape");
   for (const PortSpec& p : ports_) {
-    xml::Element& port =
-        el.add_child(p.kind == PortKind::digital ? "digital-port" : "physical-port");
-    port.set_attr("name", p.name);
-    port.set_attr("direction", to_string(p.direction));
+    const char* element = p.kind == PortKind::digital ? "digital-port" : "physical-port";
+    out.start(element).attr("name", p.name).attr("direction", to_string(p.direction));
     // Physical ports carry perception/media in the same attribute slot ("tag")
     // the paper uses; digital ports carry "mime".
-    port.set_attr(p.kind == PortKind::digital ? "mime" : "tag", p.type.to_string());
-    if (!p.description.empty()) port.set_attr("description", p.description);
+    out.attr(p.kind == PortKind::digital ? "mime" : "tag", {p.type.type(), "/", p.type.subtype()});
+    if (!p.description.empty()) out.attr("description", p.description);
+    out.end(element);
   }
-  return el;
+  out.end("shape");
 }
 
 Result<Shape> Shape::from_xml(const xml::Element& el) {

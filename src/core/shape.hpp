@@ -73,8 +73,8 @@ class Shape {
   std::vector<const PortSpec*> digital_inputs() const;
   std::vector<const PortSpec*> digital_outputs() const;
 
-  /// XML form used in USDL documents and directory advertisements.
-  xml::Element to_xml() const;
+  /// Write the <shape> element of USDL documents and directory adverts.
+  void write(xml::Writer& out) const;
   static Result<Shape> from_xml(const xml::Element& el);
 
   friend bool operator==(const Shape& a, const Shape& b) { return a.ports_ == b.ports_; }

@@ -100,39 +100,38 @@ Result<UsdlDocument> parse_usdl(std::string_view text) {
   return parse_usdl(root.value());
 }
 
-xml::Element to_xml(const UsdlService& service) {
-  xml::Element el("service");
-  el.set_attr("platform", service.platform);
-  el.set_attr("match", service.match);
-  el.set_attr("name", service.name);
-  if (service.hierarchy_entities > 0) {
-    el.add_child("hierarchy").set_attr("entities", std::to_string(service.hierarchy_entities));
-  }
-  el.add_child(service.shape.to_xml());
-  if (!service.bindings.empty()) {
-    xml::Element& bindings = el.add_child("bindings");
-    for (const UsdlBinding& b : service.bindings) {
-      xml::Element& binding = bindings.add_child("binding");
-      binding.set_attr("port", b.port);
-      binding.set_attr("kind", b.kind);
-      if (!b.emit_port.empty()) binding.set_attr("emit", b.emit_port);
-      xml::Element& native = binding.add_child("native");
-      for (const auto& [k, v] : b.native.attrs) native.set_attr(k, v);
-      for (const UsdlArg& arg : b.native.args) {
-        xml::Element& a = native.add_child("arg");
-        a.set_attr("name", arg.name);
-        a.set_attr("value", arg.value);
-      }
+std::string usdl_text(const UsdlDocument& doc) {
+  xml::Writer out;
+  out.start("usdl").attr("version", "1");
+  for (const UsdlService& service : doc.services) {
+    out.start("service")
+        .attr("platform", service.platform)
+        .attr("match", service.match)
+        .attr("name", service.name);
+    if (service.hierarchy_entities > 0) {
+      out.start("hierarchy")
+          .attr("entities", std::to_string(service.hierarchy_entities))
+          .end("hierarchy");
     }
+    service.shape.write(out);
+    if (!service.bindings.empty()) {
+      out.start("bindings");
+      for (const UsdlBinding& b : service.bindings) {
+        out.start("binding").attr("port", b.port).attr("kind", b.kind);
+        if (!b.emit_port.empty()) out.attr("emit", b.emit_port);
+        out.start("native");
+        for (const auto& [k, v] : b.native.attrs) out.attr(k, v);
+        for (const UsdlArg& arg : b.native.args) {
+          out.start("arg").attr("name", arg.name).attr("value", arg.value).end("arg");
+        }
+        out.end("native").end("binding");
+      }
+      out.end("bindings");
+    }
+    out.end("service");
   }
-  return el;
-}
-
-xml::Element to_xml(const UsdlDocument& doc) {
-  xml::Element el("usdl");
-  el.set_attr("version", "1");
-  for (const UsdlService& s : doc.services) el.add_child(to_xml(s));
-  return el;
+  out.end("usdl");
+  return std::move(out).take();
 }
 
 void UsdlLibrary::add(UsdlDocument doc) {

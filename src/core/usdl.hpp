@@ -97,9 +97,8 @@ struct UsdlDocument {
 [[nodiscard]] Result<UsdlDocument> parse_usdl(std::string_view text);
 [[nodiscard]] Result<UsdlDocument> parse_usdl(const xml::Element& root);
 
-/// Serialize back to XML (used by tooling and round-trip tests).
-xml::Element to_xml(const UsdlService& service);
-xml::Element to_xml(const UsdlDocument& doc);
+/// Serialize back to XML text (used by tooling and round-trip tests).
+std::string usdl_text(const UsdlDocument& doc);
 
 /// Keyed store of service descriptions; mappers look up by (platform, match).
 class UsdlLibrary {

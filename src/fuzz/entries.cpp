@@ -12,6 +12,7 @@
 #include "common/base64.hpp"
 #include "common/mime.hpp"
 #include "common/uri.hpp"
+#include "core/directory.hpp"
 #include "core/profile.hpp"
 #include "core/shape.hpp"
 #include "core/umtp.hpp"
@@ -143,8 +144,6 @@ std::string xml_text(const xml::Element& doc) { return doc.to_string(); }
 
 Result<core::UsdlDocument> usdl_of(std::string_view text) { return core::parse_usdl(text); }
 
-std::string usdl_text(const core::UsdlDocument& doc) { return core::to_xml(doc).to_string(); }
-
 /// The <translator> profile of a directory announce: the untrusted half of an
 /// advert, back in an advert of its own.
 Result<core::TranslatorProfile> advert_of(std::string_view text) {
@@ -156,9 +155,7 @@ Result<core::TranslatorProfile> advert_of(std::string_view text) {
 }
 
 std::string advert_text(const core::TranslatorProfile& profile) {
-  xml::Element advert("umiddle-adv");
-  advert.add_child(profile.to_xml());
-  return advert.to_string();
+  return core::announce_text(profile, core::NodeInfo{profile.node, {}, 0});
 }
 
 /// The query path a remote UMTP CONNECT frame carries.
@@ -230,7 +227,7 @@ using upnp::SoapFault;
 /// and a WS fault reply refused.
 const Target kTargets[] = {
     {"xml", row<&xml::parse, &xml_text>},
-    {"usdl", row<&usdl_of, &usdl_text>},
+    {"usdl", row<&usdl_of, &core::usdl_text>},
     {"directory_advert", row<&advert_of, &advert_text, Errc::already_exists>},
     {"umtp", &umtp_round_trips},
     {"base64", row<&base64_of, &base64::encode>},

@@ -63,7 +63,10 @@ void MbServer::handle(net::Stream* conn, WireFrame& wire_frame) {
   switch (frame.op) {
     case Op::produce: {
       StreamInfo& info = streams_[frame.stream];
+      // An unowned stream (new, or its producer dropped) is claimed; only its
+      // producer retypes it.
       if (info.producer == nullptr) info.producer = conn;
+      if (info.producer != conn) break;
       info.media_type = frame.media_type;
       Frame announce;
       announce.op = Op::announce;

@@ -30,7 +30,7 @@ std::string DeviceDescription::to_xml_text() const {
     xml::Element& vars = service.add_child("stateVariableList");
     for (const std::string& v : s.state_vars) vars.add_child("stateVariable").set_text(v);
   }
-  return root.to_string(false, true);
+  return root.to_string(/*declaration=*/true);
 }
 
 Result<DeviceDescription> DeviceDescription::from_xml_text(std::string_view text) {

@@ -10,7 +10,7 @@ std::string PropertySet::to_xml_text() const {
   for (const auto& [name, value] : properties) {
     root.add_child("e:property").add_child(name).set_text(value);
   }
-  return root.to_string(false, true);
+  return root.to_string(/*declaration=*/true);
 }
 
 Result<PropertySet> PropertySet::from_xml_text(std::string_view text) {

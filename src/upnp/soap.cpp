@@ -37,7 +37,7 @@ std::string ActionRequest::to_envelope() && {
   xml::Element call("u:" + action);
   call.set_attr("xmlns:u", service_type);
   for (auto& [k, v] : args) call.add_child(k).set_text(std::move(v));
-  return envelope_with(std::move(call)).to_string(false, true);
+  return envelope_with(std::move(call)).to_string(/*declaration=*/true);
 }
 
 std::string ActionRequest::soap_action_header() const {
@@ -76,7 +76,7 @@ std::string ActionResponse::to_envelope() const {
   xml::Element resp("u:" + action + "Response");
   resp.set_attr("xmlns:u", service_type);
   for (const auto& [k, v] : args) resp.add_child(std::move(k)).set_text(v);
-  return envelope_with(std::move(resp)).to_string(false, true);
+  return envelope_with(std::move(resp)).to_string(/*declaration=*/true);
 }
 
 Result<ActionResponse> ActionResponse::from_envelope(std::string_view body) {
@@ -106,7 +106,7 @@ std::string SoapFault::to_envelope() const {
   err.set_attr("xmlns", "urn:schemas-upnp-org:control-1-0");
   err.add_child("errorCode").set_text(std::to_string(error_code));
   err.add_child("errorDescription").set_text(description);
-  return envelope_with(std::move(fault)).to_string(false, true);
+  return envelope_with(std::move(fault)).to_string(/*declaration=*/true);
 }
 
 Result<SoapFault> SoapFault::from_envelope(std::string_view body) {

@@ -38,7 +38,7 @@ Result<void> WsRegistry::start() {
   http_.route("/services.xml", upnp::sync_handler([this](const upnp::HttpRequest&) {
                 xml::Element root("services");
                 for (const auto& [name, entry] : entries_) root.add_child(entry_to_xml(entry));
-                return upnp::HttpResponse::make(200, "OK", root.to_string(false, true));
+                return upnp::HttpResponse::make(200, "OK", root.to_string(/*declaration=*/true));
               }));
   http_.route("/register", upnp::sync_handler([this](const upnp::HttpRequest& req) {
                 auto doc = xml::parse(req.body);
@@ -101,7 +101,7 @@ void ws_register(net::Network& net, const std::string& from_host,
                  const std::string& listing_url, const WsEntry& entry,
                  std::function<void(Result<void>)> done) {
   post_document(net, from_host, listing_url, "/register",
-                entry_to_xml(entry).to_string(false, true), std::move(done));
+                entry_to_xml(entry).to_string(/*declaration=*/true), std::move(done));
 }
 
 void ws_unregister(net::Network& net, const std::string& from_host,
@@ -109,7 +109,7 @@ void ws_unregister(net::Network& net, const std::string& from_host,
                    std::function<void(Result<void>)> done) {
   xml::Element e("service");
   e.set_attr("name", name);
-  post_document(net, from_host, listing_url, "/unregister", e.to_string(false, true),
+  post_document(net, from_host, listing_url, "/unregister", e.to_string(/*declaration=*/true),
                 std::move(done));
 }
 

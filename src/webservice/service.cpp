@@ -12,7 +12,7 @@ std::string encode_method_call(const std::string& method, const Bytes& param) {
   xml::Element call("methodCall");
   call.add_child("methodName").set_text(method);
   call.add_child("params").add_child("param").set_text(base64::encode(param));
-  return call.to_string(false, true);
+  return call.to_string(/*declaration=*/true);
 }
 
 Result<std::pair<std::string, Bytes>> decode_method_call(std::string_view body) {
@@ -37,13 +37,13 @@ Result<std::pair<std::string, Bytes>> decode_method_call(std::string_view body) 
 std::string encode_method_response(const Bytes& param) {
   xml::Element resp("methodResponse");
   resp.add_child("param").set_text(base64::encode(param));
-  return resp.to_string(false, true);
+  return resp.to_string(/*declaration=*/true);
 }
 
 std::string encode_fault(const std::string& message) {
   xml::Element resp("methodResponse");
   resp.add_child("fault").set_text(message);
-  return resp.to_string(false, true);
+  return resp.to_string(/*declaration=*/true);
 }
 
 Result<Bytes> decode_method_response(std::string_view body) {
@@ -63,7 +63,7 @@ Result<Bytes> decode_method_response(std::string_view body) {
 std::string encode_notification(const Bytes& param) {
   xml::Element n("notification");
   n.add_child("param").set_text(base64::encode(param));
-  return n.to_string(false, true);
+  return n.to_string(/*declaration=*/true);
 }
 
 Result<Bytes> decode_notification(std::string_view body) {

@@ -75,61 +75,83 @@ std::string_view Element::local_name() const {
                                     : std::string_view(name_).substr(colon + 1);
 }
 
-std::string Element::to_string(bool pretty, bool declaration) const {
-  constexpr std::string_view kDeclaration = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-  std::string out;
+namespace {
+constexpr std::string_view kDeclaration = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
+}  // namespace
+
+std::string Element::to_string(bool declaration) const {
   // Escapes lengthen the output past this; a photo's base64 text has none,
   // so its envelope is written into one buffer that never grows.
-  out.reserve((declaration ? kDeclaration.size() + 1 : 0) + unescaped_size(0, pretty));
-  if (declaration) {
-    out += kDeclaration;
-    if (pretty) out += "\n";
-  }
-  write(out, 0, pretty);
-  return out;
+  Writer out((declaration ? kDeclaration.size() : 0) + unescaped_size());
+  if (declaration) out.declaration();
+  write(out);
+  return std::move(out).take();
 }
 
-std::size_t Element::unescaped_size(int indent, bool pretty) const {
-  const std::size_t pad = pretty ? static_cast<std::size_t>(indent) * 2 : 0;
-  const std::size_t newline = pretty ? 1 : 0;
-  std::size_t n = pad + 1 + name_.size();                           // <name
+std::size_t Element::unescaped_size() const {
+  std::size_t n = 1 + name_.size();                                // <name
   for (const auto& [k, v] : attrs_) n += 4 + k.size() + v.size();  //  k="v"
-  if (text_.empty() && children_.empty()) return n + 2 + newline;  // />
-  n += 1 + text_.size() + 3 + name_.size() + newline;              // >text</name>
-  if (!children_.empty()) {
-    n += newline + pad;
-    for (const auto& c : children_) n += c.unescaped_size(indent + 1, pretty);
-  }
+  if (text_.empty() && children_.empty()) return n + 2;            // />
+  n += 1 + text_.size() + 3 + name_.size();                        // >text</name>
+  for (const auto& c : children_) n += c.unescaped_size();
   return n;
 }
 
-void Element::write(std::string& out, int indent, bool pretty) const {
-  if (pretty) out.append(static_cast<std::size_t>(indent) * 2, ' ');
-  out += '<';
-  out += name_;
-  for (const auto& [k, v] : attrs_) {
-    out += ' ';
-    out += k;
-    out += "=\"";
-    escape_to(out, v);
-    out += '"';
+void Element::write(Writer& out) const {
+  out.start(name_);
+  for (const auto& [k, v] : attrs_) out.attr(k, v);
+  out.text(text_);
+  for (const auto& c : children_) c.write(out);
+  out.end(name_);
+}
+
+Writer& Writer::declaration() {
+  out_ += kDeclaration;
+  return *this;
+}
+
+void Writer::close_start_tag() {
+  if (!tag_open_) return;
+  out_ += '>';
+  tag_open_ = false;
+}
+
+Writer& Writer::start(std::string_view name) {
+  close_start_tag();
+  out_ += '<';
+  out_ += name;
+  tag_open_ = true;
+  return *this;
+}
+
+Writer& Writer::attr(std::string_view name, std::string_view value) { return attr(name, {value}); }
+
+Writer& Writer::attr(std::string_view name, std::initializer_list<std::string_view> parts) {
+  out_ += ' ';
+  out_ += name;
+  out_ += "=\"";
+  for (std::string_view part : parts) escape_to(out_, part);
+  out_ += '"';
+  return *this;
+}
+
+Writer& Writer::text(std::string_view text) {
+  if (text.empty()) return *this;
+  close_start_tag();
+  escape_to(out_, text);
+  return *this;
+}
+
+Writer& Writer::end(std::string_view name) {
+  if (tag_open_) {
+    out_ += "/>";
+    tag_open_ = false;
+    return *this;
   }
-  if (text_.empty() && children_.empty()) {
-    out += "/>";
-    if (pretty) out += '\n';
-    return;
-  }
-  out += '>';
-  escape_to(out, text_);
-  if (!children_.empty()) {
-    if (pretty) out += '\n';
-    for (const auto& c : children_) c.write(out, indent + 1, pretty);
-    if (pretty) out.append(static_cast<std::size_t>(indent) * 2, ' ');
-  }
-  out += "</";
-  out += name_;
-  out += '>';
-  if (pretty) out += '\n';
+  out_ += "</";
+  out_ += name;
+  out_ += '>';
+  return *this;
 }
 
 namespace {

@@ -6,8 +6,13 @@
 // the subset those dialects need: elements, attributes, text content, comments
 // (skipped), entity escaping, and an optional XML declaration. Namespaces are kept
 // as literal prefixes (the 2006-era dialects use fixed prefixes).
+//
+// Writer is the one emitter of XML syntax. Element::to_string walks its tree
+// through it, and the types that are only ever written (directory adverts,
+// shapes, USDL documents) write themselves through it without building a tree.
 #pragma once
 
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -17,6 +22,39 @@
 #include "common/result.hpp"
 
 namespace umiddle::xml {
+
+/// Streaming XML writer: appends one document to a string it owns. Calls nest
+/// like the document: start() opens an element, attr() adds to the start tag
+/// still open, text() and a child's start() close that tag with '>', and end()
+/// closes the element, as "/>" when it got no text and no child. Attribute
+/// values and text are escaped; names are written as given.
+class Writer {
+ public:
+  /// `reserve` sizes the buffer once, when the caller knows the length.
+  explicit Writer(std::size_t reserve = 0) { out_.reserve(reserve); }
+
+  /// The <?xml ...?> declaration; call it first.
+  Writer& declaration();
+  Writer& start(std::string_view name);
+  Writer& attr(std::string_view name, std::string_view value);
+  /// An attribute whose value is the concatenation of `parts`, written
+  /// without building it (a MIME type's "type", "/" and "subtype").
+  Writer& attr(std::string_view name, std::initializer_list<std::string_view> parts);
+  /// Empty text writes nothing, so the element may still self-close.
+  Writer& text(std::string_view text);
+  /// Close the innermost open element, whose name is `name`.
+  Writer& end(std::string_view name);
+
+  /// The document written so far.
+  std::string take() && { return std::move(out_); }
+
+ private:
+  /// Write the '>' of a start tag that is still open.
+  void close_start_tag();
+
+  std::string out_;
+  bool tag_open_ = false;  ///< a start tag awaits its '>' or "/>"
+};
 
 /// An XML element: name, attributes, child elements, and concatenated text.
 class Element {
@@ -62,16 +100,16 @@ class Element {
   /// Local part of the element name (strips any "prefix:").
   std::string_view local_name() const;
 
-  /// Serialize. `pretty` adds indentation; `declaration` prepends <?xml ...?>.
-  std::string to_string(bool pretty = false, bool declaration = false) const;
+  /// Serialize through a Writer; `declaration` prepends <?xml ...?>.
+  std::string to_string(bool declaration = false) const;
 
   bool operator==(const Element&) const = default;
 
  private:
-  void write(std::string& out, int indent, bool pretty) const;
-  /// Length of write()'s output when no character needs escaping: one pass
-  /// over the tree, so to_string() reserves its buffer once.
-  std::size_t unescaped_size(int indent, bool pretty) const;
+  void write(Writer& out) const;
+  /// Length of the serialized tree when no character needs escaping: one
+  /// pass over the tree, so to_string() reserves its buffer once.
+  std::size_t unescaped_size() const;
 
   std::string name_;
   std::string text_;

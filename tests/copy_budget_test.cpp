@@ -6,9 +6,11 @@
 //     where its bytes change form;
 //   * how many heap blocks of any size one message costs on the Fig. 11
 //     MediaBroker echo and on a remote UMTP DATA path. A frame is built in one
-//     buffer of its exact size.
-// A reintroduced copy or a regrowing encoder raises a count and fails a test
-// by name.
+//     buffer of its exact size;
+//   * how many heap blocks one Runtime::map costs with its first announce,
+//     which is written in one pass without an element tree (DESIGN.md §8.3).
+// A reintroduced copy, a regrowing encoder or a tree on the announce path
+// raises a count and fails a test by name.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -292,6 +294,46 @@ TEST(CopyBudgetTest, RemoteUmtpDataStaysWithinItsAllocationBudget) {
       << "a remote UMTP DATA message made " << per_message << " heap allocations; the budget is "
       << kAllocsPerUmtpData << ". A frame encoder regrowing its buffer, or a copy on the "
       << "UMTP path? (DESIGN.md §8.4)";
+}
+
+/// Heap allocations of one Runtime::map of a three-port translator on a
+/// started runtime, its first announce included (Ablation A's per-translator
+/// cost): the runtime's translator record, the directory's copy of the
+/// profile's ports, its table entry and listener snapshot, and the announce's
+/// text, its payload bytes and their shared block. 31 while the advert was
+/// built as an element tree and then serialized, its MIME types as strings.
+constexpr double kAllocsPerFirstAnnounce = 7.5;
+
+TEST(CopyBudgetTest, FirstAnnounceStaysWithinItsAllocationBudget) {
+  sim::Scheduler sched;
+  net::Network net{sched, 1};
+  const net::SegmentId lan = net.add_segment(net::SegmentSpec{});
+  ASSERT_TRUE(net.add_host("node").ok());
+  ASSERT_TRUE(net.attach("node", lan).ok());
+  core::Runtime runtime(sched, net, "node");
+  ASSERT_TRUE(runtime.start().ok());
+  sched.run_for(seconds(1));
+  const MimeType octets = MimeType::of("application/octet-stream");
+
+  const double per_map = allocations_per_message(20, 200, [&](int i, auto start) {
+    core::Shape shape;
+    for (int p = 0; p < 3; ++p) {
+      const core::Direction dir = p % 2 == 0 ? core::Direction::input : core::Direction::output;
+      if (!shape.add({"p" + std::to_string(p), core::PortKind::digital, dir, octets, ""}).ok()) {
+        return false;
+      }
+    }
+    auto device = std::make_unique<core::LambdaDevice>("t" + std::to_string(i), std::move(shape));
+    sched.run_for(sim::milliseconds(100));  // the last advert delivered, outside the window
+    start();
+    return runtime.map(std::move(device)).ok();
+  });
+  ASSERT_GE(per_map, 0) << "a map failed";
+  RecordProperty("allocs_per_first_announce", std::to_string(per_map));
+  EXPECT_LE(per_map, kAllocsPerFirstAnnounce)
+      << "a Runtime::map made " << per_map << " heap allocations; the budget is "
+      << kAllocsPerFirstAnnounce << ". An XML tree or a copy back on the announce path? "
+      << "(DESIGN.md §8.3)";
 }
 
 }  // namespace

@@ -102,6 +102,42 @@ TEST(RuntimeTest, StartFailsForUnknownHost) {
   EXPECT_FALSE(r.start().ok());
 }
 
+// The advert bytes are a wire format: these literals were written by the
+// element-tree serializer that announce_text replaced, and every runtime,
+// forged advert and fuzz row now sends announce_text's bytes.
+TEST(DirectoryTest, AnnounceTextIsThePinnedAdvert) {
+  TranslatorProfile p;
+  p.id = TranslatorId((7ull << 32) | 3);
+  p.node = NodeId(7);
+  p.name = "Tom & Jerry's <\"Camera\">";
+  p.platform = "bluetooth";
+  p.device_type = "urn:x-bt:bip&imaging";
+  ASSERT_TRUE(p.shape
+                  .add({"image<out>", PortKind::digital, Direction::output, jpeg(),
+                        "photos & \"stills\""})
+                  .ok());
+  ASSERT_TRUE(p.shape
+                  .add({"lamp's", PortKind::physical, Direction::output,
+                        MimeType::of("visible/light"), ""})
+                  .ok());
+  ASSERT_TRUE(
+      p.shape.add({"ctl", PortKind::digital, Direction::input, MimeType::of("text/plain"), ""})
+          .ok());
+  const NodeInfo sender{NodeId(9), "host-b", 7702};
+  EXPECT_EQ(announce_text(p, sender),
+            "<umiddle-adv type=\"announce\" node=\"9\" host=\"host-b\" umtp-port=\"7702\">"
+            "<translator id=\"30064771075\" name=\"Tom &amp; Jerry&apos;s &lt;&quot;Camera&quot;&gt;\""
+            " platform=\"bluetooth\" device-type=\"urn:x-bt:bip&amp;imaging\" node=\"7\"><shape>"
+            "<digital-port name=\"image&lt;out&gt;\" direction=\"output\" mime=\"image/jpeg\""
+            " description=\"photos &amp; &quot;stills&quot;\"/>"
+            "<physical-port name=\"lamp&apos;s\" direction=\"output\" tag=\"visible/light\"/>"
+            "<digital-port name=\"ctl\" direction=\"input\" mime=\"text/plain\"/>"
+            "</shape></translator></umiddle-adv>");
+  EXPECT_EQ(bye_text(p.id, sender),
+            "<umiddle-adv type=\"bye\" node=\"9\" host=\"host-b\" umtp-port=\"7702\""
+            " translator-id=\"30064771075\"/>");
+}
+
 TEST(DirectoryTest, AdvertisementsPropagateAcrossRuntimes) {
   World w;
   w.start_all();
@@ -195,15 +231,10 @@ TEST(DirectoryTest, AdvertFromAnotherSocketOnTheSameHostIsLearned) {
   p.name = "Neighbour";
   p.platform = "upnp";
   p.shape = make_source_shape("out", jpeg());
-  xml::Element adv("umiddle-adv");
-  adv.set_attr("type", "announce");
-  adv.set_attr("node", "999");
-  adv.set_attr("host", "hostA");
-  adv.set_attr("umtp-port", "7702");
-  adv.add_child(p.to_xml());
+  const std::string adv = announce_text(p, NodeInfo{NodeId(999), "hostA", 7702});
   ASSERT_TRUE(w.net
                   .udp_multicast(other.value(), w.net.group(config.group), config.directory_port,
-                                 make_payload(to_bytes(adv.to_string())))
+                                 make_payload(to_bytes(adv)))
                   .ok());
   w.settle();
   const NodeInfo* info = w.a->directory().node_info(NodeId(999));
@@ -276,13 +307,7 @@ TEST(DirectoryTest, RefreshAnnouncesEveryLocalInIdOrder) {
     next_tick = w.sched.now() + period;
   };
   auto announce = [&](const TranslatorProfile& p) {
-    xml::Element adv("umiddle-adv");
-    adv.set_attr("type", "announce");
-    adv.set_attr("node", w.a->node().to_string());
-    adv.set_attr("host", "hostA");
-    adv.set_attr("umtp-port", std::to_string(config.umtp_port));
-    adv.add_child(p.to_xml());
-    return adv.to_string();
+    return announce_text(p, NodeInfo{w.a->node(), "hostA", config.umtp_port});
   };
 
   std::size_t most = 0, republished = 0;

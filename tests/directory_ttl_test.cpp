@@ -30,17 +30,12 @@ struct World {
     p.name = "Ghost device";
     p.platform = "upnp";
     p.shape = make_source_shape("out", MimeType::of("image/jpeg"));
-    xml::Element adv("umiddle-adv");
-    adv.set_attr("type", "announce");
-    adv.set_attr("node", "999");
-    adv.set_attr("host", "ghost");
-    adv.set_attr("umtp-port", "7701");
-    adv.add_child(p.to_xml());
+    const std::string adv = announce_text(p, NodeInfo{NodeId(999), "ghost", 7701});
     ASSERT_TRUE(net.join_group("ghost", config.group).ok());
     auto ghost = net.udp_bind({"ghost", config.directory_port}, [](auto, auto&) {});
     ASSERT_TRUE(ghost.ok());
     ASSERT_TRUE(net.udp_multicast(ghost.value(), net.group(config.group), config.directory_port,
-                                  make_payload(to_bytes(adv.to_string())))
+                                  make_payload(to_bytes(adv)))
                     .ok());
   }
 };

@@ -249,28 +249,19 @@ TEST(HotpathEquivalenceTest, DirectorySurvivesExpireRepublishCrashInterleavings)
   auto forge_announce_as = [&](std::uint64_t sender, std::uint64_t id, std::uint64_t owner) {
     core::TranslatorProfile p = random_profile(id, rng);
     p.node = NodeId(owner);
-    xml::Element adv("umiddle-adv");
-    adv.set_attr("type", "announce");
-    adv.set_attr("node", std::to_string(sender));
-    adv.set_attr("host", "ghost");
-    adv.set_attr("umtp-port", "7701");
-    adv.add_child(p.to_xml());
+    const std::string adv = core::announce_text(p, core::NodeInfo{NodeId(sender), "ghost", 7701});
     ASSERT_TRUE(net.udp_multicast(ghost.value(), group, cfg.directory_port,
-                                  make_payload(to_bytes(adv.to_string())))
+                                  make_payload(to_bytes(adv)))
                     .ok());
   };
   auto forge_announce = [&](std::uint64_t node, std::uint64_t k) {
     forge_announce_as(900 + node, ghost_id(node, k), 900 + node);
   };
   auto forge_bye_as = [&](std::uint64_t sender, std::uint64_t id) {
-    xml::Element bye("umiddle-adv");
-    bye.set_attr("type", "bye");
-    bye.set_attr("node", std::to_string(sender));
-    bye.set_attr("host", "ghost");
-    bye.set_attr("umtp-port", "7701");
-    bye.set_attr("translator-id", std::to_string(id));
+    const std::string bye =
+        core::bye_text(TranslatorId(id), core::NodeInfo{NodeId(sender), "ghost", 7701});
     ASSERT_TRUE(net.udp_multicast(ghost.value(), group, cfg.directory_port,
-                                  make_payload(to_bytes(bye.to_string())))
+                                  make_payload(to_bytes(bye)))
                     .ok());
   };
   auto local_id = [](std::uint64_t k) { return (1ull << 32) | (1 + k); };

@@ -448,6 +448,59 @@ TEST(MbServerTest, OnlyTheProducerRetiresItsStream) {
   EXPECT_EQ(consumer.frames_received(), 1u);
 }
 
+// A PRODUCE from a connection that does not own the stream neither retypes
+// it nor announces it; once the producer drops, the stream may be claimed.
+TEST(MbServerTest, OnlyTheProducerRetypesItsStream) {
+  Lan f;
+  f.add_host("broker");
+  f.add_host("prod");
+  f.add_host("other");
+  f.add_host("watch");
+  mb::MbServer server(f.net, "broker");
+  ASSERT_TRUE(server.start().ok());
+  auto producer = std::make_unique<mb::MbClient>(f.net, "prod", server.endpoint());
+  mb::MbClient other(f.net, "other", server.endpoint());
+  mb::MbClient watcher(f.net, "watch", server.endpoint());
+  std::vector<std::pair<std::string, std::string>> seen;
+  watcher.on_announce([&](const std::string& s, const std::string& type, bool alive) {
+    if (alive) seen.emplace_back(s, type);
+  });
+  ASSERT_TRUE(producer->connect().ok());
+  ASSERT_TRUE(other.connect().ok());
+  ASSERT_TRUE(watcher.connect().ok());
+  ASSERT_TRUE(watcher.watch().ok());
+  ASSERT_TRUE(producer->produce("cam", "image/jpeg").ok());
+  f.sched.run();
+  ASSERT_TRUE(other.produce("cam", "application/octet-stream").ok());
+  f.sched.run();
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, std::string>>{{"cam", "image/jpeg"}}));
+
+  // A watcher that connects now is announced the producer's type.
+  mb::MbClient late(f.net, "watch", server.endpoint());
+  std::vector<std::pair<std::string, std::string>> late_seen;
+  late.on_announce([&](const std::string& s, const std::string& type, bool alive) {
+    if (alive) late_seen.emplace_back(s, type);
+  });
+  ASSERT_TRUE(late.connect().ok());
+  ASSERT_TRUE(late.watch().ok());
+  f.sched.run();
+  EXPECT_EQ(late_seen, (std::vector<std::pair<std::string, std::string>>{{"cam", "image/jpeg"}}));
+
+  // The producer's own PRODUCE still retypes it.
+  ASSERT_TRUE(producer->produce("cam", "image/png").ok());
+  f.sched.run();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen.back().second, "image/png");
+
+  // With its producer gone, the stream is unowned and another connection claims it.
+  producer->close();
+  f.sched.run();
+  ASSERT_TRUE(other.produce("cam", "application/octet-stream").ok());
+  f.sched.run();
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen.back(), (std::pair<std::string, std::string>{"cam", "application/octet-stream"}));
+}
+
 TEST(MbMapperTest, ImportsStreamAndBridgesBothDirections) {
   Lan f;
   f.add_host("broker");

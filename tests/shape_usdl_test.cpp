@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rand.hpp"
+#include "core/directory.hpp"
 #include "core/profile.hpp"
 #include "core/qos.hpp"
 #include "core/shape.hpp"
@@ -98,7 +99,11 @@ TEST(ShapeTest, Connectable) {
 
 TEST(ShapeTest, XmlRoundTrip) {
   Shape s = printer_shape();
-  auto back = Shape::from_xml(s.to_xml());
+  xml::Writer out;
+  s.write(out);
+  auto doc = xml::parse(std::move(out).take());
+  ASSERT_TRUE(doc.ok());
+  auto back = Shape::from_xml(doc.value());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), s);
 }
@@ -219,7 +224,10 @@ TEST(ProfileTest, XmlRoundTrip) {
   p.device_type = "urn:schemas-upnp-org:device:MediaRenderer:1";
   p.shape = tv_shape();
 
-  auto back = TranslatorProfile::from_xml(p.to_xml());
+  auto advert = xml::parse(announce_text(p, NodeInfo{NodeId(9), "host-b", 7702}));
+  ASSERT_TRUE(advert.ok());
+  ASSERT_NE(advert.value().child("translator"), nullptr);
+  auto back = TranslatorProfile::from_xml(*advert.value().child("translator"));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value().id, p.id);
   EXPECT_EQ(back.value().node, p.node);
@@ -368,9 +376,10 @@ TEST(UsdlTest, RejectsInvalidDocuments) {
 TEST(UsdlTest, SerializeParseRoundTrip) {
   auto doc = parse_usdl(kLightUsdl);
   ASSERT_TRUE(doc.ok());
-  auto again = parse_usdl(to_xml(doc.value()).to_string());
+  auto again = parse_usdl(usdl_text(doc.value()));
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(to_xml(again.value()).to_string(), to_xml(doc.value()).to_string());
+  EXPECT_EQ(again.value(), doc.value());
+  EXPECT_EQ(usdl_text(again.value()), usdl_text(doc.value()));
 }
 
 TEST(UsdlLibraryTest, FindAndOverride) {
