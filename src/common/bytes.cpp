@@ -1,23 +1,26 @@
 #include "common/bytes.hpp"
 
+#include <array>
+
 namespace umiddle {
 
-void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
+namespace {
+
+/// Append the low N bytes of `v`, most significant first, in one insert.
+template <std::size_t N>
+void append_be(Bytes& buf, std::uint64_t v) {
+  std::array<std::uint8_t, N> be;
+  for (std::size_t i = 0; i < N; ++i) be[i] = static_cast<std::uint8_t>(v >> (8 * (N - 1 - i)));
+  buf.insert(buf.end(), be.begin(), be.end());
 }
 
-void ByteWriter::u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+}  // namespace
 
-void ByteWriter::u64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void ByteWriter::u16(std::uint16_t v) { append_be<2>(buf_, v); }
+
+void ByteWriter::u32(std::uint32_t v) { append_be<4>(buf_, v); }
+
+void ByteWriter::u64(std::uint64_t v) { append_be<8>(buf_, v); }
 
 void ByteWriter::bytes(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());

@@ -141,7 +141,7 @@ void Runtime::add_mapper(std::unique_ptr<Mapper> mapper) {
   if (started_) raw->start(*this);
 }
 
-Result<void> Runtime::route_emit(const PortRef& src, Message msg) {
+Result<void> Runtime::route_emit(const PortRef& src, Message&& msg) {
   // Telemetry ingress: every message entering the intermediary space carries a
   // trace id from here on (kept if the emitter already attributed one).
   if (msg.trace == 0) msg.trace = net_.tracer().new_trace();

@@ -132,7 +132,7 @@ class Runtime {
 
   // --- called by translators -------------------------------------------------------
   /// Route a message emitted by a local translator (via Translator::emit).
-  [[nodiscard]] Result<void> route_emit(const PortRef& src, Message msg);
+  [[nodiscard]] Result<void> route_emit(const PortRef& src, Message&& msg);
   /// A translator's input became ready again; resume blocked paths.
   void notify_ready(TranslatorId id);
 

@@ -18,7 +18,8 @@ Result<void> Translator::emit(const std::string& port, Message msg) {
   return route(port, profile_.shape.find(port), std::move(msg));
 }
 
-Result<void> Translator::route(const std::string& port, const PortSpec* spec, Message msg) {
+Result<void> Translator::route(const std::string& port, const PortSpec* spec,
+                               Message&& msg) {
   if (runtime_ == nullptr) {
     return make_error(Errc::internal, "translator not mapped: " + profile_.name);
   }
@@ -60,7 +61,8 @@ void UsdlTranslator::on_unmapped() {
 Result<void> UsdlTranslator::emit_typed(const std::string& port, Message msg) {
   const PortSpec* spec = profile().shape.find(port);
   if (spec != nullptr) {
-    msg.type = spec->type.is_wildcard() ? MimeType::of("application/octet-stream") : spec->type;
+    static const MimeType kOctetStream = MimeType::of("application/octet-stream");
+    msg.type = spec->type.is_wildcard() ? kOctetStream : spec->type;
   }
   return route(port, spec, std::move(msg));
 }

@@ -75,7 +75,8 @@ class Translator {
   friend class UsdlTranslator;
   /// emit() once `port` has been looked up: `spec` is its entry in our shape,
   /// or nullptr if there is none.
-  [[nodiscard]] Result<void> route(const std::string& port, const PortSpec* spec, Message msg);
+  [[nodiscard]] Result<void> route(const std::string& port, const PortSpec* spec,
+                                   Message&& msg);
 
   TranslatorProfile profile_;
   int hierarchy_entities_ = 0;

@@ -299,7 +299,7 @@ std::vector<PortRef> Transport::bound_destinations(PathId id) const {
 
 // --- routing ----------------------------------------------------------------------
 
-Result<void> Transport::route(const PortRef& src, Message msg) {
+Result<void> Transport::route(const PortRef& src, Message&& msg) {
   auto source = by_source_.find(src);
   if (source == by_source_.end()) return ok_result();
   // Block-policy admission first, and all-or-nothing: if any Block path's
@@ -704,7 +704,7 @@ void Transport::accept_peer(net::StreamPtr stream) {
   const std::uint64_t channel = stream->peer().value();
   recv_.open(channel);
   stream->on_data(net::frames<umtp::Reader>(*raw, [this, channel, raw](umtp::Frame& frame) {
-    handle_frame(std::move(frame), channel, *raw);
+    handle_frame(frame, channel, *raw);
   }));
   stream->on_close([this, raw, channel]() {
     std::erase_if(peer_streams_, [raw](const net::StreamPtr& s) { return s.get() == raw; });
@@ -718,7 +718,7 @@ void Transport::accept_peer(net::StreamPtr stream) {
   });
 }
 
-void Transport::handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stream& reply) {
+void Transport::handle_frame(umtp::Frame& frame, std::uint64_t channel, net::Stream& reply) {
   if (std::holds_alternative<umtp::AckFrame>(frame)) {
     log::Entry(log::Level::warn, "transport") << "unexpected ACK on accepted stream";
     return;
@@ -752,13 +752,14 @@ void Transport::handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stre
       instant(0, "deliver.dup-suppressed");
       return;
     }
-    auto inner = umtp::decode_body(seq->body);
-    if (!inner.ok()) {  // unreachable: the assembler validated it; stay safe
+    // The replayed frame is decoded in place of its envelope.
+    const Bytes body = std::move(seq->body);
+    if (auto inner = umtp::decode_body(body, frame); !inner.ok()) {
+      // unreachable: the assembler validated it; stay safe
       log::Entry(log::Level::warn, "transport")
           << "bad SEQ inner frame: " << inner.error().to_string();
       return;
     }
-    frame = std::move(inner).take();
     replayed = true;
   } else {
     recv_.count(channel);

@@ -115,7 +115,7 @@ class Transport final : public DirectoryListener {
   /// buffer is full — admission is all-or-nothing across the emit's paths, so
   /// a retried emit never double-delivers to the paths that had room. The
   /// message moves into the one shared_ptr its paths hold.
-  [[nodiscard]] Result<void> route(const PortRef& src, Message msg);
+  [[nodiscard]] Result<void> route(const PortRef& src, Message&& msg);
   /// A local translator became ready again; resume paths feeding it.
   void notify_ready(TranslatorId) { resume_paths(); }
 
@@ -256,8 +256,10 @@ class Transport final : public DirectoryListener {
   void accept_peer(net::StreamPtr stream);
   /// `channel` is the sending peer's stream id (Stream::peer() of the accepted
   /// stream) — the tracer baggage channel DATA trace ids arrive on. `reply`
-  /// carries ACKs back to the sender (streams are bidirectional).
-  void handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stream& reply);
+  /// carries ACKs back to the sender (streams are bidirectional). A DATA
+  /// frame's message is delivered from the reader's frame, where it was
+  /// decoded.
+  void handle_frame(umtp::Frame& frame, std::uint64_t channel, net::Stream& reply);
   /// Drain every path, if any is stalled: only a stalled path has work that
   /// a ready destination or a drained link can start (DESIGN.md §8.7).
   void resume_paths();

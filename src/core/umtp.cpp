@@ -76,19 +76,20 @@ Bytes encode_seq_body(std::uint64_t seq, std::span<const std::uint8_t> body) {
 
 Bytes encode_one(const SeqFrame& seq) { return encode_seq_body(seq.seq, seq.body); }
 
-/// The frame a body decoded to, once every field was there and nothing is left.
-Result<Frame> complete(const ByteReader& r, Frame frame, const char* name) {
+/// A body decoded, once every field was there and nothing is left.
+Result<void> complete(const ByteReader& r, const char* name) {
   if (!r.ok()) return r.error();
   if (!r.at_end()) {
     return make_error(Errc::protocol_error, std::string("trailing bytes in ") + name + " frame");
   }
-  return frame;
+  return ok_result();
 }
 
-Result<Frame> decode_data(ByteReader& r, std::int64_t deadline_ns) {
-  DataFrame f;
+/// The DATA fields, decoded straight into the frame's message.
+Result<void> decode_data(ByteReader& r, std::int64_t deadline_ns, DataFrame& f) {
   f.message.deadline_ns = deadline_ns;
-  f.dst = PortRef{TranslatorId(r.u64()), r.str16()};
+  f.dst.translator = TranslatorId(r.u64());
+  f.dst.port = r.str16();
   const std::string_view mime_text = r.str16_view();
   if (!r.ok()) return r.error();
   auto mime = MimeType::parse(mime_text);
@@ -100,7 +101,7 @@ Result<Frame> decode_data(ByteReader& r, std::int64_t deadline_ns) {
     f.message.meta[std::move(key)] = r.str16();
   }
   f.message.payload = r.bytes(r.u32());
-  return complete(r, std::move(f), "DATA");
+  return complete(r, "DATA");
 }
 
 }  // namespace
@@ -145,17 +146,18 @@ Bytes encode_seq(std::uint64_t seq, const Bytes& prefixed_frame) {
   return encode_seq_body(seq, std::span<const std::uint8_t>(prefixed_frame).subspan(4));
 }
 
-Result<Frame> decode_body(std::span<const std::uint8_t> body) {
+Result<void> decode_body(std::span<const std::uint8_t> body, Frame& out) {
   ByteReader r(body);
   const std::uint8_t type = r.u8();
   if (!r.ok()) return r.error();
   switch (static_cast<FrameType>(type)) {
     case FrameType::data:
-      return decode_data(r, 0);
+      return decode_data(r, 0, out.emplace<DataFrame>());
     case FrameType::data_deadline:
-      return decode_data(r, static_cast<std::int64_t>(r.u64()));
+      return decode_data(r, static_cast<std::int64_t>(r.u64()), out.emplace<DataFrame>());
     case FrameType::connect: {
-      ConnectFrame f{PathId(r.u64()), PortRef{TranslatorId(r.u64()), r.str16()}, {}};
+      auto& f = out.emplace<ConnectFrame>(
+          ConnectFrame{PathId(r.u64()), PortRef{TranslatorId(r.u64()), r.str16()}, {}});
       const std::uint8_t kind = r.u8();
       if (!r.ok()) return r.error();
       if (kind == 1) {
@@ -171,16 +173,19 @@ Result<Frame> decode_body(std::span<const std::uint8_t> body) {
       } else {
         return make_error(Errc::protocol_error, "bad CONNECT dst kind");
       }
-      return complete(r, std::move(f), "CONNECT");
+      return complete(r, "CONNECT");
     }
     case FrameType::disconnect:
-      return complete(r, DisconnectFrame{PathId(r.u64())}, "DISCONNECT");
+      out = DisconnectFrame{PathId(r.u64())};
+      return complete(r, "DISCONNECT");
     case FrameType::ack:
-      return complete(r, AckFrame{r.u64(), r.u64()}, "ACK");
+      out = AckFrame{r.u64(), r.u64()};
+      return complete(r, "ACK");
     case FrameType::resume:
-      return complete(r, ResumeFrame{NodeId(r.u64()), r.u64(), r.u64(), r.u64()}, "RESUME");
+      out = ResumeFrame{NodeId(r.u64()), r.u64(), r.u64(), r.u64()};
+      return complete(r, "RESUME");
     case FrameType::seq: {
-      SeqFrame f{r.u64(), r.bytes(r.remaining())};
+      auto& f = out.emplace<SeqFrame>(SeqFrame{r.u64(), r.bytes(r.remaining())});
       if (!r.ok()) return r.error();
       // Validate the inner frame eagerly: only payload-class frames may be
       // replayed. A SEQ wrapping SEQ/ACK/RESUME (or garbage) is a protocol
@@ -194,10 +199,16 @@ Result<Frame> decode_body(std::span<const std::uint8_t> body) {
       }
       auto inner = decode_body(f.body);
       if (!inner.ok()) return inner.error();
-      return Frame{std::move(f)};
+      return ok_result();
     }
   }
   return make_error(Errc::protocol_error, "unknown frame type " + std::to_string(type));
+}
+
+Result<Frame> decode_body(std::span<const std::uint8_t> body) {
+  Frame frame;
+  if (auto decoded = decode_body(body, frame); !decoded.ok()) return decoded.error();
+  return frame;
 }
 
 Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer, std::vector<Frame>& out) {
@@ -208,9 +219,12 @@ Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer, std::vector
     return make_error(Errc::protocol_error, "frame too large: " + std::to_string(len));
   }
   if (r.remaining() < len) return 4 + len;  // incomplete: its full length
-  auto frame = decode_body(buffer.subspan(4, len));
-  if (!frame.ok()) return frame.error();
-  out.push_back(std::move(frame).take());
+  // Decoded in place, in the frame the reader hands on; a malformed body
+  // leaves no half-decoded frame behind.
+  if (auto decoded = decode_body(buffer.subspan(4, len), out.emplace_back()); !decoded.ok()) {
+    out.pop_back();
+    return decoded.error();
+  }
   return 4 + len;
 }
 

@@ -125,7 +125,14 @@ Bytes encode_seq(std::uint64_t seq, const Bytes& prefixed_frame);
 /// Incrementally reassembles frames from stream chunks.
 using Reader = FrameReader<Frame, next_frame>;
 
-/// Decode one frame body (without the u32 length prefix). Exposed for tests.
+/// Decode one frame body (without the u32 length prefix) into `out`, which
+/// the caller owns: a DATA body's fields go straight into its DataFrame, so
+/// a received message is built once, where it is delivered from. On an error
+/// `out` holds whatever was decoded so far.
+[[nodiscard]] Result<void> decode_body(std::span<const std::uint8_t> body, Frame& out);
+
+/// decode_body() into a fresh frame: the SEQ envelope's eager check of its
+/// inner frame, fuzz and tests.
 [[nodiscard]] Result<Frame> decode_body(std::span<const std::uint8_t> body);
 
 }  // namespace umiddle::core::umtp

@@ -85,7 +85,7 @@ void MbServer::handle(net::Stream* conn, WireFrame& wire_frame) {
     }
     case Op::data: {
       auto it = streams_.find(frame.stream);
-      if (it == streams_.end()) break;
+      if (it == streams_.end() || it->second.producer != conn) break;  // not its producer
       const Transform& transform = it->second.transform;
       // One wire buffer, shared by every consumer's stream: the frame as it
       // arrived, or a frame of the transformed payload.

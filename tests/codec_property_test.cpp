@@ -8,9 +8,12 @@
 //     obex::decode and motes::Reading::decode report the underrun at the first
 //     field that does not fit, with its literal parse_error message, or the
 //     protocol error the format puts ahead of it;
+//   * umtp::Reader, fed a frame whole or byte by byte, hands on the frame
+//     umtp::decode_body decodes, and fails a malformed one with its code;
 //   * every UMTP, MB and OBEX frame is built in one buffer of its exact size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -343,6 +346,148 @@ TEST(CodecPropertyTest, UmtpStrictPrefixesReportTheFirstMissingField) {
       }
     }
   }
+}
+
+// The UMTP reader decodes each frame in place: every frame it hands on, fed
+// whole or byte by byte, equals umtp::decode_body's, and every malformed body
+// fails it with decode_body's error code.
+
+Bytes data_with_meta(std::int64_t deadline_ns) {
+  core::Message m = core::Message::text(MimeType::of("image/jpeg"), "pixels");
+  m.meta["name"] = "photo.jpg";
+  m.meta["origin"] = "lab-3";
+  return umtp::encode_data(core::PortRef{TranslatorId(42), "photo-in"}, m, deadline_ns);
+}
+
+/// One wire frame of every UMTP kind.
+std::vector<Bytes> every_umtp_kind() {
+  core::Query query;
+  query.digital_input(MimeType::of("image/*"));
+  query.platform("upnp");
+  ByteWriter ack;  // only the transport builds an AckFrame; the test writes its bytes
+  ack.u8(static_cast<std::uint8_t>(umtp::FrameType::ack));
+  ack.u64(7);
+  ack.u64(12);
+  const core::PortRef src{TranslatorId(3), "out"};
+  return {
+      data_with_meta(0),
+      data_with_meta(5'000'000'000),
+      umtp::encode(umtp::ConnectFrame{PathId(9), src, core::PortRef{TranslatorId(4), "in"}}),
+      umtp::encode(umtp::ConnectFrame{PathId(10), src, std::move(query)}),
+      umtp::encode(umtp::DisconnectFrame{PathId(11)}),
+      length_prefixed(ack.take()),
+      umtp::encode(umtp::ResumeFrame{NodeId(2), 5, 6, 7}),
+      umtp::encode_seq(77, data_with_meta(0)),
+      umtp::encode_seq(78, data_with_meta(9)),
+  };
+}
+
+/// decode_body's verdict on a wire frame: its fields, or its error.
+Result<std::string> decode_body_of(const Bytes& wire) {
+  auto frame = umtp::decode_body(std::span(wire).subspan(4));
+  if (!frame.ok()) return frame.error();
+  return fields_of(frame.value());
+}
+
+/// The reader's verdict on `wire` fed in chunks of `chunk` bytes: the fields
+/// of each frame it hands on, or the error that poisoned it.
+Result<std::vector<std::string>> read_umtp(const Bytes& wire, std::size_t chunk) {
+  umtp::Reader reader;
+  std::vector<umtp::Frame> out;
+  for (std::size_t at = 0; at < wire.size(); at += chunk) {
+    const auto piece = std::span(wire).subspan(at, std::min(chunk, wire.size() - at));
+    if (auto fed = reader.feed(piece, out); !fed.ok()) return fed.error();
+  }
+  std::vector<std::string> fields;
+  for (const umtp::Frame& frame : out) fields.push_back(fields_of(frame));
+  return fields;
+}
+
+TEST(CodecPropertyTest, UmtpReaderHandsOnDecodeBodysFrameWholeAndByteByByte) {
+  Bytes all;
+  std::vector<std::string> expected;
+  for (const Bytes& wire : every_umtp_kind()) {
+    const auto decoded = decode_body_of(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+    for (const std::size_t chunk : {wire.size(), std::size_t{1}}) {
+      const auto read = read_umtp(wire, chunk);
+      ASSERT_TRUE(read.ok()) << read.error().to_string();
+      EXPECT_EQ(read.value(), std::vector<std::string>{decoded.value()}) << "chunk " << chunk;
+    }
+    all.insert(all.end(), wire.begin(), wire.end());
+    expected.push_back(decoded.value());
+  }
+  for (const std::size_t chunk : {all.size(), std::size_t{1}}) {
+    const auto read = read_umtp(all, chunk);
+    ASSERT_TRUE(read.ok()) << read.error().to_string();
+    EXPECT_EQ(read.value(), expected) << "chunk " << chunk;
+  }
+}
+
+/// `wire` with its last `n` bytes cut and its length prefix made to agree:
+/// a complete frame whose body ends inside its fields.
+Bytes cut_body(const Bytes& wire, std::size_t n) {
+  return length_prefixed(Bytes(wire.begin() + 4, wire.end() - static_cast<std::ptrdiff_t>(n)));
+}
+
+TEST(CodecPropertyTest, UmtpReaderFailsMalformedBodiesWithDecodeBodysCode) {
+  ByteWriter bad_kind;
+  bad_kind.u8(static_cast<std::uint8_t>(umtp::FrameType::connect));
+  bad_kind.u64(1);
+  bad_kind.u64(2);
+  bad_kind.str16("out");
+  bad_kind.u8(3);
+  const Bytes disconnect = umtp::encode(umtp::DisconnectFrame{PathId(11)});
+  Bytes trailing(disconnect.begin() + 4, disconnect.end());
+  trailing.push_back(0);
+  core::Message untyped;
+  const Bytes bad_mime = umtp::encode_data(core::PortRef{TranslatorId(1), "in"}, untyped);
+  Bytes mime_without_slash(bad_mime.begin() + 4, bad_mime.end());
+  mime_without_slash[1 + 8 + 2 + 2 + 2 + 1] = '-';  // "*/*" becomes "*-*"
+  ByteWriter seq_of_ack;
+  seq_of_ack.u8(static_cast<std::uint8_t>(umtp::FrameType::seq));
+  seq_of_ack.u64(1);
+  seq_of_ack.u8(static_cast<std::uint8_t>(umtp::FrameType::ack));
+  const std::vector<Bytes> malformed = {
+      length_prefixed(Bytes{0x09}),
+      length_prefixed(bad_kind.take()),
+      length_prefixed(trailing),
+      length_prefixed(mime_without_slash),
+      length_prefixed(seq_of_ack.take()),
+      cut_body(data_with_meta(0), 1),
+      cut_body(data_with_meta(7), 10),
+      cut_body(umtp::encode_seq(5, data_with_meta(0)), 3),
+  };
+  for (const Bytes& wire : malformed) {
+    const auto decoded = decode_body_of(wire);
+    ASSERT_FALSE(decoded.ok()) << hex(wire);
+    for (const std::size_t chunk : {wire.size(), std::size_t{1}}) {
+      const auto read = read_umtp(wire, chunk);
+      ASSERT_FALSE(read.ok()) << hex(wire);
+      EXPECT_EQ(read.error().code, decoded.error().code) << read.error().to_string();
+    }
+  }
+}
+
+TEST(CodecPropertyTest, UmtpReaderLeavesNoHalfDecodedFrameAfterAMalformedOne) {
+  const Bytes valid = data_with_meta(0);
+  const Bytes truncated = cut_body(data_with_meta(3), 4);
+  Bytes chunk = valid;
+  chunk.insert(chunk.end(), truncated.begin(), truncated.end());
+  umtp::Reader reader;
+  std::vector<umtp::Frame> out;
+  const auto fed = reader.feed(chunk, out);
+  ASSERT_FALSE(fed.ok());
+  EXPECT_TRUE(reader.poisoned());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(fields_of(out[0]), decode_body_of(valid).value());
+  EXPECT_FALSE(reader.feed(valid, out).ok());
+  EXPECT_EQ(out.size(), 1u);
+
+  // The decode step alone appends nothing for a malformed frame.
+  std::vector<umtp::Frame> step_out;
+  EXPECT_FALSE(umtp::next_frame(truncated, step_out).ok());
+  EXPECT_TRUE(step_out.empty());
 }
 
 // --- OBEX ------------------------------------------------------------------------

@@ -501,6 +501,38 @@ TEST(MbServerTest, OnlyTheProducerRetypesItsStream) {
   EXPECT_EQ(seen.back(), (std::pair<std::string, std::string>{"cam", "application/octet-stream"}));
 }
 
+// DATA from a connection that does not own the stream is not forwarded: only
+// its producer feeds a stream's consumers.
+TEST(MbServerTest, OnlyTheProducerFeedsItsStream) {
+  Lan f;
+  f.add_host("broker");
+  f.add_host("prod");
+  f.add_host("cons");
+  f.add_host("other");
+  mb::MbServer server(f.net, "broker");
+  ASSERT_TRUE(server.start().ok());
+  mb::MbClient producer(f.net, "prod", server.endpoint());
+  mb::MbClient consumer(f.net, "cons", server.endpoint());
+  mb::MbClient other(f.net, "other", server.endpoint());
+  ASSERT_TRUE(producer.connect().ok());
+  ASSERT_TRUE(consumer.connect().ok());
+  ASSERT_TRUE(other.connect().ok());
+  ASSERT_TRUE(producer.produce("cam", "image/jpeg").ok());
+  ASSERT_TRUE(consumer.consume("cam").ok());
+  f.sched.run();
+
+  ASSERT_TRUE(other.send("cam", Bytes(300)).ok());
+  f.sched.run();
+  EXPECT_EQ(consumer.frames_received(), 0u);
+  EXPECT_EQ(server.frames_forwarded(), 0u);
+
+  ASSERT_TRUE(producer.send("cam", Bytes(200)).ok());
+  f.sched.run();
+  EXPECT_EQ(consumer.frames_received(), 1u);
+  EXPECT_EQ(consumer.bytes_received(), 200u);
+  EXPECT_EQ(server.frames_forwarded(), 1u);
+}
+
 TEST(MbMapperTest, ImportsStreamAndBridgesBothDirections) {
   Lan f;
   f.add_host("broker");

@@ -150,6 +150,14 @@ exist to keep nondeterminism from leaking back in:
                calls run one at a time through core::UsdlTranslator's
                run_native/native_done, so the serial-call rule and its
                readiness have one implementation (DESIGN.md §7.7).
+  message-moves-once
+               in src/core/, no function takes a core::Message or a
+               umtp::Frame by value (Translator::emit and
+               UsdlTranslator::emit_typed, the public entry, excepted): an
+               emitted message moves once, into the shared Message its paths
+               hold, and a received one is decoded into the reader's frame
+               and delivered from there, so a by-value parameter on the hop
+               is a hidden move of every message (DESIGN.md §8.4).
   ascii-text   outside src/common/strings.*, nothing in src/ names
                isspace, isalpha, isalnum, isdigit, isxdigit, tolower or
                toupper: protocol text is classified by the constexpr ASCII
@@ -786,6 +794,48 @@ def check_sized_frame(path: str, code: str) -> Iterable[Violation]:
                             "with ByteWriter(exact)")
 
 
+# A message moves once per hop (DESIGN.md §8.4): a by-value Message or
+# umtp::Frame parameter moves (or copies) every message that crosses the call.
+# Inside src/core/umtp.* the frame type is spelled plain `Frame`.
+MOVES_ONCE_DIR = "src/core/"
+MOVES_ONCE_EXEMPT = {"emit", "emit_typed"}
+BY_VALUE_PARAM = r"[(,]\s*(?:const\s+)?(?:core::)?(?:Message|%s)\s+\w+\s*[,)=]"
+BY_VALUE_PARAM_RE = re.compile(BY_VALUE_PARAM % r"umtp::Frame")
+BY_VALUE_UMTP_PARAM_RE = re.compile(BY_VALUE_PARAM % r"(?:umtp::)?Frame")
+NAME_BEFORE_RE = re.compile(r"(\w*)\s*$")
+
+
+def enclosing_open(code: str, at: int) -> int:
+    """Index of the unmatched bracket that encloses code[at], or -1."""
+    depth = 0
+    for i in range(at - 1, -1, -1):
+        c = code[i]
+        if c in ")]}":
+            depth += 1
+        elif c in "([{":
+            if depth == 0:
+                return i
+            depth -= 1
+    return -1
+
+
+def check_message_moves_once(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith(MOVES_ONCE_DIR):
+        return
+    param = BY_VALUE_UMTP_PARAM_RE if path.startswith("src/core/umtp.") else BY_VALUE_PARAM_RE
+    for m in param.finditer(code):
+        open_at = m.start() if code[m.start()] == "(" else enclosing_open(code, m.start())
+        if open_at < 0 or code[open_at] != "(":
+            continue
+        name = NAME_BEFORE_RE.search(code, max(0, open_at - 80), open_at).group(1)
+        if name in MOVES_ONCE_EXEMPT:
+            continue
+        yield Violation("message-moves-once", path, code.count("\n", 0, m.start() + 1) + 1,
+                        "Message or umtp::Frame taken by value; take `Message&&` "
+                        "or `Frame&` so a message moves once per hop "
+                        "(DESIGN.md §8.4)")
+
+
 # Span names are interned (DESIGN.md §9.2): a name built at run time would
 # add one table entry per distinct value.
 SPAN_CALL_RE = re.compile(r"\b(?:begin_span|instant)\s*\(")
@@ -879,6 +929,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_byte_order,
     check_one_path_queue,
     check_sized_frame,
+    check_message_moves_once,
     check_span_name_literal,
     check_ascii_text,
     check_one_native_queue,
@@ -1048,6 +1099,17 @@ SEEDED_VIOLATIONS = [
      "ByteWriter w;\n"
      "ByteWriter out{};\n"
      "return ByteWriter().take();\n"),
+    ("message-moves-once", "src/core/transport.hpp",
+     "  [[nodiscard]] Result<void> route(const PortRef& src, Message msg);\n"),
+    ("message-moves-once", "src/core/transport.hpp",
+     "  void handle_frame(umtp::Frame frame, std::uint64_t channel, net::Stream& reply);\n"),
+    ("message-moves-once", "src/core/runtime.cpp",
+     "Result<void> Runtime::route_emit(const PortRef& src,\n"
+     "                                 const core::Message msg) {\n"),
+    ("message-moves-once", "src/core/umtp.cpp",
+     "Result<Frame> complete(const ByteReader& r, Frame frame, const char* name) {\n"),
+    ("message-moves-once", "src/core/evil.cpp",
+     "auto on_frame = [this](umtp::Frame frame) { handle(frame); };\n"),
     ("span-name-literal", "src/core/evil.cpp",
      'tracer().instant(trace, "deliver." + fate, runtime_.host(), now());\n'),
     ("one-http-head", "src/upnp/ssdp.cpp",
@@ -1217,6 +1279,26 @@ CLEAN_SNIPPETS = [
      "tracer().begin_span(trace, span_ids_.translate, span_ids_.track, now());\n"),
     ("src/upnp/http.cpp",
      'constexpr std::string_view kBlankLine = "\\r\\n\\r\\n";\n'),
+    ("src/core/translator.hpp",
+     "// a route(const PortRef& src, Message msg) in a comment is fine\n"
+     "[[nodiscard]] Result<void> emit(const std::string& port, Message msg);\n"
+     "[[nodiscard]] Result<void> emit_typed(const std::string& port, Message msg);\n"
+     "[[nodiscard]] Result<void> route(const std::string& port, const PortSpec* spec,\n"
+     "                                 Message&& msg);\n"
+     "void deliver(const PortRef& dst, const Message& msg, PathStats* path);\n"
+     "static Message text(MimeType type, std::string_view body);\n"),
+    ("src/core/transport.cpp",
+     "stream->on_data(net::frames<umtp::Reader>(*raw, [this](umtp::Frame& frame) { use(frame); }));\n"
+     "Message msg;\n"
+     "for (const Message& m : sent) { use(m); }\n"
+     "const auto shared = std::make_shared<const Message>(std::move(msg));\n"
+     "if (auto* data = std::get_if<umtp::DataFrame>(&frame)) { use(*data); }\n"),
+    ("src/core/umtp.cpp",
+     "Result<void> decode_body(std::span<const std::uint8_t> body, Frame& out);\n"
+     "Bytes encode(const Frame& frame);\n"
+     "Frame frame;\n"),
+    ("src/apps/fine.cpp",
+     "void keep(core::Message msg) { kept_.push_back(std::move(msg)); }\n"),
     ("src/common/strings.hpp",
      '/// Split on a multi-character separator (e.g. "\\r\\n"); empty fields are kept.\n'
      "constexpr bool is_space(char c) { return c == ' ' || (c >= '\\t' && c <= '\\r'); }\n"),
