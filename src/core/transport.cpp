@@ -1,6 +1,7 @@
 #include "core/transport.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "common/log.hpp"
@@ -741,63 +742,59 @@ void Transport::handle_frame(umtp::Frame& frame, std::uint64_t channel, net::Str
         umtp::encode(umtp::Frame{umtp::AckFrame{resume->epoch, resumed.ack_count}}));
     return;
   }
+  // A payload frame the dedup window let through: a plain frame, or a
+  // replay's inner frame, decoded by the reader with its envelope.
+  const auto receive = [&](auto& payload, bool replayed) {
+    using Payload = std::remove_reference_t<decltype(payload)>;
+    if constexpr (std::is_same_v<Payload, umtp::DataFrame>) {
+      data_frames_rx_.inc();
+      // Claim the side-band baggage the sender staged for this DATA frame:
+      // close its wire span and re-attach the trace id the frame never
+      // carried. Replayed frames have none (their baggage died with the old
+      // stream).
+      if (!replayed) {
+        if (auto staged = tracer().take(channel)) {
+          payload.message.trace = staged->trace;
+          tracer().end_span(staged->span, now());
+          if (staged->span != 0) {
+            wire_ns_.observe(tracer().spans()[staged->span - 1].duration().count());
+          }
+        }
+      }
+      // Receiver-side deadline check: the wire crossing may have eaten the
+      // remaining budget (or the frame sat in an outage buffer).
+      if (deadline_passed(payload.message.deadline_ns, now().count())) {
+        retire(Fate::expired, nullptr, payload.message.trace);
+        return;
+      }
+      deliver(payload.dst, payload.message, nullptr);
+    } else if constexpr (std::is_same_v<Payload, umtp::ConnectFrame>) {
+      auto source = check_source(payload.src);
+      if (!source.ok() || source.value().node != runtime_.node()) {
+        log::Entry(log::Level::warn, "transport")
+            << "CONNECT rejected for source " << payload.src.to_string();
+        return;
+      }
+      install_path(payload.path, payload.src, *source.value().port, std::move(payload.dst), {});
+    } else if constexpr (std::is_same_v<Payload, umtp::DisconnectFrame>) {
+      (void)disconnect(payload.path);
+    }
+  };
   // Dedup window, for every payload frame (SEQ never wraps ACK or RESUME).
   // Plain frames count implicitly (lossless in-order streams make "frames
   // accepted" == "highest seq delivered"); SEQ-wrapped replays carry their
   // number explicitly and are suppressed when already counted.
-  bool replayed = false;
   if (auto* seq = std::get_if<umtp::SeqFrame>(&frame)) {
     if (!recv_.accept(channel, seq->seq)) {
       bump(Stat::dup_suppressed);
       instant(0, "deliver.dup-suppressed");
       return;
     }
-    // The replayed frame is decoded in place of its envelope.
-    const Bytes body = std::move(seq->body);
-    if (auto inner = umtp::decode_body(body, frame); !inner.ok()) {
-      // unreachable: the assembler validated it; stay safe
-      log::Entry(log::Level::warn, "transport")
-          << "bad SEQ inner frame: " << inner.error().to_string();
-      return;
-    }
-    replayed = true;
-  } else {
-    recv_.count(channel);
-  }
-  if (auto* data = std::get_if<umtp::DataFrame>(&frame)) {
-    data_frames_rx_.inc();
-    // Claim the side-band baggage the sender staged for this DATA frame: close
-    // its wire span and re-attach the trace id the frame never carried.
-    // Replayed frames have none (their baggage died with the old stream).
-    if (!replayed) {
-      if (auto staged = tracer().take(channel)) {
-        data->message.trace = staged->trace;
-        tracer().end_span(staged->span, now());
-        if (staged->span != 0) {
-          wire_ns_.observe(tracer().spans()[staged->span - 1].duration().count());
-        }
-      }
-    }
-    // Receiver-side deadline check: the wire crossing may have eaten the
-    // remaining budget (or the frame sat in an outage buffer).
-    if (deadline_passed(data->message.deadline_ns, now().count())) {
-      retire(Fate::expired, nullptr, data->message.trace);
-      return;
-    }
-    deliver(data->dst, data->message, nullptr);
+    std::visit([&](auto& inner) { receive(inner, true); }, seq->frame);
     return;
   }
-  if (auto* conn = std::get_if<umtp::ConnectFrame>(&frame)) {
-    auto source = check_source(conn->src);
-    if (!source.ok() || source.value().node != runtime_.node()) {
-      log::Entry(log::Level::warn, "transport")
-          << "CONNECT rejected for source " << conn->src.to_string();
-      return;
-    }
-    install_path(conn->path, conn->src, *source.value().port, std::move(conn->dst), {});
-    return;
-  }
-  (void)disconnect(std::get<umtp::DisconnectFrame>(frame).path);
+  recv_.count(channel);
+  std::visit([&](auto& plain) { receive(plain, false); }, frame);
 }
 
 }  // namespace umiddle::core

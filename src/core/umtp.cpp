@@ -66,15 +66,9 @@ Bytes encode_one(const ResumeFrame& resume) {
   return w.take();
 }
 
-Bytes encode_seq_body(std::uint64_t seq, std::span<const std::uint8_t> body) {
-  ByteWriter w = framed(1 + 8 + body.size());
-  w.u8(static_cast<std::uint8_t>(FrameType::seq));
-  w.u64(seq);
-  w.bytes(body);
-  return w.take();
+Bytes encode_one(const SeqFrame& seq) {
+  return encode_seq(seq.seq, std::visit([](const auto& f) { return encode_one(f); }, seq.frame));
 }
-
-Bytes encode_one(const SeqFrame& seq) { return encode_seq_body(seq.seq, seq.body); }
 
 /// A body decoded, once every field was there and nothing is left.
 Result<void> complete(const ByteReader& r, const char* name) {
@@ -85,6 +79,17 @@ Result<void> complete(const ByteReader& r, const char* name) {
   return ok_result();
 }
 
+/// The MIME text the last DATA frame carried, and its MimeType::parse. A link
+/// almost always repeats one type, so the text is parsed once: the memo is
+/// compared on the exact bytes and refilled only by a successful parse, so it
+/// gives what parse would. One entry, so no peer can grow it; the event core
+/// is single-threaded (lint rule `threads`).
+struct MimeMemo {
+  std::string text = "*/*";
+  MimeType type;  ///< MimeType::parse("*/*")
+};
+MimeMemo last_mime;
+
 /// The DATA fields, decoded straight into the frame's message.
 Result<void> decode_data(ByteReader& r, std::int64_t deadline_ns, DataFrame& f) {
   f.message.deadline_ns = deadline_ns;
@@ -92,9 +97,13 @@ Result<void> decode_data(ByteReader& r, std::int64_t deadline_ns, DataFrame& f) 
   f.dst.port = r.str16();
   const std::string_view mime_text = r.str16_view();
   if (!r.ok()) return r.error();
-  auto mime = MimeType::parse(mime_text);
-  if (!mime.ok()) return mime.error();
-  f.message.type = std::move(mime).take();
+  if (mime_text != last_mime.text) {
+    auto mime = MimeType::parse(mime_text);
+    if (!mime.ok()) return mime.error();
+    last_mime.type = std::move(mime).take();
+    last_mime.text.assign(mime_text);
+  }
+  f.message.type = last_mime.type;
   const std::uint16_t n_meta = r.u16();
   for (std::uint16_t i = 0; i < n_meta && r.ok(); ++i) {
     std::string key = r.str16();
@@ -102,6 +111,81 @@ Result<void> decode_data(ByteReader& r, std::int64_t deadline_ns, DataFrame& f) 
   }
   f.message.payload = r.bytes(r.u32());
   return complete(r, "DATA");
+}
+
+/// A DATA, DATA_DL, CONNECT or DISCONNECT body, read past its type byte,
+/// decoded into `out`: a Frame or a SEQ's inner frame, default-built, so a
+/// DATA body fills the DataFrame it already holds.
+template <typename Out>
+Result<void> decode_payload(std::uint8_t type, ByteReader& r, Out& out) {
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::data:
+      return decode_data(r, 0, std::get<DataFrame>(out));
+    case FrameType::data_deadline:
+      return decode_data(r, static_cast<std::int64_t>(r.u64()), std::get<DataFrame>(out));
+    case FrameType::connect: {
+      auto& f = out.template emplace<ConnectFrame>(
+          ConnectFrame{PathId(r.u64()), PortRef{TranslatorId(r.u64()), r.str16()}, {}});
+      const std::uint8_t kind = r.u8();
+      if (!r.ok()) return r.error();
+      if (kind == 1) {
+        f.dst = PortRef{TranslatorId(r.u64()), r.str16()};
+      } else if (kind == 2) {
+        const std::string text = r.str16();
+        if (!r.ok()) return r.error();
+        auto el = xml::parse(text);
+        if (!el.ok()) return el.error();
+        auto q = Query::from_xml(el.value());
+        if (!q.ok()) return q.error();
+        f.dst = std::move(q).take();
+      } else {
+        return make_error(Errc::protocol_error, "bad CONNECT dst kind");
+      }
+      return complete(r, "CONNECT");
+    }
+    case FrameType::disconnect:
+      out = DisconnectFrame{PathId(r.u64())};
+      return complete(r, "DISCONNECT");
+    default:
+      return make_error(Errc::protocol_error, "unknown frame type " + std::to_string(type));
+  }
+}
+
+/// One frame body decoded into `out`, a default-built Frame. On an error
+/// `out` holds whatever was decoded so far.
+Result<void> decode_frame(std::span<const std::uint8_t> body, Frame& out) {
+  ByteReader r(body);
+  const std::uint8_t type = r.u8();
+  if (!r.ok()) return r.error();
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::ack:
+      out = AckFrame{r.u64(), r.u64()};
+      return complete(r, "ACK");
+    case FrameType::resume:
+      out = ResumeFrame{NodeId(r.u64()), r.u64(), r.u64(), r.u64()};
+      return complete(r, "RESUME");
+    case FrameType::seq: {
+      auto& f = out.emplace<SeqFrame>();
+      f.seq = r.u64();
+      if (!r.ok()) return r.error();
+      // The inner frame is decoded here, with its envelope, and checked
+      // eagerly: only payload-class frames may be replayed. A SEQ wrapping
+      // SEQ/ACK/RESUME (or garbage) is a protocol error and must poison the
+      // assembler like any other malformed frame.
+      const std::span<const std::uint8_t> inner = body.subspan(1 + 8);
+      if (inner.empty()) return make_error(Errc::protocol_error, "empty SEQ body");
+      const auto inner_type = static_cast<FrameType>(inner.front());
+      if (inner_type != FrameType::data && inner_type != FrameType::data_deadline &&
+          inner_type != FrameType::connect && inner_type != FrameType::disconnect) {
+        return make_error(Errc::protocol_error, "SEQ wraps non-replayable frame type " +
+                                                    std::to_string(inner.front()));
+      }
+      ByteReader inner_reader(inner);  // underruns report offsets in the inner body
+      return decode_payload(inner_reader.u8(), inner_reader, f.frame);
+    }
+    default:
+      return decode_payload(type, r, out);
+  }
 }
 
 }  // namespace
@@ -143,72 +227,12 @@ Bytes encode_data(const PortRef& dst, const Message& message, std::int64_t deadl
 }
 
 Bytes encode_seq(std::uint64_t seq, const Bytes& prefixed_frame) {
-  return encode_seq_body(seq, std::span<const std::uint8_t>(prefixed_frame).subspan(4));
-}
-
-Result<void> decode_body(std::span<const std::uint8_t> body, Frame& out) {
-  ByteReader r(body);
-  const std::uint8_t type = r.u8();
-  if (!r.ok()) return r.error();
-  switch (static_cast<FrameType>(type)) {
-    case FrameType::data:
-      return decode_data(r, 0, out.emplace<DataFrame>());
-    case FrameType::data_deadline:
-      return decode_data(r, static_cast<std::int64_t>(r.u64()), out.emplace<DataFrame>());
-    case FrameType::connect: {
-      auto& f = out.emplace<ConnectFrame>(
-          ConnectFrame{PathId(r.u64()), PortRef{TranslatorId(r.u64()), r.str16()}, {}});
-      const std::uint8_t kind = r.u8();
-      if (!r.ok()) return r.error();
-      if (kind == 1) {
-        f.dst = PortRef{TranslatorId(r.u64()), r.str16()};
-      } else if (kind == 2) {
-        const std::string text = r.str16();
-        if (!r.ok()) return r.error();
-        auto el = xml::parse(text);
-        if (!el.ok()) return el.error();
-        auto q = Query::from_xml(el.value());
-        if (!q.ok()) return q.error();
-        f.dst = std::move(q).take();
-      } else {
-        return make_error(Errc::protocol_error, "bad CONNECT dst kind");
-      }
-      return complete(r, "CONNECT");
-    }
-    case FrameType::disconnect:
-      out = DisconnectFrame{PathId(r.u64())};
-      return complete(r, "DISCONNECT");
-    case FrameType::ack:
-      out = AckFrame{r.u64(), r.u64()};
-      return complete(r, "ACK");
-    case FrameType::resume:
-      out = ResumeFrame{NodeId(r.u64()), r.u64(), r.u64(), r.u64()};
-      return complete(r, "RESUME");
-    case FrameType::seq: {
-      auto& f = out.emplace<SeqFrame>(SeqFrame{r.u64(), r.bytes(r.remaining())});
-      if (!r.ok()) return r.error();
-      // Validate the inner frame eagerly: only payload-class frames may be
-      // replayed. A SEQ wrapping SEQ/ACK/RESUME (or garbage) is a protocol
-      // error and must poison the assembler like any other malformed frame.
-      if (f.body.empty()) return make_error(Errc::protocol_error, "empty SEQ body");
-      const auto inner_type = static_cast<FrameType>(f.body.front());
-      if (inner_type != FrameType::data && inner_type != FrameType::data_deadline &&
-          inner_type != FrameType::connect && inner_type != FrameType::disconnect) {
-        return make_error(Errc::protocol_error, "SEQ wraps non-replayable frame type " +
-                                                    std::to_string(f.body.front()));
-      }
-      auto inner = decode_body(f.body);
-      if (!inner.ok()) return inner.error();
-      return ok_result();
-    }
-  }
-  return make_error(Errc::protocol_error, "unknown frame type " + std::to_string(type));
-}
-
-Result<Frame> decode_body(std::span<const std::uint8_t> body) {
-  Frame frame;
-  if (auto decoded = decode_body(body, frame); !decoded.ok()) return decoded.error();
-  return frame;
+  const auto body = std::span<const std::uint8_t>(prefixed_frame).subspan(4);
+  ByteWriter w = framed(1 + 8 + body.size());
+  w.u8(static_cast<std::uint8_t>(FrameType::seq));
+  w.u64(seq);
+  w.bytes(body);
+  return w.take();
 }
 
 Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer, std::vector<Frame>& out) {
@@ -221,11 +245,17 @@ Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer, std::vector
   if (r.remaining() < len) return 4 + len;  // incomplete: its full length
   // Decoded in place, in the frame the reader hands on; a malformed body
   // leaves no half-decoded frame behind.
-  if (auto decoded = decode_body(buffer.subspan(4, len), out.emplace_back()); !decoded.ok()) {
+  if (auto decoded = decode_frame(buffer.subspan(4, len), out.emplace_back()); !decoded.ok()) {
     out.pop_back();
     return decoded.error();
   }
   return 4 + len;
+}
+
+Result<Frame> decode_body(std::span<const std::uint8_t> body) {
+  Frame frame;
+  if (auto decoded = decode_frame(body, frame); !decoded.ok()) return decoded.error();
+  return frame;
 }
 
 }  // namespace umiddle::core::umtp

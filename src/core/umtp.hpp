@@ -29,7 +29,9 @@
 //               no length prefix). Used only for recovery replay: the
 //               explicit per-link sequence number lets the receiver suppress
 //               frames it already accepted. Inner type must be DATA, DATA_DL,
-//               CONNECT or DISCONNECT (no nesting, no control frames).
+//               CONNECT or DISCONNECT (no nesting, no control frames). The
+//               reader decodes the inner frame with its envelope, so a
+//               replay is decoded once, like any other frame.
 //
 // The delivery-contract frames (ACK/RESUME/SEQ) appear on the wire only after
 // a fault: fault-free links carry the exact PR-3-era byte stream, which keeps
@@ -92,12 +94,15 @@ struct ResumeFrame {
   std::uint64_t base_seq = 0;        ///< oldest unacknowledged sequence number
 };
 
+/// The frames a SEQ envelope may wrap.
+using ReplayedFrame = std::variant<DataFrame, ConnectFrame, DisconnectFrame>;
+
 /// A replayed frame wrapped with its explicit per-link sequence number. The
-/// inner body is kept as raw bytes (decode_body validates it eagerly); decode
-/// it with decode_body() after the dedup check.
+/// reader decodes and checks the inner frame with its envelope, so the
+/// receiver runs its dedup check on `seq` and delivers `frame` as it is.
 struct SeqFrame {
   std::uint64_t seq = 0;
-  Bytes body;  ///< encoded inner frame body, without the u32 length prefix
+  ReplayedFrame frame;
 };
 
 using Frame =
@@ -118,21 +123,19 @@ Bytes encode_seq(std::uint64_t seq, const Bytes& prefixed_frame);
 
 /// Decode step for the length-prefixed frame at the front of a receive buffer;
 /// a length announcing more than kMaxFrame is malformed at once, and an
-/// incomplete frame whose length is in reports that full length.
+/// incomplete frame whose length is in reports that full length. A complete
+/// frame is decoded once, in the slot it appends to `out`: a DATA body's
+/// fields go straight into the DataFrame the slot was built holding, so a
+/// received message is built where it is delivered from.
 [[nodiscard]] Result<std::size_t> next_frame(std::span<const std::uint8_t> buffer,
                                              std::vector<Frame>& out);
 
 /// Incrementally reassembles frames from stream chunks.
 using Reader = FrameReader<Frame, next_frame>;
 
-/// Decode one frame body (without the u32 length prefix) into `out`, which
-/// the caller owns: a DATA body's fields go straight into its DataFrame, so
-/// a received message is built once, where it is delivered from. On an error
-/// `out` holds whatever was decoded so far.
-[[nodiscard]] Result<void> decode_body(std::span<const std::uint8_t> body, Frame& out);
-
-/// decode_body() into a fresh frame: the SEQ envelope's eager check of its
-/// inner frame, fuzz and tests.
+/// Decode one frame body (without the u32 length prefix) into a fresh frame,
+/// for fuzz and tests. The reader decodes through next_frame instead, into
+/// the frame it hands on (lint rule `decode-once`).
 [[nodiscard]] Result<Frame> decode_body(std::span<const std::uint8_t> body);
 
 }  // namespace umiddle::core::umtp

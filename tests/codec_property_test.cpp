@@ -9,7 +9,10 @@
 //     field that does not fit, with its literal parse_error message, or the
 //     protocol error the format puts ahead of it;
 //   * umtp::Reader, fed a frame whole or byte by byte, hands on the frame
-//     umtp::decode_body decodes, and fails a malformed one with its code;
+//     umtp::decode_body decodes (a SEQ with the inner frame decode_body
+//     gives for its inner body), and fails a malformed one with its code;
+//     it types each DATA frame as MimeType::parse types its MIME text,
+//     whatever text the frame before it carried;
 //   * every UMTP, MB and OBEX frame is built in one buffer of its exact size.
 #include <gtest/gtest.h>
 
@@ -185,9 +188,17 @@ std::string fields_of(const umtp::Frame& frame) {
        << r->base_seq;
   } else {
     const auto& seq = std::get<umtp::SeqFrame>(frame);
-    os << "SEQ " << seq.seq << " [" << hex(seq.body) << ']';
+    os << "SEQ " << seq.seq << ' '
+       << std::visit([](const auto& inner) { return fields_of(umtp::Frame{inner}); }, seq.frame);
   }
   return os.str();
+}
+
+/// The frame a SEQ may wrap, as the replayable frame its envelope carries.
+umtp::ReplayedFrame replayed(const umtp::Frame& frame) {
+  if (const auto* d = std::get_if<umtp::DataFrame>(&frame)) return *d;
+  if (const auto* c = std::get_if<umtp::ConnectFrame>(&frame)) return *c;
+  return std::get<umtp::DisconnectFrame>(frame);
 }
 
 /// One generated UMTP frame: its reference body layout, the frame it must
@@ -264,7 +275,7 @@ std::pair<UmtpCase, UmtpCase> random_seq(Rng& rng) {
   UmtpCase inner = pick < 2 ? random_data(rng) : pick < 4 ? random_connect(rng)
                                                            : random_disconnect(rng);
   const std::uint64_t seq = rng.next();
-  umtp::Frame frame{umtp::SeqFrame{seq, inner.body.wire()}};
+  umtp::Frame frame{umtp::SeqFrame{seq, replayed(*inner.frame)}};
   UmtpCase outer{Layout().u8(7).u64(seq).raw(inner.body.wire()), fields_of(frame),
                  std::move(frame)};
   return {std::move(outer), std::move(inner)};
@@ -359,15 +370,12 @@ Bytes data_with_meta(std::int64_t deadline_ns) {
   return umtp::encode_data(core::PortRef{TranslatorId(42), "photo-in"}, m, deadline_ns);
 }
 
-/// One wire frame of every UMTP kind.
-std::vector<Bytes> every_umtp_kind() {
+/// One wire frame of every replayable UMTP kind: DATA, DATA_DL, CONNECT to
+/// a port and to a query, DISCONNECT.
+std::vector<Bytes> every_replayable_kind() {
   core::Query query;
   query.digital_input(MimeType::of("image/*"));
   query.platform("upnp");
-  ByteWriter ack;  // only the transport builds an AckFrame; the test writes its bytes
-  ack.u8(static_cast<std::uint8_t>(umtp::FrameType::ack));
-  ack.u64(7);
-  ack.u64(12);
   const core::PortRef src{TranslatorId(3), "out"};
   return {
       data_with_meta(0),
@@ -375,11 +383,27 @@ std::vector<Bytes> every_umtp_kind() {
       umtp::encode(umtp::ConnectFrame{PathId(9), src, core::PortRef{TranslatorId(4), "in"}}),
       umtp::encode(umtp::ConnectFrame{PathId(10), src, std::move(query)}),
       umtp::encode(umtp::DisconnectFrame{PathId(11)}),
-      length_prefixed(ack.take()),
-      umtp::encode(umtp::ResumeFrame{NodeId(2), 5, 6, 7}),
-      umtp::encode_seq(77, data_with_meta(0)),
-      umtp::encode_seq(78, data_with_meta(9)),
   };
+}
+
+/// One wire frame of every UMTP kind, each replayable one SEQ-wrapped too.
+std::vector<Bytes> every_umtp_kind() {
+  ByteWriter ack;  // only the transport builds an AckFrame; the test writes its bytes
+  ack.u8(static_cast<std::uint8_t>(umtp::FrameType::ack));
+  ack.u64(7);
+  ack.u64(12);
+  std::vector<Bytes> all = every_replayable_kind();
+  all.push_back(length_prefixed(ack.take()));
+  all.push_back(umtp::encode(umtp::ResumeFrame{NodeId(2), 5, 6, 7}));
+  std::uint64_t seq = 77;
+  for (const Bytes& inner : every_replayable_kind()) all.push_back(umtp::encode_seq(seq++, inner));
+  return all;
+}
+
+/// The SEQ frame's inner frame as length-prefixed wire bytes: its body
+/// follows the type byte and the u64 sequence number.
+Bytes seq_inner(const Bytes& wire) {
+  return length_prefixed(Bytes(wire.begin() + 4 + 1 + 8, wire.end()));
 }
 
 /// decode_body's verdict on a wire frame: its fields, or its error.
@@ -406,9 +430,19 @@ Result<std::vector<std::string>> read_umtp(const Bytes& wire, std::size_t chunk)
 TEST(CodecPropertyTest, UmtpReaderHandsOnDecodeBodysFrameWholeAndByteByByte) {
   Bytes all;
   std::vector<std::string> expected;
+  std::size_t seqs = 0;
   for (const Bytes& wire : every_umtp_kind()) {
     const auto decoded = decode_body_of(wire);
     ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+    if (wire[4] == static_cast<std::uint8_t>(umtp::FrameType::seq)) {
+      // A SEQ carries its inner frame decoded, field by field as decode_body
+      // decodes the inner body alone.
+      ++seqs;
+      const std::uint64_t seq = ByteReader(std::span(wire).subspan(5)).u64();
+      const auto inner = decode_body_of(seq_inner(wire));
+      ASSERT_TRUE(inner.ok()) << inner.error().to_string();
+      EXPECT_EQ(decoded.value(), "SEQ " + std::to_string(seq) + ' ' + inner.value());
+    }
     for (const std::size_t chunk : {wire.size(), std::size_t{1}}) {
       const auto read = read_umtp(wire, chunk);
       ASSERT_TRUE(read.ok()) << read.error().to_string();
@@ -422,6 +456,7 @@ TEST(CodecPropertyTest, UmtpReaderHandsOnDecodeBodysFrameWholeAndByteByByte) {
     ASSERT_TRUE(read.ok()) << read.error().to_string();
     EXPECT_EQ(read.value(), expected) << "chunk " << chunk;
   }
+  EXPECT_EQ(seqs, every_replayable_kind().size());
 }
 
 /// `wire` with its last `n` bytes cut and its length prefix made to agree:
@@ -444,23 +479,32 @@ TEST(CodecPropertyTest, UmtpReaderFailsMalformedBodiesWithDecodeBodysCode) {
   const Bytes bad_mime = umtp::encode_data(core::PortRef{TranslatorId(1), "in"}, untyped);
   Bytes mime_without_slash(bad_mime.begin() + 4, bad_mime.end());
   mime_without_slash[1 + 8 + 2 + 2 + 2 + 1] = '-';  // "*/*" becomes "*-*"
-  ByteWriter seq_of_ack;
-  seq_of_ack.u8(static_cast<std::uint8_t>(umtp::FrameType::seq));
-  seq_of_ack.u64(1);
-  seq_of_ack.u8(static_cast<std::uint8_t>(umtp::FrameType::ack));
-  const std::vector<Bytes> malformed = {
-      length_prefixed(Bytes{0x09}),
-      length_prefixed(bad_kind.take()),
-      length_prefixed(trailing),
-      length_prefixed(mime_without_slash),
-      length_prefixed(seq_of_ack.take()),
-      cut_body(data_with_meta(0), 1),
-      cut_body(data_with_meta(7), 10),
-      cut_body(umtp::encode_seq(5, data_with_meta(0)), 3),
+  // A SEQ envelope around `inner`'s first byte, or around nothing.
+  auto seq_around = [](std::optional<umtp::FrameType> inner) {
+    ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(umtp::FrameType::seq));
+    w.u64(1);
+    if (inner.has_value()) w.u8(static_cast<std::uint8_t>(*inner));
+    return length_prefixed(w.take());
   };
-  for (const Bytes& wire : malformed) {
+  // (wire, the code decode_body fails it with)
+  const std::vector<std::pair<Bytes, Errc>> malformed = {
+      {length_prefixed(Bytes{0x09}), Errc::protocol_error},
+      {length_prefixed(bad_kind.take()), Errc::protocol_error},
+      {length_prefixed(trailing), Errc::protocol_error},
+      {length_prefixed(mime_without_slash), Errc::parse_error},
+      {seq_around(std::nullopt), Errc::protocol_error},
+      {seq_around(umtp::FrameType::ack), Errc::protocol_error},
+      {seq_around(umtp::FrameType::resume), Errc::protocol_error},
+      {seq_around(umtp::FrameType::seq), Errc::protocol_error},
+      {cut_body(data_with_meta(0), 1), Errc::parse_error},
+      {cut_body(data_with_meta(7), 10), Errc::parse_error},
+      {cut_body(umtp::encode_seq(5, data_with_meta(0)), 3), Errc::parse_error},
+  };
+  for (const auto& [wire, code] : malformed) {
     const auto decoded = decode_body_of(wire);
     ASSERT_FALSE(decoded.ok()) << hex(wire);
+    EXPECT_EQ(decoded.error().code, code) << decoded.error().to_string();
     for (const std::size_t chunk : {wire.size(), std::size_t{1}}) {
       const auto read = read_umtp(wire, chunk);
       ASSERT_FALSE(read.ok()) << hex(wire);
@@ -488,6 +532,46 @@ TEST(CodecPropertyTest, UmtpReaderLeavesNoHalfDecodedFrameAfterAMalformedOne) {
   std::vector<umtp::Frame> step_out;
   EXPECT_FALSE(umtp::next_frame(truncated, step_out).ok());
   EXPECT_TRUE(step_out.empty());
+}
+
+/// A DATA frame whose MIME text is `mime` byte for byte: encode_data writes
+/// only the lowercase text of a parsed MimeType.
+Bytes data_typed(std::string_view mime) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(umtp::FrameType::data));
+  w.u64(42);
+  w.str16("in");
+  w.str16(mime);
+  w.u16(0);
+  w.u32(1);
+  w.u8(0xAB);
+  return length_prefixed(w.take());
+}
+
+// The reader parses a MIME text only when it differs from the last one: the
+// memo is compared on the exact bytes, so a type of the same length, or the
+// same type in other case, is parsed again, and a malformed one still fails.
+TEST(CodecPropertyTest, UmtpReaderTypesEachDataFrameAsMimeTypeParseDoes) {
+  const std::vector<std::string_view> types = {"image/png", "image/gif", "Image/JPEG",
+                                               "image/jpeg"};
+  Bytes link;
+  for (const std::string_view type : types) {
+    const Bytes wire = data_typed(type);
+    link.insert(link.end(), wire.begin(), wire.end());
+  }
+  const Bytes slashless = data_typed("imagejpeg");
+  link.insert(link.end(), slashless.begin(), slashless.end());
+  umtp::Reader reader;
+  std::vector<umtp::Frame> out;
+  const auto fed = reader.feed(link, out);
+  ASSERT_FALSE(fed.ok());
+  EXPECT_EQ(fed.error().code, Errc::parse_error);
+  EXPECT_TRUE(reader.poisoned());
+  ASSERT_EQ(out.size(), types.size());
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    EXPECT_EQ(std::get<umtp::DataFrame>(out[i]).message.type, MimeType::parse(types[i]).value())
+        << types[i];
+  }
 }
 
 // --- OBEX ------------------------------------------------------------------------

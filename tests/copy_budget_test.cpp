@@ -22,6 +22,7 @@
 #include "core/umiddle.hpp"
 #include "mediabroker/client.hpp"
 #include "mediabroker/mapper.hpp"
+#include "netsim/fault.hpp"
 #include "upnp/devices.hpp"
 #include "upnp/mapper.hpp"
 
@@ -294,6 +295,89 @@ TEST(CopyBudgetTest, RemoteUmtpDataStaysWithinItsAllocationBudget) {
       << "a remote UMTP DATA message made " << per_message << " heap allocations; the budget is "
       << kAllocsPerUmtpData << ". A frame encoder regrowing its buffer, or a copy on the "
       << "UMTP path? (DESIGN.md §8.4)";
+}
+
+/// Heap allocations per replayed DATA frame when a cut LAN heals under a
+/// burst of 1400-byte messages: from the cut to the last delivery, over the
+/// frames the sender replays. Each replay costs six: the SEQ frame and its
+/// shared-payload block, the receiving stream's chunk, its shared block and
+/// the reader's reassembly buffer, and the decoded payload. The burst's
+/// frames sent after the reconnect, the reconnect itself, its RESUME and
+/// ACK and the recovery counters add the rest. 10.3 while the reader kept a
+/// SEQ's inner body as a copy of its bytes and decoded it into a frame it
+/// threw away, and the transport decoded it again to deliver it.
+constexpr double kAllocsPerReplayedData = 8.5;
+
+TEST(CopyBudgetTest, ReplayedUmtpDataStaysWithinItsAllocationBudget) {
+  sim::Scheduler sched;
+  net::Network net{sched, 1};
+  net::SegmentSpec spec;
+  spec.bandwidth_bps = 1e6;  // a 1400-byte frame serializes for about 11 ms
+  spec.latency = sim::milliseconds(1);
+  const net::SegmentId lan = net.add_segment(spec);
+  for (const char* h : {"node-a", "node-b"}) {
+    ASSERT_TRUE(net.add_host(h).ok());
+    ASSERT_TRUE(net.attach(h, lan).ok());
+  }
+  core::Runtime a(sched, net, "node-a");
+  core::Runtime b(sched, net, "node-b");
+  ASSERT_TRUE(a.start().ok());
+  ASSERT_TRUE(b.start().ok());
+  const MimeType octets = MimeType::of("application/octet-stream");
+  auto source = std::make_unique<core::LambdaDevice>("src", core::make_source_shape("out", octets));
+  core::LambdaDevice* src = source.get();
+  auto src_id = a.map(std::move(source));
+  ASSERT_TRUE(src_id.ok());
+  std::size_t delivered = 0;
+  auto sink_id = b.map(std::make_unique<core::LambdaDevice>(
+      "sink", core::make_sink_shape("in", octets),
+      [&delivered](const std::string&, const core::Message& msg) {
+        if (msg.payload.size() == 1400) ++delivered;
+        return ok_result();
+      }));
+  ASSERT_TRUE(sink_id.ok());
+  sched.run_for(seconds(2));
+  ASSERT_TRUE(a.transport()
+                  .connect(core::PortRef{src_id.value(), "out"},
+                           core::PortRef{sink_id.value(), "in"})
+                  .ok());
+  auto emit = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      core::Message msg;
+      msg.type = octets;
+      msg.payload.assign(1400, static_cast<std::uint8_t>(i));
+      if (!src->emit("out", std::move(msg)).ok()) return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(emit(20));  // warm-up, delivered before the cut
+  sched.run_for(seconds(2));
+  ASSERT_EQ(delivered, 20u);
+
+  // 50 ms into a burst of 40, most of it is queued on the stream or on the
+  // medium: lost with the reset stream, and replayed once the LAN heals.
+  constexpr int kBurst = 40;
+  ASSERT_TRUE(emit(kBurst));
+  const sim::TimePoint t0 = sched.now() + sim::milliseconds(50);
+  net.faults().cut(lan, t0, t0 + seconds(1));
+  sched.run_for(sim::milliseconds(50));
+  g_all = 0;
+  g_counting = true;
+  const sim::TimePoint deadline = sched.now() + seconds(30);
+  while (delivered < 20u + kBurst && sched.now() < deadline && sched.step()) {
+  }
+  g_counting = false;
+  ASSERT_EQ(delivered, 20u + kBurst);
+  auto snap = net.metrics().snapshot();
+  const obs::SnapshotEntry* replays = snap.find("recovery.replays");
+  ASSERT_NE(replays, nullptr);
+  ASSERT_GE(replays->count, 20u) << "the cut should catch most of the burst in flight";
+  const double per_replay = static_cast<double>(g_all) / static_cast<double>(replays->count);
+  RecordProperty("allocs_per_replayed_data", std::to_string(per_replay));
+  EXPECT_LE(per_replay, kAllocsPerReplayedData)
+      << "a replayed UMTP DATA frame made " << per_replay << " heap allocations over "
+      << replays->count << " replays; the budget is " << kAllocsPerReplayedData
+      << ". A second decode or a body copy on the replay path? (DESIGN.md §8.4)";
 }
 
 /// Heap allocations of one Runtime::map of a three-port translator on a

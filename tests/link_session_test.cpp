@@ -412,12 +412,10 @@ class Wire {
         counts.dups += 1;
         return;
       }
-      auto inner = umtp::decode_body(seq->body);
-      ASSERT_TRUE(inner.ok());
-      frame = std::move(inner).take();
-    } else {
-      rx_.count(channel_);
+      delivered.push_back(std::get<umtp::DisconnectFrame>(seq->frame).path.value());
+      return;
     }
+    rx_.count(channel_);
     delivered.push_back(std::get<umtp::DisconnectFrame>(frame).path.value());
   }
 

@@ -158,6 +158,12 @@ exist to keep nondeterminism from leaking back in:
                hold, and a received one is decoded into the reader's frame
                and delivered from there, so a by-value parameter on the hop
                is a hidden move of every message (DESIGN.md §8.4).
+  decode-once  in src/, umtp::decode_body( appears only in src/core/umtp.*
+               and src/fuzz/: the reader decodes each received frame once,
+               into the frame it hands on, a SEQ replay's inner frame with
+               its envelope, so a receive path that decodes a body again
+               (or copies it out to do so) is a second decode of every
+               frame it touches (DESIGN.md §7.6).
   ascii-text   outside src/common/strings.*, nothing in src/ names
                isspace, isalpha, isalnum, isdigit, isxdigit, tolower or
                toupper: protocol text is classified by the constexpr ASCII
@@ -836,6 +842,25 @@ def check_message_moves_once(path: str, code: str) -> Iterable[Violation]:
                         "(DESIGN.md §8.4)")
 
 
+# A received UMTP frame is decoded once, by the reader (DESIGN.md §7.6):
+# decode_body, the wrapper that decodes a body into a fresh frame, serves the
+# fuzz entries and tests. A call anywhere else in src/ decodes a frame the
+# reader has already decoded.
+DECODE_BODY_RE = re.compile(r"\bdecode_body\s*\(")
+DECODE_BODY_SITES = ("src/core/umtp.", "src/fuzz/")
+
+
+def check_decode_once(path: str, code: str) -> Iterable[Violation]:
+    if not path.startswith("src/") or path.startswith(DECODE_BODY_SITES):
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if DECODE_BODY_RE.search(line):
+            yield Violation("decode-once", path, lineno,
+                            "UMTP body decoded outside the reader; deliver the "
+                            "frame next_frame decoded (a SEQ carries its inner "
+                            "frame decoded)")
+
+
 # Span names are interned (DESIGN.md §9.2): a name built at run time would
 # add one table entry per distinct value.
 SPAN_CALL_RE = re.compile(r"\b(?:begin_span|instant)\s*\(")
@@ -930,6 +955,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_one_path_queue,
     check_sized_frame,
     check_message_moves_once,
+    check_decode_once,
     check_span_name_literal,
     check_ascii_text,
     check_one_native_queue,
@@ -1110,6 +1136,11 @@ SEEDED_VIOLATIONS = [
      "Result<Frame> complete(const ByteReader& r, Frame frame, const char* name) {\n"),
     ("message-moves-once", "src/core/evil.cpp",
      "auto on_frame = [this](umtp::Frame frame) { handle(frame); };\n"),
+    ("decode-once", "src/core/transport.cpp",
+     "const Bytes body = std::move(seq->body);\n"
+     "if (auto inner = umtp::decode_body(body, frame); !inner.ok()) {\n"),
+    ("decode-once", "src/apps/evil.cpp",
+     "auto frame = core::umtp::decode_body (std::span(wire).subspan(4));\n"),
     ("span-name-literal", "src/core/evil.cpp",
      'tracer().instant(trace, "deliver." + fate, runtime_.host(), now());\n'),
     ("one-http-head", "src/upnp/ssdp.cpp",
@@ -1299,6 +1330,16 @@ CLEAN_SNIPPETS = [
      "Frame frame;\n"),
     ("src/apps/fine.cpp",
      "void keep(core::Message msg) { kept_.push_back(std::move(msg)); }\n"),
+    ("src/core/umtp.cpp",
+     "Result<Frame> decode_body(std::span<const std::uint8_t> body) {\n"
+     "  if (auto decoded = decode_frame(body, frame); !decoded.ok()) return decoded.error();\n"),
+    ("src/core/umtp.hpp",
+     "[[nodiscard]] Result<Frame> decode_body(std::span<const std::uint8_t> body);\n"),
+    ("src/fuzz/entries.cpp",
+     "if (core::umtp::decode_body(body).ok() != (fed == 1)) std::abort();\n"),
+    ("src/core/transport.cpp",
+     "// no second umtp::decode_body(...) here; in a comment it is fine\n"
+     "std::visit([&](auto& inner) { receive(inner, true); }, seq->frame);\n"),
     ("src/common/strings.hpp",
      '/// Split on a multi-character separator (e.g. "\\r\\n"); empty fields are kept.\n'
      "constexpr bool is_space(char c) { return c == ' ' || (c >= '\\t' && c <= '\\r'); }\n"),
