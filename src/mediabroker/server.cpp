@@ -1,7 +1,5 @@
 #include "mediabroker/server.hpp"
 
-#include <algorithm>
-
 #include "netsim/exchange.hpp"
 
 namespace umiddle::mb {
@@ -22,18 +20,21 @@ Result<void> MbServer::start() {
 void MbServer::stop() {
   if (!started_) return;
   net_.stop_listening({host_, port_});
+  // Forget every registration first, so the close handlers below retire
+  // nothing: a stopping broker broadcasts nothing.
+  streams_.clear();
+  watchers_.clear();
+  fanout_.clear();
   // close() fires close handlers synchronously, which mutate connections_;
   // detach the container before walking it.
   auto connections = std::move(connections_);
   connections_.clear();
   for (auto& [raw, stream] : connections) stream->close();
-  streams_.clear();
-  watchers_.clear();
   started_ = false;
 }
 
 void MbServer::set_transform(const std::string& stream, Transform transform) {
-  streams_[stream].transform = std::move(transform);
+  fanout_[stream].transform = std::move(transform);
 }
 
 void MbServer::serve(net::StreamPtr stream) {
@@ -46,28 +47,30 @@ void MbServer::serve(net::StreamPtr stream) {
 
 void MbServer::drop_connection(net::Stream* conn) {
   connections_.erase(conn);
-  std::erase(watchers_, conn);
-  for (auto& [name, info] : streams_) {
-    std::erase(info.consumers, conn);
-    if (info.producer == conn) info.producer = nullptr;
-  }
+  watchers_.drop_owner(conn);
+  for (auto& [name, fanout] : fanout_) fanout.consumers.drop_owner(conn);
+  for (const auto& [name, media_type] : streams_.drop_owner(conn)) retired(name);
+}
+
+void MbServer::retired(const std::string& stream) {
+  fanout_.erase(stream);
+  Frame retire;
+  retire.op = Op::retire;
+  retire.stream = stream;
+  broadcast_watchers(retire);
 }
 
 void MbServer::broadcast_watchers(const Frame& frame) {
   const PayloadPtr wire = make_payload(frame.encode());
-  for (net::Stream* watcher : watchers_) (void)watcher->send(wire);
+  for (const auto& [id, watcher] : watchers_) (void)watcher.owner->send(wire);
 }
 
 void MbServer::handle(net::Stream* conn, WireFrame& wire_frame) {
   const Frame& frame = wire_frame.head;
   switch (frame.op) {
     case Op::produce: {
-      StreamInfo& info = streams_[frame.stream];
-      // An unowned stream (new, or its producer dropped) is claimed; only its
-      // producer retypes it.
-      if (info.producer == nullptr) info.producer = conn;
-      if (info.producer != conn) break;
-      info.media_type = frame.media_type;
+      // A new stream is claimed; only its producer retypes it.
+      if (!streams_.add(frame.stream, conn, frame.media_type)) break;
       Frame announce;
       announce.op = Op::announce;
       announce.stream = frame.stream;
@@ -75,24 +78,22 @@ void MbServer::handle(net::Stream* conn, WireFrame& wire_frame) {
       broadcast_watchers(announce);
       break;
     }
-    case Op::consume: {
-      StreamInfo& info = streams_[frame.stream];
-      if (std::find(info.consumers.begin(), info.consumers.end(), conn) ==
-          info.consumers.end()) {
-        info.consumers.push_back(conn);
-      }
+    case Op::consume:
+      fanout_[frame.stream].consumers.add(conn->id(), conn);
       break;
-    }
     case Op::data: {
-      auto it = streams_.find(frame.stream);
-      if (it == streams_.end() || it->second.producer != conn) break;  // not its producer
-      const Transform& transform = it->second.transform;
+      const auto* producer = streams_.find(frame.stream);
+      if (producer == nullptr || producer->owner != conn) break;  // not its producer
+      auto fanout = fanout_.find(frame.stream);
+      if (fanout == fanout_.end()) break;
+      const Transform& transform = fanout->second.transform;
       // One wire buffer, shared by every consumer's stream: the frame as it
       // arrived, or a frame of the transformed payload.
       const PayloadPtr wire =
           make_payload(transform ? encode_data(frame.stream, transform(wire_frame.payload()))
                                  : std::move(wire_frame.wire));
-      for (net::Stream* consumer : it->second.consumers) {
+      for (const auto& [id, registration] : fanout->second.consumers) {
+        net::Stream* consumer = registration.owner;
         if (consumer == conn) continue;  // never echo to the producer itself
         if (consumer->pending() > kConsumerBacklogLimit) {
           ++frames_dropped_;  // shed load on slow consumers, never buffer forever
@@ -104,30 +105,20 @@ void MbServer::handle(net::Stream* conn, WireFrame& wire_frame) {
       break;
     }
     case Op::watch: {
-      if (std::find(watchers_.begin(), watchers_.end(), conn) == watchers_.end()) {
-        watchers_.push_back(conn);
-      }
+      watchers_.add(conn->id(), conn);
       // Replay existing streams to the watcher.
-      for (const auto& [name, info] : streams_) {
-        if (info.media_type.empty()) continue;
+      for (const auto& [name, producer] : streams_) {
         Frame announce;
         announce.op = Op::announce;
         announce.stream = name;
-        announce.media_type = info.media_type;
+        announce.media_type = producer.value;
         (void)conn->send(announce.encode());
       }
       break;
     }
-    case Op::retire: {
-      auto it = streams_.find(frame.stream);
-      if (it == streams_.end() || it->second.producer != conn) break;  // not its producer
-      streams_.erase(it);
-      Frame retire;
-      retire.op = Op::retire;
-      retire.stream = frame.stream;
-      broadcast_watchers(retire);
+    case Op::retire:
+      if (streams_.remove(frame.stream, conn)) retired(frame.stream);  // else not its producer
       break;
-    }
     case Op::announce:
       break;  // server-originated only
   }

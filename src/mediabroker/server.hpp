@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 
+#include "core/registrations.hpp"
 #include "mediabroker/protocol.hpp"
 #include "netsim/stream.hpp"
 
@@ -40,26 +41,32 @@ class MbServer {
   static constexpr std::size_t kConsumerBacklogLimit = 256 * 1024;
 
  private:
-  struct StreamInfo {
-    std::string media_type;
-    /// The connection whose PRODUCE claimed the stream, the only one that
-    /// may RETIRE it; null once that connection drops.
-    net::Stream* producer = nullptr;
-    std::vector<net::Stream*> consumers;
+  /// A stream's consumers and transformation, kept apart from its producer's
+  /// registration: a consumer may subscribe, and a transformation be set,
+  /// before the stream is produced.
+  struct Fanout {
+    core::Registrations<StreamId, net::Stream*> consumers;
     Transform transform;
   };
 
   void serve(net::StreamPtr stream);
   void handle(net::Stream* conn, WireFrame& frame);
+  /// A connection closed: drop its registrations. A producer's streams are
+  /// retired, as its RETIRE would.
   void drop_connection(net::Stream* conn);
+  /// Forget a retired stream's consumers and tell the watchers.
+  void retired(const std::string& stream);
   void broadcast_watchers(const Frame& frame);
 
   net::Network& net_;
   std::string host_;
   std::uint16_t port_;
   bool started_ = false;
-  std::map<std::string, StreamInfo> streams_;
-  std::vector<net::Stream*> watchers_;
+  /// Stream name → the connection whose PRODUCE claimed it (the only one that
+  /// may retype, feed or RETIRE it) and its media type.
+  core::Registrations<std::string, net::Stream*, std::string> streams_;
+  core::Registrations<StreamId, net::Stream*> watchers_;
+  std::map<std::string, Fanout> fanout_;
   std::map<net::Stream*, net::StreamPtr> connections_;
   std::uint64_t frames_forwarded_ = 0;
   std::uint64_t frames_dropped_ = 0;

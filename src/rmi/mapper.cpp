@@ -144,7 +144,7 @@ void RmiMapper::export_gateway(RmiTranslator& translator, const std::string& met
   std::string object = "umiddle-gw-" + translator.binding().name;
   RmiTranslator* raw = &translator;
   gateway_->export_method(object, method,
-                          [raw, method](const Bytes& args) -> Result<Bytes> {
+                          [raw, method](const Bytes& args, const std::string&) -> Result<Bytes> {
                             raw->gateway_receive(method, args);
                             return to_bytes("ok");
                           });

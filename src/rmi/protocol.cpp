@@ -168,7 +168,7 @@ void RmiObjectServer::serve(net::StreamPtr stream) {
       ret.exception = true;
       ret.value = to_bytes("NoSuchMethodException: " + call.object + "." + call.method);
     } else {
-      auto result = method->second(call.args);
+      auto result = method->second(call.args, raw->remote().host);
       if (result.ok()) {
         ret.value = std::move(result).take();
       } else {

@@ -81,10 +81,11 @@ class RmiConnection {
   sim::Lifetime lifetime_;
 };
 
-/// Server side: exports named objects with per-method handlers.
+/// Server side: exports named objects with per-method handlers. A handler
+/// also gets the caller's host, from the accepted stream (never the wire).
 class RmiObjectServer {
  public:
-  using MethodFn = std::function<Result<Bytes>(const Bytes& args)>;
+  using MethodFn = std::function<Result<Bytes>(const Bytes& args, const std::string& caller)>;
 
   RmiObjectServer(net::Network& net, std::string host, std::uint16_t port);
   ~RmiObjectServer();

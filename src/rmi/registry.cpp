@@ -1,5 +1,7 @@
 #include "rmi/registry.hpp"
 
+#include <functional>
+
 #include "common/strings.hpp"
 #include "netsim/exchange.hpp"
 
@@ -21,28 +23,39 @@ Result<Binding> Binding::parse(std::string_view text) {
 
 RmiRegistry::RmiRegistry(net::Network& net, std::string host, std::uint16_t port)
     : host_(std::move(host)), port_(port), server_(net, host_, port_) {
-  server_.export_method("registry", "bind", [this](const Bytes& args) -> Result<Bytes> {
-    auto binding = Binding::parse(umiddle::to_string(args));
-    if (!binding.ok()) return binding.error();
-    bindings_[binding.value().name] = binding.value();
-    return to_bytes("ok");
-  });
-  server_.export_method("registry", "unbind", [this](const Bytes& args) -> Result<Bytes> {
-    bindings_.erase(umiddle::to_string(args));
-    return to_bytes("ok");
-  });
-  server_.export_method("registry", "lookup", [this](const Bytes& args) -> Result<Bytes> {
-    auto it = bindings_.find(umiddle::to_string(args));
-    if (it == bindings_.end()) return make_error(Errc::not_found, "not bound");
-    return to_bytes(it->second.serialize());
-  });
-  server_.export_method("registry", "list", [this](const Bytes&) -> Result<Bytes> {
-    std::string out;
-    for (const auto& [name, binding] : bindings_) {
-      out += binding.serialize() + "\n";
-    }
-    return to_bytes(out);
-  });
+  server_.export_method("registry", "bind", std::bind_front(&RmiRegistry::bind, this));
+  server_.export_method("registry", "unbind", std::bind_front(&RmiRegistry::unbind, this));
+  server_.export_method("registry", "lookup", std::bind_front(&RmiRegistry::lookup, this));
+  server_.export_method("registry", "list", std::bind_front(&RmiRegistry::list, this));
+}
+
+Result<Bytes> RmiRegistry::bind(const Bytes& args, const std::string& caller) {
+  auto binding = Binding::parse(umiddle::to_string(args));
+  if (!binding.ok()) return binding.error();
+  if (!bindings_.add(binding.value().name, caller, binding.value())) {
+    return make_error(Errc::refused, "AlreadyBoundException: " + binding.value().name);
+  }
+  return to_bytes("ok");
+}
+
+Result<Bytes> RmiRegistry::unbind(const Bytes& args, const std::string& caller) {
+  const std::string name = umiddle::to_string(args);
+  if (!bindings_.remove(name, caller)) {
+    return make_error(Errc::refused, "NotBoundException: " + name + " is not bound by " + caller);
+  }
+  return to_bytes("ok");
+}
+
+Result<Bytes> RmiRegistry::lookup(const Bytes& args, const std::string&) const {
+  const auto* bound = bindings_.find(umiddle::to_string(args));
+  if (bound == nullptr) return make_error(Errc::not_found, "not bound");
+  return to_bytes(bound->value.serialize());
+}
+
+Result<Bytes> RmiRegistry::list(const Bytes&, const std::string&) const {
+  std::string out;
+  for (const auto& [name, bound] : bindings_) out += bound.value.serialize() + "\n";
+  return to_bytes(out);
 }
 
 Result<void> RmiRegistry::start() { return server_.start(); }
@@ -66,13 +79,8 @@ void RegistryClient::bind(const Binding& binding, DoneFn done) {
 }
 
 void RegistryClient::unbind(const std::string& name, DoneFn done) {
-  invoke("unbind", to_bytes(name), [done = std::move(done)](Result<Return> r) {
-    if (!r.ok()) {
-      done(r.error());
-    } else {
-      done(ok_result());
-    }
-  });
+  invoke("unbind", to_bytes(name),
+         [done = std::move(done)](Result<Return> r) { done(completed(r)); });
 }
 
 void RegistryClient::lookup(const std::string& name, LookupFn done) {

@@ -1,10 +1,14 @@
 // The RMI registry: bind/lookup/list of named remote objects, itself exposed
 // as a remote object ("registry") over the RMI protocol on port 1099.
+//
+// A name belongs to the host that bound it. A bind of a name another host
+// holds raises AlreadyBoundException, as Java's does; only the binding host
+// rebinds (replaces) or unbinds it.
 #pragma once
 
-#include <map>
 #include <memory>
 
+#include "core/registrations.hpp"
 #include "rmi/protocol.hpp"
 
 namespace umiddle::rmi {
@@ -35,10 +39,17 @@ class RmiRegistry {
   net::Endpoint endpoint() const { return {host_, port_}; }
 
  private:
+  // The remote methods of object "registry"; `caller` is the calling host.
+  [[nodiscard]] Result<Bytes> bind(const Bytes& args, const std::string& caller);
+  [[nodiscard]] Result<Bytes> unbind(const Bytes& args, const std::string& caller);
+  [[nodiscard]] Result<Bytes> lookup(const Bytes& args, const std::string& caller) const;
+  [[nodiscard]] Result<Bytes> list(const Bytes& args, const std::string& caller) const;
+
   std::string host_;
   std::uint16_t port_;
   RmiObjectServer server_;
-  std::map<std::string, Binding> bindings_;
+  /// Name → its binding, owned by the binding host.
+  core::Registrations<std::string, std::string, Binding> bindings_;
 };
 
 /// Client helpers: each runs one call on a fresh stream to the registry, as a

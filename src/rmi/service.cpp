@@ -9,13 +9,15 @@ RmiEchoService::RmiEchoService(net::Network& net, std::string host, std::uint16_
     : net_(net), host_(std::move(host)), port_(port), name_(std::move(name)),
       registry_(std::move(registry)), server_(net_, host_, port_),
       registry_client_(net_, host_, registry_) {
-  server_.export_method(name_, "deliver", [this](const Bytes& args) -> Result<Bytes> {
-    ++received_;
-    received_bytes_ += args.size();
-    return to_bytes("ok");
+  server_.export_method(name_, "deliver",
+                        [this](const Bytes& args, const std::string&) -> Result<Bytes> {
+                          ++received_;
+                          received_bytes_ += args.size();
+                          return to_bytes("ok");
+                        });
+  server_.export_method(name_, "echo", [](const Bytes& args, const std::string&) -> Result<Bytes> {
+    return args;
   });
-  server_.export_method(name_, "echo",
-                        [](const Bytes& args) -> Result<Bytes> { return args; });
 }
 
 Result<void> RmiEchoService::start() {

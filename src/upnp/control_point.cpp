@@ -16,25 +16,9 @@ Result<void> ControlPoint::start() {
   if (started_) return ok_result();
   ssdp_.on_announcement([this](const SsdpAnnouncement& a) { handle_announcement(a); });
   if (auto r = ssdp_.start(); !r.ok()) return r;
-  callback_server_.route_prefix(
-      "/gena/", [this](const HttpRequest& req, RespondFn respond) {
-        if (req.method != "NOTIFY") {
-          respond(HttpResponse::make(405, "Method Not Allowed"));
-          return;
-        }
-        auto handler = event_handlers_.find(req.path);
-        if (handler == event_handlers_.end()) {
-          respond(HttpResponse::make(404, "Not Found"));
-          return;
-        }
-        auto set = PropertySet::from_xml_text(req.body);
-        if (!set.ok()) {
-          respond(HttpResponse::make(400, "Bad Request"));
-          return;
-        }
-        handler->second(set.value());
-        respond(HttpResponse::make(200, "OK"));
-      });
+  callback_server_.route_prefix("/gena/", [this](const HttpRequest& req, RespondFn respond) {
+    handle_notify(req, std::move(respond));
+  });
   if (auto r = callback_server_.start(); !r.ok()) {
     ssdp_.stop();
     return r;
@@ -51,6 +35,29 @@ void ControlPoint::stop() {
   invocations_.clear();
   fetched_.clear();
   started_ = false;
+}
+
+void ControlPoint::handle_notify(const HttpRequest& req, RespondFn respond) {
+  if (req.method != "NOTIFY") {
+    respond(HttpResponse::make(405, "Method Not Allowed"));
+    return;
+  }
+  // A SID this control point does not hold on that path is a subscription it
+  // dropped, or one a restarted or crashed predecessor made: 412 tells the
+  // device to end it (UPnP DA 1.0 §4.2.1), so each event arrives once.
+  auto sub = subscriptions_.find(req.path);
+  if (sub == subscriptions_.end() || sub->second.sid.empty() ||
+      sub->second.sid != req.header("sid")) {
+    respond(HttpResponse::make(412, "Precondition Failed"));
+    return;
+  }
+  auto set = PropertySet::from_xml_text(req.body);
+  if (!set.ok()) {
+    respond(HttpResponse::make(400, "Bad Request"));
+    return;
+  }
+  sub->second.on_event(set.value());
+  respond(HttpResponse::make(200, "OK"));
 }
 
 Result<void> ControlPoint::search() { return ssdp_.search("ssdp:all"); }
@@ -174,7 +181,7 @@ std::string ControlPoint::subscribe(const std::string& event_sub_url, EventFn on
     return {};
   }
   std::string path = "/gena/" + std::to_string(next_callback_++);
-  event_handlers_[path] = std::move(on_event);
+  subscriptions_[path] = Subscription{uri.value(), {}, std::move(on_event)};
 
   HttpRequest sub;
   sub.method = "SUBSCRIBE";
@@ -183,16 +190,37 @@ std::string ControlPoint::subscribe(const std::string& event_sub_url, EventFn on
       "<http://" + host_ + ":" + std::to_string(callback_port_) + path + ">";
   sub.headers["nt"] = "upnp:event";
   sub.headers["timeout"] = "Second-1800";
-  http_fetch(net_, host_, uri.value(), std::move(sub), [event_sub_url](Result<HttpResponse> r) {
-    if (!r.ok() || r.value().status != 200) {
-      log::Entry(log::Level::warn, "upnp-cp") << "SUBSCRIBE failed for " << event_sub_url;
-    }
-  });
+  http_fetch(net_, host_, uri.value(), std::move(sub),
+             lifetime_.guard([this, path, event_sub_url](Result<HttpResponse> r) {
+               if (!r.ok() || r.value().status != 200) {
+                 log::Entry(log::Level::warn, "upnp-cp") << "SUBSCRIBE failed for "
+                                                         << event_sub_url;
+                 return;
+               }
+               // Dropped meanwhile: the device ends it at its first NOTIFY.
+               auto held = subscriptions_.find(path);
+               if (held != subscriptions_.end()) held->second.sid = r.value().header("sid");
+             }));
   return path;
 }
 
 void ControlPoint::drop_subscription(const std::string& token) {
-  event_handlers_.erase(token);
+  auto sub = subscriptions_.find(token);
+  if (sub == subscriptions_.end()) return;
+  if (!sub->second.sid.empty()) {
+    HttpRequest unsubscribe;
+    unsubscribe.method = "UNSUBSCRIBE";
+    unsubscribe.path = sub->second.event_url.path;
+    unsubscribe.headers["sid"] = sub->second.sid;
+    http_fetch(net_, host_, sub->second.event_url, std::move(unsubscribe),
+               [](Result<HttpResponse> r) {
+                 if (!r.ok()) {
+                   log::Entry(log::Level::debug, "upnp-cp")
+                       << "UNSUBSCRIBE failed: " << r.error().to_string();
+                 }
+               });
+  }
+  subscriptions_.erase(sub);
 }
 
 }  // namespace umiddle::upnp

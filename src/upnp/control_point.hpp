@@ -50,11 +50,13 @@ class ControlPoint {
   /// in virtual time on this (control-point) side.
   void invoke(const std::string& control_url, ActionRequest request, ActionFn done);
 
-  /// GENA-subscribe to a service's events; `on_event` fires per NOTIFY.
-  /// Returns a token for drop_subscription.
+  /// GENA-subscribe to a service's events; `on_event` fires per NOTIFY that
+  /// carries the SID the SUBSCRIBE response returned. Returns a token for
+  /// drop_subscription.
   std::string subscribe(const std::string& event_sub_url, EventFn on_event);
-  /// Stop dispatching events for a subscription token (local teardown; the
-  /// device-side subscription simply ages out, as real GENA leases do).
+  /// Stop dispatching events for a subscription token and UNSUBSCRIBE it at
+  /// the device. One whose SID has not come back yet is ended by the device
+  /// when its first NOTIFY is answered 412.
   void drop_subscription(const std::string& token);
 
   const UpnpCosts& costs() const { return costs_; }
@@ -65,6 +67,13 @@ class ControlPoint {
     Uri uri;
     ActionRequest request;
     ActionFn done;
+  };
+  /// A GENA subscription: where it was made, the SID the device returned
+  /// (empty until the SUBSCRIBE response arrives) and its event handler.
+  struct Subscription {
+    Uri event_url;
+    std::string sid;
+    EventFn on_event;
   };
   /// A fetched description document, while its parse cost runs.
   struct Fetched {
@@ -77,6 +86,7 @@ class ControlPoint {
   void fetch_description(const std::string& udn, const std::string& location);
   void parse_description(std::uint32_t fetched);
   void post_action(std::uint32_t invocation);
+  void handle_notify(const HttpRequest& req, RespondFn respond);
 
   net::Network& net_;
   std::string host_;
@@ -86,7 +96,7 @@ class ControlPoint {
   HttpServer callback_server_;
   bool started_ = false;
   std::set<std::string> known_;    ///< UDNs already reported (or being fetched)
-  std::map<std::string, EventFn> event_handlers_;  ///< callback path → handler
+  std::map<std::string, Subscription> subscriptions_;  ///< callback path → subscription
   std::uint64_t next_callback_ = 1;
   DeviceFn on_device_;
   DeviceGoneFn on_device_gone_;

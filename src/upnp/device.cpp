@@ -15,6 +15,20 @@ std::string service_slug(const std::string& service_type) {
   return parts.size() >= 2 ? parts[parts.size() - 2] : service_type;
 }
 
+constexpr std::string_view kSidPrefix = "uuid:sub-";
+
+std::string sid_text(std::uint64_t n) { return std::string(kSidPrefix) + std::to_string(n); }
+
+/// The n of "uuid:sub-<n>"; 0, which names no subscription, for any other text.
+std::uint64_t sid_number(std::string_view sid) {
+  std::uint64_t n = 0;
+  if (!strings::starts_with(sid, kSidPrefix) ||
+      !strings::parse_u64(sid.substr(kSidPrefix.size()), n)) {
+    return 0;
+  }
+  return n;
+}
+
 }  // namespace
 
 UpnpDevice::UpnpDevice(net::Network& net, std::string host, std::uint16_t port,
@@ -154,21 +168,20 @@ void UpnpDevice::handle_subscription(const std::string& service_type, const Http
       respond(HttpResponse::make(412, "Precondition Failed"));
       return;
     }
-    Subscription sub;
-    sub.sid = "uuid:sub-" + std::to_string(next_sid_++);
-    sub.service_type = service_type;
-    sub.callback = uri.value();
-    subscribers_.push_back(sub);
+    const std::uint64_t sid = next_sid_++;
+    subscribers_.add(sid, req.caller, Subscription{service_type, uri.value()});
     HttpResponse resp = HttpResponse::make(200, "OK");
-    resp.headers["sid"] = sub.sid;
+    resp.headers["sid"] = sid_text(sid);
     resp.headers["timeout"] = "Second-1800";
     respond(std::move(resp));
     return;
   }
   if (req.method == "UNSUBSCRIBE") {
-    std::string sid = req.header("sid");
-    std::erase_if(subscribers_, [&](const Subscription& s) { return s.sid == sid; });
-    respond(HttpResponse::make(200, "OK"));
+    // Only the subscribing host cancels a subscription; any other UNSUBSCRIBE,
+    // like one of an unknown SID, is 412 (UPnP DA 1.0 §4.1.3).
+    respond(subscribers_.remove(sid_number(req.header("sid")), req.caller)
+                ? HttpResponse::make(200, "OK")
+                : HttpResponse::make(412, "Precondition Failed"));
     return;
   }
   respond(HttpResponse::make(405, "Method Not Allowed"));
@@ -180,21 +193,25 @@ void UpnpDevice::notify_subscribers(const std::string& service_type, const std::
   PropertySet set;
   set.properties[var] = value;
   std::string body = set.to_xml_text();
-  for (const Subscription& sub : subscribers_) {
-    if (sub.service_type != service_type) continue;
+  for (const auto& [sid, sub] : subscribers_) {
+    if (sub.value.service_type != service_type) continue;
     HttpRequest notify;
     notify.method = "NOTIFY";
-    notify.path = sub.callback.path;
+    notify.path = sub.value.callback.path;
     notify.headers["nt"] = "upnp:event";
     notify.headers["nts"] = "upnp:propchange";
-    notify.headers["sid"] = sub.sid;
+    notify.headers["sid"] = sid_text(sid);
     notify.headers["content-type"] = "text/xml";
     notify.body = body;
-    http_fetch(net_, host_, sub.callback, std::move(notify), [](Result<HttpResponse> r) {
+    // A 412 says the subscriber holds no such subscription (its control point
+    // restarted or crashed), so it is dropped. A transport failure keeps it.
+    auto notified = [this, sid, owner = sub.owner](Result<HttpResponse> r) {
+      if (r.ok() && r.value().status == 412) subscribers_.remove(sid, owner);
       if (!r.ok()) {
         log::Entry(log::Level::debug, "gena") << "notify failed: " << r.error().to_string();
       }
-    });
+    };
+    http_fetch(net_, host_, sub.value.callback, std::move(notify), lifetime_.guard(notified));
   }
 }
 

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/slots.hpp"
+#include "core/registrations.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/timer.hpp"
 #include "upnp/description.hpp"
@@ -94,7 +95,6 @@ class UpnpDevice {
                           const std::string& value);
 
   struct Subscription {
-    std::string sid;
     std::string service_type;
     Uri callback;
   };
@@ -109,7 +109,10 @@ class UpnpDevice {
   bool started_ = false;
   std::map<std::pair<std::string, std::string>, ActionHandler> actions_;
   std::map<std::pair<std::string, std::string>, std::string> state_;
-  std::vector<Subscription> subscribers_;
+  /// GENA subscriptions by the number n of their SID, "uuid:sub-<n>", so
+  /// they are notified in the order they subscribed; owned by the host that
+  /// subscribed.
+  core::Registrations<std::uint64_t, std::string, Subscription> subscribers_;
   /// Keyed by the pending action or marshal event of each request.
   Slots<Served> served_;
   /// Ends with the device, so an action still in flight when it is

@@ -185,9 +185,10 @@ void HttpServer::route_prefix(std::string prefix, HttpHandler handler) {
 
 void HttpServer::serve(net::StreamPtr stream) {
   net::Stream* raw = stream.get();
-  auto handle = [this, keep = stream, served = false](const HttpRequest& req) mutable {
+  auto handle = [this, keep = stream, served = false](HttpRequest& req) mutable {
     // One request per connection: its response closes the stream.
     if (std::exchange(served, true)) return;
+    req.caller = keep->remote().host;
     // Every copy of the responder shares one guard. The last copy to die
     // unanswered closes the stream, so the client sees a disconnect instead
     // of waiting forever for a handler that is gone.

@@ -49,6 +49,9 @@ struct HttpRequest : Headers {
   std::string method = "GET";
   std::string path = "/";
   std::string body;
+  /// The host the request came from, which HttpServer sets from the accepted
+  /// stream. Never on the wire: registrations take it as their owner.
+  std::string caller;
 
   /// The message as sent on a stream: head, blank line, body.
   Bytes to_wire() const;

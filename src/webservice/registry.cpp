@@ -37,7 +37,7 @@ Result<void> WsRegistry::start() {
   if (started_) return ok_result();
   http_.route("/services.xml", upnp::sync_handler([this](const upnp::HttpRequest&) {
                 xml::Element root("services");
-                for (const auto& [name, entry] : entries_) root.add_child(entry_to_xml(entry));
+                for (const auto& [name, e] : entries_) root.add_child(entry_to_xml(e.value));
                 return upnp::HttpResponse::make(200, "OK", root.to_string(/*declaration=*/true));
               }));
   http_.route("/register", upnp::sync_handler([this](const upnp::HttpRequest& req) {
@@ -45,14 +45,16 @@ Result<void> WsRegistry::start() {
                 if (!doc.ok()) return upnp::HttpResponse::make(400, "Bad Request");
                 auto entry = entry_from_xml(doc.value());
                 if (!entry.ok()) return upnp::HttpResponse::make(400, "Bad Request");
-                entries_[entry.value().name] = entry.value();
-                return upnp::HttpResponse::make(200, "OK");
+                return entries_.add(entry.value().name, req.caller, entry.value())
+                           ? upnp::HttpResponse::make(200, "OK")
+                           : upnp::HttpResponse::make(409, "Conflict");
               }));
   http_.route("/unregister", upnp::sync_handler([this](const upnp::HttpRequest& req) {
                 auto doc = xml::parse(req.body);
                 if (!doc.ok()) return upnp::HttpResponse::make(400, "Bad Request");
-                entries_.erase(std::string(doc.value().attr("name")));
-                return upnp::HttpResponse::make(200, "OK");
+                return entries_.remove(std::string(doc.value().attr("name")), req.caller)
+                           ? upnp::HttpResponse::make(200, "OK")
+                           : upnp::HttpResponse::make(403, "Forbidden");
               }));
   if (auto r = http_.start(); !r.ok()) return r;
   started_ = true;

@@ -4,10 +4,12 @@
 //   GET  /services.xml → <services><service name=".." type=".." url=".."/>…</services>
 //   POST /register     (body: one <service .../> element)
 //   POST /unregister   (body: <service name=".."/>)
+//
+// A name belongs to the host that registered it: only that host registers
+// over it (else 409) or unregisters it (else 403).
 #pragma once
 
-#include <map>
-
+#include "core/registrations.hpp"
 #include "upnp/http.hpp"
 
 namespace umiddle::ws {
@@ -36,7 +38,8 @@ class WsRegistry {
   std::string host_;
   std::uint16_t port_;
   upnp::HttpServer http_;
-  std::map<std::string, WsEntry> entries_;
+  /// Name → its entry, owned by the registering host.
+  core::Registrations<std::string, std::string, WsEntry> entries_;
   bool started_ = false;
 };
 

@@ -1,7 +1,5 @@
 #include "webservice/service.hpp"
 
-#include <algorithm>
-
 #include "common/base64.hpp"
 #include "common/log.hpp"
 #include "xml/parser.hpp"
@@ -82,15 +80,7 @@ Result<Bytes> decode_notification(std::string_view body) {
 WsService::WsService(net::Network& net, std::string host, std::uint16_t port,
                      std::string name, std::string type)
     : net_(net), host_(std::move(host)), port_(port), name_(std::move(name)),
-      type_(std::move(type)), http_(net_, host_, port_) {
-  // Built-in subscription method: param = webhook URL (utf-8).
-  export_method("subscribe", [this](const Bytes& param) -> Result<Bytes> {
-    std::string url = umiddle::to_string(param);
-    if (!Uri::parse(url).ok()) return make_error(Errc::invalid_argument, "bad webhook url");
-    if (std::ranges::count(subscribers_, url) == 0) subscribers_.push_back(std::move(url));
-    return to_bytes("ok");
-  });
-}
+      type_(std::move(type)), http_(net_, host_, port_) {}
 
 WsService::~WsService() { stop(); }
 
@@ -129,13 +119,13 @@ void WsService::handle_rpc(const upnp::HttpRequest& request, upnp::RespondFn res
     return;
   }
   ++calls_served_;
-  auto method = methods_.find(call.value().first);
-  if (method == methods_.end()) {
-    respond(upnp::HttpResponse::make(200, "OK",
-                                     encode_fault("no such method: " + call.value().first)));
-    return;
-  }
-  auto result = method->second(call.value().second);
+  const auto& [name, param] = call.value();
+  auto method = methods_.find(name);
+  // The built-in `subscribe` owns its webhook by the calling host.
+  Result<Bytes> result =
+      name == "subscribe"        ? subscribe(param, request.caller)
+      : method != methods_.end() ? method->second(param)
+                                 : make_error(Errc::not_found, "no such method: " + name);
   if (result.ok()) {
     respond(upnp::HttpResponse::make(200, "OK", encode_method_response(result.value())));
   } else {
@@ -143,10 +133,19 @@ void WsService::handle_rpc(const upnp::HttpRequest& request, upnp::RespondFn res
   }
 }
 
+Result<Bytes> WsService::subscribe(const Bytes& param, const std::string& caller) {
+  std::string url = umiddle::to_string(param);
+  if (!Uri::parse(url).ok()) return make_error(Errc::invalid_argument, "bad webhook url");
+  if (!subscribers_.add(url, caller)) {
+    return make_error(Errc::refused, "webhook subscribed by another host");
+  }
+  return to_bytes("ok");
+}
+
 void WsService::notify_subscribers(const Bytes& param) {
   if (!started_) return;
   std::string body = encode_notification(param);
-  for (const std::string& url : subscribers_) {
+  for (const auto& [url, sub] : subscribers_) {
     auto uri = Uri::parse(url);
     if (!uri.ok()) continue;
     upnp::HttpRequest post;
@@ -157,8 +156,8 @@ void WsService::notify_subscribers(const Bytes& param) {
     // A webhook answered 404 is gone (its mapper restarted and hooks anew),
     // so it is dropped. A transport failure keeps it: a partition must not
     // unsubscribe a live mapper.
-    auto posted = [this, url](Result<upnp::HttpResponse> r) {
-      if (r.ok() && r.value().status == 404) std::erase(subscribers_, url);
+    auto posted = [this, url, owner = sub.owner](Result<upnp::HttpResponse> r) {
+      if (r.ok() && r.value().status == 404) subscribers_.remove(url, owner);
       if (!r.ok()) {
         log::Entry(log::Level::debug, "ws") << "webhook post failed: " << r.error().to_string();
       }

@@ -10,7 +10,8 @@
 //     (faults: <methodResponse><fault>message</fault></methodResponse>)
 //
 // Push out of the service is by *webhook*: a subscriber registers a callback
-// URL via the built-in `subscribe` method (once per URL); the service then
+// URL via the built-in `subscribe` method (once per URL, which the first host
+// to subscribe it owns); the service then
 // POSTs <notification><param>...</param></notification> documents to it. This
 // is how the uMiddle mapper gets events out of a web service.
 #pragma once
@@ -19,6 +20,7 @@
 #include <map>
 #include <string>
 
+#include "core/registrations.hpp"
 #include "sim/timer.hpp"
 #include "upnp/http.hpp"
 
@@ -61,6 +63,8 @@ class WsService {
 
  private:
   void handle_rpc(const upnp::HttpRequest& request, upnp::RespondFn respond);
+  /// The built-in `subscribe` method, called from `caller`.
+  [[nodiscard]] Result<Bytes> subscribe(const Bytes& param, const std::string& caller);
 
   net::Network& net_;
   std::string host_;
@@ -69,7 +73,8 @@ class WsService {
   std::string type_;
   upnp::HttpServer http_;
   std::map<std::string, MethodFn> methods_;
-  std::vector<std::string> subscribers_;  ///< webhook URLs
+  /// Webhook URLs, owned by the host that subscribed each.
+  core::Registrations<std::string, std::string> subscribers_;
   std::uint64_t calls_served_ = 0;
   bool started_ = false;
   sim::Lifetime lifetime_;  ///< guards webhook POST callbacks

@@ -1,6 +1,8 @@
 // Tests for the RMI, MediaBroker, and Motes substrates and their mappers.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/umiddle.hpp"
 #include "mediabroker/mapper.hpp"
 #include "motes/mapper.hpp"
@@ -66,11 +68,12 @@ TEST(RmiProtocolTest, ServerDispatchAndException) {
   f.add_host("server");
   f.add_host("client");
   rmi::RmiObjectServer server(f.net, "server", 2000);
-  server.export_method("calc", "double", [](const Bytes& args) -> Result<Bytes> {
-    Bytes out = args;
-    out.insert(out.end(), args.begin(), args.end());
-    return out;
-  });
+  server.export_method("calc", "double",
+                       [](const Bytes& args, const std::string&) -> Result<Bytes> {
+                         Bytes out = args;
+                         out.insert(out.end(), args.begin(), args.end());
+                         return out;
+                       });
   ASSERT_TRUE(server.start().ok());
 
   auto stream = f.net.connect("client", {"server", 2000});
@@ -99,7 +102,8 @@ TEST(RmiProtocolTest, ASecondOutstandingCallIsRefused) {
   f.add_host("server");
   f.add_host("client");
   rmi::RmiObjectServer server(f.net, "server", 2000);
-  server.export_method("o", "m", [](const Bytes&) -> Result<Bytes> { return Bytes{}; });
+  server.export_method("o", "m",
+                       [](const Bytes&, const std::string&) -> Result<Bytes> { return Bytes{}; });
   ASSERT_TRUE(server.start().ok());
   auto conn = std::make_shared<rmi::RmiConnection>(f.net.connect("client", {"server", 2000}).value());
   std::vector<std::optional<Errc>> results;
@@ -152,6 +156,44 @@ TEST(RmiRegistryTest, BindLookupListUnbind) {
   f.sched.run();
   EXPECT_EQ(registry.size(), 0u);
   EXPECT_EQ(steps, 5);
+}
+
+// A name belongs to the host that bound it: another host's bind over it
+// raises AlreadyBoundException and its unbind is refused, so the binding
+// stays. The binding host rebinds and unbinds it.
+TEST(RmiRegistryTest, OnlyTheBindingHostRebindsOrUnbindsAName) {
+  Lan f;
+  f.add_host("reg");
+  f.add_host("svc");
+  f.add_host("other");
+  rmi::RmiRegistry registry(f.net, "reg");
+  ASSERT_TRUE(registry.start().ok());
+  rmi::RegistryClient owner(f.net, "svc", registry.endpoint());
+  rmi::RegistryClient other(f.net, "other", registry.endpoint());
+  std::vector<bool> done;
+  auto record = [&](Result<void> r) { done.push_back(r.ok()); };
+  owner.bind(rmi::Binding{"echo1", "rmi:echo", "svc", 2001}, record);
+  f.sched.run();
+  other.bind(rmi::Binding{"echo1", "rmi:echo", "other", 2002}, record);
+  f.sched.run();
+  other.unbind("echo1", record);
+  f.sched.run();
+  EXPECT_EQ(done, (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(registry.size(), 1u);
+  std::optional<rmi::Binding> bound;
+  other.lookup("echo1", [&](Result<rmi::Binding> r) {
+    if (r.ok()) bound = r.value();
+  });
+  f.sched.run();
+  ASSERT_TRUE(bound.has_value());
+  EXPECT_EQ(*bound, (rmi::Binding{"echo1", "rmi:echo", "svc", 2001}));
+
+  owner.bind(rmi::Binding{"echo1", "rmi:echo", "svc", 2003}, record);
+  f.sched.run();
+  owner.unbind("echo1", record);
+  f.sched.run();
+  EXPECT_EQ(done, (std::vector<bool>{true, false, false, true, true}));
+  EXPECT_EQ(registry.size(), 0u);
 }
 
 struct RmiWorld : Lan {
@@ -531,6 +573,67 @@ TEST(MbServerTest, OnlyTheProducerFeedsItsStream) {
   EXPECT_EQ(consumer.frames_received(), 1u);
   EXPECT_EQ(consumer.bytes_received(), 200u);
   EXPECT_EQ(server.frames_forwarded(), 1u);
+}
+
+// Stopping the broker closes every connection and tells the watchers nothing.
+TEST(MbServerTest, StoppingTheBrokerBroadcastsNothing) {
+  Lan f;
+  f.add_host("broker");
+  f.add_host("prod");
+  f.add_host("watch");
+  mb::MbServer server(f.net, "broker");
+  ASSERT_TRUE(server.start().ok());
+  mb::MbClient producer(f.net, "prod", server.endpoint());
+  mb::MbClient watcher(f.net, "watch", server.endpoint());
+  std::vector<std::pair<std::string, bool>> seen;
+  watcher.on_announce([&](const std::string& s, const std::string&, bool alive) {
+    seen.emplace_back(s, alive);
+  });
+  ASSERT_TRUE(producer.connect().ok());
+  ASSERT_TRUE(watcher.connect().ok());
+  ASSERT_TRUE(watcher.watch().ok());
+  ASSERT_TRUE(producer.produce("cam", "image/jpeg").ok());
+  f.sched.run();
+  server.stop();
+  f.sched.run();
+  EXPECT_EQ(seen, (std::vector<std::pair<std::string, bool>>{{"cam", true}}));
+  EXPECT_EQ(server.stream_count(), 0u);
+}
+
+// A producer whose connection closes retires its streams, as its RETIRE
+// would: the watchers are told, and a runtime that bridges the stream unmaps
+// it.
+TEST(MbMapperTest, AClosedProducerConnectionRetiresItsStreams) {
+  Lan f;
+  f.add_host("broker");
+  f.add_host("svc");
+  f.add_host("watch");
+  f.add_host("umnode");
+  core::UsdlLibrary library;
+  mb::register_mb_usdl(library);
+  mb::MbServer server(f.net, "broker");
+  ASSERT_TRUE(server.start().ok());
+  mb::MbClient native(f.net, "svc", server.endpoint());
+  ASSERT_TRUE(native.connect().ok());
+  ASSERT_TRUE(native.produce("sensor-feed", "application/octet-stream").ok());
+  mb::MbClient watcher(f.net, "watch", server.endpoint());
+  std::vector<bool> seen;
+  watcher.on_announce([&](const std::string& s, const std::string&, bool alive) {
+    if (s == "sensor-feed") seen.push_back(alive);
+  });
+  ASSERT_TRUE(watcher.connect().ok());
+  ASSERT_TRUE(watcher.watch().ok());
+  core::Runtime runtime(f.sched, f.net, "umnode");
+  runtime.add_mapper(std::make_unique<mb::MbMapper>(server.endpoint(), library));
+  ASSERT_TRUE(runtime.start().ok());
+  f.sched.run_for(seconds(2));
+  ASSERT_EQ(runtime.directory().lookup(core::Query().platform("mb")).size(), 1u);
+
+  native.close();
+  f.sched.run_for(seconds(1));
+  EXPECT_EQ(seen, (std::vector<bool>{true, false}));
+  EXPECT_EQ(runtime.directory().lookup(core::Query().platform("mb")).size(), 0u);
+  EXPECT_EQ(server.stream_count(), 0u);  // the translator retired its own stream too
 }
 
 TEST(MbMapperTest, ImportsStreamAndBridgesBothDirections) {

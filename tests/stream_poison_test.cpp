@@ -212,7 +212,8 @@ struct World {
         return;
       case Endpoint::rmi_server:
         rmi_server = std::make_unique<rmi::RmiObjectServer>(net, "b", kPort);
-        rmi_server->export_method("o", "m", [](const Bytes&) { return Result<Bytes>(Bytes{}); });
+        rmi_server->export_method(
+            "o", "m", [](const Bytes&, const std::string&) { return Result<Bytes>(Bytes{}); });
         ASSERT_TRUE(rmi_server->start().ok());
         valid = rmi::encode_call(rmi::Call{"o", "m", {}});
         connect_peer({"b", kPort});

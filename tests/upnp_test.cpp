@@ -648,6 +648,79 @@ TEST(UpnpMapperTest, EventsFlowFromNativeDeviceToPorts) {
   EXPECT_EQ(sink_raw->received()[0].msg.body_text(), "27");
 }
 
+// The GENA restart probe: an AirConditioner bridged by a runtime that stops,
+// or crashes, and starts three times, then a path from temperature-out to a
+// sink. Every start makes a fresh control point whose first callback path is
+// /gena/1 again, so a stale subscription would NOTIFY the live handler.
+struct GenaRestartProbe : MapperWorld {
+  std::unique_ptr<AirConditioner> ac;
+  core::CollectorDevice* sink = nullptr;
+
+  void run(bool crash) {
+    add_host("ac-host");
+    ac = std::make_unique<AirConditioner>(net, "ac-host");
+    ASSERT_TRUE(ac->start().ok());
+    ASSERT_TRUE(runtime->start().ok());
+    sched.run_for(seconds(3));
+    // Cooling, so each drift() changes the temperature.
+    auto first = runtime->directory().lookup(core::Query().platform("upnp"));
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_TRUE(runtime->translator(first[0].id)
+                    ->deliver("mode-in", core::Message::text(MimeType::of("text/plain"), "Cool"))
+                    .ok());
+    sched.run_for(seconds(1));
+    ASSERT_EQ(ac->mode(), "Cool");
+    for (int i = 0; i < 3; ++i) {
+      if (crash) {
+        runtime->crash();
+      } else {
+        runtime->stop();
+      }
+      sched.run_for(seconds(1));
+      ASSERT_TRUE(runtime->start().ok());
+      sched.run_for(seconds(3));
+    }
+    auto profiles = runtime->directory().lookup(core::Query().platform("upnp"));
+    ASSERT_EQ(profiles.size(), 1u);
+    auto collector = std::make_unique<core::CollectorDevice>(
+        "TempSink", core::make_sink_shape("in", MimeType::of("text/plain")));
+    sink = collector.get();
+    auto sink_id = runtime->map(std::move(collector)).take();
+    ASSERT_TRUE(runtime->transport()
+                    .connect(core::PortRef{profiles[0].id, "temperature-out"},
+                             core::PortRef{sink_id, "in"})
+                    .ok());
+  }
+
+  /// One native event; returns the sink's message count after it.
+  std::size_t drift() {
+    ac->drift();
+    sched.run_for(seconds(1));
+    return sink->count();
+  }
+};
+
+// A stopping runtime UNSUBSCRIBEs its event translators' subscriptions.
+TEST(UpnpMapperTest, EachEventArrivesOnceAfterGracefulRestarts) {
+  GenaRestartProbe probe;
+  ASSERT_NO_FATAL_FAILURE(probe.run(/*crash=*/false));
+  EXPECT_EQ(probe.ac->subscriber_count(), 1u);
+  EXPECT_EQ(probe.drift(), 1u);
+  EXPECT_EQ(probe.drift(), 2u);
+  EXPECT_EQ(probe.ac->subscriber_count(), 1u);
+}
+
+// A crashed runtime sends nothing: the control point answers each stale
+// subscription's NOTIFY 412, and the device drops it.
+TEST(UpnpMapperTest, EachEventArrivesOnceAfterCrashes) {
+  GenaRestartProbe probe;
+  ASSERT_NO_FATAL_FAILURE(probe.run(/*crash=*/true));
+  EXPECT_EQ(probe.drift(), 1u);
+  EXPECT_EQ(probe.ac->subscriber_count(), 1u);
+  EXPECT_EQ(probe.drift(), 2u);
+  EXPECT_EQ(probe.ac->subscriber_count(), 1u);
+}
+
 TEST(UpnpMapperTest, ByebyeUnmapsTranslator) {
   MapperWorld w;
   w.add_host("light-host");

@@ -175,6 +175,45 @@ TEST(WsRegistryTest, RegisterListUnregister) {
   EXPECT_EQ(steps, 3);
 }
 
+// A name belongs to the host that registered it: another host's register over
+// it (409) and unregister (403) are refused, so the entry stays. The
+// registering host replaces and unregisters it.
+TEST(WsRegistryTest, OnlyTheRegisteringHostReplacesOrUnregistersAName) {
+  Lan f;
+  f.add_host("reg");
+  f.add_host("svc");
+  f.add_host("other");
+  WsRegistry registry(f.net, "reg");
+  ASSERT_TRUE(registry.start().ok());
+  std::vector<bool> done;
+  auto record = [&](Result<void> r) { done.push_back(r.ok()); };
+  ws_register(f.net, "svc", registry.listing_url(),
+              WsEntry{"weather-1", "weather", "http://svc:8080/rpc"}, record);
+  f.sched.run();
+  ws_unregister(f.net, "other", registry.listing_url(), "weather-1", record);
+  f.sched.run();
+  ws_register(f.net, "other", registry.listing_url(),
+              WsEntry{"weather-1", "weather", "http://other:8080/rpc"}, record);
+  f.sched.run();
+  EXPECT_EQ(done, (std::vector<bool>{true, false, false}));
+  EXPECT_EQ(registry.size(), 1u);
+  std::vector<WsEntry> listed;
+  ws_list(f.net, "other", registry.listing_url(), [&](Result<std::vector<WsEntry>> r) {
+    if (r.ok()) listed = r.value();
+  });
+  f.sched.run();
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0].url, "http://svc:8080/rpc");
+
+  ws_register(f.net, "svc", registry.listing_url(),
+              WsEntry{"weather-1", "weather", "http://svc:8081/rpc"}, record);
+  f.sched.run();
+  ws_unregister(f.net, "svc", registry.listing_url(), "weather-1", record);
+  f.sched.run();
+  EXPECT_EQ(done, (std::vector<bool>{true, false, false, true, true}));
+  EXPECT_EQ(registry.size(), 0u);
+}
+
 // --- mapper -----------------------------------------------------------------------------
 
 struct WsWorld : Lan {

@@ -75,11 +75,12 @@ exist to keep nondeterminism from leaking back in:
                src/netsim/network.hpp, host_ids_ and group_ids_, are exempt.
   netsim-free-session
                src/core/link_session.{hpp,cpp}, src/core/path_queue.*,
-               src/core/qos.* and src/core/directory_table.* include no
-               netsim/, sim/ or obs/ header: the link lifecycle, the path
-               queue and the directory's rules stay value types that tests
-               drive, and explore exhaustively, without a simulated network
-               (DESIGN.md §7.8, §10.2, §11.6).
+               src/core/qos.*, src/core/directory_table.* and
+               src/core/registrations.hpp include no netsim/, sim/ or obs/
+               header: the link lifecycle, the path queue, the directory's
+               rules and the native registration rules stay value types that
+               tests drive, and explore exhaustively, without a simulated
+               network (DESIGN.md §7.8, §7.10, §10.2, §11.6).
   one-directory-rule
                outside src/core/directory_table.*, no src/ file notifies a
                directory listener with a profile (`->on_mapped(p)`,
@@ -150,6 +151,15 @@ exist to keep nondeterminism from leaking back in:
                calls run one at a time through core::UsdlTranslator's
                run_native/native_done, so the serial-call rule and its
                readiness have one implementation (DESIGN.md §7.7).
+  one-registration-table
+               in the five native servers' headers (MbServer, UpnpDevice,
+               WsService, WsRegistry, RmiRegistry), no std::map, std::set or
+               std::vector member of registrations (a member named *streams_,
+               *watchers_, *consumers_, *subscribers_, *subscriptions_,
+               *entries_, *bindings_ or *registrations_): who registered what
+               is a core::Registrations, whose idempotent add, owner-only
+               remove and drop_owner are the one implementation of those rules
+               (DESIGN.md §7.10).
   message-moves-once
                in src/core/, no function takes a core::Message or a
                umtp::Frame by value (Translator::emit and
@@ -577,13 +587,15 @@ def check_one_frame_feed(path: str, code: str) -> Iterable[Violation]:
                             f"a net::frames<Reader> handler ({FEED_SITES[0]})")
 
 
-# The link lifecycle, the path queue and the directory's rules are netsim-free
-# value types (DESIGN.md §7.8, §10.2, §11.6): their files may not include the
-# simulator, the network or telemetry.
+# The link lifecycle, the path queue, the directory's rules and the native
+# registration rules are netsim-free value types (DESIGN.md §7.8, §7.10,
+# §10.2, §11.6): their files may not include the simulator, the network or
+# telemetry.
 SESSION_FILES = {"src/core/link_session.hpp", "src/core/link_session.cpp",
                  "src/core/path_queue.hpp", "src/core/path_queue.cpp",
                  "src/core/qos.hpp", "src/core/qos.cpp",
-                 "src/core/directory_table.hpp", "src/core/directory_table.cpp"}
+                 "src/core/directory_table.hpp", "src/core/directory_table.cpp",
+                 "src/core/registrations.hpp"}
 SESSION_INCLUDE_RE = re.compile(r'#\s*include\s*[<"](netsim|sim|obs)/')
 
 
@@ -649,6 +661,29 @@ def check_one_native_queue(path: str, code: str) -> Iterable[Violation]:
                             "busy flag or call queue in a platform module; "
                             "run native calls through core::UsdlTranslator's "
                             "run_native and native_done")
+
+
+# The native registrations have one rule table (DESIGN.md §7.10):
+# core::Registrations holds the idempotent add, the owner-only remove and
+# drop_owner. A container of registrations in one of the five native servers
+# is a second copy of those rules, with its own find-before-push and erase_if.
+REGISTRATION_FILES = ("src/mediabroker/server.hpp", "src/upnp/device.hpp",
+                      "src/webservice/service.hpp", "src/webservice/registry.hpp",
+                      "src/rmi/registry.hpp")
+REGISTRATION_MEMBER_RE = re.compile(
+    r"\bstd::(?:map|set|vector)\s*<.*>\s*\w*(?:streams|watchers|consumers|subscribers|"
+    r"subscriptions|entries|bindings|registrations)_\s*[;{=]")
+
+
+def check_one_registration_table(path: str, code: str) -> Iterable[Violation]:
+    if path not in REGISTRATION_FILES:
+        return
+    for lineno, line in enumerate(code.splitlines(), 1):
+        if REGISTRATION_MEMBER_RE.search(line):
+            yield Violation("one-registration-table", path, lineno,
+                            "hand-written registration table in a native "
+                            "server; make it a core::Registrations "
+                            "(core/registrations.hpp)")
 
 
 # One ASCII rule for protocol text (DESIGN.md §7.3): a <cctype> call reads the
@@ -959,6 +994,7 @@ CHECKS: list[Callable[[str, str], Iterable[Violation]]] = [
     check_span_name_literal,
     check_ascii_text,
     check_one_native_queue,
+    check_one_registration_table,
 ]
 
 # Checks that match string literals: they see comments blanked, strings kept.
@@ -1153,6 +1189,18 @@ SEEDED_VIOLATIONS = [
      "std::deque<Work> queue_;\n"
      "void process_next();\n"
      "bool in_flight_ = false;\n"),
+    ("one-registration-table", "src/mediabroker/server.hpp",
+     "std::map<std::string, StreamInfo> streams_;\n"),
+    ("one-registration-table", "src/mediabroker/server.hpp",
+     "std::vector<net::Stream*> watchers_;\n"),
+    ("one-registration-table", "src/upnp/device.hpp",
+     "std::vector<Subscription> subscribers_;\n"),
+    ("one-registration-table", "src/webservice/service.hpp",
+     "std::vector<std::string> subscribers_;  ///< webhook URLs\n"),
+    ("one-registration-table", "src/webservice/registry.hpp",
+     "std::map<std::string, WsEntry> entries_;\n"),
+    ("one-registration-table", "src/rmi/registry.hpp",
+     "std::set<std::pair<std::string, std::string>> bindings_{};\n"),
     ("ascii-text", "src/xml/evil.cpp",
      "while (!eof() && std::isspace(static_cast<unsigned char>(peek()))) ++pos_;\n"
      "std::transform(s.begin(), s.end(), s.begin(), ::tolower);\n"),
@@ -1160,6 +1208,16 @@ SEEDED_VIOLATIONS = [
 
 CLEAN_SNIPPETS = [
     # Things that look suspicious but are sanctioned; the linter must pass them.
+    ("src/mediabroker/server.hpp",
+     "core::Registrations<std::string, net::Stream*, std::string> streams_;\n"
+     "core::Registrations<StreamId, net::Stream*> watchers_;\n"
+     "std::map<std::string, Fanout> fanout_;\n"
+     "std::map<net::Stream*, net::StreamPtr> connections_;\n"),
+    ("src/upnp/control_point.hpp",
+     "std::map<std::string, Subscription> subscriptions_;\n"),
+    ("src/upnp/device.hpp",
+     "std::map<std::pair<std::string, std::string>, std::string> state_;\n"
+     "core::Registrations<std::uint64_t, std::string, Subscription> subscribers_;\n"),
     ("src/bluetooth/mapper.hpp",
      "std::deque<std::uint64_t> sink_spans_;\n"
      "run_native([this, get] { run_obex_get(*get); });\n"
